@@ -15,6 +15,7 @@ from .errors import (
     DuplicatePoints,
     FunctionDomainError,
     HypothesisNotMet,
+    InvalidConfig,
     InvalidInterval,
     InverseDomainError,
     MercerLabError,
@@ -25,6 +26,7 @@ from .errors import (
     SingularNormalizer,
     SpectrumOutOfDomain,
 )
+from .core import SpectralCore
 from .functions import (
     CurvatureBounds,
     ScalarFunction,
@@ -42,11 +44,13 @@ from .linalg import (
     SpectralBounds,
     SpectralDecomposition,
     apply_scalar_function,
+    apply_to_decomposition,
     apply_to_spectrum,
     default_order_tolerance,
     loewner_compare,
     spectral_decompose,
     spectrum_range,
+    tolerance_from_norms,
 )
 from .maps import (
     Compression,
@@ -78,13 +82,16 @@ from .mercer import (
 from .quasimeans import (
     QuasiArithmeticSpec,
     compare_means,
+    curvature_bound,
     curvature_bound_expected_relation,
     curvature_mean_bound,
     diamond_phi,
+    geometric_middle,
     incomparability_probe,
     log_convex_mean_sandwich,
     mercer_quasi_mean,
     predicted_mean_relation,
+    quasi_mean,
     resolve_spec,
 )
 from .sampling import generator, haar_unitary, random_hermitian, random_unital_family, trial_seed

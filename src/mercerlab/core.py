@@ -1,0 +1,143 @@
+"""The spectral core of one instance: A_1..A_n decomposed once, shared by every chain and mean.
+
+For a unital family Phi_1..Phi_n, operators A_1..A_n and an interval
+[m, M], every side of the Mercer chains and of the quasi-arithmetic means is
+assembled from a few objects per generator g:
+
+* the images g(A_i), by clamped functional calculus on [m, M];
+* the image sum T_g = sum_i Phi_i(g(A_i));
+* the pre-mean (g(M) + g(m)) I - T_g;
+* the diamond term in g-coordinates,
+  (g(M)+g(m)) T_g - g(M)g(m) I - (T_g^2 + sum_i Phi_i(g(A_i)^2)) / 2;
+
+plus, for the plain chains, S = sum_i Phi_i(A_i) and the plain diamond D
+built from the raw A_i.  ``SpectralCore`` eigendecomposes each A_i once,
+through ``spectral_decompose`` with its Hermiticity check, and builds each
+of these objects from that basis on first use.  Every object is the same
+numpy computation on the same input as a one-shot evaluation, so reuse
+never moves a bit.  A core lives for one instance (one trial).
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Dict, Sequence, Tuple
+
+from .linalg import (
+    HermitianOperator,
+    SpectralBounds,
+    SpectralDecomposition,
+    apply_to_decomposition,
+    spectral_decompose,
+)
+from .maps import MapFamily, apply_map, family_sum
+
+_MISSING = object()
+
+
+def _diamond_term(
+    family: MapFamily,
+    total: HermitianOperator,
+    parts: Sequence[HermitianOperator],
+    lo: float,
+    hi: float,
+) -> HermitianOperator:
+    """(hi + lo) T - hi lo I - (T^2 + sum_i Phi_i(X_i^2)) / 2 for T = sum_i Phi_i(X_i).
+
+    PSD whenever every X_i has spectrum in [lo, hi]: it averages
+    (hi I - T)(T - lo I) and the images of (hi I - X_i)(X_i - lo I).
+    """
+    squares = [
+        apply_map(mp, HermitianOperator(x.entries @ x.entries))
+        for mp, x in zip(family.maps, parts)
+    ]
+    sq_total = squares[0]
+    for sq in squares[1:]:
+        sq_total = sq_total + sq
+    t_squared = HermitianOperator(total.entries @ total.entries)
+    eye = HermitianOperator.identity(family.dim_out)
+    return (hi + lo) * total - (hi * lo) * eye - 0.5 * (t_squared + sq_total)
+
+
+class SpectralCore:
+    """Memoised spectral objects of one (family, operators, bounds) instance.
+
+    ``decompositions`` may carry the eigendecompositions a caller already
+    computed (the range check of ``MercerInstance``); otherwise each A_i is
+    decomposed on first use.  Objects are keyed by generator: two
+    ``ScalarFunction`` values that compare equal share their entries.
+    """
+
+    def __init__(
+        self,
+        family: MapFamily,
+        operators: Sequence[HermitianOperator],
+        bounds: SpectralBounds,
+        decompositions: Tuple[SpectralDecomposition, ...] | None = None,
+    ):
+        self.family = family
+        self.operators = tuple(operators)
+        self.bounds = bounds
+        self._decompositions = decompositions
+        self._memo: Dict[object, object] = {}
+
+    @property
+    def decompositions(self) -> Tuple[SpectralDecomposition, ...]:
+        if self._decompositions is None:
+            self._decompositions = tuple(spectral_decompose(a) for a in self.operators)
+        return self._decompositions
+
+    def cached(self, key, build: Callable[[], object]):
+        """The value memoised under ``key``, built by ``build()`` on first use.
+
+        A build that raises stores nothing, so a later call raises again.
+        """
+        value = self._memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._memo[key] = build()
+        return value
+
+    def images(self, g) -> Tuple[HermitianOperator, ...]:
+        """g(A_i) for every operator, clamp-checked on [m, M]."""
+        return self.cached(
+            ("images", g),
+            lambda: tuple(apply_to_decomposition(g, dec, self.bounds) for dec in self.decompositions),
+        )
+
+    def total(self, g) -> HermitianOperator:
+        """T_g = sum_i Phi_i(g(A_i))."""
+        return self.cached(("total", g), lambda: family_sum(self.family, self.images(g)))
+
+    def pre_mean(self, g) -> HermitianOperator:
+        """(g(M) + g(m)) I - T_g, the operand of g^{-1} in the quasi-arithmetic mean."""
+
+        def build():
+            total = self.total(g)
+            gm = float(g(self.bounds.m))
+            gM = float(g(self.bounds.M))
+            return (gM + gm) * HermitianOperator.identity(self.family.dim_out) - total
+
+        return self.cached(("pre_mean", g), build)
+
+    def diamond(self, g) -> HermitianOperator:
+        """The diamond term in g-coordinates."""
+
+        def build():
+            total = self.total(g)
+            return _diamond_term(
+                self.family, total, self.images(g), float(g(self.bounds.m)), float(g(self.bounds.M))
+            )
+
+        return self.cached(("diamond", g), build)
+
+    def image_sum(self) -> HermitianOperator:
+        """S = sum_i Phi_i(A_i) of the raw operators."""
+        return self.cached("image_sum", lambda: family_sum(self.family, self.operators))
+
+    def diamond_plain(self) -> HermitianOperator:
+        """The plain diamond D, built from S and the raw A_i (not from id(A_i))."""
+        return self.cached(
+            "diamond_plain",
+            lambda: _diamond_term(
+                self.family, self.image_sum(), self.operators, self.bounds.m, self.bounds.M
+            ),
+        )

@@ -65,6 +65,10 @@ class SingularNormalizer(MercerLabError):
     """The unitality normalizer of a map family is numerically singular."""
 
 
+class InvalidConfig(MercerLabError):
+    """A run size or tolerance is out of range (e.g. no operators, negative trials)."""
+
+
 class BudgetExhausted(MercerLabError):
     """A search finished its budget without finding a witness.
 

@@ -15,7 +15,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BudgetExhausted, HypothesisNotMet, InverseDomainError
+from .core import SpectralCore
+from .errors import BudgetExhausted, HypothesisNotMet, InvalidConfig, InverseDomainError
 from .functions import ScalarFunction, curvature_bounds, parse_function_spec
 from .linalg import HermitianOperator, Relation, SpectralBounds
 from .maps import MapFamily, WeightedTrace, family_to_json
@@ -32,13 +33,12 @@ from .quasimeans import (
     ALPHA_SIDE,
     BETA_SIDE,
     QuasiArithmeticSpec,
-    compare_means,
+    curvature_bound,
     curvature_bound_expected_relation,
-    curvature_mean_bound,
+    geometric_middle,
     incomparability_probe,
-    log_convex_mean_sandwich,
-    mercer_quasi_mean,
     predicted_mean_relation,
+    quasi_mean,
     resolve_spec,
 )
 from .sampling import generator, random_hermitian, random_unital_family, trial_seed
@@ -72,6 +72,13 @@ class TrialConfig:
     force: bool = False
     mixed: bool = False
     vary_dims: bool = False
+
+    def __post_init__(self):
+        for name in ("dim_h", "dim_k", "n_maps"):
+            value = getattr(self, name)
+            if value < 1:
+                raise InvalidConfig(f"{name} must be >= 1, got {value}")
+        check_tolerance(self.tol_abs)
 
     @property
     def bounds(self) -> SpectralBounds:
@@ -125,6 +132,20 @@ class RunSummary:
         }
 
 
+def check_tolerance(tol_abs: Optional[float]) -> None:
+    """An absolute PSD tolerance override must be finite and nonnegative.
+
+    A negative one turns every ordering the theory asserts into a violation.
+    """
+    if tol_abs is not None and not (math.isfinite(tol_abs) and tol_abs >= 0.0):
+        raise InvalidConfig(f"tolerance must be finite and >= 0, got {tol_abs}")
+
+
+def check_trials(n_trials: int) -> None:
+    if n_trials < 0:
+        raise InvalidConfig(f"trials must be >= 0, got {n_trials}")
+
+
 def normalize_chain(token: str) -> str:
     if token not in CHAIN_TOKENS:
         raise ValueError(f"unknown chain {token!r}; choices: {sorted(set(CHAIN_TOKENS))}")
@@ -140,10 +161,10 @@ def _draw_dims(config: TrialConfig, rng: np.random.Generator) -> Tuple[int, int,
     return config.dim_h, config.dim_k, config.n_maps
 
 
-def build_instance(
-    config: TrialConfig, trial_index: int, f: ScalarFunction
-) -> Tuple[MercerInstance, int, Tuple[int, int, int]]:
-    """Deterministic instance for one trial.
+def _sample_trial(
+    config: TrialConfig, trial_index: int, bounds: SpectralBounds
+) -> Tuple[int, Tuple[int, int, int], MapFamily, Tuple[HermitianOperator, ...]]:
+    """(seed, dims, family, operators) of one trial, drawn from its own stream.
 
     Every 10th trial forces two eigenvalues of each operator onto the
     interval endpoints, where the equality cases of the bounds live.
@@ -154,11 +175,19 @@ def build_instance(
     family = random_unital_family(n, dim_h, dim_k, rng, include_trace=config.mixed)
     force_endpoints = trial_index % 10 == 0
     operators = tuple(
-        random_hermitian(dim_h, config.bounds, rng, force_endpoints=force_endpoints)
-        for _ in range(n)
+        random_hermitian(dim_h, bounds, rng, force_endpoints=force_endpoints) for _ in range(n)
     )
-    inst = MercerInstance(f=f, family=family, operators=operators, bounds=config.bounds)
-    return inst, seed_i, (dim_h, dim_k, n)
+    return seed_i, (dim_h, dim_k, n), family, operators
+
+
+def build_instance(
+    config: TrialConfig, trial_index: int, f: ScalarFunction
+) -> Tuple[MercerInstance, int, Tuple[int, int, int]]:
+    """Deterministic instance for one trial; see :func:`_sample_trial`."""
+    bounds = config.bounds
+    seed_i, dims, family, operators = _sample_trial(config, trial_index, bounds)
+    inst = MercerInstance(f=f, family=family, operators=operators, bounds=bounds)
+    return inst, seed_i, dims
 
 
 def _pair_gap(report: InequalityReport, left: str, right: str) -> float:
@@ -176,6 +205,7 @@ def run_suite(config: TrialConfig, n_trials: int) -> RunSummary:
     Violations are data, not errors: each carries its replay seed and the
     offending pair so the exact instance can be rebuilt.
     """
+    check_trials(n_trials)
     f = parse_function_spec(config.function_spec)
     which = normalize_chain(config.chain)
     started = time.perf_counter()
@@ -330,6 +360,7 @@ def search_counterexample(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    check_tolerance(tol_abs)
     bounds = SpectralBounds(m, M)
 
     if target == "classic-nonconvex":
@@ -479,6 +510,7 @@ def run_sweep(
     leaves the domain of psi^{-1}), and the geometric sandwich when the
     composite is log-convex.  Returns (json_report, violation_count).
     """
+    check_trials(n_trials)
     phi = parse_function_spec(phi_spec)
     psi = parse_function_spec(psi_spec)
     bounds = config.bounds
@@ -508,20 +540,17 @@ def run_sweep(
     )
 
     for i in range(n_trials):
-        seed_i = trial_seed(config.seed, i)
-        rng = generator(seed_i)
-        dim_h, dim_k, n = _draw_dims(config, rng)
-        family = random_unital_family(n, dim_h, dim_k, rng, include_trace=config.mixed)
-        operators = tuple(
-            random_hermitian(dim_h, bounds, rng, force_endpoints=(i % 10 == 0))
-            for _ in range(n)
-        )
+        seed_i, _, family, operators = _sample_trial(config, i, bounds)
         tol = config.tol_abs if config.tol_abs is not None else 1e-9 * (
             1.0 + abs(bounds.M) + abs(float(psi(bounds.M))) + abs(float(psi(bounds.m)))
         )
 
-        mean_phi = mercer_quasi_mean(phi, family, operators, bounds)
-        mean_psi = mercer_quasi_mean(psi, family, operators, bounds)
+        # Every object of the trial comes from one core: each A_i is
+        # decomposed once, and T_psi's pre-mean serves QM_psi and both
+        # curvature sides.
+        core = SpectralCore(family, operators, bounds)
+        mean_phi = quasi_mean(core, phi)
+        mean_psi = quasi_mean(core, psi)
 
         if compare_check.applicable:
             gap = _directional_gap(mean_phi, mean_psi, predicted)
@@ -533,14 +562,14 @@ def run_sweep(
                 (BETA_SIDE, beta_rel, beta_check),
             ):
                 try:
-                    bound = curvature_mean_bound(spec, family, operators, bounds, side=side)
+                    bound = curvature_bound(spec, core, side=side)
                 except InverseDomainError:
                     check.domain_skips += 1
                 else:
                     check.record(i, seed_i, _directional_gap(mean_phi, bound, rel), tol)
 
         if sandwich_applicable:
-            middle, _report = log_convex_mean_sandwich(spec, family, operators, bounds)
+            middle = geometric_middle(spec, core)
             low = _directional_gap(mean_phi, middle, Relation.LESS_EQUAL)
             high = _directional_gap(middle, mean_psi, Relation.LESS_EQUAL)
             sandwich_check.record(i, seed_i, min(low, high), tol)

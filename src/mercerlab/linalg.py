@@ -2,8 +2,11 @@
 
 Eigendecomposition, scalar functional calculus and Loewner-order comparison
 for finite-dimensional self-adjoint matrices.  Every operator expression in
-the package is built on the three primitives in this module:
-``spectral_decompose``, ``apply_scalar_function`` and ``loewner_compare``.
+the package is built on the primitives in this module:
+``spectral_decompose``, ``apply_to_decomposition`` (with its one-shot forms
+``apply_scalar_function`` and ``apply_to_spectrum``) and ``loewner_compare``.
+Functional calculus is split from decomposition so that one eigensolve can
+serve every function applied to the same operator.
 
 All values are immutable after construction and all operations are pure, so
 everything here is safe to share between threads.
@@ -208,14 +211,18 @@ class OrderVerdict:
         }
 
 
-def default_order_tolerance(*operators: HermitianOperator) -> float:
+def tolerance_from_norms(*norms: float) -> float:
     """Absolute PSD tolerance 1e-9 * (1 + max spectral norm).
 
     Eigensolver backward error scales with the norm of the input, so the
     tolerance must as well.
     """
-    top = max((op.norm2() for op in operators), default=0.0)
-    return 1e-9 * (1.0 + top)
+    return 1e-9 * (1.0 + max(norms, default=0.0))
+
+
+def default_order_tolerance(*operators: HermitianOperator) -> float:
+    """:func:`tolerance_from_norms` of the operators' spectral norms."""
+    return tolerance_from_norms(*(op.norm2() for op in operators))
 
 
 def spectral_decompose(a: HermitianOperator) -> SpectralDecomposition:
@@ -244,6 +251,35 @@ def _evaluate_scalar(f: Callable[[np.ndarray], np.ndarray], values: np.ndarray) 
     return out
 
 
+def apply_to_decomposition(
+    f: Callable[[np.ndarray], np.ndarray],
+    dec: SpectralDecomposition,
+    bounds: SpectralBounds | None = None,
+) -> HermitianOperator:
+    """Functional calculus f(A) = U diag(f(lambda)) U* from a decomposition of A.
+
+    With ``bounds``, eigenvalues inside the clamp band around [m, M] are
+    clamped onto the interval before evaluating f, and eigenvalues farther
+    out raise ``SpectrumOutOfDomain``; without, f is evaluated on the
+    spectrum as it is.  ``f`` may be any vectorized callable; values at which
+    it is undefined raise ``FunctionDomainError``.  One decomposition may
+    serve any number of functions.
+    """
+    lam = dec.eigenvalues
+    if bounds is not None:
+        tol = bounds.clamp_tol
+        if lam[0] < bounds.m - tol or lam[-1] > bounds.M + tol:
+            raise SpectrumOutOfDomain(
+                f"spectrum [{lam[0]:.12g}, {lam[-1]:.12g}] leaves [{bounds.m:.12g}, {bounds.M:.12g}] "
+                f"by more than {tol:.3e}"
+            )
+        lam = np.clip(lam, bounds.m, bounds.M)
+    values = _evaluate_scalar(f, lam)
+    u = dec.eigenvectors
+    mat = (u * values) @ u.conj().T
+    return HermitianOperator(0.5 * (mat + mat.conj().T))
+
+
 def apply_scalar_function(
     f: Callable[[np.ndarray], np.ndarray],
     a: HermitianOperator,
@@ -253,22 +289,9 @@ def apply_scalar_function(
 
     Eigenvalues inside the clamp band around [m, M] are clamped onto the
     interval before evaluating f; eigenvalues farther out raise
-    ``SpectrumOutOfDomain``.  ``f`` may be any vectorized callable; values at
-    which it is undefined raise ``FunctionDomainError``.
+    ``SpectrumOutOfDomain``.  See :func:`apply_to_decomposition`.
     """
-    dec = spectral_decompose(a)
-    lam = dec.eigenvalues
-    tol = bounds.clamp_tol
-    if lam[0] < bounds.m - tol or lam[-1] > bounds.M + tol:
-        raise SpectrumOutOfDomain(
-            f"spectrum [{lam[0]:.12g}, {lam[-1]:.12g}] leaves [{bounds.m:.12g}, {bounds.M:.12g}] "
-            f"by more than {tol:.3e}"
-        )
-    clamped = np.clip(lam, bounds.m, bounds.M)
-    values = _evaluate_scalar(f, clamped)
-    u = dec.eigenvectors
-    mat = (u * values) @ u.conj().T
-    return HermitianOperator(0.5 * (mat + mat.conj().T))
+    return apply_to_decomposition(f, spectral_decompose(a), bounds)
 
 
 def apply_to_spectrum(f: Callable[[np.ndarray], np.ndarray], a: HermitianOperator) -> HermitianOperator:
@@ -277,11 +300,7 @@ def apply_to_spectrum(f: Callable[[np.ndarray], np.ndarray], a: HermitianOperato
     Used where no ambient [m, M] contract exists (e.g. applying the inverse
     generator of a quasi-arithmetic mean to an already-assembled operator).
     """
-    dec = spectral_decompose(a)
-    values = _evaluate_scalar(f, dec.eigenvalues)
-    u = dec.eigenvectors
-    mat = (u * values) @ u.conj().T
-    return HermitianOperator(0.5 * (mat + mat.conj().T))
+    return apply_to_decomposition(f, spectral_decompose(a))
 
 
 def loewner_compare(
@@ -302,8 +321,9 @@ def loewner_compare(
     lam, vecs = np.linalg.eigh(0.5 * (diff + diff.conj().T))
     min_ba = float(lam[0])            # min eig of B - A
     min_ab = float(-lam[-1])          # min eig of A - B
-    norm_diff = max(abs(lam[0]), abs(lam[-1]))
-    if min_ba >= -tol_abs and min_ab >= -tol_abs and norm_diff <= tol_abs * a.dim:
+    # Both slacks within tolerance already bound the spectral norm of B - A
+    # by tol_abs, so no separate norm test is needed for Equal.
+    if min_ba >= -tol_abs and min_ab >= -tol_abs:
         return OrderVerdict(Relation.EQUAL, min_ba, vecs[:, 0])
     if min_ba >= -tol_abs:
         return OrderVerdict(Relation.LESS_EQUAL, min_ba, vecs[:, 0])

@@ -19,7 +19,7 @@ genuine refinements for convex f (alpha >= 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -31,6 +31,7 @@ from .errors import (
     OutOfInterval,
     SpectrumOutOfDomain,
 )
+from .core import SpectralCore
 from .functions import CurvatureBounds, ScalarFunction, curvature_bounds, is_log_convex_on
 from .linalg import (
     HermitianOperator,
@@ -38,9 +39,10 @@ from .linalg import (
     SpectralBounds,
     apply_scalar_function,
     loewner_compare,
-    spectrum_range,
+    spectral_decompose,
+    tolerance_from_norms,
 )
-from .maps import MapFamily, apply_map, family_sum, unitality_defect
+from .maps import MapFamily, apply_map, unitality_defect
 
 UNITALITY_TOL = 1e-9
 
@@ -49,12 +51,17 @@ CHAIN_KINDS = ("classic", "chain", "twice_diff", "log_convex")
 
 @dataclass(frozen=True)
 class MercerInstance:
-    """One dataset for the inequality chains: f, a unital family, operators, [m, M]."""
+    """One dataset for the inequality chains: f, a unital family, operators, [m, M].
+
+    ``core`` keeps the eigendecompositions of the range check, so every side
+    of every chain reuses them; the sides themselves are memoised there too.
+    """
 
     f: ScalarFunction
     family: MapFamily
     operators: Tuple[HermitianOperator, ...]
     bounds: SpectralBounds
+    core: SpectralCore = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.operators) != self.family.size:
@@ -65,13 +72,18 @@ class MercerInstance:
         if defect > UNITALITY_TOL:
             raise HypothesisNotMet(f"map family is not unital (defect {defect:.3e})")
         tol = self.bounds.clamp_tol
+        decompositions = []
         for i, a in enumerate(self.operators):
-            lo, hi = spectrum_range(a)
+            dec = spectral_decompose(a)
+            lo, hi = float(dec.eigenvalues[0]), float(dec.eigenvalues[-1])
             if lo < self.bounds.m - tol or hi > self.bounds.M + tol:
                 raise SpectrumOutOfDomain(
                     f"operator {i} has spectrum [{lo:.12g}, {hi:.12g}] outside "
                     f"[{self.bounds.m:.12g}, {self.bounds.M:.12g}]"
                 )
+            decompositions.append(dec)
+        core = SpectralCore(self.family, self.operators, self.bounds, tuple(decompositions))
+        object.__setattr__(self, "core", core)
 
     @property
     def dim_out(self) -> int:
@@ -154,7 +166,7 @@ def scalar_mercer_check(
 
 def image_sum(inst: MercerInstance) -> HermitianOperator:
     """S = sum_i Phi_i(A_i); spectrum stays in [m, M] for unital families."""
-    return family_sum(inst.family, inst.operators)
+    return inst.core.image_sum()
 
 
 def mercer_lhs(inst: MercerInstance) -> HermitianOperator:
@@ -165,17 +177,23 @@ def mercer_lhs(inst: MercerInstance) -> HermitianOperator:
 
 
 def mercer_rhs_classic(inst: MercerInstance) -> HermitianOperator:
-    """(f(M) + f(m)) I - sum_i Phi_i(f(A_i))."""
-    fm = float(inst.f(inst.bounds.m))
-    fM = float(inst.f(inst.bounds.M))
-    images = [
-        apply_map(phi, apply_scalar_function(inst.f, a, inst.bounds))
-        for phi, a in zip(inst.family.maps, inst.operators)
-    ]
-    total = images[0]
-    for img in images[1:]:
-        total = total + img
-    return (fM + fm) * HermitianOperator.identity(inst.dim_out) - total
+    """(f(M) + f(m)) I - sum_i Phi_i(f(A_i)).
+
+    The images are added in map order as operators, unlike the accumulated
+    and re-symmetrised T_f of the quasi-arithmetic means, so the two need
+    not agree bit for bit; each keeps its own summation.
+    """
+
+    def build():
+        fm = float(inst.f(inst.bounds.m))
+        fM = float(inst.f(inst.bounds.M))
+        images = [apply_map(phi, img) for phi, img in zip(inst.family.maps, inst.core.images(inst.f))]
+        total = images[0]
+        for img in images[1:]:
+            total = total + img
+        return (fM + fm) * HermitianOperator.identity(inst.dim_out) - total
+
+    return inst.core.cached(("rhs_classic", inst.f), build)
 
 
 def chain_middle(inst: MercerInstance) -> HermitianOperator:
@@ -202,21 +220,7 @@ def diamond_plain(inst: MercerInstance) -> HermitianOperator:
     PSD whenever every spectrum sits in [m, M]: both (M I - S)(S - m I) and
     the image of (M I - A)(A - m I) are PSD and D is their average.
     """
-    s = image_sum(inst)
-    eye = HermitianOperator.identity(inst.dim_out)
-    squares = [
-        apply_map(phi, HermitianOperator(a.entries @ a.entries))
-        for phi, a in zip(inst.family.maps, inst.operators)
-    ]
-    sq_total = squares[0]
-    for sq in squares[1:]:
-        sq_total = sq_total + sq
-    s_squared = HermitianOperator(s.entries @ s.entries)
-    return (
-        (inst.bounds.M + inst.bounds.m) * s
-        - (inst.bounds.M * inst.bounds.m) * eye
-        - 0.5 * (s_squared + sq_total)
-    )
+    return inst.core.diamond_plain()
 
 
 def refined_bounds(
@@ -225,6 +229,8 @@ def refined_bounds(
     """Two-sided curvature-corrected bounds (lower, upper) around the lhs:
 
         rhs_classic - beta D  <=  f((M+m)I - S)  <=  rhs_classic - alpha D.
+
+    rhs_classic and D come from the instance's core, shared with the chain.
     """
     rhs = mercer_rhs_classic(inst)
     d = diamond_plain(inst)
@@ -292,8 +298,18 @@ def evaluate_chain(
     verdicts: List[Tuple[str, str, OrderVerdict]] = []
     scalars: Dict[str, float] = {}
 
+    # Each side's spectral norm enters the default tolerance of every pair it
+    # is in; it is computed once per side.
+    norms: Dict[str, float] = {}
+
+    def norm(label: str) -> float:
+        if label not in norms:
+            norms[label] = by_label[label].norm2()
+        return norms[label]
+
     def compare(left: str, right: str) -> None:
-        verdict = loewner_compare(by_label[left], by_label[right], tol_abs=tol_abs)
+        tol = tol_abs if tol_abs is not None else tolerance_from_norms(norm(left), norm(right))
+        verdict = loewner_compare(by_label[left], by_label[right], tol_abs=tol)
         verdicts.append((left, right, verdict))
 
     lhs = mercer_lhs(inst)

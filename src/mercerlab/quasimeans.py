@@ -38,17 +38,18 @@ from .functions import (
     inverse_entry,
     is_log_convex_on,
 )
+from .core import SpectralCore
 from .linalg import (
     HermitianOperator,
     OrderVerdict,
     Relation,
     SpectralBounds,
     apply_scalar_function,
-    apply_to_spectrum,
+    apply_to_decomposition,
     loewner_compare,
-    spectrum_range,
+    spectral_decompose,
 )
-from .maps import MapFamily, apply_map, family_sum
+from .maps import MapFamily
 from .mercer import InequalityReport
 
 MONOTONICITY_GRID_POINTS = 1000
@@ -218,26 +219,40 @@ def resolve_spec(
 # The mean and its refinements
 # --------------------------------------------------------------------------
 
-def _generator_images(
-    g: ScalarFunction,
-    family: MapFamily,
-    operators: Sequence[HermitianOperator],
-    bounds: SpectralBounds,
-) -> Tuple[HermitianOperator, List[HermitianOperator]]:
-    """(sum_i Phi_i(g(A_i)), [g(A_i)...])."""
-    images = [apply_scalar_function(g, a, bounds) for a in operators]
-    return family_sum(family, images), images
-
-
 def _apply_inverse(entry: ScalarFunction, operand: HermitianOperator) -> HermitianOperator:
-    lo, hi = spectrum_range(operand)
+    """entry(operand) after checking that the spectrum stays inside entry's domain.
+
+    One decomposition of the operand serves both the range check and the
+    functional calculus.
+    """
+    dec = spectral_decompose(operand)
+    lo, hi = float(dec.eigenvalues[0]), float(dec.eigenvalues[-1])
     dlo, dhi = entry.natural_domain
     slack = 1e-12 * (1.0 + abs(lo) + abs(hi))
     if (math.isfinite(dlo) and lo <= dlo + slack) or (math.isfinite(dhi) and hi >= dhi - slack):
         raise InverseDomainError(
             f"operand spectrum [{lo:.12g}, {hi:.12g}] leaves the domain of {entry.label()}"
         )
-    return apply_to_spectrum(entry, operand)
+    return apply_to_decomposition(entry, dec)
+
+
+def quasi_mean(core: SpectralCore, phi: ScalarFunction) -> HermitianOperator:
+    """QM_phi of the core's instance, memoised in the core.
+
+    The pre-mean has spectrum inside the phi-image interval, so the inverse
+    is applied by clamped functional calculus on that interval.
+    """
+
+    def build():
+        bounds = core.bounds
+        _require_strictly_monotone(phi, bounds, 256)
+        entry = inverse_entry(phi)
+        if entry is None and phi.inverse is None:
+            raise InverseDomainError(f"{phi.label()} has no inverse evaluator")
+        inv_fn = entry.fn if entry is not None else phi.inverse
+        return apply_scalar_function(inv_fn, core.pre_mean(phi), _image_interval(phi, bounds))
+
+    return core.cached(("mean", phi), build)
 
 
 def mercer_quasi_mean(
@@ -246,21 +261,8 @@ def mercer_quasi_mean(
     operators: Sequence[HermitianOperator],
     bounds: SpectralBounds,
 ) -> HermitianOperator:
-    """phi^{-1}((phi(M) + phi(m)) I - sum_i Phi_i(phi(A_i))).
-
-    The inner operator has spectrum inside the phi-image interval, so the
-    inverse is applied by clamped functional calculus on that interval.
-    """
-    _require_strictly_monotone(phi, bounds, 256)
-    entry = inverse_entry(phi)
-    if entry is None and phi.inverse is None:
-        raise InverseDomainError(f"{phi.label()} has no inverse evaluator")
-    inv_fn = entry.fn if entry is not None else phi.inverse
-    total, _ = _generator_images(phi, family, operators, bounds)
-    pm = float(phi(bounds.m))
-    pM = float(phi(bounds.M))
-    arg = (pM + pm) * HermitianOperator.identity(family.dim_out) - total
-    return apply_scalar_function(inv_fn, arg, _image_interval(phi, bounds))
+    """phi^{-1}((phi(M) + phi(m)) I - sum_i Phi_i(phi(A_i))); see :func:`quasi_mean`."""
+    return quasi_mean(SpectralCore(family, operators, bounds), phi)
 
 
 def predicted_mean_relation(spec: QuasiArithmeticSpec) -> Relation:
@@ -302,11 +304,9 @@ def compare_means(
     Raises ``HypothesisNotMet`` when the generator pair matches none of the
     ordering cases; the verdict is then unavailable rather than guessed.
     """
-    bounds = bounds or spec.bounds
     predicted_mean_relation(spec)  # gate only; direction checked by callers
-    mean_phi = mercer_quasi_mean(spec.phi, family, operators, bounds)
-    mean_psi = mercer_quasi_mean(spec.psi, family, operators, bounds)
-    return loewner_compare(mean_phi, mean_psi, tol_abs=tol_abs)
+    core = SpectralCore(family, operators, bounds or spec.bounds)
+    return loewner_compare(quasi_mean(core, spec.phi), quasi_mean(core, spec.psi), tol_abs=tol_abs)
 
 
 def diamond_phi(
@@ -322,32 +322,7 @@ def diamond_phi(
     with T = sum_i Phi_i(phi(A_i)); coincides with the plain correction term
     when phi is the identity, and is PSD for the same reason.
     """
-    total, images = _generator_images(phi, family, operators, bounds)
-    pm = float(phi(bounds.m))
-    pM = float(phi(bounds.M))
-    squares = [
-        apply_map(mp, HermitianOperator(img.entries @ img.entries))
-        for mp, img in zip(family.maps, images)
-    ]
-    sq_total = squares[0]
-    for sq in squares[1:]:
-        sq_total = sq_total + sq
-    t_squared = HermitianOperator(total.entries @ total.entries)
-    eye = HermitianOperator.identity(family.dim_out)
-    return (pM + pm) * total - (pM * pm) * eye - 0.5 * (t_squared + sq_total)
-
-
-def _psi_pre_inverse_mean(
-    psi: ScalarFunction,
-    family: MapFamily,
-    operators: Sequence[HermitianOperator],
-    bounds: SpectralBounds,
-) -> HermitianOperator:
-    """(psi(M) + psi(m)) I - sum_i Phi_i(psi(A_i)), i.e. psi(QM_psi) unassembled."""
-    total, _ = _generator_images(psi, family, operators, bounds)
-    pm = float(psi(bounds.m))
-    pM = float(psi(bounds.M))
-    return (pM + pm) * HermitianOperator.identity(family.dim_out) - total
+    return SpectralCore(family, operators, bounds).diamond(phi)
 
 
 def curvature_mean_bound(
@@ -365,17 +340,29 @@ def curvature_mean_bound(
     inequality.  With an operator-decreasing psi^{-1} both directions flip;
     see :func:`curvature_bound_expected_relation`.
     """
+    return curvature_bound(
+        spec, SpectralCore(family, operators, bounds or spec.bounds), side, curvature
+    )
+
+
+def curvature_bound(
+    spec: QuasiArithmeticSpec,
+    core: SpectralCore,
+    side: str = ALPHA_SIDE,
+    curvature: CurvatureBounds | None = None,
+) -> HermitianOperator:
+    """:func:`curvature_mean_bound` on a core: the psi pre-mean and the phi
+    diamond are shared by both sides and with the means."""
     if side not in (ALPHA_SIDE, BETA_SIDE):
         raise ValueError(f"side must be {ALPHA_SIDE!r} or {BETA_SIDE!r}, got {side!r}")
     if not (spec.psi_inverse_increasing or spec.psi_inverse_decreasing):
         raise HypothesisNotMet(
             f"psi^-1 = {spec.psi_inverse.label()} is not flagged operator monotone"
         )
-    bounds = bounds or spec.bounds
     curv = curvature or spec.composite_curvature
     coeff = curv.alpha if side == ALPHA_SIDE else curv.beta
-    inner = _psi_pre_inverse_mean(spec.psi, family, operators, bounds)
-    correction = diamond_phi(spec.phi, family, operators, bounds)
+    inner = core.pre_mean(spec.psi)
+    correction = core.diamond(spec.phi)
     return _apply_inverse(spec.psi_inverse, inner - coeff * correction)
 
 
@@ -409,7 +396,27 @@ def log_convex_mean_sandwich(
     Requires psi o phi^{-1} log-convex, psi^{-1} operator increasing, and
     psi positive at the endpoints.
     """
-    bounds = bounds or spec.bounds
+    core = SpectralCore(family, operators, bounds or spec.bounds)
+    middle = geometric_middle(spec, core)
+    mean_phi = quasi_mean(core, spec.phi)
+    mean_psi = quasi_mean(core, spec.psi)
+    verdict_low = loewner_compare(mean_phi, middle, tol_abs=tol_abs)
+    verdict_high = loewner_compare(middle, mean_psi, tol_abs=tol_abs)
+    report = InequalityReport(
+        sides=(("mean_phi", mean_phi), ("geometric_middle", middle), ("mean_psi", mean_psi)),
+        verdicts=(
+            ("mean_phi", "geometric_middle", verdict_low),
+            ("geometric_middle", "mean_psi", verdict_high),
+        ),
+        scalars={"reversal_applied": float(spec.reversal_applied)},
+    )
+    return middle, report
+
+
+def geometric_middle(spec: QuasiArithmeticSpec, core: SpectralCore) -> HermitianOperator:
+    """The middle of :func:`log_convex_mean_sandwich` on a core, after its
+    hypothesis checks; T_phi is shared with QM_phi."""
+    bounds = core.bounds
     psi_m = float(spec.psi(bounds.m))
     psi_M = float(spec.psi(bounds.M))
     if not (psi_m > 0.0 and psi_M > 0.0):
@@ -424,7 +431,7 @@ def log_convex_mean_sandwich(
         raise HypothesisNotMet(
             f"psi^-1 = {spec.psi_inverse.label()} is not flagged operator increasing"
         )
-    total, _ = _generator_images(spec.phi, family, operators, bounds)
+    total = core.total(spec.phi)
     pm = float(spec.phi(bounds.m))
     pM = float(spec.phi(bounds.M))
     log_sm = math.log(psi_m)
@@ -435,20 +442,7 @@ def log_convex_mean_sandwich(
         return np.exp(((tau - pm) * log_sm + (pM - tau) * log_sM) / width)
 
     mid_pre = apply_scalar_function(h, total, spec.phi_interval)
-    middle = _apply_inverse(spec.psi_inverse, mid_pre)
-    mean_phi = mercer_quasi_mean(spec.phi, family, operators, bounds)
-    mean_psi = mercer_quasi_mean(spec.psi, family, operators, bounds)
-    verdict_low = loewner_compare(mean_phi, middle, tol_abs=tol_abs)
-    verdict_high = loewner_compare(middle, mean_psi, tol_abs=tol_abs)
-    report = InequalityReport(
-        sides=(("mean_phi", mean_phi), ("geometric_middle", middle), ("mean_psi", mean_psi)),
-        verdicts=(
-            ("mean_phi", "geometric_middle", verdict_low),
-            ("geometric_middle", "mean_psi", verdict_high),
-        ),
-        scalars={"reversal_applied": float(spec.reversal_applied)},
-    )
-    return middle, report
+    return _apply_inverse(spec.psi_inverse, mid_pre)
 
 
 # --------------------------------------------------------------------------

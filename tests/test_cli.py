@@ -148,3 +148,34 @@ class TestDeterminism:
         second = run_cli(*args)
         assert first.returncode == second.returncode == 0
         assert first.stdout.encode() == second.stdout.encode()
+
+
+class TestBoundaryValidation:
+    """Out-of-range run sizes and tolerances exit 1 with one line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (("verify", "--trials", "-3"), "trials"),
+            (("verify", "--dim", "0"), "dim_h"),
+            (("verify", "--dim", "4", "--dim-k", "0"), "dim_k"),
+            (("verify", "--maps", "0"), "n_maps"),
+            (("sweep", "--phi", "log", "--psi", "id", "--maps", "0"), "n_maps"),
+            (("sweep", "--phi", "log", "--psi", "id", "--trials", "-1"), "trials"),
+            (("sweep", "--phi", "log", "--psi", "id", "--trials", "2", "--tol", "-1"), "tolerance"),
+            (("verify", "--trials", "2", "--tol", "nan"), "tolerance"),
+            (("verify", "--trials", "2", "--tol", "inf"), "tolerance"),
+        ],
+    )
+    def test_rejected_with_one_line(self, args, field):
+        proc = run_cli(*args)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("mercerlab: error: ")
+        assert field in lines[0]
+
+    def test_zero_trials_is_an_empty_clean_run(self):
+        proc = run_cli("verify", "--trials", "0")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["summary"]["violations"] == []

@@ -1,0 +1,56 @@
+"""Byte identity of seeded reports against recorded digests.
+
+Each digest is the sha256 of a report serialised exactly as the CLI prints it
+(``json.dumps(report, indent=2)``).  The digests were recorded from the
+implementation that rebuilt every spectral object at each use, before the
+per-trial spectral core reused eigendecompositions.  Reuse must not move a
+single bit, so these digests must never be regenerated to make this test
+pass: a mismatch means a report changed.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from mercerlab.harness import TrialConfig, run_sweep, verify_report
+
+TRIALS = 20
+
+# The generator pairs of scripts/run_property_suites.py, in its order.
+SWEEP_DIGESTS = {
+    ("sqrt", "id"): "a88cd69e88e830eeae4f72cdb3d2cab5c3a4935e9f214872aa60145e73b959f6",
+    ("log", "id"): "760e47d1c302da331599854217cbd7f2164671af25dfc3dd47f5a47874275629",
+    ("square", "id"): "7b135bfd1a25b588e2e4d80090daa4f903a539663f9fdb35aece932be53b0e56",
+    ("id", "inv"): "c8a71b80a7ffcab6059ee920745a8cb7f2b97418536cb4f7098fc29ca3c19024",
+    ("inv", "id"): "8b313c4650a4720a879f8439c083f1e0149262e32c52fa4d65f76c3d4361e983",
+    ("id", "exp"): "ec1e31ae2bed6985fe1adeb2e56747bf09fce56ab8a92f196ebf86aeb1764701",
+    ("log", "square"): "21b04535291a6d03510354af7b719ca64e491e417b302c6078eab9017916abbb",
+}
+
+VERIFY_DIGESTS = {
+    "classic": "be37f59c3ef3fb3810435d5f466f0eeffb451dbe5a789be69f90dbefe723ffdd",
+    "chain": "c5c5041b5dcf0c4bbbceb0d2acb976234a15adfc62f89fcb21859ff7b6d13541",
+    "twice-diff": "dd0b48b73ce598be1c8e339c825472109418d036063cbaa5d68eaf9aa46df7c8",
+    "log-convex": "74b2050441035e108664a512d5d01661b8dbfa9f2037f9a5e6ca36bbcf25b6eb",
+}
+
+
+def digest(report: dict) -> str:
+    return hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("index, pair", list(enumerate(SWEEP_DIGESTS)))
+def test_sweep_report_digest(index, pair):
+    phi, psi = pair
+    report, _ = run_sweep(phi, psi, TrialConfig(seed=100 + index, vary_dims=True), TRIALS)
+    assert digest(report) == SWEEP_DIGESTS[pair]
+
+
+@pytest.mark.parametrize("index, chain", list(enumerate(VERIFY_DIGESTS)))
+def test_verify_report_digest(index, chain):
+    config = TrialConfig(
+        seed=index, function_spec="exp", chain=chain, dim_h=4, dim_k=4, n_maps=2
+    )
+    report, _ = verify_report(config, TRIALS)
+    assert digest(report) == VERIFY_DIGESTS[chain]
