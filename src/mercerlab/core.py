@@ -11,16 +11,20 @@ assembled from a few objects per generator g:
   (g(M)+g(m)) T_g - g(M)g(m) I - (T_g^2 + sum_i Phi_i(g(A_i)^2)) / 2;
 
 plus, for the plain chains, S = sum_i Phi_i(A_i) and the plain diamond D
-built from the raw A_i.  ``SpectralCore`` eigendecomposes each A_i once,
-through ``spectral_decompose`` with its Hermiticity check, and builds each
-of these objects from that basis on first use.  Every object is the same
-numpy computation on the same input as a one-shot evaluation, so reuse
-never moves a bit.  A core lives for one instance (one trial).
+built from the raw A_i.  ``SpectralCore`` eigendecomposes the A_i once, as
+one stack ``(..., n, d, d)`` through ``spectral_decompose`` with its
+Hermiticity check, and builds each of these objects from that basis on first
+use.  Every object is the same numpy computation on the same input as a
+one-shot evaluation, so reuse never moves a bit.  A core lives for one
+instance: one trial, or one group of same-shape trials stacked along a
+leading trial axis of the operators and of the family's maps.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Sequence, Tuple
+
+import numpy as np
 
 from .linalg import (
     HermitianOperator,
@@ -34,22 +38,26 @@ from .maps import MapFamily, apply_map, family_sum
 _MISSING = object()
 
 
+def per_map(stack: HermitianOperator) -> Tuple[HermitianOperator, ...]:
+    """The operators of a stack ``(..., n, d, d)``, one per map, as views."""
+    return tuple(HermitianOperator(stack.entries[..., i, :, :]) for i in range(stack.entries.shape[-3]))
+
+
 def _diamond_term(
     family: MapFamily,
     total: HermitianOperator,
-    parts: Sequence[HermitianOperator],
+    parts: HermitianOperator,
     lo: float,
     hi: float,
 ) -> HermitianOperator:
     """(hi + lo) T - hi lo I - (T^2 + sum_i Phi_i(X_i^2)) / 2 for T = sum_i Phi_i(X_i).
 
-    PSD whenever every X_i has spectrum in [lo, hi]: it averages
-    (hi I - T)(T - lo I) and the images of (hi I - X_i)(X_i - lo I).
+    ``parts`` is the stack of the X_i.  PSD whenever every X_i has spectrum
+    in [lo, hi]: it averages (hi I - T)(T - lo I) and the images of
+    (hi I - X_i)(X_i - lo I).
     """
-    squares = [
-        apply_map(mp, HermitianOperator(x.entries @ x.entries))
-        for mp, x in zip(family.maps, parts)
-    ]
+    squared = HermitianOperator(parts.entries @ parts.entries)
+    squares = [apply_map(mp, x) for mp, x in zip(family.maps, per_map(squared))]
     sq_total = squares[0]
     for sq in squares[1:]:
         sq_total = sq_total + sq
@@ -61,10 +69,10 @@ def _diamond_term(
 class SpectralCore:
     """Memoised spectral objects of one (family, operators, bounds) instance.
 
-    ``decompositions`` may carry the eigendecompositions a caller already
-    computed (the range check of ``MercerInstance``); otherwise each A_i is
-    decomposed on first use.  Objects are keyed by generator: two
-    ``ScalarFunction`` values that compare equal share their entries.
+    The operators, one per map, are kept as one stack ``(..., n, d, d)``
+    and eigendecomposed on first use (``MercerInstance`` does so in its range
+    check).  Objects are keyed by generator: two ``ScalarFunction`` values
+    that compare equal share their entries.
     """
 
     def __init__(
@@ -72,19 +80,19 @@ class SpectralCore:
         family: MapFamily,
         operators: Sequence[HermitianOperator],
         bounds: SpectralBounds,
-        decompositions: Tuple[SpectralDecomposition, ...] | None = None,
     ):
         self.family = family
-        self.operators = tuple(operators)
+        self.operators = HermitianOperator(np.stack([a.entries for a in operators], axis=-3))
         self.bounds = bounds
-        self._decompositions = decompositions
+        self._decomposition: SpectralDecomposition | None = None
         self._memo: Dict[object, object] = {}
 
     @property
-    def decompositions(self) -> Tuple[SpectralDecomposition, ...]:
-        if self._decompositions is None:
-            self._decompositions = tuple(spectral_decompose(a) for a in self.operators)
-        return self._decompositions
+    def decomposition(self) -> SpectralDecomposition:
+        """Eigendecomposition of the whole operator stack, one ``eigh`` call."""
+        if self._decomposition is None:
+            self._decomposition = spectral_decompose(self.operators)
+        return self._decomposition
 
     def cached(self, key, build: Callable[[], object]):
         """The value memoised under ``key``, built by ``build()`` on first use.
@@ -96,16 +104,15 @@ class SpectralCore:
             value = self._memo[key] = build()
         return value
 
-    def images(self, g) -> Tuple[HermitianOperator, ...]:
-        """g(A_i) for every operator, clamp-checked on [m, M]."""
+    def images(self, g) -> HermitianOperator:
+        """The stack of g(A_i), clamp-checked on [m, M]."""
         return self.cached(
-            ("images", g),
-            lambda: tuple(apply_to_decomposition(g, dec, self.bounds) for dec in self.decompositions),
+            ("images", g), lambda: apply_to_decomposition(g, self.decomposition, self.bounds)
         )
 
     def total(self, g) -> HermitianOperator:
         """T_g = sum_i Phi_i(g(A_i))."""
-        return self.cached(("total", g), lambda: family_sum(self.family, self.images(g)))
+        return self.cached(("total", g), lambda: family_sum(self.family, per_map(self.images(g))))
 
     def pre_mean(self, g) -> HermitianOperator:
         """(g(M) + g(m)) I - T_g, the operand of g^{-1} in the quasi-arithmetic mean."""
@@ -131,7 +138,7 @@ class SpectralCore:
 
     def image_sum(self) -> HermitianOperator:
         """S = sum_i Phi_i(A_i) of the raw operators."""
-        return self.cached("image_sum", lambda: family_sum(self.family, self.operators))
+        return self.cached("image_sum", lambda: family_sum(self.family, per_map(self.operators)))
 
     def diamond_plain(self) -> HermitianOperator:
         """The plain diamond D, built from S and the raw A_i (not from id(A_i))."""

@@ -289,6 +289,14 @@ def _interval_grid(bounds: SpectralBounds, n: int) -> np.ndarray:
     return np.linspace(bounds.m, bounds.M, n)
 
 
+def require_domain(f: ScalarFunction, bounds: SpectralBounds) -> None:
+    """Raise ``DomainMismatch`` unless [m, M] lies inside the natural domain of f."""
+    if not f.domain_contains_interval(bounds):
+        raise DomainMismatch(
+            f"[{bounds.m}, {bounds.M}] not inside the domain of {f.label()} {f.natural_domain}"
+        )
+
+
 def curvature_bounds(
     f: ScalarFunction,
     bounds: SpectralBounds,
@@ -300,10 +308,7 @@ def curvature_bounds(
     interval; otherwise min/max over a dense grid, widened by a safety factor
     of 1e-6 * (1 + |value|) so the sampled bounds stay conservative.
     """
-    if not f.domain_contains_interval(bounds):
-        raise DomainMismatch(
-            f"[{bounds.m}, {bounds.M}] not inside the domain of {f.label()} {f.natural_domain}"
-        )
+    require_domain(f, bounds)
     if f.second_derivative is None:
         raise MissingSecondDerivative(f"{f.label()} has no second derivative in the catalog")
     if f.second_derivative_monotone is not None and f.second_derivative_monotone(bounds.m, bounds.M):

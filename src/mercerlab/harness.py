@@ -1,9 +1,16 @@
 """Seeded trial execution, reproduction cases, and counterexample search.
 
 Everything here is deterministic: trial i of a run with master seed s uses
-the PCG64 stream seeded with s XOR i, trials execute sequentially, and the
-JSON report of a run is byte-identical across repetitions.  Wall time is
+the PCG64 stream seeded with s XOR i, trials are sampled in index order, and
+the JSON report of a run is byte-identical across repetitions.  Wall time is
 reported on stderr only, never inside the JSON.
+
+A verify suite samples its trials chunk by chunk (``CHUNK_TRIALS`` at a
+time), groups the trials of a chunk by shape (dims and map kinds) and
+evaluates each group as one stacked instance.  Stacking never moves a bit,
+and results are folded back in trial order, so a report is the same as
+evaluating trial after trial; a failing chunk is re-run trial by trial, so
+the error raised is the one of the lowest failing trial.
 """
 
 from __future__ import annotations
@@ -11,20 +18,21 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import SpectralCore
 from .errors import BudgetExhausted, HypothesisNotMet, InvalidConfig, InverseDomainError
-from .functions import ScalarFunction, curvature_bounds, parse_function_spec
+from .functions import ScalarFunction, curvature_bounds, parse_function_spec, require_domain
 from .linalg import HermitianOperator, Relation, SpectralBounds
-from .maps import MapFamily, WeightedTrace, family_to_json
+from .maps import MapFamily, WeightedTrace, family_to_json, stack_families
 from .mercer import (
     InequalityReport,
     MercerInstance,
     contract_pairs,
     evaluate_chain,
+    evaluate_trials,
     mercer_lhs,
     mercer_rhs_classic,
     refined_bounds,
@@ -51,6 +59,10 @@ CHAIN_TOKENS = {
     "log-convex": "log_convex",
     "log_convex": "log_convex",
 }
+
+# Trials sampled and evaluated together by a verify suite.  It bounds the
+# memory a suite holds, and at 256 a benchmark or test suite is one chunk.
+CHUNK_TRIALS = 256
 
 REPRODUCE_CASES = ("example-2.2", "example-3.5")
 SEARCH_TARGETS = ("classic-nonconvex", "th3-th4-order")
@@ -110,6 +122,17 @@ class TrialViolation:
 
     def to_json(self) -> dict:
         return {"trial": self.trial, "seed": self.seed, "pair": list(self.pair), "gap": self.gap}
+
+
+@dataclass(frozen=True)
+class TrialOutcome:
+    """One evaluated trial: its index, seed, dims and, per contract pair in
+    order, (left, right, signed slack of left <= right, ordered below)."""
+
+    trial: int
+    seed: int
+    dims: Tuple[int, int, int]
+    pairs: Tuple[Tuple[str, str, float, bool], ...]
 
 
 @dataclass
@@ -190,45 +213,118 @@ def build_instance(
     return inst, seed_i, dims
 
 
-def _pair_gap(report: InequalityReport, left: str, right: str) -> float:
-    """min eigenvalue of (right - left), the signed slack of left <= right."""
-    verdict = report.verdict_for(left, right)
-    if verdict.relation is Relation.GREATER_EQUAL:
-        diff = report.side(right) - report.side(left)
-        return float(np.linalg.eigvalsh(diff.entries)[0])
-    return verdict.gap_min_eigenvalue
+def _pair_gaps(reports: Sequence[InequalityReport], left: str, right: str) -> List[float]:
+    """min eigenvalue of (right - left) per report, the signed slack of left <= right.
+
+    A GreaterEqual verdict holds the slack of the reverse order, so those
+    reports' slacks are recomputed, all in one ``eigvalsh`` call.
+    """
+    verdicts = [report.verdict_for(left, right) for report in reports]
+    gaps = [verdict.gap_min_eigenvalue for verdict in verdicts]
+    flipped = [k for k, verdict in enumerate(verdicts) if verdict.relation is Relation.GREATER_EQUAL]
+    if flipped:
+        diffs = np.stack([(reports[k].side(right) - reports[k].side(left)).entries for k in flipped])
+        for k, gap in zip(flipped, np.linalg.eigvalsh(diffs)[:, 0].tolist()):
+            gaps[k] = gap
+    return gaps
+
+
+def _contract_outcomes(
+    reports: Sequence[InequalityReport], which: str
+) -> List[Tuple[Tuple[str, str, float, bool], ...]]:
+    """Per report, (left, right, gap, ordered below) for every contract pair."""
+    pairs = contract_pairs(which, alpha=reports[0].scalars.get("alpha"))
+    gaps = [_pair_gaps(reports, left, right) for left, right in pairs]
+    return [
+        tuple(
+            (left, right, gaps[p][t], report.verdict_for(left, right).is_ordered_below)
+            for p, (left, right) in enumerate(pairs)
+        )
+        for t, report in enumerate(reports)
+    ]
+
+
+def _grouped_outcomes(
+    config: TrialConfig, f: ScalarFunction, which: str, indices: Sequence[int]
+) -> List[TrialOutcome]:
+    """Sample the trials in index order, evaluate each shape group stacked,
+    and return the outcomes in index order."""
+    bounds = config.bounds
+    sampled = [_sample_trial(config, i, bounds) for i in indices]
+    groups: Dict[tuple, List[int]] = {}
+    for pos, (_, dims, family, _) in enumerate(sampled):
+        key = dims + tuple(type(phi).__name__ for phi in family.maps)
+        groups.setdefault(key, []).append(pos)
+    outcomes: List[Optional[TrialOutcome]] = [None] * len(sampled)
+    for positions in groups.values():
+        group = [sampled[pos] for pos in positions]
+        if len(group) == 1:  # nothing to stack
+            _, _, family, operators = group[0]
+        else:
+            family = stack_families([family for _, _, family, _ in group])
+            operators = tuple(
+                HermitianOperator(np.array([trial[3][i].entries for trial in group]))
+                for i in range(family.size)
+            )
+        inst = MercerInstance(f=f, family=family, operators=operators, bounds=bounds)
+        reports = evaluate_trials(inst, which, force=config.force, tol_abs=config.tol_abs)
+        for pos, pairs in zip(positions, _contract_outcomes(reports, which)):
+            seed_i, dims, _, _ = sampled[pos]
+            outcomes[pos] = TrialOutcome(trial=indices[pos], seed=seed_i, dims=dims, pairs=pairs)
+    return outcomes
+
+
+def suite_outcomes(
+    config: TrialConfig, n_trials: int, f: ScalarFunction, which: str
+) -> Iterator[TrialOutcome]:
+    """The outcomes of trials 0..n_trials-1 of a verify suite, in index order.
+
+    Trials are sampled and evaluated ``CHUNK_TRIALS`` at a time, each shape
+    group of a chunk as one stacked instance.
+    """
+    for start in range(0, n_trials, CHUNK_TRIALS):
+        indices = range(start, min(n_trials, start + CHUNK_TRIALS))
+        try:
+            outcomes = _grouped_outcomes(config, f, which, indices)
+        except Exception as error:
+            # Any failure of a group: re-run the chunk trial by trial in index
+            # order, which raises the error of the lowest failing trial, as
+            # evaluating trial after trial would.  Nothing is swallowed.
+            for i in indices:
+                _grouped_outcomes(config, f, which, (i,))
+            raise error
+        yield from outcomes
 
 
 def run_suite(config: TrialConfig, n_trials: int) -> RunSummary:
     """Execute n seeded trials of one chain and collect ordering violations.
 
     Violations are data, not errors: each carries its replay seed and the
-    offending pair so the exact instance can be rebuilt.
+    offending pair so the exact instance can be rebuilt.  A function whose
+    natural domain does not contain [m, M] is rejected before any trial.
     """
     check_trials(n_trials)
     f = parse_function_spec(config.function_spec)
     which = normalize_chain(config.chain)
+    require_domain(f, config.bounds)
     started = time.perf_counter()
     violations: List[TrialViolation] = []
     rows: List[dict] = []
     min_gap = math.inf
-    for i in range(n_trials):
-        inst, seed_i, (dim_h, dim_k, n) = build_instance(config, i, f)
-        report = evaluate_chain(inst, which, force=config.force, tol_abs=config.tol_abs)
+    for outcome in suite_outcomes(config, n_trials, f, which):
         trial_min = math.inf
-        for left, right in contract_pairs(which, alpha=report.scalars.get("alpha")):
-            verdict = report.verdict_for(left, right)
-            gap = _pair_gap(report, left, right)
+        for left, right, gap, ordered_below in outcome.pairs:
             trial_min = min(trial_min, gap)
-            if not verdict.is_ordered_below:
+            if not ordered_below:
                 violations.append(
-                    TrialViolation(trial=i, seed=seed_i, pair=(left, right), gap=gap)
+                    TrialViolation(trial=outcome.trial, seed=outcome.seed, pair=(left, right), gap=gap)
                 )
         min_gap = min(min_gap, trial_min)
+        dim_h, dim_k, n = outcome.dims
         rows.append(
             {
-                "seed": seed_i,
-                "trial": i,
+                "seed": outcome.seed,
+                "trial": outcome.trial,
                 "function": f.label(),
                 "chain": which,
                 "dim_h": dim_h,
@@ -253,10 +349,7 @@ def replay_trial(config: TrialConfig, trial_index: int) -> Dict[str, float]:
     which = normalize_chain(config.chain)
     inst, _, _ = build_instance(config, trial_index, f)
     report = evaluate_chain(inst, which, force=config.force, tol_abs=config.tol_abs)
-    return {
-        f"{left}<={right}": _pair_gap(report, left, right)
-        for left, right in contract_pairs(which, alpha=report.scalars.get("alpha"))
-    }
+    return {f"{left}<={right}": gap for left, right, gap, _ in _contract_outcomes([report], which)[0]}
 
 
 def verify_report(config: TrialConfig, n_trials: int) -> Tuple[dict, RunSummary]:
@@ -337,7 +430,7 @@ NONCONVEX_CANDIDATES = ("sin", "sqrt", "log", "pow:p=0.5")
 def _classic_gap_for_instance(inst: MercerInstance, tol_abs: Optional[float]) -> Tuple[float, bool]:
     report = evaluate_chain(inst, "classic", force=True, tol_abs=tol_abs)
     verdict = report.verdict_for("lhs", "rhs_classic")
-    return _pair_gap(report, "lhs", "rhs_classic"), not verdict.is_ordered_below
+    return _pair_gaps([report], "lhs", "rhs_classic")[0], not verdict.is_ordered_below
 
 
 def search_counterexample(
@@ -365,6 +458,8 @@ def search_counterexample(
 
     if target == "classic-nonconvex":
         candidates = (function_spec,) if function_spec else NONCONVEX_CANDIDATES
+        for spec_str in candidates:
+            require_domain(parse_function_spec(spec_str), bounds)
         best: Optional[dict] = None
         best_violated = False
         for trial in range(budget):

@@ -8,6 +8,14 @@ the package is built on the primitives in this module:
 Functional calculus is split from decomposition so that one eigensolve can
 serve every function applied to the same operator.
 
+Every primitive takes a stack of matrices: ``entries`` of shape
+``(..., d, d)``, with any leading axes (the maps of an instance, the trials
+of a shape group).  Each matrix of a stack goes through the same numpy
+operation as it would alone (``eigh`` / ``eigvalsh`` over the stack, ``@``
+per matrix, reductions over the last two axes only), so stacking never moves
+a bit, and every check (self-adjointness, clamp band, finiteness) is made
+per matrix; a failing stack raises for its first failing matrix in C order.
+
 All values are immutable after construction and all operations are pure, so
 everything here is safe to share between threads.
 """
@@ -15,6 +23,7 @@ everything here is safe to share between threads.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
@@ -62,6 +71,24 @@ class SpectralBounds:
         return self.m - slack <= t <= self.M + slack
 
 
+def _hermiticity_failure(mat: np.ndarray):
+    """(defect, allowed) of the first matrix of a stack that is not self-adjoint, else None.
+
+    The defect is the largest entry of |X - X*|, allowed HERMITICITY_TOL * (1 + max |X|).
+    """
+    if not mat.size:
+        return None
+    defect = np.abs(mat - mat.conj().swapaxes(-1, -2))
+    if defect.max() <= HERMITICITY_TOL:  # every allowance is at least this
+        return None
+    defect = defect.max(axis=(-2, -1))
+    allowed = HERMITICITY_TOL * (1.0 + np.abs(mat).max(axis=(-2, -1)))
+    bad = defect > allowed
+    if not bad.any():
+        return None
+    return float(defect[bad][0]), float(allowed[bad][0])
+
+
 def _as_complex_matrix(entries) -> np.ndarray:
     mat = np.asarray(entries, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -71,10 +98,12 @@ def _as_complex_matrix(entries) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A dense complex self-adjoint matrix.
+    """A dense complex self-adjoint matrix, or a stack of them.
 
     Construct through :meth:`from_matrix` (validating) or the convenience
-    constructors; the raw dataclass constructor performs no checks.
+    constructors; the raw dataclass constructor performs no checks.  Inside
+    the engine ``entries`` may carry leading axes, ``(..., d, d)``; linear
+    arithmetic broadcasts over them, and ``dim`` is the matrix dimension.
     """
 
     entries: np.ndarray
@@ -82,11 +111,11 @@ class HermitianOperator:
     @classmethod
     def from_matrix(cls, entries) -> "HermitianOperator":
         mat = _as_complex_matrix(entries)
-        scale = 1.0 + float(np.max(np.abs(mat))) if mat.size else 1.0
-        defect = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-        if defect > HERMITICITY_TOL * scale:
+        failure = _hermiticity_failure(mat)
+        if failure is not None:
+            defect, allowed = failure
             raise NonHermitianInput(
-                f"matrix differs from its adjoint by {defect:.3e} (allowed {HERMITICITY_TOL * scale:.3e})"
+                f"matrix differs from its adjoint by {defect:.3e} (allowed {allowed:.3e})"
             )
         return cls(0.5 * (mat + mat.conj().T))
 
@@ -104,11 +133,11 @@ class HermitianOperator:
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
     def norm2(self) -> float:
-        """Spectral norm."""
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.entries)))) if self.dim else 0.0
+        """Spectral norm of a single matrix."""
+        return float(spectral_norms(self)) if self.dim else 0.0
 
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
@@ -176,7 +205,7 @@ class SpectralDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
+        return (u * self.eigenvalues[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 class Relation(enum.Enum):
@@ -211,13 +240,20 @@ class OrderVerdict:
         }
 
 
-def tolerance_from_norms(*norms: float) -> float:
+def tolerance_from_norms(*norms):
     """Absolute PSD tolerance 1e-9 * (1 + max spectral norm).
 
     Eigensolver backward error scales with the norm of the input, so the
-    tolerance must as well.
+    tolerance must as well.  Norms may be per-trial arrays; the tolerance is
+    then one per trial.
     """
-    return 1e-9 * (1.0 + max(norms, default=0.0))
+    largest = functools.reduce(np.maximum, norms) if norms else 0.0
+    return 1e-9 * (1.0 + largest)
+
+
+def spectral_norms(a: HermitianOperator) -> np.ndarray:
+    """Spectral norm of every matrix of a stack: max |eigenvalue|, one ``eigvalsh`` call."""
+    return np.abs(np.linalg.eigvalsh(a.entries)).max(axis=-1)
 
 
 def default_order_tolerance(*operators: HermitianOperator) -> float:
@@ -226,13 +262,15 @@ def default_order_tolerance(*operators: HermitianOperator) -> float:
 
 
 def spectral_decompose(a: HermitianOperator) -> SpectralDecomposition:
-    """Eigendecomposition A = U diag(lambda) U* with ascending eigenvalues."""
-    mat = a.entries
-    scale = 1.0 + float(np.max(np.abs(mat))) if mat.size else 1.0
-    defect = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-    if defect > HERMITICITY_TOL * scale:
-        raise NonHermitianInput(f"self-adjointness defect {defect:.3e} exceeds tolerance")
-    eigenvalues, eigenvectors = np.linalg.eigh(mat)
+    """Eigendecomposition A = U diag(lambda) U* with ascending eigenvalues.
+
+    One ``eigh`` call for the whole stack, after the self-adjointness check
+    of every matrix.
+    """
+    failure = _hermiticity_failure(a.entries)
+    if failure is not None:
+        raise NonHermitianInput(f"self-adjointness defect {failure[0]:.3e} exceeds tolerance")
+    eigenvalues, eigenvectors = np.linalg.eigh(a.entries)
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
@@ -243,11 +281,23 @@ def spectrum_range(a: HermitianOperator) -> Tuple[float, float]:
 
 
 def _evaluate_scalar(f: Callable[[np.ndarray], np.ndarray], values: np.ndarray) -> np.ndarray:
+    """f on a stack of spectra (..., d); a non-finite value raises for the first failing spectrum.
+
+    NaN means f is undefined there; +-inf that its value overflows.
+    """
     with np.errstate(all="ignore"):
         out = np.asarray(f(values), dtype=float)
-    if not np.all(np.isfinite(out)):
-        bad = values[~np.isfinite(out)]
-        raise FunctionDomainError(f"function undefined at eigenvalue(s) {bad.tolist()}")
+    finite = np.isfinite(out)
+    if not finite.all():
+        first = np.argmin(finite.all(axis=-1).reshape(-1))
+        spectrum = values.reshape(-1, values.shape[-1])[first]
+        image = out.reshape(-1, out.shape[-1])[first]
+        undefined = np.isnan(image)
+        if undefined.any():
+            raise FunctionDomainError(f"function undefined at eigenvalue(s) {spectrum[undefined].tolist()}")
+        raise FunctionDomainError(
+            f"function overflows at eigenvalue(s) {spectrum[np.isinf(image)].tolist()}"
+        )
     return out
 
 
@@ -268,16 +318,18 @@ def apply_to_decomposition(
     lam = dec.eigenvalues
     if bounds is not None:
         tol = bounds.clamp_tol
-        if lam[0] < bounds.m - tol or lam[-1] > bounds.M + tol:
+        outside = (lam[..., 0] < bounds.m - tol) | (lam[..., -1] > bounds.M + tol)
+        if outside.any():
+            lo, hi = lam[outside][0, [0, -1]]
             raise SpectrumOutOfDomain(
-                f"spectrum [{lam[0]:.12g}, {lam[-1]:.12g}] leaves [{bounds.m:.12g}, {bounds.M:.12g}] "
+                f"spectrum [{lo:.12g}, {hi:.12g}] leaves [{bounds.m:.12g}, {bounds.M:.12g}] "
                 f"by more than {tol:.3e}"
             )
         lam = np.clip(lam, bounds.m, bounds.M)
     values = _evaluate_scalar(f, lam)
     u = dec.eigenvectors
-    mat = (u * values) @ u.conj().T
-    return HermitianOperator(0.5 * (mat + mat.conj().T))
+    mat = (u * values[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    return HermitianOperator(0.5 * (mat + mat.conj().swapaxes(-1, -2)))
 
 
 def apply_scalar_function(
@@ -313,20 +365,41 @@ def loewner_compare(
     The verdict is Equal when B - A vanishes to tolerance, LessEqual /
     GreaterEqual when the corresponding difference is PSD up to ``tol_abs``,
     and Incomparable when the difference is indefinite beyond tolerance.
+    The single-matrix form of :func:`loewner_verdicts`.
     """
     a._check_same_dim(b)
     if tol_abs is None:
         tol_abs = default_order_tolerance(a, b)
+    (verdict,) = loewner_verdicts(a, b, tol_abs)
+    return verdict
+
+
+def loewner_verdicts(a: HermitianOperator, b: HermitianOperator, tol_abs) -> Tuple[OrderVerdict, ...]:
+    """:func:`loewner_compare` of two stacks, matrix by matrix, in one ``eigh`` call.
+
+    ``tol_abs`` is one tolerance or one per matrix of the broadcast stack;
+    the verdicts come in C order over its leading axes.
+    """
+    a._check_same_dim(b)
     diff = b.entries - a.entries
-    lam, vecs = np.linalg.eigh(0.5 * (diff + diff.conj().T))
-    min_ba = float(lam[0])            # min eig of B - A
-    min_ab = float(-lam[-1])          # min eig of A - B
-    # Both slacks within tolerance already bound the spectral norm of B - A
-    # by tol_abs, so no separate norm test is needed for Equal.
-    if min_ba >= -tol_abs and min_ab >= -tol_abs:
-        return OrderVerdict(Relation.EQUAL, min_ba, vecs[:, 0])
-    if min_ba >= -tol_abs:
-        return OrderVerdict(Relation.LESS_EQUAL, min_ba, vecs[:, 0])
-    if min_ab >= -tol_abs:
-        return OrderVerdict(Relation.GREATER_EQUAL, min_ab, vecs[:, -1])
-    return OrderVerdict(Relation.INCOMPARABLE, min_ba, vecs[:, 0])
+    lam, vecs = np.linalg.eigh(0.5 * (diff + diff.conj().swapaxes(-1, -2)))
+    d = lam.shape[-1]
+    spectra = lam.reshape(-1, d).tolist()
+    vecs = vecs.reshape(-1, d, d)
+    tols = np.asarray(tol_abs, dtype=float)
+    tols = tols.reshape(-1).tolist() if tols.shape == lam.shape[:-1] else [float(tols)] * len(spectra)
+    verdicts = []
+    for k, (spectrum, tol) in enumerate(zip(spectra, tols)):
+        min_ba = spectrum[0]          # min eig of B - A
+        min_ab = -spectrum[-1]        # min eig of A - B
+        # Both slacks within tolerance already bound the spectral norm of
+        # B - A by tol, so no separate norm test is needed for Equal.
+        if min_ba >= -tol and min_ab >= -tol:
+            verdicts.append(OrderVerdict(Relation.EQUAL, min_ba, vecs[k, :, 0]))
+        elif min_ba >= -tol:
+            verdicts.append(OrderVerdict(Relation.LESS_EQUAL, min_ba, vecs[k, :, 0]))
+        elif min_ab >= -tol:
+            verdicts.append(OrderVerdict(Relation.GREATER_EQUAL, min_ab, vecs[k, :, -1]))
+        else:
+            verdicts.append(OrderVerdict(Relation.INCOMPARABLE, min_ba, vecs[k, :, 0]))
+    return tuple(verdicts)

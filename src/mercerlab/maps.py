@@ -6,6 +6,12 @@ and nonnegative combinations of these.  Positivity then holds by
 construction.  A family Phi_1..Phi_n is unital when sum_i Phi_i(I) = I on the
 codomain; ``normalize_family`` enforces that by a congruence with the inverse
 square root of sum_i Phi_i(I).
+
+Maps apply to stacks of matrices ``(..., d, d)``.  ``stack_families`` turns
+families of one shape (same dims, same map kinds) into one family whose
+compressions and trace weights carry a leading trial axis; applied to a
+stack of operators with the same trial axis, each trial's map acts on that
+trial's operator, by the same numpy operations as for one matrix.
 """
 
 from __future__ import annotations
@@ -16,30 +22,30 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ArityMismatch, DimensionMismatch, InvalidInterval, SingularNormalizer
-from .linalg import HermitianOperator
+from .linalg import HermitianOperator, spectral_norms
 
 
 @dataclass(frozen=True)
 class Compression:
-    """A |-> V* A V with V of shape (dim_in, dim_out)."""
+    """A |-> V* A V with V of shape (dim_in, dim_out), or (trials, dim_in, dim_out) when stacked."""
 
     v: np.ndarray
 
     @property
     def dim_in(self) -> int:
-        return self.v.shape[0]
+        return self.v.shape[-2]
 
     @property
     def dim_out(self) -> int:
-        return self.v.shape[1]
+        return self.v.shape[-1]
 
     def apply(self, mat: np.ndarray) -> np.ndarray:
-        return self.v.conj().T @ mat @ self.v
+        return self.v.conj().swapaxes(-1, -2) @ mat @ self.v
 
 
 @dataclass(frozen=True)
 class WeightedTrace:
-    """A |-> w tr(A) I on the codomain; w >= 0.
+    """A |-> w tr(A) I on the codomain; w >= 0 (one weight per trial when stacked).
 
     No 1/dim normalization is built in: the weight is chosen so that
     unitality holds at the family level.
@@ -50,11 +56,12 @@ class WeightedTrace:
     dim_out: int
 
     def __post_init__(self):
-        if self.weight < 0:
+        if np.any(np.asarray(self.weight) < 0):
             raise InvalidInterval(f"trace weight must be nonnegative, got {self.weight}")
 
     def apply(self, mat: np.ndarray) -> np.ndarray:
-        return self.weight * np.trace(mat) * np.eye(self.dim_out, dtype=np.complex128)
+        scaled = np.asarray(self.weight * np.trace(mat, axis1=-2, axis2=-1))
+        return scaled[..., None, None] * np.eye(self.dim_out, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -80,7 +87,7 @@ class Pinching:
     def apply(self, mat: np.ndarray) -> np.ndarray:
         out = np.zeros_like(mat)
         for block in self.blocks:
-            idx = np.ix_(block, block)
+            idx = (Ellipsis,) + np.ix_(block, block)
             out[idx] = mat[idx]
         return out
 
@@ -110,7 +117,7 @@ class ScaledSum:
         return self.children[0].dim_out
 
     def apply(self, mat: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim_out, self.dim_out), dtype=np.complex128)
+        out = np.zeros(mat.shape[:-2] + (self.dim_out, self.dim_out), dtype=np.complex128)
         for coeff, child in zip(self.coefficients, self.children):
             out += coeff * child.apply(mat)
         return out
@@ -124,7 +131,7 @@ def apply_map(phi: PositiveLinearMap, a: HermitianOperator) -> HermitianOperator
     if a.dim != phi.dim_in:
         raise DimensionMismatch(f"operator dim {a.dim} does not match map dim_in {phi.dim_in}")
     mat = phi.apply(a.entries)
-    return HermitianOperator(0.5 * (mat + mat.conj().T))
+    return HermitianOperator(0.5 * (mat + mat.conj().swapaxes(-1, -2)))
 
 
 @dataclass(frozen=True)
@@ -157,19 +164,44 @@ class MapFamily:
 
 
 def family_sum(family: MapFamily, operators: Sequence[HermitianOperator]) -> HermitianOperator:
-    """sum_i Phi_i(A_i) for one operator per map."""
+    """sum_i Phi_i(A_i) for one operator per map, accumulated in map order."""
     if len(operators) != family.size:
         raise ArityMismatch(f"{family.size} maps but {len(operators)} operators")
-    total = np.zeros((family.dim_out, family.dim_out), dtype=np.complex128)
+    total = 0.0  # broadcasts to the images' shape, like a zero matrix
     for phi, a in zip(family.maps, operators):
-        total += apply_map(phi, a).entries
-    return HermitianOperator(0.5 * (total + total.conj().T))
+        total = total + apply_map(phi, a).entries
+    return HermitianOperator(0.5 * (total + total.conj().swapaxes(-1, -2)))
 
 
-def unitality_defect(family: MapFamily) -> float:
-    """Spectral-norm distance of sum_i Phi_i(I) from the identity."""
+def unitality_defect(family: MapFamily):
+    """Spectral-norm distance of sum_i Phi_i(I) from the identity.
+
+    For a stacked family, one distance per trial, all in one ``eigvalsh`` call.
+    """
     image = family.image_of_identity()
-    return (image - HermitianOperator.identity(family.dim_out)).norm2()
+    return spectral_norms(image - HermitianOperator.identity(family.dim_out))
+
+
+def stack_families(families: Sequence[MapFamily]) -> MapFamily:
+    """One family whose i-th map holds the i-th maps of ``families`` along a leading trial axis.
+
+    The families must share dims and map kinds; compressions stack their V,
+    trace maps their weights.
+    """
+    first = families[0]
+    maps = []
+    for i, phi in enumerate(first.maps):
+        column = [family.maps[i] for family in families]
+        if any(type(other) is not type(phi) for other in column):
+            raise DimensionMismatch(f"map {i} differs in kind across the stacked families")
+        if isinstance(phi, Compression):
+            maps.append(Compression(np.array([other.v for other in column])))
+        elif isinstance(phi, WeightedTrace):
+            weights = np.array([other.weight for other in column])
+            maps.append(WeightedTrace(weights, dim_in=phi.dim_in, dim_out=phi.dim_out))
+        else:
+            raise TypeError(f"cannot stack maps of kind {type(phi).__name__}")
+    return MapFamily(maps=tuple(maps))
 
 
 def kraus_terms(phi: PositiveLinearMap) -> List[Tuple[float, np.ndarray]]:

@@ -31,15 +31,15 @@ from .errors import (
     OutOfInterval,
     SpectrumOutOfDomain,
 )
-from .core import SpectralCore
+from .core import SpectralCore, per_map
 from .functions import CurvatureBounds, ScalarFunction, curvature_bounds, is_log_convex_on
 from .linalg import (
     HermitianOperator,
     OrderVerdict,
     SpectralBounds,
     apply_scalar_function,
-    loewner_compare,
-    spectral_decompose,
+    loewner_verdicts,
+    spectral_norms,
     tolerance_from_norms,
 )
 from .maps import MapFamily, apply_map, unitality_defect
@@ -53,8 +53,15 @@ CHAIN_KINDS = ("classic", "chain", "twice_diff", "log_convex")
 class MercerInstance:
     """One dataset for the inequality chains: f, a unital family, operators, [m, M].
 
-    ``core`` keeps the eigendecompositions of the range check, so every side
-    of every chain reuses them; the sides themselves are memoised there too.
+    The operators (one per map) and the family's maps may carry a leading
+    trial axis (see ``maps.stack_families``): the instance is then a group of
+    same-shape trials, every side below is a stack with one matrix per trial,
+    and :func:`evaluate_trials` gives one report per trial.  Without that
+    axis it is one trial.  Every check is made per trial; a failing group
+    raises for its first failing trial.
+
+    ``core`` keeps the eigendecomposition of the range check, so every side
+    of every chain reuses it; the sides themselves are memoised there too.
     """
 
     f: ScalarFunction
@@ -68,26 +75,31 @@ class MercerInstance:
             raise HypothesisNotMet(
                 f"{self.family.size} maps but {len(self.operators)} operators"
             )
-        defect = unitality_defect(self.family)
-        if defect > UNITALITY_TOL:
-            raise HypothesisNotMet(f"map family is not unital (defect {defect:.3e})")
+        defects = unitality_defect(self.family)
+        non_unital = defects > UNITALITY_TOL
+        if non_unital.any():
+            raise HypothesisNotMet(f"map family is not unital (defect {defects[non_unital][0]:.3e})")
+        core = SpectralCore(self.family, self.operators, self.bounds)
+        lam = core.decomposition.eigenvalues
         tol = self.bounds.clamp_tol
-        decompositions = []
-        for i, a in enumerate(self.operators):
-            dec = spectral_decompose(a)
-            lo, hi = float(dec.eigenvalues[0]), float(dec.eigenvalues[-1])
-            if lo < self.bounds.m - tol or hi > self.bounds.M + tol:
-                raise SpectrumOutOfDomain(
-                    f"operator {i} has spectrum [{lo:.12g}, {hi:.12g}] outside "
-                    f"[{self.bounds.m:.12g}, {self.bounds.M:.12g}]"
-                )
-            decompositions.append(dec)
-        core = SpectralCore(self.family, self.operators, self.bounds, tuple(decompositions))
+        outside = (lam[..., 0] < self.bounds.m - tol) | (lam[..., -1] > self.bounds.M + tol)
+        if outside.any():
+            i = int(np.argmax(outside.reshape(-1))) % self.family.size
+            lo, hi = lam[outside][0, [0, -1]]
+            raise SpectrumOutOfDomain(
+                f"operator {i} has spectrum [{lo:.12g}, {hi:.12g}] outside "
+                f"[{self.bounds.m:.12g}, {self.bounds.M:.12g}]"
+            )
         object.__setattr__(self, "core", core)
 
     @property
     def dim_out(self) -> int:
         return self.family.dim_out
+
+    @property
+    def trials(self) -> int:
+        """Trials in the instance: the length of the trial axis, 1 without one."""
+        return math.prod(self.core.operators.entries.shape[:-3])
 
 
 @dataclass(frozen=True)
@@ -187,7 +199,9 @@ def mercer_rhs_classic(inst: MercerInstance) -> HermitianOperator:
     def build():
         fm = float(inst.f(inst.bounds.m))
         fM = float(inst.f(inst.bounds.M))
-        images = [apply_map(phi, img) for phi, img in zip(inst.family.maps, inst.core.images(inst.f))]
+        images = [
+            apply_map(phi, img) for phi, img in zip(inst.family.maps, per_map(inst.core.images(inst.f)))
+        ]
         total = images[0]
         for img in images[1:]:
             total = total + img
@@ -283,6 +297,17 @@ def evaluate_chain(
     force: bool = False,
     tol_abs: float | None = None,
 ) -> InequalityReport:
+    """The report of :func:`evaluate_trials` for an instance of one trial."""
+    (report,) = evaluate_trials(inst, which, force=force, tol_abs=tol_abs)
+    return report
+
+
+def evaluate_trials(
+    inst: MercerInstance,
+    which: str,
+    force: bool = False,
+    tol_abs: float | None = None,
+) -> Tuple[InequalityReport, ...]:
     """Evaluate the selected inequality chain and compare all adjacent sides.
 
     Hypothesis gates (convexity for classic/chain, log-convexity for
@@ -290,27 +315,32 @@ def evaluate_chain(
     how counterexample runs are expressed, so property suites cannot silently
     accept hypothesis violations.  Every report also carries the curvature
     correction term and its PSD verdict, which is hypothesis-free.
+
+    Returns one report per trial of the instance, in trial order.  Each side
+    is built for all trials at once and each pair compared in one ``eigh``
+    call, every trial against its own tolerance; the gates and curvature
+    bounds depend on f and [m, M] only and are evaluated once.
     """
     if which not in CHAIN_KINDS:
         raise ValueError(f"unknown chain {which!r}; choices: {CHAIN_KINDS}")
 
-    sides: List[Tuple[str, HermitianOperator]] = []
-    verdicts: List[Tuple[str, str, OrderVerdict]] = []
+    sides: List[str] = []
+    compared: List[Tuple[str, str, Tuple[OrderVerdict, ...]]] = []
     scalars: Dict[str, float] = {}
 
-    # Each side's spectral norm enters the default tolerance of every pair it
-    # is in; it is computed once per side.
-    norms: Dict[str, float] = {}
+    # Each side's spectral norms enter the default tolerance of every pair
+    # the side is in; they are computed once per side.  The zero side's norm
+    # is exactly 0.
+    norms: Dict[str, object] = {"zero": 0.0}
 
-    def norm(label: str) -> float:
+    def norm(label: str):
         if label not in norms:
-            norms[label] = by_label[label].norm2()
+            norms[label] = spectral_norms(by_label[label])
         return norms[label]
 
     def compare(left: str, right: str) -> None:
         tol = tol_abs if tol_abs is not None else tolerance_from_norms(norm(left), norm(right))
-        verdict = loewner_compare(by_label[left], by_label[right], tol_abs=tol)
-        verdicts.append((left, right, verdict))
+        compared.append((left, right, loewner_verdicts(by_label[left], by_label[right], tol)))
 
     lhs = mercer_lhs(inst)
     rhs = mercer_rhs_classic(inst)
@@ -329,29 +359,21 @@ def evaluate_chain(
                 f"{inst.f.label()} is not flagged convex; pass force=True for a counterexample run"
             )
     if which == "classic":
-        sides = [("lhs", lhs), ("rhs_classic", rhs)]
+        sides = ["lhs", "rhs_classic"]
         compare("lhs", "rhs_classic")
     elif which == "chain":
-        middle = chain_middle(inst)
-        by_label["chain_middle"] = middle
-        sides = [("lhs", lhs), ("chain_middle", middle), ("rhs_classic", rhs)]
+        by_label["chain_middle"] = chain_middle(inst)
+        sides = ["lhs", "chain_middle", "rhs_classic"]
         compare("lhs", "chain_middle")
         compare("chain_middle", "rhs_classic")
         compare("lhs", "rhs_classic")
     elif which == "twice_diff":
         curv = curvature_bounds(inst.f, inst.bounds)
         lower, upper = refined_bounds(inst, curv)
-        middle = chain_middle(inst)
         by_label.update(
-            {"lower_refined": lower, "upper_refined": upper, "chain_middle": middle}
+            {"lower_refined": lower, "upper_refined": upper, "chain_middle": chain_middle(inst)}
         )
-        sides = [
-            ("lower_refined", lower),
-            ("lhs", lhs),
-            ("upper_refined", upper),
-            ("rhs_classic", rhs),
-            ("chain_middle", middle),
-        ]
+        sides = ["lower_refined", "lhs", "upper_refined", "rhs_classic", "chain_middle"]
         compare("lower_refined", "lhs")
         compare("lhs", "upper_refined")
         compare("upper_refined", "rhs_classic")
@@ -369,20 +391,31 @@ def evaluate_chain(
             raise HypothesisNotMet(
                 f"{inst.f.label()} is not log-convex; pass force=True for a counterexample run"
             )
-        middle = log_convex_middle(inst)
-        by_label["geometric_middle"] = middle
-        sides = [("lhs", lhs), ("geometric_middle", middle), ("rhs_classic", rhs)]
+        by_label["geometric_middle"] = log_convex_middle(inst)
+        sides = ["lhs", "geometric_middle", "rhs_classic"]
         compare("lhs", "geometric_middle")
         compare("geometric_middle", "rhs_classic")
         compare("lhs", "rhs_classic")
 
-    sides.append(("zero", zero))
-    sides.append(("diamond", d))
+    sides += ["zero", "diamond"]
     compare("zero", "diamond")
-    diamond_verdict = verdicts[-1][2]
-    scalars["diamond_min_eigenvalue"] = diamond_verdict.gap_min_eigenvalue
 
-    return InequalityReport(sides=tuple(sides), verdicts=tuple(verdicts), scalars=scalars)
+    reports = []
+    for t in range(inst.trials):
+        verdicts = tuple((left, right, trial_verdicts[t]) for left, right, trial_verdicts in compared)
+        reports.append(
+            InequalityReport(
+                sides=tuple((label, _trial_side(by_label[label], t)) for label in sides),
+                verdicts=verdicts,
+                scalars={**scalars, "diamond_min_eigenvalue": verdicts[-1][2].gap_min_eigenvalue},
+            )
+        )
+    return tuple(reports)
+
+
+def _trial_side(side: HermitianOperator, t: int) -> HermitianOperator:
+    """Trial t's matrix of a side; a side without a trial axis (zero) is shared."""
+    return HermitianOperator(side.entries[t]) if side.entries.ndim > 2 else side
 
 
 def contract_pairs(which: str, alpha: float | None = None) -> List[Tuple[str, str]]:

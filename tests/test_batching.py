@@ -1,0 +1,90 @@
+"""Grouping a suite's trials by shape changes nothing a trial reports.
+
+A verify suite evaluates each shape group of a chunk as one stacked
+instance.  Every trial's contract gaps must equal, bit for bit, those of
+``replay_trial``, which evaluates the trial alone without a trial axis, and
+a failing suite must raise the error of its lowest failing trial, as
+evaluating trial after trial would.
+"""
+
+import math
+
+import pytest
+
+from mercerlab import harness
+from mercerlab.errors import HypothesisNotMet, SpectrumOutOfDomain
+from mercerlab.functions import parse_function_spec
+from mercerlab.harness import TrialConfig, normalize_chain, replay_trial, suite_outcomes
+from mercerlab.linalg import HermitianOperator
+from mercerlab.maps import Compression, MapFamily
+
+PI4, PI2 = math.pi / 4, math.pi / 2
+
+SUITES = [
+    # (function, chain, m, M, force, mixed, vary_dims, trials)
+    ("exp", "classic", 1.0, 3.0, False, False, False, 12),
+    ("exp", "chain", 1.0, 3.0, False, False, False, 12),
+    ("exp", "twice-diff", 1.0, 3.0, False, False, False, 12),
+    ("exp", "log-convex", 1.0, 3.0, False, False, False, 12),
+    ("sin", "classic", PI4, PI2, True, False, False, 12),
+    ("exp", "chain", 1.0, 3.0, False, True, True, 60),
+    ("exp", "twice-diff", 1.0, 3.0, False, True, True, 60),
+]
+
+
+@pytest.fixture
+def group_sizes(monkeypatch):
+    """The trial count of every instance a suite evaluates."""
+    sizes = []
+    original = harness.evaluate_trials
+
+    def spy(inst, *args, **kwargs):
+        sizes.append(inst.trials)
+        return original(inst, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "evaluate_trials", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("fn, chain, m, M, force, mixed, vary, trials", SUITES)
+def test_every_trial_matches_its_replay(group_sizes, fn, chain, m, M, force, mixed, vary, trials):
+    config = TrialConfig(
+        seed=21, function_spec=fn, chain=chain, m=m, M=M, force=force, mixed=mixed, vary_dims=vary
+    )
+    outcomes = list(
+        suite_outcomes(config, trials, parse_function_spec(fn), normalize_chain(chain))
+    )
+    assert [o.trial for o in outcomes] == list(range(trials))
+    if vary:
+        assert max(group_sizes) >= 2  # some shapes hold several trials
+    else:
+        assert group_sizes == [trials]  # one shape, one stacked group
+    for outcome in outcomes:
+        stacked = {f"{left}<={right}": gap.hex() for left, right, gap, _ in outcome.pairs}
+        alone = {key: gap.hex() for key, gap in replay_trial(config, outcome.trial).items()}
+        assert stacked == alone, outcome.trial
+
+
+def test_failing_suite_raises_the_lowest_failing_trial(monkeypatch):
+    # Trial 3 has an operator outside [m, M]; trial 7 a non-unital family.
+    # Stacked, the family check runs before the range check, so only the
+    # trial-by-trial re-run finds trial 3's error first.
+    original = harness._sample_trial
+
+    def broken(config, trial_index, bounds):
+        seed_i, dims, family, operators = original(config, trial_index, bounds)
+        if trial_index == 3:
+            operators = (HermitianOperator(10.0 * operators[0].entries),) + operators[1:]
+        if trial_index == 7:
+            family = MapFamily(tuple(Compression(1.5 * phi.v) for phi in family.maps))
+        return seed_i, dims, family, operators
+
+    monkeypatch.setattr(harness, "_sample_trial", broken)
+    config = TrialConfig(seed=4, function_spec="exp", chain="chain")
+    with pytest.raises(SpectrumOutOfDomain) as expected:
+        replay_trial(config, 3)
+    with pytest.raises(HypothesisNotMet):
+        replay_trial(config, 7)
+    with pytest.raises(SpectrumOutOfDomain) as raised:
+        harness.run_suite(config, 12)
+    assert str(raised.value) == str(expected.value)

@@ -165,6 +165,8 @@ class TestBoundaryValidation:
             (("sweep", "--phi", "log", "--psi", "id", "--trials", "2", "--tol", "-1"), "tolerance"),
             (("verify", "--trials", "2", "--tol", "nan"), "tolerance"),
             (("verify", "--trials", "2", "--tol", "inf"), "tolerance"),
+            (("verify", "--function", "log", "--m", "-1", "--M", "2"), "domain"),
+            (("search", "classic-nonconvex", "--function", "log", "--m", "-1", "--M", "2"), "domain"),
         ],
     )
     def test_rejected_with_one_line(self, args, field):

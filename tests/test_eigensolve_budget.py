@@ -1,12 +1,16 @@
-"""Pinned eigensolver call counts for one seeded trial of each suite kind.
+"""Pinned eigensolver call counts for seeded suites of each kind.
 
-A trial at the default sizes (dim 4, n = 2 maps) pays, in ``eigh``:
-1 for the unitality normaliser of the sampled family, 1 per operator A_i
-(decomposed once, shared by every side), then 1 per operator function
-evaluated on an assembled operator and 1 per Loewner comparison.  Each
-``eigvalsh`` is a spectral norm for a tolerance (once per compared side),
-the unitality defect, or a signed slack.  A count above these pins means a
-redundant solve came back; a count below means a check was dropped.
+The counts are numpy calls: one call solves a whole stack of matrices.  A
+trial at the default sizes (dim 4, n = 2 maps) pays, in ``eigh``: 1 for the
+unitality normaliser of the sampled family, 1 for the stack of its
+operators A_i (decomposed once, shared by every side), then 1 per operator
+function evaluated on an assembled operator and 1 per Loewner comparison.
+Each ``eigvalsh`` is the spectral norms of one compared side for the
+tolerances (the zero side's norm is exactly 0 and needs none), the
+unitality defects, or the signed slacks of GreaterEqual verdicts.  A verify
+suite of one shape evaluates all its trials as one stack, so only the
+per-trial sampling grows with the trial count.  A count above these pins
+means a redundant solve came back; a count below means a check was dropped.
 """
 
 import numpy as np
@@ -34,28 +38,37 @@ def solver_calls(monkeypatch):
 
 
 def test_sweep_trial_budget(solver_calls):
-    # eigh: normaliser 1 + A_i 2 + QM_phi, QM_psi 2 + both curvature bounds 2
+    # eigh: normaliser 1 + A_i stack 1 + QM_phi, QM_psi 2 + both curvature bounds 2
     # + geometric middle h(T_phi) and its inverse 2.
     # eigvalsh: signed slack of the mean order, both curvature sides and the
     # two sandwich halves.
     report, _ = run_sweep("log", "id", TrialConfig(seed=5), 1)
     assert report["checks"]["log_convex_sandwich"]["evaluated"] == 1
-    assert solver_calls == {"eigh": 9, "eigvalsh": 5}
+    assert solver_calls == {"eigh": 8, "eigvalsh": 5}
 
 
 @pytest.mark.parametrize(
     "chain, eigh, eigvalsh",
     [
-        # eigh: normaliser 1 + A_i 2 + lhs 1 + one per compared pair (incl.
-        # zero <= diamond) [+ log-convex middle 1].
-        # eigvalsh: unitality defect 1 + one norm per compared side.
-        ("classic", 6, 5),
-        ("chain", 8, 6),
-        ("twice-diff", 9, 8),
-        ("log-convex", 9, 6),
+        # eigh: normaliser 1 + A_i stack 1 + lhs 1 + one per compared pair
+        # (incl. zero <= diamond) [+ log-convex middle 1].
+        # eigvalsh: unitality defect 1 + one norm per compared side but zero.
+        ("classic", 5, 4),
+        ("chain", 7, 5),
+        ("twice-diff", 8, 7),
+        ("log-convex", 8, 5),
     ],
 )
 def test_chain_trial_budget(solver_calls, chain, eigh, eigvalsh):
     summary = run_suite(TrialConfig(seed=1, function_spec="exp", chain=chain), 1)
     assert summary.violations == []
     assert solver_calls == {"eigh": eigh, "eigvalsh": eigvalsh}
+
+
+def test_one_shape_suite_is_one_stack(solver_calls):
+    # 50 trials of one shape: the normaliser is sampled per trial, every
+    # other solve is one call for the whole group.  Per trial this was
+    # 6 eigh and 5 eigvalsh.
+    summary = run_suite(TrialConfig(seed=3, function_spec="exp", chain="classic"), 50)
+    assert summary.violations == []
+    assert solver_calls == {"eigh": 50 + 4, "eigvalsh": 4}

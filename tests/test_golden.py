@@ -1,19 +1,24 @@
 """Byte identity of seeded reports against recorded digests.
 
 Each digest is the sha256 of a report serialised exactly as the CLI prints it
-(``json.dumps(report, indent=2)``).  The digests were recorded from the
-implementation that rebuilt every spectral object at each use, before the
-per-trial spectral core reused eigendecompositions.  Reuse must not move a
-single bit, so these digests must never be regenerated to make this test
-pass: a mismatch means a report changed.
+(``json.dumps(report, indent=2)``).  The sweep and fixed-shape verify
+digests were recorded from the implementation that rebuilt every spectral
+object at each use, before the per-trial spectral core reused
+eigendecompositions; the varied, forced-sine and CSV digests were recorded
+from the trial-by-trial evaluator, before trials were evaluated in stacked
+shape groups.  Neither reuse nor stacking may move a single bit, so these
+digests must never be regenerated to make this test pass: a mismatch means
+a report changed.
 """
 
 import hashlib
 import json
+import math
 
 import pytest
 
-from mercerlab.harness import TrialConfig, run_sweep, verify_report
+from mercerlab.cli import _write_csv
+from mercerlab.harness import TrialConfig, run_suite, run_sweep, verify_report
 
 TRIALS = 20
 
@@ -36,6 +41,22 @@ VERIFY_DIGESTS = {
 }
 
 
+# Suites over many shapes: vary_dims and a trace map in every family, so the
+# WeightedTrace path and many small shape groups are pinned.
+VARIED_VERIFY_DIGESTS = {
+    "chain": "c5dd3652f41119b47072ebf8410e2f88e2ef3746875ed3d162922bdf71a131b7",
+    "twice-diff": "833dd14321fc07f5b1ab202ac8a7f36d7160de4c10fbfaf6b911c699e52077d2",
+}
+
+# The forced sine suite on [pi/4, pi/2]: every trial violates the classic
+# bound with a GreaterEqual verdict, so the violation records and the signed
+# slack recomputed for GreaterEqual pairs are pinned.
+FORCED_SINE_DIGEST = "dcb5fbd4e49e374ac3b5e169c1488b71bd6d52cb24aad78dd027d03d9f24a563"
+
+# sha256 of the per-trial CSV rows of one fixed-shape suite, as `--csv` writes them.
+ROWS_CSV_DIGEST = "d3e199aef436b16fe399eea1722a0a94e417a7190d1f06942c6f44d9a12f8a01"
+
+
 def digest(report: dict) -> str:
     return hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
 
@@ -54,3 +75,29 @@ def test_verify_report_digest(index, chain):
     )
     report, _ = verify_report(config, TRIALS)
     assert digest(report) == VERIFY_DIGESTS[chain]
+
+
+@pytest.mark.parametrize("index, chain", list(enumerate(VARIED_VERIFY_DIGESTS)))
+def test_varied_mixed_verify_report_digest(index, chain):
+    config = TrialConfig(
+        seed=10 + index, function_spec="exp", chain=chain, mixed=True, vary_dims=True
+    )
+    report, _ = verify_report(config, TRIALS)
+    assert digest(report) == VARIED_VERIFY_DIGESTS[chain]
+
+
+def test_forced_sine_verify_report_digest():
+    config = TrialConfig(
+        seed=12, function_spec="sin", chain="classic", m=math.pi / 4, M=math.pi / 2,
+        force=True, mixed=True, vary_dims=True,
+    )
+    report, summary = verify_report(config, TRIALS)
+    assert len(summary.violations) == TRIALS
+    assert digest(report) == FORCED_SINE_DIGEST
+
+
+def test_rows_csv_digest(tmp_path):
+    summary = run_suite(TrialConfig(seed=13, function_spec="exp", chain="chain"), TRIALS)
+    path = tmp_path / "rows.csv"
+    _write_csv(str(path), summary.rows)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ROWS_CSV_DIGEST

@@ -11,7 +11,7 @@ from mercerlab.errors import (
     NonHermitianInput,
     SpectrumOutOfDomain,
 )
-from mercerlab.functions import identity, logarithm, sine, square
+from mercerlab.functions import exponential, identity, logarithm, sine, square
 from mercerlab.linalg import (
     HermitianOperator,
     Relation,
@@ -131,6 +131,13 @@ class TestApplyScalarFunction:
         a = HermitianOperator.diagonal([-0.5, 0.5])
         with pytest.raises(FunctionDomainError):
             apply_scalar_function(logarithm(), a, SpectralBounds(-1.0, 1.0))
+
+    def test_nonfinite_values_name_their_cause(self):
+        with pytest.raises(FunctionDomainError, match=r"undefined at eigenvalue\(s\) \[-0.5\]"):
+            apply_to_spectrum(np.log, HermitianOperator.diagonal([-0.5, 0.5]))
+        with pytest.raises(FunctionDomainError, match=r"overflows at eigenvalue\(s\) \[800.0\]"):
+            apply_scalar_function(exponential(), HermitianOperator.diagonal([1.0, 800.0]),
+                                  SpectralBounds(1.0, 800.0))
 
     def test_apply_to_spectrum_unclamped(self):
         a = HermitianOperator.diagonal([4.0, 9.0])
