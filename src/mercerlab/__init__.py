@@ -45,11 +45,8 @@ from .linalg import (
     SpectralDecomposition,
     apply_scalar_function,
     apply_to_decomposition,
-    apply_to_spectrum,
-    default_order_tolerance,
     loewner_compare,
     spectral_decompose,
-    spectrum_range,
     tolerance_from_norms,
 )
 from .maps import (
@@ -61,10 +58,10 @@ from .maps import (
     WeightedTrace,
     apply_map,
     family_sum,
-    normalize_family,
     unitality_defect,
 )
 from .mercer import (
+    CHAIN_KINDS,
     InequalityReport,
     MercerInstance,
     chain_middle,
@@ -81,14 +78,13 @@ from .mercer import (
 )
 from .quasimeans import (
     QuasiArithmeticSpec,
-    compare_means,
     curvature_bound,
     curvature_bound_expected_relation,
     curvature_mean_bound,
     diamond_phi,
     geometric_middle,
     incomparability_probe,
-    log_convex_mean_sandwich,
+    inverse_evaluator,
     mercer_quasi_mean,
     predicted_mean_relation,
     quasi_mean,

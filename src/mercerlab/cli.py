@@ -31,8 +31,10 @@ from .harness import (
     search_counterexample,
     verify_report,
 )
+from .mercer import CHAIN_KINDS
 
-CHAIN_CLI_CHOICES = ("classic", "chain", "twice-diff", "log-convex")
+# The chain kinds as the CLI spells them; harness.normalize_chain maps them back.
+CHAIN_CLI_CHOICES = tuple(kind.replace("_", "-") for kind in CHAIN_KINDS)
 
 
 class _Parser(argparse.ArgumentParser):

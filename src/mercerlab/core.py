@@ -11,7 +11,8 @@ assembled from a few objects per generator g:
   (g(M)+g(m)) T_g - g(M)g(m) I - (T_g^2 + sum_i Phi_i(g(A_i)^2)) / 2;
 
 plus, for the plain chains, S = sum_i Phi_i(A_i) and the plain diamond D
-built from the raw A_i.  ``SpectralCore`` eigendecomposes the A_i once, as
+built from the raw A_i; the classic chain's right side is the pre-mean of
+g = f.  ``SpectralCore`` eigendecomposes the A_i once, as
 one stack ``(..., n, d, d)`` through ``spectral_decompose`` with its
 Hermiticity check, and builds each of these objects from that basis on first
 use.  Every object is the same numpy computation on the same input as a
@@ -22,6 +23,7 @@ leading trial axis of the operators and of the family's maps.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
@@ -33,7 +35,7 @@ from .linalg import (
     apply_to_decomposition,
     spectral_decompose,
 )
-from .maps import MapFamily, apply_map, family_sum
+from .maps import MapFamily, family_sum
 
 _MISSING = object()
 
@@ -41,6 +43,23 @@ _MISSING = object()
 def per_map(stack: HermitianOperator) -> Tuple[HermitianOperator, ...]:
     """The operators of a stack ``(..., n, d, d)``, one per map, as views."""
     return tuple(HermitianOperator(stack.entries[..., i, :, :]) for i in range(stack.entries.shape[-3]))
+
+
+def geometric_interpolant(lo: float, hi: float, v_lo: float, v_hi: float) -> Callable:
+    """h(s) = v_lo^{(s-lo)/(hi-lo)} v_hi^{(hi-s)/(hi-lo)}, vectorized, for v_lo, v_hi > 0.
+
+    The middle of the log-convex chain (h of S, with f's endpoint values) and
+    of the log-convex mean sandwich (h of T_phi, with psi's) are both h of an
+    operator, so each is one scalar functional calculus.
+    """
+    log_lo = math.log(v_lo)
+    log_hi = math.log(v_hi)
+    width = hi - lo
+
+    def h(s):
+        return np.exp(((s - lo) * log_lo + (hi - s) * log_hi) / width)
+
+    return h
 
 
 def _diamond_term(
@@ -56,11 +75,7 @@ def _diamond_term(
     in [lo, hi]: it averages (hi I - T)(T - lo I) and the images of
     (hi I - X_i)(X_i - lo I).
     """
-    squared = HermitianOperator(parts.entries @ parts.entries)
-    squares = [apply_map(mp, x) for mp, x in zip(family.maps, per_map(squared))]
-    sq_total = squares[0]
-    for sq in squares[1:]:
-        sq_total = sq_total + sq
+    sq_total = family_sum(family, per_map(HermitianOperator(parts.entries @ parts.entries)))
     t_squared = HermitianOperator(total.entries @ total.entries)
     eye = HermitianOperator.identity(family.dim_out)
     return (hi + lo) * total - (hi * lo) * eye - 0.5 * (t_squared + sq_total)

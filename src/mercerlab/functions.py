@@ -285,10 +285,6 @@ def inverse_entry(f: ScalarFunction) -> Optional[ScalarFunction]:
 # Analytic queries
 # --------------------------------------------------------------------------
 
-def _interval_grid(bounds: SpectralBounds, n: int) -> np.ndarray:
-    return np.linspace(bounds.m, bounds.M, n)
-
-
 def require_domain(f: ScalarFunction, bounds: SpectralBounds) -> None:
     """Raise ``DomainMismatch`` unless [m, M] lies inside the natural domain of f."""
     if not f.domain_contains_interval(bounds):
@@ -297,11 +293,7 @@ def require_domain(f: ScalarFunction, bounds: SpectralBounds) -> None:
         )
 
 
-def curvature_bounds(
-    f: ScalarFunction,
-    bounds: SpectralBounds,
-    grid_points: int = CURVATURE_GRID_POINTS,
-) -> CurvatureBounds:
+def curvature_bounds(f: ScalarFunction, bounds: SpectralBounds) -> CurvatureBounds:
     """Bounds alpha <= f'' <= beta on [m, M].
 
     Exact endpoint evaluation when the entry declares f'' monotone on the
@@ -316,7 +308,7 @@ def curvature_bounds(
             [float(f.second_derivative(bounds.m)), float(f.second_derivative(bounds.M))]
         )
         return CurvatureBounds(alpha=float(ends.min()), beta=float(ends.max()), method="analytic")
-    grid = _interval_grid(bounds, grid_points)
+    grid = np.linspace(bounds.m, bounds.M, CURVATURE_GRID_POINTS)
     values = np.asarray(f.second_derivative(grid), dtype=float)
     lo = float(values.min())
     hi = float(values.max())
@@ -339,18 +331,13 @@ def _log_second_derivative(f: ScalarFunction, grid: np.ndarray) -> np.ndarray:
     return (g(grid + h) - 2.0 * g(grid) + g(grid - h)) / np.square(h)
 
 
-def is_log_convex_on(
-    f: ScalarFunction,
-    bounds: SpectralBounds,
-    grid_points: int = CURVATURE_GRID_POINTS,
-    use_flag: bool = True,
-) -> bool:
+def is_log_convex_on(f: ScalarFunction, bounds: SpectralBounds, use_flag: bool = True) -> bool:
     """True when log f is convex on [m, M].
 
     Requires f > 0 on the interval.  A declared log-convexity flag
     short-circuits the grid check (pass ``use_flag=False`` to force it).
     """
-    grid = _interval_grid(bounds, grid_points)
+    grid = np.linspace(bounds.m, bounds.M, CURVATURE_GRID_POINTS)
     with np.errstate(all="ignore"):
         vals = np.asarray(f(grid), dtype=float)
     if not np.all(np.isfinite(vals)) or float(vals.min()) <= 0.0:

@@ -16,7 +16,6 @@ the error raised is the one of the lowest failing trial.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -28,6 +27,7 @@ from .functions import ScalarFunction, curvature_bounds, parse_function_spec, re
 from .linalg import HermitianOperator, Relation, SpectralBounds
 from .maps import MapFamily, WeightedTrace, family_to_json, stack_families
 from .mercer import (
+    CHAIN_KINDS,
     InequalityReport,
     MercerInstance,
     contract_pairs,
@@ -40,25 +40,16 @@ from .mercer import (
 from .quasimeans import (
     ALPHA_SIDE,
     BETA_SIDE,
-    QuasiArithmeticSpec,
     curvature_bound,
     curvature_bound_expected_relation,
     geometric_middle,
     incomparability_probe,
+    inverse_evaluator,
     predicted_mean_relation,
     quasi_mean,
     resolve_spec,
 )
 from .sampling import generator, random_hermitian, random_unital_family, trial_seed
-
-CHAIN_TOKENS = {
-    "classic": "classic",
-    "chain": "chain",
-    "twice-diff": "twice_diff",
-    "twice_diff": "twice_diff",
-    "log-convex": "log_convex",
-    "log_convex": "log_convex",
-}
 
 # Trials sampled and evaluated together by a verify suite.  It bounds the
 # memory a suite holds, and at 256 a benchmark or test suite is one chunk.
@@ -142,12 +133,9 @@ class RunSummary:
     trials: int
     violations: List[TrialViolation]
     min_gap_overall: float
-    wall_time: float
     rows: List[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        # wall_time deliberately omitted: reports must be byte-identical
-        # across runs with the same seed.
         return {
             "trials": self.trials,
             "violations": [v.to_json() for v in self.violations],
@@ -170,9 +158,11 @@ def check_trials(n_trials: int) -> None:
 
 
 def normalize_chain(token: str) -> str:
-    if token not in CHAIN_TOKENS:
-        raise ValueError(f"unknown chain {token!r}; choices: {sorted(set(CHAIN_TOKENS))}")
-    return CHAIN_TOKENS[token]
+    """The chain kind of a token, in either spelling: ``twice_diff`` or the CLI's ``twice-diff``."""
+    kind = token.replace("-", "_")
+    if kind not in CHAIN_KINDS:
+        raise ValueError(f"unknown chain {token!r}; choices: {CHAIN_KINDS}")
+    return kind
 
 
 def _draw_dims(config: TrialConfig, rng: np.random.Generator) -> Tuple[int, int, int]:
@@ -213,18 +203,33 @@ def build_instance(
     return inst, seed_i, dims
 
 
+def _signed_slack(left: HermitianOperator, right: HermitianOperator, relation: Relation) -> np.ndarray:
+    """Signed slack of ``left relation right``, one per matrix of the stacks, in one ``eigvalsh`` call.
+
+    The least eigenvalue of the difference that the relation predicts PSD
+    (right - left for LessEqual, left - right for GreaterEqual); for Equal,
+    -max(|lambda_min|, |lambda_max|) of right - left.  Negative means violated.
+    """
+    diff = left - right if relation is Relation.GREATER_EQUAL else right - left
+    lam = np.linalg.eigvalsh(diff.entries)
+    if relation is Relation.EQUAL:
+        return -np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., -1]))
+    return lam[..., 0]
+
+
 def _pair_gaps(reports: Sequence[InequalityReport], left: str, right: str) -> List[float]:
-    """min eigenvalue of (right - left) per report, the signed slack of left <= right.
+    """The signed slack of left <= right per report.
 
     A GreaterEqual verdict holds the slack of the reverse order, so those
-    reports' slacks are recomputed, all in one ``eigvalsh`` call.
+    reports' slacks are recomputed, all in one stack.
     """
     verdicts = [report.verdict_for(left, right) for report in reports]
     gaps = [verdict.gap_min_eigenvalue for verdict in verdicts]
     flipped = [k for k, verdict in enumerate(verdicts) if verdict.relation is Relation.GREATER_EQUAL]
     if flipped:
-        diffs = np.stack([(reports[k].side(right) - reports[k].side(left)).entries for k in flipped])
-        for k, gap in zip(flipped, np.linalg.eigvalsh(diffs)[:, 0].tolist()):
+        lefts = HermitianOperator(np.stack([reports[k].side(left).entries for k in flipped]))
+        rights = HermitianOperator(np.stack([reports[k].side(right).entries for k in flipped]))
+        for k, gap in zip(flipped, _signed_slack(lefts, rights, Relation.LESS_EQUAL).tolist()):
             gaps[k] = gap
     return gaps
 
@@ -307,7 +312,6 @@ def run_suite(config: TrialConfig, n_trials: int) -> RunSummary:
     f = parse_function_spec(config.function_spec)
     which = normalize_chain(config.chain)
     require_domain(f, config.bounds)
-    started = time.perf_counter()
     violations: List[TrialViolation] = []
     rows: List[dict] = []
     min_gap = math.inf
@@ -333,12 +337,10 @@ def run_suite(config: TrialConfig, n_trials: int) -> RunSummary:
                 "min_gap": trial_min,
             }
         )
-    wall = time.perf_counter() - started
     return RunSummary(
         trials=n_trials,
         violations=violations,
         min_gap_overall=min_gap,
-        wall_time=wall,
         rows=rows,
     )
 
@@ -578,20 +580,6 @@ class SweepCheck:
         return out
 
 
-def _directional_gap(
-    left: HermitianOperator, right: HermitianOperator, relation: Relation
-) -> float:
-    """Signed slack of the predicted relation: min eig of the predicted-PSD side."""
-    if relation is Relation.GREATER_EQUAL:
-        diff = left - right
-    else:
-        diff = right - left
-    lam = np.linalg.eigvalsh(diff.entries)
-    if relation is Relation.EQUAL:
-        return -float(max(abs(lam[0]), abs(lam[-1])))
-    return float(lam[0])
-
-
 def run_sweep(
     phi_spec: str,
     psi_spec: str,
@@ -610,6 +598,8 @@ def run_sweep(
     psi = parse_function_spec(psi_spec)
     bounds = config.bounds
     spec = resolve_spec(phi, psi, bounds)
+    phi_inverse = inverse_evaluator(phi, bounds)
+    psi_inverse = inverse_evaluator(psi, bounds)
 
     try:
         predicted = predicted_mean_relation(spec)
@@ -644,12 +634,11 @@ def run_sweep(
         # decomposed once, and T_psi's pre-mean serves QM_psi and both
         # curvature sides.
         core = SpectralCore(family, operators, bounds)
-        mean_phi = quasi_mean(core, phi)
-        mean_psi = quasi_mean(core, psi)
+        mean_phi = quasi_mean(core, phi, phi_inverse)
+        mean_psi = quasi_mean(core, psi, psi_inverse)
 
         if compare_check.applicable:
-            gap = _directional_gap(mean_phi, mean_psi, predicted)
-            compare_check.record(i, seed_i, gap, tol)
+            compare_check.record(i, seed_i, float(_signed_slack(mean_phi, mean_psi, predicted)), tol)
 
         if monotone_inverse:
             for side, rel, check in (
@@ -661,13 +650,13 @@ def run_sweep(
                 except InverseDomainError:
                     check.domain_skips += 1
                 else:
-                    check.record(i, seed_i, _directional_gap(mean_phi, bound, rel), tol)
+                    check.record(i, seed_i, float(_signed_slack(mean_phi, bound, rel)), tol)
 
         if sandwich_applicable:
             middle = geometric_middle(spec, core)
-            low = _directional_gap(mean_phi, middle, Relation.LESS_EQUAL)
-            high = _directional_gap(middle, mean_psi, Relation.LESS_EQUAL)
-            sandwich_check.record(i, seed_i, min(low, high), tol)
+            low = _signed_slack(mean_phi, middle, Relation.LESS_EQUAL)
+            high = _signed_slack(middle, mean_psi, Relation.LESS_EQUAL)
+            sandwich_check.record(i, seed_i, float(min(low, high)), tol)
 
     checks = {
         "mean_order": compare_check,

@@ -3,8 +3,9 @@
 Eigendecomposition, scalar functional calculus and Loewner-order comparison
 for finite-dimensional self-adjoint matrices.  Every operator expression in
 the package is built on the primitives in this module:
-``spectral_decompose``, ``apply_to_decomposition`` (with its one-shot forms
-``apply_scalar_function`` and ``apply_to_spectrum``) and ``loewner_compare``.
+``spectral_decompose``, ``apply_to_decomposition`` (with its one-shot form
+``apply_scalar_function``) and ``loewner_compare`` (with its stacked form
+``loewner_verdicts``).
 Functional calculus is split from decomposition so that one eigensolve can
 serve every function applied to the same operator.
 
@@ -139,9 +140,6 @@ class HermitianOperator:
         """Spectral norm of a single matrix."""
         return float(spectral_norms(self)) if self.dim else 0.0
 
-    def trace(self) -> float:
-        return float(np.trace(self.entries).real)
-
     def scalar(self) -> float:
         """The single entry of a 1x1 operator."""
         if self.dim != 1:
@@ -256,11 +254,6 @@ def spectral_norms(a: HermitianOperator) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(a.entries)).max(axis=-1)
 
 
-def default_order_tolerance(*operators: HermitianOperator) -> float:
-    """:func:`tolerance_from_norms` of the operators' spectral norms."""
-    return tolerance_from_norms(*(op.norm2() for op in operators))
-
-
 def spectral_decompose(a: HermitianOperator) -> SpectralDecomposition:
     """Eigendecomposition A = U diag(lambda) U* with ascending eigenvalues.
 
@@ -272,12 +265,6 @@ def spectral_decompose(a: HermitianOperator) -> SpectralDecomposition:
         raise NonHermitianInput(f"self-adjointness defect {failure[0]:.3e} exceeds tolerance")
     eigenvalues, eigenvectors = np.linalg.eigh(a.entries)
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
-
-
-def spectrum_range(a: HermitianOperator) -> Tuple[float, float]:
-    """(min, max) eigenvalue of a Hermitian operator."""
-    dec = spectral_decompose(a)
-    return float(dec.eigenvalues[0]), float(dec.eigenvalues[-1])
 
 
 def _evaluate_scalar(f: Callable[[np.ndarray], np.ndarray], values: np.ndarray) -> np.ndarray:
@@ -346,15 +333,6 @@ def apply_scalar_function(
     return apply_to_decomposition(f, spectral_decompose(a), bounds)
 
 
-def apply_to_spectrum(f: Callable[[np.ndarray], np.ndarray], a: HermitianOperator) -> HermitianOperator:
-    """Unclamped functional calculus: evaluate f on the spectrum as it is.
-
-    Used where no ambient [m, M] contract exists (e.g. applying the inverse
-    generator of a quasi-arithmetic mean to an already-assembled operator).
-    """
-    return apply_to_decomposition(f, spectral_decompose(a))
-
-
 def loewner_compare(
     a: HermitianOperator,
     b: HermitianOperator,
@@ -367,9 +345,8 @@ def loewner_compare(
     and Incomparable when the difference is indefinite beyond tolerance.
     The single-matrix form of :func:`loewner_verdicts`.
     """
-    a._check_same_dim(b)
     if tol_abs is None:
-        tol_abs = default_order_tolerance(a, b)
+        tol_abs = tolerance_from_norms(a.norm2(), b.norm2())
     (verdict,) = loewner_verdicts(a, b, tol_abs)
     return verdict
 

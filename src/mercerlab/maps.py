@@ -4,8 +4,8 @@ Maps are realized structurally, never as abstract superoperator matrices:
 compressions V* A V, weighted traces w tr(A) I, pinching to diagonal blocks,
 and nonnegative combinations of these.  Positivity then holds by
 construction.  A family Phi_1..Phi_n is unital when sum_i Phi_i(I) = I on the
-codomain; ``normalize_family`` enforces that by a congruence with the inverse
-square root of sum_i Phi_i(I).
+codomain; ``unitality_defect`` measures how far a family is from that, and
+the sampler (``sampling.random_unital_family``) draws unital families.
 
 Maps apply to stacks of matrices ``(..., d, d)``.  ``stack_families`` turns
 families of one shape (same dims, same map kinds) into one family whose
@@ -17,11 +17,11 @@ trial's operator, by the same numpy operations as for one matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ArityMismatch, DimensionMismatch, InvalidInterval, SingularNormalizer
+from .errors import ArityMismatch, DimensionMismatch, InvalidInterval
 from .linalg import HermitianOperator, spectral_norms
 
 
@@ -159,9 +159,6 @@ class MapFamily:
     def dim_out(self) -> int:
         return self.maps[0].dim_out
 
-    def image_of_identity(self) -> HermitianOperator:
-        return family_sum(self, [HermitianOperator.identity(self.dim_in)] * self.size)
-
 
 def family_sum(family: MapFamily, operators: Sequence[HermitianOperator]) -> HermitianOperator:
     """sum_i Phi_i(A_i) for one operator per map, accumulated in map order."""
@@ -178,7 +175,7 @@ def unitality_defect(family: MapFamily):
 
     For a stacked family, one distance per trial, all in one ``eigvalsh`` call.
     """
-    image = family.image_of_identity()
+    image = family_sum(family, [HermitianOperator.identity(family.dim_in)] * family.size)
     return spectral_norms(image - HermitianOperator.identity(family.dim_out))
 
 
@@ -202,60 +199,6 @@ def stack_families(families: Sequence[MapFamily]) -> MapFamily:
         else:
             raise TypeError(f"cannot stack maps of kind {type(phi).__name__}")
     return MapFamily(maps=tuple(maps))
-
-
-def kraus_terms(phi: PositiveLinearMap) -> List[Tuple[float, np.ndarray]]:
-    """Decompose a map as sum_j c_j V_j* A V_j with c_j >= 0."""
-    if isinstance(phi, Compression):
-        return [(1.0, phi.v)]
-    if isinstance(phi, WeightedTrace):
-        terms = []
-        for k in range(phi.dim_in):
-            for l in range(phi.dim_out):
-                v = np.zeros((phi.dim_in, phi.dim_out), dtype=np.complex128)
-                v[k, l] = 1.0
-                terms.append((phi.weight, v))
-        return terms
-    if isinstance(phi, Pinching):
-        terms = []
-        for block in phi.blocks:
-            proj = np.zeros((phi.dim, phi.dim), dtype=np.complex128)
-            proj[block, block] = 1.0
-            terms.append((1.0, proj))
-        return terms
-    if isinstance(phi, ScaledSum):
-        terms = []
-        for coeff, child in zip(phi.coefficients, phi.children):
-            terms.extend((coeff * c, v) for c, v in kraus_terms(child))
-        return terms
-    raise TypeError(f"unknown map kind {type(phi)!r}")
-
-
-def _conjugated(phi: PositiveLinearMap, t: np.ndarray) -> PositiveLinearMap:
-    """The map A |-> T Phi(A) T for Hermitian T, expressed structurally."""
-    if isinstance(phi, Compression):
-        return Compression(phi.v @ t)
-    terms = kraus_terms(phi)
-    children = tuple(Compression(v @ t) for _, v in terms)
-    coefficients = tuple(c for c, _ in terms)
-    if len(children) == 1 and coefficients[0] == 1.0:
-        return children[0]
-    return ScaledSum(children=children, coefficients=coefficients)
-
-
-def normalize_family(family: MapFamily, floor: float = 1e-12) -> MapFamily:
-    """Rescale a positive family so that sum_i Phi_i(I) = I.
-
-    Applies the congruence X |-> S^{-1/2} X S^{-1/2} with S = sum_i Phi_i(I),
-    which preserves positivity and the structural kinds.  Raises
-    ``SingularNormalizer`` when S has an eigenvalue <= ``floor``.
-    """
-    s = family.image_of_identity().entries
-    lam, u = np.linalg.eigh(s)
-    if float(lam[0]) <= floor:
-        raise SingularNormalizer(f"sum of identity images has min eigenvalue {lam[0]:.3e}")
-    inv_sqrt = (u / np.sqrt(lam)) @ u.conj().T
-    return MapFamily(maps=tuple(_conjugated(phi, inv_sqrt) for phi in family.maps))
 
 
 # --------------------------------------------------------------------------

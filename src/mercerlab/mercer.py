@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import (
     OutOfInterval,
     SpectrumOutOfDomain,
 )
-from .core import SpectralCore, per_map
+from .core import SpectralCore, geometric_interpolant
 from .functions import CurvatureBounds, ScalarFunction, curvature_bounds, is_log_convex_on
 from .linalg import (
     HermitianOperator,
@@ -42,11 +42,9 @@ from .linalg import (
     spectral_norms,
     tolerance_from_norms,
 )
-from .maps import MapFamily, apply_map, unitality_defect
+from .maps import MapFamily, unitality_defect
 
 UNITALITY_TOL = 1e-9
-
-CHAIN_KINDS = ("classic", "chain", "twice_diff", "log_convex")
 
 
 @dataclass(frozen=True)
@@ -176,38 +174,16 @@ def scalar_mercer_check(
 # Operator sides
 # --------------------------------------------------------------------------
 
-def image_sum(inst: MercerInstance) -> HermitianOperator:
-    """S = sum_i Phi_i(A_i); spectrum stays in [m, M] for unital families."""
-    return inst.core.image_sum()
-
-
 def mercer_lhs(inst: MercerInstance) -> HermitianOperator:
     """f((M+m) I - S) via functional calculus; m I <= (M+m) I - S <= M I."""
-    s = image_sum(inst)
+    s = inst.core.image_sum()
     arg = (inst.bounds.M + inst.bounds.m) * HermitianOperator.identity(inst.dim_out) - s
     return apply_scalar_function(inst.f, arg, inst.bounds)
 
 
 def mercer_rhs_classic(inst: MercerInstance) -> HermitianOperator:
-    """(f(M) + f(m)) I - sum_i Phi_i(f(A_i)).
-
-    The images are added in map order as operators, unlike the accumulated
-    and re-symmetrised T_f of the quasi-arithmetic means, so the two need
-    not agree bit for bit; each keeps its own summation.
-    """
-
-    def build():
-        fm = float(inst.f(inst.bounds.m))
-        fM = float(inst.f(inst.bounds.M))
-        images = [
-            apply_map(phi, img) for phi, img in zip(inst.family.maps, per_map(inst.core.images(inst.f)))
-        ]
-        total = images[0]
-        for img in images[1:]:
-            total = total + img
-        return (fM + fm) * HermitianOperator.identity(inst.dim_out) - total
-
-    return inst.core.cached(("rhs_classic", inst.f), build)
+    """(f(M) + f(m)) I - sum_i Phi_i(f(A_i)), the pre-mean of the mean with generator f."""
+    return inst.core.pre_mean(inst.f)
 
 
 def chain_middle(inst: MercerInstance) -> HermitianOperator:
@@ -216,7 +192,7 @@ def chain_middle(inst: MercerInstance) -> HermitianOperator:
 
     Affine in S, so plain matrix arithmetic is exact; no eigendecomposition.
     """
-    s = image_sum(inst)
+    s = inst.core.image_sum()
     eye = HermitianOperator.identity(inst.dim_out)
     fm = float(inst.f(inst.bounds.m))
     fM = float(inst.f(inst.bounds.M))
@@ -266,17 +242,8 @@ def log_convex_middle(inst: MercerInstance) -> HermitianOperator:
         raise NonpositiveFunction(
             f"{inst.f.label()} must be positive at the interval endpoints"
         )
-    width = inst.bounds.width
-    log_fm = math.log(fm)
-    log_fM = math.log(fM)
-    m = inst.bounds.m
-    M = inst.bounds.M
-
-    def h(s):
-        return np.exp(((s - m) * log_fm + (M - s) * log_fM) / width)
-
-    s = image_sum(inst)
-    return apply_scalar_function(h, s, inst.bounds)
+    h = geometric_interpolant(inst.bounds.m, inst.bounds.M, fm, fM)
+    return apply_scalar_function(h, inst.core.image_sum(), inst.bounds)
 
 
 # --------------------------------------------------------------------------
@@ -289,6 +256,107 @@ def _grid_min(f: ScalarFunction, bounds: SpectralBounds, n: int = 2001) -> float
     if not np.all(np.isfinite(vals)):
         return -math.inf
     return float(vals.min())
+
+
+def _curvature(inst: MercerInstance) -> CurvatureBounds:
+    return inst.core.cached(("curvature", inst.f), lambda: curvature_bounds(inst.f, inst.bounds))
+
+
+def _convexity_gate(inst: MercerInstance, force: bool) -> Dict[str, float]:
+    if not (inst.f.convex_on_domain or force):
+        raise HypothesisNotMet(
+            f"{inst.f.label()} is not flagged convex; pass force=True for a counterexample run"
+        )
+    return {}
+
+
+def _log_convexity_gate(inst: MercerInstance, force: bool) -> Dict[str, float]:
+    if _grid_min(inst.f, inst.bounds) <= 0.0:
+        raise NonpositiveFunction(
+            f"{inst.f.label()} is not positive on [{inst.bounds.m}, {inst.bounds.M}]"
+        )
+    if not (inst.f.log_convex_on_domain or is_log_convex_on(inst.f, inst.bounds) or force):
+        raise HypothesisNotMet(
+            f"{inst.f.label()} is not log-convex; pass force=True for a counterexample run"
+        )
+    return {}
+
+
+# Every side a chain can report, by label.
+_SIDES: Dict[str, Callable[[MercerInstance], HermitianOperator]] = {
+    "lhs": mercer_lhs,
+    "rhs_classic": mercer_rhs_classic,
+    "diamond": diamond_plain,
+    "zero": lambda inst: HermitianOperator.zero(inst.dim_out),
+    "chain_middle": chain_middle,
+    "lower_refined": lambda inst: refined_bounds(inst, _curvature(inst))[0],
+    "upper_refined": lambda inst: refined_bounds(inst, _curvature(inst))[1],
+    "geometric_middle": log_convex_middle,
+}
+# Built before the gate runs, so that their errors come before the gate's.
+_COMMON_SIDES = ("lhs", "rhs_classic", "diamond", "zero")
+
+# What a compared pair asserts: always, only when the curvature floor alpha
+# is nonnegative (convex f), or nothing.
+CONTRACT, CONTRACT_IF_CONVEX, INFORMATIONAL = "contract", "contract if alpha >= 0", "informational"
+_DIAMOND_PAIR = ("zero", "diamond", CONTRACT)
+
+
+class ChainKind(NamedTuple):
+    """One row of the chain table: ``gate(inst, force)`` checks the kind's
+    hypotheses and returns its scalars; the sides in report order; the
+    compared (left, right, role) in order, each as left <= right."""
+
+    gate: Callable[[MercerInstance, bool], Dict[str, float]]
+    sides: Tuple[str, ...]
+    pairs: Tuple[Tuple[str, str, str], ...]
+
+
+CHAINS: Dict[str, ChainKind] = {
+    "classic": ChainKind(
+        _convexity_gate,
+        ("lhs", "rhs_classic", "zero", "diamond"),
+        (("lhs", "rhs_classic", CONTRACT), _DIAMOND_PAIR),
+    ),
+    "chain": ChainKind(
+        _convexity_gate,
+        ("lhs", "chain_middle", "rhs_classic", "zero", "diamond"),
+        (
+            ("lhs", "chain_middle", CONTRACT),
+            ("chain_middle", "rhs_classic", CONTRACT),
+            ("lhs", "rhs_classic", CONTRACT),
+            _DIAMOND_PAIR,
+        ),
+    ),
+    "twice_diff": ChainKind(
+        lambda inst, force: {"alpha": _curvature(inst).alpha, "beta": _curvature(inst).beta},
+        ("lower_refined", "lhs", "upper_refined", "rhs_classic", "chain_middle", "zero", "diamond"),
+        (
+            ("lower_refined", "lhs", CONTRACT),
+            ("lhs", "upper_refined", CONTRACT),
+            ("upper_refined", "rhs_classic", CONTRACT_IF_CONVEX),
+            ("chain_middle", "upper_refined", INFORMATIONAL),
+            _DIAMOND_PAIR,
+        ),
+    ),
+    "log_convex": ChainKind(
+        _log_convexity_gate,
+        ("lhs", "geometric_middle", "rhs_classic", "zero", "diamond"),
+        (
+            ("lhs", "geometric_middle", CONTRACT),
+            ("geometric_middle", "rhs_classic", CONTRACT),
+            ("lhs", "rhs_classic", CONTRACT),
+            _DIAMOND_PAIR,
+        ),
+    ),
+}
+CHAIN_KINDS = tuple(CHAINS)
+
+
+def _chain_kind(which: str) -> ChainKind:
+    if which not in CHAINS:
+        raise ValueError(f"unknown chain {which!r}; choices: {CHAIN_KINDS}")
+    return CHAINS[which]
 
 
 def evaluate_chain(
@@ -308,7 +376,7 @@ def evaluate_trials(
     force: bool = False,
     tol_abs: float | None = None,
 ) -> Tuple[InequalityReport, ...]:
-    """Evaluate the selected inequality chain and compare all adjacent sides.
+    """Evaluate the selected inequality chain and compare its pairs of sides.
 
     Hypothesis gates (convexity for classic/chain, log-convexity for
     log_convex) raise ``HypothesisNotMet`` unless ``force`` is set; forcing is
@@ -321,93 +389,31 @@ def evaluate_trials(
     call, every trial against its own tolerance; the gates and curvature
     bounds depend on f and [m, M] only and are evaluated once.
     """
-    if which not in CHAIN_KINDS:
-        raise ValueError(f"unknown chain {which!r}; choices: {CHAIN_KINDS}")
+    chain = _chain_kind(which)
+    by_label = {label: _SIDES[label](inst) for label in _COMMON_SIDES}
+    scalars = chain.gate(inst, force)
+    for label in chain.sides:
+        if label not in by_label:
+            by_label[label] = _SIDES[label](inst)
 
-    sides: List[str] = []
-    compared: List[Tuple[str, str, Tuple[OrderVerdict, ...]]] = []
-    scalars: Dict[str, float] = {}
-
-    # Each side's spectral norms enter the default tolerance of every pair
-    # the side is in; they are computed once per side.  The zero side's norm
-    # is exactly 0.
-    norms: Dict[str, object] = {"zero": 0.0}
-
-    def norm(label: str):
-        if label not in norms:
-            norms[label] = spectral_norms(by_label[label])
-        return norms[label]
-
-    def compare(left: str, right: str) -> None:
-        tol = tol_abs if tol_abs is not None else tolerance_from_norms(norm(left), norm(right))
+    if tol_abs is None:
+        # Each side's spectral norms enter the default tolerance of every pair
+        # the side is in, so they are computed once per side; zero's is exactly 0.
+        norms = {label: 0.0 if label == "zero" else spectral_norms(side) for label, side in by_label.items()}
+    compared = []
+    for left, right, _ in chain.pairs:
+        tol = tol_abs if tol_abs is not None else tolerance_from_norms(norms[left], norms[right])
         compared.append((left, right, loewner_verdicts(by_label[left], by_label[right], tol)))
-
-    lhs = mercer_lhs(inst)
-    rhs = mercer_rhs_classic(inst)
-    d = diamond_plain(inst)
-    zero = HermitianOperator.zero(inst.dim_out)
-    by_label: Dict[str, HermitianOperator] = {
-        "lhs": lhs,
-        "rhs_classic": rhs,
-        "zero": zero,
-        "diamond": d,
-    }
-
-    if which in ("classic", "chain"):
-        if not (inst.f.convex_on_domain or force):
-            raise HypothesisNotMet(
-                f"{inst.f.label()} is not flagged convex; pass force=True for a counterexample run"
-            )
-    if which == "classic":
-        sides = ["lhs", "rhs_classic"]
-        compare("lhs", "rhs_classic")
-    elif which == "chain":
-        by_label["chain_middle"] = chain_middle(inst)
-        sides = ["lhs", "chain_middle", "rhs_classic"]
-        compare("lhs", "chain_middle")
-        compare("chain_middle", "rhs_classic")
-        compare("lhs", "rhs_classic")
-    elif which == "twice_diff":
-        curv = curvature_bounds(inst.f, inst.bounds)
-        lower, upper = refined_bounds(inst, curv)
-        by_label.update(
-            {"lower_refined": lower, "upper_refined": upper, "chain_middle": chain_middle(inst)}
-        )
-        sides = ["lower_refined", "lhs", "upper_refined", "rhs_classic", "chain_middle"]
-        compare("lower_refined", "lhs")
-        compare("lhs", "upper_refined")
-        compare("upper_refined", "rhs_classic")
-        # Informational only: no ordering between the reflected chord and the
-        # corrected upper bound is asserted anywhere.
-        compare("chain_middle", "upper_refined")
-        scalars["alpha"] = curv.alpha
-        scalars["beta"] = curv.beta
-    else:  # log_convex
-        if _grid_min(inst.f, inst.bounds) <= 0.0:
-            raise NonpositiveFunction(
-                f"{inst.f.label()} is not positive on [{inst.bounds.m}, {inst.bounds.M}]"
-            )
-        if not (inst.f.log_convex_on_domain or is_log_convex_on(inst.f, inst.bounds) or force):
-            raise HypothesisNotMet(
-                f"{inst.f.label()} is not log-convex; pass force=True for a counterexample run"
-            )
-        by_label["geometric_middle"] = log_convex_middle(inst)
-        sides = ["lhs", "geometric_middle", "rhs_classic"]
-        compare("lhs", "geometric_middle")
-        compare("geometric_middle", "rhs_classic")
-        compare("lhs", "rhs_classic")
-
-    sides += ["zero", "diamond"]
-    compare("zero", "diamond")
+    diamond = chain.pairs.index(_DIAMOND_PAIR)
 
     reports = []
     for t in range(inst.trials):
         verdicts = tuple((left, right, trial_verdicts[t]) for left, right, trial_verdicts in compared)
         reports.append(
             InequalityReport(
-                sides=tuple((label, _trial_side(by_label[label], t)) for label in sides),
+                sides=tuple((label, _trial_side(by_label[label], t)) for label in chain.sides),
                 verdicts=verdicts,
-                scalars={**scalars, "diamond_min_eigenvalue": verdicts[-1][2].gap_min_eigenvalue},
+                scalars={**scalars, "diamond_min_eigenvalue": verdicts[diamond][2].gap_min_eigenvalue},
             )
         )
     return tuple(reports)
@@ -419,27 +425,15 @@ def _trial_side(side: HermitianOperator, t: int) -> HermitianOperator:
 
 
 def contract_pairs(which: str, alpha: float | None = None) -> List[Tuple[str, str]]:
-    """The side pairs whose <= ordering the theory asserts for a chain kind.
+    """The side pairs whose <= ordering the theory asserts for a chain kind, in comparison order.
 
-    The pair (upper_refined, rhs_classic) is a contract only when the
-    curvature floor alpha is nonnegative, i.e. for convex f.
+    A ``CONTRACT_IF_CONVEX`` pair, (upper_refined, rhs_classic), is a
+    contract only when the curvature floor alpha is nonnegative, i.e. for
+    convex f.
     """
-    pairs: List[Tuple[str, str]]
-    if which == "classic":
-        pairs = [("lhs", "rhs_classic")]
-    elif which == "chain":
-        pairs = [("lhs", "chain_middle"), ("chain_middle", "rhs_classic"), ("lhs", "rhs_classic")]
-    elif which == "twice_diff":
-        pairs = [("lower_refined", "lhs"), ("lhs", "upper_refined")]
-        if alpha is not None and alpha >= 0.0:
-            pairs.append(("upper_refined", "rhs_classic"))
-    elif which == "log_convex":
-        pairs = [
-            ("lhs", "geometric_middle"),
-            ("geometric_middle", "rhs_classic"),
-            ("lhs", "rhs_classic"),
-        ]
-    else:
-        raise ValueError(f"unknown chain {which!r}")
-    pairs.append(("zero", "diamond"))
-    return pairs
+    convex = alpha is not None and alpha >= 0.0
+    return [
+        (left, right)
+        for left, right, role in _chain_kind(which).pairs
+        if role == CONTRACT or (role == CONTRACT_IF_CONVEX and convex)
+    ]

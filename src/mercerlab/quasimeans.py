@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -38,29 +38,27 @@ from .functions import (
     inverse_entry,
     is_log_convex_on,
 )
-from .core import SpectralCore
+from .core import SpectralCore, geometric_interpolant
 from .linalg import (
     HermitianOperator,
-    OrderVerdict,
     Relation,
     SpectralBounds,
     apply_scalar_function,
     apply_to_decomposition,
-    loewner_compare,
     spectral_decompose,
 )
 from .maps import MapFamily
-from .mercer import InequalityReport
 
 MONOTONICITY_GRID_POINTS = 1000
+MEAN_GRID_POINTS = 256
 INVERSE_ROUNDTRIP_TOL = 1e-9
 
 ALPHA_SIDE = "alpha_lower_refined"
 BETA_SIDE = "beta_reversed"
 
 
-def _require_strictly_monotone(g: ScalarFunction, bounds: SpectralBounds, n: int) -> bool:
-    """Validate strict monotonicity on a grid; returns True when increasing."""
+def _require_strictly_monotone(g: ScalarFunction, bounds: SpectralBounds, n: int) -> None:
+    """Validate strict monotonicity of g on an n-point grid of [m, M]."""
     if not g.domain_contains_interval(bounds):
         raise InvalidInterval(
             f"[{bounds.m}, {bounds.M}] not inside the domain of {g.label()}"
@@ -71,11 +69,8 @@ def _require_strictly_monotone(g: ScalarFunction, bounds: SpectralBounds, n: int
     if not np.all(np.isfinite(vals)):
         raise InvalidInterval(f"{g.label()} is not finite on [{bounds.m}, {bounds.M}]")
     steps = np.diff(vals)
-    if np.all(steps > 0):
-        return True
-    if np.all(steps < 0):
-        return False
-    raise InvalidInterval(f"{g.label()} is not strictly monotone on [{bounds.m}, {bounds.M}]")
+    if not (np.all(steps > 0) or np.all(steps < 0)):
+        raise InvalidInterval(f"{g.label()} is not strictly monotone on [{bounds.m}, {bounds.M}]")
 
 
 def _image_interval(g: ScalarFunction, bounds: SpectralBounds) -> SpectralBounds:
@@ -147,12 +142,7 @@ class QuasiArithmeticSpec:
         return self.psi_inverse_decreasing
 
 
-def resolve_spec(
-    phi: ScalarFunction,
-    psi: ScalarFunction,
-    bounds: SpectralBounds,
-    grid_points: int = MONOTONICITY_GRID_POINTS,
-) -> QuasiArithmeticSpec:
+def resolve_spec(phi: ScalarFunction, psi: ScalarFunction, bounds: SpectralBounds) -> QuasiArithmeticSpec:
     """Validate a generator pair on [m, M] and precompute composite metadata.
 
     Checks strict monotonicity of both generators on a dense grid and the
@@ -160,9 +150,9 @@ def resolve_spec(
     convex/concave from sampled curvature bounds and tests its log-convexity
     with the flag-free grid check.
     """
-    grid = np.linspace(bounds.m, bounds.M, grid_points)
+    grid = np.linspace(bounds.m, bounds.M, MONOTONICITY_GRID_POINTS)
     for g in (phi, psi):
-        _require_strictly_monotone(g, bounds, grid_points)
+        _require_strictly_monotone(g, bounds, MONOTONICITY_GRID_POINTS)
         entry = inverse_entry(g)
         inv = entry.fn if entry is not None else g.inverse
         if inv is None:
@@ -236,23 +226,30 @@ def _apply_inverse(entry: ScalarFunction, operand: HermitianOperator) -> Hermiti
     return apply_to_decomposition(entry, dec)
 
 
-def quasi_mean(core: SpectralCore, phi: ScalarFunction) -> HermitianOperator:
-    """QM_phi of the core's instance, memoised in the core.
+def inverse_evaluator(g: ScalarFunction, bounds: SpectralBounds) -> Callable:
+    """The inverse of a generator as a vectorized callable, for :func:`quasi_mean`.
+
+    Checks first that g is strictly monotone on a grid of [m, M]; the check
+    depends on (g, [m, M]) only, so a run makes it once per generator.
+    """
+    _require_strictly_monotone(g, bounds, MEAN_GRID_POINTS)
+    entry = inverse_entry(g)
+    if entry is None and g.inverse is None:
+        raise InverseDomainError(f"{g.label()} has no inverse evaluator")
+    return entry.fn if entry is not None else g.inverse
+
+
+def quasi_mean(core: SpectralCore, phi: ScalarFunction, inverse: Callable) -> HermitianOperator:
+    """QM_phi of the core's instance, memoised in the core; ``inverse`` is
+    :func:`inverse_evaluator` of phi on the core's interval.
 
     The pre-mean has spectrum inside the phi-image interval, so the inverse
     is applied by clamped functional calculus on that interval.
     """
-
-    def build():
-        bounds = core.bounds
-        _require_strictly_monotone(phi, bounds, 256)
-        entry = inverse_entry(phi)
-        if entry is None and phi.inverse is None:
-            raise InverseDomainError(f"{phi.label()} has no inverse evaluator")
-        inv_fn = entry.fn if entry is not None else phi.inverse
-        return apply_scalar_function(inv_fn, core.pre_mean(phi), _image_interval(phi, bounds))
-
-    return core.cached(("mean", phi), build)
+    return core.cached(
+        ("mean", phi),
+        lambda: apply_scalar_function(inverse, core.pre_mean(phi), _image_interval(phi, core.bounds)),
+    )
 
 
 def mercer_quasi_mean(
@@ -262,7 +259,8 @@ def mercer_quasi_mean(
     bounds: SpectralBounds,
 ) -> HermitianOperator:
     """phi^{-1}((phi(M) + phi(m)) I - sum_i Phi_i(phi(A_i))); see :func:`quasi_mean`."""
-    return quasi_mean(SpectralCore(family, operators, bounds), phi)
+    core = SpectralCore(family, operators, bounds)
+    return quasi_mean(core, phi, inverse_evaluator(phi, bounds))
 
 
 def predicted_mean_relation(spec: QuasiArithmeticSpec) -> Relation:
@@ -290,23 +288,6 @@ def predicted_mean_relation(spec: QuasiArithmeticSpec) -> Relation:
         f"composite convex={spec.composite_is_convex} concave={spec.composite_is_concave}, "
         f"psi^-1 increasing={spec.psi_inverse_increasing} decreasing={spec.psi_inverse_decreasing}"
     )
-
-
-def compare_means(
-    spec: QuasiArithmeticSpec,
-    family: MapFamily,
-    operators: Sequence[HermitianOperator],
-    bounds: SpectralBounds | None = None,
-    tol_abs: float | None = None,
-) -> OrderVerdict:
-    """Compute both means and compare them in the Loewner order.
-
-    Raises ``HypothesisNotMet`` when the generator pair matches none of the
-    ordering cases; the verdict is then unavailable rather than guessed.
-    """
-    predicted_mean_relation(spec)  # gate only; direction checked by callers
-    core = SpectralCore(family, operators, bounds or spec.bounds)
-    return loewner_compare(quasi_mean(core, spec.phi), quasi_mean(core, spec.psi), tol_abs=tol_abs)
 
 
 def diamond_phi(
@@ -379,43 +360,17 @@ def curvature_bound_expected_relation(spec: QuasiArithmeticSpec, side: str) -> R
     return Relation.LESS_EQUAL if below else Relation.GREATER_EQUAL
 
 
-def log_convex_mean_sandwich(
-    spec: QuasiArithmeticSpec,
-    family: MapFamily,
-    operators: Sequence[HermitianOperator],
-    bounds: SpectralBounds | None = None,
-    tol_abs: float | None = None,
-) -> Tuple[HermitianOperator, InequalityReport]:
+def geometric_middle(spec: QuasiArithmeticSpec, core: SpectralCore) -> HermitianOperator:
     """Geometric interpolant between the two means for log-convex composites:
 
         QM_phi <= psi^{-1}( psi(m)^{(T - phi(m)I)/(phi(M)-phi(m))}
                             psi(M)^{(phi(M)I - T)/(phi(M)-phi(m))} ) <= QM_psi
 
-    with T = sum_i Phi_i(phi(A_i)).  Both exponent operators are functions of
-    T and commute, so the middle reduces to one scalar functional calculus.
-    Requires psi o phi^{-1} log-convex, psi^{-1} operator increasing, and
-    psi positive at the endpoints.
+    with T = sum_i Phi_i(phi(A_i)), shared with QM_phi.  Both exponent
+    operators are functions of T and commute, so the middle reduces to one
+    scalar functional calculus.  Requires psi o phi^{-1} log-convex, psi^{-1}
+    operator increasing, and psi positive at the endpoints.
     """
-    core = SpectralCore(family, operators, bounds or spec.bounds)
-    middle = geometric_middle(spec, core)
-    mean_phi = quasi_mean(core, spec.phi)
-    mean_psi = quasi_mean(core, spec.psi)
-    verdict_low = loewner_compare(mean_phi, middle, tol_abs=tol_abs)
-    verdict_high = loewner_compare(middle, mean_psi, tol_abs=tol_abs)
-    report = InequalityReport(
-        sides=(("mean_phi", mean_phi), ("geometric_middle", middle), ("mean_psi", mean_psi)),
-        verdicts=(
-            ("mean_phi", "geometric_middle", verdict_low),
-            ("geometric_middle", "mean_psi", verdict_high),
-        ),
-        scalars={"reversal_applied": float(spec.reversal_applied)},
-    )
-    return middle, report
-
-
-def geometric_middle(spec: QuasiArithmeticSpec, core: SpectralCore) -> HermitianOperator:
-    """The middle of :func:`log_convex_mean_sandwich` on a core, after its
-    hypothesis checks; T_phi is shared with QM_phi."""
     bounds = core.bounds
     psi_m = float(spec.psi(bounds.m))
     psi_M = float(spec.psi(bounds.M))
@@ -431,17 +386,8 @@ def geometric_middle(spec: QuasiArithmeticSpec, core: SpectralCore) -> Hermitian
         raise HypothesisNotMet(
             f"psi^-1 = {spec.psi_inverse.label()} is not flagged operator increasing"
         )
-    total = core.total(spec.phi)
-    pm = float(spec.phi(bounds.m))
-    pM = float(spec.phi(bounds.M))
-    log_sm = math.log(psi_m)
-    log_sM = math.log(psi_M)
-    width = pM - pm
-
-    def h(tau):
-        return np.exp(((tau - pm) * log_sm + (pM - tau) * log_sM) / width)
-
-    mid_pre = apply_scalar_function(h, total, spec.phi_interval)
+    h = geometric_interpolant(float(spec.phi(bounds.m)), float(spec.phi(bounds.M)), psi_m, psi_M)
+    mid_pre = apply_scalar_function(h, core.total(spec.phi), spec.phi_interval)
     return _apply_inverse(spec.psi_inverse, mid_pre)
 
 

@@ -15,6 +15,7 @@ from .linalg import HermitianOperator, SpectralBounds
 from .maps import Compression, MapFamily, WeightedTrace
 
 MASK64 = (1 << 64) - 1
+NORMALIZER_ATTEMPTS = 100
 
 
 def generator(seed: int) -> np.random.Generator:
@@ -67,7 +68,6 @@ def random_unital_family(
     dim_k: int,
     rng: np.random.Generator,
     include_trace: bool = False,
-    attempts: int = 100,
 ) -> MapFamily:
     """Draw n positive maps and normalize so that sum_i Phi_i(I) = I.
 
@@ -76,10 +76,10 @@ def random_unital_family(
     sampling.  With ``include_trace`` one map is a weighted trace whose
     weight takes a random fraction of the identity, the compressions
     absorbing the rest.  Raises ``SingularNormalizer`` when S stays
-    numerically singular for ``attempts`` draws (e.g. dim_k > n * dim_h).
+    numerically singular for ``NORMALIZER_ATTEMPTS`` draws (e.g. dim_k > n * dim_h).
     """
     n_comp = n - 1 if include_trace else n
-    for _ in range(attempts):
+    for _ in range(NORMALIZER_ATTEMPTS):
         vs = [
             (rng.standard_normal((dim_h, dim_k)) + 1j * rng.standard_normal((dim_h, dim_k)))
             / np.sqrt(2.0)
@@ -100,5 +100,5 @@ def random_unital_family(
             maps.append(WeightedTrace(trace_fraction / dim_h, dim_in=dim_h, dim_out=dim_k))
         return MapFamily(maps=tuple(maps))
     raise SingularNormalizer(
-        f"no nonsingular normalizer in {attempts} draws (n={n}, dim_h={dim_h}, dim_k={dim_k})"
+        f"no nonsingular normalizer in {NORMALIZER_ATTEMPTS} draws (n={n}, dim_h={dim_h}, dim_k={dim_k})"
     )

@@ -9,14 +9,16 @@ evaluating trial after trial would.
 
 import math
 
+import numpy as np
 import pytest
 
 from mercerlab import harness
 from mercerlab.errors import HypothesisNotMet, SpectrumOutOfDomain
 from mercerlab.functions import parse_function_spec
 from mercerlab.harness import TrialConfig, normalize_chain, replay_trial, suite_outcomes
-from mercerlab.linalg import HermitianOperator
+from mercerlab.linalg import HermitianOperator, Relation
 from mercerlab.maps import Compression, MapFamily
+from mercerlab.sampling import generator
 
 PI4, PI2 = math.pi / 4, math.pi / 2
 
@@ -88,3 +90,17 @@ def test_failing_suite_raises_the_lowest_failing_trial(monkeypatch):
     with pytest.raises(SpectrumOutOfDomain) as raised:
         harness.run_suite(config, 12)
     assert str(raised.value) == str(expected.value)
+
+
+def test_signed_slack_of_a_stack_is_per_matrix():
+    rng = generator(5)
+    for dim in (1, 3, 5):
+        raw = rng.standard_normal((2, 7, dim, dim)) + 1j * rng.standard_normal((2, 7, dim, dim))
+        lefts, rights = (HermitianOperator(0.5 * (z + z.conj().swapaxes(-1, -2))) for z in raw)
+        for relation in (Relation.LESS_EQUAL, Relation.GREATER_EQUAL, Relation.EQUAL):
+            stacked = harness._signed_slack(lefts, rights, relation)
+            single = [
+                harness._signed_slack(HermitianOperator(left), HermitianOperator(right), relation)
+                for left, right in zip(lefts.entries, rights.entries)
+            ]
+            assert stacked.tobytes() == np.array(single).tobytes()

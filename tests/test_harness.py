@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from mercerlab.cli import CHAIN_CLI_CHOICES
 from mercerlab.errors import BudgetExhausted
 from mercerlab.harness import (
     TrialConfig,
@@ -17,6 +18,7 @@ from mercerlab.harness import (
     verify_report,
 )
 from mercerlab.functions import exponential
+from mercerlab.mercer import CHAIN_KINDS
 
 PI4, PI2 = math.pi / 4, math.pi / 2
 
@@ -75,6 +77,12 @@ class TestRunSuite:
     def test_chain_token_normalization(self):
         assert normalize_chain("twice-diff") == "twice_diff"
         assert normalize_chain("log_convex") == "log_convex"
+        # the CLI offers every kind of the chain table, spelled with hyphens
+        assert CHAIN_CLI_CHOICES == tuple(kind.replace("_", "-") for kind in CHAIN_KINDS)
+        assert CHAIN_CLI_CHOICES == ("classic", "chain", "twice-diff", "log-convex")
+        for kind in CHAIN_KINDS:
+            assert normalize_chain(kind) == kind
+            assert normalize_chain(kind.replace("_", "-")) == kind
         with pytest.raises(ValueError):
             normalize_chain("sideways")
 
@@ -212,3 +220,18 @@ class TestSweep:
         a, _ = run_sweep("sqrt", "id", cfg, 30)
         b, _ = run_sweep("sqrt", "id", cfg, 30)
         assert json.dumps(a) == json.dumps(b)
+
+    def test_generators_validated_once_per_sweep(self, monkeypatch):
+        from mercerlab import quasimeans
+
+        calls = []
+        original = quasimeans._require_strictly_monotone
+
+        def spy(g, bounds, n):
+            calls.append((g.name, n))
+            return original(g, bounds, n)
+
+        monkeypatch.setattr(quasimeans, "_require_strictly_monotone", spy)
+        run_sweep("log", "id", TrialConfig(seed=5), 12)
+        # resolve_spec's grid and the mean's grid, once per generator
+        assert sorted(calls) == [("id", 256), ("id", 1000), ("log", 256), ("log", 1000)]

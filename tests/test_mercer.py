@@ -25,6 +25,7 @@ from mercerlab.functions import (
 from mercerlab.linalg import HermitianOperator, Relation, SpectralBounds
 from mercerlab.maps import Compression, MapFamily, WeightedTrace
 from mercerlab.mercer import (
+    CHAIN_KINDS,
     MercerInstance,
     chain_middle,
     chord,
@@ -359,7 +360,7 @@ class TestEvaluateChain:
     def test_every_verdict_references_reported_sides(self):
         b = SpectralBounds(0.5, 2.0)
         inst = random_instance(exponential(), seed=21, bounds=b)
-        for which in ("classic", "chain", "twice_diff", "log_convex"):
+        for which in CHAIN_KINDS:
             report = evaluate_chain(inst, which)
             labels = {name for name, _ in report.sides}
             for left, right, _ in report.verdicts:
@@ -373,6 +374,16 @@ class TestEvaluateChain:
         assert ("upper_refined", "rhs_classic") in with_refinement
         assert ("upper_refined", "rhs_classic") not in without
         assert ("zero", "diamond") in without
+        # for every kind and either sign of alpha, the contract pairs are
+        # compared pairs of the report, in comparison order
+        inst = random_instance(exponential(), seed=21, bounds=SpectralBounds(0.5, 2.0))
+        for which in CHAIN_KINDS:
+            compared = [(left, right) for left, right, _ in evaluate_chain(inst, which).verdicts]
+            for alpha in (0.5, -0.5):
+                pairs = contract_pairs(which, alpha=alpha)
+                assert pairs == [pair for pair in compared if pair in pairs]
+        with pytest.raises(ValueError):
+            contract_pairs("sideways")
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5))

@@ -20,20 +20,22 @@ from mercerlab.functions import (
     square,
     square_root,
 )
+from mercerlab.core import SpectralCore
 from mercerlab.linalg import HermitianOperator, Relation, SpectralBounds, loewner_compare
 from mercerlab.maps import MapFamily, WeightedTrace
 from mercerlab.mercer import MercerInstance, diamond_plain, log_convex_middle, mercer_lhs
 from mercerlab.quasimeans import (
     ALPHA_SIDE,
     BETA_SIDE,
-    compare_means,
     curvature_bound_expected_relation,
     curvature_mean_bound,
     diamond_phi,
+    geometric_middle,
     incomparability_probe,
-    log_convex_mean_sandwich,
+    inverse_evaluator,
     mercer_quasi_mean,
     predicted_mean_relation,
+    quasi_mean,
     resolve_spec,
 )
 from mercerlab.sampling import generator, random_hermitian, random_unital_family
@@ -59,6 +61,24 @@ def random_family_and_ops(seed, bounds, dim_max=6):
     family = random_unital_family(n, dim_h, dim_k, rng)
     ops = tuple(random_hermitian(dim_h, bounds, rng) for _ in range(n))
     return family, ops
+
+
+def both_means(spec, core):
+    """(QM_phi, QM_psi) of a generator pair on a core."""
+    return tuple(quasi_mean(core, g, inverse_evaluator(g, spec.bounds)) for g in (spec.phi, spec.psi))
+
+
+def mean_verdict(spec, family, ops):
+    """QM_phi against QM_psi in the Loewner order."""
+    return loewner_compare(*both_means(spec, SpectralCore(family, ops, spec.bounds)))
+
+
+def sandwich(spec, family, ops):
+    """The geometric middle and its verdicts against QM_phi (below) and QM_psi (above)."""
+    core = SpectralCore(family, ops, spec.bounds)
+    middle = geometric_middle(spec, core)
+    mean_phi, mean_psi = both_means(spec, core)
+    return middle, loewner_compare(mean_phi, middle), loewner_compare(middle, mean_psi)
 
 
 class TestResolveSpec:
@@ -120,13 +140,13 @@ class TestCompareMeans:
         spec = resolve_spec(logarithm(), logarithm(), BOUNDS_13)
         assert predicted_mean_relation(spec) is Relation.EQUAL
         family, ops = random_family_and_ops(11, BOUNDS_13)
-        assert compare_means(spec, family, ops).relation is Relation.EQUAL
+        assert mean_verdict(spec, family, ops).relation is Relation.EQUAL
 
     def test_log_below_arithmetic(self):
         spec = resolve_spec(logarithm(), identity(), BOUNDS_13)
         assert predicted_mean_relation(spec) is Relation.LESS_EQUAL
         family, ops = canonical()
-        verdict = compare_means(spec, family, ops)
+        verdict = mean_verdict(spec, family, ops)
         assert verdict.relation in (Relation.LESS_EQUAL, Relation.EQUAL)
         # scalar witness: geometric-type mean sqrt(3) below arithmetic-type 2
         assert mercer_quasi_mean(logarithm(), family, ops, BOUNDS_13).scalar() <= 2.0
@@ -144,7 +164,7 @@ class TestCompareMeans:
         assert predicted_mean_relation(spec) is expected
         for seed in (1, 2, 3):
             family, ops = random_family_and_ops(100 + seed, BOUNDS_13)
-            verdict = compare_means(spec, family, ops)
+            verdict = mean_verdict(spec, family, ops)
             assert verdict.relation in (expected, Relation.EQUAL)
 
     def test_no_case_applies(self):
@@ -152,9 +172,6 @@ class TestCompareMeans:
         spec = resolve_spec(square_root(), logarithm(), BOUNDS_13)
         with pytest.raises(HypothesisNotMet):
             predicted_mean_relation(spec)
-        family, ops = canonical()
-        with pytest.raises(HypothesisNotMet):
-            compare_means(spec, family, ops)
 
 
 class TestDiamondPhi:
@@ -245,10 +262,10 @@ class TestLogConvexMeanSandwich:
     def test_log_id_tight_left_side(self):
         spec = resolve_spec(logarithm(), identity(), BOUNDS_13)
         family, ops = canonical()
-        middle, report = log_convex_mean_sandwich(spec, family, ops)
+        middle, low, high = sandwich(spec, family, ops)
         assert middle.scalar() == pytest.approx(SQRT3, abs=1e-12)
-        assert report.verdict_for("mean_phi", "geometric_middle").relation is Relation.EQUAL
-        assert report.verdict_for("geometric_middle", "mean_psi").relation in (
+        assert low.relation is Relation.EQUAL
+        assert high.relation in (
             Relation.LESS_EQUAL,
             Relation.EQUAL,
         )
@@ -256,19 +273,19 @@ class TestLogConvexMeanSandwich:
     def test_inv_id_strict_sandwich(self):
         spec = resolve_spec(reciprocal(), identity(), BOUNDS_13)
         family, ops = canonical()
-        middle, report = log_convex_mean_sandwich(spec, family, ops)
+        middle, low, high = sandwich(spec, family, ops)
         # T = 2/3, exponent algebra gives 3^{(3 tau - 1)/2} = sqrt(3)
         assert middle.scalar() == pytest.approx(SQRT3, abs=1e-12)
         assert mercer_quasi_mean(reciprocal(), family, ops, BOUNDS_13).scalar() == pytest.approx(1.5)
-        assert report.verdict_for("mean_phi", "geometric_middle").relation is Relation.LESS_EQUAL
-        assert report.verdict_for("geometric_middle", "mean_psi").relation is Relation.LESS_EQUAL
+        assert low.relation is Relation.LESS_EQUAL
+        assert high.relation is Relation.LESS_EQUAL
 
     def test_geometric_middle_matches_plain_engine_for_identity_phi(self):
         # with phi = id and psi = exp, psi(middle) is the geometric interpolant
         # of the plain log-convex chain for f = exp
         spec = resolve_spec(identity(), exponential(), BOUNDS_13)
         family, ops = random_family_and_ops(51, BOUNDS_13)
-        middle, _ = log_convex_mean_sandwich(spec, family, ops)
+        middle, _, _ = sandwich(spec, family, ops)
         lifted = np.linalg.eigvalsh(middle.entries)
         inst = MercerInstance(f=exponential(), family=family, operators=ops, bounds=BOUNDS_13)
         plain = np.linalg.eigvalsh(log_convex_middle(inst).entries)
@@ -278,13 +295,13 @@ class TestLogConvexMeanSandwich:
         family, ops = canonical()
         with pytest.raises(HypothesisNotMet):
             # composite u^2 is log-concave
-            log_convex_mean_sandwich(resolve_spec(square_root(), identity(), BOUNDS_13), family, ops)
+            sandwich(resolve_spec(square_root(), identity(), BOUNDS_13), family, ops)
         with pytest.raises(HypothesisNotMet):
             # psi^-1 = inv is operator decreasing
-            log_convex_mean_sandwich(resolve_spec(identity(), reciprocal(), BOUNDS_13), family, ops)
+            sandwich(resolve_spec(identity(), reciprocal(), BOUNDS_13), family, ops)
         with pytest.raises(HypothesisNotMet):
             # equal generators: the identity composite is log-concave, not log-convex
-            log_convex_mean_sandwich(resolve_spec(identity(), identity(), BOUNDS_13), family, ops)
+            sandwich(resolve_spec(identity(), identity(), BOUNDS_13), family, ops)
 
     def test_constant_spectrum_reduces_to_scalars(self):
         # A_i = c I makes every side a multiple of I; ordering is scalar arithmetic
@@ -293,14 +310,12 @@ class TestLogConvexMeanSandwich:
         family = random_unital_family(2, 3, 3, rng)
         c = 1.7
         ops = (c * HermitianOperator.identity(3), c * HermitianOperator.identity(3))
-        middle, report = log_convex_mean_sandwich(spec, family, ops)
+        middle, low, high = sandwich(spec, family, ops)
         lam = np.linalg.eigvalsh(middle.entries)
         assert np.ptp(lam) <= 1e-10
         # h(tau) = 3^{(3 tau - 1)/2} at tau = 1/c
         expected = 3.0 ** ((3.0 / c - 1.0) / 2.0)
         assert lam[0] == pytest.approx(expected, abs=1e-10)
-        low = report.verdict_for("mean_phi", "geometric_middle")
-        high = report.verdict_for("geometric_middle", "mean_psi")
         assert low.relation in (Relation.LESS_EQUAL, Relation.EQUAL)
         assert high.relation in (Relation.LESS_EQUAL, Relation.EQUAL)
 
@@ -311,7 +326,7 @@ class TestLogConvexMeanSandwich:
         family = random_unital_family(2, 3, 2, rng)
         ops = tuple(random_hermitian(3, bounds, rng) for _ in range(2))
         with pytest.raises(NonpositiveFunction):
-            log_convex_mean_sandwich(spec, family, ops)
+            sandwich(spec, family, ops)
 
 
 class TestIncomparabilityProbe:
