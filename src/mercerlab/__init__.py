@@ -47,7 +47,6 @@ from .linalg import (
     apply_to_decomposition,
     loewner_compare,
     spectral_decompose,
-    tolerance_from_norms,
 )
 from .maps import (
     Compression,
@@ -65,8 +64,6 @@ from .mercer import (
     InequalityReport,
     MercerInstance,
     chain_middle,
-    chord,
-    chord_reflected,
     contract_pairs,
     diamond_plain,
     evaluate_chain,
@@ -91,5 +88,6 @@ from .quasimeans import (
     resolve_spec,
 )
 from .sampling import generator, haar_unitary, random_hermitian, random_unital_family, trial_seed
+from .tolerance import tolerance_from_norms
 
 __version__ = "0.1.0"

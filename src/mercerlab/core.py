@@ -28,6 +28,7 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
+from .errors import HypothesisNotMet, SpectrumOutOfDomain
 from .linalg import (
     HermitianOperator,
     SpectralBounds,
@@ -35,7 +36,8 @@ from .linalg import (
     apply_to_decomposition,
     spectral_decompose,
 )
-from .maps import MapFamily, family_sum
+from .maps import MapFamily, family_sum, unitality_defect
+from .tolerance import UNITALITY_ABS
 
 _MISSING = object()
 
@@ -163,3 +165,30 @@ class SpectralCore:
                 self.family, self.image_sum(), self.operators, self.bounds.m, self.bounds.M
             ),
         )
+
+
+def checked_core(
+    family: MapFamily,
+    operators: Sequence[HermitianOperator],
+    bounds: SpectralBounds,
+) -> SpectralCore:
+    """The core of an instance whose hypotheses hold: one operator per map, a
+    unital family, every spectrum in [m, M] up to the clamp band, checked in
+    that order and per trial; the range check's decomposition stays in the core."""
+    if len(operators) != family.size:
+        raise HypothesisNotMet(f"{family.size} maps but {len(operators)} operators")
+    defects = unitality_defect(family)
+    non_unital = defects > UNITALITY_ABS
+    if non_unital.any():
+        raise HypothesisNotMet(f"map family is not unital (defect {defects[non_unital][0]:.3e})")
+    core = SpectralCore(family, operators, bounds)
+    lam = core.decomposition.eigenvalues
+    outside = bounds.outside(lam)
+    if outside.any():
+        i = int(np.argmax(outside.reshape(-1))) % family.size
+        lo, hi = lam[outside][0, [0, -1]]
+        raise SpectrumOutOfDomain(
+            f"operator {i} has spectrum [{lo:.12g}, {hi:.12g}] outside "
+            f"[{bounds.m:.12g}, {bounds.M:.12g}]"
+        )
+    return core

@@ -1,10 +1,10 @@
 """Catalog of scalar functions with the analytic metadata the inequalities need.
 
-Each entry carries evaluator, first and second derivative, optional inverse,
-and flags: convexity on the natural domain, log-convexity, and the direction
-of operator monotonicity.  Operator monotonicity is a catalog flag, not a
-decision procedure; ``loewner_matrix_diagnostic`` provides a numeric
-necessary-condition check.
+Each entry carries evaluator, first and second derivative, and flags:
+convexity on the natural domain, log-convexity, and the direction of
+operator monotonicity; ``inverse_entry`` gives the entry of the inverse.
+Operator monotonicity is a catalog flag, not a decision procedure;
+``loewner_matrix_diagnostic`` provides a numeric necessary-condition check.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from .linalg import (
     SpectralBounds,
     loewner_compare,
 )
+from .tolerance import COSINE_ZERO_MARGIN, LOG_CONVEXITY_SLACK, curvature_widening
 
 CURVATURE_GRID_POINTS = 10_001
-LOG_CONVEXITY_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,6 @@ class ScalarFunction:
     natural_domain: tuple = (-math.inf, math.inf)
     derivative: Optional[Callable] = None
     second_derivative: Optional[Callable] = None
-    inverse: Optional[Callable] = None
     convex_on_domain: bool = False
     log_convex_on_domain: bool = False
     operator_monotone: bool = False
@@ -103,7 +102,6 @@ def identity() -> ScalarFunction:
         fn=lambda t: t * 1.0,
         derivative=_const(1.0),
         second_derivative=_const(0.0),
-        inverse=lambda u: u * 1.0,
         convex_on_domain=True,
         operator_monotone=True,
         second_derivative_monotone=_always,
@@ -116,7 +114,6 @@ def square() -> ScalarFunction:
         fn=lambda t: np.square(t),
         derivative=lambda t: 2.0 * t,
         second_derivative=_const(2.0),
-        inverse=lambda u: np.sqrt(u),
         convex_on_domain=True,
         second_derivative_monotone=_always,
     )
@@ -132,7 +129,6 @@ def power(p: float) -> ScalarFunction:
         natural_domain=(0.0, math.inf),
         derivative=lambda t: p * np.power(t, p - 1.0),
         second_derivative=lambda t: p * (p - 1.0) * np.power(t, p - 2.0),
-        inverse=lambda u: np.power(u, 1.0 / p),
         convex_on_domain=(p < 0.0 or p >= 1.0),
         log_convex_on_domain=(p < 0.0),
         operator_monotone=(0.0 < p <= 1.0),
@@ -148,7 +144,6 @@ def exponential() -> ScalarFunction:
         fn=np.exp,
         derivative=np.exp,
         second_derivative=np.exp,
-        inverse=np.log,
         convex_on_domain=True,
         log_convex_on_domain=True,
         second_derivative_monotone=_always,
@@ -162,7 +157,6 @@ def logarithm() -> ScalarFunction:
         natural_domain=(0.0, math.inf),
         derivative=lambda t: 1.0 / t,
         second_derivative=lambda t: -1.0 / np.square(t),
-        inverse=np.exp,
         operator_monotone=True,
         second_derivative_monotone=_always,
     )
@@ -173,7 +167,7 @@ def _cosine_keeps_sign(a: float, b: float) -> bool:
     # of cos lies strictly inside.
     k = math.ceil((a - math.pi / 2) / math.pi)
     z = math.pi / 2 + k * math.pi
-    return not (a + 1e-12 < z < b - 1e-12)
+    return not (a + COSINE_ZERO_MARGIN < z < b - COSINE_ZERO_MARGIN)
 
 
 def sine() -> ScalarFunction:
@@ -206,7 +200,6 @@ def reciprocal() -> ScalarFunction:
         natural_domain=(0.0, math.inf),
         derivative=lambda t: -1.0 / np.square(t),
         second_derivative=lambda t: 2.0 / np.power(t, 3.0),
-        inverse=lambda u: 1.0 / u,
         convex_on_domain=True,
         log_convex_on_domain=True,
         operator_decreasing=True,
@@ -221,7 +214,6 @@ def square_root() -> ScalarFunction:
         natural_domain=(0.0, math.inf),
         derivative=lambda t: 0.5 / np.sqrt(t),
         second_derivative=lambda t: -0.25 * np.power(t, -1.5),
-        inverse=lambda u: np.square(u),
         operator_monotone=True,
         second_derivative_monotone=_always,
     )
@@ -297,8 +289,8 @@ def curvature_bounds(f: ScalarFunction, bounds: SpectralBounds) -> CurvatureBoun
     """Bounds alpha <= f'' <= beta on [m, M].
 
     Exact endpoint evaluation when the entry declares f'' monotone on the
-    interval; otherwise min/max over a dense grid, widened by a safety factor
-    of 1e-6 * (1 + |value|) so the sampled bounds stay conservative.
+    interval; otherwise min/max over a dense grid, each widened by
+    ``tolerance.curvature_widening`` so the sampled bounds stay conservative.
     """
     require_domain(f, bounds)
     if f.second_derivative is None:
@@ -313,8 +305,8 @@ def curvature_bounds(f: ScalarFunction, bounds: SpectralBounds) -> CurvatureBoun
     lo = float(values.min())
     hi = float(values.max())
     return CurvatureBounds(
-        alpha=lo - 1e-6 * (1.0 + abs(lo)),
-        beta=hi + 1e-6 * (1.0 + abs(hi)),
+        alpha=lo - curvature_widening(lo),
+        beta=hi + curvature_widening(hi),
         method="sampled",
     )
 

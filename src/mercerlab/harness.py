@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import SpectralCore
-from .errors import BudgetExhausted, HypothesisNotMet, InvalidConfig, InverseDomainError
+from .errors import BudgetExhausted, HypothesisNotMet, InvalidConfig, InverseDomainError, NonpositiveFunction
 from .functions import ScalarFunction, curvature_bounds, parse_function_spec, require_domain
 from .linalg import HermitianOperator, Relation, SpectralBounds
 from .maps import MapFamily, WeightedTrace, family_to_json, stack_families
@@ -47,9 +47,11 @@ from .quasimeans import (
     inverse_evaluator,
     predicted_mean_relation,
     quasi_mean,
+    require_sandwich,
     resolve_spec,
 )
 from .sampling import generator, random_hermitian, random_unital_family, trial_seed
+from .tolerance import sweep_tolerance
 
 # Trials sampled and evaluated together by a verify suite.  It bounds the
 # memory a suite holds, and at 256 a benchmark or test suite is one chunk.
@@ -614,21 +616,21 @@ def run_sweep(
     alpha_check = SweepCheck(applicable=monotone_inverse, expected=alpha_rel.value if alpha_rel else None)
     beta_check = SweepCheck(applicable=monotone_inverse, expected=beta_rel.value if beta_rel else None)
 
-    sandwich_applicable = (
-        spec.composite_is_log_convex
-        and spec.psi_inverse_increasing
-        and float(psi(bounds.m)) > 0.0
-        and float(psi(bounds.M)) > 0.0
-    )
+    try:
+        require_sandwich(spec, bounds)
+        sandwich_applicable = True
+    except (NonpositiveFunction, HypothesisNotMet):
+        sandwich_applicable = False
     sandwich_check = SweepCheck(
         applicable=sandwich_applicable, expected=Relation.LESS_EQUAL.value
     )
 
+    tol = config.tol_abs
+    if tol is None:
+        tol = sweep_tolerance(bounds.M, float(psi(bounds.M)), float(psi(bounds.m)))
+
     for i in range(n_trials):
         seed_i, _, family, operators = _sample_trial(config, i, bounds)
-        tol = config.tol_abs if config.tol_abs is not None else 1e-9 * (
-            1.0 + abs(bounds.M) + abs(float(psi(bounds.M))) + abs(float(psi(bounds.m)))
-        )
 
         # Every object of the trial comes from one core: each A_i is
         # decomposed once, and T_psi's pre-mean serves QM_psi and both

@@ -24,7 +24,6 @@ everything here is safe to share between threads.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
@@ -38,8 +37,7 @@ from .errors import (
     NonHermitianInput,
     SpectrumOutOfDomain,
 )
-
-HERMITICITY_TOL = 1e-12
+from .tolerance import HERMITICITY_REL, clamp_tolerance, hermiticity_tolerance, tolerance_from_norms
 
 
 @dataclass(frozen=True)
@@ -61,29 +59,27 @@ class SpectralBounds:
 
     @property
     def clamp_tol(self) -> float:
-        """Band around [m, M] inside which eigenvalues are clamped, not rejected.
+        """Band around [m, M] inside which eigenvalues are clamped, not rejected."""
+        return clamp_tolerance(self.m, self.M)
 
-        Sums of positive-map images computed in floating point drift slightly
-        outside the interval; the band absorbs that drift.
-        """
-        return 1e-9 * (1.0 + abs(self.m) + abs(self.M))
-
-    def contains(self, t: float, slack: float = 0.0) -> bool:
-        return self.m - slack <= t <= self.M + slack
+    def outside(self, lam: np.ndarray) -> np.ndarray:
+        """Per spectrum of a stack ``(..., d)`` (ascending): does it leave the clamp band?"""
+        tol = self.clamp_tol
+        return (lam[..., 0] < self.m - tol) | (lam[..., -1] > self.M + tol)
 
 
 def _hermiticity_failure(mat: np.ndarray):
     """(defect, allowed) of the first matrix of a stack that is not self-adjoint, else None.
 
-    The defect is the largest entry of |X - X*|, allowed HERMITICITY_TOL * (1 + max |X|).
+    The defect is the largest entry of |X - X*|, allowed ``tolerance.hermiticity_tolerance``.
     """
     if not mat.size:
         return None
     defect = np.abs(mat - mat.conj().swapaxes(-1, -2))
-    if defect.max() <= HERMITICITY_TOL:  # every allowance is at least this
+    if defect.max() <= HERMITICITY_REL:  # every allowance is at least this
         return None
     defect = defect.max(axis=(-2, -1))
-    allowed = HERMITICITY_TOL * (1.0 + np.abs(mat).max(axis=(-2, -1)))
+    allowed = hermiticity_tolerance(mat)
     bad = defect > allowed
     if not bad.any():
         return None
@@ -202,6 +198,7 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
+        """U diag(lambda) U* of every matrix of the stack."""
         u = self.eigenvectors
         return (u * self.eigenvalues[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
@@ -236,17 +233,6 @@ class OrderVerdict:
             "relation": self.relation.value,
             "gap_min_eigenvalue": self.gap_min_eigenvalue,
         }
-
-
-def tolerance_from_norms(*norms):
-    """Absolute PSD tolerance 1e-9 * (1 + max spectral norm).
-
-    Eigensolver backward error scales with the norm of the input, so the
-    tolerance must as well.  Norms may be per-trial arrays; the tolerance is
-    then one per trial.
-    """
-    largest = functools.reduce(np.maximum, norms) if norms else 0.0
-    return 1e-9 * (1.0 + largest)
 
 
 def spectral_norms(a: HermitianOperator) -> np.ndarray:
@@ -304,18 +290,15 @@ def apply_to_decomposition(
     """
     lam = dec.eigenvalues
     if bounds is not None:
-        tol = bounds.clamp_tol
-        outside = (lam[..., 0] < bounds.m - tol) | (lam[..., -1] > bounds.M + tol)
+        outside = bounds.outside(lam)
         if outside.any():
             lo, hi = lam[outside][0, [0, -1]]
             raise SpectrumOutOfDomain(
                 f"spectrum [{lo:.12g}, {hi:.12g}] leaves [{bounds.m:.12g}, {bounds.M:.12g}] "
-                f"by more than {tol:.3e}"
+                f"by more than {bounds.clamp_tol:.3e}"
             )
         lam = np.clip(lam, bounds.m, bounds.M)
-    values = _evaluate_scalar(f, lam)
-    u = dec.eigenvectors
-    mat = (u * values[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    mat = SpectralDecomposition(_evaluate_scalar(f, lam), dec.eigenvectors).reconstruct()
     return HermitianOperator(0.5 * (mat + mat.conj().swapaxes(-1, -2)))
 
 

@@ -24,14 +24,8 @@ from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    BadWeights,
-    HypothesisNotMet,
-    NonpositiveFunction,
-    OutOfInterval,
-    SpectrumOutOfDomain,
-)
-from .core import SpectralCore, geometric_interpolant
+from .errors import BadWeights, HypothesisNotMet, NonpositiveFunction, OutOfInterval
+from .core import SpectralCore, checked_core, geometric_interpolant
 from .functions import CurvatureBounds, ScalarFunction, curvature_bounds, is_log_convex_on
 from .linalg import (
     HermitianOperator,
@@ -40,11 +34,9 @@ from .linalg import (
     apply_scalar_function,
     loewner_verdicts,
     spectral_norms,
-    tolerance_from_norms,
 )
-from .maps import MapFamily, unitality_defect
-
-UNITALITY_TOL = 1e-9
+from .maps import MapFamily
+from .tolerance import WEIGHT_SUM_ABS, tolerance_from_norms
 
 
 @dataclass(frozen=True)
@@ -69,26 +61,7 @@ class MercerInstance:
     core: SpectralCore = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.operators) != self.family.size:
-            raise HypothesisNotMet(
-                f"{self.family.size} maps but {len(self.operators)} operators"
-            )
-        defects = unitality_defect(self.family)
-        non_unital = defects > UNITALITY_TOL
-        if non_unital.any():
-            raise HypothesisNotMet(f"map family is not unital (defect {defects[non_unital][0]:.3e})")
-        core = SpectralCore(self.family, self.operators, self.bounds)
-        lam = core.decomposition.eigenvalues
-        tol = self.bounds.clamp_tol
-        outside = (lam[..., 0] < self.bounds.m - tol) | (lam[..., -1] > self.bounds.M + tol)
-        if outside.any():
-            i = int(np.argmax(outside.reshape(-1))) % self.family.size
-            lo, hi = lam[outside][0, [0, -1]]
-            raise SpectrumOutOfDomain(
-                f"operator {i} has spectrum [{lo:.12g}, {hi:.12g}] outside "
-                f"[{self.bounds.m:.12g}, {self.bounds.M:.12g}]"
-            )
-        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "core", checked_core(self.family, self.operators, self.bounds))
 
     @property
     def dim_out(self) -> int:
@@ -131,22 +104,8 @@ class InequalityReport:
 
 
 # --------------------------------------------------------------------------
-# Scalar chords
+# Scalar Mercer inequality
 # --------------------------------------------------------------------------
-
-def chord(t: float, f: ScalarFunction, bounds: SpectralBounds) -> float:
-    """Affine interpolant of f between (m, f(m)) and (M, f(M)), evaluated at t."""
-    if not bounds.contains(t, slack=bounds.clamp_tol):
-        raise OutOfInterval(f"t={t} outside [{bounds.m}, {bounds.M}]")
-    fm = float(f(bounds.m))
-    fM = float(f(bounds.M))
-    return ((bounds.M - t) * fm + (t - bounds.m) * fM) / bounds.width
-
-
-def chord_reflected(t: float, f: ScalarFunction, bounds: SpectralBounds) -> float:
-    """The chord evaluated at the reflected point M + m - t: f(M) + f(m) - chord(t)."""
-    return float(f(bounds.M)) + float(f(bounds.m)) - chord(t, f, bounds)
-
 
 def scalar_mercer_check(
     f: ScalarFunction,
@@ -160,10 +119,9 @@ def scalar_mercer_check(
     x = np.asarray(xs, dtype=float)
     if w.shape != x.shape or w.ndim != 1:
         raise BadWeights(f"weights shape {w.shape} does not match points shape {x.shape}")
-    if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-12:
+    if np.any(w < 0) or abs(float(w.sum()) - 1.0) > WEIGHT_SUM_ABS:
         raise BadWeights(f"weights must be nonnegative and sum to 1, got sum {w.sum()!r}")
-    slack = bounds.clamp_tol
-    if np.any(x < bounds.m - slack) or np.any(x > bounds.M + slack):
+    if bounds.outside(np.sort(x)):
         raise OutOfInterval(f"points {x.tolist()} leave [{bounds.m}, {bounds.M}]")
     lhs = float(f(bounds.M + bounds.m - float(w @ x)))
     rhs = float(f(bounds.M)) + float(f(bounds.m)) - float(w @ np.asarray(f(x), dtype=float))
@@ -250,14 +208,6 @@ def log_convex_middle(inst: MercerInstance) -> HermitianOperator:
 # Chain orchestration
 # --------------------------------------------------------------------------
 
-def _grid_min(f: ScalarFunction, bounds: SpectralBounds, n: int = 2001) -> float:
-    with np.errstate(all="ignore"):
-        vals = np.asarray(f(np.linspace(bounds.m, bounds.M, n)), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        return -math.inf
-    return float(vals.min())
-
-
 def _curvature(inst: MercerInstance) -> CurvatureBounds:
     return inst.core.cached(("curvature", inst.f), lambda: curvature_bounds(inst.f, inst.bounds))
 
@@ -271,11 +221,9 @@ def _convexity_gate(inst: MercerInstance, force: bool) -> Dict[str, float]:
 
 
 def _log_convexity_gate(inst: MercerInstance, force: bool) -> Dict[str, float]:
-    if _grid_min(inst.f, inst.bounds) <= 0.0:
-        raise NonpositiveFunction(
-            f"{inst.f.label()} is not positive on [{inst.bounds.m}, {inst.bounds.M}]"
-        )
-    if not (inst.f.log_convex_on_domain or is_log_convex_on(inst.f, inst.bounds) or force):
+    # is_log_convex_on raises NonpositiveFunction unless f > 0 on [m, M],
+    # and honours the catalog's log-convexity flag.
+    if not (is_log_convex_on(inst.f, inst.bounds) or force):
         raise HypothesisNotMet(
             f"{inst.f.label()} is not log-convex; pass force=True for a counterexample run"
         )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .functions import (
     inverse_entry,
     is_log_convex_on,
 )
-from .core import SpectralCore, geometric_interpolant
+from .core import SpectralCore, checked_core, geometric_interpolant
 from .linalg import (
     HermitianOperator,
     Relation,
@@ -48,10 +48,10 @@ from .linalg import (
     spectral_decompose,
 )
 from .maps import MapFamily
+from .tolerance import PROBE_SIGN_ABS, composite_curvature_margin, inverse_domain_slack, inverse_roundtrip_tolerance
 
 MONOTONICITY_GRID_POINTS = 1000
 MEAN_GRID_POINTS = 256
-INVERSE_ROUNDTRIP_TOL = 1e-9
 
 ALPHA_SIDE = "alpha_lower_refined"
 BETA_SIDE = "beta_reversed"
@@ -86,11 +86,12 @@ def _compose_with_inverse(psi: ScalarFunction, phi: ScalarFunction) -> ScalarFun
     The entry is evaluation-guarded rather than domain-bounded, so its
     natural domain is left unbounded.
     """
-    if phi.inverse is None or phi.derivative is None or phi.second_derivative is None:
+    phi_entry = inverse_entry(phi)
+    if phi_entry is None or phi.derivative is None or phi.second_derivative is None:
         raise InverseDomainError(f"{phi.label()} has no usable inverse/derivatives")
     if psi.derivative is None or psi.second_derivative is None:
         raise InverseDomainError(f"{psi.label()} has no usable derivatives")
-    phi_inv = phi.inverse
+    phi_inv = phi_entry.fn
 
     def ev(u):
         return psi.fn(phi_inv(u))
@@ -146,23 +147,21 @@ def resolve_spec(phi: ScalarFunction, psi: ScalarFunction, bounds: SpectralBound
     """Validate a generator pair on [m, M] and precompute composite metadata.
 
     Checks strict monotonicity of both generators on a dense grid and the
-    inverse round trip g^{-1}(g(t)) = t to 1e-9; classifies the composite as
-    convex/concave from sampled curvature bounds and tests its log-convexity
-    with the flag-free grid check.
+    inverse round trip g^{-1}(g(t)) = t to ``tolerance.inverse_roundtrip_tolerance``;
+    classifies the composite as convex/concave from sampled curvature bounds
+    (margin ``tolerance.composite_curvature_margin``) and tests its
+    log-convexity with the flag-free grid check.
     """
     grid = np.linspace(bounds.m, bounds.M, MONOTONICITY_GRID_POINTS)
     for g in (phi, psi):
         _require_strictly_monotone(g, bounds, MONOTONICITY_GRID_POINTS)
         entry = inverse_entry(g)
-        inv = entry.fn if entry is not None else g.inverse
-        if inv is None:
+        if entry is None:
             raise InverseDomainError(f"{g.label()} has no inverse evaluator")
         with np.errstate(all="ignore"):
-            roundtrip = np.asarray(inv(np.asarray(g(grid), dtype=float)), dtype=float)
+            roundtrip = np.asarray(entry.fn(np.asarray(g(grid), dtype=float)), dtype=float)
         defect = float(np.max(np.abs(roundtrip - grid)))
-        if not np.all(np.isfinite(roundtrip)) or defect > INVERSE_ROUNDTRIP_TOL * (
-            1.0 + float(np.max(np.abs(grid)))
-        ):
+        if not np.all(np.isfinite(roundtrip)) or defect > inverse_roundtrip_tolerance(grid):
             raise InverseDomainError(
                 f"inverse round trip of {g.label()} fails on [{bounds.m}, {bounds.M}] "
                 f"(defect {defect:.3e})"
@@ -171,7 +170,7 @@ def resolve_spec(phi: ScalarFunction, psi: ScalarFunction, bounds: SpectralBound
     phi_interval = _image_interval(phi, bounds)
     composite = _compose_with_inverse(psi, phi)
     curv = curvature_bounds(composite, phi_interval)
-    kappa = 1e-5 * max(1.0, abs(curv.alpha), abs(curv.beta))
+    kappa = composite_curvature_margin(curv.alpha, curv.beta)
     is_convex = curv.alpha >= -kappa
     is_concave = curv.beta <= kappa
 
@@ -218,7 +217,7 @@ def _apply_inverse(entry: ScalarFunction, operand: HermitianOperator) -> Hermiti
     dec = spectral_decompose(operand)
     lo, hi = float(dec.eigenvalues[0]), float(dec.eigenvalues[-1])
     dlo, dhi = entry.natural_domain
-    slack = 1e-12 * (1.0 + abs(lo) + abs(hi))
+    slack = inverse_domain_slack(lo, hi)
     if (math.isfinite(dlo) and lo <= dlo + slack) or (math.isfinite(dhi) and hi >= dhi - slack):
         raise InverseDomainError(
             f"operand spectrum [{lo:.12g}, {hi:.12g}] leaves the domain of {entry.label()}"
@@ -234,9 +233,9 @@ def inverse_evaluator(g: ScalarFunction, bounds: SpectralBounds) -> Callable:
     """
     _require_strictly_monotone(g, bounds, MEAN_GRID_POINTS)
     entry = inverse_entry(g)
-    if entry is None and g.inverse is None:
+    if entry is None:
         raise InverseDomainError(f"{g.label()} has no inverse evaluator")
-    return entry.fn if entry is not None else g.inverse
+    return entry.fn
 
 
 def quasi_mean(core: SpectralCore, phi: ScalarFunction, inverse: Callable) -> HermitianOperator:
@@ -259,8 +258,8 @@ def mercer_quasi_mean(
     bounds: SpectralBounds,
 ) -> HermitianOperator:
     """phi^{-1}((phi(M) + phi(m)) I - sum_i Phi_i(phi(A_i))); see :func:`quasi_mean`."""
-    core = SpectralCore(family, operators, bounds)
-    return quasi_mean(core, phi, inverse_evaluator(phi, bounds))
+    inverse = inverse_evaluator(phi, bounds)
+    return quasi_mean(checked_core(family, operators, bounds), phi, inverse)
 
 
 def predicted_mean_relation(spec: QuasiArithmeticSpec) -> Relation:
@@ -303,7 +302,7 @@ def diamond_phi(
     with T = sum_i Phi_i(phi(A_i)); coincides with the plain correction term
     when phi is the identity, and is PSD for the same reason.
     """
-    return SpectralCore(family, operators, bounds).diamond(phi)
+    return checked_core(family, operators, bounds).diamond(phi)
 
 
 def curvature_mean_bound(
@@ -322,7 +321,7 @@ def curvature_mean_bound(
     see :func:`curvature_bound_expected_relation`.
     """
     return curvature_bound(
-        spec, SpectralCore(family, operators, bounds or spec.bounds), side, curvature
+        spec, checked_core(family, operators, bounds or spec.bounds), side, curvature
     )
 
 
@@ -360,18 +359,9 @@ def curvature_bound_expected_relation(spec: QuasiArithmeticSpec, side: str) -> R
     return Relation.LESS_EQUAL if below else Relation.GREATER_EQUAL
 
 
-def geometric_middle(spec: QuasiArithmeticSpec, core: SpectralCore) -> HermitianOperator:
-    """Geometric interpolant between the two means for log-convex composites:
-
-        QM_phi <= psi^{-1}( psi(m)^{(T - phi(m)I)/(phi(M)-phi(m))}
-                            psi(M)^{(phi(M)I - T)/(phi(M)-phi(m))} ) <= QM_psi
-
-    with T = sum_i Phi_i(phi(A_i)), shared with QM_phi.  Both exponent
-    operators are functions of T and commute, so the middle reduces to one
-    scalar functional calculus.  Requires psi o phi^{-1} log-convex, psi^{-1}
-    operator increasing, and psi positive at the endpoints.
-    """
-    bounds = core.bounds
+def require_sandwich(spec: QuasiArithmeticSpec, bounds: SpectralBounds) -> Tuple[float, float]:
+    """(psi(m), psi(M)) if psi is positive at m and M (else ``NonpositiveFunction``),
+    psi o phi^-1 log-convex and psi^-1 operator increasing (else ``HypothesisNotMet``)."""
     psi_m = float(spec.psi(bounds.m))
     psi_M = float(spec.psi(bounds.M))
     if not (psi_m > 0.0 and psi_M > 0.0):
@@ -386,6 +376,22 @@ def geometric_middle(spec: QuasiArithmeticSpec, core: SpectralCore) -> Hermitian
         raise HypothesisNotMet(
             f"psi^-1 = {spec.psi_inverse.label()} is not flagged operator increasing"
         )
+    return psi_m, psi_M
+
+
+def geometric_middle(spec: QuasiArithmeticSpec, core: SpectralCore) -> HermitianOperator:
+    """Geometric interpolant between the two means for log-convex composites:
+
+        QM_phi <= psi^{-1}( psi(m)^{(T - phi(m)I)/(phi(M)-phi(m))}
+                            psi(M)^{(phi(M)I - T)/(phi(M)-phi(m))} ) <= QM_psi
+
+    with T = sum_i Phi_i(phi(A_i)), shared with QM_phi.  Both exponent
+    operators are functions of T and commute, so the middle reduces to one
+    scalar functional calculus.  Requires the hypotheses of
+    :func:`require_sandwich`.
+    """
+    bounds = core.bounds
+    psi_m, psi_M = require_sandwich(spec, bounds)
     h = geometric_interpolant(float(spec.phi(bounds.m)), float(spec.phi(bounds.M)), psi_m, psi_M)
     mid_pre = apply_scalar_function(h, core.total(spec.phi), spec.phi_interval)
     return _apply_inverse(spec.psi_inverse, mid_pre)
@@ -420,6 +426,6 @@ def incomparability_probe(
     for p in p_values:
         for t in t_grid:
             gap = refined_vs_geometric_gap(float(t), float(m), float(M), float(p))
-            sign = 0 if abs(gap) <= 1e-12 else (1 if gap > 0 else -1)
+            sign = 0 if abs(gap) <= PROBE_SIGN_ABS else (1 if gap > 0 else -1)
             rows.append(ProbeRow(t=float(t), p=float(p), gap=gap, sign=sign))
     return rows

@@ -11,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularNormalizer
-from .linalg import HermitianOperator, SpectralBounds
+from .linalg import HermitianOperator, SpectralBounds, SpectralDecomposition
 from .maps import Compression, MapFamily, WeightedTrace
+from .tolerance import NORMALIZER_SINGULARITY_ABS
 
 MASK64 = (1 << 64) - 1
 NORMALIZER_ATTEMPTS = 100
@@ -57,8 +58,7 @@ def random_hermitian(
         lam[1] = bounds.M
     if dim == 1:
         return HermitianOperator(np.array([[lam[0]]], dtype=np.complex128))
-    u = haar_unitary(dim, rng)
-    mat = (u * lam) @ u.conj().T
+    mat = SpectralDecomposition(lam, haar_unitary(dim, rng)).reconstruct()
     return HermitianOperator(0.5 * (mat + mat.conj().T))
 
 
@@ -91,7 +91,7 @@ def random_unital_family(
             return MapFamily(maps=(WeightedTrace(1.0 / dim_h, dim_in=dim_h, dim_out=dim_k),))
         s = sum(v.conj().T @ v for v in vs)
         lam, u = np.linalg.eigh(s)
-        if float(lam[0]) <= 1e-12:
+        if float(lam[0]) <= NORMALIZER_SINGULARITY_ABS:
             continue
         inv_sqrt = (u / np.sqrt(lam)) @ u.conj().T
         scale = np.sqrt(1.0 - trace_fraction)

@@ -28,8 +28,6 @@ from mercerlab.mercer import (
     CHAIN_KINDS,
     MercerInstance,
     chain_middle,
-    chord,
-    chord_reflected,
     contract_pairs,
     diamond_plain,
     evaluate_chain,
@@ -66,30 +64,6 @@ def random_instance(f, seed, bounds, dims=(2, 7), n_max=4):
     return MercerInstance(f=f, family=family, operators=ops, bounds=bounds)
 
 
-class TestChord:
-    def test_endpoint_values(self):
-        f = exponential()
-        b = SpectralBounds(0.5, 2.5)
-        assert chord(b.m, f, b) == pytest.approx(math.exp(0.5))
-        assert chord(b.M, f, b) == pytest.approx(math.exp(2.5))
-
-    def test_sine_midpoint(self):
-        assert chord(3 * math.pi / 8, sine(), SIN_BOUNDS) == pytest.approx(0.8535534, abs=1e-7)
-
-    @settings(max_examples=100)
-    @given(st.floats(0.0, 1.0))
-    def test_reflection_identity(self, fraction):
-        f = exponential()
-        b = SpectralBounds(0.5, 2.5)
-        t = b.m + fraction * b.width
-        total = chord(t, f, b) + chord_reflected(t, f, b)
-        assert total == pytest.approx(math.exp(b.m) + math.exp(b.M), rel=1e-12)
-
-    def test_out_of_interval(self):
-        with pytest.raises(OutOfInterval):
-            chord(3.0, sine(), SIN_BOUNDS)
-
-
 class TestScalarMercer:
     def test_degenerate_weight_hits_equality(self):
         b = SpectralBounds(1.0, 3.0)
@@ -117,6 +91,17 @@ class TestScalarMercer:
         xs = [1.5] * len(weights) if len(weights) != 1 else [1.5, 2.0]
         with pytest.raises(BadWeights):
             scalar_mercer_check(square(), weights, xs, SpectralBounds(1.0, 3.0))
+
+    @pytest.mark.parametrize(
+        "xs, inside", [([1.0, 3.0], True), ([1.0 - 1e-10, 3.0], True), ([0.9, 2.0], False), ([2.0, 3.1], False)]
+    )
+    def test_points_must_lie_in_the_clamp_band(self, xs, inside):
+        b = SpectralBounds(1.0, 3.0)
+        if inside:
+            scalar_mercer_check(square(), [0.5, 0.5], xs, b)
+        else:
+            with pytest.raises(OutOfInterval):
+                scalar_mercer_check(square(), [0.5, 0.5], xs, b)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6))

@@ -22,7 +22,7 @@ from mercerlab.functions import (
 )
 from mercerlab.core import SpectralCore
 from mercerlab.linalg import HermitianOperator, Relation, SpectralBounds, loewner_compare
-from mercerlab.maps import MapFamily, WeightedTrace
+from mercerlab.maps import Compression, MapFamily, WeightedTrace
 from mercerlab.mercer import MercerInstance, diamond_plain, log_convex_middle, mercer_lhs
 from mercerlab.quasimeans import (
     ALPHA_SIDE,
@@ -133,6 +133,20 @@ class TestQuasiMean:
         family, ops = canonical()
         with pytest.raises(InverseDomainError):
             mercer_quasi_mean(sine(), family, ops, SpectralBounds(0.3, 1.2))
+
+    def test_non_unital_family_rejected(self):
+        # Phi(I) = 4 I: unchecked, the "diamond" would have eigenvalue -45 and
+        # the log mean would fail with a misleading SpectrumOutOfDomain.
+        family = MapFamily((Compression(2.0 * np.eye(2, dtype=np.complex128)),))
+        ops = (HermitianOperator.diagonal([1.0, 3.0]),)
+        spec = resolve_spec(logarithm(), identity(), BOUNDS_13)
+        for call in (
+            lambda: diamond_phi(identity(), family, ops, BOUNDS_13),
+            lambda: mercer_quasi_mean(logarithm(), family, ops, BOUNDS_13),
+            lambda: curvature_mean_bound(spec, family, ops),
+        ):
+            with pytest.raises(HypothesisNotMet, match="not unital"):
+                call()
 
 
 class TestCompareMeans:
