@@ -12,7 +12,6 @@ from .errors import (
     BudgetExhausted,
     DimensionMismatch,
     DomainMismatch,
-    DuplicatePoints,
     FunctionDomainError,
     HypothesisNotMet,
     InvalidConfig,
@@ -33,7 +32,6 @@ from .functions import (
     curvature_bounds,
     inverse_entry,
     is_log_convex_on,
-    loewner_matrix_diagnostic,
     parse_function_spec,
     refined_vs_geometric_gap,
 )

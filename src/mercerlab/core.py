@@ -28,7 +28,7 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from .errors import HypothesisNotMet, SpectrumOutOfDomain
+from .errors import ArityMismatch, HypothesisNotMet, SpectrumOutOfDomain
 from .linalg import (
     HermitianOperator,
     SpectralBounds,
@@ -176,7 +176,7 @@ def checked_core(
     unital family, every spectrum in [m, M] up to the clamp band, checked in
     that order and per trial; the range check's decomposition stays in the core."""
     if len(operators) != family.size:
-        raise HypothesisNotMet(f"{family.size} maps but {len(operators)} operators")
+        raise ArityMismatch(f"{family.size} maps but {len(operators)} operators")
     defects = unitality_defect(family)
     non_unital = defects > UNITALITY_ABS
     if non_unital.any():

@@ -33,10 +33,6 @@ class NonpositiveFunction(MercerLabError):
     """A positivity-requiring operation received a function that is not > 0 on the interval."""
 
 
-class DuplicatePoints(MercerLabError):
-    """A divided-difference construction received coincident nodes."""
-
-
 class OutOfInterval(MercerLabError):
     """A scalar argument lies outside [m, M]."""
 

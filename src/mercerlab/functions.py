@@ -3,8 +3,7 @@
 Each entry carries evaluator, first and second derivative, and flags:
 convexity on the natural domain, log-convexity, and the direction of
 operator monotonicity; ``inverse_entry`` gives the entry of the inverse.
-Operator monotonicity is a catalog flag, not a decision procedure;
-``loewner_matrix_diagnostic`` provides a numeric necessary-condition check.
+Operator monotonicity is a catalog flag, not a decision procedure.
 """
 
 from __future__ import annotations
@@ -17,17 +16,11 @@ import numpy as np
 
 from .errors import (
     DomainMismatch,
-    DuplicatePoints,
     InvalidInterval,
     MissingSecondDerivative,
     NonpositiveFunction,
 )
-from .linalg import (
-    HermitianOperator,
-    OrderVerdict,
-    SpectralBounds,
-    loewner_compare,
-)
+from .linalg import SpectralBounds
 from .tolerance import COSINE_ZERO_MARGIN, LOG_CONVEXITY_SLACK, curvature_widening
 
 CURVATURE_GRID_POINTS = 10_001
@@ -343,41 +336,6 @@ def is_log_convex_on(f: ScalarFunction, bounds: SpectralBounds, use_flag: bool =
     interior = grid[1:-1]
     curv = _log_second_derivative(f, interior)
     return bool(np.min(curv) >= -LOG_CONVEXITY_SLACK)
-
-
-def loewner_matrix_diagnostic(
-    f: ScalarFunction,
-    points,
-    tol_abs: float | None = None,
-) -> OrderVerdict:
-    """PSD check of the divided-difference kernel of f at the given nodes.
-
-    K_ij = (f(t_i) - f(t_j)) / (t_i - t_j), K_ii = f'(t_i).  Positive
-    semidefiniteness of this kernel is necessary for operator monotonicity;
-    the verdict compares K against zero, so LessEqual/Equal means PSD.
-    """
-    pts = np.asarray(points, dtype=float)
-    n = pts.size
-    if n != np.unique(pts).size:
-        raise DuplicatePoints(f"nodes must be distinct, got {pts.tolist()}")
-    lo, hi = f.natural_domain
-    if np.any(pts <= lo) or np.any(pts >= hi):
-        raise DomainMismatch(f"nodes {pts.tolist()} leave the domain of {f.label()}")
-    values = np.asarray(f(pts), dtype=float)
-    if f.derivative is not None:
-        diag = np.asarray(f.derivative(pts), dtype=float)
-    else:
-        h = 1e-6 * (1.0 + np.abs(pts))
-        diag = (np.asarray(f(pts + h), dtype=float) - np.asarray(f(pts - h), dtype=float)) / (2.0 * h)
-    kernel = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                kernel[i, j] = diag[i]
-            else:
-                kernel[i, j] = (values[i] - values[j]) / (pts[i] - pts[j])
-    k_op = HermitianOperator.from_matrix(kernel)
-    return loewner_compare(HermitianOperator.zero(n), k_op, tol_abs=tol_abs)
 
 
 def refined_vs_geometric_gap(t: float, m: float, M: float, p: float) -> float:

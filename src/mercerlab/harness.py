@@ -5,19 +5,20 @@ the PCG64 stream seeded with s XOR i, trials are sampled in index order, and
 the JSON report of a run is byte-identical across repetitions.  Wall time is
 reported on stderr only, never inside the JSON.
 
-A verify suite samples its trials chunk by chunk (``CHUNK_TRIALS`` at a
-time), groups the trials of a chunk by shape (dims and map kinds) and
-evaluates each group as one stacked instance.  Stacking never moves a bit,
-and results are folded back in trial order, so a report is the same as
-evaluating trial after trial; a failing chunk is re-run trial by trial, so
-the error raised is the one of the lowest failing trial.
+Suites sample ``CHUNK_TRIALS`` trials at a time, grouped by shape and
+finished in stacked calls (``sampling.sample_trials``); verify evaluates
+each group as one stacked instance, sweep trial by trial.  Stacking never
+moves a bit and results are folded back in trial order, so a report is the
+same as trial after trial; a failing chunk is re-run trial by trial, so the
+error raised is the one of the lowest failing trial.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .core import SpectralCore
 from .errors import BudgetExhausted, HypothesisNotMet, InvalidConfig, InverseDomainError, NonpositiveFunction
 from .functions import ScalarFunction, curvature_bounds, parse_function_spec, require_domain
 from .linalg import HermitianOperator, Relation, SpectralBounds
-from .maps import MapFamily, WeightedTrace, family_to_json, stack_families
+from .maps import MapFamily, WeightedTrace, family_to_json
 from .mercer import (
     CHAIN_KINDS,
     InequalityReport,
@@ -50,7 +51,7 @@ from .quasimeans import (
     require_sandwich,
     resolve_spec,
 )
-from .sampling import generator, random_hermitian, random_unital_family, trial_seed
+from .sampling import SampledGroup, generator, random_hermitian, random_unital_family, sample_trials, trial_seed
 from .tolerance import sweep_tolerance
 
 # Trials sampled and evaluated together by a verify suite.  It bounds the
@@ -176,32 +177,34 @@ def _draw_dims(config: TrialConfig, rng: np.random.Generator) -> Tuple[int, int,
     return config.dim_h, config.dim_k, config.n_maps
 
 
-def _sample_trial(
-    config: TrialConfig, trial_index: int, bounds: SpectralBounds
-) -> Tuple[int, Tuple[int, int, int], MapFamily, Tuple[HermitianOperator, ...]]:
-    """(seed, dims, family, operators) of one trial, drawn from its own stream.
+def _sample_chunk(config: TrialConfig, indices: Sequence[int]) -> Tuple[List[int], List[SampledGroup]]:
+    """Seeds and shape groups of the trials ``indices``, sampled as one chunk.
 
-    Every 10th trial forces two eigenvalues of each operator onto the
-    interval endpoints, where the equality cases of the bounds live.
+    Each trial is drawn from its own stream; every 10th trial forces two
+    eigenvalues of each operator onto the interval endpoints, where the
+    equality cases of the bounds live.
     """
-    seed_i = trial_seed(config.seed, trial_index)
-    rng = generator(seed_i)
-    dim_h, dim_k, n = _draw_dims(config, rng)
-    family = random_unital_family(n, dim_h, dim_k, rng, include_trace=config.mixed)
-    force_endpoints = trial_index % 10 == 0
-    operators = tuple(
-        random_hermitian(dim_h, bounds, rng, force_endpoints=force_endpoints) for _ in range(n)
-    )
-    return seed_i, (dim_h, dim_k, n), family, operators
+    seeds = [trial_seed(config.seed, i) for i in indices]
+    pins = [i % 10 == 0 for i in indices]
+    return seeds, sample_trials(seeds, pins, partial(_draw_dims, config), config.bounds, config.mixed)
+
+
+def _sampled_trials(config: TrialConfig, indices: Sequence[int]) -> List[tuple]:
+    """(seed, dims, family, operators) of each of the trials ``indices``, in order, sampled as one chunk."""
+    seeds, groups = _sample_chunk(config, indices)
+    trials: List[Optional[tuple]] = [None] * len(indices)
+    for group in groups:
+        for j, pos in enumerate(group.positions):
+            trials[pos] = (seeds[pos], group.dims) + group.instance(j)
+    return trials
 
 
 def build_instance(
     config: TrialConfig, trial_index: int, f: ScalarFunction
 ) -> Tuple[MercerInstance, int, Tuple[int, int, int]]:
-    """Deterministic instance for one trial; see :func:`_sample_trial`."""
-    bounds = config.bounds
-    seed_i, dims, family, operators = _sample_trial(config, trial_index, bounds)
-    inst = MercerInstance(f=f, family=family, operators=operators, bounds=bounds)
+    """Deterministic instance for one trial; see :func:`_sample_chunk`."""
+    ((seed_i, dims, family, operators),) = _sampled_trials(config, (trial_index,))
+    inst = MercerInstance(f=f, family=family, operators=operators, bounds=config.bounds)
     return inst, seed_i, dims
 
 
@@ -254,53 +257,44 @@ def _contract_outcomes(
 def _grouped_outcomes(
     config: TrialConfig, f: ScalarFunction, which: str, indices: Sequence[int]
 ) -> List[TrialOutcome]:
-    """Sample the trials in index order, evaluate each shape group stacked,
+    """Sample the trials as one chunk, evaluate each shape group stacked,
     and return the outcomes in index order."""
-    bounds = config.bounds
-    sampled = [_sample_trial(config, i, bounds) for i in indices]
-    groups: Dict[tuple, List[int]] = {}
-    for pos, (_, dims, family, _) in enumerate(sampled):
-        key = dims + tuple(type(phi).__name__ for phi in family.maps)
-        groups.setdefault(key, []).append(pos)
-    outcomes: List[Optional[TrialOutcome]] = [None] * len(sampled)
-    for positions in groups.values():
-        group = [sampled[pos] for pos in positions]
-        if len(group) == 1:  # nothing to stack
-            _, _, family, operators = group[0]
-        else:
-            family = stack_families([family for _, _, family, _ in group])
-            operators = tuple(
-                HermitianOperator(np.array([trial[3][i].entries for trial in group]))
-                for i in range(family.size)
-            )
-        inst = MercerInstance(f=f, family=family, operators=operators, bounds=bounds)
+    seeds, groups = _sample_chunk(config, indices)
+    outcomes: List[Optional[TrialOutcome]] = [None] * len(indices)
+    for group in groups:
+        # A group of one trial is evaluated without a trial axis.
+        family, operators = group.instance(0 if len(group.positions) == 1 else Ellipsis)
+        inst = MercerInstance(f=f, family=family, operators=operators, bounds=config.bounds)
         reports = evaluate_trials(inst, which, force=config.force, tol_abs=config.tol_abs)
-        for pos, pairs in zip(positions, _contract_outcomes(reports, which)):
-            seed_i, dims, _, _ = sampled[pos]
-            outcomes[pos] = TrialOutcome(trial=indices[pos], seed=seed_i, dims=dims, pairs=pairs)
+        for pos, pairs in zip(group.positions, _contract_outcomes(reports, which)):
+            outcomes[pos] = TrialOutcome(trial=indices[pos], seed=seeds[pos], dims=group.dims, pairs=pairs)
     return outcomes
+
+
+def _by_chunk(n_trials: int, run: Callable[[Sequence[int]], list]) -> Iterator:
+    """The results of ``run(indices)`` for trials 0..n_trials-1, ``CHUNK_TRIALS`` at a time, in index order.
+
+    If a chunk fails, it is re-run trial by trial in index order, each result
+    used before the next trial runs, which raises the error of the lowest
+    failing trial, as running trial after trial would.  Nothing is swallowed.
+    """
+    for start in range(0, n_trials, CHUNK_TRIALS):
+        indices = range(start, min(n_trials, start + CHUNK_TRIALS))
+        try:
+            results = run(indices)
+        except Exception as error:
+            for i in indices:
+                yield from run((i,))
+            raise error
+        yield from results
 
 
 def suite_outcomes(
     config: TrialConfig, n_trials: int, f: ScalarFunction, which: str
 ) -> Iterator[TrialOutcome]:
-    """The outcomes of trials 0..n_trials-1 of a verify suite, in index order.
-
-    Trials are sampled and evaluated ``CHUNK_TRIALS`` at a time, each shape
-    group of a chunk as one stacked instance.
-    """
-    for start in range(0, n_trials, CHUNK_TRIALS):
-        indices = range(start, min(n_trials, start + CHUNK_TRIALS))
-        try:
-            outcomes = _grouped_outcomes(config, f, which, indices)
-        except Exception as error:
-            # Any failure of a group: re-run the chunk trial by trial in index
-            # order, which raises the error of the lowest failing trial, as
-            # evaluating trial after trial would.  Nothing is swallowed.
-            for i in indices:
-                _grouped_outcomes(config, f, which, (i,))
-            raise error
-        yield from outcomes
+    """The outcomes of trials 0..n_trials-1 of a verify suite, in index order,
+    each shape group of a chunk evaluated as one stacked instance."""
+    return _by_chunk(n_trials, partial(_grouped_outcomes, config, f, which))
 
 
 def run_suite(config: TrialConfig, n_trials: int) -> RunSummary:
@@ -629,9 +623,7 @@ def run_sweep(
     if tol is None:
         tol = sweep_tolerance(bounds.M, float(psi(bounds.M)), float(psi(bounds.m)))
 
-    for i in range(n_trials):
-        seed_i, _, family, operators = _sample_trial(config, i, bounds)
-
+    for i, (seed_i, _, family, operators) in enumerate(_by_chunk(n_trials, partial(_sampled_trials, config))):
         # Every object of the trial comes from one core: each A_i is
         # decomposed once, and T_psi's pre-mean serves QM_psi and both
         # curvature sides.

@@ -7,11 +7,12 @@ construction.  A family Phi_1..Phi_n is unital when sum_i Phi_i(I) = I on the
 codomain; ``unitality_defect`` measures how far a family is from that, and
 the sampler (``sampling.random_unital_family``) draws unital families.
 
-Maps apply to stacks of matrices ``(..., d, d)``.  ``stack_families`` turns
-families of one shape (same dims, same map kinds) into one family whose
-compressions and trace weights carry a leading trial axis; applied to a
-stack of operators with the same trial axis, each trial's map acts on that
-trial's operator, by the same numpy operations as for one matrix.
+Maps apply to stacks of matrices ``(..., d, d)``.  A family may hold the
+maps of several trials of one shape (same dims, same map kinds): its
+compressions and trace weights then carry a leading trial axis (the sampler
+builds such families, ``sampling.SampledGroup``), and applied to a stack of
+operators with the same trial axis, each trial's map acts on that trial's
+operator, by the same numpy operations as for one matrix.
 """
 
 from __future__ import annotations
@@ -177,28 +178,6 @@ def unitality_defect(family: MapFamily):
     """
     image = family_sum(family, [HermitianOperator.identity(family.dim_in)] * family.size)
     return spectral_norms(image - HermitianOperator.identity(family.dim_out))
-
-
-def stack_families(families: Sequence[MapFamily]) -> MapFamily:
-    """One family whose i-th map holds the i-th maps of ``families`` along a leading trial axis.
-
-    The families must share dims and map kinds; compressions stack their V,
-    trace maps their weights.
-    """
-    first = families[0]
-    maps = []
-    for i, phi in enumerate(first.maps):
-        column = [family.maps[i] for family in families]
-        if any(type(other) is not type(phi) for other in column):
-            raise DimensionMismatch(f"map {i} differs in kind across the stacked families")
-        if isinstance(phi, Compression):
-            maps.append(Compression(np.array([other.v for other in column])))
-        elif isinstance(phi, WeightedTrace):
-            weights = np.array([other.weight for other in column])
-            maps.append(WeightedTrace(weights, dim_in=phi.dim_in, dim_out=phi.dim_out))
-        else:
-            raise TypeError(f"cannot stack maps of kind {type(phi).__name__}")
-    return MapFamily(maps=tuple(maps))
 
 
 # --------------------------------------------------------------------------

@@ -44,7 +44,7 @@ class MercerInstance:
     """One dataset for the inequality chains: f, a unital family, operators, [m, M].
 
     The operators (one per map) and the family's maps may carry a leading
-    trial axis (see ``maps.stack_families``): the instance is then a group of
+    trial axis (see ``sampling.SampledGroup``): the instance is then a group of
     same-shape trials, every side below is a stack with one matrix per trial,
     and :func:`evaluate_trials` gives one report per trial.  Without that
     axis it is one trial.  Every check is made per trial; a failing group

@@ -4,12 +4,29 @@ The PRNG is numpy's PCG64; a generator seeded with the same 64-bit integer
 reproduces the same stream bit for bit, which is what makes every violation
 replayable.  Reference raw outputs of the stream are listed in the README so
 that other implementations can cross-check their seeding.
+
+Sampling runs in two phases.  Phase 1 draws every random number of a trial
+from its own stream, in order: dims, the V_i, the trace fraction, then per
+operator its eigenvalues and the normals of its Ginibre matrix.  Phase 2
+(``sample_trials``) finishes a chunk in stacked calls: one normaliser
+``eigh`` per group of equal dims, one Haar ``qr`` and reconstruct per matrix
+dimension.  These treat each matrix as they would alone, so a trial is bit
+for bit the same in any chunk, and ``haar_unitary``, ``random_hermitian``
+and ``random_unital_family`` are the same code on one matrix or family.  A
+family with a singular normaliser is drawn again, which moves the later
+draws of its stream, so a trial whose first family phase 2 rejects is drawn
+again from a fresh copy of its stream, with the rejection loop.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
 import numpy as np
 
+from .core import per_map
 from .errors import SingularNormalizer
 from .linalg import HermitianOperator, SpectralBounds, SpectralDecomposition
 from .maps import Compression, MapFamily, WeightedTrace
@@ -28,23 +45,49 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     return (master_seed ^ trial_index) & MASK64
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary from the QR of a complex Ginibre matrix.
+def _ginibre(normals: np.ndarray) -> np.ndarray:
+    """Complex Ginibre matrices from normals ``(..., 2, r, c)``: real parts, then
+    imaginary parts, over sqrt(2)."""
+    return (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2.0)
+
+
+def _haar(normals: np.ndarray) -> np.ndarray:
+    """Haar unitaries from the QR of the Ginibre matrices of ``normals``, in one ``qr`` call.
 
     The R-diagonal phases are folded into Q so the distribution is exactly
-    Haar rather than QR-convention dependent.
+    Haar rather than QR-convention dependent (Mezzadri, Notices AMS 2007).
     """
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    q, r = np.linalg.qr(_ginibre(normals))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary from the QR of a complex Ginibre matrix."""
+    return _haar(rng.standard_normal((2, dim, dim)))
+
+
+def _draw_spectrum(dim: int, bounds: SpectralBounds, pinned: bool, rng: np.random.Generator):
+    """Eigenvalues uniform on [m, M], the first two exactly m and M when ``pinned`` (and
+    dim >= 2), then, for dim >= 2, the normals of the eigenbasis."""
+    lam = rng.uniform(bounds.m, bounds.M, size=dim)
+    if pinned and dim >= 2:
+        lam[0] = bounds.m
+        lam[1] = bounds.M
+    return lam, (rng.standard_normal((2, dim, dim)) if dim >= 2 else None)
+
+
+def _hermitians(lam: np.ndarray, normals: Optional[np.ndarray]) -> np.ndarray:
+    """U diag(lambda) U* for stacks ``(..., d)`` of spectra and ``(..., 2, d, d)`` of the
+    normals of U; at d = 1 the matrix is lambda itself and no Haar step runs."""
+    if lam.shape[-1] == 1:
+        return lam[..., None].astype(np.complex128)
+    mat = SpectralDecomposition(lam, _haar(normals)).reconstruct()
+    return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
 
 def random_hermitian(
-    dim: int,
-    bounds: SpectralBounds,
-    rng: np.random.Generator,
-    force_endpoints: bool = False,
+    dim: int, bounds: SpectralBounds, rng: np.random.Generator, force_endpoints: bool = False
 ) -> HermitianOperator:
     """Random Hermitian matrix with eigenvalues uniform on [m, M].
 
@@ -52,22 +95,59 @@ def random_hermitian(
     exactly m and M; the equality cases of the Mercer bounds live at the
     endpoints and uniform sampling alone never lands on them.
     """
-    lam = rng.uniform(bounds.m, bounds.M, size=dim)
-    if force_endpoints and dim >= 2:
-        lam[0] = bounds.m
-        lam[1] = bounds.M
-    if dim == 1:
-        return HermitianOperator(np.array([[lam[0]]], dtype=np.complex128))
-    mat = SpectralDecomposition(lam, haar_unitary(dim, rng)).reconstruct()
-    return HermitianOperator(0.5 * (mat + mat.conj().T))
+    return HermitianOperator(_hermitians(*_draw_spectrum(dim, bounds, force_endpoints, rng)))
+
+
+def _normalise(normals: np.ndarray, fraction) -> Tuple[np.ndarray, np.ndarray]:
+    """(accepted, V_i) of families whose V_i have normals ``(n_comp, ..., 2, dim_h, dim_k)``.
+
+    Each V_i becomes sqrt(1 - fraction) V_i S^{-1/2}, S = sum_i V_i* V_i, in
+    one ``eigh`` for the whole stack.  ``accepted`` tells per family that S is
+    nonsingular; the V_i of a rejected family mean nothing.
+    """
+    vs = _ginibre(normals)
+    if not len(vs):  # a lone trace map: nothing to normalise
+        return np.ones(vs.shape[1:-2], dtype=bool), vs
+    lam, u = np.linalg.eigh(sum(v.conj().swapaxes(-1, -2) @ v for v in vs))
+    accepted = lam[..., 0] > NORMALIZER_SINGULARITY_ABS
+    lam = np.where(accepted[..., None], lam, 1.0)  # no square root of a rejected spectrum
+    inv_sqrt = (u / np.sqrt(lam)[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    return accepted, vs @ inv_sqrt * np.sqrt(1.0 - np.asarray(fraction))[..., None, None]
+
+
+def _family(compressions: np.ndarray, fraction, dim_h: int, dim_k: int) -> MapFamily:
+    """The compressions V_i (one per leading index), then, unless ``fraction`` is None, the
+    trace map of weight fraction / dim_h, or 1 / dim_h when alone, which makes it unital."""
+    maps: list = [Compression(v) for v in compressions]
+    if fraction is not None:
+        weight = (fraction if maps else np.ones_like(fraction)) / dim_h
+        maps.append(WeightedTrace(weight, dim_in=dim_h, dim_out=dim_k))
+    return MapFamily(maps=tuple(maps))
+
+
+def _draw_family(
+    n: int, dim_h: int, dim_k: int, include_trace: bool, rng: np.random.Generator, checked: bool
+):
+    """(normals, fraction, V_i) of a family: normals ``(n_comp, 2, dim_h, dim_k)``, then trace fraction.
+
+    Unchecked (phase 1) the first draw is kept, its V_i None; checked, it is drawn again while its
+    normaliser is singular, raising ``SingularNormalizer`` after ``NORMALIZER_ATTEMPTS`` draws.
+    """
+    for _ in range(NORMALIZER_ATTEMPTS if checked else 1):
+        normals = rng.standard_normal((n - 1 if include_trace else n, 2, dim_h, dim_k))
+        fraction = float(rng.uniform(0.1, 0.4)) if include_trace else 0.0
+        if not checked:
+            return normals, fraction, None
+        accepted, vs = _normalise(normals, fraction)
+        if accepted:
+            return normals, fraction, vs
+    raise SingularNormalizer(
+        f"no nonsingular normalizer in {NORMALIZER_ATTEMPTS} draws (n={n}, dim_h={dim_h}, dim_k={dim_k})"
+    )
 
 
 def random_unital_family(
-    n: int,
-    dim_h: int,
-    dim_k: int,
-    rng: np.random.Generator,
-    include_trace: bool = False,
+    n: int, dim_h: int, dim_k: int, rng: np.random.Generator, include_trace: bool = False
 ) -> MapFamily:
     """Draw n positive maps and normalize so that sum_i Phi_i(I) = I.
 
@@ -78,27 +158,73 @@ def random_unital_family(
     absorbing the rest.  Raises ``SingularNormalizer`` when S stays
     numerically singular for ``NORMALIZER_ATTEMPTS`` draws (e.g. dim_k > n * dim_h).
     """
-    n_comp = n - 1 if include_trace else n
-    for _ in range(NORMALIZER_ATTEMPTS):
-        vs = [
-            (rng.standard_normal((dim_h, dim_k)) + 1j * rng.standard_normal((dim_h, dim_k)))
-            / np.sqrt(2.0)
-            for _ in range(n_comp)
-        ]
-        trace_fraction = float(rng.uniform(0.1, 0.4)) if include_trace else 0.0
-        if n_comp == 0:
-            # A lone trace map is unital exactly when w = 1 / dim_h.
-            return MapFamily(maps=(WeightedTrace(1.0 / dim_h, dim_in=dim_h, dim_out=dim_k),))
-        s = sum(v.conj().T @ v for v in vs)
-        lam, u = np.linalg.eigh(s)
-        if float(lam[0]) <= NORMALIZER_SINGULARITY_ABS:
-            continue
-        inv_sqrt = (u / np.sqrt(lam)) @ u.conj().T
-        scale = np.sqrt(1.0 - trace_fraction)
-        maps: list = [Compression(v @ inv_sqrt * scale) for v in vs]
-        if include_trace:
-            maps.append(WeightedTrace(trace_fraction / dim_h, dim_in=dim_h, dim_out=dim_k))
-        return MapFamily(maps=tuple(maps))
-    raise SingularNormalizer(
-        f"no nonsingular normalizer in {NORMALIZER_ATTEMPTS} draws (n={n}, dim_h={dim_h}, dim_k={dim_k})"
-    )
+    _, fraction, vs = _draw_family(n, dim_h, dim_k, include_trace, rng, checked=True)
+    return _family(vs, fraction if include_trace else None, dim_h, dim_k)
+
+
+# Phase 1 of a trial: its dims, its family's normals and trace fraction, and
+# per operator the (eigenvalues, normals) of ``_draw_spectrum``.
+_Draw = namedtuple("_Draw", "dims normals fraction spectra")
+
+
+@dataclass(frozen=True)
+class SampledGroup:
+    """The trials of one chunk with equal dims, at ``positions`` (ascending), finished together:
+    ``compressions`` ``(n_comp, trials, dim_h, dim_k)``, ``fractions`` ``(trials,)`` (None
+    without a trace map) and ``operators`` ``(trials, n, dim_h, dim_h)``."""
+
+    positions: Tuple[int, ...]
+    dims: Tuple[int, int, int]
+    compressions: np.ndarray
+    fractions: Optional[np.ndarray]
+    operators: np.ndarray
+
+    def instance(self, j=Ellipsis) -> Tuple[MapFamily, Tuple[HermitianOperator, ...]]:
+        """(family, operators) of the group, stacked along the trial axis, or of its j-th trial alone."""
+        fraction = None if self.fractions is None else self.fractions[j]
+        family = _family(self.compressions[:, j], fraction, self.dims[0], self.dims[1])
+        return family, per_map(HermitianOperator(self.operators[j]))
+
+
+def sample_trials(
+    seeds: Sequence[int], pins: Sequence[bool], draw_dims: Callable, bounds: SpectralBounds, mixed: bool
+) -> List[SampledGroup]:
+    """Sample a chunk of trials, trial k from the stream of ``seeds[k]`` (dims by
+    ``draw_dims(rng)``, eigenvalues pinned where ``pins[k]``, a trace map in each
+    family when ``mixed``), grouped by dims in order of first appearance."""
+
+    def draw(k: int, checked: bool = False) -> _Draw:
+        rng = generator(seeds[k])
+        dim_h, dim_k, n = dims = draw_dims(rng)
+        normals, fraction, _ = _draw_family(n, dim_h, dim_k, mixed, rng, checked=checked)
+        spectra = tuple(_draw_spectrum(dim_h, bounds, pins[k], rng) for _ in range(n))
+        return _Draw(dims, normals, fraction, spectra)
+
+    draws = [draw(k) for k in range(len(seeds))]
+    groups: Dict[Tuple[int, int, int], List[int]] = {}
+    for k, trial in enumerate(draws):
+        groups.setdefault(trial.dims, []).append(k)
+    families = {}
+    for dims, ks in groups.items():
+        for _ in range(2):  # the second pass follows drawing the rejected families again
+            fractions = np.array([draws[k].fraction for k in ks])
+            accepted, compressions = _normalise(np.stack([draws[k].normals for k in ks], axis=1), fractions)
+            if accepted.all():
+                break
+            for j in np.flatnonzero(~accepted):
+                draws[ks[j]] = draw(ks[j], checked=True)
+        families[dims] = compressions, fractions if mixed else None
+
+    operators = {}
+    for dim in {dims[0] for dims in groups}:
+        keys = [dims for dims in groups if dims[0] == dim]
+        spectra = [spectrum for dims in keys for k in groups[dims] for spectrum in draws[k].spectra]
+        lam, normals = zip(*spectra)
+        mats = _hermitians(np.array(lam), np.array(normals) if dim >= 2 else None)
+        for dims in keys:  # each group's operators are the next trials * n matrices
+            trials, n = len(groups[dims]), dims[2]
+            operators[dims] = mats[: trials * n].reshape(trials, n, dim, dim)
+            mats = mats[trials * n :]
+    return [
+        SampledGroup(tuple(ks), dims, *families[dims], operators[dims]) for dims, ks in groups.items()
+    ]

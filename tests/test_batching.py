@@ -17,7 +17,6 @@ from mercerlab.errors import HypothesisNotMet, SpectrumOutOfDomain
 from mercerlab.functions import parse_function_spec
 from mercerlab.harness import TrialConfig, normalize_chain, replay_trial, suite_outcomes
 from mercerlab.linalg import HermitianOperator, Relation
-from mercerlab.maps import Compression, MapFamily
 from mercerlab.sampling import generator
 
 PI4, PI2 = math.pi / 4, math.pi / 2
@@ -70,18 +69,21 @@ def test_every_trial_matches_its_replay(group_sizes, fn, chain, m, M, force, mix
 def test_failing_suite_raises_the_lowest_failing_trial(monkeypatch):
     # Trial 3 has an operator outside [m, M]; trial 7 a non-unital family.
     # Stacked, the family check runs before the range check, so only the
-    # trial-by-trial re-run finds trial 3's error first.
-    original = harness._sample_trial
+    # trial-by-trial re-run finds trial 3's error first.  The chunk sampler
+    # serves the suite and the one-trial replay alike.
+    original = harness._sample_chunk
 
-    def broken(config, trial_index, bounds):
-        seed_i, dims, family, operators = original(config, trial_index, bounds)
-        if trial_index == 3:
-            operators = (HermitianOperator(10.0 * operators[0].entries),) + operators[1:]
-        if trial_index == 7:
-            family = MapFamily(tuple(Compression(1.5 * phi.v) for phi in family.maps))
-        return seed_i, dims, family, operators
+    def broken(config, indices):
+        seeds, groups = original(config, indices)
+        for group in groups:
+            for j, pos in enumerate(group.positions):
+                if indices[pos] == 3:
+                    group.operators[j, 0] *= 10.0
+                if indices[pos] == 7:
+                    group.compressions[:, j] *= 1.5
+        return seeds, groups
 
-    monkeypatch.setattr(harness, "_sample_trial", broken)
+    monkeypatch.setattr(harness, "_sample_chunk", broken)
     config = TrialConfig(seed=4, function_spec="exp", chain="chain")
     with pytest.raises(SpectrumOutOfDomain) as expected:
         replay_trial(config, 3)

@@ -1,4 +1,4 @@
-"""Pinned eigensolver call counts for seeded suites of each kind.
+"""Pinned eigensolver and QR call counts for seeded suites of each kind.
 
 The counts are numpy calls: one call solves a whole stack of matrices.  A
 trial at the default sizes (dim 4, n = 2 maps) pays, in ``eigh``: 1 for the
@@ -7,9 +7,10 @@ operators A_i (decomposed once, shared by every side), then 1 per operator
 function evaluated on an assembled operator and 1 per Loewner comparison.
 Each ``eigvalsh`` is the spectral norms of one compared side for the
 tolerances (the zero side's norm is exactly 0 and needs none), the
-unitality defects, or the signed slacks of GreaterEqual verdicts.  A verify
-suite of one shape evaluates all its trials as one stack, so only the
-per-trial sampling grows with the trial count.  A count above these pins
+unitality defects, or the signed slacks of GreaterEqual verdicts.  The one
+``qr`` is the Haar step of the sampler, for every operator of one dimension.
+A verify suite of one shape samples and evaluates all its trials as one
+stack, so no count grows with the trial count.  A count above these pins
 means a redundant solve came back; a count below means a check was dropped.
 """
 
@@ -21,7 +22,7 @@ from mercerlab.harness import TrialConfig, run_suite, run_sweep
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    calls = {"eigh": 0, "eigvalsh": 0}
+    calls = {"eigh": 0, "eigvalsh": 0, "qr": 0}
 
     def counted(name):
         original = getattr(np.linalg, name)
@@ -41,10 +42,10 @@ def test_sweep_trial_budget(solver_calls):
     # eigh: normaliser 1 + A_i stack 1 + QM_phi, QM_psi 2 + both curvature bounds 2
     # + geometric middle h(T_phi) and its inverse 2.
     # eigvalsh: signed slack of the mean order, both curvature sides and the
-    # two sandwich halves.
+    # two sandwich halves.  qr: the Haar step of both A_i.
     report, _ = run_sweep("log", "id", TrialConfig(seed=5), 1)
     assert report["checks"]["log_convex_sandwich"]["evaluated"] == 1
-    assert solver_calls == {"eigh": 8, "eigvalsh": 5}
+    assert solver_calls == {"eigh": 8, "eigvalsh": 5, "qr": 1}
 
 
 @pytest.mark.parametrize(
@@ -53,6 +54,7 @@ def test_sweep_trial_budget(solver_calls):
         # eigh: normaliser 1 + A_i stack 1 + lhs 1 + one per compared pair
         # (incl. zero <= diamond) [+ log-convex middle 1].
         # eigvalsh: unitality defect 1 + one norm per compared side but zero.
+        # qr: the Haar step of both A_i, 1.
         ("classic", 5, 4),
         ("chain", 7, 5),
         ("twice-diff", 8, 7),
@@ -62,13 +64,13 @@ def test_sweep_trial_budget(solver_calls):
 def test_chain_trial_budget(solver_calls, chain, eigh, eigvalsh):
     summary = run_suite(TrialConfig(seed=1, function_spec="exp", chain=chain), 1)
     assert summary.violations == []
-    assert solver_calls == {"eigh": eigh, "eigvalsh": eigvalsh}
+    assert solver_calls == {"eigh": eigh, "eigvalsh": eigvalsh, "qr": 1}
 
 
 def test_one_shape_suite_is_one_stack(solver_calls):
-    # 50 trials of one shape: the normaliser is sampled per trial, every
-    # other solve is one call for the whole group.  Per trial this was
-    # 6 eigh and 5 eigvalsh.
+    # 50 trials of one shape: every solve, the sampler's normaliser and Haar
+    # step included, is one call for the whole group.  Per trial this was
+    # 6 eigh and 5 eigvalsh, then 1 eigh and 2 qr of sampling per trial.
     summary = run_suite(TrialConfig(seed=3, function_spec="exp", chain="classic"), 50)
     assert summary.violations == []
-    assert solver_calls == {"eigh": 50 + 4, "eigvalsh": 4}
+    assert solver_calls == {"eigh": 1 + 4, "eigvalsh": 4, "qr": 1}

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mercerlab.errors import (
     DomainMismatch,
-    DuplicatePoints,
     InvalidInterval,
     MissingSecondDerivative,
     NonpositiveFunction,
@@ -20,7 +19,6 @@ from mercerlab.functions import (
     inverse_entry,
     is_log_convex_on,
     logarithm,
-    loewner_matrix_diagnostic,
     parse_function_spec,
     power,
     reciprocal,
@@ -30,7 +28,7 @@ from mercerlab.functions import (
     square_root,
     xlogx,
 )
-from mercerlab.linalg import Relation, SpectralBounds
+from mercerlab.linalg import SpectralBounds
 from mercerlab.sampling import generator
 
 # name -> (entry, test interval, convex, log_convex, op_monotone, op_decreasing)
@@ -174,40 +172,6 @@ class TestLogConvexity:
     def test_nonpositive_function_rejected(self):
         with pytest.raises(NonpositiveFunction):
             is_log_convex_on(sine(), SpectralBounds(3.5, 6.0))
-
-
-class TestLoewnerMatrixDiagnostic:
-    def test_square_root_kernel_is_psd(self):
-        verdict = loewner_matrix_diagnostic(square_root(), [0.5, 1.0, 2.0, 4.0])
-        assert verdict.relation in (Relation.LESS_EQUAL, Relation.EQUAL)
-
-    def test_identity_kernel_is_psd(self):
-        verdict = loewner_matrix_diagnostic(identity(), [0.3, 1.1, 2.0, 5.5])
-        assert verdict.relation in (Relation.LESS_EQUAL, Relation.EQUAL)
-
-    def test_cube_kernel_is_not_psd(self):
-        pts = np.array([0.1, 1.0, 2.0, 5.0])
-        verdict = loewner_matrix_diagnostic(power(3.0), pts)
-        assert verdict.relation not in (Relation.LESS_EQUAL, Relation.EQUAL)
-        # brute-force oracle: K_ij = (t_i^3 - t_j^3)/(t_i - t_j) = t_i^2 + t_i t_j + t_j^2
-        kernel = pts[:, None] ** 2 + np.outer(pts, pts) + pts[None, :] ** 2
-        assert np.linalg.eigvalsh(kernel)[0] < -1e-6
-
-    @pytest.mark.parametrize(
-        "entry", [square_root(), logarithm(), power(0.3), power(0.7), power(1.0), identity()]
-    )
-    def test_operator_monotone_entries_pass(self, entry):
-        for seed in range(5):
-            rng = generator(100 + seed)
-            pts = np.sort(rng.uniform(0.1, 8.0, size=5))
-            while np.min(np.diff(pts)) < 1e-3:
-                pts = np.sort(rng.uniform(0.1, 8.0, size=5))
-            verdict = loewner_matrix_diagnostic(entry, pts)
-            assert verdict.relation in (Relation.LESS_EQUAL, Relation.EQUAL)
-
-    def test_duplicate_points_rejected(self):
-        with pytest.raises(DuplicatePoints):
-            loewner_matrix_diagnostic(identity(), [1.0, 1.0, 2.0])
 
 
 class TestRefinedVsGeometricGap:

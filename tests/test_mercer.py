@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mercerlab.errors import (
+    ArityMismatch,
     BadWeights,
     HypothesisNotMet,
     NonpositiveFunction,
@@ -133,7 +134,7 @@ class TestInstanceValidation:
     def test_arity(self):
         family = MapFamily((WeightedTrace(0.5, dim_in=2, dim_out=1),))
         a = HermitianOperator.diagonal([1.0, 3.0])
-        with pytest.raises(HypothesisNotMet):
+        with pytest.raises(ArityMismatch, match="1 maps but 2 operators"):
             MercerInstance(
                 f=sine(), family=family, operators=(a, a), bounds=SpectralBounds(1.0, 3.0)
             )

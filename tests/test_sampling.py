@@ -1,9 +1,13 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
+from mercerlab import harness, sampling
 from mercerlab.errors import SingularNormalizer
+from mercerlab.harness import CHUNK_TRIALS, TrialConfig
 from mercerlab.linalg import SpectralBounds, spectral_decompose
-from mercerlab.maps import WeightedTrace, unitality_defect
+from mercerlab.maps import Compression, WeightedTrace, unitality_defect
 from mercerlab.sampling import (
     generator,
     haar_unitary,
@@ -105,3 +109,84 @@ class TestRandomUnitalFamily:
         fam_b = random_unital_family(2, 3, 2, generator(55))
         for left, right in zip(fam_a.maps, fam_b.maps):
             assert left.v.tobytes() == right.v.tobytes()
+
+
+def one_by_one(config, i):
+    """Trial i drawn by the one-family and one-operator samplers: dims, the
+    family (with its rejection loop), then each operator, from one stream."""
+    rng = generator(trial_seed(config.seed, i))
+    dim_h, dim_k, n = harness._draw_dims(config, rng)
+    family = random_unital_family(n, dim_h, dim_k, rng, include_trace=config.mixed)
+    operators = [random_hermitian(dim_h, config.bounds, rng, force_endpoints=i % 10 == 0) for _ in range(n)]
+    return family, operators
+
+
+def trial_bytes(family, operators):
+    """The bytes of every V, trace weight and A_i of a trial."""
+    maps = [np.asarray(phi.v if isinstance(phi, Compression) else phi.weight).tobytes() for phi in family.maps]
+    return maps + [a.entries.tobytes() for a in operators]
+
+
+class TestChunkSampler:
+    """A chunk of trials, finished in stacked calls, equals its trials drawn one by one, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "config, trials",
+        [
+            (TrialConfig(seed=11), 30),  # one shape; trials 0, 10, 20 pin the endpoints
+            (TrialConfig(seed=12, vary_dims=True, mixed=True), 80),
+            (TrialConfig(seed=13, dim_h=1, dim_k=1, n_maps=3, mixed=True), 20),  # no Haar step
+            (TrialConfig(seed=14, dim_h=3, dim_k=2, n_maps=1, mixed=True), 20),  # a lone trace map
+            (TrialConfig(seed=15, m=-2.0, M=0.5), CHUNK_TRIALS + 12),  # crosses a chunk boundary
+        ],
+    )
+    def test_chunk_equals_one_by_one(self, config, trials):
+        sampled = list(harness._by_chunk(trials, partial(harness._sampled_trials, config)))
+        assert len(sampled) == trials
+        for i, (seed_i, dims, family, operators) in enumerate(sampled):
+            assert seed_i == trial_seed(config.seed, i)
+            assert (family.dim_in, family.dim_out, family.size) == dims
+            assert trial_bytes(family, operators) == trial_bytes(*one_by_one(config, i)), i
+        for i in (0, 1, trials - 1):  # the one-trial form is a chunk of one
+            (alone,) = harness._sampled_trials(config, (i,))
+            assert trial_bytes(*alone[2:]) == trial_bytes(*one_by_one(config, i))
+
+    def test_pinned_trials_reach_both_endpoints(self):
+        config = TrialConfig(seed=16, m=0.5, M=2.0)
+        for i, (_, _, _, operators) in enumerate(harness._sampled_trials(config, range(21))):
+            for a in operators:
+                lam = spectral_decompose(a).eigenvalues
+                pinned = lam[0] == pytest.approx(0.5, abs=1e-12) and lam[-1] == pytest.approx(2.0, abs=1e-12)
+                assert pinned == (i % 10 == 0), i
+
+    def test_forced_rejection_redraws_from_a_fresh_stream(self, monkeypatch):
+        # At this threshold some first draws of S (dim 4, two compressions)
+        # are rejected, so those trials' later draws follow the redraw.
+        monkeypatch.setattr(sampling, "NORMALIZER_SINGULARITY_ABS", 0.9)
+        redraws = []
+        original = sampling._draw_family
+
+        def spy(*args, checked):
+            redraws.append(checked)
+            return original(*args, checked=checked)
+
+        config = TrialConfig(seed=17, mixed=True, n_maps=3)
+        monkeypatch.setattr(sampling, "_draw_family", spy)
+        sampled = harness._sampled_trials(config, range(60))
+        checked = sum(redraws)  # the phase-1 draws are unchecked
+        assert 0 < checked < 60
+        for i, (_, _, family, operators) in enumerate(sampled):
+            assert trial_bytes(family, operators) == trial_bytes(*one_by_one(config, i)), i
+            assert unitality_defect(family) <= 1e-9
+
+    def test_always_singular_trial_raises_like_one_by_one(self):
+        # One 1 -> 3 compression never has a nonsingular normaliser.
+        config = TrialConfig(seed=18, dim_h=1, dim_k=3, n_maps=1)
+        with pytest.raises(SingularNormalizer) as alone:
+            one_by_one(config, 0)
+        with pytest.raises(SingularNormalizer) as chunk:
+            harness._sampled_trials(config, range(12))
+        assert str(chunk.value) == str(alone.value)
+        with pytest.raises(SingularNormalizer) as suite:
+            harness.run_suite(config, 12)
+        assert str(suite.value) == str(alone.value)
