@@ -43,15 +43,13 @@ from .linalg import (
     SpectralDecomposition,
     apply_scalar_function,
     apply_to_decomposition,
-    loewner_compare,
+    loewner_verdicts,
     spectral_decompose,
 )
 from .maps import (
     Compression,
     MapFamily,
-    Pinching,
     PositiveLinearMap,
-    ScaledSum,
     WeightedTrace,
     apply_map,
     family_sum,

@@ -10,7 +10,9 @@ finished in stacked calls (``sampling.sample_trials``); verify evaluates
 each group as one stacked instance, sweep trial by trial.  Stacking never
 moves a bit and results are folded back in trial order, so a report is the
 same as trial after trial; a failing chunk is re-run trial by trial, so the
-error raised is the one of the lowest failing trial.
+error raised is the one of the lowest failing trial.  A replay is a chunk of
+one trial, and the ``classic-nonconvex`` search scores each candidate with a
+forced ``classic`` suite, so both run on verify's sampler and evaluation.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,7 +54,7 @@ from .quasimeans import (
     require_sandwich,
     resolve_spec,
 )
-from .sampling import SampledGroup, generator, random_hermitian, random_unital_family, sample_trials, trial_seed
+from .sampling import SampledGroup, generator, sample_trials, trial_seed
 from .tolerance import sweep_tolerance
 
 # Trials sampled and evaluated together by a verify suite.  It bounds the
@@ -262,8 +265,7 @@ def _grouped_outcomes(
     seeds, groups = _sample_chunk(config, indices)
     outcomes: List[Optional[TrialOutcome]] = [None] * len(indices)
     for group in groups:
-        # A group of one trial is evaluated without a trial axis.
-        family, operators = group.instance(0 if len(group.positions) == 1 else Ellipsis)
+        family, operators = group.instance()
         inst = MercerInstance(f=f, family=family, operators=operators, bounds=config.bounds)
         reports = evaluate_trials(inst, which, force=config.force, tol_abs=config.tol_abs)
         for pos, pairs in zip(group.positions, _contract_outcomes(reports, which)):
@@ -342,12 +344,10 @@ def run_suite(config: TrialConfig, n_trials: int) -> RunSummary:
 
 
 def replay_trial(config: TrialConfig, trial_index: int) -> Dict[str, float]:
-    """Re-execute one trial and return its contract-pair gaps keyed 'left<=right'."""
+    """Re-execute one trial, as a suite chunk of one, and return its contract-pair gaps keyed 'left<=right'."""
     f = parse_function_spec(config.function_spec)
-    which = normalize_chain(config.chain)
-    inst, _, _ = build_instance(config, trial_index, f)
-    report = evaluate_chain(inst, which, force=config.force, tol_abs=config.tol_abs)
-    return {f"{left}<={right}": gap for left, right, gap, _ in _contract_outcomes([report], which)[0]}
+    (outcome,) = _grouped_outcomes(config, f, normalize_chain(config.chain), (trial_index,))
+    return {f"{left}<={right}": gap for left, right, gap, _ in outcome.pairs}
 
 
 def verify_report(config: TrialConfig, n_trials: int) -> Tuple[dict, RunSummary]:
@@ -365,11 +365,9 @@ def verify_report(config: TrialConfig, n_trials: int) -> Tuple[dict, RunSummary]
 # Reproduction cases
 # --------------------------------------------------------------------------
 
-def _sine_counterexample_instance(function_override: Optional[str] = None):
-    from .functions import sine
-
-    bounds = SpectralBounds(math.pi / 4, math.pi / 2)
-    f = parse_function_spec(function_override) if function_override else sine()
+def _extremal_instance(f: ScalarFunction, bounds: SpectralBounds) -> MercerInstance:
+    """A = diag(m, M) under the half-trace map, so S = (m + M) / 2: the
+    example-2.2 instance, and the first probe of the classic-nonconvex search."""
     family = MapFamily(maps=(WeightedTrace(0.5, dim_in=2, dim_out=1),))
     a = HermitianOperator.diagonal([bounds.m, bounds.M])
     return MercerInstance(f=f, family=family, operators=(a,), bounds=bounds)
@@ -384,7 +382,8 @@ def reproduce(case: str, function_override: Optional[str] = None) -> dict:
     curvature-refined and geometric bounds for t^p at t=2 on [1, 3].
     """
     if case == "example-2.2":
-        inst = _sine_counterexample_instance(function_override)
+        f = parse_function_spec(function_override or "sin")
+        inst = _extremal_instance(f, SpectralBounds(math.pi / 4, math.pi / 2))
         curv = curvature_bounds(inst.f, inst.bounds)
         lhs = mercer_lhs(inst).scalar()
         rhs = mercer_rhs_classic(inst).scalar()
@@ -425,10 +424,12 @@ def reproduce(case: str, function_override: Optional[str] = None) -> dict:
 NONCONVEX_CANDIDATES = ("sin", "sqrt", "log", "pow:p=0.5")
 
 
-def _classic_gap_for_instance(inst: MercerInstance, tol_abs: Optional[float]) -> Tuple[float, bool]:
-    report = evaluate_chain(inst, "classic", force=True, tol_abs=tol_abs)
-    verdict = report.verdict_for("lhs", "rhs_classic")
-    return _pair_gaps([report], "lhs", "rhs_classic")[0], not verdict.is_ordered_below
+def _classic_score(pairs) -> Tuple[float, bool]:
+    """(signed slack of lhs <= rhs_classic, violated) from a trial's contract pairs."""
+    for left, right, gap, ordered_below in pairs:
+        if (left, right) == ("lhs", "rhs_classic"):
+            return gap, not ordered_below
+    raise KeyError(("lhs", "rhs_classic"))
 
 
 def search_counterexample(
@@ -443,11 +444,14 @@ def search_counterexample(
     """Directed search for the two failure modes the engine can exhibit.
 
     ``classic-nonconvex`` hunts for instances where the classic bound fails
-    for a non-convex function: trial 0 probes the extremal configuration
-    (A = diag(m, M) with the scalar half-trace map), the remaining budget
-    explores random instances.  ``th3-th4-order`` hunts for both signs of the
-    refined-vs-geometric gap over (t, p).  Raises ``BudgetExhausted`` with
-    the best candidate when no witness exists within budget.
+    for a non-convex function.  Trial 0 probes the extremal configuration
+    (A = diag(m, M) with the scalar half-trace map); trial t > 0 is trial t
+    of a forced ``classic`` verify suite with ``vary_dims`` and the search's
+    seed, as ``replay_trial`` rebuilds it.  All candidate functions share
+    each trial's instance; the witness is the least gap, ties going to the
+    earliest trial, then candidate.  ``th3-th4-order`` hunts for both signs
+    of the refined-vs-geometric gap over (t, p).  Raises ``BudgetExhausted``
+    with the best candidate when no witness exists within budget.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -456,46 +460,40 @@ def search_counterexample(
 
     if target == "classic-nonconvex":
         candidates = (function_spec,) if function_spec else NONCONVEX_CANDIDATES
-        for spec_str in candidates:
-            require_domain(parse_function_spec(spec_str), bounds)
-        best: Optional[dict] = None
-        best_violated = False
-        for trial in range(budget):
-            rng = generator(trial_seed(seed, trial))
-            for spec_str in candidates:
-                f = parse_function_spec(spec_str)
-                if trial == 0:
-                    family = MapFamily(maps=(WeightedTrace(0.5, dim_in=2, dim_out=1),))
-                    operators = (HermitianOperator.diagonal([bounds.m, bounds.M]),)
-                else:
-                    dim_h = int(rng.integers(2, 7))
-                    dim_k = int(rng.integers(1, dim_h + 1))
-                    n = int(rng.integers(1, 4))
-                    family = random_unital_family(n, dim_h, dim_k, rng)
-                    operators = tuple(
-                        random_hermitian(dim_h, bounds, rng, force_endpoints=(trial % 3 == 1))
-                        for _ in range(n)
-                    )
-                inst = MercerInstance(f=f, family=family, operators=operators, bounds=bounds)
-                gap, violated = _classic_gap_for_instance(inst, tol_abs)
-                if best is None or gap < best["gap"]:
-                    best = {
-                        "target": target,
-                        "function": spec_str,
-                        "trial": trial,
-                        "seed": trial_seed(seed, trial),
-                        "gap": gap,
-                        "m": m,
-                        "M": M,
-                        "dim_h": family.dim_in,
-                        "dim_k": family.dim_out,
-                        "n_maps": family.size,
-                        "operators": [a.to_json() for a in operators],
-                        "maps": family_to_json(family),
-                    }
-                    best_violated = violated
-        assert best is not None
-        if best_violated:
+        functions = [parse_function_spec(spec_str) for spec_str in candidates]
+        for f in functions:
+            require_domain(f, bounds)
+        configs = [
+            TrialConfig(seed, m=m, M=M, function_spec=spec_str, tol_abs=tol_abs, force=True, vary_dims=True)
+            for spec_str in candidates
+        ]
+        probes = [_extremal_instance(f, bounds) for f in functions]
+        scores = []  # per candidate, per trial: (gap, violated)
+        for config, f, probe in zip(configs, functions, probes):
+            report = evaluate_chain(probe, "classic", force=True, tol_abs=tol_abs)
+            # The suite's trial 0 is sampled with its chunk; the probe takes its place.
+            suite = islice(suite_outcomes(config, budget, f, "classic"), 1, None)
+            scores.append(
+                [_classic_score(_contract_outcomes([report], "classic")[0])]
+                + [_classic_score(outcome.pairs) for outcome in suite]
+            )
+        gap, trial, c = min((scores[c][t][0], t, c) for t in range(budget) for c in range(len(candidates)))
+        inst = probes[c] if trial == 0 else build_instance(configs[c], trial, functions[c])[0]
+        best = {
+            "target": target,
+            "function": candidates[c],
+            "trial": trial,
+            "seed": trial_seed(seed, trial),
+            "gap": gap,
+            "m": m,
+            "M": M,
+            "dim_h": inst.family.dim_in,
+            "dim_k": inst.family.dim_out,
+            "n_maps": inst.family.size,
+            "operators": [a.to_json() for a in inst.operators],
+            "maps": family_to_json(inst.family),
+        }
+        if scores[c][trial][1]:
             return {"target": target, "status": "found", "witness": best}
         raise BudgetExhausted(
             f"no classic violation found in {budget} trials (best gap {best['gap']:.3e})",

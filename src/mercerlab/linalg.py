@@ -4,8 +4,7 @@ Eigendecomposition, scalar functional calculus and Loewner-order comparison
 for finite-dimensional self-adjoint matrices.  Every operator expression in
 the package is built on the primitives in this module:
 ``spectral_decompose``, ``apply_to_decomposition`` (with its one-shot form
-``apply_scalar_function``) and ``loewner_compare`` (with its stacked form
-``loewner_verdicts``).
+``apply_scalar_function``), ``spectral_norms`` and ``loewner_verdicts``.
 Functional calculus is split from decomposition so that one eigensolve can
 serve every function applied to the same operator.
 
@@ -37,7 +36,7 @@ from .errors import (
     NonHermitianInput,
     SpectrumOutOfDomain,
 )
-from .tolerance import HERMITICITY_REL, clamp_tolerance, hermiticity_tolerance, tolerance_from_norms
+from .tolerance import HERMITICITY_REL, clamp_tolerance, hermiticity_tolerance
 
 
 @dataclass(frozen=True)
@@ -131,10 +130,6 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.entries.shape[-1]
-
-    def norm2(self) -> float:
-        """Spectral norm of a single matrix."""
-        return float(spectral_norms(self)) if self.dim else 0.0
 
     def scalar(self) -> float:
         """The single entry of a 1x1 operator."""
@@ -316,29 +311,17 @@ def apply_scalar_function(
     return apply_to_decomposition(f, spectral_decompose(a), bounds)
 
 
-def loewner_compare(
-    a: HermitianOperator,
-    b: HermitianOperator,
-    tol_abs: float | None = None,
-) -> OrderVerdict:
+def loewner_verdicts(a: HermitianOperator, b: HermitianOperator, tol_abs) -> Tuple[OrderVerdict, ...]:
     """Compare A and B in the Loewner order (A <= B iff B - A is PSD).
 
-    The verdict is Equal when B - A vanishes to tolerance, LessEqual /
-    GreaterEqual when the corresponding difference is PSD up to ``tol_abs``,
-    and Incomparable when the difference is indefinite beyond tolerance.
-    The single-matrix form of :func:`loewner_verdicts`.
-    """
-    if tol_abs is None:
-        tol_abs = tolerance_from_norms(a.norm2(), b.norm2())
-    (verdict,) = loewner_verdicts(a, b, tol_abs)
-    return verdict
-
-
-def loewner_verdicts(a: HermitianOperator, b: HermitianOperator, tol_abs) -> Tuple[OrderVerdict, ...]:
-    """:func:`loewner_compare` of two stacks, matrix by matrix, in one ``eigh`` call.
-
-    ``tol_abs`` is one tolerance or one per matrix of the broadcast stack;
-    the verdicts come in C order over its leading axes.
+    Two stacks are compared matrix by matrix, in one ``eigh`` call.  A
+    verdict is Equal when B - A vanishes to tolerance, LessEqual /
+    GreaterEqual when the corresponding difference is PSD up to the
+    tolerance, and Incomparable when the difference is indefinite beyond it.
+    ``tol_abs`` is one tolerance or one per matrix of the broadcast stack
+    (``tolerance.tolerance_from_norms`` of the two sides' ``spectral_norms``
+    is the engine's default); the verdicts come in C order over its leading
+    axes.
     """
     a._check_same_dim(b)
     diff = b.entries - a.entries

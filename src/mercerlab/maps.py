@@ -1,11 +1,11 @@
 """Positive linear maps between matrix algebras and unital families of them.
 
 Maps are realized structurally, never as abstract superoperator matrices:
-compressions V* A V, weighted traces w tr(A) I, pinching to diagonal blocks,
-and nonnegative combinations of these.  Positivity then holds by
-construction.  A family Phi_1..Phi_n is unital when sum_i Phi_i(I) = I on the
-codomain; ``unitality_defect`` measures how far a family is from that, and
-the sampler (``sampling.random_unital_family``) draws unital families.
+compressions V* A V and weighted traces w tr(A) I, the two kinds the sampler
+draws and a search witness carries.  Positivity then holds by construction.
+A family Phi_1..Phi_n is unital when sum_i Phi_i(I) = I on the codomain;
+``unitality_defect`` measures how far a family is from that, and the sampler
+(``sampling.sample_trials``) draws unital families.
 
 Maps apply to stacks of matrices ``(..., d, d)``.  A family may hold the
 maps of several trials of one shape (same dims, same map kinds): its
@@ -65,66 +65,7 @@ class WeightedTrace:
         return scaled[..., None, None] * np.eye(self.dim_out, dtype=np.complex128)
 
 
-@dataclass(frozen=True)
-class Pinching:
-    """A |-> sum_j P_j A P_j for projections P_j onto an index partition."""
-
-    blocks: Tuple[Tuple[int, ...], ...]
-    dim: int
-
-    def __post_init__(self):
-        seen = sorted(i for block in self.blocks for i in block)
-        if seen != list(range(self.dim)):
-            raise InvalidInterval(f"blocks {self.blocks} do not partition range({self.dim})")
-
-    @property
-    def dim_in(self) -> int:
-        return self.dim
-
-    @property
-    def dim_out(self) -> int:
-        return self.dim
-
-    def apply(self, mat: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(mat)
-        for block in self.blocks:
-            idx = (Ellipsis,) + np.ix_(block, block)
-            out[idx] = mat[idx]
-        return out
-
-
-@dataclass(frozen=True)
-class ScaledSum:
-    """Nonnegative combination sum_j c_j Phi_j of maps with common dims."""
-
-    children: Tuple["PositiveLinearMap", ...]
-    coefficients: Tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.children) != len(self.coefficients) or not self.children:
-            raise ArityMismatch("children and coefficients must be non-empty and equal length")
-        if any(c < 0 for c in self.coefficients):
-            raise InvalidInterval("coefficients must be nonnegative")
-        dims = {(child.dim_in, child.dim_out) for child in self.children}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"children have mixed dimensions {dims}")
-
-    @property
-    def dim_in(self) -> int:
-        return self.children[0].dim_in
-
-    @property
-    def dim_out(self) -> int:
-        return self.children[0].dim_out
-
-    def apply(self, mat: np.ndarray) -> np.ndarray:
-        out = np.zeros(mat.shape[:-2] + (self.dim_out, self.dim_out), dtype=np.complex128)
-        for coeff, child in zip(self.coefficients, self.children):
-            out += coeff * child.apply(mat)
-        return out
-
-
-PositiveLinearMap = Union[Compression, WeightedTrace, Pinching, ScaledSum]
+PositiveLinearMap = Union[Compression, WeightedTrace]
 
 
 def apply_map(phi: PositiveLinearMap, a: HermitianOperator) -> HermitianOperator:
@@ -197,14 +138,6 @@ def map_to_json(phi: PositiveLinearMap) -> dict:
         return {"kind": "compression", "V": _complex_to_json(phi.v)}
     if isinstance(phi, WeightedTrace):
         return {"kind": "trace", "w": phi.weight}
-    if isinstance(phi, Pinching):
-        return {"kind": "pinching", "blocks": [list(b) for b in phi.blocks]}
-    if isinstance(phi, ScaledSum):
-        return {
-            "kind": "scaled-sum",
-            "coefficients": list(phi.coefficients),
-            "children": [map_to_json(child) for child in phi.children],
-        }
     raise TypeError(f"unknown map kind {type(phi)!r}")
 
 
@@ -221,13 +154,6 @@ def map_from_json(obj: dict, dim_in: int | None = None, dim_out: int | None = No
         if dim_in is None or dim_out is None:
             raise DimensionMismatch("trace map spec needs explicit dim_in and dim_out")
         return WeightedTrace(weight=float(obj["w"]), dim_in=dim_in, dim_out=dim_out)
-    if kind == "pinching":
-        blocks = tuple(tuple(int(i) for i in block) for block in obj["blocks"])
-        dim = sum(len(b) for b in blocks)
-        return Pinching(blocks=blocks, dim=dim)
-    if kind == "scaled-sum":
-        children = tuple(map_from_json(c, dim_in, dim_out) for c in obj["children"])
-        return ScaledSum(children=children, coefficients=tuple(float(c) for c in obj["coefficients"]))
     raise ValueError(f"unknown map kind {kind!r}")
 
 

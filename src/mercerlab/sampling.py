@@ -11,11 +11,12 @@ operator its eigenvalues and the normals of its Ginibre matrix.  Phase 2
 (``sample_trials``) finishes a chunk in stacked calls: one normaliser
 ``eigh`` per group of equal dims, one Haar ``qr`` and reconstruct per matrix
 dimension.  These treat each matrix as they would alone, so a trial is bit
-for bit the same in any chunk, and ``haar_unitary``, ``random_hermitian``
-and ``random_unital_family`` are the same code on one matrix or family.  A
-family with a singular normaliser is drawn again, which moves the later
-draws of its stream, so a trial whose first family phase 2 rejects is drawn
-again from a fresh copy of its stream, with the rejection loop.
+for bit the same in any chunk.  ``haar_unitary``, ``random_hermitian`` and
+``random_unital_family`` are the same code on one matrix or family, kept as
+the reference forms the tests check the chunk sampler against.  A family
+with a singular normaliser is drawn again, which moves the later draws of
+its stream, so a trial whose first family phase 2 rejects is drawn again
+from a fresh copy of its stream, with the rejection loop.
 """
 
 from __future__ import annotations

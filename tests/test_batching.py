@@ -2,7 +2,7 @@
 
 A verify suite evaluates each shape group of a chunk as one stacked
 instance.  Every trial's contract gaps must equal, bit for bit, those of
-``replay_trial``, which evaluates the trial alone without a trial axis, and
+``replay_trial``, which samples and evaluates the trial alone, and
 a failing suite must raise the error of its lowest failing trial, as
 evaluating trial after trial would.
 """

@@ -7,6 +7,7 @@ import pytest
 from mercerlab.cli import CHAIN_CLI_CHOICES
 from mercerlab.errors import BudgetExhausted
 from mercerlab.harness import (
+    NONCONVEX_CANDIDATES,
     TrialConfig,
     build_instance,
     normalize_chain,
@@ -161,6 +162,32 @@ class TestSearch:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             search_counterexample("classic-nonconvex", budget=0)
+
+    def test_sampled_witness_gap_is_its_replayed_suite_gap(self):
+        findings = search_counterexample(
+            "classic-nonconvex", budget=10, function_spec="sin", m=PI4, M=PI2
+        )
+        w = findings["witness"]
+        assert w["trial"] > 0
+        config = TrialConfig(
+            seed=0, m=PI4, M=PI2, function_spec="sin", force=True, vary_dims=True
+        )
+        assert w["gap"].hex() == replay_trial(config, w["trial"])["lhs<=rhs_classic"].hex()
+
+    def test_all_candidates_give_the_least_single_candidate_witness(self):
+        def witness(**kwargs):
+            try:
+                return search_counterexample(
+                    "classic-nonconvex", budget=12, m=0.25, M=1.5, seed=3, **kwargs
+                )["witness"]
+            except BudgetExhausted as exhausted:
+                return exhausted.best
+
+        singles = [witness(function_spec=spec) for spec in NONCONVEX_CANDIDATES]
+        # ties go to the earliest trial, then to the earliest candidate
+        least = min(singles, key=lambda w: (w["gap"], w["trial"]))
+        assert least["function"] != NONCONVEX_CANDIDATES[0]  # not just the first candidate's search
+        assert witness() == least
 
     def test_witness_is_replayable(self):
         from mercerlab.linalg import HermitianOperator, SpectralBounds

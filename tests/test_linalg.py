@@ -18,10 +18,18 @@ from mercerlab.linalg import (
     SpectralBounds,
     apply_scalar_function,
     apply_to_decomposition,
-    loewner_compare,
+    loewner_verdicts,
     spectral_decompose,
+    spectral_norms,
 )
 from mercerlab.sampling import generator, haar_unitary, random_hermitian
+from mercerlab.tolerance import tolerance_from_norms
+
+
+def compare(a, b):
+    """The Loewner verdict of A against B at the engine's default tolerance."""
+    (verdict,) = loewner_verdicts(a, b, tolerance_from_norms(spectral_norms(a), spectral_norms(b)))
+    return verdict
 
 
 def random_hermitian_raw(dim, rng, scale=1.0):
@@ -147,17 +155,17 @@ class TestApplyScalarFunction:
 class TestLoewnerCompare:
     def test_equal(self):
         a = HermitianOperator.diagonal([1.0, 2.0])
-        assert loewner_compare(a, a).relation is Relation.EQUAL
+        assert compare(a, a).relation is Relation.EQUAL
 
     def test_less_equal_diagonal(self):
-        verdict = loewner_compare(
+        verdict = compare(
             HermitianOperator.diagonal([1.0, 2.0]), HermitianOperator.diagonal([2.0, 3.0])
         )
         assert verdict.relation is Relation.LESS_EQUAL
         assert verdict.gap_min_eigenvalue == pytest.approx(1.0)
 
     def test_incomparable(self):
-        verdict = loewner_compare(
+        verdict = compare(
             HermitianOperator.diagonal([1.0, 3.0]), HermitianOperator.diagonal([2.0, 2.0])
         )
         assert verdict.relation is Relation.INCOMPARABLE
@@ -165,7 +173,7 @@ class TestLoewnerCompare:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            loewner_compare(HermitianOperator.identity(2), HermitianOperator.identity(3))
+            compare(HermitianOperator.identity(2), HermitianOperator.identity(3))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -174,8 +182,8 @@ class TestLoewnerCompare:
         dim = int(rng.integers(1, 7))
         a = random_hermitian_raw(dim, rng)
         b = random_hermitian_raw(dim, rng)
-        forward = loewner_compare(a, b).relation
-        backward = loewner_compare(b, a).relation
+        forward = compare(a, b).relation
+        backward = compare(b, a).relation
         flipped = {
             Relation.LESS_EQUAL: Relation.GREATER_EQUAL,
             Relation.GREATER_EQUAL: Relation.LESS_EQUAL,
@@ -187,7 +195,7 @@ class TestLoewnerCompare:
     def test_witness_attains_gap(self):
         a = HermitianOperator.diagonal([1.0, 3.0])
         b = HermitianOperator.diagonal([2.0, 2.0])
-        verdict = loewner_compare(a, b)
+        verdict = compare(a, b)
         diff = b.entries - a.entries
         rayleigh = float((verdict.witness_vector.conj() @ diff @ verdict.witness_vector).real)
         assert rayleigh == pytest.approx(verdict.gap_min_eigenvalue, abs=1e-12)

@@ -21,7 +21,7 @@ from mercerlab.functions import (
     square_root,
 )
 from mercerlab.core import SpectralCore
-from mercerlab.linalg import HermitianOperator, Relation, SpectralBounds, loewner_compare
+from mercerlab.linalg import HermitianOperator, Relation, SpectralBounds, loewner_verdicts, spectral_norms
 from mercerlab.maps import Compression, MapFamily, WeightedTrace
 from mercerlab.mercer import MercerInstance, diamond_plain, log_convex_middle, mercer_lhs
 from mercerlab.quasimeans import (
@@ -39,6 +39,7 @@ from mercerlab.quasimeans import (
     resolve_spec,
 )
 from mercerlab.sampling import generator, random_hermitian, random_unital_family
+from mercerlab.tolerance import tolerance_from_norms
 
 BOUNDS_13 = SpectralBounds(1.0, 3.0)
 SQRT3 = math.sqrt(3.0)
@@ -63,6 +64,12 @@ def random_family_and_ops(seed, bounds, dim_max=6):
     return family, ops
 
 
+def compare(a, b):
+    """The Loewner verdict of A against B at the engine's default tolerance."""
+    (verdict,) = loewner_verdicts(a, b, tolerance_from_norms(spectral_norms(a), spectral_norms(b)))
+    return verdict
+
+
 def both_means(spec, core):
     """(QM_phi, QM_psi) of a generator pair on a core."""
     return tuple(quasi_mean(core, g, inverse_evaluator(g, spec.bounds)) for g in (spec.phi, spec.psi))
@@ -70,7 +77,7 @@ def both_means(spec, core):
 
 def mean_verdict(spec, family, ops):
     """QM_phi against QM_psi in the Loewner order."""
-    return loewner_compare(*both_means(spec, SpectralCore(family, ops, spec.bounds)))
+    return compare(*both_means(spec, SpectralCore(family, ops, spec.bounds)))
 
 
 def sandwich(spec, family, ops):
@@ -78,7 +85,7 @@ def sandwich(spec, family, ops):
     core = SpectralCore(family, ops, spec.bounds)
     middle = geometric_middle(spec, core)
     mean_phi, mean_psi = both_means(spec, core)
-    return middle, loewner_compare(mean_phi, middle), loewner_compare(middle, mean_psi)
+    return middle, compare(mean_phi, middle), compare(middle, mean_psi)
 
 
 class TestResolveSpec:
@@ -218,7 +225,7 @@ class TestDiamondPhi:
         for seed in range(100):
             family, ops = random_family_and_ops(3000 + seed, BOUNDS_13)
             d = diamond_phi(logarithm(), family, ops, BOUNDS_13)
-            assert np.linalg.eigvalsh(d.entries)[0] >= -1e-9 * (1 + d.norm2())
+            assert np.linalg.eigvalsh(d.entries)[0] >= -1e-9 * (1 + spectral_norms(d))
 
 
 class TestCurvatureMeanBound:
@@ -257,7 +264,7 @@ class TestCurvatureMeanBound:
         # alpha = 2/M^3 = 2/27 on [1, 3]: bound = 1 / (2/3 - (2/27) * 0.5) = 27/17
         assert bound.scalar() == pytest.approx(27.0 / 17.0, abs=1e-5)
         mean_phi = mercer_quasi_mean(identity(), family, ops, BOUNDS_13)
-        verdict = loewner_compare(bound, mean_phi)
+        verdict = compare(bound, mean_phi)
         assert verdict.relation in (Relation.LESS_EQUAL, Relation.EQUAL)
 
     def test_increasing_inverse_direction_table(self):
