@@ -6,13 +6,16 @@ the JSON report of a run is byte-identical across repetitions.  Wall time is
 reported on stderr only, never inside the JSON.
 
 Suites sample ``CHUNK_TRIALS`` trials at a time, grouped by shape and
-finished in stacked calls (``sampling.sample_trials``); verify evaluates
-each group as one stacked instance, sweep trial by trial.  Stacking never
-moves a bit and results are folded back in trial order, so a report is the
-same as trial after trial; a failing chunk is re-run trial by trial, so the
-error raised is the one of the lowest failing trial.  A replay is a chunk of
-one trial, and the ``classic-nonconvex`` search scores each candidate with a
-forced ``classic`` suite, so both run on verify's sampler and evaluation.
+finished in stacked calls (``sampling.sample_trials``).  Verify evaluates
+each group as one stacked instance.  Sweep builds each group's operands on
+one stacked core, then runs the quasi-mean steps once per codomain
+dimension, on the operands of every group of that dimension.  Stacking
+never moves a bit and results are folded back in trial order, so a report
+is the same as trial after trial; a failing chunk is re-run trial by trial,
+so the error raised is the one of the lowest failing trial.  A replay is a
+chunk of one trial, and the ``classic-nonconvex`` search scores each
+candidate with a forced ``classic`` suite, so both run on verify's sampler
+and evaluation.
 """
 
 from __future__ import annotations
@@ -20,13 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import SpectralCore
-from .errors import BudgetExhausted, HypothesisNotMet, InvalidConfig, InverseDomainError, NonpositiveFunction
+from .errors import BudgetExhausted, HypothesisNotMet, InvalidConfig, NonpositiveFunction
 from .functions import ScalarFunction, curvature_bounds, parse_function_spec, require_domain
 from .linalg import HermitianOperator, Relation, SpectralBounds
 from .maps import MapFamily, WeightedTrace, family_to_json
@@ -44,21 +46,24 @@ from .mercer import (
 from .quasimeans import (
     ALPHA_SIDE,
     BETA_SIDE,
-    curvature_bound,
+    QuasiArithmeticSpec,
+    apply_inverse,
     curvature_bound_expected_relation,
-    geometric_middle,
+    curvature_operand,
+    geometric_operand,
     incomparability_probe,
     inverse_evaluator,
+    inverse_within_domain,
+    mean_of_pre_mean,
     predicted_mean_relation,
-    quasi_mean,
     require_sandwich,
     resolve_spec,
 )
 from .sampling import SampledGroup, generator, sample_trials, trial_seed
 from .tolerance import sweep_tolerance
 
-# Trials sampled and evaluated together by a verify suite.  It bounds the
-# memory a suite holds, and at 256 a benchmark or test suite is one chunk.
+# Trials sampled and evaluated together by a verify suite or a sweep.  It bounds
+# the memory a suite holds, and at 256 a benchmark or test suite is one chunk.
 CHUNK_TRIALS = 256
 
 REPRODUCE_CASES = ("example-2.2", "example-3.5")
@@ -273,15 +278,18 @@ def _grouped_outcomes(
     return outcomes
 
 
-def _by_chunk(n_trials: int, run: Callable[[Sequence[int]], list]) -> Iterator:
-    """The results of ``run(indices)`` for trials 0..n_trials-1, ``CHUNK_TRIALS`` at a time, in index order.
+def _by_chunk(trials: int | range, run: Callable[[Sequence[int]], list]) -> Iterator:
+    """The results of ``run(indices)`` for the trials ``trials`` (a range of
+    indices, or a count n for 0..n-1), ``CHUNK_TRIALS`` at a time, in index order.
 
     If a chunk fails, it is re-run trial by trial in index order, each result
     used before the next trial runs, which raises the error of the lowest
     failing trial, as running trial after trial would.  Nothing is swallowed.
     """
-    for start in range(0, n_trials, CHUNK_TRIALS):
-        indices = range(start, min(n_trials, start + CHUNK_TRIALS))
+    if isinstance(trials, int):
+        trials = range(trials)
+    for start in range(0, len(trials), CHUNK_TRIALS):
+        indices = trials[start : start + CHUNK_TRIALS]
         try:
             results = run(indices)
         except Exception as error:
@@ -292,11 +300,11 @@ def _by_chunk(n_trials: int, run: Callable[[Sequence[int]], list]) -> Iterator:
 
 
 def suite_outcomes(
-    config: TrialConfig, n_trials: int, f: ScalarFunction, which: str
+    config: TrialConfig, trials: int | range, f: ScalarFunction, which: str
 ) -> Iterator[TrialOutcome]:
-    """The outcomes of trials 0..n_trials-1 of a verify suite, in index order,
-    each shape group of a chunk evaluated as one stacked instance."""
-    return _by_chunk(n_trials, partial(_grouped_outcomes, config, f, which))
+    """The outcomes of the trials ``trials`` (see :func:`_by_chunk`) of a verify
+    suite, in index order, each shape group of a chunk evaluated as one stacked instance."""
+    return _by_chunk(trials, partial(_grouped_outcomes, config, f, which))
 
 
 def run_suite(config: TrialConfig, n_trials: int) -> RunSummary:
@@ -471,8 +479,7 @@ def search_counterexample(
         scores = []  # per candidate, per trial: (gap, violated)
         for config, f, probe in zip(configs, functions, probes):
             report = evaluate_chain(probe, "classic", force=True, tol_abs=tol_abs)
-            # The suite's trial 0 is sampled with its chunk; the probe takes its place.
-            suite = islice(suite_outcomes(config, budget, f, "classic"), 1, None)
+            suite = suite_outcomes(config, range(1, budget), f, "classic")  # the probe is trial 0
             scores.append(
                 [_classic_score(_contract_outcomes([report], "classic")[0])]
                 + [_classic_score(outcome.pairs) for outcome in suite]
@@ -574,6 +581,73 @@ class SweepCheck:
         return out
 
 
+class _SweepPlan(NamedTuple):
+    """What a sweep evaluates per trial, resolved once per run: the mean order's
+    predicted relation (None when no case applies), the curvature sides with
+    their relations (none unless psi^-1 is monotone), and the sandwich."""
+
+    spec: QuasiArithmeticSpec
+    phi_inverse: Callable
+    psi_inverse: Callable
+    predicted: Optional[Relation]
+    sides: Tuple[Tuple[str, Relation], ...]
+    sandwich: bool
+
+
+def _sweep_chunk(config: TrialConfig, plan: _SweepPlan, indices: Sequence[int]) -> List[Tuple[int, List]]:
+    """(seed, gaps) of each of the trials ``indices``, in order: per check of the
+    plan, in report order, its signed slack, None where a curvature side's
+    operand leaves the domain of psi^{-1}.
+
+    Stage 1 builds the dim_k x dim_k operands of each shape group on one
+    stacked core: both pre-means, and the phi diamond and T_phi where a check
+    needs them.  Stage 2 runs everything after them once per dim_k, on the
+    operands of the chunk's groups of that dim_k concatenated along the trial
+    axis: both means, the curvature bounds, the geometric middle and the slacks.
+    """
+    spec, bounds = plan.spec, config.bounds
+    seeds, groups = _sample_chunk(config, indices)
+    by_dim_k: Dict[int, list] = {}
+    for group in groups:
+        core = SpectralCore(*group.instance(), bounds)
+        operands = {"pre_phi": core.pre_mean(spec.phi), "pre_psi": core.pre_mean(spec.psi)}
+        if plan.sides:
+            operands["diamond"] = core.diamond(spec.phi)
+        if plan.sandwich:
+            operands["total"] = core.total(spec.phi)
+        by_dim_k.setdefault(group.dims[1], []).append((group.positions, operands))
+
+    gaps: List[Optional[list]] = [None] * len(indices)
+    for parts in by_dim_k.values():
+        stack = {
+            name: HermitianOperator(np.concatenate([operands[name].entries for _, operands in parts]))
+            for name in parts[0][1]
+        }
+        mean_phi = mean_of_pre_mean(spec.phi, plan.phi_inverse, stack["pre_phi"], bounds)
+        mean_psi = mean_of_pre_mean(spec.psi, plan.psi_inverse, stack["pre_psi"], bounds)
+        columns = []
+        if plan.predicted is not None:
+            columns.append(_signed_slack(mean_phi, mean_psi, plan.predicted).tolist())
+        for side, relation in plan.sides:
+            operand = curvature_operand(spec, stack["pre_psi"], stack["diamond"], side)
+            bound, inside, _ = apply_inverse(spec.psi_inverse, operand)
+            slacks = iter(
+                _signed_slack(HermitianOperator(mean_phi.entries[inside]), bound, relation).tolist()
+                if inside.any()
+                else ()
+            )
+            columns.append([next(slacks) if ok else None for ok in inside.tolist()])
+        if plan.sandwich:
+            middle = inverse_within_domain(spec.psi_inverse, geometric_operand(spec, stack["total"], bounds))
+            low = _signed_slack(mean_phi, middle, Relation.LESS_EQUAL).tolist()
+            high = _signed_slack(middle, mean_psi, Relation.LESS_EQUAL).tolist()
+            columns.append([min(a, b) for a, b in zip(low, high)])
+        positions = [pos for group_positions, _ in parts for pos in group_positions]
+        for j, pos in enumerate(positions):
+            gaps[pos] = [column[j] for column in columns]
+    return list(zip(seeds, gaps))
+
+
 def run_sweep(
     phi_spec: str,
     psi_spec: str,
@@ -583,9 +657,13 @@ def run_sweep(
     """Exercise the quasi-arithmetic mean checks for one generator pair.
 
     Per trial: the mean ordering against its predicted direction, both sides
-    of the curvature bound (beta side skipped per-trial when its operand
+    of the curvature bound (beta side skipped per trial when its operand
     leaves the domain of psi^{-1}), and the geometric sandwich when the
-    composite is log-convex.  Returns (json_report, violation_count).
+    composite is log-convex.  Trials run a chunk at a time (see
+    :func:`_sweep_chunk`) and are folded into the checks in index order, so
+    the report is the same as trial after trial; a failing chunk is re-run
+    trial by trial, so the error raised is the lowest failing trial's.
+    Returns (json_report, violation_count).
     """
     check_trials(n_trials)
     phi = parse_function_spec(phi_spec)
@@ -621,34 +699,21 @@ def run_sweep(
     if tol is None:
         tol = sweep_tolerance(bounds.M, float(psi(bounds.M)), float(psi(bounds.m)))
 
-    for i, (seed_i, _, family, operators) in enumerate(_by_chunk(n_trials, partial(_sampled_trials, config))):
-        # Every object of the trial comes from one core: each A_i is
-        # decomposed once, and T_psi's pre-mean serves QM_psi and both
-        # curvature sides.
-        core = SpectralCore(family, operators, bounds)
-        mean_phi = quasi_mean(core, phi, phi_inverse)
-        mean_psi = quasi_mean(core, psi, psi_inverse)
-
-        if compare_check.applicable:
-            compare_check.record(i, seed_i, float(_signed_slack(mean_phi, mean_psi, predicted)), tol)
-
-        if monotone_inverse:
-            for side, rel, check in (
-                (ALPHA_SIDE, alpha_rel, alpha_check),
-                (BETA_SIDE, beta_rel, beta_check),
-            ):
-                try:
-                    bound = curvature_bound(spec, core, side=side)
-                except InverseDomainError:
-                    check.domain_skips += 1
-                else:
-                    check.record(i, seed_i, float(_signed_slack(mean_phi, bound, rel)), tol)
-
-        if sandwich_applicable:
-            middle = geometric_middle(spec, core)
-            low = _signed_slack(mean_phi, middle, Relation.LESS_EQUAL)
-            high = _signed_slack(middle, mean_psi, Relation.LESS_EQUAL)
-            sandwich_check.record(i, seed_i, float(min(low, high)), tol)
+    plan = _SweepPlan(
+        spec=spec,
+        phi_inverse=phi_inverse,
+        psi_inverse=psi_inverse,
+        predicted=predicted,
+        sides=((ALPHA_SIDE, alpha_rel), (BETA_SIDE, beta_rel)) if monotone_inverse else (),
+        sandwich=sandwich_applicable,
+    )
+    evaluated = [c for c in (compare_check, alpha_check, beta_check, sandwich_check) if c.applicable]
+    for i, (seed_i, gaps) in enumerate(_by_chunk(n_trials, partial(_sweep_chunk, config, plan))):
+        for check, gap in zip(evaluated, gaps):
+            if gap is None:
+                check.domain_skips += 1
+            else:
+                check.record(i, seed_i, gap, tol)
 
     checks = {
         "mean_order": compare_check,

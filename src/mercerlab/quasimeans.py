@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .linalg import (
     HermitianOperator,
     Relation,
     SpectralBounds,
+    SpectralDecomposition,
     apply_scalar_function,
     apply_to_decomposition,
     spectral_decompose,
@@ -208,21 +209,42 @@ def resolve_spec(phi: ScalarFunction, psi: ScalarFunction, bounds: SpectralBound
 # The mean and its refinements
 # --------------------------------------------------------------------------
 
-def _apply_inverse(entry: ScalarFunction, operand: HermitianOperator) -> HermitianOperator:
-    """entry(operand) after checking that the spectrum stays inside entry's domain.
+def apply_inverse(
+    entry: ScalarFunction, operand: HermitianOperator
+) -> Tuple[HermitianOperator, np.ndarray, Optional[InverseDomainError]]:
+    """entry of each matrix of a stack whose spectrum stays inside entry's domain.
 
-    One decomposition of the operand serves both the range check and the
-    functional calculus.
+    Returns (the images of those matrices, in order; the mask of them; the
+    error of the first matrix outside, in C order, or None).  A matrix
+    outside is never passed to entry.  One decomposition of the stack serves
+    both the range check and the functional calculus.
     """
     dec = spectral_decompose(operand)
-    lo, hi = float(dec.eigenvalues[0]), float(dec.eigenvalues[-1])
+    lo, hi = dec.eigenvalues[..., 0], dec.eigenvalues[..., -1]
     dlo, dhi = entry.natural_domain
     slack = inverse_domain_slack(lo, hi)
-    if (math.isfinite(dlo) and lo <= dlo + slack) or (math.isfinite(dhi) and hi >= dhi - slack):
-        raise InverseDomainError(
+    outside = np.zeros(lo.shape, dtype=bool)
+    if math.isfinite(dlo):
+        outside |= lo <= dlo + slack
+    if math.isfinite(dhi):
+        outside |= hi >= dhi - slack
+    inside, error = ~outside, None
+    if outside.any():
+        lo, hi = lo[outside][0], hi[outside][0]
+        error = InverseDomainError(
             f"operand spectrum [{lo:.12g}, {hi:.12g}] leaves the domain of {entry.label()}"
         )
-    return apply_to_decomposition(entry, dec)
+        dec = SpectralDecomposition(dec.eigenvalues[inside], dec.eigenvectors[inside])
+    return apply_to_decomposition(entry, dec), inside, error
+
+
+def inverse_within_domain(entry: ScalarFunction, operand: HermitianOperator) -> HermitianOperator:
+    """entry(operand) for an operand (or stack) inside entry's domain; else
+    the ``InverseDomainError`` of :func:`apply_inverse`."""
+    image, _, error = apply_inverse(entry, operand)
+    if error is not None:
+        raise error
+    return image
 
 
 def inverse_evaluator(g: ScalarFunction, bounds: SpectralBounds) -> Callable:
@@ -240,15 +262,19 @@ def inverse_evaluator(g: ScalarFunction, bounds: SpectralBounds) -> Callable:
 
 def quasi_mean(core: SpectralCore, phi: ScalarFunction, inverse: Callable) -> HermitianOperator:
     """QM_phi of the core's instance, memoised in the core; ``inverse`` is
-    :func:`inverse_evaluator` of phi on the core's interval.
+    :func:`inverse_evaluator` of phi on the core's interval."""
+    return core.cached(("mean", phi), lambda: mean_of_pre_mean(phi, inverse, core.pre_mean(phi), core.bounds))
 
-    The pre-mean has spectrum inside the phi-image interval, so the inverse
-    is applied by clamped functional calculus on that interval.
+
+def mean_of_pre_mean(
+    phi: ScalarFunction, inverse: Callable, pre_mean: HermitianOperator, bounds: SpectralBounds
+) -> HermitianOperator:
+    """QM_phi from its pre-mean (or a stack of them): ``inverse`` applied on the phi-image interval.
+
+    The pre-mean has spectrum inside that interval, so the inverse is
+    applied by clamped functional calculus on it.
     """
-    return core.cached(
-        ("mean", phi),
-        lambda: apply_scalar_function(inverse, core.pre_mean(phi), _image_interval(phi, core.bounds)),
-    )
+    return apply_scalar_function(inverse, pre_mean, _image_interval(phi, bounds))
 
 
 def mercer_quasi_mean(
@@ -333,6 +359,19 @@ def curvature_bound(
 ) -> HermitianOperator:
     """:func:`curvature_mean_bound` on a core: the psi pre-mean and the phi
     diamond are shared by both sides and with the means."""
+    operand = curvature_operand(spec, core.pre_mean(spec.psi), core.diamond(spec.phi), side, curvature)
+    return inverse_within_domain(spec.psi_inverse, operand)
+
+
+def curvature_operand(
+    spec: QuasiArithmeticSpec,
+    pre_mean_psi: HermitianOperator,
+    diamond_phi: HermitianOperator,
+    side: str = ALPHA_SIDE,
+    curvature: CurvatureBounds | None = None,
+) -> HermitianOperator:
+    """psi(QM_psi) - c * diamond, the operand of psi^{-1} in the curvature bound, from
+    the psi pre-mean and the phi diamond (or stacks of them)."""
     if side not in (ALPHA_SIDE, BETA_SIDE):
         raise ValueError(f"side must be {ALPHA_SIDE!r} or {BETA_SIDE!r}, got {side!r}")
     if not (spec.psi_inverse_increasing or spec.psi_inverse_decreasing):
@@ -341,9 +380,7 @@ def curvature_bound(
         )
     curv = curvature or spec.composite_curvature
     coeff = curv.alpha if side == ALPHA_SIDE else curv.beta
-    inner = core.pre_mean(spec.psi)
-    correction = core.diamond(spec.phi)
-    return _apply_inverse(spec.psi_inverse, inner - coeff * correction)
+    return pre_mean_psi - coeff * diamond_phi
 
 
 def curvature_bound_expected_relation(spec: QuasiArithmeticSpec, side: str) -> Relation:
@@ -385,16 +422,23 @@ def geometric_middle(spec: QuasiArithmeticSpec, core: SpectralCore) -> Hermitian
         QM_phi <= psi^{-1}( psi(m)^{(T - phi(m)I)/(phi(M)-phi(m))}
                             psi(M)^{(phi(M)I - T)/(phi(M)-phi(m))} ) <= QM_psi
 
-    with T = sum_i Phi_i(phi(A_i)), shared with QM_phi.  Both exponent
-    operators are functions of T and commute, so the middle reduces to one
-    scalar functional calculus.  Requires the hypotheses of
-    :func:`require_sandwich`.
+    with T = sum_i Phi_i(phi(A_i)), shared with QM_phi.  Requires the
+    hypotheses of :func:`require_sandwich`.
     """
-    bounds = core.bounds
+    return inverse_within_domain(spec.psi_inverse, geometric_operand(spec, core.total(spec.phi), core.bounds))
+
+
+def geometric_operand(
+    spec: QuasiArithmeticSpec, total_phi: HermitianOperator, bounds: SpectralBounds
+) -> HermitianOperator:
+    """The operand of psi^{-1} in :func:`geometric_middle`, from T_phi (or a stack of them).
+
+    Both exponent operators are functions of T and commute, so the operand
+    is one scalar functional calculus of T.
+    """
     psi_m, psi_M = require_sandwich(spec, bounds)
     h = geometric_interpolant(float(spec.phi(bounds.m)), float(spec.phi(bounds.M)), psi_m, psi_M)
-    mid_pre = apply_scalar_function(h, core.total(spec.phi), spec.phi_interval)
-    return _apply_inverse(spec.psi_inverse, mid_pre)
+    return apply_scalar_function(h, total_phi, spec.phi_interval)
 
 
 # --------------------------------------------------------------------------

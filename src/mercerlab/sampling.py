@@ -9,7 +9,8 @@ Sampling runs in two phases.  Phase 1 draws every random number of a trial
 from its own stream, in order: dims, the V_i, the trace fraction, then per
 operator its eigenvalues and the normals of its Ginibre matrix.  Phase 2
 (``sample_trials``) finishes a chunk in stacked calls: one normaliser
-``eigh`` per group of equal dims, one Haar ``qr`` and reconstruct per matrix
+``eigh`` per codomain dimension dim_k (S = sum_i V_i* V_i is dim_k x dim_k
+in every group of that dim_k), one Haar ``qr`` and reconstruct per matrix
 dimension.  These treat each matrix as they would alone, so a trial is bit
 for bit the same in any chunk.  ``haar_unitary``, ``random_hermitian`` and
 ``random_unital_family`` are the same code on one matrix or family, kept as
@@ -99,21 +100,36 @@ def random_hermitian(
     return HermitianOperator(_hermitians(*_draw_spectrum(dim, bounds, force_endpoints, rng)))
 
 
-def _normalise(normals: np.ndarray, fraction) -> Tuple[np.ndarray, np.ndarray]:
-    """(accepted, V_i) of families whose V_i have normals ``(n_comp, ..., 2, dim_h, dim_k)``.
+def _normalise(stacks: Sequence[tuple]) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """(accepted, V_i) per stack of families (normals ``(n_comp, ..., 2, dim_h, dim_k)``, fraction).
 
-    Each V_i becomes sqrt(1 - fraction) V_i S^{-1/2}, S = sum_i V_i* V_i, in
-    one ``eigh`` for the whole stack.  ``accepted`` tells per family that S is
-    nonsingular; the V_i of a rejected family mean nothing.
+    Each V_i becomes sqrt(1 - fraction) V_i S^{-1/2}, S = sum_i V_i* V_i.
+    The S of all stacks go through one ``eigh`` per codomain dimension dim_k:
+    S is dim_k x dim_k whatever dim_h and the number of compressions are.
+    ``accepted`` tells per family that S is nonsingular; the V_i of a
+    rejected family mean nothing.
     """
-    vs = _ginibre(normals)
-    if not len(vs):  # a lone trace map: nothing to normalise
-        return np.ones(vs.shape[1:-2], dtype=bool), vs
-    lam, u = np.linalg.eigh(sum(v.conj().swapaxes(-1, -2) @ v for v in vs))
-    accepted = lam[..., 0] > NORMALIZER_SINGULARITY_ABS
-    lam = np.where(accepted[..., None], lam, 1.0)  # no square root of a rejected spectrum
-    inv_sqrt = (u / np.sqrt(lam)[..., None, :]) @ u.conj().swapaxes(-1, -2)
-    return accepted, vs @ inv_sqrt * np.sqrt(1.0 - np.asarray(fraction))[..., None, None]
+    vss = [_ginibre(normals) for normals, _ in stacks]
+    # a lone trace map has nothing to normalise
+    grams = {k: sum(v.conj().swapaxes(-1, -2) @ v for v in vs) for k, vs in enumerate(vss) if len(vs)}
+    spectra = {}
+    for dim in {s.shape[-1] for s in grams.values()}:
+        ks = [k for k, s in grams.items() if s.shape[-1] == dim]
+        lam, u = np.linalg.eigh(np.concatenate([grams[k].reshape(-1, dim, dim) for k in ks]))
+        splits = np.cumsum([grams[k].size // dim**2 for k in ks])[:-1]
+        for k, lam_k, u_k in zip(ks, np.split(lam, splits), np.split(u, splits)):
+            spectra[k] = lam_k.reshape(grams[k].shape[:-1]), u_k.reshape(grams[k].shape)
+    out = []
+    for k, ((_, fraction), vs) in enumerate(zip(stacks, vss)):
+        if k not in spectra:
+            out.append((np.ones(vs.shape[1:-2], dtype=bool), vs))
+            continue
+        lam, u = spectra[k]
+        accepted = lam[..., 0] > NORMALIZER_SINGULARITY_ABS
+        lam = np.where(accepted[..., None], lam, 1.0)  # no square root of a rejected spectrum
+        inv_sqrt = (u / np.sqrt(lam)[..., None, :]) @ u.conj().swapaxes(-1, -2)
+        out.append((accepted, vs @ inv_sqrt * np.sqrt(1.0 - np.asarray(fraction))[..., None, None]))
+    return out
 
 
 def _family(compressions: np.ndarray, fraction, dim_h: int, dim_k: int) -> MapFamily:
@@ -139,7 +155,7 @@ def _draw_family(
         fraction = float(rng.uniform(0.1, 0.4)) if include_trace else 0.0
         if not checked:
             return normals, fraction, None
-        accepted, vs = _normalise(normals, fraction)
+        ((accepted, vs),) = _normalise([(normals, fraction)])
         if accepted:
             return normals, fraction, vs
     raise SingularNormalizer(
@@ -206,15 +222,22 @@ def sample_trials(
     for k, trial in enumerate(draws):
         groups.setdefault(trial.dims, []).append(k)
     families = {}
-    for dims, ks in groups.items():
-        for _ in range(2):  # the second pass follows drawing the rejected families again
-            fractions = np.array([draws[k].fraction for k in ks])
-            accepted, compressions = _normalise(np.stack([draws[k].normals for k in ks], axis=1), fractions)
-            if accepted.all():
-                break
-            for j in np.flatnonzero(~accepted):
-                draws[ks[j]] = draw(ks[j], checked=True)
-        families[dims] = compressions, fractions if mixed else None
+    pending = list(groups)
+    for _ in range(2):  # the second pass follows drawing the rejected families again
+        fractions = [np.array([draws[k].fraction for k in groups[dims]]) for dims in pending]
+        normals = [np.stack([draws[k].normals for k in groups[dims]], axis=1) for dims in pending]
+        rejected = []
+        for dims, fraction, (accepted, compressions) in zip(
+            pending, fractions, _normalise(list(zip(normals, fractions)))
+        ):
+            families[dims] = compressions, fraction if mixed else None
+            if not accepted.all():
+                rejected.append(dims)
+                for j in np.flatnonzero(~accepted):
+                    draws[groups[dims][j]] = draw(groups[dims][j], checked=True)
+        pending = rejected
+        if not pending:
+            break
 
     operators = {}
     for dim in {dims[0] for dims in groups}:

@@ -2,11 +2,14 @@
 
 A verify suite evaluates each shape group of a chunk as one stacked
 instance.  Every trial's contract gaps must equal, bit for bit, those of
-``replay_trial``, which samples and evaluates the trial alone, and
-a failing suite must raise the error of its lowest failing trial, as
-evaluating trial after trial would.
+``replay_trial``, which samples and evaluates the trial alone.  A sweep
+builds each shape group's operands on one stacked core and runs the rest
+once per codomain dimension; its report must equal, byte for byte, the one
+of chunks of one trial.  A failing suite or sweep must raise the error of
+its lowest failing trial, as evaluating trial after trial would.
 """
 
+import json
 import math
 
 import numpy as np
@@ -15,7 +18,7 @@ import pytest
 from mercerlab import harness
 from mercerlab.errors import HypothesisNotMet, SpectrumOutOfDomain
 from mercerlab.functions import parse_function_spec
-from mercerlab.harness import TrialConfig, normalize_chain, replay_trial, suite_outcomes
+from mercerlab.harness import TrialConfig, normalize_chain, replay_trial, run_sweep, suite_outcomes
 from mercerlab.linalg import HermitianOperator, Relation
 from mercerlab.sampling import generator
 
@@ -66,24 +69,73 @@ def test_every_trial_matches_its_replay(group_sizes, fn, chain, m, M, force, mix
         assert stacked == alone, outcome.trial
 
 
-def test_failing_suite_raises_the_lowest_failing_trial(monkeypatch):
-    # Trial 3 has an operator outside [m, M]; trial 7 a non-unital family.
-    # Stacked, the family check runs before the range check, so only the
-    # trial-by-trial re-run finds trial 3's error first.  The chunk sampler
-    # serves the suite and the one-trial replay alike.
+# The generator pairs of scripts/run_property_suites.py, in its order.
+SWEEP_PAIRS = [("sqrt", "id"), ("log", "id"), ("square", "id"), ("id", "inv"),
+               ("inv", "id"), ("id", "exp"), ("log", "square")]
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [dict(vary_dims=True), dict(vary_dims=True, mixed=True), dict(dim_h=3, dim_k=2, n_maps=3)],
+    ids=["vary_dims", "vary_dims-mixed", "fixed-3-2-3"],
+)
+def test_stacked_sweep_equals_trial_by_trial(monkeypatch, shape):
+    # A report holds counts, minima and violations only, so every trial's
+    # gaps are compared too, as _sweep_chunk returns them.
+    trials = []
+    original = harness._sweep_chunk
+
+    def recorded(config, plan, indices):
+        results = original(config, plan, indices)
+        trials.extend(results)
+        return results
+
+    def sweeps():
+        trials.clear()
+        reports = [
+            run_sweep(phi, psi, TrialConfig(seed=index, **shape), 60)[0]
+            for index, (phi, psi) in enumerate(SWEEP_PAIRS)
+        ]
+        return reports, repr(trials)  # repr tells every double apart
+
+    monkeypatch.setattr(harness, "_sweep_chunk", recorded)
+    stacked, stacked_trials = sweeps()
+    monkeypatch.setattr(harness, "CHUNK_TRIALS", 1)
+    alone, alone_trials = sweeps()
+    assert stacked_trials == alone_trials
+    for pair, report, one_by_one in zip(SWEEP_PAIRS, stacked, alone):
+        assert json.dumps(report, indent=2) == json.dumps(one_by_one, indent=2), pair
+    if shape == dict(vary_dims=True):
+        # psi^-1 = inv or log: the beta operand of most trials leaves its
+        # domain, so the dim_k stacks mix skipped and evaluated trials.
+        for pair in (("id", "inv"), ("id", "exp"), ("log", "square")):
+            beta = stacked[SWEEP_PAIRS.index(pair)]["checks"]["curvature_bound_beta"]
+            assert beta["evaluated"] > 0 and beta["domain_skips"] > 0, pair
+
+
+def break_trials(monkeypatch, out_of_range, non_unital):
+    """Sample trial ``out_of_range`` with an operator outside [m, M] and trial
+    ``non_unital`` with a non-unital family, in any chunk, the one-trial
+    replay included."""
     original = harness._sample_chunk
 
     def broken(config, indices):
         seeds, groups = original(config, indices)
         for group in groups:
             for j, pos in enumerate(group.positions):
-                if indices[pos] == 3:
+                if indices[pos] == out_of_range:
                     group.operators[j, 0] *= 10.0
-                if indices[pos] == 7:
+                if indices[pos] == non_unital:
                     group.compressions[:, j] *= 1.5
         return seeds, groups
 
     monkeypatch.setattr(harness, "_sample_chunk", broken)
+
+
+def test_failing_suite_raises_the_lowest_failing_trial(monkeypatch):
+    # Stacked, the family check runs before the range check, so only the
+    # trial-by-trial re-run finds trial 3's error first.
+    break_trials(monkeypatch, out_of_range=3, non_unital=7)
     config = TrialConfig(seed=4, function_spec="exp", chain="chain")
     with pytest.raises(SpectrumOutOfDomain) as expected:
         replay_trial(config, 3)
@@ -91,6 +143,20 @@ def test_failing_suite_raises_the_lowest_failing_trial(monkeypatch):
         replay_trial(config, 7)
     with pytest.raises(SpectrumOutOfDomain) as raised:
         harness.run_suite(config, 12)
+    assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("out_of_range, non_unital", [(3, 7), (7, 3)])
+def test_failing_sweep_raises_the_lowest_failing_trial(monkeypatch, out_of_range, non_unital):
+    # The sweep checks no unitality: a non-unital trial fails at its mean,
+    # after stage 1 has built every group's operands, so stacked, an
+    # out-of-range trial 7 raises before a non-unital trial 3.
+    break_trials(monkeypatch, out_of_range, non_unital)
+    config = TrialConfig(seed=4)
+    with pytest.raises(SpectrumOutOfDomain) as expected:
+        run_sweep("log", "id", config, 4)  # trial 3 is the only failing trial
+    with pytest.raises(SpectrumOutOfDomain) as raised:
+        run_sweep("log", "id", config, 12)
     assert str(raised.value) == str(expected.value)
 
 

@@ -9,14 +9,17 @@ Each ``eigvalsh`` is the spectral norms of one compared side for the
 tolerances (the zero side's norm is exactly 0 and needs none), the
 unitality defects, or the signed slacks of GreaterEqual verdicts.  The one
 ``qr`` is the Haar step of the sampler, for every operator of one dimension.
-A verify suite of one shape samples and evaluates all its trials as one
-stack, so no count grows with the trial count.  A count above these pins
-means a redundant solve came back; a count below means a check was dropped.
+A verify suite or a sweep of one shape samples and evaluates all its trials
+as one stack, so no count grows with the trial count; the sampler pays one
+normaliser ``eigh`` per codomain dimension of a chunk, whatever its shapes.
+A count above these pins means a redundant solve came back; a count below
+means a check was dropped.
 """
 
 import numpy as np
 import pytest
 
+from mercerlab import harness
 from mercerlab.harness import TrialConfig, run_suite, run_sweep
 
 
@@ -74,3 +77,22 @@ def test_one_shape_suite_is_one_stack(solver_calls):
     summary = run_suite(TrialConfig(seed=3, function_spec="exp", chain="classic"), 50)
     assert summary.violations == []
     assert solver_calls == {"eigh": 1 + 4, "eigvalsh": 4, "qr": 1}
+
+
+def test_one_shape_sweep_is_one_stack(solver_calls):
+    # 50 trials of one shape pay the one-trial counts of test_sweep_trial_budget:
+    # stage 1 builds the operands on one core, stage 2 runs each step once
+    # on the one dim_k stack.  Per trial this was 7 eigh and 5 eigvalsh.
+    report, _ = run_sweep("log", "id", TrialConfig(seed=5), 50)
+    assert report["checks"]["log_convex_sandwich"]["evaluated"] == 50
+    assert solver_calls == {"eigh": 8, "eigvalsh": 5, "qr": 1}
+
+
+def test_normaliser_is_one_eigh_per_codomain_dimension(solver_calls):
+    # A vary_dims chunk spreads over many (dim_h, dim_k, n) groups, but every
+    # normaliser S = sum_i V_i* V_i is dim_k x dim_k.  Groups of lone trace
+    # maps (mixed, n = 1) have no compressions and no normaliser.
+    _, groups = harness._sample_chunk(TrialConfig(seed=5, vary_dims=True, mixed=True), range(40))
+    dims_k = {group.dims[1] for group in groups if group.compressions.shape[0]}
+    assert len(groups) > 2 * len(dims_k)
+    assert solver_calls["eigh"] == len(dims_k)

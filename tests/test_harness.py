@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from mercerlab import harness
 from mercerlab.cli import CHAIN_CLI_CHOICES
 from mercerlab.errors import BudgetExhausted
 from mercerlab.harness import (
@@ -188,6 +189,20 @@ class TestSearch:
         least = min(singles, key=lambda w: (w["gap"], w["trial"]))
         assert least["function"] != NONCONVEX_CANDIDATES[0]  # not just the first candidate's search
         assert witness() == least
+
+    def test_suite_trial_zero_is_never_sampled(self, monkeypatch):
+        # The extremal probe is trial 0, so the suite starts at trial 1.
+        sampled = []
+        original = harness._sample_chunk
+
+        def spy(config, indices):
+            sampled.extend(indices)
+            return original(config, indices)
+
+        monkeypatch.setattr(harness, "_sample_chunk", spy)
+        findings = search_counterexample("classic-nonconvex", budget=6, m=0.25, M=1.5)
+        assert findings["witness"]["trial"] == 5  # rebuilt alone from its suite trial
+        assert sorted(sampled) == [1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 5]
 
     def test_witness_is_replayable(self):
         from mercerlab.linalg import HermitianOperator, SpectralBounds

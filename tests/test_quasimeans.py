@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,12 +28,14 @@ from mercerlab.mercer import MercerInstance, diamond_plain, log_convex_middle, m
 from mercerlab.quasimeans import (
     ALPHA_SIDE,
     BETA_SIDE,
+    apply_inverse,
     curvature_bound_expected_relation,
     curvature_mean_bound,
     diamond_phi,
     geometric_middle,
     incomparability_probe,
     inverse_evaluator,
+    inverse_within_domain,
     mercer_quasi_mean,
     predicted_mean_relation,
     quasi_mean,
@@ -348,6 +351,28 @@ class TestLogConvexMeanSandwich:
         ops = tuple(random_hermitian(3, bounds, rng) for _ in range(2))
         with pytest.raises(NonpositiveFunction):
             sandwich(spec, family, ops)
+
+
+class TestApplyInverse:
+    def test_a_stack_is_masked_per_matrix(self):
+        # log of a stack whose 2nd and 4th matrices reach below 0: those are
+        # masked and never passed to log, the others come out as they would
+        # alone, and the error is the one of the 2nd alone.
+        log = logarithm()
+        seen = []
+        spy = dataclasses.replace(log, fn=lambda t: seen.append(np.array(t)) or log.fn(t))
+        rng = generator(71)
+        inside, outside = SpectralBounds(0.5, 2.0), SpectralBounds(-1.0, 2.0)
+        kinds = (inside, outside, inside, outside, inside)
+        mats = [random_hermitian(3, bounds, rng, force_endpoints=True) for bounds in kinds]
+        image, mask, error = apply_inverse(spy, HermitianOperator(np.stack([a.entries for a in mats])))
+        assert mask.tolist() == [True, False, True, False, True]
+        assert seen and all((values >= 0.5 - 1e-12).all() for values in seen)
+        for k, j in enumerate(np.flatnonzero(mask)):
+            assert image.entries[k].tobytes() == inverse_within_domain(log, mats[j]).entries.tobytes()
+        with pytest.raises(InverseDomainError) as alone:
+            inverse_within_domain(log, mats[1])
+        assert str(error) == str(alone.value)
 
 
 class TestIncomparabilityProbe:
