@@ -71,16 +71,13 @@ from .mercer import (
 )
 from .quasimeans import (
     QuasiArithmeticSpec,
-    curvature_bound,
     curvature_bound_expected_relation,
     curvature_mean_bound,
     diamond_phi,
-    geometric_middle,
     incomparability_probe,
     inverse_evaluator,
     mercer_quasi_mean,
     predicted_mean_relation,
-    quasi_mean,
     resolve_spec,
 )
 from .sampling import generator, haar_unitary, random_hermitian, random_unital_family, trial_seed

@@ -21,9 +21,10 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from .errors import BudgetExhausted, MercerLabError
+from .errors import BudgetExhausted, InvalidConfig, MercerLabError
 from .harness import (
     REPRODUCE_CASES,
+    ROW_FIELDS,
     SEARCH_TARGETS,
     TrialConfig,
     reproduce,
@@ -51,11 +52,10 @@ def _emit(report: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _write_csv(path: str, rows: Sequence[dict]) -> None:
-    if not rows:
-        return
+def _write_csv(path: str, rows: Sequence[dict], fields: Sequence[str] = ()) -> None:
+    """Write the rows, under a header of ``fields`` (default: the first row's keys)."""
     with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
+        writer = csv.DictWriter(handle, fieldnames=list(fields or rows[0]))
         writer.writeheader()
         writer.writerows(rows)
 
@@ -135,9 +135,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "verify":
             config = _config_from_args(args, args.function, args.chain, args.force)
             report, summary = verify_report(config, args.trials)
+            if args.csv is not None:
+                _write_csv(args.csv, summary.rows, ROW_FIELDS)
             _emit(report)
-            if args.csv:
-                _write_csv(args.csv, summary.rows)
             code = 2 if summary.violations else 0
 
         elif args.command == "reproduce":
@@ -145,6 +145,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             code = 0
 
         elif args.command == "search":
+            if args.csv is not None and args.target != "th3-th4-order":
+                raise InvalidConfig(f"{args.target} has no table for --csv to write")
             try:
                 findings = search_counterexample(
                     args.target,
@@ -155,20 +157,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     seed=args.seed,
                     tol_abs=args.tol,
                 )
+                table, code = findings, 2
             except BudgetExhausted as exhausted:
-                _emit({"status": "budget-exhausted", "best": exhausted.best})
-                code = 0
-            else:
-                _emit(findings)
-                if args.csv and "rows" in findings:
-                    _write_csv(args.csv, findings["rows"])
-                code = 2
+                findings = {"status": "budget-exhausted", "best": exhausted.best}
+                table, code = exhausted.best, 0
+            if args.csv is not None:
+                _write_csv(args.csv, table["rows"])
+            _emit(findings)
 
         else:  # sweep
             config = _config_from_args(args)
             report, n_violations = run_sweep(args.phi, args.psi, config, args.trials)
-            _emit(report)
-            if args.csv:
+            if args.csv is not None:
                 rows = [
                     {
                         "check": name,
@@ -182,9 +182,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     for name, body in report["checks"].items()
                 ]
                 _write_csv(args.csv, rows)
+            _emit(report)
             code = 2 if n_violations else 0
 
-    except (MercerLabError, ValueError) as exc:
+    except (MercerLabError, ValueError, OSError) as exc:
         print(f"mercerlab: error: {exc}", file=sys.stderr)
         return 1
     print(f"wall_time_s={time.perf_counter() - started:.3f}", file=sys.stderr)

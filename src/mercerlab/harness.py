@@ -8,8 +8,9 @@ reported on stderr only, never inside the JSON.
 Suites sample ``CHUNK_TRIALS`` trials at a time, grouped by shape and
 finished in stacked calls (``sampling.sample_trials``).  Verify evaluates
 each group as one stacked instance.  Sweep builds each group's operands on
-one stacked core, then runs the quasi-mean steps once per codomain
-dimension, on the operands of every group of that dimension.  Stacking
+one stacked core, then runs both means and every applicable check of
+``quasimeans.MEAN_CHECKS`` once per codomain dimension, on the operands of
+every group of that dimension.  Stacking
 never moves a bit and results are folded back in trial order, so a report
 is the same as trial after trial; a failing chunk is re-run trial by trial,
 so the error raised is the one of the lowest failing trial.  A replay is a
@@ -21,16 +22,16 @@ and evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import SpectralCore
-from .errors import BudgetExhausted, HypothesisNotMet, InvalidConfig, NonpositiveFunction
+from .errors import BudgetExhausted, InvalidConfig
 from .functions import ScalarFunction, curvature_bounds, parse_function_spec, require_domain
-from .linalg import HermitianOperator, Relation, SpectralBounds
+from .linalg import HermitianOperator, Relation, SpectralBounds, signed_slack
 from .maps import MapFamily, WeightedTrace, family_to_json
 from .mercer import (
     CHAIN_KINDS,
@@ -44,19 +45,12 @@ from .mercer import (
     refined_bounds,
 )
 from .quasimeans import (
-    ALPHA_SIDE,
-    BETA_SIDE,
+    MEAN_CHECKS,
+    MeanCheck,
     QuasiArithmeticSpec,
-    apply_inverse,
-    curvature_bound_expected_relation,
-    curvature_operand,
-    geometric_operand,
     incomparability_probe,
     inverse_evaluator,
-    inverse_within_domain,
     mean_of_pre_mean,
-    predicted_mean_relation,
-    require_sandwich,
     resolve_spec,
 )
 from .sampling import SampledGroup, generator, sample_trials, trial_seed
@@ -68,6 +62,9 @@ CHUNK_TRIALS = 256
 
 REPRODUCE_CASES = ("example-2.2", "example-3.5")
 SEARCH_TARGETS = ("classic-nonconvex", "th3-th4-order")
+
+# The columns of a verify suite's per-trial rows, in order.
+ROW_FIELDS = ("seed", "trial", "function", "chain", "dim_h", "dim_k", "n_maps", "min_gap")
 
 
 @dataclass(frozen=True)
@@ -216,20 +213,6 @@ def build_instance(
     return inst, seed_i, dims
 
 
-def _signed_slack(left: HermitianOperator, right: HermitianOperator, relation: Relation) -> np.ndarray:
-    """Signed slack of ``left relation right``, one per matrix of the stacks, in one ``eigvalsh`` call.
-
-    The least eigenvalue of the difference that the relation predicts PSD
-    (right - left for LessEqual, left - right for GreaterEqual); for Equal,
-    -max(|lambda_min|, |lambda_max|) of right - left.  Negative means violated.
-    """
-    diff = left - right if relation is Relation.GREATER_EQUAL else right - left
-    lam = np.linalg.eigvalsh(diff.entries)
-    if relation is Relation.EQUAL:
-        return -np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., -1]))
-    return lam[..., 0]
-
-
 def _pair_gaps(reports: Sequence[InequalityReport], left: str, right: str) -> List[float]:
     """The signed slack of left <= right per report.
 
@@ -242,7 +225,7 @@ def _pair_gaps(reports: Sequence[InequalityReport], left: str, right: str) -> Li
     if flipped:
         lefts = HermitianOperator(np.stack([reports[k].side(left).entries for k in flipped]))
         rights = HermitianOperator(np.stack([reports[k].side(right).entries for k in flipped]))
-        for k, gap in zip(flipped, _signed_slack(lefts, rights, Relation.LESS_EQUAL).tolist()):
+        for k, gap in zip(flipped, signed_slack(lefts, rights, Relation.LESS_EQUAL).tolist()):
             gaps[k] = gap
     return gaps
 
@@ -330,19 +313,8 @@ def run_suite(config: TrialConfig, n_trials: int) -> RunSummary:
                     TrialViolation(trial=outcome.trial, seed=outcome.seed, pair=(left, right), gap=gap)
                 )
         min_gap = min(min_gap, trial_min)
-        dim_h, dim_k, n = outcome.dims
-        rows.append(
-            {
-                "seed": outcome.seed,
-                "trial": outcome.trial,
-                "function": f.label(),
-                "chain": which,
-                "dim_h": dim_h,
-                "dim_k": dim_k,
-                "n_maps": n,
-                "min_gap": trial_min,
-            }
-        )
+        row = (outcome.seed, outcome.trial, f.label(), which, *outcome.dims, trial_min)
+        rows.append(dict(zip(ROW_FIELDS, row)))
     return RunSummary(
         trials=n_trials,
         violations=violations,
@@ -387,7 +359,8 @@ def reproduce(case: str, function_override: Optional[str] = None) -> dict:
     ``example-2.2``: the 2x2 sine instance on [pi/4, pi/2] with the
     half-trace map, where the classic bound fails but the curvature-corrected
     upper bound holds.  ``example-3.5``: the sign flip of the gap between the
-    curvature-refined and geometric bounds for t^p at t=2 on [1, 3].
+    curvature-refined and geometric bounds for t^p at t=2 on [1, 3]; its
+    function is fixed, so an override is rejected.
     """
     if case == "example-2.2":
         f = parse_function_spec(function_override or "sin")
@@ -412,6 +385,8 @@ def reproduce(case: str, function_override: Optional[str] = None) -> dict:
             "classic_gap": rhs - lhs,
         }
     if case == "example-3.5":
+        if function_override is not None:
+            raise InvalidConfig("example-3.5 probes t^p and takes no function override")
         m, M, t = 1.0, 3.0, 2.0
         rows = incomparability_probe(m, M, p_values=[-0.2, -1.0], t_grid=[t])
         return {
@@ -458,7 +433,8 @@ def search_counterexample(
     seed, as ``replay_trial`` rebuilds it.  All candidate functions share
     each trial's instance; the witness is the least gap, ties going to the
     earliest trial, then candidate.  ``th3-th4-order`` hunts for both signs
-    of the refined-vs-geometric gap over (t, p).  Raises ``BudgetExhausted``
+    of the refined-vs-geometric gap of t^p over (t, p); it compares scalars,
+    so a function or a tolerance is rejected.  Raises ``BudgetExhausted``
     with the best candidate when no witness exists within budget.
     """
     if budget < 1:
@@ -508,6 +484,9 @@ def search_counterexample(
         )
 
     if target == "th3-th4-order":
+        for name, value in (("function", function_spec), ("tolerance", tol_abs)):
+            if value is not None:
+                raise InvalidConfig(f"th3-th4-order probes the scalar gap of t^p and takes no {name}")
         rows = []
         negative = None
         positive = None
@@ -553,6 +532,8 @@ def search_counterexample(
 
 @dataclass
 class SweepCheck:
+    """The tally of one mean check of a sweep; its fields, in order, are the report's keys."""
+
     applicable: bool
     expected: Optional[str] = None
     evaluated: int = 0
@@ -560,61 +541,45 @@ class SweepCheck:
     min_gap: float = math.inf
     violations: List[dict] = field(default_factory=list)
 
-    def record(self, trial: int, seed_i: int, gap: float, tol: float) -> None:
+    def record(self, trial: int, seed_i: int, gap: Optional[float], tol: float) -> None:
+        if gap is None:
+            self.domain_skips += 1
+            return
         self.evaluated += 1
         self.min_gap = min(self.min_gap, gap)
         if gap < -tol:
             self.violations.append({"trial": trial, "seed": seed_i, "gap": gap})
 
     def to_json(self) -> dict:
-        out: dict = {"applicable": self.applicable}
-        if self.applicable:
-            out.update(
-                {
-                    "expected": self.expected,
-                    "evaluated": self.evaluated,
-                    "domain_skips": self.domain_skips,
-                    "min_gap": None if math.isinf(self.min_gap) else self.min_gap,
-                    "violations": self.violations,
-                }
-            )
-        return out
+        if not self.applicable:
+            return {"applicable": False}
+        return {**asdict(self), "min_gap": None if math.isinf(self.min_gap) else self.min_gap}
 
 
-class _SweepPlan(NamedTuple):
-    """What a sweep evaluates per trial, resolved once per run: the mean order's
-    predicted relation (None when no case applies), the curvature sides with
-    their relations (none unless psi^-1 is monotone), and the sandwich."""
-
-    spec: QuasiArithmeticSpec
-    phi_inverse: Callable
-    psi_inverse: Callable
-    predicted: Optional[Relation]
-    sides: Tuple[Tuple[str, Relation], ...]
-    sandwich: bool
-
-
-def _sweep_chunk(config: TrialConfig, plan: _SweepPlan, indices: Sequence[int]) -> List[Tuple[int, List]]:
-    """(seed, gaps) of each of the trials ``indices``, in order: per check of the
-    plan, in report order, its signed slack, None where a curvature side's
-    operand leaves the domain of psi^{-1}.
+def _sweep_chunk(
+    config: TrialConfig,
+    spec: QuasiArithmeticSpec,
+    inverses: Tuple[Callable, Callable],
+    rows: Sequence[Tuple[MeanCheck, Relation]],
+    indices: Sequence[int],
+) -> List[Tuple[int, List]]:
+    """(seed, gaps) of each of the trials ``indices``, in order: per row of
+    ``rows`` (the applicable rows of ``MEAN_CHECKS`` with their relations),
+    its signed slack, None for a domain skip.  ``inverses`` are those of phi and psi.
 
     Stage 1 builds the dim_k x dim_k operands of each shape group on one
-    stacked core: both pre-means, and the phi diamond and T_phi where a check
-    needs them.  Stage 2 runs everything after them once per dim_k, on the
-    operands of the chunk's groups of that dim_k concatenated along the trial
-    axis: both means, the curvature bounds, the geometric middle and the slacks.
+    stacked core: both pre-means, and the phi objects that the rows read.
+    Stage 2 runs everything after them once per dim_k, on the operands of the
+    chunk's groups of that dim_k concatenated along the trial axis: both
+    means, then each row's slacks.
     """
-    spec, bounds = plan.spec, config.bounds
+    reads = dict.fromkeys(row.reads for row, _ in rows if row.reads)
     seeds, groups = _sample_chunk(config, indices)
     by_dim_k: Dict[int, list] = {}
     for group in groups:
-        core = SpectralCore(*group.instance(), bounds)
+        core = SpectralCore(*group.instance(), spec.bounds)
         operands = {"pre_phi": core.pre_mean(spec.phi), "pre_psi": core.pre_mean(spec.psi)}
-        if plan.sides:
-            operands["diamond"] = core.diamond(spec.phi)
-        if plan.sandwich:
-            operands["total"] = core.total(spec.phi)
+        operands.update((name, getattr(core, name)(spec.phi)) for name in reads)
         by_dim_k.setdefault(group.dims[1], []).append((group.positions, operands))
 
     gaps: List[Optional[list]] = [None] * len(indices)
@@ -623,25 +588,9 @@ def _sweep_chunk(config: TrialConfig, plan: _SweepPlan, indices: Sequence[int]) 
             name: HermitianOperator(np.concatenate([operands[name].entries for _, operands in parts]))
             for name in parts[0][1]
         }
-        mean_phi = mean_of_pre_mean(spec.phi, plan.phi_inverse, stack["pre_phi"], bounds)
-        mean_psi = mean_of_pre_mean(spec.psi, plan.psi_inverse, stack["pre_psi"], bounds)
-        columns = []
-        if plan.predicted is not None:
-            columns.append(_signed_slack(mean_phi, mean_psi, plan.predicted).tolist())
-        for side, relation in plan.sides:
-            operand = curvature_operand(spec, stack["pre_psi"], stack["diamond"], side)
-            bound, inside, _ = apply_inverse(spec.psi_inverse, operand)
-            slacks = iter(
-                _signed_slack(HermitianOperator(mean_phi.entries[inside]), bound, relation).tolist()
-                if inside.any()
-                else ()
-            )
-            columns.append([next(slacks) if ok else None for ok in inside.tolist()])
-        if plan.sandwich:
-            middle = inverse_within_domain(spec.psi_inverse, geometric_operand(spec, stack["total"], bounds))
-            low = _signed_slack(mean_phi, middle, Relation.LESS_EQUAL).tolist()
-            high = _signed_slack(middle, mean_psi, Relation.LESS_EQUAL).tolist()
-            columns.append([min(a, b) for a, b in zip(low, high)])
+        mean_phi = mean_of_pre_mean(spec.phi, inverses[0], stack["pre_phi"], spec.bounds)
+        mean_psi = mean_of_pre_mean(spec.psi, inverses[1], stack["pre_psi"], spec.bounds)
+        columns = [row.slacks(spec, relation, stack, mean_phi, mean_psi) for row, relation in rows]
         positions = [pos for group_positions, _ in parts for pos in group_positions]
         for j, pos in enumerate(positions):
             gaps[pos] = [column[j] for column in columns]
@@ -654,12 +603,11 @@ def run_sweep(
     config: TrialConfig,
     n_trials: int,
 ) -> Tuple[dict, int]:
-    """Exercise the quasi-arithmetic mean checks for one generator pair.
+    """Exercise the quasi-arithmetic mean checks of ``MEAN_CHECKS`` for one generator pair.
 
-    Per trial: the mean ordering against its predicted direction, both sides
-    of the curvature bound (beta side skipped per trial when its operand
-    leaves the domain of psi^{-1}), and the geometric sandwich when the
-    composite is log-convex.  Trials run a chunk at a time (see
+    Each check applies when its hypotheses hold for the pair; per trial, an
+    applicable check gets a signed slack or, where its operand leaves the
+    domain of psi^{-1}, a domain skip.  Trials run a chunk at a time (see
     :func:`_sweep_chunk`) and are folded into the checks in index order, so
     the report is the same as trial after trial; a failing chunk is re-run
     trial by trial, so the error raised is the lowest failing trial's.
@@ -670,58 +618,21 @@ def run_sweep(
     psi = parse_function_spec(psi_spec)
     bounds = config.bounds
     spec = resolve_spec(phi, psi, bounds)
-    phi_inverse = inverse_evaluator(phi, bounds)
-    psi_inverse = inverse_evaluator(psi, bounds)
-
-    try:
-        predicted = predicted_mean_relation(spec)
-        compare_check = SweepCheck(applicable=True, expected=predicted.value)
-    except HypothesisNotMet:
-        predicted = None
-        compare_check = SweepCheck(applicable=False)
-
-    monotone_inverse = spec.psi_inverse_increasing or spec.psi_inverse_decreasing
-    alpha_rel = curvature_bound_expected_relation(spec, ALPHA_SIDE) if monotone_inverse else None
-    beta_rel = curvature_bound_expected_relation(spec, BETA_SIDE) if monotone_inverse else None
-    alpha_check = SweepCheck(applicable=monotone_inverse, expected=alpha_rel.value if alpha_rel else None)
-    beta_check = SweepCheck(applicable=monotone_inverse, expected=beta_rel.value if beta_rel else None)
-
-    try:
-        require_sandwich(spec, bounds)
-        sandwich_applicable = True
-    except (NonpositiveFunction, HypothesisNotMet):
-        sandwich_applicable = False
-    sandwich_check = SweepCheck(
-        applicable=sandwich_applicable, expected=Relation.LESS_EQUAL.value
-    )
+    inverses = (inverse_evaluator(phi, bounds), inverse_evaluator(psi, bounds))
+    relations = {name: row.relation(spec) for name, row in MEAN_CHECKS.items()}
+    checks = {name: SweepCheck(rel is not None, rel and rel.value) for name, rel in relations.items()}
 
     tol = config.tol_abs
     if tol is None:
         tol = sweep_tolerance(bounds.M, float(psi(bounds.M)), float(psi(bounds.m)))
 
-    plan = _SweepPlan(
-        spec=spec,
-        phi_inverse=phi_inverse,
-        psi_inverse=psi_inverse,
-        predicted=predicted,
-        sides=((ALPHA_SIDE, alpha_rel), (BETA_SIDE, beta_rel)) if monotone_inverse else (),
-        sandwich=sandwich_applicable,
-    )
-    evaluated = [c for c in (compare_check, alpha_check, beta_check, sandwich_check) if c.applicable]
-    for i, (seed_i, gaps) in enumerate(_by_chunk(n_trials, partial(_sweep_chunk, config, plan))):
+    rows = [(MEAN_CHECKS[name], rel) for name, rel in relations.items() if rel is not None]
+    evaluated = [check for check in checks.values() if check.applicable]
+    for i, (seed_i, gaps) in enumerate(_by_chunk(n_trials, partial(_sweep_chunk, config, spec, inverses, rows))):
         for check, gap in zip(evaluated, gaps):
-            if gap is None:
-                check.domain_skips += 1
-            else:
-                check.record(i, seed_i, gap, tol)
+            check.record(i, seed_i, gap, tol)
 
-    checks = {
-        "mean_order": compare_check,
-        "curvature_bound_alpha": alpha_check,
-        "curvature_bound_beta": beta_check,
-        "log_convex_sandwich": sandwich_check,
-    }
-    n_violations = sum(len(c.violations) for c in checks.values() if c.applicable)
+    n_violations = sum(len(c.violations) for c in evaluated)
     report = {
         "command": "sweep",
         "phi": phi_spec,

@@ -4,9 +4,9 @@ Eigendecomposition, scalar functional calculus and Loewner-order comparison
 for finite-dimensional self-adjoint matrices.  Every operator expression in
 the package is built on the primitives in this module:
 ``spectral_decompose``, ``apply_to_decomposition`` (with its one-shot form
-``apply_scalar_function``), ``spectral_norms`` and ``loewner_verdicts``.
-Functional calculus is split from decomposition so that one eigensolve can
-serve every function applied to the same operator.
+``apply_scalar_function``), ``spectral_norms``, ``signed_slack`` and
+``loewner_verdicts``.  Functional calculus is split from decomposition so
+that one eigensolve can serve every function applied to the same operator.
 
 Every primitive takes a stack of matrices: ``entries`` of shape
 ``(..., d, d)``, with any leading axes (the maps of an instance, the trials
@@ -309,6 +309,20 @@ def apply_scalar_function(
     ``SpectrumOutOfDomain``.  See :func:`apply_to_decomposition`.
     """
     return apply_to_decomposition(f, spectral_decompose(a), bounds)
+
+
+def signed_slack(left: HermitianOperator, right: HermitianOperator, relation: Relation) -> np.ndarray:
+    """Signed slack of ``left relation right``, one per matrix of the stacks, in one ``eigvalsh`` call.
+
+    The least eigenvalue of the difference that the relation predicts PSD
+    (right - left for LessEqual, left - right for GreaterEqual); for Equal,
+    -max(|lambda_min|, |lambda_max|) of right - left.  Negative means violated.
+    """
+    diff = left - right if relation is Relation.GREATER_EQUAL else right - left
+    lam = np.linalg.eigvalsh(diff.entries)
+    if relation is Relation.EQUAL:
+        return -np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., -1]))
+    return lam[..., 0]
 
 
 def loewner_verdicts(a: HermitianOperator, b: HermitianOperator, tol_abs) -> Tuple[OrderVerdict, ...]:

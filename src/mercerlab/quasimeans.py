@@ -11,6 +11,11 @@ psi^{-1}) orders the means, curvature bounds of the composite tighten the
 ordering through the diamond correction term, and log-convexity of the
 composite inserts a geometric interpolant between the means.
 
+``MEAN_CHECKS`` is the table of the four checks a sweep makes of them (the
+mean order, both sides of the curvature bound, the log-convex sandwich), in
+report order, as ``mercer.CHAINS`` is of the chains: per check, when it
+applies, the phi object of the spectral core it reads, and its slacks.
+
 Orientation: when a generator is strictly decreasing, its image interval is
 re-ordered before any chord or curvature machinery runs; all displayed
 formulas are symmetric under swapping the endpoint images, so only interval
@@ -21,7 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +44,7 @@ from .functions import (
     inverse_entry,
     is_log_convex_on,
 )
-from .core import SpectralCore, checked_core, geometric_interpolant
+from .core import checked_core, geometric_interpolant
 from .linalg import (
     HermitianOperator,
     Relation,
@@ -46,6 +52,7 @@ from .linalg import (
     SpectralDecomposition,
     apply_scalar_function,
     apply_to_decomposition,
+    signed_slack,
     spectral_decompose,
 )
 from .maps import MapFamily
@@ -248,7 +255,7 @@ def inverse_within_domain(entry: ScalarFunction, operand: HermitianOperator) -> 
 
 
 def inverse_evaluator(g: ScalarFunction, bounds: SpectralBounds) -> Callable:
-    """The inverse of a generator as a vectorized callable, for :func:`quasi_mean`.
+    """The inverse of a generator as a vectorized callable, for :func:`mean_of_pre_mean`.
 
     Checks first that g is strictly monotone on a grid of [m, M]; the check
     depends on (g, [m, M]) only, so a run makes it once per generator.
@@ -258,12 +265,6 @@ def inverse_evaluator(g: ScalarFunction, bounds: SpectralBounds) -> Callable:
     if entry is None:
         raise InverseDomainError(f"{g.label()} has no inverse evaluator")
     return entry.fn
-
-
-def quasi_mean(core: SpectralCore, phi: ScalarFunction, inverse: Callable) -> HermitianOperator:
-    """QM_phi of the core's instance, memoised in the core; ``inverse`` is
-    :func:`inverse_evaluator` of phi on the core's interval."""
-    return core.cached(("mean", phi), lambda: mean_of_pre_mean(phi, inverse, core.pre_mean(phi), core.bounds))
 
 
 def mean_of_pre_mean(
@@ -283,9 +284,9 @@ def mercer_quasi_mean(
     operators: Sequence[HermitianOperator],
     bounds: SpectralBounds,
 ) -> HermitianOperator:
-    """phi^{-1}((phi(M) + phi(m)) I - sum_i Phi_i(phi(A_i))); see :func:`quasi_mean`."""
+    """phi^{-1}((phi(M) + phi(m)) I - sum_i Phi_i(phi(A_i))); see :func:`mean_of_pre_mean`."""
     inverse = inverse_evaluator(phi, bounds)
-    return quasi_mean(checked_core(family, operators, bounds), phi, inverse)
+    return mean_of_pre_mean(phi, inverse, checked_core(family, operators, bounds).pre_mean(phi), bounds)
 
 
 def predicted_mean_relation(spec: QuasiArithmeticSpec) -> Relation:
@@ -335,30 +336,17 @@ def curvature_mean_bound(
     spec: QuasiArithmeticSpec,
     family: MapFamily,
     operators: Sequence[HermitianOperator],
-    bounds: SpectralBounds | None = None,
     side: str = ALPHA_SIDE,
     curvature: CurvatureBounds | None = None,
 ) -> HermitianOperator:
-    """psi^{-1}( psi(QM_psi) - c * diamond ) with c the composite curvature bound.
+    """psi^{-1}( psi(QM_psi) - c * diamond ) with c the composite curvature bound, on spec's interval.
 
     ``side`` selects c: the alpha side (curvature floor) bounds QM_phi from
     above when psi^{-1} is operator increasing, the beta side reverses the
     inequality.  With an operator-decreasing psi^{-1} both directions flip;
     see :func:`curvature_bound_expected_relation`.
     """
-    return curvature_bound(
-        spec, checked_core(family, operators, bounds or spec.bounds), side, curvature
-    )
-
-
-def curvature_bound(
-    spec: QuasiArithmeticSpec,
-    core: SpectralCore,
-    side: str = ALPHA_SIDE,
-    curvature: CurvatureBounds | None = None,
-) -> HermitianOperator:
-    """:func:`curvature_mean_bound` on a core: the psi pre-mean and the phi
-    diamond are shared by both sides and with the means."""
+    core = checked_core(family, operators, spec.bounds)
     operand = curvature_operand(spec, core.pre_mean(spec.psi), core.diamond(spec.phi), side, curvature)
     return inverse_within_domain(spec.psi_inverse, operand)
 
@@ -383,24 +371,27 @@ def curvature_operand(
     return pre_mean_psi - coeff * diamond_phi
 
 
-def curvature_bound_expected_relation(spec: QuasiArithmeticSpec, side: str) -> Relation:
-    """Expected Loewner relation of QM_phi versus the curvature bound.
+def curvature_bound_expected_relation(spec: QuasiArithmeticSpec, side: str) -> Optional[Relation]:
+    """Expected Loewner relation of QM_phi versus the curvature bound, None
+    unless psi^{-1} is operator monotone (the bound's hypothesis).
 
     The alpha side asserts QM_phi <= bound and the beta side the reverse,
     flipped when psi^{-1} is operator decreasing; the flip is recorded in
     reports via ``spec.reversal_applied``.
     """
+    if not (spec.psi_inverse_increasing or spec.psi_inverse_decreasing):
+        return None
     below = side == ALPHA_SIDE
     if spec.psi_inverse_decreasing:
         below = not below
     return Relation.LESS_EQUAL if below else Relation.GREATER_EQUAL
 
 
-def require_sandwich(spec: QuasiArithmeticSpec, bounds: SpectralBounds) -> Tuple[float, float]:
+def require_sandwich(spec: QuasiArithmeticSpec) -> Tuple[float, float]:
     """(psi(m), psi(M)) if psi is positive at m and M (else ``NonpositiveFunction``),
     psi o phi^-1 log-convex and psi^-1 operator increasing (else ``HypothesisNotMet``)."""
-    psi_m = float(spec.psi(bounds.m))
-    psi_M = float(spec.psi(bounds.M))
+    psi_m = float(spec.psi(spec.bounds.m))
+    psi_M = float(spec.psi(spec.bounds.M))
     if not (psi_m > 0.0 and psi_M > 0.0):
         raise NonpositiveFunction(
             f"psi = {spec.psi.label()} must be positive at the interval endpoints"
@@ -416,29 +407,86 @@ def require_sandwich(spec: QuasiArithmeticSpec, bounds: SpectralBounds) -> Tuple
     return psi_m, psi_M
 
 
-def geometric_middle(spec: QuasiArithmeticSpec, core: SpectralCore) -> HermitianOperator:
-    """Geometric interpolant between the two means for log-convex composites:
+def geometric_operand(spec: QuasiArithmeticSpec, total_phi: HermitianOperator) -> HermitianOperator:
+    """The operand of psi^{-1} in the geometric interpolant between the two
+    means for log-convex composites, from T = sum_i Phi_i(phi(A_i)) (or a stack of them):
 
         QM_phi <= psi^{-1}( psi(m)^{(T - phi(m)I)/(phi(M)-phi(m))}
                             psi(M)^{(phi(M)I - T)/(phi(M)-phi(m))} ) <= QM_psi
 
-    with T = sum_i Phi_i(phi(A_i)), shared with QM_phi.  Requires the
-    hypotheses of :func:`require_sandwich`.
-    """
-    return inverse_within_domain(spec.psi_inverse, geometric_operand(spec, core.total(spec.phi), core.bounds))
-
-
-def geometric_operand(
-    spec: QuasiArithmeticSpec, total_phi: HermitianOperator, bounds: SpectralBounds
-) -> HermitianOperator:
-    """The operand of psi^{-1} in :func:`geometric_middle`, from T_phi (or a stack of them).
-
     Both exponent operators are functions of T and commute, so the operand
-    is one scalar functional calculus of T.
+    is one scalar functional calculus of T.  Requires the hypotheses of
+    :func:`require_sandwich`.
     """
-    psi_m, psi_M = require_sandwich(spec, bounds)
-    h = geometric_interpolant(float(spec.phi(bounds.m)), float(spec.phi(bounds.M)), psi_m, psi_M)
+    psi_m, psi_M = require_sandwich(spec)
+    h = geometric_interpolant(float(spec.phi(spec.bounds.m)), float(spec.phi(spec.bounds.M)), psi_m, psi_M)
     return apply_scalar_function(h, total_phi, spec.phi_interval)
+
+
+# --------------------------------------------------------------------------
+# The mean checks of a sweep
+# --------------------------------------------------------------------------
+
+def _mean_order_relation(spec: QuasiArithmeticSpec) -> Optional[Relation]:
+    try:
+        return predicted_mean_relation(spec)
+    except HypothesisNotMet:
+        return None
+
+
+def _sandwich_relation(spec: QuasiArithmeticSpec) -> Optional[Relation]:
+    try:
+        require_sandwich(spec)
+    except (NonpositiveFunction, HypothesisNotMet):
+        return None
+    return Relation.LESS_EQUAL
+
+
+def _mean_order_slacks(spec, relation, operands, mean_phi, mean_psi) -> List[float]:
+    return signed_slack(mean_phi, mean_psi, relation).tolist()
+
+
+def _curvature_slacks(side: str, spec, relation, operands, mean_phi, mean_psi) -> List[Optional[float]]:
+    """QM_phi against the bound of ``side``; None where its operand leaves the domain of psi^{-1}."""
+    operand = curvature_operand(spec, operands["pre_psi"], operands["diamond"], side)
+    bound, inside, _ = apply_inverse(spec.psi_inverse, operand)
+    below = HermitianOperator(mean_phi.entries[inside])
+    slacks = iter(signed_slack(below, bound, relation).tolist() if inside.any() else ())
+    return [next(slacks) if ok else None for ok in inside.tolist()]
+
+
+def _sandwich_slacks(spec, relation, operands, mean_phi, mean_psi) -> List[float]:
+    """The lesser slack of QM_phi <= middle and middle <= QM_psi."""
+    middle = inverse_within_domain(spec.psi_inverse, geometric_operand(spec, operands["total"]))
+    low = signed_slack(mean_phi, middle, relation).tolist()
+    high = signed_slack(middle, mean_psi, relation).tolist()
+    return [min(a, b) for a, b in zip(low, high)]
+
+
+class MeanCheck(NamedTuple):
+    """One row of the mean-check table: ``relation(spec)`` is the asserted
+    relation, or None when the check's hypotheses fail; ``reads`` names the
+    phi object of the core that the check reads besides the two pre-means
+    (``"diamond"``, ``"total"`` or None); ``slacks(spec, relation, operands,
+    QM_phi, QM_psi)`` gives the signed slack of each trial of a stack, None
+    for a domain skip, from the operands ``pre_phi``, ``pre_psi`` and ``reads``."""
+
+    relation: Callable[[QuasiArithmeticSpec], Optional[Relation]]
+    reads: Optional[str]
+    slacks: Callable[..., List[Optional[float]]]
+
+
+def _curvature_check(side: str) -> MeanCheck:
+    relation = partial(curvature_bound_expected_relation, side=side)
+    return MeanCheck(relation, "diamond", partial(_curvature_slacks, side))
+
+
+MEAN_CHECKS: Dict[str, MeanCheck] = {
+    "mean_order": MeanCheck(_mean_order_relation, None, _mean_order_slacks),
+    "curvature_bound_alpha": _curvature_check(ALPHA_SIDE),
+    "curvature_bound_beta": _curvature_check(BETA_SIDE),
+    "log_convex_sandwich": MeanCheck(_sandwich_relation, "total", _sandwich_slacks),
+}
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from mercerlab import harness
 from mercerlab.errors import HypothesisNotMet, SpectrumOutOfDomain
 from mercerlab.functions import parse_function_spec
 from mercerlab.harness import TrialConfig, normalize_chain, replay_trial, run_sweep, suite_outcomes
-from mercerlab.linalg import HermitianOperator, Relation
+from mercerlab.linalg import HermitianOperator, Relation, signed_slack
 from mercerlab.sampling import generator
 
 PI4, PI2 = math.pi / 4, math.pi / 2
@@ -81,12 +81,13 @@ SWEEP_PAIRS = [("sqrt", "id"), ("log", "id"), ("square", "id"), ("id", "inv"),
 )
 def test_stacked_sweep_equals_trial_by_trial(monkeypatch, shape):
     # A report holds counts, minima and violations only, so every trial's
-    # gaps are compared too, as _sweep_chunk returns them.
+    # gaps are compared too, as _sweep_chunk returns them: per trial, the
+    # signed slack of each applicable check of MEAN_CHECKS.
     trials = []
     original = harness._sweep_chunk
 
-    def recorded(config, plan, indices):
-        results = original(config, plan, indices)
+    def recorded(*args):
+        results = original(*args)
         trials.extend(results)
         return results
 
@@ -166,9 +167,9 @@ def test_signed_slack_of_a_stack_is_per_matrix():
         raw = rng.standard_normal((2, 7, dim, dim)) + 1j * rng.standard_normal((2, 7, dim, dim))
         lefts, rights = (HermitianOperator(0.5 * (z + z.conj().swapaxes(-1, -2))) for z in raw)
         for relation in (Relation.LESS_EQUAL, Relation.GREATER_EQUAL, Relation.EQUAL):
-            stacked = harness._signed_slack(lefts, rights, relation)
+            stacked = signed_slack(lefts, rights, relation)
             single = [
-                harness._signed_slack(HermitianOperator(left), HermitianOperator(right), relation)
+                signed_slack(HermitianOperator(left), HermitianOperator(right), relation)
                 for left, right in zip(lefts.entries, rights.entries)
             ]
             assert stacked.tobytes() == np.array(single).tobytes()

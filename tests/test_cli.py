@@ -167,6 +167,15 @@ class TestBoundaryValidation:
             (("verify", "--trials", "2", "--tol", "inf"), "tolerance"),
             (("verify", "--function", "log", "--m", "-1", "--M", "2"), "domain"),
             (("search", "classic-nonconvex", "--function", "log", "--m", "-1", "--M", "2"), "domain"),
+            # flags that the command would ignore
+            (("reproduce", "example-3.5", "--function", "sin"), "function"),
+            (("search", "th3-th4-order", "--budget", "2", "--function", "sin", "--tol", "5"), "function"),
+            (("search", "th3-th4-order", "--budget", "2", "--tol", "5"), "tolerance"),
+            # non-finite spec parameters, refused before any trial
+            (("verify", "--function", "pow:p=nan", "--force", "--trials", "0"), "parameter 'p'"),
+            (("verify", "--function", "pow:p=inf"), "parameter 'p'"),
+            (("reproduce", "example-2.2", "--function", "pow:p=inf"), "parameter 'p'"),
+            (("sweep", "--phi", "pow:p=1e400", "--psi", "id", "--trials", "1"), "parameter 'p'"),
         ],
     )
     def test_rejected_with_one_line(self, args, field):
@@ -181,3 +190,31 @@ class TestBoundaryValidation:
         proc = run_cli("verify", "--trials", "0")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["summary"]["violations"] == []
+
+    def test_csv_of_zero_trials_is_the_header(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        proc = run_cli("verify", "--trials", "0", "--csv", str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert path.read_text().splitlines() == ["seed,trial,function,chain,dim_h,dim_k,n_maps,min_gap"]
+
+    def test_csv_of_an_exhausted_probe_search(self, tmp_path):
+        path = tmp_path / "probe.csv"
+        proc = run_cli("search", "th3-th4-order", "--budget", "1", "--m", "1", "--M", "1.05", "--csv", str(path))
+        assert proc.returncode == 0, proc.stderr
+        best = json.loads(proc.stdout)["best"]
+        with open(path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [float(row["gap"]) for row in rows] == [row["gap"] for row in best["rows"]]
+
+    def test_csv_of_a_search_without_a_table_is_refused(self, tmp_path):
+        path = tmp_path / "witness.csv"
+        proc = run_cli("search", "classic-nonconvex", "--budget", "2", "--csv", str(path))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.strip().splitlines() == ["mercerlab: error: classic-nonconvex has no table for --csv to write"]
+        assert not path.exists()
+
+    def test_csv_path_that_cannot_be_written(self, tmp_path):
+        proc = run_cli("verify", "--trials", "1", "--csv", str(tmp_path / "missing" / "rows.csv"))
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("mercerlab: error: ") and "rows.csv" in lines[0]

@@ -32,13 +32,13 @@ from mercerlab.quasimeans import (
     curvature_bound_expected_relation,
     curvature_mean_bound,
     diamond_phi,
-    geometric_middle,
+    geometric_operand,
     incomparability_probe,
     inverse_evaluator,
     inverse_within_domain,
+    mean_of_pre_mean,
     mercer_quasi_mean,
     predicted_mean_relation,
-    quasi_mean,
     resolve_spec,
 )
 from mercerlab.sampling import generator, random_hermitian, random_unital_family
@@ -75,7 +75,10 @@ def compare(a, b):
 
 def both_means(spec, core):
     """(QM_phi, QM_psi) of a generator pair on a core."""
-    return tuple(quasi_mean(core, g, inverse_evaluator(g, spec.bounds)) for g in (spec.phi, spec.psi))
+    return tuple(
+        mean_of_pre_mean(g, inverse_evaluator(g, spec.bounds), core.pre_mean(g), spec.bounds)
+        for g in (spec.phi, spec.psi)
+    )
 
 
 def mean_verdict(spec, family, ops):
@@ -86,7 +89,7 @@ def mean_verdict(spec, family, ops):
 def sandwich(spec, family, ops):
     """The geometric middle and its verdicts against QM_phi (below) and QM_psi (above)."""
     core = SpectralCore(family, ops, spec.bounds)
-    middle = geometric_middle(spec, core)
+    middle = inverse_within_domain(spec.psi_inverse, geometric_operand(spec, core.total(spec.phi)))
     mean_phi, mean_psi = both_means(spec, core)
     return middle, compare(mean_phi, middle), compare(middle, mean_psi)
 
