@@ -235,11 +235,14 @@ def parse_function_spec(spec: str) -> ScalarFunction:
     if param_part:
         for item in param_part.split(","):
             key, _, value = item.partition("=")
+            key = key.strip()
             if not value:
                 raise ValueError(f"malformed parameter {item!r} in spec {spec!r}")
-            params[key.strip()] = float(value)
-            if not math.isfinite(params[key.strip()]):
-                raise ValueError(f"parameter {key.strip()!r} in spec {spec!r} must be finite, got {value}")
+            if key in params:
+                raise ValueError(f"parameter {key!r} repeated in spec {spec!r}")
+            params[key] = float(value)
+            if not math.isfinite(params[key]):
+                raise ValueError(f"parameter {key!r} in spec {spec!r} must be finite, got {value}")
     if name == "pow":
         if set(params) != {"p"}:
             raise ValueError("pow requires exactly one parameter, e.g. pow:p=-0.2")

@@ -6,17 +6,19 @@ the JSON report of a run is byte-identical across repetitions.  Wall time is
 reported on stderr only, never inside the JSON.
 
 Suites sample ``CHUNK_TRIALS`` trials at a time, grouped by shape and
-finished in stacked calls (``sampling.sample_trials``).  Verify evaluates
-each group as one stacked instance.  Sweep builds each group's operands on
-one stacked core, then runs both means and every applicable check of
-``quasimeans.MEAN_CHECKS`` once per codomain dimension, on the operands of
-every group of that dimension.  Stacking
-never moves a bit and results are folded back in trial order, so a report
-is the same as trial after trial; a failing chunk is re-run trial by trial,
-so the error raised is the one of the lowest failing trial.  A replay is a
-chunk of one trial, and the ``classic-nonconvex`` search scores each
-candidate with a forced ``classic`` suite, so both run on verify's sampler
-and evaluation.
+finished in stacked calls (``sampling.sample_trials``), then run in two
+stages.  Stage 1 builds each group's dim_k x dim_k operands on one stacked
+instance or core: verify takes S, rhs_classic and D from a checked
+``MercerInstance``, sweep the pre-means and phi objects its checks read.
+Stage 2 runs everything after them once per codomain dimension dim_k, on
+the operands of every group of that dimension: verify every side, norm
+and comparison of its chain, sweep both means and every applicable check
+of ``quasimeans.MEAN_CHECKS``.  Stacking never moves a bit and results are
+folded back in trial order, so a report is the same as trial after trial; a
+failing chunk is re-run trial by trial, so the error raised is the one of
+the lowest failing trial.  A replay is a chunk of one trial, and the
+``classic-nonconvex`` search scores each candidate with a forced
+``classic`` suite, so both run on verify's sampler and evaluation.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .mercer import (
     CHAIN_KINDS,
     InequalityReport,
     MercerInstance,
+    chain_operands,
     contract_pairs,
     evaluate_chain,
     evaluate_trials,
@@ -245,19 +248,44 @@ def _contract_outcomes(
     ]
 
 
+def _by_codomain(
+    parts: Sequence[Tuple[SampledGroup, Dict[str, HermitianOperator]]]
+) -> Iterator[Tuple[List[int], Dict[str, HermitianOperator]]]:
+    """Per codomain dimension dim_k of a chunk, in order of first appearance:
+    the chunk positions of its trials and, per name, the operands of its
+    shape groups (``parts``: each group with its operands by name)
+    concatenated along the trial axis.  A dim_k of one group keeps its arrays."""
+    by_dim_k: Dict[int, list] = {}
+    for group, operands in parts:
+        by_dim_k.setdefault(group.dims[1], []).append((group.positions, operands))
+    for same in by_dim_k.values():
+        (_, stack), *more = same
+        if more:
+            stack = {name: HermitianOperator(np.concatenate([ops[name].entries for _, ops in same])) for name in stack}
+        yield [pos for positions, _ in same for pos in positions], stack
+
+
 def _grouped_outcomes(
     config: TrialConfig, f: ScalarFunction, which: str, indices: Sequence[int]
 ) -> List[TrialOutcome]:
-    """Sample the trials as one chunk, evaluate each shape group stacked,
-    and return the outcomes in index order."""
+    """Sample the trials as one chunk and return their outcomes in index order.
+
+    Stage 1 builds each shape group's instance, with every check of
+    ``core.checked_core``, and takes S, rhs_classic and D from its core.
+    Stage 2 evaluates the chain once per dim_k, on the operands of every
+    group of that dim_k (see :func:`_by_codomain`).
+    """
     seeds, groups = _sample_chunk(config, indices)
-    outcomes: List[Optional[TrialOutcome]] = [None] * len(indices)
+    parts = []
     for group in groups:
         family, operators = group.instance()
-        inst = MercerInstance(f=f, family=family, operators=operators, bounds=config.bounds)
-        reports = evaluate_trials(inst, which, force=config.force, tol_abs=config.tol_abs)
-        for pos, pairs in zip(group.positions, _contract_outcomes(reports, which)):
-            outcomes[pos] = TrialOutcome(trial=indices[pos], seed=seeds[pos], dims=group.dims, pairs=pairs)
+        parts.append((group, chain_operands(MercerInstance(f, family, operators, config.bounds))))
+    dims = {pos: group.dims for group in groups for pos in group.positions}
+    outcomes: List[Optional[TrialOutcome]] = [None] * len(indices)
+    for positions, stack in _by_codomain(parts):
+        reports = evaluate_trials(f, config.bounds, which, force=config.force, tol_abs=config.tol_abs, **stack)
+        for pos, pairs in zip(positions, _contract_outcomes(reports, which)):
+            outcomes[pos] = TrialOutcome(trial=indices[pos], seed=seeds[pos], dims=dims[pos], pairs=pairs)
     return outcomes
 
 
@@ -286,7 +314,7 @@ def suite_outcomes(
     config: TrialConfig, trials: int | range, f: ScalarFunction, which: str
 ) -> Iterator[TrialOutcome]:
     """The outcomes of the trials ``trials`` (see :func:`_by_chunk`) of a verify
-    suite, in index order, each shape group of a chunk evaluated as one stacked instance."""
+    suite, in index order, each chunk evaluated by :func:`_grouped_outcomes`."""
     return _by_chunk(trials, partial(_grouped_outcomes, config, f, which))
 
 
@@ -575,23 +603,18 @@ def _sweep_chunk(
     """
     reads = dict.fromkeys(row.reads for row, _ in rows if row.reads)
     seeds, groups = _sample_chunk(config, indices)
-    by_dim_k: Dict[int, list] = {}
+    parts = []
     for group in groups:
         core = SpectralCore(*group.instance(), spec.bounds)
         operands = {"pre_phi": core.pre_mean(spec.phi), "pre_psi": core.pre_mean(spec.psi)}
         operands.update((name, getattr(core, name)(spec.phi)) for name in reads)
-        by_dim_k.setdefault(group.dims[1], []).append((group.positions, operands))
+        parts.append((group, operands))
 
     gaps: List[Optional[list]] = [None] * len(indices)
-    for parts in by_dim_k.values():
-        stack = {
-            name: HermitianOperator(np.concatenate([operands[name].entries for _, operands in parts]))
-            for name in parts[0][1]
-        }
+    for positions, stack in _by_codomain(parts):
         mean_phi = mean_of_pre_mean(spec.phi, inverses[0], stack["pre_phi"], spec.bounds)
         mean_psi = mean_of_pre_mean(spec.psi, inverses[1], stack["pre_psi"], spec.bounds)
         columns = [row.slacks(spec, relation, stack, mean_phi, mean_psi) for row, relation in rows]
-        positions = [pos for group_positions, _ in parts for pos in group_positions]
         for j, pos in enumerate(positions):
             gaps[pos] = [column[j] for column in columns]
     return list(zip(seeds, gaps))

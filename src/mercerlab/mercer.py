@@ -45,13 +45,12 @@ class MercerInstance:
 
     The operators (one per map) and the family's maps may carry a leading
     trial axis (see ``sampling.SampledGroup``): the instance is then a group of
-    same-shape trials, every side below is a stack with one matrix per trial,
-    and :func:`evaluate_trials` gives one report per trial.  Without that
-    axis it is one trial.  Every check is made per trial; a failing group
-    raises for its first failing trial.
+    same-shape trials, and every side below is a stack with one matrix per
+    trial.  Without that axis it is one trial.  Every check is made per
+    trial; a failing group raises for its first failing trial.
 
-    ``core`` keeps the eigendecomposition of the range check, so every side
-    of every chain reuses it; the sides themselves are memoised there too.
+    ``core`` keeps the eigendecomposition of the range check, and memoises
+    the operands S, rhs_classic and D that every side is built from.
     """
 
     f: ScalarFunction
@@ -66,11 +65,6 @@ class MercerInstance:
     @property
     def dim_out(self) -> int:
         return self.family.dim_out
-
-    @property
-    def trials(self) -> int:
-        """Trials in the instance: the length of the trial axis, 1 without one."""
-        return math.prod(self.core.operators.entries.shape[:-3])
 
 
 @dataclass(frozen=True)
@@ -132,11 +126,17 @@ def scalar_mercer_check(
 # Operator sides
 # --------------------------------------------------------------------------
 
+# Every side is a function of f, [m, M] and the operands of ``chain_operands``:
+# the public forms below read them from an instance, the chains from a stack.
+
+def _lhs(f: ScalarFunction, bounds: SpectralBounds, s: HermitianOperator) -> HermitianOperator:
+    arg = (bounds.M + bounds.m) * HermitianOperator.identity(s.dim) - s
+    return apply_scalar_function(f, arg, bounds)
+
+
 def mercer_lhs(inst: MercerInstance) -> HermitianOperator:
     """f((M+m) I - S) via functional calculus; m I <= (M+m) I - S <= M I."""
-    s = inst.core.image_sum()
-    arg = (inst.bounds.M + inst.bounds.m) * HermitianOperator.identity(inst.dim_out) - s
-    return apply_scalar_function(inst.f, arg, inst.bounds)
+    return _lhs(inst.f, inst.bounds, inst.core.image_sum())
 
 
 def mercer_rhs_classic(inst: MercerInstance) -> HermitianOperator:
@@ -150,16 +150,15 @@ def chain_middle(inst: MercerInstance) -> HermitianOperator:
 
     Affine in S, so plain matrix arithmetic is exact; no eigendecomposition.
     """
-    s = inst.core.image_sum()
-    eye = HermitianOperator.identity(inst.dim_out)
-    fm = float(inst.f(inst.bounds.m))
-    fM = float(inst.f(inst.bounds.M))
-    width = inst.bounds.width
-    return (
-        (fM + fm) * eye
-        + (fm / width) * (s - inst.bounds.M * eye)
-        + (fM / width) * (inst.bounds.m * eye - s)
-    )
+    return _chord(inst.f, inst.bounds, inst.core.image_sum())
+
+
+def _chord(f: ScalarFunction, bounds: SpectralBounds, s: HermitianOperator) -> HermitianOperator:
+    eye = HermitianOperator.identity(s.dim)
+    fm = float(f(bounds.m))
+    fM = float(f(bounds.M))
+    width = bounds.width
+    return (fM + fm) * eye + (fm / width) * (s - bounds.M * eye) + (fM / width) * (bounds.m * eye - s)
 
 
 def diamond_plain(inst: MercerInstance) -> HermitianOperator:
@@ -194,55 +193,39 @@ def log_convex_middle(inst: MercerInstance) -> HermitianOperator:
     reduces to one scalar functional calculus h(S) with
     h(s) = f(m)^{(s-m)/(M-m)} * f(M)^{(M-s)/(M-m)}.
     """
-    fm = float(inst.f(inst.bounds.m))
-    fM = float(inst.f(inst.bounds.M))
+    return _geometric(inst.f, inst.bounds, inst.core.image_sum())
+
+
+def _geometric(f: ScalarFunction, bounds: SpectralBounds, s: HermitianOperator) -> HermitianOperator:
+    fm = float(f(bounds.m))
+    fM = float(f(bounds.M))
     if not (fm > 0.0 and fM > 0.0 and math.isfinite(fm) and math.isfinite(fM)):
-        raise NonpositiveFunction(
-            f"{inst.f.label()} must be positive at the interval endpoints"
-        )
-    h = geometric_interpolant(inst.bounds.m, inst.bounds.M, fm, fM)
-    return apply_scalar_function(h, inst.core.image_sum(), inst.bounds)
+        raise NonpositiveFunction(f"{f.label()} must be positive at the interval endpoints")
+    return apply_scalar_function(geometric_interpolant(bounds.m, bounds.M, fm, fM), s, bounds)
 
 
 # --------------------------------------------------------------------------
 # Chain orchestration
 # --------------------------------------------------------------------------
 
-def _curvature(inst: MercerInstance) -> CurvatureBounds:
-    return inst.core.cached(("curvature", inst.f), lambda: curvature_bounds(inst.f, inst.bounds))
-
-
-def _convexity_gate(inst: MercerInstance, force: bool) -> Dict[str, float]:
-    if not (inst.f.convex_on_domain or force):
-        raise HypothesisNotMet(
-            f"{inst.f.label()} is not flagged convex; pass force=True for a counterexample run"
-        )
+def _convexity_gate(f: ScalarFunction, bounds: SpectralBounds, force: bool) -> Dict[str, float]:
+    if not (f.convex_on_domain or force):
+        raise HypothesisNotMet(f"{f.label()} is not flagged convex; pass force=True for a counterexample run")
     return {}
 
 
-def _log_convexity_gate(inst: MercerInstance, force: bool) -> Dict[str, float]:
+def _log_convexity_gate(f: ScalarFunction, bounds: SpectralBounds, force: bool) -> Dict[str, float]:
     # is_log_convex_on raises NonpositiveFunction unless f > 0 on [m, M],
     # and honours the catalog's log-convexity flag.
-    if not (is_log_convex_on(inst.f, inst.bounds) or force):
-        raise HypothesisNotMet(
-            f"{inst.f.label()} is not log-convex; pass force=True for a counterexample run"
-        )
+    if not (is_log_convex_on(f, bounds) or force):
+        raise HypothesisNotMet(f"{f.label()} is not log-convex; pass force=True for a counterexample run")
     return {}
 
 
-# Every side a chain can report, by label.
-_SIDES: Dict[str, Callable[[MercerInstance], HermitianOperator]] = {
-    "lhs": mercer_lhs,
-    "rhs_classic": mercer_rhs_classic,
-    "diamond": diamond_plain,
-    "zero": lambda inst: HermitianOperator.zero(inst.dim_out),
-    "chain_middle": chain_middle,
-    "lower_refined": lambda inst: refined_bounds(inst, _curvature(inst))[0],
-    "upper_refined": lambda inst: refined_bounds(inst, _curvature(inst))[1],
-    "geometric_middle": log_convex_middle,
-}
-# Built before the gate runs, so that their errors come before the gate's.
-_COMMON_SIDES = ("lhs", "rhs_classic", "diamond", "zero")
+def _curvature_gate(f: ScalarFunction, bounds: SpectralBounds, force: bool) -> Dict[str, float]:
+    curv = curvature_bounds(f, bounds)
+    return {"alpha": curv.alpha, "beta": curv.beta}
+
 
 # What a compared pair asserts: always, only when the curvature floor alpha
 # is nonnegative (convex f), or nothing.
@@ -251,11 +234,11 @@ _DIAMOND_PAIR = ("zero", "diamond", CONTRACT)
 
 
 class ChainKind(NamedTuple):
-    """One row of the chain table: ``gate(inst, force)`` checks the kind's
+    """One row of the chain table: ``gate(f, bounds, force)`` checks the kind's
     hypotheses and returns its scalars; the sides in report order; the
     compared (left, right, role) in order, each as left <= right."""
 
-    gate: Callable[[MercerInstance, bool], Dict[str, float]]
+    gate: Callable[[ScalarFunction, SpectralBounds, bool], Dict[str, float]]
     sides: Tuple[str, ...]
     pairs: Tuple[Tuple[str, str, str], ...]
 
@@ -277,7 +260,7 @@ CHAINS: Dict[str, ChainKind] = {
         ),
     ),
     "twice_diff": ChainKind(
-        lambda inst, force: {"alpha": _curvature(inst).alpha, "beta": _curvature(inst).beta},
+        _curvature_gate,
         ("lower_refined", "lhs", "upper_refined", "rhs_classic", "chain_middle", "zero", "diamond"),
         (
             ("lower_refined", "lhs", CONTRACT),
@@ -307,20 +290,29 @@ def _chain_kind(which: str) -> ChainKind:
     return CHAINS[which]
 
 
+def chain_operands(inst: MercerInstance) -> Dict[str, HermitianOperator]:
+    """S, rhs_classic and D of an instance, keyed as :func:`evaluate_trials` takes them."""
+    return {"s": inst.core.image_sum(), "rhs": inst.core.pre_mean(inst.f), "d": inst.core.diamond_plain()}
+
+
 def evaluate_chain(
     inst: MercerInstance,
     which: str,
     force: bool = False,
     tol_abs: float | None = None,
 ) -> InequalityReport:
-    """The report of :func:`evaluate_trials` for an instance of one trial."""
-    (report,) = evaluate_trials(inst, which, force=force, tol_abs=tol_abs)
+    """The report of :func:`evaluate_trials` on the operands of an instance of one trial."""
+    (report,) = evaluate_trials(inst.f, inst.bounds, which, force=force, tol_abs=tol_abs, **chain_operands(inst))
     return report
 
 
 def evaluate_trials(
-    inst: MercerInstance,
+    f: ScalarFunction,
+    bounds: SpectralBounds,
     which: str,
+    s: HermitianOperator,
+    rhs: HermitianOperator,
+    d: HermitianOperator,
     force: bool = False,
     tol_abs: float | None = None,
 ) -> Tuple[InequalityReport, ...]:
@@ -332,17 +324,25 @@ def evaluate_trials(
     accept hypothesis violations.  Every report also carries the curvature
     correction term and its PSD verdict, which is hypothesis-free.
 
-    Returns one report per trial of the instance, in trial order.  Each side
-    is built for all trials at once and each pair compared in one ``eigh``
-    call, every trial against its own tolerance; the gates and curvature
-    bounds depend on f and [m, M] only and are evaluated once.
+    Every side is built from f, [m, M] and the operands S, rhs_classic and D
+    of :func:`chain_operands`: one matrix each, or stacks with one matrix per
+    trial, whatever the trials' instances.  Returns one report per trial, in
+    trial order.  Each side is built for all trials at once and each pair
+    compared in one ``eigh`` call, every trial against its own tolerance; the
+    gate depends on f and [m, M] only and is evaluated once, after the lhs.
     """
     chain = _chain_kind(which)
-    by_label = {label: _SIDES[label](inst) for label in _COMMON_SIDES}
-    scalars = chain.gate(inst, force)
+    by_label = {"lhs": _lhs(f, bounds, s), "rhs_classic": rhs, "diamond": d, "zero": HermitianOperator.zero(s.dim)}
+    scalars = chain.gate(f, bounds, force)
+    later = {
+        "chain_middle": lambda: _chord(f, bounds, s),
+        "lower_refined": lambda: rhs - scalars["beta"] * d,
+        "upper_refined": lambda: rhs - scalars["alpha"] * d,
+        "geometric_middle": lambda: _geometric(f, bounds, s),
+    }
     for label in chain.sides:
         if label not in by_label:
-            by_label[label] = _SIDES[label](inst)
+            by_label[label] = later[label]()
 
     if tol_abs is None:
         # Each side's spectral norms enter the default tolerance of every pair
@@ -355,7 +355,7 @@ def evaluate_trials(
     diamond = chain.pairs.index(_DIAMOND_PAIR)
 
     reports = []
-    for t in range(inst.trials):
+    for t in range(math.prod(s.entries.shape[:-2])):
         verdicts = tuple((left, right, trial_verdicts[t]) for left, right, trial_verdicts in compared)
         reports.append(
             InequalityReport(

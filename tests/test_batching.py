@@ -1,12 +1,13 @@
 """Grouping a suite's trials by shape changes nothing a trial reports.
 
-A verify suite evaluates each shape group of a chunk as one stacked
-instance.  Every trial's contract gaps must equal, bit for bit, those of
-``replay_trial``, which samples and evaluates the trial alone.  A sweep
-builds each shape group's operands on one stacked core and runs the rest
-once per codomain dimension; its report must equal, byte for byte, the one
-of chunks of one trial.  A failing suite or sweep must raise the error of
-its lowest failing trial, as evaluating trial after trial would.
+A verify suite and a sweep both build each shape group's operands on one
+stacked instance or core, then run the rest once per codomain dimension,
+on the operands of every group of that dimension.  Every verify trial's
+contract gaps must equal, bit for bit, those of ``replay_trial``, which
+samples and evaluates the trial alone, and a verify or sweep report must
+equal, byte for byte, the one of chunks of one trial.  A failing suite or
+sweep must raise the error of its lowest failing trial, as evaluating
+trial after trial would.
 """
 
 import json
@@ -38,13 +39,13 @@ SUITES = [
 
 @pytest.fixture
 def group_sizes(monkeypatch):
-    """The trial count of every instance a suite evaluates."""
+    """The trial count of every stack a suite evaluates."""
     sizes = []
     original = harness.evaluate_trials
 
-    def spy(inst, *args, **kwargs):
-        sizes.append(inst.trials)
-        return original(inst, *args, **kwargs)
+    def spy(*args, s, **kwargs):
+        sizes.append(len(s.entries))
+        return original(*args, s=s, **kwargs)
 
     monkeypatch.setattr(harness, "evaluate_trials", spy)
     return sizes
@@ -67,6 +68,74 @@ def test_every_trial_matches_its_replay(group_sizes, fn, chain, m, M, force, mix
         stacked = {f"{left}<={right}": gap.hex() for left, right, gap, _ in outcome.pairs}
         alone = {key: gap.hex() for key, gap in replay_trial(config, outcome.trial).items()}
         assert stacked == alone, outcome.trial
+
+
+VERIFY_SUITES = [
+    # (function, chain, m, M, force, mixed, tol_abs), all vary_dims
+    *[("exp", chain, 1.0, 3.0, False, mixed, None)
+      for chain in ("classic", "chain", "twice-diff", "log-convex") for mixed in (False, True)],
+    ("sin", "classic", PI4, PI2, True, False, None),
+    ("exp", "twice-diff", 1.0, 3.0, False, True, 1e-9),
+]
+
+
+@pytest.mark.parametrize("fn, chain, m, M, force, mixed, tol_abs", VERIFY_SUITES)
+def test_stacked_verify_equals_trial_by_trial(monkeypatch, fn, chain, m, M, force, mixed, tol_abs):
+    config = TrialConfig(
+        seed=8, function_spec=fn, chain=chain, m=m, M=M, force=force, mixed=mixed, tol_abs=tol_abs,
+        vary_dims=True,
+    )
+    chunks = []  # per chunk: its groups' dim_k, its group count, (dim_k, trials) per evaluated stack
+    outcomes = []  # per trial: index, seed, dims and its pairs, every gap as float.hex
+    sample, evaluate, grouped = harness._sample_chunk, harness.evaluate_trials, harness._grouped_outcomes
+
+    def sampled(*args):
+        seeds, groups = sample(*args)
+        chunks.append(({group.dims[1] for group in groups}, len(groups), []))
+        return seeds, groups
+
+    def evaluated(*args, s, **kwargs):
+        chunks[-1][2].append((s.dim, len(s.entries)))
+        return evaluate(*args, s=s, **kwargs)
+
+    def recorded(*args):
+        results = grouped(*args)
+        for o in results:
+            pairs = [(left, right, gap.hex(), below) for left, right, gap, below in o.pairs]
+            outcomes.append((o.trial, o.seed, o.dims, pairs))
+        return results
+
+    for name, spy in (("_sample_chunk", sampled), ("evaluate_trials", evaluated), ("_grouped_outcomes", recorded)):
+        monkeypatch.setattr(harness, name, spy)
+
+    def run():
+        chunks.clear()
+        outcomes.clear()
+        report, summary = harness.verify_report(config, 64)
+        return json.dumps(report, indent=2), repr(summary.rows), list(outcomes)
+
+    monkeypatch.setattr(harness, "CHUNK_TRIALS", 40)  # two chunks, of 40 and 24 trials
+    stacked = run()
+    assert len(chunks) == 2
+    for dims_k, n_groups, stacks in chunks:
+        assert sorted(dim for dim, _ in stacks) == sorted(dims_k)  # one evaluation per dim_k
+        assert len(stacks) < n_groups
+    assert sum(trials for *_, stacks in chunks for _, trials in stacks) == 64
+    monkeypatch.setattr(harness, "CHUNK_TRIALS", 1)
+    alone = run()
+    assert stacked == alone
+
+    # The comparison tells the trials of one stack apart: folding a stack's
+    # outcomes back in reverse order must fail it.
+    by_codomain = harness._by_codomain
+
+    def permuted(parts):
+        for positions, stack in by_codomain(parts):
+            yield positions[::-1], stack
+
+    monkeypatch.setattr(harness, "CHUNK_TRIALS", 40)
+    monkeypatch.setattr(harness, "_by_codomain", permuted)
+    assert run() != alone
 
 
 # The generator pairs of scripts/run_property_suites.py, in its order.

@@ -176,6 +176,8 @@ class TestBoundaryValidation:
             (("verify", "--function", "pow:p=inf"), "parameter 'p'"),
             (("reproduce", "example-2.2", "--function", "pow:p=inf"), "parameter 'p'"),
             (("sweep", "--phi", "pow:p=1e400", "--psi", "id", "--trials", "1"), "parameter 'p'"),
+            # a repeated key, refused rather than the last one kept
+            (("verify", "--function", "pow:p=2,p=3", "--trials", "1"), "parameter 'p' repeated"),
         ],
     )
     def test_rejected_with_one_line(self, args, field):

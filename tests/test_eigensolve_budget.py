@@ -10,8 +10,10 @@ tolerances (the zero side's norm is exactly 0 and needs none), the
 unitality defects, or the signed slacks of GreaterEqual verdicts.  The one
 ``qr`` is the Haar step of the sampler, for every operator of one dimension.
 A verify suite or a sweep of one shape samples and evaluates all its trials
-as one stack, so no count grows with the trial count; the sampler pays one
-normaliser ``eigh`` per codomain dimension of a chunk, whatever its shapes.
+as one stack, so no count grows with the trial count.  A chunk of many
+shapes pays one A_i ``eigh`` and one unitality ``eigvalsh`` per shape group;
+everything else runs once per codomain dimension dim_k of the chunk, whatever
+its shapes: the sampler's normaliser, and every side, norm and comparison.
 A count above these pins means a redundant solve came back; a count below
 means a check was dropped.
 """
@@ -77,6 +79,20 @@ def test_one_shape_suite_is_one_stack(solver_calls):
     summary = run_suite(TrialConfig(seed=3, function_spec="exp", chain="classic"), 50)
     assert summary.violations == []
     assert solver_calls == {"eigh": 1 + 4, "eigvalsh": 4, "qr": 1}
+
+
+def test_varied_verify_chunk_is_one_stack_per_codomain_dimension(solver_calls):
+    # 40 vary_dims trials of twice-diff land in 35 shape groups over 7 dim_h
+    # and 7 dim_k values.  eigh: 35 A_i stacks + 7 normalisers + 7 x (lhs 1
+    # + 5 compared pairs); it was 35 + 7 + 35 x 6 = 252 when each group was
+    # evaluated alone.  eigvalsh: 35 unitality defects + 7 x 6 side norms.
+    config = TrialConfig(seed=5, function_spec="exp", chain="twice-diff", vary_dims=True)
+    _, groups = harness._sample_chunk(config, range(40))
+    assert (len(groups), len({group.dims[1] for group in groups})) == (35, 7)
+    solver_calls.update(eigh=0, eigvalsh=0, qr=0)
+    summary = run_suite(config, 40)
+    assert summary.violations == []
+    assert solver_calls == {"eigh": 35 + 7 + 7 * 6, "eigvalsh": 35 + 7 * 6, "qr": 7}
 
 
 def test_one_shape_sweep_is_one_stack(solver_calls):
