@@ -37,13 +37,14 @@ from .functions import (
 )
 from .linalg import (
     HermitianOperator,
+    LoewnerOrder,
     OrderVerdict,
     Relation,
     SpectralBounds,
     SpectralDecomposition,
     apply_scalar_function,
     apply_to_decomposition,
-    loewner_verdicts,
+    loewner_order,
     spectral_decompose,
 )
 from .maps import (
@@ -59,11 +60,9 @@ from .mercer import (
     CHAIN_KINDS,
     InequalityReport,
     MercerInstance,
-    chain_middle,
     contract_pairs,
     diamond_plain,
     evaluate_chain,
-    log_convex_middle,
     mercer_lhs,
     mercer_rhs_classic,
     refined_bounds,

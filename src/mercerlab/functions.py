@@ -283,6 +283,15 @@ def require_domain(f: ScalarFunction, bounds: SpectralBounds) -> None:
         )
 
 
+def require_finite(f: ScalarFunction, bounds: SpectralBounds, points: int = CURVATURE_GRID_POINTS) -> np.ndarray:
+    """f on a ``points``-point grid of [m, M]; raise ``InvalidInterval`` unless every value is finite."""
+    with np.errstate(all="ignore"):
+        values = np.asarray(f(np.linspace(bounds.m, bounds.M, points)), dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise InvalidInterval(f"{f.label()} is not finite on [{bounds.m}, {bounds.M}]")
+    return values
+
+
 def curvature_bounds(f: ScalarFunction, bounds: SpectralBounds) -> CurvatureBounds:
     """Bounds alpha <= f'' <= beta on [m, M].
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import SpectralCore
 from .errors import BudgetExhausted, InvalidConfig
-from .functions import ScalarFunction, curvature_bounds, parse_function_spec, require_domain
+from .functions import ScalarFunction, curvature_bounds, parse_function_spec, require_domain, require_finite
 from .linalg import HermitianOperator, Relation, SpectralBounds, signed_slack
 from .maps import MapFamily, WeightedTrace, family_to_json
 from .mercer import (
@@ -216,36 +216,28 @@ def build_instance(
     return inst, seed_i, dims
 
 
-def _pair_gaps(reports: Sequence[InequalityReport], left: str, right: str) -> List[float]:
-    """The signed slack of left <= right per report.
+def _contract_outcomes(report: InequalityReport, which: str) -> List[Tuple[Tuple[str, str, float, bool], ...]]:
+    """Per trial of the report, (left, right, gap, ordered below) for every contract pair.
 
-    A GreaterEqual verdict holds the slack of the reverse order, so those
-    reports' slacks are recomputed, all in one stack.
+    The gap is the signed slack of left <= right: the least eigenvalue of
+    the comparison, but for a GreaterEqual trial, whose comparison leaves
+    that slack to rounding, the ``signed_slack`` of its sides, all such
+    trials of a pair in one stack.
     """
-    verdicts = [report.verdict_for(left, right) for report in reports]
-    gaps = [verdict.gap_min_eigenvalue for verdict in verdicts]
-    flipped = [k for k, verdict in enumerate(verdicts) if verdict.relation is Relation.GREATER_EQUAL]
-    if flipped:
-        lefts = HermitianOperator(np.stack([reports[k].side(left).entries for k in flipped]))
-        rights = HermitianOperator(np.stack([reports[k].side(right).entries for k in flipped]))
-        for k, gap in zip(flipped, signed_slack(lefts, rights, Relation.LESS_EQUAL).tolist()):
-            gaps[k] = gap
-    return gaps
-
-
-def _contract_outcomes(
-    reports: Sequence[InequalityReport], which: str
-) -> List[Tuple[Tuple[str, str, float, bool], ...]]:
-    """Per report, (left, right, gap, ordered below) for every contract pair."""
-    pairs = contract_pairs(which, alpha=reports[0].scalars.get("alpha"))
-    gaps = [_pair_gaps(reports, left, right) for left, right in pairs]
-    return [
-        tuple(
-            (left, right, gaps[p][t], report.verdict_for(left, right).is_ordered_below)
-            for p, (left, right) in enumerate(pairs)
-        )
-        for t, report in enumerate(reports)
-    ]
+    columns = []
+    for left, right in contract_pairs(which, alpha=report.scalars.get("alpha")):
+        order = report.orders[left, right]
+        below = order.below.reshape(-1)
+        gaps = order.eigenvalues[..., 0].flatten()
+        flipped = order.above.reshape(-1) & ~below
+        if flipped.any():
+            dim = report.sides[left].dim
+            lefts, rights = (
+                HermitianOperator(report.sides[label].entries.reshape(-1, dim, dim)[flipped]) for label in (left, right)
+            )
+            gaps[flipped] = signed_slack(lefts, rights, Relation.LESS_EQUAL)
+        columns.append([(left, right, gap, ordered) for gap, ordered in zip(gaps.tolist(), below.tolist())])
+    return list(zip(*columns))
 
 
 def _by_codomain(
@@ -273,7 +265,8 @@ def _grouped_outcomes(
     Stage 1 builds each shape group's instance, with every check of
     ``core.checked_core``, and takes S, rhs_classic and D from its core.
     Stage 2 evaluates the chain once per dim_k, on the operands of every
-    group of that dim_k (see :func:`_by_codomain`).
+    group of that dim_k (see :func:`_by_codomain`), into one stacked report
+    whose contract pairs give every trial's outcome (see :func:`_contract_outcomes`).
     """
     seeds, groups = _sample_chunk(config, indices)
     parts = []
@@ -283,8 +276,8 @@ def _grouped_outcomes(
     dims = {pos: group.dims for group in groups for pos in group.positions}
     outcomes: List[Optional[TrialOutcome]] = [None] * len(indices)
     for positions, stack in _by_codomain(parts):
-        reports = evaluate_trials(f, config.bounds, which, force=config.force, tol_abs=config.tol_abs, **stack)
-        for pos, pairs in zip(positions, _contract_outcomes(reports, which)):
+        report = evaluate_trials(f, config.bounds, which, force=config.force, tol_abs=config.tol_abs, **stack)
+        for pos, pairs in zip(positions, _contract_outcomes(report, which)):
             outcomes[pos] = TrialOutcome(trial=indices[pos], seed=seeds[pos], dims=dims[pos], pairs=pairs)
     return outcomes
 
@@ -323,12 +316,14 @@ def run_suite(config: TrialConfig, n_trials: int) -> RunSummary:
 
     Violations are data, not errors: each carries its replay seed and the
     offending pair so the exact instance can be rebuilt.  A function whose
-    natural domain does not contain [m, M] is rejected before any trial.
+    natural domain does not contain [m, M], or that is not finite on it, is
+    rejected before any trial.
     """
     check_trials(n_trials)
     f = parse_function_spec(config.function_spec)
     which = normalize_chain(config.chain)
     require_domain(f, config.bounds)
+    require_finite(f, config.bounds)
     violations: List[TrialViolation] = []
     rows: List[dict] = []
     min_gap = math.inf
@@ -475,6 +470,7 @@ def search_counterexample(
         functions = [parse_function_spec(spec_str) for spec_str in candidates]
         for f in functions:
             require_domain(f, bounds)
+            require_finite(f, bounds)
         configs = [
             TrialConfig(seed, m=m, M=M, function_spec=spec_str, tol_abs=tol_abs, force=True, vary_dims=True)
             for spec_str in candidates
@@ -485,7 +481,7 @@ def search_counterexample(
             report = evaluate_chain(probe, "classic", force=True, tol_abs=tol_abs)
             suite = suite_outcomes(config, range(1, budget), f, "classic")  # the probe is trial 0
             scores.append(
-                [_classic_score(_contract_outcomes([report], "classic")[0])]
+                [_classic_score(_contract_outcomes(report, "classic")[0])]
                 + [_classic_score(outcome.pairs) for outcome in suite]
             )
         gap, trial, c = min((scores[c][t][0], t, c) for t in range(budget) for c in range(len(candidates)))

@@ -5,8 +5,10 @@ for finite-dimensional self-adjoint matrices.  Every operator expression in
 the package is built on the primitives in this module:
 ``spectral_decompose``, ``apply_to_decomposition`` (with its one-shot form
 ``apply_scalar_function``), ``spectral_norms``, ``signed_slack`` and
-``loewner_verdicts``.  Functional calculus is split from decomposition so
+``loewner_order``.  Functional calculus is split from decomposition so
 that one eigensolve can serve every function applied to the same operator.
+A comparison is kept as arrays, one "ordered below" and "ordered above"
+bit per matrix; an ``OrderVerdict`` is built only for a matrix that asks.
 
 Every primitive takes a stack of matrices: ``entries`` of shape
 ``(..., d, d)``, with any leading axes (the maps of an instance, the trials
@@ -25,7 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 
@@ -123,10 +125,6 @@ class HermitianOperator:
     def diagonal(cls, values) -> "HermitianOperator":
         return cls(np.diag(np.asarray(values, dtype=np.complex128)))
 
-    @classmethod
-    def zero(cls, dim: int) -> "HermitianOperator":
-        return cls(np.zeros((dim, dim), dtype=np.complex128))
-
     @property
     def dim(self) -> int:
         return self.entries.shape[-1]
@@ -218,16 +216,48 @@ class OrderVerdict:
     gap_min_eigenvalue: float
     witness_vector: np.ndarray
 
-    @property
-    def is_ordered_below(self) -> bool:
-        """True when the first operand is <= the second (Equal counts)."""
-        return self.relation in (Relation.LESS_EQUAL, Relation.EQUAL)
-
     def to_json(self) -> dict:
         return {
             "relation": self.relation.value,
             "gap_min_eigenvalue": self.gap_min_eigenvalue,
         }
+
+
+@dataclass(frozen=True)
+class LoewnerOrder:
+    """The Loewner comparison of two stacks A and B, matrix by matrix (see :func:`loewner_order`).
+
+    ``eigenvalues`` (ascending) and ``eigenvectors`` are those of the
+    Hermitian part of B - A, ``tol`` the tolerance of each comparison.
+    """
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    tol: np.ndarray
+
+    @property
+    def below(self) -> np.ndarray:
+        """Per matrix: A <= B up to the tolerance, min eig of B - A >= -tol (Equal counts)."""
+        return self.eigenvalues[..., 0] >= -self.tol
+
+    @property
+    def above(self) -> np.ndarray:
+        """Per matrix: A >= B up to the tolerance, min eig of A - B >= -tol (Equal counts)."""
+        return -self.eigenvalues[..., -1] >= -self.tol
+
+    def verdict(self, index=()) -> OrderVerdict:
+        """The verdict of matrix ``index`` of the stack; ``()`` for an unstacked comparison.
+
+        Equal when B - A vanishes to tolerance (both slacks within it bound
+        its spectral norm by tol), LessEqual / GreaterEqual when one
+        difference is PSD up to the tolerance, Incomparable otherwise.
+        """
+        below, above = bool(self.below[index]), bool(self.above[index])
+        lam, vecs = self.eigenvalues[index], self.eigenvectors[index]
+        if above and not below:
+            return OrderVerdict(Relation.GREATER_EQUAL, float(-lam[-1]), vecs[:, -1])
+        relation = Relation.INCOMPARABLE if not below else Relation.EQUAL if above else Relation.LESS_EQUAL
+        return OrderVerdict(relation, float(lam[0]), vecs[:, 0])
 
 
 def spectral_norms(a: HermitianOperator) -> np.ndarray:
@@ -325,38 +355,14 @@ def signed_slack(left: HermitianOperator, right: HermitianOperator, relation: Re
     return lam[..., 0]
 
 
-def loewner_verdicts(a: HermitianOperator, b: HermitianOperator, tol_abs) -> Tuple[OrderVerdict, ...]:
-    """Compare A and B in the Loewner order (A <= B iff B - A is PSD).
+def loewner_order(a: HermitianOperator, b: HermitianOperator, tol_abs) -> LoewnerOrder:
+    """Compare A and B in the Loewner order (A <= B iff B - A is PSD), matrix by matrix.
 
-    Two stacks are compared matrix by matrix, in one ``eigh`` call.  A
-    verdict is Equal when B - A vanishes to tolerance, LessEqual /
-    GreaterEqual when the corresponding difference is PSD up to the
-    tolerance, and Incomparable when the difference is indefinite beyond it.
-    ``tol_abs`` is one tolerance or one per matrix of the broadcast stack
-    (``tolerance.tolerance_from_norms`` of the two sides' ``spectral_norms``
-    is the engine's default); the verdicts come in C order over its leading
-    axes.
+    One ``eigh`` call for the whole stack.  ``tol_abs`` is one tolerance or
+    one per matrix of the broadcast stack (``tolerance.tolerance_from_norms``
+    of the two sides' ``spectral_norms`` is the engine's default).
     """
     a._check_same_dim(b)
     diff = b.entries - a.entries
     lam, vecs = np.linalg.eigh(0.5 * (diff + diff.conj().swapaxes(-1, -2)))
-    d = lam.shape[-1]
-    spectra = lam.reshape(-1, d).tolist()
-    vecs = vecs.reshape(-1, d, d)
-    tols = np.asarray(tol_abs, dtype=float)
-    tols = tols.reshape(-1).tolist() if tols.shape == lam.shape[:-1] else [float(tols)] * len(spectra)
-    verdicts = []
-    for k, (spectrum, tol) in enumerate(zip(spectra, tols)):
-        min_ba = spectrum[0]          # min eig of B - A
-        min_ab = -spectrum[-1]        # min eig of A - B
-        # Both slacks within tolerance already bound the spectral norm of
-        # B - A by tol, so no separate norm test is needed for Equal.
-        if min_ba >= -tol and min_ab >= -tol:
-            verdicts.append(OrderVerdict(Relation.EQUAL, min_ba, vecs[k, :, 0]))
-        elif min_ba >= -tol:
-            verdicts.append(OrderVerdict(Relation.LESS_EQUAL, min_ba, vecs[k, :, 0]))
-        elif min_ab >= -tol:
-            verdicts.append(OrderVerdict(Relation.GREATER_EQUAL, min_ab, vecs[k, :, -1]))
-        else:
-            verdicts.append(OrderVerdict(Relation.INCOMPARABLE, min_ba, vecs[k, :, 0]))
-    return tuple(verdicts)
+    return LoewnerOrder(lam, vecs, np.asarray(tol_abs, dtype=float))

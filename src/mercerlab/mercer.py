@@ -29,10 +29,11 @@ from .core import SpectralCore, checked_core, geometric_interpolant
 from .functions import CurvatureBounds, ScalarFunction, curvature_bounds, is_log_convex_on
 from .linalg import (
     HermitianOperator,
+    LoewnerOrder,
     OrderVerdict,
     SpectralBounds,
     apply_scalar_function,
-    loewner_verdicts,
+    loewner_order,
     spectral_norms,
 )
 from .maps import MapFamily
@@ -62,38 +63,35 @@ class MercerInstance:
     def __post_init__(self):
         object.__setattr__(self, "core", checked_core(self.family, self.operators, self.bounds))
 
-    @property
-    def dim_out(self) -> int:
-        return self.family.dim_out
-
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """Named operator sides, pairwise order verdicts, and scalar diagnostics."""
+    """Named operator sides, the Loewner comparison of each compared pair, and the gate's scalars.
 
-    sides: Tuple[Tuple[str, HermitianOperator], ...]
-    verdicts: Tuple[Tuple[str, str, OrderVerdict], ...]
+    ``sides`` are keyed by label in the chain's side order, ``orders`` by
+    (left, right) in its pair order; each is a stack with one matrix per
+    trial, or one matrix for a report of one trial (:func:`evaluate_chain`).
+    """
+
+    sides: Dict[str, HermitianOperator]
+    orders: Dict[Tuple[str, str], LoewnerOrder]
     scalars: Dict[str, float]
 
     def side(self, label: str) -> HermitianOperator:
-        for name, op in self.sides:
-            if name == label:
-                return op
-        raise KeyError(label)
+        return self.sides[label]
 
     def verdict_for(self, left: str, right: str) -> OrderVerdict:
-        for l, r, verdict in self.verdicts:
-            if (l, r) == (left, right):
-                return verdict
-        raise KeyError((left, right))
+        """The verdict of the pair in a report of one trial."""
+        return self.orders[left, right].verdict()
 
     def to_json(self) -> dict:
+        """The report of one trial, with the diamond pair's gap among the scalars."""
+        verdicts = {pair: order.verdict() for pair, order in self.orders.items()}
+        scalars = {**self.scalars, "diamond_min_eigenvalue": verdicts["zero", "diamond"].gap_min_eigenvalue}
         return {
-            "sides": [{"label": name, "matrix": op.to_json()} for name, op in self.sides],
-            "verdicts": [
-                {"pair": [l, r], **verdict.to_json()} for l, r, verdict in self.verdicts
-            ],
-            "scalars": {key: self.scalars[key] for key in sorted(self.scalars)},
+            "sides": [{"label": name, "matrix": op.to_json()} for name, op in self.sides.items()],
+            "verdicts": [{"pair": list(pair), **verdict.to_json()} for pair, verdict in verdicts.items()],
+            "scalars": {key: scalars[key] for key in sorted(scalars)},
         }
 
 
@@ -144,16 +142,12 @@ def mercer_rhs_classic(inst: MercerInstance) -> HermitianOperator:
     return inst.core.pre_mean(inst.f)
 
 
-def chain_middle(inst: MercerInstance) -> HermitianOperator:
-    """The reflected chord of f evaluated at S:
+def _chord(f: ScalarFunction, bounds: SpectralBounds, s: HermitianOperator) -> HermitianOperator:
+    """The chain's middle, the reflected chord of f evaluated at S:
     (f(M)+f(m)) I + (S - M I) f(m)/(M-m) + (m I - S) f(M)/(M-m).
 
     Affine in S, so plain matrix arithmetic is exact; no eigendecomposition.
     """
-    return _chord(inst.f, inst.bounds, inst.core.image_sum())
-
-
-def _chord(f: ScalarFunction, bounds: SpectralBounds, s: HermitianOperator) -> HermitianOperator:
     eye = HermitianOperator.identity(s.dim)
     fm = float(f(bounds.m))
     fM = float(f(bounds.M))
@@ -186,17 +180,13 @@ def refined_bounds(
     return lower, upper
 
 
-def log_convex_middle(inst: MercerInstance) -> HermitianOperator:
-    """Geometric interpolant f(m)^{(S-m)/(M-m)} f(M)^{(M-S)/(M-m)}.
+def _geometric(f: ScalarFunction, bounds: SpectralBounds, s: HermitianOperator) -> HermitianOperator:
+    """The log-convex chain's middle, the geometric interpolant f(m)^{(S-m)/(M-m)} f(M)^{(M-S)/(M-m)}.
 
     Both exponent operators are functions of S and commute, so the product
     reduces to one scalar functional calculus h(S) with
     h(s) = f(m)^{(s-m)/(M-m)} * f(M)^{(M-s)/(M-m)}.
     """
-    return _geometric(inst.f, inst.bounds, inst.core.image_sum())
-
-
-def _geometric(f: ScalarFunction, bounds: SpectralBounds, s: HermitianOperator) -> HermitianOperator:
     fm = float(f(bounds.m))
     fM = float(f(bounds.M))
     if not (fm > 0.0 and fM > 0.0 and math.isfinite(fm) and math.isfinite(fM)):
@@ -302,8 +292,7 @@ def evaluate_chain(
     tol_abs: float | None = None,
 ) -> InequalityReport:
     """The report of :func:`evaluate_trials` on the operands of an instance of one trial."""
-    (report,) = evaluate_trials(inst.f, inst.bounds, which, force=force, tol_abs=tol_abs, **chain_operands(inst))
-    return report
+    return evaluate_trials(inst.f, inst.bounds, which, force=force, tol_abs=tol_abs, **chain_operands(inst))
 
 
 def evaluate_trials(
@@ -315,24 +304,25 @@ def evaluate_trials(
     d: HermitianOperator,
     force: bool = False,
     tol_abs: float | None = None,
-) -> Tuple[InequalityReport, ...]:
+) -> InequalityReport:
     """Evaluate the selected inequality chain and compare its pairs of sides.
 
     Hypothesis gates (convexity for classic/chain, log-convexity for
     log_convex) raise ``HypothesisNotMet`` unless ``force`` is set; forcing is
     how counterexample runs are expressed, so property suites cannot silently
     accept hypothesis violations.  Every report also carries the curvature
-    correction term and its PSD verdict, which is hypothesis-free.
+    correction term and its PSD comparison, which is hypothesis-free.
 
     Every side is built from f, [m, M] and the operands S, rhs_classic and D
     of :func:`chain_operands`: one matrix each, or stacks with one matrix per
-    trial, whatever the trials' instances.  Returns one report per trial, in
-    trial order.  Each side is built for all trials at once and each pair
-    compared in one ``eigh`` call, every trial against its own tolerance; the
-    gate depends on f and [m, M] only and is evaluated once, after the lhs.
+    trial, whatever the trials' instances.  Returns one report for all of
+    them: each side is built for all trials at once and each pair compared
+    in one ``eigh`` call, every trial against its own tolerance; the gate
+    depends on f and [m, M] only and is evaluated once, after the lhs.
     """
     chain = _chain_kind(which)
-    by_label = {"lhs": _lhs(f, bounds, s), "rhs_classic": rhs, "diamond": d, "zero": HermitianOperator.zero(s.dim)}
+    zero = HermitianOperator(np.zeros_like(s.entries))
+    by_label = {"lhs": _lhs(f, bounds, s), "rhs_classic": rhs, "diamond": d, "zero": zero}
     scalars = chain.gate(f, bounds, force)
     later = {
         "chain_middle": lambda: _chord(f, bounds, s),
@@ -340,36 +330,17 @@ def evaluate_trials(
         "upper_refined": lambda: rhs - scalars["alpha"] * d,
         "geometric_middle": lambda: _geometric(f, bounds, s),
     }
-    for label in chain.sides:
-        if label not in by_label:
-            by_label[label] = later[label]()
+    sides = {label: by_label[label] if label in by_label else later[label]() for label in chain.sides}
 
     if tol_abs is None:
         # Each side's spectral norms enter the default tolerance of every pair
         # the side is in, so they are computed once per side; zero's is exactly 0.
-        norms = {label: 0.0 if label == "zero" else spectral_norms(side) for label, side in by_label.items()}
-    compared = []
+        norms = {label: 0.0 if label == "zero" else spectral_norms(side) for label, side in sides.items()}
+    orders = {}
     for left, right, _ in chain.pairs:
         tol = tol_abs if tol_abs is not None else tolerance_from_norms(norms[left], norms[right])
-        compared.append((left, right, loewner_verdicts(by_label[left], by_label[right], tol)))
-    diamond = chain.pairs.index(_DIAMOND_PAIR)
-
-    reports = []
-    for t in range(math.prod(s.entries.shape[:-2])):
-        verdicts = tuple((left, right, trial_verdicts[t]) for left, right, trial_verdicts in compared)
-        reports.append(
-            InequalityReport(
-                sides=tuple((label, _trial_side(by_label[label], t)) for label in chain.sides),
-                verdicts=verdicts,
-                scalars={**scalars, "diamond_min_eigenvalue": verdicts[diamond][2].gap_min_eigenvalue},
-            )
-        )
-    return tuple(reports)
-
-
-def _trial_side(side: HermitianOperator, t: int) -> HermitianOperator:
-    """Trial t's matrix of a side; a side without a trial axis (zero) is shared."""
-    return HermitianOperator(side.entries[t]) if side.entries.ndim > 2 else side
+        orders[left, right] = loewner_order(sides[left], sides[right], tol)
+    return InequalityReport(sides=sides, orders=orders, scalars=scalars)
 
 
 def contract_pairs(which: str, alpha: float | None = None) -> List[Tuple[str, str]]:

@@ -43,6 +43,7 @@ from .functions import (
     curvature_bounds,
     inverse_entry,
     is_log_convex_on,
+    require_finite,
 )
 from .core import checked_core, geometric_interpolant
 from .linalg import (
@@ -66,17 +67,12 @@ BETA_SIDE = "beta_reversed"
 
 
 def _require_strictly_monotone(g: ScalarFunction, bounds: SpectralBounds, n: int) -> None:
-    """Validate strict monotonicity of g on an n-point grid of [m, M]."""
+    """Validate that g is finite and strictly monotone on an n-point grid of [m, M]."""
     if not g.domain_contains_interval(bounds):
         raise InvalidInterval(
             f"[{bounds.m}, {bounds.M}] not inside the domain of {g.label()}"
         )
-    grid = np.linspace(bounds.m, bounds.M, n)
-    with np.errstate(all="ignore"):
-        vals = np.asarray(g(grid), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise InvalidInterval(f"{g.label()} is not finite on [{bounds.m}, {bounds.M}]")
-    steps = np.diff(vals)
+    steps = np.diff(require_finite(g, bounds, n))
     if not (np.all(steps > 0) or np.all(steps < 0)):
         raise InvalidInterval(f"{g.label()} is not strictly monotone on [{bounds.m}, {bounds.M}]")
 

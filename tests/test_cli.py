@@ -178,6 +178,11 @@ class TestBoundaryValidation:
             (("sweep", "--phi", "pow:p=1e400", "--psi", "id", "--trials", "1"), "parameter 'p'"),
             # a repeated key, refused rather than the last one kept
             (("verify", "--function", "pow:p=2,p=3", "--trials", "1"), "parameter 'p' repeated"),
+            # f not finite on [m, M] (exp overflows at 800), refused before any trial
+            (("verify", "--function", "exp", "--m", "1", "--M", "800", "--trials", "0"), "not finite"),
+            (("verify", "--function", "exp", "--m", "1", "--M", "800", "--trials", "1"), "not finite"),
+            (("search", "classic-nonconvex", "--function", "exp", "--m", "1", "--M", "800"), "not finite"),
+            (("sweep", "--phi", "exp", "--psi", "id", "--m", "1", "--M", "800", "--trials", "1"), "not finite"),
         ],
     )
     def test_rejected_with_one_line(self, args, field):

@@ -7,8 +7,10 @@ object at each use, before the per-trial spectral core reused
 eigendecompositions; the varied, forced-sine and CSV digests were recorded
 from the trial-by-trial evaluator, before trials were evaluated in stacked
 shape groups; the digests of the sweeps whose checks do not all apply were
-recorded before the sweep's checks were read from one table.  Neither reuse,
-stacking nor the table may move a single bit, so these
+recorded before the sweep's checks were read from one table; the one-trial
+chain reports were recorded while a suite still built one report per trial,
+before the report held one stack per side and per comparison.  Neither
+reuse, stacking, the table nor the stacked report may move a single bit, so these
 digests must never be regenerated to make this test pass: a mismatch means
 a report changed.
 """
@@ -20,7 +22,9 @@ import math
 import pytest
 
 from mercerlab.cli import _write_csv
-from mercerlab.harness import TrialConfig, run_suite, run_sweep, verify_report
+from mercerlab.functions import parse_function_spec
+from mercerlab.harness import TrialConfig, build_instance, run_suite, run_sweep, verify_report
+from mercerlab.mercer import evaluate_chain
 
 TRIALS = 20
 
@@ -59,6 +63,17 @@ VARIED_VERIFY_DIGESTS = {
 # slack recomputed for GreaterEqual pairs are pinned.
 FORCED_SINE_DIGEST = "dcb5fbd4e49e374ac3b5e169c1488b71bd6d52cb24aad78dd027d03d9f24a563"
 
+# sha256 of ``json.dumps(evaluate_chain(inst, chain, force=True).to_json())``
+# for trial 3 of the forced sine suite's config (dims (8, 6, 3)): every side,
+# every verdict (GreaterEqual ones among them) and the scalars, with the
+# diamond pair's min eigenvalue, of the report a one-trial replay prints.
+ONE_TRIAL_REPORT_DIGESTS = {
+    "classic": "06db642c234e27887e6f873712f4a32f67a9ac0cf862a8e21ea9f306c7cd988d",
+    "chain": "03f4208a9791828d1904570ac5ea2bbd967381725ce32ea44bc84d2c0a2855bd",
+    "twice_diff": "a8345adbc2b794df7e41608c3c9ba8bb6c9fe7a9f1c4c45335e6305d251c65af",
+    "log_convex": "947b3f55601a4b02f9c8418afae386d3295da0ec5b71c5b9d6697f80a2bf1126",
+}
+
 # sha256 of the per-trial CSV rows of one fixed-shape suite, as `--csv` writes them.
 ROWS_CSV_DIGEST = "d3e199aef436b16fe399eea1722a0a94e417a7190d1f06942c6f44d9a12f8a01"
 
@@ -92,12 +107,14 @@ def test_varied_mixed_verify_report_digest(index, chain):
     assert digest(report) == VARIED_VERIFY_DIGESTS[chain]
 
 
+FORCED_SINE_CONFIG = TrialConfig(
+    seed=12, function_spec="sin", chain="classic", m=math.pi / 4, M=math.pi / 2,
+    force=True, mixed=True, vary_dims=True,
+)
+
+
 def test_forced_sine_verify_report_digest():
-    config = TrialConfig(
-        seed=12, function_spec="sin", chain="classic", m=math.pi / 4, M=math.pi / 2,
-        force=True, mixed=True, vary_dims=True,
-    )
-    report, summary = verify_report(config, TRIALS)
+    report, summary = verify_report(FORCED_SINE_CONFIG, TRIALS)
     assert len(summary.violations) == TRIALS
     assert digest(report) == FORCED_SINE_DIGEST
 
@@ -107,3 +124,11 @@ def test_rows_csv_digest(tmp_path):
     path = tmp_path / "rows.csv"
     _write_csv(str(path), summary.rows)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == ROWS_CSV_DIGEST
+
+
+@pytest.mark.parametrize("chain", list(ONE_TRIAL_REPORT_DIGESTS))
+def test_one_trial_report_digest(chain):
+    inst, _, dims = build_instance(FORCED_SINE_CONFIG, 3, parse_function_spec("sin"))
+    assert dims == (8, 6, 3)
+    blob = json.dumps(evaluate_chain(inst, chain, force=True).to_json())
+    assert hashlib.sha256(blob.encode()).hexdigest() == ONE_TRIAL_REPORT_DIGESTS[chain]

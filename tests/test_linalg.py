@@ -18,7 +18,7 @@ from mercerlab.linalg import (
     SpectralBounds,
     apply_scalar_function,
     apply_to_decomposition,
-    loewner_verdicts,
+    loewner_order,
     spectral_decompose,
     spectral_norms,
 )
@@ -28,8 +28,7 @@ from mercerlab.tolerance import tolerance_from_norms
 
 def compare(a, b):
     """The Loewner verdict of A against B at the engine's default tolerance."""
-    (verdict,) = loewner_verdicts(a, b, tolerance_from_norms(spectral_norms(a), spectral_norms(b)))
-    return verdict
+    return loewner_order(a, b, tolerance_from_norms(spectral_norms(a), spectral_norms(b))).verdict()
 
 
 def random_hermitian_raw(dim, rng, scale=1.0):
@@ -193,12 +192,17 @@ class TestLoewnerCompare:
         assert backward is flipped[forward]
 
     def test_witness_attains_gap(self):
-        a = HermitianOperator.diagonal([1.0, 3.0])
-        b = HermitianOperator.diagonal([2.0, 2.0])
-        verdict = compare(a, b)
-        diff = b.entries - a.entries
-        rayleigh = float((verdict.witness_vector.conj() @ diff @ verdict.witness_vector).real)
-        assert rayleigh == pytest.approx(verdict.gap_min_eigenvalue, abs=1e-12)
+        # The gap is lambda_min(B - A), or lambda_min(A - B) for GreaterEqual.
+        for a, b, relation in (
+            ([1.0, 3.0], [2.0, 2.0], Relation.INCOMPARABLE),
+            ([3.0, 2.5], [2.0, 2.0], Relation.GREATER_EQUAL),
+        ):
+            a, b = HermitianOperator.diagonal(a), HermitianOperator.diagonal(b)
+            verdict = compare(a, b)
+            assert verdict.relation is relation
+            diff = a.entries - b.entries if relation is Relation.GREATER_EQUAL else b.entries - a.entries
+            rayleigh = float((verdict.witness_vector.conj() @ diff @ verdict.witness_vector).real)
+            assert rayleigh == pytest.approx(verdict.gap_min_eigenvalue, abs=1e-12)
 
 
 class TestSpectrumRange:

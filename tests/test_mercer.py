@@ -28,11 +28,9 @@ from mercerlab.maps import Compression, MapFamily, WeightedTrace
 from mercerlab.mercer import (
     CHAIN_KINDS,
     MercerInstance,
-    chain_middle,
     contract_pairs,
     diamond_plain,
     evaluate_chain,
-    log_convex_middle,
     mercer_lhs,
     mercer_rhs_classic,
     refined_bounds,
@@ -151,7 +149,7 @@ class TestOperatorSides:
         b = SpectralBounds(0.5, 2.0)
         inst = random_instance(identity(), seed=42, bounds=b)
         lhs = mercer_lhs(inst)
-        for op in (mercer_rhs_classic(inst), chain_middle(inst)):
+        for op in (mercer_rhs_classic(inst), evaluate_chain(inst, "chain", force=True).side("chain_middle")):
             assert np.max(np.abs(op.entries - lhs.entries)) <= 1e-12
 
     def test_square_with_identity_compression(self):
@@ -180,14 +178,15 @@ class TestOperatorSides:
 
     def test_chain_middle_sine_value(self):
         # reflected chord at S = 3 pi / 8, which is the interval midpoint
-        assert chain_middle(sine_instance()).scalar() == pytest.approx(SIN_RHS, abs=1e-12)
+        middle = evaluate_chain(sine_instance(), "chain", force=True).side("chain_middle")
+        assert middle.scalar() == pytest.approx(SIN_RHS, abs=1e-12)
 
     def test_chain_middle_between_sides_for_convex(self):
         b = SpectralBounds(0.5, 2.5)
         for seed in range(200):
             inst = random_instance(exponential(), seed=1000 + seed, bounds=b)
             lhs = mercer_lhs(inst)
-            mid = chain_middle(inst)
+            mid = evaluate_chain(inst, "chain", force=True).side("chain_middle")
             rhs = mercer_rhs_classic(inst)
             assert np.linalg.eigvalsh((mid - lhs).entries)[0] >= -1e-9 * (1 + spectral_norms(mid))
             assert np.linalg.eigvalsh((rhs - mid).entries)[0] >= -1e-9 * (1 + spectral_norms(rhs))
@@ -271,7 +270,7 @@ class TestLogConvexMiddle:
             operators=(HermitianOperator.diagonal([1.0, 3.0]),),
             bounds=b,
         )
-        middle = log_convex_middle(inst).scalar()
+        middle = evaluate_chain(inst, "log_convex", force=True).side("geometric_middle").scalar()
         assert middle == pytest.approx(3 ** -0.5, abs=1e-12)
         assert mercer_lhs(inst).scalar() == pytest.approx(0.5)
         assert mercer_rhs_classic(inst).scalar() == pytest.approx(2.0 / 3.0)
@@ -287,7 +286,7 @@ class TestLogConvexMiddle:
             operators=(c * HermitianOperator.identity(2),),
             bounds=b,
         )
-        middle = log_convex_middle(inst)
+        middle = evaluate_chain(inst, "log_convex", force=True).side("geometric_middle")
         lhs = mercer_lhs(inst)
         assert np.max(np.abs(middle.entries - lhs.entries)) <= 1e-12
 
@@ -298,8 +297,9 @@ class TestLogConvexMiddle:
         )
         b = SpectralBounds(1.0, 3.0)
         inst = random_instance(const, seed=13, bounds=b)
-        eye = HermitianOperator.identity(inst.dim_out)
-        for side in (log_convex_middle(inst), mercer_lhs(inst), mercer_rhs_classic(inst)):
+        eye = HermitianOperator.identity(inst.family.dim_out)
+        middle = evaluate_chain(inst, "log_convex", force=True).side("geometric_middle")
+        for side in (middle, mercer_lhs(inst), mercer_rhs_classic(inst)):
             assert np.max(np.abs(side.entries - 2.5 * eye.entries)) <= 1e-12
 
     def test_nonpositive_rejected(self):
@@ -311,7 +311,7 @@ class TestLogConvexMiddle:
             operators=(HermitianOperator.diagonal([-0.5, 0.5]),), bounds=b,
         )
         with pytest.raises(NonpositiveFunction):
-            log_convex_middle(bad)
+            evaluate_chain(bad, "log_convex", force=True).side("geometric_middle")
 
 
 class TestEvaluateChain:
@@ -348,8 +348,8 @@ class TestEvaluateChain:
         inst = random_instance(exponential(), seed=21, bounds=b)
         for which in CHAIN_KINDS:
             report = evaluate_chain(inst, which)
-            labels = {name for name, _ in report.sides}
-            for left, right, _ in report.verdicts:
+            labels = set(report.sides)
+            for left, right in report.orders:
                 assert {left, right} <= labels
             blob = report.to_json()
             assert set(blob) == {"sides", "verdicts", "scalars"}
@@ -364,7 +364,7 @@ class TestEvaluateChain:
         # compared pairs of the report, in comparison order
         inst = random_instance(exponential(), seed=21, bounds=SpectralBounds(0.5, 2.0))
         for which in CHAIN_KINDS:
-            compared = [(left, right) for left, right, _ in evaluate_chain(inst, which).verdicts]
+            compared = list(evaluate_chain(inst, which).orders)
             for alpha in (0.5, -0.5):
                 pairs = contract_pairs(which, alpha=alpha)
                 assert pairs == [pair for pair in compared if pair in pairs]

@@ -50,10 +50,10 @@ def mp_sides(inst, f):
     m, M = mp.mpf(inst.bounds.m), mp.mpf(inst.bounds.M)
     fm, fM = (m, M) if f is None else (f(m), f(M))
     ops = [to_mp(a.entries) for a in inst.operators]
-    eye = mp.eye(inst.dim_out)
+    eye = mp.eye(inst.family.dim_out)
 
     def family_sum(parts):
-        total = mp.zeros(inst.dim_out)
+        total = mp.zeros(inst.family.dim_out)
         for phi, part in zip(inst.family.maps, parts):
             total += mp_map(phi, part)
         return total
@@ -64,7 +64,7 @@ def mp_sides(inst, f):
         "rhs_classic": (fM + fm) * eye - family_sum([mp_apply(f, a) for a in ops]),
         "chain_middle": (fM + fm) * eye + (fm / (M - m)) * (s - M * eye) + (fM / (M - m)) * (m * eye - s),
         "diamond": (M + m) * s - M * m * eye - (s * s + family_sum([a * a for a in ops])) / 2,
-        "zero": mp.zeros(inst.dim_out),
+        "zero": mp.zeros(inst.family.dim_out),
     }
 
 

@@ -22,9 +22,9 @@ from mercerlab.functions import (
     square_root,
 )
 from mercerlab.core import SpectralCore
-from mercerlab.linalg import HermitianOperator, Relation, SpectralBounds, loewner_verdicts, spectral_norms
+from mercerlab.linalg import HermitianOperator, Relation, SpectralBounds, loewner_order, spectral_norms
 from mercerlab.maps import Compression, MapFamily, WeightedTrace
-from mercerlab.mercer import MercerInstance, diamond_plain, log_convex_middle, mercer_lhs
+from mercerlab.mercer import MercerInstance, diamond_plain, evaluate_chain, mercer_lhs
 from mercerlab.quasimeans import (
     ALPHA_SIDE,
     BETA_SIDE,
@@ -69,8 +69,7 @@ def random_family_and_ops(seed, bounds, dim_max=6):
 
 def compare(a, b):
     """The Loewner verdict of A against B at the engine's default tolerance."""
-    (verdict,) = loewner_verdicts(a, b, tolerance_from_norms(spectral_norms(a), spectral_norms(b)))
-    return verdict
+    return loewner_order(a, b, tolerance_from_norms(spectral_norms(a), spectral_norms(b))).verdict()
 
 
 def both_means(spec, core):
@@ -315,7 +314,7 @@ class TestLogConvexMeanSandwich:
         middle, _, _ = sandwich(spec, family, ops)
         lifted = np.linalg.eigvalsh(middle.entries)
         inst = MercerInstance(f=exponential(), family=family, operators=ops, bounds=BOUNDS_13)
-        plain = np.linalg.eigvalsh(log_convex_middle(inst).entries)
+        plain = np.linalg.eigvalsh(evaluate_chain(inst, "log_convex", force=True).side("geometric_middle").entries)
         np.testing.assert_allclose(np.exp(lifted), plain, atol=1e-10)
 
     def test_hypothesis_gates(self):
