@@ -1,30 +1,29 @@
-"""The spectral core of one instance: A_1..A_n decomposed once, shared by every chain and mean.
+"""Stage 1: the family sums of a chunk of trials, built per matrix dimension.
 
 For a unital family Phi_1..Phi_n, operators A_1..A_n and an interval
 [m, M], every side of the Mercer chains and of the quasi-arithmetic means is
-assembled from a few objects per generator g:
+assembled from a few family sums sum_i Phi_i(X_i), one per object X:
 
-* the images g(A_i), by clamped functional calculus on [m, M];
-* the image sum T_g = sum_i Phi_i(g(A_i));
-* the pre-mean (g(M) + g(m)) I - T_g;
-* the diamond term in g-coordinates,
+* X = A: S = sum_i Phi_i(A_i), and X = A^2 for the plain diamond D;
+* X = g(A), by clamped functional calculus on [m, M], for a generator g:
+  T_g, its pre-mean (g(M) + g(m)) I - T_g, and with X = g(A)^2 the diamond
+  term in g-coordinates,
   (g(M)+g(m)) T_g - g(M)g(m) I - (T_g^2 + sum_i Phi_i(g(A_i)^2)) / 2;
+* X = I: sum_i Phi_i(I), whose distance from I is the unitality defect.
 
-plus, for the plain chains, S = sum_i Phi_i(A_i) and the plain diamond D
-built from the raw A_i; the classic chain's right side is the pre-mean of
-g = f.  ``SpectralCore`` eigendecomposes the A_i once, as
-one stack ``(..., n, d, d)`` through ``spectral_decompose`` with its
-Hermiticity check, and builds each of these objects from that basis on first
-use.  Every object is the same numpy computation on the same input as a
-one-shot evaluation, so reuse never moves a bit.  A core lives for one
-instance: one trial, or one group of same-shape trials stacked along a
-leading trial axis of the operators and of the family's maps.
+The classic chain's right side is the pre-mean of g = f.  ``stage_one``
+builds the sums of a chunk of trials of any shapes: one eigendecomposition
+per operator dimension dim_h, the maps once per (dim_h, dim_k), the sums
+per codomain dimension dim_k.  Every matrix goes through the numpy
+operations it would go through alone, so a sum is bit for bit the one of
+``maps.family_sum`` on that trial.  ``SpectralCore`` is one trial, a chunk
+of one, each object built on first use.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,16 +34,14 @@ from .linalg import (
     SpectralDecomposition,
     apply_to_decomposition,
     spectral_decompose,
+    spectral_norms,
 )
-from .maps import MapFamily, family_sum, unitality_defect
+from .maps import Compression, MapFamily, WeightedTrace, apply_map, concatenate_maps
 from .tolerance import UNITALITY_ABS
 
-_MISSING = object()
-
-
-def per_map(stack: HermitianOperator) -> Tuple[HermitianOperator, ...]:
-    """The operators of a stack ``(..., n, d, d)``, one per map, as views."""
-    return tuple(HermitianOperator(stack.entries[..., i, :, :]) for i in range(stack.entries.shape[-3]))
+# The key of the identity among the objects; every other object is keyed
+# (g, squared), for g(A_i) or g(A_i)^2, with g None for the raw A_i.
+UNIT = ("unit", False)
 
 
 def geometric_interpolant(lo: float, hi: float, v_lo: float, v_hi: float) -> Callable:
@@ -64,131 +61,172 @@ def geometric_interpolant(lo: float, hi: float, v_lo: float, v_hi: float) -> Cal
     return h
 
 
-def _diamond_term(
-    family: MapFamily,
-    total: HermitianOperator,
-    parts: HermitianOperator,
-    lo: float,
-    hi: float,
-) -> HermitianOperator:
-    """(hi + lo) T - hi lo I - (T^2 + sum_i Phi_i(X_i^2)) / 2 for T = sum_i Phi_i(X_i).
+class Block(NamedTuple):
+    """Trials with one family shape: their chunk ``positions``, a ``family`` whose maps carry
+    a leading trial axis, and ``operators`` ``(trials, n, dim_h, dim_h)``."""
 
-    ``parts`` is the stack of the X_i.  PSD whenever every X_i has spectrum
-    in [lo, hi]: it averages (hi I - T)(T - lo I) and the images of
-    (hi I - X_i)(X_i - lo I).
-    """
-    sq_total = family_sum(family, per_map(HermitianOperator(parts.entries @ parts.entries)))
-    t_squared = HermitianOperator(total.entries @ total.entries)
-    eye = HermitianOperator.identity(family.dim_out)
-    return (hi + lo) * total - (hi * lo) * eye - 0.5 * (t_squared + sq_total)
+    positions: Sequence[int]
+    family: MapFamily
+    operators: np.ndarray
 
 
-class SpectralCore:
-    """Memoised spectral objects of one (family, operators, bounds) instance.
+class FamilySums:
+    """The family sums of trials with one codomain dimension, keyed by object, each a stack
+    with one matrix per trial at chunk ``positions`` (ascending), and the operands built on them."""
 
-    The operators, one per map, are kept as one stack ``(..., n, d, d)``
-    and eigendecomposed on first use (``MercerInstance`` does so in its range
-    check).  Objects are keyed by generator: two ``ScalarFunction`` values
-    that compare equal share their entries.
-    """
+    def __init__(self, positions, sums: Dict[tuple, HermitianOperator], bounds: SpectralBounds):
+        self.positions, self.sums, self.bounds = positions, sums, bounds
 
-    def __init__(
-        self,
-        family: MapFamily,
-        operators: Sequence[HermitianOperator],
-        bounds: SpectralBounds,
-    ):
-        self.family = family
-        self.operators = HermitianOperator(np.stack([a.entries for a in operators], axis=-3))
-        self.bounds = bounds
-        self._decomposition: SpectralDecomposition | None = None
-        self._memo: Dict[object, object] = {}
-
-    @property
-    def decomposition(self) -> SpectralDecomposition:
-        """Eigendecomposition of the whole operator stack, one ``eigh`` call."""
-        if self._decomposition is None:
-            self._decomposition = spectral_decompose(self.operators)
-        return self._decomposition
-
-    def cached(self, key, build: Callable[[], object]):
-        """The value memoised under ``key``, built by ``build()`` on first use.
-
-        A build that raises stores nothing, so a later call raises again.
-        """
-        value = self._memo.get(key, _MISSING)
-        if value is _MISSING:
-            value = self._memo[key] = build()
-        return value
-
-    def images(self, g) -> HermitianOperator:
-        """The stack of g(A_i), clamp-checked on [m, M]."""
-        return self.cached(
-            ("images", g), lambda: apply_to_decomposition(g, self.decomposition, self.bounds)
-        )
+    def sum(self, g, squared: bool = False) -> HermitianOperator:
+        return self.sums[g, squared]
 
     def total(self, g) -> HermitianOperator:
         """T_g = sum_i Phi_i(g(A_i))."""
-        return self.cached(("total", g), lambda: family_sum(self.family, per_map(self.images(g))))
+        return self.sum(g)
 
     def pre_mean(self, g) -> HermitianOperator:
         """(g(M) + g(m)) I - T_g, the operand of g^{-1} in the quasi-arithmetic mean."""
-
-        def build():
-            total = self.total(g)
-            gm = float(g(self.bounds.m))
-            gM = float(g(self.bounds.M))
-            return (gM + gm) * HermitianOperator.identity(self.family.dim_out) - total
-
-        return self.cached(("pre_mean", g), build)
+        total = self.total(g)
+        return (float(g(self.bounds.M)) + float(g(self.bounds.m))) * HermitianOperator.identity(total.dim) - total
 
     def diamond(self, g) -> HermitianOperator:
         """The diamond term in g-coordinates."""
-
-        def build():
-            total = self.total(g)
-            return _diamond_term(
-                self.family, total, self.images(g), float(g(self.bounds.m)), float(g(self.bounds.M))
-            )
-
-        return self.cached(("diamond", g), build)
+        return _diamond_term(self.total(g), self.sum(g, True), float(g(self.bounds.m)), float(g(self.bounds.M)))
 
     def image_sum(self) -> HermitianOperator:
         """S = sum_i Phi_i(A_i) of the raw operators."""
-        return self.cached("image_sum", lambda: family_sum(self.family, per_map(self.operators)))
+        return self.sum(None)
 
     def diamond_plain(self) -> HermitianOperator:
         """The plain diamond D, built from S and the raw A_i (not from id(A_i))."""
-        return self.cached(
-            "diamond_plain",
-            lambda: _diamond_term(
-                self.family, self.image_sum(), self.operators, self.bounds.m, self.bounds.M
-            ),
-        )
+        return _diamond_term(self.image_sum(), self.sum(None, True), self.bounds.m, self.bounds.M)
 
 
-def checked_core(
-    family: MapFamily,
-    operators: Sequence[HermitianOperator],
-    bounds: SpectralBounds,
-) -> SpectralCore:
-    """The core of an instance whose hypotheses hold: one operator per map, a
+def _diamond_term(total: HermitianOperator, squares: HermitianOperator, lo: float, hi: float) -> HermitianOperator:
+    """(hi + lo) T - hi lo I - (T^2 + sum_i Phi_i(X_i^2)) / 2 for T = sum_i Phi_i(X_i).
+
+    PSD whenever every X_i has spectrum in [lo, hi]: it averages
+    (hi I - T)(T - lo I) and the images of (hi I - X_i)(X_i - lo I).
+    """
+    t_squared = HermitianOperator(total.entries @ total.entries)
+    eye = HermitianOperator.identity(total.dim)
+    return (hi + lo) * total - (hi * lo) * eye - 0.5 * (t_squared + squares)
+
+
+def _objects(a: np.ndarray, dec: SpectralDecomposition, keys, bounds: SpectralBounds) -> np.ndarray:
+    """The stack ``(len(keys), N, d, d)`` of the objects ``keys`` of the operators ``a`` ``(N, d, d)``:
+    per g, the raw A_i (None), the identity (``UNIT``) or g(A_i) from ``dec``, squared when asked."""
+    images = {None: a, UNIT[0]: np.broadcast_to(np.eye(a.shape[-1], dtype=a.dtype), a.shape)}
+    for g, _ in keys:
+        if g not in images:
+            images[g] = apply_to_decomposition(g, dec, bounds).entries
+    return np.stack([images[g] @ images[g] if squared else images[g] for g, squared in keys])
+
+
+def stage_one(
+    blocks: Sequence, bounds: SpectralBounds, keys, checked: bool = False, decompositions=None
+) -> List[FamilySums]:
+    """The family sums of the objects ``keys`` for the trials of ``blocks`` (each with
+    ``positions``, ``family`` and ``operators`` as a ``Block``), one ``FamilySums`` per dim_k.
+
+    Per dim_h, one ``spectral_decompose`` of every A_i, with its Hermiticity
+    check, and the objects built on it; per (dim_h, dim_k), the maps applied
+    to every object at once, all compressions as one map and all trace maps
+    as one (``maps.concatenate_maps``); per dim_k, each trial's images
+    summed in map order, exactly 0.0 + img_1 + ... + img_n.  A trial with
+    fewer maps than the most of its dim_k adds +0.0 images after its own,
+    which change no entry: a partial sum starting at 0.0 + img_1 is never -0.0.
+
+    Unchecked, generators see the clamp-checked spectra of
+    ``apply_to_decomposition``.  ``checked`` makes the checks of
+    :func:`checked_core` per trial, after the sums: the unitality of every
+    family (the ``UNIT`` object), then the range of every spectrum, with
+    generators seeing spectra clamped onto [m, M] until then.
+    ``decompositions`` keeps each dim_h's decomposition across calls.
+    """
+    keys = list(dict.fromkeys(list(keys) + [UNIT] * checked))
+    decompositions = {} if decompositions is None else decompositions
+    # Per dim_h, per (dim_k, kind of map): (map, its operators, their positions, map index) of every
+    # block's maps of that kind; the A_i of a dim_h are stacked in this order, so each
+    # (dim_k, kind) applies its maps to one contiguous slice of the objects.
+    slots: Dict[int, Dict[tuple, list]] = {}
+    for block in blocks:
+        family, positions = block.family, np.asarray(block.positions)
+        groups = slots.setdefault(family.dim_in, {})
+        for i, phi in enumerate(family.maps):
+            groups.setdefault((family.dim_out, type(phi)), []).append((phi, block.operators[:, i], positions, i))
+    by_dim_k: Dict[int, tuple] = {}  # per dim_k: the images, positions and map indices of every map
+    ranges = []
+    for dim_h, groups in slots.items():
+        same = [slot for group in groups.values() for slot in group]
+        a = np.concatenate([operators for _, operators, _, _ in same])
+        if dim_h not in decompositions:
+            decompositions[dim_h] = spectral_decompose(HermitianOperator(a))
+        dec = decompositions[dim_h]
+        if checked:  # the range raises after the unitality: until then, clamp every spectrum
+            ranges.append((dec.eigenvalues, same))
+            dec = SpectralDecomposition(np.clip(dec.eigenvalues, bounds.m, bounds.M), dec.eigenvectors)
+        objects, start = _objects(a, dec, keys, bounds), 0
+        for (dim_k, _), group in groups.items():
+            maps, _, positions, index = zip(*group)
+            stop = start + sum(map(len, positions))
+            parts = by_dim_k.setdefault(dim_k, ([], [], []))
+            parts[0].append(apply_map(concatenate_maps(maps), HermitianOperator(objects[:, start:stop])).entries)
+            parts[1].extend(positions)
+            parts[2].extend(np.full(len(p), i) for p, i in zip(positions, index))
+            start = stop
+    stacks = []
+    for dim_k, (images, positions, index) in by_dim_k.items():
+        positions, index = np.concatenate(positions), np.concatenate(index)
+        trials = np.sort(positions[index == 0])  # every family has a first map
+        padded = np.zeros((index.max() + 1, len(keys), len(trials), dim_k, dim_k), dtype=np.complex128)
+        padded[index, :, np.searchsorted(trials, positions)] = np.concatenate(images, axis=1).swapaxes(0, 1)
+        total = sum(padded, 0.0)  # 0.0 + img_1 + img_2 + ..., in map order
+        total = 0.5 * (total + total.conj().swapaxes(-1, -2))
+        stacks.append(FamilySums(trials, dict(zip(keys, map(HermitianOperator, total))), bounds))
+
+    for stack in stacks if checked else ():
+        defects = spectral_norms(stack.sums[UNIT] - HermitianOperator.identity(stack.sums[UNIT].dim))
+        if (defects > UNITALITY_ABS).any():
+            raise HypothesisNotMet(f"map family is not unital (defect {defects[defects > UNITALITY_ABS][0]:.3e})")
+    for lam, same in ranges:
+        outside = np.flatnonzero(bounds.outside(lam))
+        if len(outside):  # name the first failing operator, in trial then map order
+            position = np.concatenate([p for _, _, p, _ in same])
+            index = np.concatenate([np.full(len(p), i) for _, _, p, i in same])
+            k = min(outside, key=lambda r: (position[r], index[r]))
+            lo, hi = lam[k, [0, -1]]
+            raise SpectrumOutOfDomain(
+                f"operator {index[k]} has spectrum [{lo:.12g}, {hi:.12g}] outside "
+                f"[{bounds.m:.12g}, {bounds.M:.12g}]"
+            )
+    return stacks
+
+
+class SpectralCore(FamilySums):
+    """The family sums and operands of one trial: a chunk of one on :func:`stage_one`,
+    each object built on first use, on one decomposition of the A_i."""
+
+    def __init__(self, family: MapFamily, operators: Sequence[HermitianOperator], bounds: SpectralBounds):
+        if len(operators) != family.size:
+            raise ArityMismatch(f"{family.size} maps but {len(operators)} operators")
+        maps = tuple(Compression(phi.v[None]) if isinstance(phi, Compression)  # a trial axis of one
+                     else WeightedTrace(np.full(1, phi.weight), phi.dim_in, phi.dim_out) for phi in family.maps)
+        super().__init__((0,), {}, bounds)
+        self.block = Block((0,), MapFamily(maps), np.stack([a.entries for a in operators])[None])
+        self._decompositions: Dict[int, SpectralDecomposition] = {}
+
+    def sum(self, g, squared: bool = False, checked: bool = False) -> HermitianOperator:
+        if (g, squared) not in self.sums:
+            (stack,) = stage_one([self.block], self.bounds, [(g, squared)], checked, self._decompositions)
+            self.sums[g, squared] = HermitianOperator(stack.sums[g, squared].entries[0])
+        return self.sums[g, squared]
+
+
+def checked_core(family: MapFamily, operators: Sequence[HermitianOperator], bounds: SpectralBounds) -> SpectralCore:
+    """The core of one trial whose hypotheses hold: one operator per map, a
     unital family, every spectrum in [m, M] up to the clamp band, checked in
-    that order and per trial; the range check's decomposition stays in the core."""
-    if len(operators) != family.size:
-        raise ArityMismatch(f"{family.size} maps but {len(operators)} operators")
-    defects = unitality_defect(family)
-    non_unital = defects > UNITALITY_ABS
-    if non_unital.any():
-        raise HypothesisNotMet(f"map family is not unital (defect {defects[non_unital][0]:.3e})")
+    that order; the range check's decomposition stays in the core."""
     core = SpectralCore(family, operators, bounds)
-    lam = core.decomposition.eigenvalues
-    outside = bounds.outside(lam)
-    if outside.any():
-        i = int(np.argmax(outside.reshape(-1))) % family.size
-        lo, hi = lam[outside][0, [0, -1]]
-        raise SpectrumOutOfDomain(
-            f"operator {i} has spectrum [{lo:.12g}, {hi:.12g}] outside "
-            f"[{bounds.m:.12g}, {bounds.M:.12g}]"
-        )
+    core.sum(*UNIT, checked=True)
     return core

@@ -11,12 +11,13 @@ A comparison is kept as arrays, one "ordered below" and "ordered above"
 bit per matrix; an ``OrderVerdict`` is built only for a matrix that asks.
 
 Every primitive takes a stack of matrices: ``entries`` of shape
-``(..., d, d)``, with any leading axes (the maps of an instance, the trials
-of a shape group).  Each matrix of a stack goes through the same numpy
-operation as it would alone (``eigh`` / ``eigvalsh`` over the stack, ``@``
-per matrix, reductions over the last two axes only), so stacking never moves
-a bit, and every check (self-adjointness, clamp band, finiteness) is made
-per matrix; a failing stack raises for its first failing matrix in C order.
+``(..., d, d)``, with any leading axes (the trials and maps of a chunk,
+the objects stage 1 maps at once).  Each matrix of a stack goes through
+the same numpy operation as it would alone (``eigh`` / ``eigvalsh`` over
+the stack, ``@`` per matrix, reductions over the last two axes only), so
+stacking never moves a bit, and every check (self-adjointness, clamp band,
+finiteness) is made per matrix; a failing stack raises for its first
+failing matrix in C order.
 
 All values are immutable after construction and all operations are pure, so
 everything here is safe to share between threads.

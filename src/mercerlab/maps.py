@@ -7,12 +7,15 @@ A family Phi_1..Phi_n is unital when sum_i Phi_i(I) = I on the codomain;
 ``unitality_defect`` measures how far a family is from that, and the sampler
 (``sampling.sample_trials``) draws unital families.
 
-Maps apply to stacks of matrices ``(..., d, d)``.  A family may hold the
-maps of several trials of one shape (same dims, same map kinds): its
-compressions and trace weights then carry a leading trial axis (the sampler
-builds such families, ``sampling.SampledGroup``), and applied to a stack of
-operators with the same trial axis, each trial's map acts on that trial's
-operator, by the same numpy operations as for one matrix.
+Maps apply to stacks of matrices ``(..., d, d)``.  A map may carry a
+leading axis: a family may hold the maps of several trials of one shape
+(same dims, same map kinds), whose compressions and trace weights then
+carry a trial axis (``sampling.SampledGroup.family``), and
+``concatenate_maps`` joins the maps of one kind and dims of a whole chunk,
+whatever their trial and map index, into one map (``core.stage_one``).
+Applied to a stack of operators with the same leading axis, and any axes
+before it, each map acts on its own operator, by the same numpy operations
+as for one matrix: ``(V* @ X) @ V``, a trace, then the Hermitian part.
 """
 
 from __future__ import annotations
@@ -100,6 +103,13 @@ class MapFamily:
     @property
     def dim_out(self) -> int:
         return self.maps[0].dim_out
+
+
+def concatenate_maps(maps: Sequence[PositiveLinearMap]) -> PositiveLinearMap:
+    """Maps of one kind and shape, each with a leading axis, as one map whose axis runs over all of theirs."""
+    if isinstance(maps[0], Compression):
+        return Compression(np.concatenate([phi.v for phi in maps]))
+    return WeightedTrace(np.concatenate([phi.weight for phi in maps]), maps[0].dim_in, maps[0].dim_out)
 
 
 def family_sum(family: MapFamily, operators: Sequence[HermitianOperator]) -> HermitianOperator:

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .errors import BadWeights, HypothesisNotMet, NonpositiveFunction, OutOfInterval
-from .core import SpectralCore, checked_core, geometric_interpolant
+from .core import FamilySums, SpectralCore, checked_core, geometric_interpolant
 from .functions import CurvatureBounds, ScalarFunction, curvature_bounds, is_log_convex_on
 from .linalg import (
     HermitianOperator,
@@ -42,16 +42,12 @@ from .tolerance import WEIGHT_SUM_ABS, tolerance_from_norms
 
 @dataclass(frozen=True)
 class MercerInstance:
-    """One dataset for the inequality chains: f, a unital family, operators, [m, M].
+    """One trial of the inequality chains: f, a unital family, operators (one per map), [m, M].
 
-    The operators (one per map) and the family's maps may carry a leading
-    trial axis (see ``sampling.SampledGroup``): the instance is then a group of
-    same-shape trials, and every side below is a stack with one matrix per
-    trial.  Without that axis it is one trial.  Every check is made per
-    trial; a failing group raises for its first failing trial.
-
-    ``core`` keeps the eigendecomposition of the range check, and memoises
-    the operands S, rhs_classic and D that every side is built from.
+    ``core`` is the trial's checked ``core.SpectralCore``: it keeps the
+    eigendecomposition of the range check, and builds the operands S,
+    rhs_classic and D that every side is built from on first use.  A suite
+    builds the same operands for a whole chunk of trials in ``core.stage_one``.
     """
 
     f: ScalarFunction
@@ -280,9 +276,10 @@ def _chain_kind(which: str) -> ChainKind:
     return CHAINS[which]
 
 
-def chain_operands(inst: MercerInstance) -> Dict[str, HermitianOperator]:
-    """S, rhs_classic and D of an instance, keyed as :func:`evaluate_trials` takes them."""
-    return {"s": inst.core.image_sum(), "rhs": inst.core.pre_mean(inst.f), "d": inst.core.diamond_plain()}
+def chain_operands(core: FamilySums, f: ScalarFunction) -> Dict[str, HermitianOperator]:
+    """S, rhs_classic and D of a trial's core or of a stage-1 stack, keyed as :func:`evaluate_trials`
+    takes them: the family sums of A_i, f(A_i) and A_i^2, keyed (None, False), (f, False), (None, True)."""
+    return {"s": core.image_sum(), "rhs": core.pre_mean(f), "d": core.diamond_plain()}
 
 
 def evaluate_chain(
@@ -292,7 +289,8 @@ def evaluate_chain(
     tol_abs: float | None = None,
 ) -> InequalityReport:
     """The report of :func:`evaluate_trials` on the operands of an instance of one trial."""
-    return evaluate_trials(inst.f, inst.bounds, which, force=force, tol_abs=tol_abs, **chain_operands(inst))
+    operands = chain_operands(inst.core, inst.f)
+    return evaluate_trials(inst.f, inst.bounds, which, force=force, tol_abs=tol_abs, **operands)
 
 
 def evaluate_trials(

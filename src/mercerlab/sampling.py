@@ -17,7 +17,8 @@ for bit the same in any chunk.  ``haar_unitary``, ``random_hermitian`` and
 the reference forms the tests check the chunk sampler against.  A family
 with a singular normaliser is drawn again, which moves the later draws of
 its stream, so a trial whose first family phase 2 rejects is drawn again
-from a fresh copy of its stream, with the rejection loop.
+from a fresh copy of its stream, with the rejection loop.  A chunk comes
+back as one ``SampledGroup`` per shape, a block of ``core.stage_one``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import per_map
 from .errors import SingularNormalizer
 from .linalg import HermitianOperator, SpectralBounds, SpectralDecomposition
 from .maps import Compression, MapFamily, WeightedTrace
@@ -196,11 +196,16 @@ class SampledGroup:
     fractions: Optional[np.ndarray]
     operators: np.ndarray
 
-    def instance(self, j=Ellipsis) -> Tuple[MapFamily, Tuple[HermitianOperator, ...]]:
-        """(family, operators) of the group, stacked along the trial axis, or of its j-th trial alone."""
+    @property
+    def family(self) -> MapFamily:
+        """The maps of the group's trials, stacked along the trial axis."""
+        return _family(self.compressions, self.fractions, self.dims[0], self.dims[1])
+
+    def instance(self, j: int) -> Tuple[MapFamily, Tuple[HermitianOperator, ...]]:
+        """(family, operators) of the group's j-th trial alone."""
         fraction = None if self.fractions is None else self.fractions[j]
         family = _family(self.compressions[:, j], fraction, self.dims[0], self.dims[1])
-        return family, per_map(HermitianOperator(self.operators[j]))
+        return family, tuple(HermitianOperator(a) for a in self.operators[j])
 
 
 def sample_trials(

@@ -1,8 +1,9 @@
 """Grouping a suite's trials by shape changes nothing a trial reports.
 
-A verify suite and a sweep both build each shape group's operands on one
-stacked instance or core, then run the rest once per codomain dimension,
-on the operands of every group of that dimension.  Every verify trial's
+A verify suite and a sweep both build the operands of a chunk in
+``core.stage_one``, per matrix dimension whatever the trials' shapes, then
+run the rest once per codomain dimension, on the operands of every trial
+of that dimension.  Every verify trial's
 contract gaps must equal, bit for bit, those of ``replay_trial``, which
 samples and evaluates the trial alone, and a verify or sweep report must
 equal, byte for byte, the one of chunks of one trial.  A failing suite or
@@ -127,14 +128,16 @@ def test_stacked_verify_equals_trial_by_trial(monkeypatch, fn, chain, m, M, forc
 
     # The comparison tells the trials of one stack apart: folding a stack's
     # outcomes back in reverse order must fail it.
-    by_codomain = harness._by_codomain
+    stage_one = harness.stage_one
 
-    def permuted(parts):
-        for positions, stack in by_codomain(parts):
-            yield positions[::-1], stack
+    def permuted(*args, **kwargs):
+        stacks = stage_one(*args, **kwargs)
+        for stack in stacks:
+            stack.positions = stack.positions[::-1]
+        return stacks
 
     monkeypatch.setattr(harness, "CHUNK_TRIALS", 40)
-    monkeypatch.setattr(harness, "_by_codomain", permuted)
+    monkeypatch.setattr(harness, "stage_one", permuted)
     assert run() != alone
 
 
@@ -212,6 +215,18 @@ def test_failing_suite_raises_the_lowest_failing_trial(monkeypatch):
     with pytest.raises(HypothesisNotMet):
         replay_trial(config, 7)
     with pytest.raises(SpectrumOutOfDomain) as raised:
+        harness.run_suite(config, 12)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_trial_both_non_unital_and_out_of_range_fails_its_unitality(monkeypatch):
+    # The family check comes before the range check in a trial alone, and so
+    # in the chunk fallback: trial 5 raises HypothesisNotMet either way.
+    break_trials(monkeypatch, out_of_range=5, non_unital=5)
+    config = TrialConfig(seed=4, function_spec="exp", chain="twice-diff", vary_dims=True, mixed=True)
+    with pytest.raises(HypothesisNotMet) as expected:
+        replay_trial(config, 5)
+    with pytest.raises(HypothesisNotMet) as raised:
         harness.run_suite(config, 12)
     assert str(raised.value) == str(expected.value)
 

@@ -1,0 +1,72 @@
+"""Stage 1 sums every trial's images in map order, bit for bit as the trial alone.
+
+``core.stage_one`` applies the maps of a chunk once per (dim_h, dim_k) and
+sums each trial's images on one stack per codomain dimension, padding a
+family with fewer maps than the most of its dim_k with +0.0 images.  Every
+sum must equal, by ``float.hex``, ``maps.family_sum`` of that trial alone:
+0.0 + img_1 + ... + img_n, which turns a -0.0 entry of img_1 into +0.0.
+"""
+
+import numpy as np
+
+from mercerlab.core import UNIT, Block, stage_one
+from mercerlab.linalg import HermitianOperator, SpectralBounds
+from mercerlab.maps import Compression, MapFamily, WeightedTrace, apply_map, family_sum
+from mercerlab.sampling import generator, random_hermitian, random_unital_family
+
+# Negative spectra give trace images -0.0 off-diagonal entries: w tr(A) < 0 times 0.
+BOUNDS = SpectralBounds(-3.0, -1.0)
+
+
+def hexes(mat):
+    return [x.hex() for x in np.concatenate([mat.real.ravel(), mat.imag.ravel()]).tolist()]
+
+
+def has_negative_zero(mat):
+    return any(bool(np.any((part == 0) & np.signbit(part))) for part in (mat.real, mat.imag))
+
+
+def stacked(families):
+    """The maps of same-shape families as one family with a leading trial axis."""
+    return MapFamily(tuple(
+        Compression(np.stack([f.maps[i].v for f in families])) if isinstance(phi, Compression)
+        else WeightedTrace(np.array([f.maps[i].weight for f in families]), phi.dim_in, phi.dim_out)
+        for i, phi in enumerate(families[0].maps)
+    ))
+
+
+def test_map_order_sums_equal_family_sum_trial_by_trial():
+    # dim_k = 2: n = 1..4 over two dim_h, with and without a trace map last,
+    # so the shorter families are padded.  dim_k = 3: lone trace maps only,
+    # unpadded, whose -0.0 entries only the leading 0.0 + turns into +0.0.
+    rng = generator(17)
+    shapes = [(dim_h, 2, n, mixed) for dim_h in (2, 3) for n in (1, 2, 3, 4) for mixed in (False, True)]
+    shapes += [(4, 3, 1, True), (3, 3, 1, True)]
+    order = rng.permutation(3 * len(shapes))  # chunk positions, interleaved across blocks
+    blocks, trials = [], {}
+    for k, (dim_h, dim_k, n, mixed) in enumerate(shapes):
+        families = [random_unital_family(n, dim_h, dim_k, rng, include_trace=mixed) for _ in range(3)]
+        operators = [tuple(random_hermitian(dim_h, BOUNDS, rng) for _ in range(n)) for _ in families]
+        positions = tuple(sorted(order[3 * k : 3 * k + 3].tolist()))
+        ops = np.stack([np.stack([a.entries for a in trial]) for trial in operators])
+        blocks.append(Block(positions, stacked(families), ops))
+        trials.update(zip(positions, zip(families, operators)))
+
+    keys = [(None, False), (None, True), UNIT]
+    stacks = stage_one(blocks, BOUNDS, keys)
+    assert sorted(len(stack.positions) for stack in stacks) == [6, 48]
+    assert sorted(p for stack in stacks for p in stack.positions.tolist()) == sorted(trials)
+    for stack in stacks:
+        negative_zeros = 0
+        for row, position in enumerate(stack.positions.tolist()):
+            family, operators = trials[position]
+            objects = {
+                keys[0]: operators,
+                keys[1]: [HermitianOperator(a.entries @ a.entries) for a in operators],
+                UNIT: [HermitianOperator.identity(family.dim_in)] * family.size,
+            }
+            for key, xs in objects.items():
+                assert hexes(stack.sums[key].entries[row]) == hexes(family_sum(family, xs).entries), (position, key)
+            negative_zeros += has_negative_zero(apply_map(family.maps[0], operators[0]).entries)
+        assert negative_zeros > 0  # some family's first image holds -0.0 entries
+    assert {family.size for family, _ in trials.values()} == {1, 2, 3, 4}

@@ -11,9 +11,10 @@ unitality defects, or the signed slacks of GreaterEqual verdicts.  The one
 ``qr`` is the Haar step of the sampler, for every operator of one dimension.
 A verify suite or a sweep of one shape samples and evaluates all its trials
 as one stack, so no count grows with the trial count.  A chunk of many
-shapes pays one A_i ``eigh`` and one unitality ``eigvalsh`` per shape group;
-everything else runs once per codomain dimension dim_k of the chunk, whatever
-its shapes: the sampler's normaliser, and every side, norm and comparison.
+shapes pays one A_i ``eigh`` per operator dimension dim_h, and everything
+else once per codomain dimension dim_k of the chunk, whatever its shapes:
+the sampler's normaliser, the unitality ``eigvalsh``, and every side, norm
+and comparison of a verify suite or every mean and slack of a sweep.
 A count above these pins means a redundant solve came back; a count below
 means a check was dropped.
 """
@@ -81,18 +82,37 @@ def test_one_shape_suite_is_one_stack(solver_calls):
     assert solver_calls == {"eigh": 1 + 4, "eigvalsh": 4, "qr": 1}
 
 
-def test_varied_verify_chunk_is_one_stack_per_codomain_dimension(solver_calls):
+def test_varied_verify_chunk_is_one_stack_per_matrix_dimension(solver_calls):
     # 40 vary_dims trials of twice-diff land in 35 shape groups over 7 dim_h
-    # and 7 dim_k values.  eigh: 35 A_i stacks + 7 normalisers + 7 x (lhs 1
+    # and 7 dim_k values.  eigh: 7 A_i stacks + 7 normalisers + 7 x (lhs 1
     # + 5 compared pairs); it was 35 + 7 + 35 x 6 = 252 when each group was
-    # evaluated alone.  eigvalsh: 35 unitality defects + 7 x 6 side norms.
+    # evaluated alone, and 35 + 7 + 7 x 6 = 84 with one A_i stack per group.
+    # eigvalsh: 7 unitality defects + 7 x 6 side norms (35 + 7 x 6 = 77 with
+    # one defect per group).
     config = TrialConfig(seed=5, function_spec="exp", chain="twice-diff", vary_dims=True)
     _, groups = harness._sample_chunk(config, range(40))
-    assert (len(groups), len({group.dims[1] for group in groups})) == (35, 7)
+    assert len(groups) == 35
+    assert (len({group.dims[0] for group in groups}), len({group.dims[1] for group in groups})) == (7, 7)
     solver_calls.update(eigh=0, eigvalsh=0, qr=0)
     summary = run_suite(config, 40)
     assert summary.violations == []
-    assert solver_calls == {"eigh": 35 + 7 + 7 * 6, "eigvalsh": 35 + 7 * 6, "qr": 7}
+    assert solver_calls == {"eigh": 7 + 7 + 7 * 6, "eigvalsh": 7 + 7 * 6, "qr": 7}
+
+
+def test_varied_sweep_chunk_is_one_stack_per_matrix_dimension(solver_calls):
+    # 40 vary_dims trials of log / id land in 35 shape groups over 7 dim_h and
+    # 7 dim_k values.  eigh: 7 A_i stacks + 7 normalisers + 7 x (QM_phi,
+    # QM_psi, both curvature bounds, h(T_phi) and its inverse); it was
+    # 35 + 7 + 7 x 6 = 84 with one A_i stack per group.  eigvalsh: 7 x 5
+    # signed slacks, as before (35); the sweep checks no unitality.  qr: 7, as before.
+    config = TrialConfig(seed=5, vary_dims=True)
+    _, groups = harness._sample_chunk(config, range(40))
+    dims_h, dims_k = ({group.dims[axis] for group in groups} for axis in (0, 1))
+    assert (len(groups), len(dims_h), len(dims_k)) == (35, 7, 7)
+    solver_calls.update(eigh=0, eigvalsh=0, qr=0)
+    report, _ = run_sweep("log", "id", config, 40)
+    assert all(check["evaluated"] == 40 for check in report["checks"].values())
+    assert solver_calls == {"eigh": 7 + 7 + 7 * 6, "eigvalsh": 7 * 5, "qr": 7}
 
 
 def test_one_shape_sweep_is_one_stack(solver_calls):
