@@ -33,7 +33,7 @@ import numpy as np
 from .core import stage_one
 from .errors import BudgetExhausted, InvalidConfig
 from .functions import ScalarFunction, curvature_bounds, parse_function_spec, require_domain, require_finite
-from .linalg import HermitianOperator, Relation, SpectralBounds, signed_slack
+from .linalg import HermitianOperator, Relation, SpectralBounds
 from .maps import MapFamily, WeightedTrace, family_to_json
 from .mercer import (
     CHAIN_KINDS,
@@ -221,24 +221,15 @@ def build_instance(
 def _contract_outcomes(report: InequalityReport, which: str) -> List[Tuple[Tuple[str, str, float, bool], ...]]:
     """Per trial of the report, (left, right, gap, ordered below) for every contract pair.
 
-    The gap is the signed slack of left <= right: the least eigenvalue of
-    the comparison, but for a GreaterEqual trial, whose comparison leaves
-    that slack to rounding, the ``signed_slack`` of its sides, all such
-    trials of a pair in one stack.
+    The gap is the signed slack of left <= right, the least eigenvalue of
+    right - left, read from the pair's comparison.
     """
     columns = []
     for left, right in contract_pairs(which, alpha=report.scalars.get("alpha")):
         order = report.orders[left, right]
-        below = order.below.reshape(-1)
-        gaps = order.eigenvalues[..., 0].flatten()
-        flipped = order.above.reshape(-1) & ~below
-        if flipped.any():
-            dim = report.sides[left].dim
-            lefts, rights = (
-                HermitianOperator(report.sides[label].entries.reshape(-1, dim, dim)[flipped]) for label in (left, right)
-            )
-            gaps[flipped] = signed_slack(lefts, rights, Relation.LESS_EQUAL)
-        columns.append([(left, right, gap, ordered) for gap, ordered in zip(gaps.tolist(), below.tolist())])
+        gaps = order.eigenvalues[..., 0].reshape(-1).tolist()
+        below = order.below.reshape(-1).tolist()
+        columns.append([(left, right, gap, ordered) for gap, ordered in zip(gaps, below)])
     return list(zip(*columns))
 
 

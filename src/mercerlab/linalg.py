@@ -4,11 +4,11 @@ Eigendecomposition, scalar functional calculus and Loewner-order comparison
 for finite-dimensional self-adjoint matrices.  Every operator expression in
 the package is built on the primitives in this module:
 ``spectral_decompose``, ``apply_to_decomposition`` (with its one-shot form
-``apply_scalar_function``), ``spectral_norms``, ``signed_slack`` and
-``loewner_order``.  Functional calculus is split from decomposition so
-that one eigensolve can serve every function applied to the same operator.
-A comparison is kept as arrays, one "ordered below" and "ordered above"
-bit per matrix; an ``OrderVerdict`` is built only for a matrix that asks.
+``apply_scalar_function``), ``spectral_norms`` and ``loewner_order``.
+Functional calculus is split from decomposition so that one eigensolve can
+serve every function applied to the same operator.  A comparison is one
+``eigvalsh`` of right - left, whose spectra give every slack and bit of
+order per matrix; an ``OrderVerdict`` is built only for a matrix that asks.
 
 Every primitive takes a stack of matrices: ``entries`` of shape
 ``(..., d, d)``, with any leading axes (the trials and maps of a chunk,
@@ -228,12 +228,12 @@ class OrderVerdict:
 class LoewnerOrder:
     """The Loewner comparison of two stacks A and B, matrix by matrix (see :func:`loewner_order`).
 
-    ``eigenvalues`` (ascending) and ``eigenvectors`` are those of the
-    Hermitian part of B - A, ``tol`` the tolerance of each comparison.
+    ``difference`` is the stack B - A, ``eigenvalues`` its spectra
+    (ascending), ``tol`` the tolerance of each comparison.
     """
 
+    difference: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     tol: np.ndarray
 
     @property
@@ -246,15 +246,30 @@ class LoewnerOrder:
         """Per matrix: A >= B up to the tolerance, min eig of A - B >= -tol (Equal counts)."""
         return -self.eigenvalues[..., -1] >= -self.tol
 
+    def slack(self, relation: Relation) -> np.ndarray:
+        """Signed slack of ``A relation B`` per matrix; negative means violated.
+
+        lambda_min of B - A for LessEqual, -lambda_max of B - A (lambda_min of
+        A - B) for GreaterEqual, -max(|lambda_min|, |lambda_max|) for Equal.
+        """
+        lam = self.eigenvalues
+        if relation is Relation.GREATER_EQUAL:
+            return -lam[..., -1]
+        if relation is Relation.EQUAL:
+            return -np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., -1]))
+        return lam[..., 0]
+
     def verdict(self, index=()) -> OrderVerdict:
         """The verdict of matrix ``index`` of the stack; ``()`` for an unstacked comparison.
 
         Equal when B - A vanishes to tolerance (both slacks within it bound
         its spectral norm by tol), LessEqual / GreaterEqual when one
-        difference is PSD up to the tolerance, Incomparable otherwise.
+        difference is PSD up to the tolerance, Incomparable otherwise.  The
+        witness vector comes from one ``eigh`` of that matrix's difference.
         """
         below, above = bool(self.below[index]), bool(self.above[index])
-        lam, vecs = self.eigenvalues[index], self.eigenvectors[index]
+        lam = self.eigenvalues[index]
+        vecs = np.linalg.eigh(self.difference[index])[1]
         if above and not below:
             return OrderVerdict(Relation.GREATER_EQUAL, float(-lam[-1]), vecs[:, -1])
         relation = Relation.INCOMPARABLE if not below else Relation.EQUAL if above else Relation.LESS_EQUAL
@@ -342,28 +357,14 @@ def apply_scalar_function(
     return apply_to_decomposition(f, spectral_decompose(a), bounds)
 
 
-def signed_slack(left: HermitianOperator, right: HermitianOperator, relation: Relation) -> np.ndarray:
-    """Signed slack of ``left relation right``, one per matrix of the stacks, in one ``eigvalsh`` call.
-
-    The least eigenvalue of the difference that the relation predicts PSD
-    (right - left for LessEqual, left - right for GreaterEqual); for Equal,
-    -max(|lambda_min|, |lambda_max|) of right - left.  Negative means violated.
-    """
-    diff = left - right if relation is Relation.GREATER_EQUAL else right - left
-    lam = np.linalg.eigvalsh(diff.entries)
-    if relation is Relation.EQUAL:
-        return -np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., -1]))
-    return lam[..., 0]
-
-
 def loewner_order(a: HermitianOperator, b: HermitianOperator, tol_abs) -> LoewnerOrder:
     """Compare A and B in the Loewner order (A <= B iff B - A is PSD), matrix by matrix.
 
-    One ``eigh`` call for the whole stack.  ``tol_abs`` is one tolerance or
-    one per matrix of the broadcast stack (``tolerance.tolerance_from_norms``
-    of the two sides' ``spectral_norms`` is the engine's default).
+    One ``eigvalsh`` call of B - A for the whole stack.  ``tol_abs`` is one
+    tolerance or one per matrix of the broadcast stack
+    (``tolerance.tolerance_from_norms`` of the two sides' ``spectral_norms``
+    is the engine's default).
     """
     a._check_same_dim(b)
     diff = b.entries - a.entries
-    lam, vecs = np.linalg.eigh(0.5 * (diff + diff.conj().swapaxes(-1, -2)))
-    return LoewnerOrder(lam, vecs, np.asarray(tol_abs, dtype=float))
+    return LoewnerOrder(diff, np.linalg.eigvalsh(diff), np.asarray(tol_abs, dtype=float))

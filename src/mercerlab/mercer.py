@@ -315,8 +315,9 @@ def evaluate_trials(
     of :func:`chain_operands`: one matrix each, or stacks with one matrix per
     trial, whatever the trials' instances.  Returns one report for all of
     them: each side is built for all trials at once and each pair compared
-    in one ``eigh`` call, every trial against its own tolerance; the gate
-    depends on f and [m, M] only and is evaluated once, after the lhs.
+    in one ``eigvalsh`` call of right - left, every trial against its own
+    tolerance; the gate depends on f and [m, M] only and is evaluated once,
+    after the lhs.
     """
     chain = _chain_kind(which)
     zero = HermitianOperator(np.zeros_like(s.entries))

@@ -53,7 +53,7 @@ from .linalg import (
     SpectralDecomposition,
     apply_scalar_function,
     apply_to_decomposition,
-    signed_slack,
+    loewner_order,
     spectral_decompose,
 )
 from .maps import MapFamily
@@ -439,7 +439,7 @@ def _sandwich_relation(spec: QuasiArithmeticSpec) -> Optional[Relation]:
 
 
 def _mean_order_slacks(spec, relation, operands, mean_phi, mean_psi) -> List[float]:
-    return signed_slack(mean_phi, mean_psi, relation).tolist()
+    return loewner_order(mean_phi, mean_psi, 0.0).slack(relation).tolist()
 
 
 def _curvature_slacks(side: str, spec, relation, operands, mean_phi, mean_psi) -> List[Optional[float]]:
@@ -447,15 +447,15 @@ def _curvature_slacks(side: str, spec, relation, operands, mean_phi, mean_psi) -
     operand = curvature_operand(spec, operands["pre_psi"], operands["diamond"], side)
     bound, inside, _ = apply_inverse(spec.psi_inverse, operand)
     below = HermitianOperator(mean_phi.entries[inside])
-    slacks = iter(signed_slack(below, bound, relation).tolist() if inside.any() else ())
+    slacks = iter(loewner_order(below, bound, 0.0).slack(relation).tolist() if inside.any() else ())
     return [next(slacks) if ok else None for ok in inside.tolist()]
 
 
 def _sandwich_slacks(spec, relation, operands, mean_phi, mean_psi) -> List[float]:
     """The lesser slack of QM_phi <= middle and middle <= QM_psi."""
     middle = inverse_within_domain(spec.psi_inverse, geometric_operand(spec, operands["total"]))
-    low = signed_slack(mean_phi, middle, relation).tolist()
-    high = signed_slack(middle, mean_psi, relation).tolist()
+    low = loewner_order(mean_phi, middle, 0.0).slack(relation).tolist()
+    high = loewner_order(middle, mean_psi, 0.0).slack(relation).tolist()
     return [min(a, b) for a, b in zip(low, high)]
 
 
@@ -465,7 +465,8 @@ class MeanCheck(NamedTuple):
     phi object of the core that the check reads besides the two pre-means
     (``"diamond"``, ``"total"`` or None); ``slacks(spec, relation, operands,
     QM_phi, QM_psi)`` gives the signed slack of each trial of a stack, None
-    for a domain skip, from the operands ``pre_phi``, ``pre_psi`` and ``reads``."""
+    for a domain skip, from the operands ``pre_phi``, ``pre_psi`` and ``reads``;
+    it reads a ``loewner_order`` at tolerance 0, as the sweep applies its own."""
 
     relation: Callable[[QuasiArithmeticSpec], Optional[Relation]]
     reads: Optional[str]

@@ -21,7 +21,7 @@ from mercerlab import harness
 from mercerlab.errors import HypothesisNotMet, SpectrumOutOfDomain
 from mercerlab.functions import parse_function_spec
 from mercerlab.harness import TrialConfig, normalize_chain, replay_trial, run_sweep, suite_outcomes
-from mercerlab.linalg import HermitianOperator, Relation, signed_slack
+from mercerlab.linalg import HermitianOperator, Relation, loewner_order
 from mercerlab.sampling import generator
 
 PI4, PI2 = math.pi / 4, math.pi / 2
@@ -251,9 +251,9 @@ def test_signed_slack_of_a_stack_is_per_matrix():
         raw = rng.standard_normal((2, 7, dim, dim)) + 1j * rng.standard_normal((2, 7, dim, dim))
         lefts, rights = (HermitianOperator(0.5 * (z + z.conj().swapaxes(-1, -2))) for z in raw)
         for relation in (Relation.LESS_EQUAL, Relation.GREATER_EQUAL, Relation.EQUAL):
-            stacked = signed_slack(lefts, rights, relation)
+            stacked = loewner_order(lefts, rights, 0.0).slack(relation)
             single = [
-                signed_slack(HermitianOperator(left), HermitianOperator(right), relation)
+                loewner_order(HermitianOperator(left), HermitianOperator(right), 0.0).slack(relation)
                 for left, right in zip(lefts.entries, rights.entries)
             ]
             assert stacked.tobytes() == np.array(single).tobytes()

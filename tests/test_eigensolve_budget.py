@@ -4,11 +4,13 @@ The counts are numpy calls: one call solves a whole stack of matrices.  A
 trial at the default sizes (dim 4, n = 2 maps) pays, in ``eigh``: 1 for the
 unitality normaliser of the sampled family, 1 for the stack of its
 operators A_i (decomposed once, shared by every side), then 1 per operator
-function evaluated on an assembled operator and 1 per Loewner comparison.
-Each ``eigvalsh`` is the spectral norms of one compared side for the
-tolerances (the zero side's norm is exactly 0 and needs none), the
-unitality defects, or the signed slacks of GreaterEqual verdicts.  The one
-``qr`` is the Haar step of the sampler, for every operator of one dimension.
+function evaluated on an assembled operator.  Each ``eigvalsh`` is the
+spectral norms of one compared side for the tolerances (the zero side's
+norm is exactly 0 and needs none), the unitality defects, or 1 per Loewner
+comparison: the spectra of right - left, which give the ordering and the
+signed slack of either direction, so a GreaterEqual verdict needs no
+second solve.  The one ``qr`` is the Haar step of the sampler, for every
+operator of one dimension.
 A verify suite or a sweep of one shape samples and evaluates all its trials
 as one stack, so no count grows with the trial count.  A chunk of many
 shapes pays one A_i ``eigh`` per operator dimension dim_h, and everything
@@ -18,6 +20,8 @@ and comparison of a verify suite or every mean and slack of a sweep.
 A count above these pins means a redundant solve came back; a count below
 means a check was dropped.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -57,14 +61,16 @@ def test_sweep_trial_budget(solver_calls):
 @pytest.mark.parametrize(
     "chain, eigh, eigvalsh",
     [
-        # eigh: normaliser 1 + A_i stack 1 + lhs 1 + one per compared pair
-        # (incl. zero <= diamond) [+ log-convex middle 1].
-        # eigvalsh: unitality defect 1 + one norm per compared side but zero.
+        # eigh: normaliser 1 + A_i stack 1 + lhs 1 [+ log-convex middle 1].
+        # eigvalsh: unitality defect 1 + one norm per compared side but zero
+        # + one per compared pair (incl. zero <= diamond).
         # qr: the Haar step of both A_i, 1.
-        ("classic", 5, 4),
-        ("chain", 7, 5),
-        ("twice-diff", 8, 7),
-        ("log-convex", 8, 5),
+        # Each pair was an eigh of its Hermitian part: eigh / eigvalsh were
+        # 5 / 4, 7 / 5, 8 / 7 and 8 / 5.
+        ("classic", 3, 6),
+        ("chain", 3, 9),
+        ("twice-diff", 3, 12),
+        ("log-convex", 4, 9),
     ],
 )
 def test_chain_trial_budget(solver_calls, chain, eigh, eigvalsh):
@@ -76,19 +82,21 @@ def test_chain_trial_budget(solver_calls, chain, eigh, eigvalsh):
 def test_one_shape_suite_is_one_stack(solver_calls):
     # 50 trials of one shape: every solve, the sampler's normaliser and Haar
     # step included, is one call for the whole group.  Per trial this was
-    # 6 eigh and 5 eigvalsh, then 1 eigh and 2 qr of sampling per trial.
+    # 6 eigh and 5 eigvalsh, then 1 eigh and 2 qr of sampling per trial; with
+    # one eigh per compared pair it was 1 + 4 eigh and 4 eigvalsh.
     summary = run_suite(TrialConfig(seed=3, function_spec="exp", chain="classic"), 50)
     assert summary.violations == []
-    assert solver_calls == {"eigh": 1 + 4, "eigvalsh": 4, "qr": 1}
+    assert solver_calls == {"eigh": 1 + 2, "eigvalsh": 4 + 2, "qr": 1}
 
 
 def test_varied_verify_chunk_is_one_stack_per_matrix_dimension(solver_calls):
     # 40 vary_dims trials of twice-diff land in 35 shape groups over 7 dim_h
-    # and 7 dim_k values.  eigh: 7 A_i stacks + 7 normalisers + 7 x (lhs 1
-    # + 5 compared pairs); it was 35 + 7 + 35 x 6 = 252 when each group was
-    # evaluated alone, and 35 + 7 + 7 x 6 = 84 with one A_i stack per group.
-    # eigvalsh: 7 unitality defects + 7 x 6 side norms (35 + 7 x 6 = 77 with
-    # one defect per group).
+    # and 7 dim_k values.  eigh: 7 A_i stacks + 7 normalisers + 7 lhs; it was
+    # 35 + 7 + 35 x 6 = 252 when each group was evaluated alone (lhs and the
+    # 5 compared pairs), 35 + 7 + 7 x 6 = 84 with one A_i stack per group,
+    # and 7 + 7 + 7 x 6 = 56 while each pair was an eigh.  eigvalsh: 7
+    # unitality defects + 7 x 6 side norms + 7 x 5 compared pairs (35 + 7 x 6
+    # = 77 with one defect per group, 7 + 7 x 6 = 49 with the pairs in eigh).
     config = TrialConfig(seed=5, function_spec="exp", chain="twice-diff", vary_dims=True)
     _, groups = harness._sample_chunk(config, range(40))
     assert len(groups) == 35
@@ -96,7 +104,28 @@ def test_varied_verify_chunk_is_one_stack_per_matrix_dimension(solver_calls):
     solver_calls.update(eigh=0, eigvalsh=0, qr=0)
     summary = run_suite(config, 40)
     assert summary.violations == []
-    assert solver_calls == {"eigh": 7 + 7 + 7 * 6, "eigvalsh": 7 + 7 * 6, "qr": 7}
+    assert solver_calls == {"eigh": 7 + 7 + 7, "eigvalsh": 7 + 7 * 6 + 7 * 5, "qr": 7}
+
+
+def test_forced_sine_chunk_solves_each_pair_once(solver_calls):
+    # The 20 trials of test_golden's forced sine suite (classic, sin on
+    # [pi/4, pi/2], forced, vary_dims, mixed) land in 18 shape groups over 7
+    # dim_h and 7 dim_k: every trial's lhs <= rhs_classic is GreaterEqual.
+    # eigh: 7 A_i stacks + 7 normalisers + 7 lhs.  eigvalsh: 7 unitality
+    # defects + 7 x 3 side norms + 7 x 2 compared pairs, whose spectra also
+    # give the GreaterEqual slacks.  It was eigh 35 / eigvalsh 35 while the
+    # pairs were 14 eigh and their GreaterEqual trials 7 eigvalsh re-solves.
+    config = TrialConfig(
+        seed=12, function_spec="sin", chain="classic", m=math.pi / 4, M=math.pi / 2,
+        force=True, mixed=True, vary_dims=True,
+    )
+    _, groups = harness._sample_chunk(config, range(20))
+    dims_h, dims_k = ({group.dims[axis] for group in groups} for axis in (0, 1))
+    assert (len(groups), len(dims_h), len(dims_k)) == (18, 7, 7)
+    solver_calls.update(eigh=0, eigvalsh=0, qr=0)
+    summary = run_suite(config, 20)
+    assert len(summary.violations) == 20
+    assert solver_calls == {"eigh": 7 + 7 + 7, "eigvalsh": 7 + 7 * 3 + 7 * 2, "qr": 7}
 
 
 def test_varied_sweep_chunk_is_one_stack_per_matrix_dimension(solver_calls):

@@ -205,6 +205,44 @@ class TestLoewnerCompare:
             assert rayleigh == pytest.approx(verdict.gap_min_eigenvalue, abs=1e-12)
 
 
+    def test_stacked_witness_is_the_indexed_matrix(self):
+        # Three pairs in one stack, each turned by its own unitary: verdict(j)
+        # solves the witness of matrix j alone, and it attains that gap.
+        rng = generator(31)
+        lefts = [[1.0, 3.0, 2.0], [3.0, 2.5, 4.0], [1.0, 1.5, 0.5]]
+        rights = [[2.0, 2.0, 2.0], [2.0, 2.0, 2.0], [2.0, 3.0, 1.0]]
+        relations = (Relation.INCOMPARABLE, Relation.GREATER_EQUAL, Relation.LESS_EQUAL)
+        u = np.stack([haar_unitary(3, rng) for _ in relations])
+        a, b = (HermitianOperator(u * np.array(v)[:, None, :] @ u.conj().swapaxes(-1, -2)) for v in (lefts, rights))
+        order = loewner_order(a, b, 1e-12)
+        for j, relation in enumerate(relations):
+            verdict = order.verdict(j)
+            assert verdict.relation is relation
+            diff = a.entries[j] - b.entries[j] if relation is Relation.GREATER_EQUAL else b.entries[j] - a.entries[j]
+            rayleigh = float((verdict.witness_vector.conj() @ diff @ verdict.witness_vector).real)
+            assert rayleigh == pytest.approx(verdict.gap_min_eigenvalue, abs=1e-12)
+
+    def test_greater_equal_slack_is_lambda_min_of_left_minus_right(self):
+        # -lambda_max of right - left, read from the comparison's spectra, is
+        # bit for bit lambda_min of left - right, the slack the sweep pins;
+        # also against a diamond-like side whose T @ T is left unsymmetrised.
+        rng = generator(17)
+
+        def stack(dim):
+            z = rng.standard_normal((2, 50, dim, dim))
+            z = z[0] + 1j * z[1]
+            return 0.5 * (z + z.conj().swapaxes(-1, -2))
+
+        for dim in range(1, 9):
+            left, t = stack(dim), stack(dim)
+            diamond = 4.0 * t - 3.0 * np.eye(dim) - 0.5 * (t @ t + stack(dim))
+            for right in (stack(dim), diamond):
+                order = loewner_order(HermitianOperator(left), HermitianOperator(right), 0.0)
+                slack = order.slack(Relation.GREATER_EQUAL).tolist()
+                expected = np.linalg.eigvalsh(left - right)[..., 0].tolist()
+                assert [x.hex() for x in slack] == [x.hex() for x in expected]
+
+
 class TestSpectrumRange:
     # the extreme eigenvalues of a decomposition, as the range checks read them
 
