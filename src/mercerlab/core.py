@@ -23,7 +23,7 @@ of one, each object built on first use.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, NamedTuple, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,9 +34,8 @@ from .linalg import (
     SpectralDecomposition,
     apply_to_decomposition,
     spectral_decompose,
-    spectral_norms,
 )
-from .maps import Compression, MapFamily, WeightedTrace, apply_map, concatenate_maps
+from .maps import Compression, MapFamily, WeightedTrace, apply_map, unitality_defect
 from .tolerance import UNITALITY_ABS
 
 # The key of the identity among the objects; every other object is keyed
@@ -62,12 +61,18 @@ def geometric_interpolant(lo: float, hi: float, v_lo: float, v_hi: float) -> Cal
 
 
 class Block(NamedTuple):
-    """Trials with one family shape: their chunk ``positions``, a ``family`` whose maps carry
-    a leading trial axis, and ``operators`` ``(trials, n, dim_h, dim_h)``."""
+    """Trials with one family shape ``dims`` (dim_h, dim_k, n): their chunk ``positions``,
+    per compression map a ``(trials, dim_h, dim_k)`` stack of its V (``compressions``), per
+    trace map a ``(trials,)`` stack of its weight (``weights``), and ``operators``
+    ``(trials, n, dim_h, dim_h)``, operator i for map i.  The compressions and then the
+    trace maps are the maps ``order`` (None: 0, 1, ..., n - 1) of each family."""
 
     positions: Sequence[int]
-    family: MapFamily
+    dims: Tuple[int, int, int]
+    compressions: Sequence[np.ndarray]
+    weights: Sequence[np.ndarray]
     operators: np.ndarray
+    order: Optional[Sequence[int]] = None
 
 
 class FamilySums:
@@ -126,13 +131,13 @@ def _objects(a: np.ndarray, dec: SpectralDecomposition, keys, bounds: SpectralBo
 def stage_one(
     blocks: Sequence, bounds: SpectralBounds, keys, checked: bool = False, decompositions=None
 ) -> List[FamilySums]:
-    """The family sums of the objects ``keys`` for the trials of ``blocks`` (each with
-    ``positions``, ``family`` and ``operators`` as a ``Block``), one ``FamilySums`` per dim_k.
+    """The family sums of the objects ``keys`` for the trials of ``blocks`` (each a ``Block``,
+    such as a ``sampling.SampledGroup``), one ``FamilySums`` per dim_k.
 
     Per dim_h, one ``spectral_decompose`` of every A_i, with its Hermiticity
     check, and the objects built on it; per (dim_h, dim_k), the maps applied
-    to every object at once, all compressions as one map and all trace maps
-    as one (``maps.concatenate_maps``); per dim_k, each trial's images
+    to every object at once, all compressions as one ``Compression`` and all
+    trace maps as one ``WeightedTrace``; per dim_k, each trial's images
     summed in map order, exactly 0.0 + img_1 + ... + img_n.  A trial with
     fewer maps than the most of its dim_k adds +0.0 images after its own,
     which change no entry: a partial sum starting at 0.0 + img_1 is never -0.0.
@@ -141,20 +146,23 @@ def stage_one(
     ``apply_to_decomposition``.  ``checked`` makes the checks of
     :func:`checked_core` per trial, after the sums: the unitality of every
     family (the ``UNIT`` object), then the range of every spectrum, with
-    generators seeing spectra clamped onto [m, M] until then.
-    ``decompositions`` keeps each dim_h's decomposition across calls.
+    generators seeing spectra clamped onto [m, M] until then; the unitality
+    check is ``maps.unitality_defect``, which solves no spectrum of a family
+    its Frobenius bound clears.  ``decompositions`` keeps each dim_h's
+    decomposition across calls.
     """
     keys = list(dict.fromkeys(list(keys) + [UNIT] * checked))
     decompositions = {} if decompositions is None else decompositions
-    # Per dim_h, per (dim_k, kind of map): (map, its operators, their positions, map index) of every
-    # block's maps of that kind; the A_i of a dim_h are stacked in this order, so each
-    # (dim_k, kind) applies its maps to one contiguous slice of the objects.
+    # Per dim_h, per (dim_k, kind of map): (V or weight stack, its operators, their positions, map
+    # index) of every block's maps of that kind; the A_i of a dim_h are stacked in this order, so
+    # each (dim_k, kind) applies its maps to one contiguous slice of the objects.
     slots: Dict[int, Dict[tuple, list]] = {}
     for block in blocks:
-        family, positions = block.family, np.asarray(block.positions)
-        groups = slots.setdefault(family.dim_in, {})
-        for i, phi in enumerate(family.maps):
-            groups.setdefault((family.dim_out, type(phi)), []).append((phi, block.operators[:, i], positions, i))
+        (dim_h, dim_k, n), positions = block.dims, np.asarray(block.positions)
+        groups = slots.setdefault(dim_h, {})
+        maps = [(Compression, v) for v in block.compressions] + [(WeightedTrace, w) for w in block.weights]
+        for i, (kind, data) in zip(block.order or range(n), maps):
+            groups.setdefault((dim_k, kind), []).append((data, block.operators[:, i], positions, i))
     by_dim_k: Dict[int, tuple] = {}  # per dim_k: the images, positions and map indices of every map
     ranges = []
     for dim_h, groups in slots.items():
@@ -167,11 +175,13 @@ def stage_one(
             ranges.append((dec.eigenvalues, same))
             dec = SpectralDecomposition(np.clip(dec.eigenvalues, bounds.m, bounds.M), dec.eigenvectors)
         objects, start = _objects(a, dec, keys, bounds), 0
-        for (dim_k, _), group in groups.items():
-            maps, _, positions, index = zip(*group)
+        for (dim_k, kind), group in groups.items():
+            data, _, positions, index = zip(*group)
             stop = start + sum(map(len, positions))
+            data = np.concatenate(data)
+            phi = Compression(data) if kind is Compression else WeightedTrace(data, dim_h, dim_k)
             parts = by_dim_k.setdefault(dim_k, ([], [], []))
-            parts[0].append(apply_map(concatenate_maps(maps), HermitianOperator(objects[:, start:stop])).entries)
+            parts[0].append(apply_map(phi, HermitianOperator(objects[:, start:stop])).entries)
             parts[1].extend(positions)
             parts[2].extend(np.full(len(p), i) for p, i in zip(positions, index))
             start = stop
@@ -186,7 +196,7 @@ def stage_one(
         stacks.append(FamilySums(trials, dict(zip(keys, map(HermitianOperator, total))), bounds))
 
     for stack in stacks if checked else ():
-        defects = spectral_norms(stack.sums[UNIT] - HermitianOperator.identity(stack.sums[UNIT].dim))
+        defects = unitality_defect(stack.sums[UNIT])
         if (defects > UNITALITY_ABS).any():
             raise HypothesisNotMet(f"map family is not unital (defect {defects[defects > UNITALITY_ABS][0]:.3e})")
     for lam, same in ranges:
@@ -210,10 +220,18 @@ class SpectralCore(FamilySums):
     def __init__(self, family: MapFamily, operators: Sequence[HermitianOperator], bounds: SpectralBounds):
         if len(operators) != family.size:
             raise ArityMismatch(f"{family.size} maps but {len(operators)} operators")
-        maps = tuple(Compression(phi.v[None]) if isinstance(phi, Compression)  # a trial axis of one
-                     else WeightedTrace(np.full(1, phi.weight), phi.dim_in, phi.dim_out) for phi in family.maps)
+        maps = family.maps
+        compressions = [i for i, phi in enumerate(maps) if isinstance(phi, Compression)]
+        traces = [i for i, phi in enumerate(maps) if not isinstance(phi, Compression)]
         super().__init__((0,), {}, bounds)
-        self.block = Block((0,), MapFamily(maps), np.stack([a.entries for a in operators])[None])
+        self.block = Block(  # a trial axis of one
+            (0,),
+            (family.dim_in, family.dim_out, family.size),
+            [maps[i].v[None] for i in compressions],
+            [np.full(1, maps[i].weight) for i in traces],
+            np.stack([a.entries for a in operators])[None],
+            compressions + traces,
+        )
         self._decompositions: Dict[int, SpectralDecomposition] = {}
 
     def sum(self, g, squared: bool = False, checked: bool = False) -> HermitianOperator:

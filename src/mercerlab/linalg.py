@@ -8,7 +8,9 @@ the package is built on the primitives in this module:
 Functional calculus is split from decomposition so that one eigensolve can
 serve every function applied to the same operator.  A comparison is one
 ``eigvalsh`` of right - left, whose spectra give every slack and bit of
-order per matrix; an ``OrderVerdict`` is built only for a matrix that asks.
+order per matrix; the sides' norms for the default tolerance are solved
+only for a matrix whose order the tolerance floor cannot decide
+(``SideNorms``), and an ``OrderVerdict`` only for a matrix that asks.
 
 Every primitive takes a stack of matrices: ``entries`` of shape
 ``(..., d, d)``, with any leading axes (the trials and maps of a chunk,
@@ -26,9 +28,10 @@ everything here is safe to share between threads.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
@@ -39,7 +42,13 @@ from .errors import (
     NonHermitianInput,
     SpectrumOutOfDomain,
 )
-from .tolerance import HERMITICITY_REL, clamp_tolerance, hermiticity_tolerance
+from .tolerance import (
+    HERMITICITY_REL,
+    PSD_TOLERANCE_FLOOR,
+    clamp_tolerance,
+    hermiticity_tolerance,
+    tolerance_from_norms,
+)
 
 
 @dataclass(frozen=True)
@@ -224,27 +233,64 @@ class OrderVerdict:
         }
 
 
+class SideNorms:
+    """The spectral norms of one compared side, a stack, for the default tolerance.
+
+    ``at(where)`` gives the norms of the matrices a boolean mask selects,
+    solving (one ``spectral_norms`` call) only those not solved before, so
+    each matrix is solved at most once whatever pairs the side is in.
+    """
+
+    def __init__(self, side: HermitianOperator):
+        self.entries = side.entries
+        self.values = np.zeros(side.entries.shape[:-2])
+        self.known = np.zeros(side.entries.shape[:-2], dtype=bool)
+
+    def at(self, where: np.ndarray) -> np.ndarray:
+        new = where & ~self.known
+        if new.any():
+            self.values[new] = spectral_norms(HermitianOperator(self.entries[new]))
+            self.known |= new
+        return self.values[where]
+
+
 @dataclass(frozen=True)
 class LoewnerOrder:
     """The Loewner comparison of two stacks A and B, matrix by matrix (see :func:`loewner_order`).
 
     ``difference`` is the stack B - A, ``eigenvalues`` its spectra
-    (ascending), ``tol`` the tolerance of each comparison.
+    (ascending), ``tol`` the tolerance of each comparison: an array (or
+    float), or the two sides' ``SideNorms`` for the default
+    ``tolerance.tolerance_from_norms``.  The masks are made on first read.
     """
 
     difference: np.ndarray
     eigenvalues: np.ndarray
-    tol: np.ndarray
+    tol: Union[np.ndarray, Tuple[SideNorms, SideNorms]]
 
-    @property
+    @functools.cached_property
     def below(self) -> np.ndarray:
         """Per matrix: A <= B up to the tolerance, min eig of B - A >= -tol (Equal counts)."""
-        return self.eigenvalues[..., 0] >= -self.tol
+        return self._within_tolerance(self.eigenvalues[..., 0])
 
-    @property
+    @functools.cached_property
     def above(self) -> np.ndarray:
         """Per matrix: A >= B up to the tolerance, min eig of A - B >= -tol (Equal counts)."""
-        return -self.eigenvalues[..., -1] >= -self.tol
+        return self._within_tolerance(-self.eigenvalues[..., -1])
+
+    def _within_tolerance(self, slack: np.ndarray) -> np.ndarray:
+        """slack >= -tol per matrix.  With the sides' norms, a slack at or above
+        -``PSD_TOLERANCE_FLOOR``, the least default tolerance, holds whatever the
+        norms are; the norms are solved only for the other matrices (a NaN
+        slack among them), and give exactly the eager result there."""
+        if not isinstance(self.tol, tuple):
+            return np.asarray(slack >= -self.tol)
+        within = np.asarray(slack >= -PSD_TOLERANCE_FLOOR)
+        open_ = ~within
+        if open_.any():
+            left, right = self.tol
+            within[open_] = slack[open_] >= -tolerance_from_norms(left.at(open_), right.at(open_))
+        return within
 
     def slack(self, relation: Relation) -> np.ndarray:
         """Signed slack of ``A relation B`` per matrix; negative means violated.
@@ -357,14 +403,18 @@ def apply_scalar_function(
     return apply_to_decomposition(f, spectral_decompose(a), bounds)
 
 
-def loewner_order(a: HermitianOperator, b: HermitianOperator, tol_abs) -> LoewnerOrder:
+def loewner_order(
+    a: HermitianOperator, b: HermitianOperator, tol: Union[float, np.ndarray, Tuple[SideNorms, SideNorms]]
+) -> LoewnerOrder:
     """Compare A and B in the Loewner order (A <= B iff B - A is PSD), matrix by matrix.
 
-    One ``eigvalsh`` call of B - A for the whole stack.  ``tol_abs`` is one
-    tolerance or one per matrix of the broadcast stack
-    (``tolerance.tolerance_from_norms`` of the two sides' ``spectral_norms``
-    is the engine's default).
+    One ``eigvalsh`` call of B - A for the whole stack.  ``tol`` is one
+    tolerance, one per matrix of the broadcast stack, or the sides'
+    ``SideNorms`` (A's, B's) for the engine's default,
+    ``tolerance.tolerance_from_norms`` of both, solved only where the
+    floor cannot decide and only when a mask or verdict is read.
     """
     a._check_same_dim(b)
     diff = b.entries - a.entries
-    return LoewnerOrder(diff, np.linalg.eigvalsh(diff), np.asarray(tol_abs, dtype=float))
+    tol = tol if isinstance(tol, tuple) else np.asarray(tol, dtype=float)
+    return LoewnerOrder(diff, np.linalg.eigvalsh(diff), tol)

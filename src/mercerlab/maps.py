@@ -4,18 +4,16 @@ Maps are realized structurally, never as abstract superoperator matrices:
 compressions V* A V and weighted traces w tr(A) I, the two kinds the sampler
 draws and a search witness carries.  Positivity then holds by construction.
 A family Phi_1..Phi_n is unital when sum_i Phi_i(I) = I on the codomain;
-``unitality_defect`` measures how far a family is from that, and the sampler
-(``sampling.sample_trials``) draws unital families.
+``unitality_defect`` measures how far sum_i Phi_i(I) is from that, and the
+sampler (``sampling.sample_trials``) draws unital families.
 
 Maps apply to stacks of matrices ``(..., d, d)``.  A map may carry a
-leading axis: a family may hold the maps of several trials of one shape
-(same dims, same map kinds), whose compressions and trace weights then
-carry a trial axis (``sampling.SampledGroup.family``), and
-``concatenate_maps`` joins the maps of one kind and dims of a whole chunk,
-whatever their trial and map index, into one map (``core.stage_one``).
-Applied to a stack of operators with the same leading axis, and any axes
-before it, each map acts on its own operator, by the same numpy operations
-as for one matrix: ``(V* @ X) @ V``, a trace, then the Hermitian part.
+leading axis: ``core.stage_one`` applies the maps of one kind and dims of
+a whole chunk, whatever their trial and map index, as one map whose
+compressions or trace weights run along it.  Applied to a stack of
+operators with the same leading axis, and any axes before it, each map
+acts on its own operator, by the same numpy operations as for one matrix:
+``(V* @ X) @ V``, a trace, then the Hermitian part.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ import numpy as np
 
 from .errors import ArityMismatch, DimensionMismatch, InvalidInterval
 from .linalg import HermitianOperator, spectral_norms
+from .tolerance import UNITALITY_ABS
 
 
 @dataclass(frozen=True)
@@ -105,13 +104,6 @@ class MapFamily:
         return self.maps[0].dim_out
 
 
-def concatenate_maps(maps: Sequence[PositiveLinearMap]) -> PositiveLinearMap:
-    """Maps of one kind and shape, each with a leading axis, as one map whose axis runs over all of theirs."""
-    if isinstance(maps[0], Compression):
-        return Compression(np.concatenate([phi.v for phi in maps]))
-    return WeightedTrace(np.concatenate([phi.weight for phi in maps]), maps[0].dim_in, maps[0].dim_out)
-
-
 def family_sum(family: MapFamily, operators: Sequence[HermitianOperator]) -> HermitianOperator:
     """sum_i Phi_i(A_i) for one operator per map, accumulated in map order."""
     if len(operators) != family.size:
@@ -122,13 +114,22 @@ def family_sum(family: MapFamily, operators: Sequence[HermitianOperator]) -> Her
     return HermitianOperator(0.5 * (total + total.conj().swapaxes(-1, -2)))
 
 
-def unitality_defect(family: MapFamily):
-    """Spectral-norm distance of sum_i Phi_i(I) from the identity.
+def unitality_defect(unit_image: HermitianOperator) -> np.ndarray:
+    """How far each matrix of a stack of sum_i Phi_i(I) lies from the identity, for the
+    check against ``tolerance.UNITALITY_ABS``.
 
-    For a stacked family, one distance per trial, all in one ``eigvalsh`` call.
+    The Frobenius norm of the difference bounds its spectral norm; where it
+    is at most UNITALITY_ABS / 2, rounding cannot carry the spectral norm
+    past UNITALITY_ABS, and it is the defect.  Every other matrix (NaN
+    included) gets its spectral norm, one ``eigvalsh`` call for all of them,
+    so a defect above UNITALITY_ABS is always the spectral norm.
     """
-    image = family_sum(family, [HermitianOperator.identity(family.dim_in)] * family.size)
-    return spectral_norms(image - HermitianOperator.identity(family.dim_out))
+    diff = (unit_image - HermitianOperator.identity(unit_image.dim)).entries
+    defect = np.asarray(np.linalg.norm(diff, axis=(-2, -1)))
+    unclear = ~(defect <= UNITALITY_ABS / 2)
+    if unclear.any():
+        defect[unclear] = spectral_norms(HermitianOperator(diff[unclear]))
+    return defect
 
 
 # --------------------------------------------------------------------------

@@ -31,13 +31,13 @@ from .linalg import (
     HermitianOperator,
     LoewnerOrder,
     OrderVerdict,
+    SideNorms,
     SpectralBounds,
     apply_scalar_function,
     loewner_order,
-    spectral_norms,
 )
 from .maps import MapFamily
-from .tolerance import WEIGHT_SUM_ABS, tolerance_from_norms
+from .tolerance import WEIGHT_SUM_ABS
 
 
 @dataclass(frozen=True)
@@ -317,7 +317,10 @@ def evaluate_trials(
     them: each side is built for all trials at once and each pair compared
     in one ``eigvalsh`` call of right - left, every trial against its own
     tolerance; the gate depends on f and [m, M] only and is evaluated once,
-    after the lhs.
+    after the lhs.  The default tolerance needs the sides' spectral norms
+    only for a trial whose gap is below -``PSD_TOLERANCE_FLOOR``; they are
+    solved when a mask or verdict is read (``linalg.LoewnerOrder``), so an
+    informational pair, whose mask a suite never reads, solves none.
     """
     chain = _chain_kind(which)
     zero = HermitianOperator(np.zeros_like(s.entries))
@@ -331,13 +334,12 @@ def evaluate_trials(
     }
     sides = {label: by_label[label] if label in by_label else later[label]() for label in chain.sides}
 
-    if tol_abs is None:
-        # Each side's spectral norms enter the default tolerance of every pair
-        # the side is in, so they are computed once per side; zero's is exactly 0.
-        norms = {label: 0.0 if label == "zero" else spectral_norms(side) for label, side in sides.items()}
+    # A side's norms enter the default tolerance of every pair it is in, each
+    # matrix's solved at most once and only where a read mask needs it.
+    norms = {label: SideNorms(side) for label, side in sides.items()}
     orders = {}
     for left, right, _ in chain.pairs:
-        tol = tol_abs if tol_abs is not None else tolerance_from_norms(norms[left], norms[right])
+        tol = tol_abs if tol_abs is not None else (norms[left], norms[right])
         orders[left, right] = loewner_order(sides[left], sides[right], tol)
     return InequalityReport(sides=sides, orders=orders, scalars=scalars)
 

@@ -24,11 +24,11 @@ back as one ``SampledGroup`` per shape, a block of ``core.stage_one``.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .core import Block
 from .errors import SingularNormalizer
 from .linalg import HermitianOperator, SpectralBounds, SpectralDecomposition
 from .maps import Compression, MapFamily, WeightedTrace
@@ -132,13 +132,15 @@ def _normalise(stacks: Sequence[tuple]) -> List[Tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-def _family(compressions: np.ndarray, fraction, dim_h: int, dim_k: int) -> MapFamily:
-    """The compressions V_i (one per leading index), then, unless ``fraction`` is None, the
-    trace map of weight fraction / dim_h, or 1 / dim_h when alone, which makes it unital."""
-    maps: list = [Compression(v) for v in compressions]
-    if fraction is not None:
-        weight = (fraction if maps else np.ones_like(fraction)) / dim_h
-        maps.append(WeightedTrace(weight, dim_in=dim_h, dim_out=dim_k))
+def _trace_weight(fraction, n_compressions: int, dim_h: int):
+    """The weight of a family's trace map: fraction / dim_h, or 1 / dim_h when alone, which makes it unital."""
+    return (fraction if n_compressions else np.ones_like(fraction)) / dim_h
+
+
+def _family(compressions, weights, dim_h: int, dim_k: int) -> MapFamily:
+    """The compressions V_i (one per leading index), then a trace map per weight."""
+    maps = [Compression(v) for v in compressions]
+    maps += [WeightedTrace(w, dim_in=dim_h, dim_out=dim_k) for w in weights]
     return MapFamily(maps=tuple(maps))
 
 
@@ -176,7 +178,7 @@ def random_unital_family(
     numerically singular for ``NORMALIZER_ATTEMPTS`` draws (e.g. dim_k > n * dim_h).
     """
     _, fraction, vs = _draw_family(n, dim_h, dim_k, include_trace, rng, checked=True)
-    return _family(vs, fraction if include_trace else None, dim_h, dim_k)
+    return _family(vs, [_trace_weight(fraction, len(vs), dim_h)] if include_trace else [], dim_h, dim_k)
 
 
 # Phase 1 of a trial: its dims, its family's normals and trace fraction, and
@@ -184,27 +186,17 @@ def random_unital_family(
 _Draw = namedtuple("_Draw", "dims normals fraction spectra")
 
 
-@dataclass(frozen=True)
-class SampledGroup:
-    """The trials of one chunk with equal dims, at ``positions`` (ascending), finished together:
-    ``compressions`` ``(n_comp, trials, dim_h, dim_k)``, ``fractions`` ``(trials,)`` (None
-    without a trace map) and ``operators`` ``(trials, n, dim_h, dim_h)``."""
+class SampledGroup(Block):
+    """The trials of one chunk with equal dims, at ``positions`` (ascending), finished together,
+    as a ``core.Block``: ``compressions`` ``(n_comp, trials, dim_h, dim_k)``, ``weights``
+    ``(n_trace, trials)`` (no row without a trace map, one with) and ``operators``
+    ``(trials, n, dim_h, dim_h)``."""
 
-    positions: Tuple[int, ...]
-    dims: Tuple[int, int, int]
-    compressions: np.ndarray
-    fractions: Optional[np.ndarray]
-    operators: np.ndarray
-
-    @property
-    def family(self) -> MapFamily:
-        """The maps of the group's trials, stacked along the trial axis."""
-        return _family(self.compressions, self.fractions, self.dims[0], self.dims[1])
+    __slots__ = ()
 
     def instance(self, j: int) -> Tuple[MapFamily, Tuple[HermitianOperator, ...]]:
         """(family, operators) of the group's j-th trial alone."""
-        fraction = None if self.fractions is None else self.fractions[j]
-        family = _family(self.compressions[:, j], fraction, self.dims[0], self.dims[1])
+        family = _family(self.compressions[:, j], self.weights[:, j], self.dims[0], self.dims[1])
         return family, tuple(HermitianOperator(a) for a in self.operators[j])
 
 
@@ -235,7 +227,10 @@ def sample_trials(
         for dims, fraction, (accepted, compressions) in zip(
             pending, fractions, _normalise(list(zip(normals, fractions)))
         ):
-            families[dims] = compressions, fraction if mixed else None
+            weights = np.empty((0, len(fraction)))  # no trace map
+            if mixed:
+                weights = _trace_weight(fraction, len(compressions), dims[0])[None]
+            families[dims] = compressions, weights
             if not accepted.all():
                 rejected.append(dims)
                 for j in np.flatnonzero(~accepted):

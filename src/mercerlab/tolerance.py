@@ -9,6 +9,12 @@ The thresholds on eigenvalues therefore scale with the size of their inputs,
 as rel * (1 + |x_1| + ... + |x_k|) or rel * (1 + max |x|), with rel many
 orders above u = 1.1e-16.  Each value keeps the float expression and
 operation order it has always had, so no verdict or report moves by a bit.
+
+The default PSD tolerance of a compared pair, ``tolerance_from_norms``, is
+never below ``PSD_TOLERANCE_FLOOR`` = 1e-9, its value at zero norms: a
+least eigenvalue at or above -1e-9 is ordered whatever the sides' norms
+are, so they are solved only for a comparison that the floor cannot decide
+(``linalg.LoewnerOrder``).
 """
 
 from __future__ import annotations
@@ -60,6 +66,10 @@ def tolerance_from_norms(*norms):
     """PSD tolerance of a compared pair (one per trial for per-trial norms): the least
     eigenvalue of B - A is exact to O(u (||A|| + ||B||)) (Weyl)."""
     return _scaled_by_max(1e-9, functools.reduce(np.maximum, norms) if norms else 0.0)
+
+
+# The least value of tolerance_from_norms: 1e-9 * (1 + n) rounds to no less than 1e-9 for any norm n >= 0.
+PSD_TOLERANCE_FLOOR = tolerance_from_norms()
 
 
 def sweep_tolerance(M: float, psi_M: float, psi_m: float) -> float:

@@ -26,35 +26,45 @@ def has_negative_zero(mat):
     return any(bool(np.any((part == 0) & np.signbit(part))) for part in (mat.real, mat.imag))
 
 
-def stacked(families):
-    """The maps of same-shape families as one family with a leading trial axis."""
-    return MapFamily(tuple(
-        Compression(np.stack([f.maps[i].v for f in families])) if isinstance(phi, Compression)
-        else WeightedTrace(np.array([f.maps[i].weight for f in families]), phi.dim_in, phi.dim_out)
-        for i, phi in enumerate(families[0].maps)
-    ))
+def stacked(positions, families, operators):
+    """Same-shape families as one ``Block``: each map's V or trace weight stacked along a trial axis."""
+    maps = families[0].maps
+    compressions = [i for i, phi in enumerate(maps) if isinstance(phi, Compression)]
+    traces = [i for i, phi in enumerate(maps) if isinstance(phi, WeightedTrace)]
+    return Block(
+        positions,
+        (families[0].dim_in, families[0].dim_out, families[0].size),
+        [np.stack([f.maps[i].v for f in families]) for i in compressions],
+        [np.array([f.maps[i].weight for f in families]) for i in traces],
+        operators,
+        compressions + traces,
+    )
 
 
 def test_map_order_sums_equal_family_sum_trial_by_trial():
     # dim_k = 2: n = 1..4 over two dim_h, with and without a trace map last,
-    # so the shorter families are padded.  dim_k = 3: lone trace maps only,
-    # unpadded, whose -0.0 entries only the leading 0.0 + turns into +0.0.
+    # so the shorter families are padded, and n = 3, 4 with the trace map
+    # first, so the block's maps are not in map order.  dim_k = 3: lone trace
+    # maps only, unpadded, whose -0.0 entries only the leading 0.0 + turns into +0.0.
     rng = generator(17)
-    shapes = [(dim_h, 2, n, mixed) for dim_h in (2, 3) for n in (1, 2, 3, 4) for mixed in (False, True)]
-    shapes += [(4, 3, 1, True), (3, 3, 1, True)]
+    shapes = [(dim_h, 2, n, mixed, False) for dim_h in (2, 3) for n in (1, 2, 3, 4) for mixed in (False, True)]
+    shapes += [(dim_h, 2, n, True, True) for dim_h in (2, 3) for n in (3, 4)]
+    shapes += [(4, 3, 1, True, False), (3, 3, 1, True, False)]
     order = rng.permutation(3 * len(shapes))  # chunk positions, interleaved across blocks
     blocks, trials = [], {}
-    for k, (dim_h, dim_k, n, mixed) in enumerate(shapes):
+    for k, (dim_h, dim_k, n, mixed, trace_first) in enumerate(shapes):
         families = [random_unital_family(n, dim_h, dim_k, rng, include_trace=mixed) for _ in range(3)]
+        if trace_first:
+            families = [MapFamily(family.maps[-1:] + family.maps[:-1]) for family in families]
         operators = [tuple(random_hermitian(dim_h, BOUNDS, rng) for _ in range(n)) for _ in families]
         positions = tuple(sorted(order[3 * k : 3 * k + 3].tolist()))
         ops = np.stack([np.stack([a.entries for a in trial]) for trial in operators])
-        blocks.append(Block(positions, stacked(families), ops))
+        blocks.append(stacked(positions, families, ops))
         trials.update(zip(positions, zip(families, operators)))
 
     keys = [(None, False), (None, True), UNIT]
     stacks = stage_one(blocks, BOUNDS, keys)
-    assert sorted(len(stack.positions) for stack in stacks) == [6, 48]
+    assert sorted(len(stack.positions) for stack in stacks) == [6, 60]
     assert sorted(p for stack in stacks for p in stack.positions.tolist()) == sorted(trials)
     for stack in stacks:
         negative_zeros = 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mercerlab import linalg
 from mercerlab.errors import (
     DimensionMismatch,
     FunctionDomainError,
@@ -15,6 +16,7 @@ from mercerlab.functions import exponential, identity, logarithm, sine, square
 from mercerlab.linalg import (
     HermitianOperator,
     Relation,
+    SideNorms,
     SpectralBounds,
     apply_scalar_function,
     apply_to_decomposition,
@@ -23,7 +25,7 @@ from mercerlab.linalg import (
     spectral_norms,
 )
 from mercerlab.sampling import generator, haar_unitary, random_hermitian
-from mercerlab.tolerance import tolerance_from_norms
+from mercerlab.tolerance import PSD_TOLERANCE_FLOOR, tolerance_from_norms
 
 
 def compare(a, b):
@@ -241,6 +243,101 @@ class TestLoewnerCompare:
                 slack = order.slack(Relation.GREATER_EQUAL).tolist()
                 expected = np.linalg.eigvalsh(left - right)[..., 0].tolist()
                 assert [x.hex() for x in slack] == [x.hex() for x in expected]
+
+
+class TestDeferredTolerance:
+    """The default tolerance's norms are solved only where the floor cannot decide.
+
+    Sides of norm about 1000 make tol = 1e-9 (1 + max norm) about 1e-6, a
+    thousand times the floor: a gap of -5e-7 or a lambda_max of 5e-7 is
+    ordered only by the norms, and -2e-6 or 2e-6 is not ordered.  Pairs with
+    a zero side on the left or on the right take their tolerance from the
+    other side's norm alone.  Every mask and verdict must equal, by
+    ``float.hex``, the eager comparison built from both sides' norms.
+    """
+
+    @staticmethod
+    def eager(a, b):
+        return loewner_order(a, b, tolerance_from_norms(spectral_norms(a), spectral_norms(b)))
+
+    @staticmethod
+    def same_verdicts(lazy, eager, indices):
+        for j in indices:
+            got, want = lazy.verdict(j), eager.verdict(j)
+            assert got.relation is want.relation, j
+            assert got.gap_min_eigenvalue.hex() == want.gap_min_eigenvalue.hex(), j
+            assert got.witness_vector.tobytes() == want.witness_vector.tobytes(), j
+
+    def test_stacked_masks_and_verdicts_equal_the_eager_comparison(self, monkeypatch):
+        rng = generator(41)
+
+        def turned(spectrum):
+            u = haar_unitary(3, rng)
+            mat = (u * np.array(spectrum, dtype=float)) @ u.conj().T
+            return 0.5 * (mat + mat.conj().T)
+
+        lefts, rights = [], []
+        for gaps in (
+            (-1e-10, 0.5, 1.0), (-5e-7, 0.5, 1.0), (-2e-6, 0.5, 1.0), (1e-3, 0.5, 1.0),  # below
+            (-2.0, -1.0, 5e-7), (-2.0, -1.0, 2e-6), (-5e-7, 0.0, 5e-7), (-1e-10, 0.0, 1e-10),  # above, equal
+        ):
+            base = turned([1000.0, -700.0, 300.0])
+            lefts.append(base)
+            rights.append(base + turned(gaps))
+        for zero_left in (True, False):  # one side zero, the other of norm 1000 with gap -5e-7
+            other = turned([-5e-7, 1000.0, 500.0])
+            lefts.append(np.zeros((3, 3), complex) if zero_left else -other)
+            rights.append(other if zero_left else np.zeros((3, 3), complex))
+        a, b = HermitianOperator(np.array(lefts)), HermitianOperator(np.array(rights))
+
+        solved = []
+        original = linalg.spectral_norms
+
+        def counted(op):
+            solved.append(op.entries.shape[0])
+            return original(op)
+
+        monkeypatch.setattr(linalg, "spectral_norms", counted)
+        norms_a, norms_b = SideNorms(a), SideNorms(b)
+        lazy = loewner_order(a, b, (norms_a, norms_b))
+        zero = HermitianOperator(np.zeros_like(b.entries))
+        norms_zero = SideNorms(zero)
+        shared = loewner_order(zero, b, (norms_zero, norms_b))  # b's norms serve both pairs
+        assert solved == []  # nothing is solved before a mask is read
+        monkeypatch.setattr(linalg, "spectral_norms", original)
+        eager, eager_shared = self.eager(a, b), self.eager(zero, b)
+        monkeypatch.setattr(linalg, "spectral_norms", counted)
+
+        assert lazy.below.tolist() == eager.below.tolist() == [True, True, False, True, False, False] + [True] * 4
+        assert lazy.above.tolist() == eager.above.tolist() == [False] * 4 + [True, False, True, True, False, False]
+        assert shared.below.tolist() == eager_shared.below.tolist()
+        assert shared.above.tolist() == eager_shared.above.tolist()
+        lam = eager.eigenvalues
+        by_floor = (lam[:, 0] >= -PSD_TOLERANCE_FLOOR, -lam[:, -1] >= -PSD_TOLERANCE_FLOOR)
+        assert (by_floor[0] != eager.below).any() and (by_floor[1] != eager.above).any()
+        self.same_verdicts(lazy, eager, range(len(lefts)))
+        self.same_verdicts(shared, eager_shared, range(len(lefts)))
+        # each side's norms solved at most once per matrix, and only for
+        # matrices one of whose masks the floor leaves open
+        assert norms_a.known.tolist() == (~(by_floor[0] & by_floor[1])).tolist()
+        assert sum(solved) == norms_a.known.sum() + norms_b.known.sum() + norms_zero.known.sum()
+
+    def test_one_trial_above_between_floor_and_tolerance(self):
+        # An unstacked pair whose lambda_max of B - A is 5e-7: A >= B up to
+        # the tolerance (about 1e-6), though not up to the floor.
+        rng = generator(43)
+        u = haar_unitary(4, rng)
+        base = (u * np.array([1000.0, 10.0, -20.0, 400.0])) @ u.conj().T
+        base = 0.5 * (base + base.conj().T)
+        v = haar_unitary(4, rng)
+        a = HermitianOperator(base)
+        b = HermitianOperator(base + (v * np.array([-3.0, -2.0, -1.0, 5e-7])) @ v.conj().T)
+        lazy, eager = loewner_order(a, b, (SideNorms(a), SideNorms(b))), self.eager(a, b)
+        assert 1e-9 < eager.eigenvalues[-1] < eager.tol
+        assert lazy.below.shape == lazy.above.shape == ()
+        assert (bool(lazy.below), bool(lazy.above)) == (bool(eager.below), bool(eager.above)) == (False, True)
+        self.same_verdicts(lazy, eager, [()])
+        assert lazy.verdict().relation is Relation.GREATER_EQUAL
 
 
 class TestSpectrumRange:

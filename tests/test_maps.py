@@ -24,8 +24,14 @@ from mercerlab.maps import (
     unitality_defect,
 )
 from mercerlab.sampling import generator, haar_unitary, random_hermitian, random_unital_family
+from mercerlab.tolerance import UNITALITY_ABS
 
 HALF_TRACE = WeightedTrace(0.5, dim_in=2, dim_out=1)
+
+
+def defect(family):
+    """The unitality defect of a family: how far sum_i Phi_i(I) lies from I."""
+    return unitality_defect(family_sum(family, [HermitianOperator.identity(family.dim_in)] * family.size))
 
 
 def random_psd(dim, rng, scale=1.0):
@@ -136,17 +142,45 @@ class TestFamilySum:
 
 class TestUnitality:
     def test_half_trace_family_is_unital(self):
-        assert unitality_defect(MapFamily((HALF_TRACE,))) == pytest.approx(0.0, abs=1e-12)
+        assert defect(MapFamily((HALF_TRACE,))) == pytest.approx(0.0, abs=1e-12)
 
     def test_scaled_unitary_compressions(self):
         rng = generator(11)
         k = 3
         maps = tuple(Compression(haar_unitary(4, rng) / math.sqrt(k)) for _ in range(k))
-        assert unitality_defect(MapFamily(maps)) <= 1e-12
+        assert defect(MapFamily(maps)) <= 1e-12
 
     def test_half_identity_compression_defect(self):
         fam = MapFamily((Compression(0.5 * np.eye(2, dtype=complex)),))
-        assert unitality_defect(fam) == pytest.approx(0.75)
+        assert defect(fam) == pytest.approx(0.75)
+
+    def test_frobenius_bound_decides_as_the_spectral_norm(self, monkeypatch):
+        # I + E, E with spectrum size * (1, -1/2, 1/3), so |E|_F is 1.17 size:
+        # the first three clear UNITALITY_ABS / 2, the next two pass
+        # UNITALITY_ABS only by their spectral norm, the last three fail it.
+        # A defect is never below the spectral norm, is the spectral norm
+        # wherever the bound cannot clear it, and passes UNITALITY_ABS exactly
+        # where the spectral norm does.  A stack the bound clears solves no spectrum.
+        rng = generator(21)
+        units = []
+        for size in (1e-12, 1e-10, 4e-10, 4.5e-10, 9.9e-10, 1.01e-9, 2e-9, 0.75):
+            u = haar_unitary(3, rng)
+            units.append(np.eye(3) + (u * (size * np.array([1.0, -0.5, 1 / 3]))) @ u.conj().T)
+        units = HermitianOperator(np.array(units))
+        spectral = spectral_norms(units - HermitianOperator.identity(3))
+        defects = unitality_defect(units)
+        unclear = np.linalg.norm(units.entries - np.eye(3), axis=(-2, -1)) > UNITALITY_ABS / 2
+        assert unclear.tolist() == [False] * 3 + [True] * 5
+        assert np.all(defects >= spectral)
+        assert [x.hex() for x in defects[unclear]] == [x.hex() for x in spectral[unclear]]
+        assert ((defects <= UNITALITY_ABS) == (spectral <= UNITALITY_ABS)).all()
+        assert (spectral <= UNITALITY_ABS).tolist() == [True] * 5 + [False] * 3
+
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("a cleared stack solved a spectrum")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        assert (unitality_defect(HermitianOperator(units.entries[:3])) <= UNITALITY_ABS / 2).all()
 
 
 class TestMapJson:
@@ -169,7 +203,7 @@ class TestMapJson:
         fam = random_unital_family(3, 3, 2, rng, include_trace=True)
         blobs = family_to_json(fam)
         again = family_from_json(blobs, dim_in=3, dim_out=2)
-        assert unitality_defect(again) <= 1e-9
+        assert defect(again) <= 1e-9
         a = [random_psd(3, rng) for _ in range(3)]
         np.testing.assert_allclose(
             family_sum(again, a).entries, family_sum(fam, a).entries, atol=1e-12

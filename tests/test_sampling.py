@@ -6,8 +6,8 @@ import pytest
 from mercerlab import harness, sampling
 from mercerlab.errors import SingularNormalizer
 from mercerlab.harness import CHUNK_TRIALS, TrialConfig
-from mercerlab.linalg import SpectralBounds, spectral_decompose
-from mercerlab.maps import Compression, WeightedTrace, unitality_defect
+from mercerlab.linalg import HermitianOperator, SpectralBounds, spectral_decompose
+from mercerlab.maps import Compression, WeightedTrace, family_sum, unitality_defect
 from mercerlab.sampling import (
     generator,
     haar_unitary,
@@ -17,6 +17,11 @@ from mercerlab.sampling import (
 )
 
 BOUNDS = SpectralBounds(-0.5, 2.5)
+
+
+def defect(family):
+    """The unitality defect of a family: how far sum_i Phi_i(I) lies from I."""
+    return unitality_defect(family_sum(family, [HermitianOperator.identity(family.dim_in)] * family.size))
 
 
 class TestSeeding:
@@ -86,18 +91,18 @@ class TestRandomUnitalFamily:
     def test_defect_below_tolerance(self, n, dim_h, dim_k):
         for seed in range(25):
             fam = random_unital_family(n, dim_h, dim_k, generator(seed))
-            assert unitality_defect(fam) <= 1e-9
+            assert defect(fam) <= 1e-9
 
     def test_mixed_family_contains_trace_map(self):
         fam = random_unital_family(3, 4, 2, generator(8), include_trace=True)
         kinds = [type(m) for m in fam.maps]
         assert WeightedTrace in kinds
-        assert unitality_defect(fam) <= 1e-9
+        assert defect(fam) <= 1e-9
 
     def test_single_trace_family(self):
         fam = random_unital_family(1, 4, 2, generator(8), include_trace=True)
         assert isinstance(fam.maps[0], WeightedTrace)
-        assert unitality_defect(fam) <= 1e-12
+        assert defect(fam) <= 1e-12
 
     def test_singular_normalizer_raised(self):
         # one 1 -> 3 compression can never have full-rank identity image
@@ -177,7 +182,7 @@ class TestChunkSampler:
         assert 0 < checked < 60
         for i, (_, _, family, operators) in enumerate(sampled):
             assert trial_bytes(family, operators) == trial_bytes(*one_by_one(config, i)), i
-            assert unitality_defect(family) <= 1e-9
+            assert defect(family) <= 1e-9
 
     def test_always_singular_trial_raises_like_one_by_one(self):
         # One 1 -> 3 compression never has a nonsingular normaliser.
