@@ -25,7 +25,6 @@ from .errors import (
     SingularNormalizer,
     SpectrumOutOfDomain,
 )
-from .core import SpectralCore
 from .functions import (
     CurvatureBounds,
     ScalarFunction,

@@ -16,8 +16,8 @@ builds the sums of a chunk of trials of any shapes: one eigendecomposition
 per operator dimension dim_h, the maps once per (dim_h, dim_k), the sums
 per codomain dimension dim_k.  Every matrix goes through the numpy
 operations it would go through alone, so a sum is bit for bit the one of
-``maps.family_sum`` on that trial.  ``SpectralCore`` is one trial, a chunk
-of one, each object built on first use.
+``maps.family_sum`` on that trial.  ``trial_sums`` is one trial, a checked
+chunk of one.
 """
 
 from __future__ import annotations
@@ -128,9 +128,7 @@ def _objects(a: np.ndarray, dec: SpectralDecomposition, keys, bounds: SpectralBo
     return np.stack([images[g] @ images[g] if squared else images[g] for g, squared in keys])
 
 
-def stage_one(
-    blocks: Sequence, bounds: SpectralBounds, keys, checked: bool = False, decompositions=None
-) -> List[FamilySums]:
+def stage_one(blocks: Sequence, bounds: SpectralBounds, keys, checked: bool = False) -> List[FamilySums]:
     """The family sums of the objects ``keys`` for the trials of ``blocks`` (each a ``Block``,
     such as a ``sampling.SampledGroup``), one ``FamilySums`` per dim_k.
 
@@ -144,15 +142,13 @@ def stage_one(
 
     Unchecked, generators see the clamp-checked spectra of
     ``apply_to_decomposition``.  ``checked`` makes the checks of
-    :func:`checked_core` per trial, after the sums: the unitality of every
+    :func:`trial_sums` per trial, after the sums: the unitality of every
     family (the ``UNIT`` object), then the range of every spectrum, with
     generators seeing spectra clamped onto [m, M] until then; the unitality
     check is ``maps.unitality_defect``, which solves no spectrum of a family
-    its Frobenius bound clears.  ``decompositions`` keeps each dim_h's
-    decomposition across calls.
+    its Frobenius bound clears.
     """
     keys = list(dict.fromkeys(list(keys) + [UNIT] * checked))
-    decompositions = {} if decompositions is None else decompositions
     # Per dim_h, per (dim_k, kind of map): (V or weight stack, its operators, their positions, map
     # index) of every block's maps of that kind; the A_i of a dim_h are stacked in this order, so
     # each (dim_k, kind) applies its maps to one contiguous slice of the objects.
@@ -168,9 +164,7 @@ def stage_one(
     for dim_h, groups in slots.items():
         same = [slot for group in groups.values() for slot in group]
         a = np.concatenate([operators for _, operators, _, _ in same])
-        if dim_h not in decompositions:
-            decompositions[dim_h] = spectral_decompose(HermitianOperator(a))
-        dec = decompositions[dim_h]
+        dec = spectral_decompose(HermitianOperator(a))
         if checked:  # the range raises after the unitality: until then, clamp every spectrum
             ranges.append((dec.eigenvalues, same))
             dec = SpectralDecomposition(np.clip(dec.eigenvalues, bounds.m, bounds.M), dec.eigenvectors)
@@ -213,38 +207,25 @@ def stage_one(
     return stacks
 
 
-class SpectralCore(FamilySums):
-    """The family sums and operands of one trial: a chunk of one on :func:`stage_one`,
-    each object built on first use, on one decomposition of the A_i."""
-
-    def __init__(self, family: MapFamily, operators: Sequence[HermitianOperator], bounds: SpectralBounds):
-        if len(operators) != family.size:
-            raise ArityMismatch(f"{family.size} maps but {len(operators)} operators")
-        maps = family.maps
-        compressions = [i for i, phi in enumerate(maps) if isinstance(phi, Compression)]
-        traces = [i for i, phi in enumerate(maps) if not isinstance(phi, Compression)]
-        super().__init__((0,), {}, bounds)
-        self.block = Block(  # a trial axis of one
-            (0,),
-            (family.dim_in, family.dim_out, family.size),
-            [maps[i].v[None] for i in compressions],
-            [np.full(1, maps[i].weight) for i in traces],
-            np.stack([a.entries for a in operators])[None],
-            compressions + traces,
-        )
-        self._decompositions: Dict[int, SpectralDecomposition] = {}
-
-    def sum(self, g, squared: bool = False, checked: bool = False) -> HermitianOperator:
-        if (g, squared) not in self.sums:
-            (stack,) = stage_one([self.block], self.bounds, [(g, squared)], checked, self._decompositions)
-            self.sums[g, squared] = HermitianOperator(stack.sums[g, squared].entries[0])
-        return self.sums[g, squared]
-
-
-def checked_core(family: MapFamily, operators: Sequence[HermitianOperator], bounds: SpectralBounds) -> SpectralCore:
-    """The core of one trial whose hypotheses hold: one operator per map, a
-    unital family, every spectrum in [m, M] up to the clamp band, checked in
-    that order; the range check's decomposition stays in the core."""
-    core = SpectralCore(family, operators, bounds)
-    core.sum(*UNIT, checked=True)
-    return core
+def trial_sums(
+    family: MapFamily, operators: Sequence[HermitianOperator], bounds: SpectralBounds, keys
+) -> FamilySums:
+    """The family sums of the objects ``keys`` of one trial whose hypotheses hold, a checked
+    chunk of one on :func:`stage_one`: one operator per map, then the unitality of the family,
+    then every spectrum in [m, M] up to the clamp band, checked in that order."""
+    if len(operators) != family.size:
+        raise ArityMismatch(f"{family.size} maps but {len(operators)} operators")
+    maps = family.maps
+    compressions = [i for i, phi in enumerate(maps) if isinstance(phi, Compression)]
+    traces = [i for i, phi in enumerate(maps) if not isinstance(phi, Compression)]
+    block = Block(  # a trial axis of one
+        (0,),
+        (family.dim_in, family.dim_out, family.size),
+        [maps[i].v[None] for i in compressions],
+        [np.full(1, maps[i].weight) for i in traces],
+        np.stack([a.entries for a in operators])[None],
+        compressions + traces,
+    )
+    (stack,) = stage_one([block], bounds, keys, checked=True)
+    sums = {key: HermitianOperator(op.entries[0]) for key, op in stack.sums.items()}
+    return FamilySums(stack.positions, sums, bounds)

@@ -40,6 +40,7 @@ from .mercer import (
     InequalityReport,
     MercerInstance,
     chain_operands,
+    chain_sums,
     contract_pairs,
     evaluate_chain,
     evaluate_trials,
@@ -238,16 +239,17 @@ def _grouped_outcomes(
 ) -> List[TrialOutcome]:
     """Sample the trials as one chunk and return their outcomes in index order.
 
-    Stage 1 (``core.stage_one``, checked) builds S, rhs_classic and D of
-    every trial of the chunk, with every check of ``core.checked_core``,
-    per codomain dimension dim_k.  Stage 2 evaluates the chain once per
+    Stage 1 (``core.stage_one``, checked) builds the family sums
+    ``mercer.chain_sums(f)`` that S, rhs_classic and D read, for every trial
+    of the chunk, with every check of ``core.trial_sums``, per codomain
+    dimension dim_k.  Stage 2 evaluates the chain once per
     dim_k, into one stacked report whose contract pairs give every trial's
     outcome (see :func:`_contract_outcomes`).
     """
     seeds, groups = _sample_chunk(config, indices)
     dims = {pos: group.dims for group in groups for pos in group.positions}
     outcomes: List[Optional[TrialOutcome]] = [None] * len(indices)
-    for stack in stage_one(groups, config.bounds, [(None, False), (f, False), (None, True)], checked=True):
+    for stack in stage_one(groups, config.bounds, chain_sums(f), checked=True):
         operands = chain_operands(stack, f)
         report = evaluate_trials(f, config.bounds, which, force=config.force, tol_abs=config.tol_abs, **operands)
         for pos, pairs in zip(stack.positions.tolist(), _contract_outcomes(report, which)):

@@ -25,12 +25,11 @@ from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .errors import BadWeights, HypothesisNotMet, NonpositiveFunction, OutOfInterval
-from .core import FamilySums, SpectralCore, checked_core, geometric_interpolant
+from .core import FamilySums, geometric_interpolant, trial_sums
 from .functions import CurvatureBounds, ScalarFunction, curvature_bounds, is_log_convex_on
 from .linalg import (
     HermitianOperator,
     LoewnerOrder,
-    OrderVerdict,
     SideNorms,
     SpectralBounds,
     apply_scalar_function,
@@ -44,20 +43,21 @@ from .tolerance import WEIGHT_SUM_ABS
 class MercerInstance:
     """One trial of the inequality chains: f, a unital family, operators (one per map), [m, M].
 
-    ``core`` is the trial's checked ``core.SpectralCore``: it keeps the
-    eigendecomposition of the range check, and builds the operands S,
-    rhs_classic and D that every side is built from on first use.  A suite
-    builds the same operands for a whole chunk of trials in ``core.stage_one``.
+    ``core`` holds the trial's family sums of the objects ``chain_sums(f)``,
+    built and checked at construction by ``core.trial_sums``, so f is
+    evaluated there, on the spectra clamped onto [m, M].  S, rhs_classic and
+    D, which every side is built from, are read from them.  A suite builds
+    the same sums for a whole chunk of trials in ``core.stage_one``.
     """
 
     f: ScalarFunction
     family: MapFamily
     operators: Tuple[HermitianOperator, ...]
     bounds: SpectralBounds
-    core: SpectralCore = field(init=False, repr=False, compare=False)
+    core: FamilySums = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "core", checked_core(self.family, self.operators, self.bounds))
+        object.__setattr__(self, "core", trial_sums(self.family, self.operators, self.bounds, chain_sums(self.f)))
 
 
 @dataclass(frozen=True)
@@ -75,10 +75,6 @@ class InequalityReport:
 
     def side(self, label: str) -> HermitianOperator:
         return self.sides[label]
-
-    def verdict_for(self, left: str, right: str) -> OrderVerdict:
-        """The verdict of the pair in a report of one trial."""
-        return self.orders[left, right].verdict()
 
     def to_json(self) -> dict:
         """The report of one trial, with the diamond pair's gap among the scalars."""
@@ -276,9 +272,14 @@ def _chain_kind(which: str) -> ChainKind:
     return CHAINS[which]
 
 
+def chain_sums(f: ScalarFunction) -> List[Tuple]:
+    """The keys of the family sums that S, rhs_classic and D are built from: of A_i, f(A_i) and A_i^2."""
+    return [(None, False), (f, False), (None, True)]
+
+
 def chain_operands(core: FamilySums, f: ScalarFunction) -> Dict[str, HermitianOperator]:
     """S, rhs_classic and D of a trial's core or of a stage-1 stack, keyed as :func:`evaluate_trials`
-    takes them: the family sums of A_i, f(A_i) and A_i^2, keyed (None, False), (f, False), (None, True)."""
+    takes them, from the family sums :func:`chain_sums`."""
     return {"s": core.image_sum(), "rhs": core.pre_mean(f), "d": core.diamond_plain()}
 
 

@@ -45,7 +45,7 @@ from .functions import (
     is_log_convex_on,
     require_finite,
 )
-from .core import checked_core, geometric_interpolant
+from .core import geometric_interpolant, trial_sums
 from .linalg import (
     HermitianOperator,
     Relation,
@@ -282,7 +282,8 @@ def mercer_quasi_mean(
 ) -> HermitianOperator:
     """phi^{-1}((phi(M) + phi(m)) I - sum_i Phi_i(phi(A_i))); see :func:`mean_of_pre_mean`."""
     inverse = inverse_evaluator(phi, bounds)
-    return mean_of_pre_mean(phi, inverse, checked_core(family, operators, bounds).pre_mean(phi), bounds)
+    pre_mean = trial_sums(family, operators, bounds, [(phi, False)]).pre_mean(phi)
+    return mean_of_pre_mean(phi, inverse, pre_mean, bounds)
 
 
 def predicted_mean_relation(spec: QuasiArithmeticSpec) -> Relation:
@@ -325,7 +326,7 @@ def diamond_phi(
     with T = sum_i Phi_i(phi(A_i)); coincides with the plain correction term
     when phi is the identity, and is PSD for the same reason.
     """
-    return checked_core(family, operators, bounds).diamond(phi)
+    return trial_sums(family, operators, bounds, [(phi, False), (phi, True)]).diamond(phi)
 
 
 def curvature_mean_bound(
@@ -342,7 +343,7 @@ def curvature_mean_bound(
     inequality.  With an operator-decreasing psi^{-1} both directions flip;
     see :func:`curvature_bound_expected_relation`.
     """
-    core = checked_core(family, operators, spec.bounds)
+    core = trial_sums(family, operators, spec.bounds, [(spec.psi, False), (spec.phi, False), (spec.phi, True)])
     operand = curvature_operand(spec, core.pre_mean(spec.psi), core.diamond(spec.phi), side, curvature)
     return inverse_within_domain(spec.psi_inverse, operand)
 

@@ -5,7 +5,8 @@ A verify suite and a sweep both build the operands of a chunk in
 run the rest once per codomain dimension, on the operands of every trial
 of that dimension.  Every verify trial's
 contract gaps must equal, bit for bit, those of ``replay_trial``, which
-samples and evaluates the trial alone, and a verify or sweep report must
+samples and evaluates the trial alone, and those of ``evaluate_chain`` on
+the trial's ``MercerInstance``, and a verify or sweep report must
 equal, byte for byte, the one of chunks of one trial.  A failing suite or
 sweep must raise the error of its lowest failing trial, as evaluating
 trial after trial would.
@@ -20,8 +21,16 @@ import pytest
 from mercerlab import harness
 from mercerlab.errors import HypothesisNotMet, SpectrumOutOfDomain
 from mercerlab.functions import parse_function_spec
-from mercerlab.harness import TrialConfig, normalize_chain, replay_trial, run_sweep, suite_outcomes
+from mercerlab.harness import (
+    TrialConfig,
+    build_instance,
+    normalize_chain,
+    replay_trial,
+    run_sweep,
+    suite_outcomes,
+)
 from mercerlab.linalg import HermitianOperator, Relation, loewner_order
+from mercerlab.mercer import contract_pairs, evaluate_chain
 from mercerlab.sampling import generator
 
 PI4, PI2 = math.pi / 4, math.pi / 2
@@ -35,6 +44,7 @@ SUITES = [
     ("sin", "classic", PI4, PI2, True, False, False, 12),
     ("exp", "chain", 1.0, 3.0, False, True, True, 60),
     ("exp", "twice-diff", 1.0, 3.0, False, True, True, 60),
+    ("sin", "classic", PI4, PI2, True, True, True, 60),
 ]
 
 
@@ -57,9 +67,8 @@ def test_every_trial_matches_its_replay(group_sizes, fn, chain, m, M, force, mix
     config = TrialConfig(
         seed=21, function_spec=fn, chain=chain, m=m, M=M, force=force, mixed=mixed, vary_dims=vary
     )
-    outcomes = list(
-        suite_outcomes(config, trials, parse_function_spec(fn), normalize_chain(chain))
-    )
+    f, which = parse_function_spec(fn), normalize_chain(chain)
+    outcomes = list(suite_outcomes(config, trials, f, which))
     assert [o.trial for o in outcomes] == list(range(trials))
     if vary:
         assert max(group_sizes) >= 2  # some shapes hold several trials
@@ -69,6 +78,12 @@ def test_every_trial_matches_its_replay(group_sizes, fn, chain, m, M, force, mix
         stacked = {f"{left}<={right}": gap.hex() for left, right, gap, _ in outcome.pairs}
         alone = {key: gap.hex() for key, gap in replay_trial(config, outcome.trial).items()}
         assert stacked == alone, outcome.trial
+        report = evaluate_chain(build_instance(config, outcome.trial, f)[0], which, force=force)
+        instance = {
+            f"{left}<={right}": float(report.orders[left, right].eigenvalues[0]).hex()
+            for left, right in contract_pairs(which, alpha=report.scalars.get("alpha"))
+        }
+        assert stacked == instance, outcome.trial
 
 
 VERIFY_SUITES = [

@@ -5,11 +5,12 @@ sums each trial's images on one stack per codomain dimension, padding a
 family with fewer maps than the most of its dim_k with +0.0 images.  Every
 sum must equal, by ``float.hex``, ``maps.family_sum`` of that trial alone:
 0.0 + img_1 + ... + img_n, which turns a -0.0 entry of img_1 into +0.0.
+The same holds for ``core.trial_sums``, one trial as a checked chunk of one.
 """
 
 import numpy as np
 
-from mercerlab.core import UNIT, Block, stage_one
+from mercerlab.core import UNIT, Block, stage_one, trial_sums
 from mercerlab.linalg import HermitianOperator, SpectralBounds
 from mercerlab.maps import Compression, MapFamily, WeightedTrace, apply_map, family_sum
 from mercerlab.sampling import generator, random_hermitian, random_unital_family
@@ -80,3 +81,20 @@ def test_map_order_sums_equal_family_sum_trial_by_trial():
             negative_zeros += has_negative_zero(apply_map(family.maps[0], operators[0]).entries)
         assert negative_zeros > 0  # some family's first image holds -0.0 entries
     assert {family.size for family, _ in trials.values()} == {1, 2, 3, 4}
+
+
+def test_trial_sums_of_a_family_out_of_map_order():
+    # One trial is a checked chunk of one, whose block holds the compressions
+    # before the trace map: with the trace map first, each map must still
+    # meet its own operator and the images be summed in map order.
+    rng = generator(5)
+    keys = [(None, False), (None, True)]
+    for n in (2, 3, 4):
+        family = random_unital_family(n, 3, 2, rng, include_trace=True)
+        family = MapFamily(family.maps[-1:] + family.maps[:-1])
+        assert isinstance(family.maps[0], WeightedTrace)
+        operators = tuple(random_hermitian(3, BOUNDS, rng) for _ in range(n))
+        sums = trial_sums(family, operators, BOUNDS, keys)
+        squares = [HermitianOperator(a.entries @ a.entries) for a in operators]
+        for key, xs in zip(keys, (operators, squares)):
+            assert hexes(sums.sum(*key).entries) == hexes(family_sum(family, xs).entries), (n, key)

@@ -16,7 +16,9 @@ the two LAPACK drivers round differently, so a verify gap not already read
 from an ``eigvalsh`` could move in its last bits.  The GreaterEqual gaps
 were (a re-solve), so the forced-sine digest, which reports only those,
 held; the others moved by at most 2.8e-16 in ``min_gap_overall``, and no
-violation, verdict or exit code changed.  No refactor may move a digest,
+violation, verdict or exit code changed.  The stdout digests of the
+one-trial CLI commands were recorded before an instance's family sums were
+built in one checked stage-1 call.  No refactor may move a digest,
 so these must never be regenerated to make this test pass: a mismatch
 means a report changed.
 """
@@ -27,7 +29,7 @@ import math
 
 import pytest
 
-from mercerlab.cli import _write_csv
+from mercerlab.cli import _write_csv, main
 from mercerlab.functions import parse_function_spec
 from mercerlab.harness import TrialConfig, build_instance, run_suite, run_sweep, verify_report
 from mercerlab.mercer import evaluate_chain
@@ -78,6 +80,21 @@ ONE_TRIAL_REPORT_DIGESTS = {
     "chain": "e5f604a5b90ba03dbe74c591796b1d56a78782e94a6089a97753b21bc7f74812",
     "twice_diff": "0fdc094354e610c3b746116720b0f1e4d64941f48f0d3fe55465f8de66435a60",
     "log_convex": "8298fab5d83487c28754ba4e474b72a120d3478021593d680e18b97b0b1d63f1",
+}
+
+# sha256 of the stdout, and the exit code, of the CLI commands that evaluate one
+# trial's ``MercerInstance``: the reproduce case, and the search's probe and
+# witness.  Stdout holds the JSON report only; wall time goes to stderr.
+CLI_STDOUT_DIGESTS = {
+    ("reproduce", "example-2.2"): (0, "7193559cbc6793457531dad613c4c7ce0e42aa41667c2fab7851f045eea9db4d"),
+    ("reproduce", "example-2.2", "--function", "pow:p=2"): (
+        0,
+        "64d96bec5651af4b24677d28ae2bde09e5b56b491021e442a87c2d407043bfbe",
+    ),
+    (
+        "search", "classic-nonconvex", "--function", "sin", "--m", repr(math.pi / 4), "--M", repr(math.pi / 2),
+        "--budget", "10",
+    ): (2, "9ba3170754267fbc6a6e30a50f2e5ddeca6acbea7078e3fd3f255a0c90f9df4a"),
 }
 
 # sha256 of the per-trial CSV rows of one fixed-shape suite, as `--csv` writes them.
@@ -138,3 +155,10 @@ def test_one_trial_report_digest(chain):
     assert dims == (8, 6, 3)
     blob = json.dumps(evaluate_chain(inst, chain, force=True).to_json())
     assert hashlib.sha256(blob.encode()).hexdigest() == ONE_TRIAL_REPORT_DIGESTS[chain]
+
+
+@pytest.mark.parametrize("argv", list(CLI_STDOUT_DIGESTS), ids=" ".join)
+def test_one_trial_cli_stdout_digest(capsys, argv):
+    code = main(list(argv))
+    stdout = capsys.readouterr().out
+    assert (code, hashlib.sha256(stdout.encode()).hexdigest()) == CLI_STDOUT_DIGESTS[argv]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mercerlab.errors import (
     ArityMismatch,
     BadWeights,
+    FunctionDomainError,
     HypothesisNotMet,
     NonpositiveFunction,
     OutOfInterval,
@@ -18,6 +19,7 @@ from mercerlab.functions import (
     curvature_bounds,
     exponential,
     identity,
+    logarithm,
     power,
     reciprocal,
     sine,
@@ -136,6 +138,24 @@ class TestInstanceValidation:
             MercerInstance(
                 f=sine(), family=family, operators=(a, a), bounds=SpectralBounds(1.0, 3.0)
             )
+
+    def test_unitality_is_checked_before_the_range(self):
+        family = MapFamily((WeightedTrace(0.9, dim_in=2, dim_out=1),))
+        a = HermitianOperator.diagonal([0.1, 5.0])  # outside SIN_BOUNDS as well
+        with pytest.raises(HypothesisNotMet, match="not unital"):
+            MercerInstance(f=sine(), family=family, operators=(a,), bounds=SIN_BOUNDS)
+
+    def test_f_is_evaluated_at_construction(self):
+        # f sees the spectra clamped onto [m, M], so an f undefined there fails at once.
+        family = MapFamily((WeightedTrace(0.5, dim_in=2, dim_out=1),))
+        a = HermitianOperator.diagonal([-0.5, 0.5])
+        with pytest.raises(FunctionDomainError):
+            MercerInstance(f=logarithm(), family=family, operators=(a,), bounds=SpectralBounds(-1.0, 1.0))
+
+    def test_post_init_is_the_class_own(self):
+        # perfbench/tracer.py times the instance span by patching
+        # MercerInstance.__dict__["__post_init__"]; it must not be inherited.
+        assert "__post_init__" in MercerInstance.__dict__
 
 
 class TestOperatorSides:
@@ -321,10 +341,10 @@ class TestEvaluateChain:
 
     def test_forced_counterexample_records_violation(self):
         report = evaluate_chain(sine_instance(), "classic", force=True)
-        verdict = report.verdict_for("lhs", "rhs_classic")
+        verdict = report.orders["lhs", "rhs_classic"].verdict()
         assert verdict.relation in (Relation.GREATER_EQUAL, Relation.INCOMPARABLE)
         # the diamond term is hypothesis-free and stays PSD even here
-        assert report.verdict_for("zero", "diamond").relation in (
+        assert report.orders["zero", "diamond"].verdict().relation in (
             Relation.LESS_EQUAL,
             Relation.EQUAL,
         )
@@ -333,8 +353,8 @@ class TestEvaluateChain:
         b = SpectralBounds(1.0, 2.0)
         inst = random_instance(square(), seed=3, bounds=b)
         report = evaluate_chain(inst, "twice_diff")
-        assert report.verdict_for("lower_refined", "lhs").relation is Relation.EQUAL
-        assert report.verdict_for("lhs", "upper_refined").relation is Relation.EQUAL
+        assert report.orders["lower_refined", "lhs"].verdict().relation is Relation.EQUAL
+        assert report.orders["lhs", "upper_refined"].verdict().relation is Relation.EQUAL
         assert report.scalars["alpha"] == 2.0
 
     def test_log_convex_gate(self):

@@ -21,7 +21,7 @@ from mercerlab.functions import (
     square,
     square_root,
 )
-from mercerlab.core import SpectralCore
+from mercerlab.core import trial_sums
 from mercerlab.linalg import HermitianOperator, Relation, SpectralBounds, loewner_order, spectral_norms
 from mercerlab.maps import Compression, MapFamily, WeightedTrace
 from mercerlab.mercer import MercerInstance, diamond_plain, evaluate_chain, mercer_lhs
@@ -72,8 +72,13 @@ def compare(a, b):
     return loewner_order(a, b, tolerance_from_norms(spectral_norms(a), spectral_norms(b))).verdict()
 
 
+def pair_sums(spec, family, ops):
+    """The family sums of phi(A_i) and psi(A_i) of a generator pair."""
+    return trial_sums(family, ops, spec.bounds, [(spec.phi, False), (spec.psi, False)])
+
+
 def both_means(spec, core):
-    """(QM_phi, QM_psi) of a generator pair on a core."""
+    """(QM_phi, QM_psi) of a generator pair on its family sums."""
     return tuple(
         mean_of_pre_mean(g, inverse_evaluator(g, spec.bounds), core.pre_mean(g), spec.bounds)
         for g in (spec.phi, spec.psi)
@@ -82,12 +87,12 @@ def both_means(spec, core):
 
 def mean_verdict(spec, family, ops):
     """QM_phi against QM_psi in the Loewner order."""
-    return compare(*both_means(spec, SpectralCore(family, ops, spec.bounds)))
+    return compare(*both_means(spec, pair_sums(spec, family, ops)))
 
 
 def sandwich(spec, family, ops):
     """The geometric middle and its verdicts against QM_phi (below) and QM_psi (above)."""
-    core = SpectralCore(family, ops, spec.bounds)
+    core = pair_sums(spec, family, ops)
     middle = inverse_within_domain(spec.psi_inverse, geometric_operand(spec, core.total(spec.phi)))
     mean_phi, mean_psi = both_means(spec, core)
     return middle, compare(mean_phi, middle), compare(middle, mean_psi)
