@@ -21,6 +21,7 @@ from .errors import (
     MissingSecondDerivative,
     NonHermitianInput,
     NonpositiveFunction,
+    OperandOverflow,
     OutOfInterval,
     SingularNormalizer,
     SpectrumOutOfDomain,

@@ -1,37 +1,41 @@
-"""Stage 1: the family sums of a chunk of trials, built per matrix dimension.
+"""Stage 1: the family sums of a chunk of trials, built per matrix dimension, and their operands.
 
-For a unital family Phi_1..Phi_n, operators A_1..A_n and an interval
-[m, M], every side of the Mercer chains and of the quasi-arithmetic means is
-assembled from a few family sums sum_i Phi_i(X_i), one per object X:
+For a unital family Phi_1..Phi_n, operators A_1..A_n and [m, M], every side
+of the Mercer chains and of the quasi-arithmetic means is an operand of a
+few family sums sum_i Phi_i(X_i): X = g(A_i) (clamped functional calculus on
+[m, M]) or g(A_i)^2, with g None for the raw A_i, and X = I, whose distance
+from I is the unitality defect.  ``FamilySums`` builds each operand once per
+stack from T_g = sum_i Phi_i(g(A_i)) and g(m), g(M) (m, M for g None):
+``pre_mean(g)`` = (g(M) + g(m)) I - T_g, ``diamond(g)`` =
+(g(M)+g(m)) T_g - g(M)g(m) I - (T_g^2 + sum_i Phi_i(g(A_i)^2)) / 2,
+``refined(psi, phi, c)`` = pre_mean(psi) - c diamond(phi), and
+``geometric(g, v_lo, v_hi)``, the geometric interpolant h(T_g).  A chain is
+the mean case phi = id: its lhs is f of pre_mean(None), its classic right
+side pre_mean(f), its refined sides refined(f, None, c) and its log-convex
+middle geometric(None, f(m), f(M)).
 
-* X = A: S = sum_i Phi_i(A_i), and X = A^2 for the plain diamond D;
-* X = g(A), by clamped functional calculus on [m, M], for a generator g:
-  T_g, its pre-mean (g(M) + g(m)) I - T_g, and with X = g(A)^2 the diamond
-  term in g-coordinates,
-  (g(M)+g(m)) T_g - g(M)g(m) I - (T_g^2 + sum_i Phi_i(g(A_i)^2)) / 2;
-* X = I: sum_i Phi_i(I), whose distance from I is the unitality defect.
-
-The classic chain's right side is the pre-mean of g = f.  ``stage_one``
-builds the sums of a chunk of trials of any shapes: one eigendecomposition
-per operator dimension dim_h, the maps once per (dim_h, dim_k), the sums
-per codomain dimension dim_k.  Every matrix goes through the numpy
-operations it would go through alone, so a sum is bit for bit the one of
-``maps.family_sum`` on that trial.  ``trial_sums`` is one trial, a checked
-chunk of one.
+``stage_one`` builds the sums of a chunk of trials of any shapes: one
+eigendecomposition per operator dimension dim_h, the maps once per
+(dim_h, dim_k), the sums per codomain dimension dim_k.  Every matrix goes
+through the numpy operations it would go through alone, so a sum is bit for
+bit the one of ``maps.family_sum`` on that trial.  ``trial_sums`` is one
+trial, a checked chunk of one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ArityMismatch, HypothesisNotMet, SpectrumOutOfDomain
+from .errors import ArityMismatch, HypothesisNotMet, OperandOverflow, SpectrumOutOfDomain
 from .linalg import (
     HermitianOperator,
     SpectralBounds,
     SpectralDecomposition,
+    apply_scalar_function,
     apply_to_decomposition,
     spectral_decompose,
 )
@@ -46,9 +50,8 @@ UNIT = ("unit", False)
 def geometric_interpolant(lo: float, hi: float, v_lo: float, v_hi: float) -> Callable:
     """h(s) = v_lo^{(s-lo)/(hi-lo)} v_hi^{(hi-s)/(hi-lo)}, vectorized, for v_lo, v_hi > 0.
 
-    The middle of the log-convex chain (h of S, with f's endpoint values) and
-    of the log-convex mean sandwich (h of T_phi, with psi's) are both h of an
-    operator, so each is one scalar functional calculus.
+    The log-convex middles of the chain and of the mean sandwich are h of an
+    operator, one scalar functional calculus (``FamilySums.geometric``).
     """
     log_lo = math.log(v_lo)
     log_hi = math.log(v_hi)
@@ -75,36 +78,70 @@ class Block(NamedTuple):
     order: Optional[Sequence[int]] = None
 
 
+def _per_stack(build: Callable) -> Callable:
+    """An operand method of ``FamilySums``, built at most once per stack and arguments."""
+
+    def operand(self, *args) -> HermitianOperator:
+        key = (build.__name__, *args)
+        value = self.operands.get(key)
+        if value is None:
+            value = self.operands[key] = build(self, *args)
+        return value
+
+    return functools.wraps(build)(operand)
+
+
 class FamilySums:
     """The family sums of trials with one codomain dimension, keyed by object, each a stack
-    with one matrix per trial at chunk ``positions`` (ascending), and the operands built on them."""
+    with one matrix per trial at chunk ``positions`` (ascending), and the operands built on them.
+
+    An operand's generator g is None for the raw A_i, whose endpoint values
+    are m and M; each operand is built at most once per stack.
+    """
 
     def __init__(self, positions, sums: Dict[tuple, HermitianOperator], bounds: SpectralBounds):
         self.positions, self.sums, self.bounds = positions, sums, bounds
+        self.operands: Dict[tuple, HermitianOperator] = {}
 
     def sum(self, g, squared: bool = False) -> HermitianOperator:
         return self.sums[g, squared]
 
-    def total(self, g) -> HermitianOperator:
-        """T_g = sum_i Phi_i(g(A_i))."""
-        return self.sum(g)
-
+    @_per_stack
     def pre_mean(self, g) -> HermitianOperator:
         """(g(M) + g(m)) I - T_g, the operand of g^{-1} in the quasi-arithmetic mean."""
-        total = self.total(g)
-        return (float(g(self.bounds.M)) + float(g(self.bounds.m))) * HermitianOperator.identity(total.dim) - total
+        lo, hi = endpoint_values(g, self.bounds)
+        return (hi + lo) * HermitianOperator.identity(self.sum(g).dim) - self.sum(g)
 
+    @_per_stack
     def diamond(self, g) -> HermitianOperator:
-        """The diamond term in g-coordinates."""
-        return _diamond_term(self.total(g), self.sum(g, True), float(g(self.bounds.m)), float(g(self.bounds.M)))
+        """The diamond term in g-coordinates; for g None the plain diamond D."""
+        return _diamond_term(self.sum(g), self.sum(g, True), *endpoint_values(g, self.bounds))
 
-    def image_sum(self) -> HermitianOperator:
-        """S = sum_i Phi_i(A_i) of the raw operators."""
-        return self.sum(None)
+    @_per_stack
+    def refined(self, psi, phi, c: float) -> HermitianOperator:
+        """pre_mean(psi) - c diamond(phi); raises ``OperandOverflow`` unless every entry is finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            operand = self.pre_mean(psi) - c * self.diamond(phi)
+        if not np.isfinite(operand.entries).all():
+            m, M = self.bounds.m, self.bounds.M
+            raise OperandOverflow(f"the refined operand overflows on [{m:.12g}, {M:.12g}] ({c:.6g} times the diamond)")
+        return operand
 
-    def diamond_plain(self) -> HermitianOperator:
-        """The plain diamond D, built from S and the raw A_i (not from id(A_i))."""
-        return _diamond_term(self.image_sum(), self.sum(None, True), self.bounds.m, self.bounds.M)
+    @_per_stack
+    def geometric(self, g, v_lo: float, v_hi: float) -> HermitianOperator:
+        """h(T_g) on g([m, M]), for the h of :func:`geometric_interpolant` from g(m), g(M), v_lo and v_hi."""
+        h = geometric_interpolant(*endpoint_values(g, self.bounds), v_lo, v_hi)
+        return apply_scalar_function(h, self.sum(g), image_interval(g, self.bounds))
+
+
+def endpoint_values(g, bounds: SpectralBounds) -> Tuple[float, float]:
+    """(g(m), g(M)), or (m, M) for g None."""
+    return (float(bounds.m), float(bounds.M)) if g is None else (float(g(bounds.m)), float(g(bounds.M)))
+
+
+def image_interval(g, bounds: SpectralBounds) -> SpectralBounds:
+    """g([m, M]) for a monotone g, its endpoint values in ascending order; [m, M] for g None."""
+    return SpectralBounds(*sorted(endpoint_values(g, bounds)))
 
 
 def _diamond_term(total: HermitianOperator, squares: HermitianOperator, lo: float, hi: float) -> HermitianOperator:

@@ -53,6 +53,10 @@ class HypothesisNotMet(MercerLabError):
     """The hypotheses of the requested inequality do not hold for the given data."""
 
 
+class OperandOverflow(MercerLabError):
+    """An operand built from finite family sums is not finite."""
+
+
 class InverseDomainError(MercerLabError):
     """An inverse function is unavailable or its argument leaves its domain."""
 

@@ -319,22 +319,21 @@ def curvature_bounds(f: ScalarFunction, bounds: SpectralBounds) -> CurvatureBoun
 
 
 def _log_second_derivative(f: ScalarFunction, grid: np.ndarray) -> np.ndarray:
-    """(log f)'' on the grid, analytic when derivatives exist, else central FD."""
+    """(log f)'' = f''/f - (f'/f)^2 on the grid, from f's analytic derivatives."""
+    if f.derivative is None or f.second_derivative is None:
+        raise MissingSecondDerivative(f"{f.label()} has no first and second derivative in the catalog")
     vals = np.asarray(f(grid), dtype=float)
-    if f.derivative is not None and f.second_derivative is not None:
-        d1 = np.asarray(f.derivative(grid), dtype=float)
-        d2 = np.asarray(f.second_derivative(grid), dtype=float)
-        return d2 / vals - np.square(d1 / vals)
-    h = 1e-4 * (1.0 + np.abs(grid))
-    g = lambda t: np.log(np.asarray(f(t), dtype=float))
-    return (g(grid + h) - 2.0 * g(grid) + g(grid - h)) / np.square(h)
+    d1 = np.asarray(f.derivative(grid), dtype=float)
+    d2 = np.asarray(f.second_derivative(grid), dtype=float)
+    return d2 / vals - np.square(d1 / vals)
 
 
 def is_log_convex_on(f: ScalarFunction, bounds: SpectralBounds, use_flag: bool = True) -> bool:
     """True when log f is convex on [m, M].
 
     Requires f > 0 on the interval.  A declared log-convexity flag
-    short-circuits the grid check (pass ``use_flag=False`` to force it).
+    short-circuits the grid check (pass ``use_flag=False`` to force it),
+    which needs f' and f'' (else ``MissingSecondDerivative``).
     """
     grid = np.linspace(bounds.m, bounds.M, CURVATURE_GRID_POINTS)
     with np.errstate(all="ignore"):
@@ -345,8 +344,8 @@ def is_log_convex_on(f: ScalarFunction, bounds: SpectralBounds, use_flag: bool =
         )
     if use_flag and f.log_convex_on_domain and f.domain_contains_interval(bounds):
         return True
-    # Interior grid only: FD stencils and one-sided derivatives misbehave at
-    # the endpoints of the natural domain.
+    # Interior grid only: one-sided derivatives misbehave at the endpoints
+    # of the natural domain.
     interior = grid[1:-1]
     curv = _log_second_derivative(f, interior)
     return bool(np.min(curv) >= -LOG_CONVEXITY_SLACK)

@@ -8,17 +8,16 @@ reported on stderr only, never inside the JSON.
 Suites sample ``CHUNK_TRIALS`` trials at a time, grouped by shape and
 finished in stacked calls (``sampling.sample_trials``), then run in two
 stages.  Stage 1, ``core.stage_one``, builds the family sums of the whole
-chunk per matrix dimension, whatever its shapes: verify (checked) takes S,
-rhs_classic and D from them, sweep the pre-means and phi objects its checks
-read.  Stage 2 runs everything after them once per codomain dimension
-dim_k: verify every side, norm and comparison of its chain, sweep both
-means and every applicable check of ``quasimeans.MEAN_CHECKS``.  Stacking
-never moves a bit and results are folded back in trial order, so a report
-is the same as trial after trial; a failing chunk is re-run trial by trial,
-so the error raised is the one of the lowest failing trial.  A replay is a
-chunk of one trial, and the ``classic-nonconvex`` search scores each
-candidate with a forced ``classic`` suite, so both run on verify's sampler
-and evaluation.
+chunk per matrix dimension, whatever its shapes (checked for verify).
+Stage 2 runs everything after them once per codomain dimension dim_k, on
+the operands of its ``core.FamilySums``: verify every side, norm and
+comparison of its chain, sweep both means and every applicable check of
+``quasimeans.MEAN_CHECKS``.  Stacking never moves a bit and results are
+folded back in trial order, so a report is the same as trial after trial;
+a failing chunk is re-run trial by trial, so the error raised is the one
+of the lowest failing trial.  A replay is a chunk of one trial, and the
+``classic-nonconvex`` search scores each candidate with a forced
+``classic`` suite, so both run on verify's sampler and evaluation.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .mercer import (
     CHAIN_KINDS,
     InequalityReport,
     MercerInstance,
-    chain_operands,
     chain_sums,
     contract_pairs,
     evaluate_chain,
@@ -240,18 +238,17 @@ def _grouped_outcomes(
     """Sample the trials as one chunk and return their outcomes in index order.
 
     Stage 1 (``core.stage_one``, checked) builds the family sums
-    ``mercer.chain_sums(f)`` that S, rhs_classic and D read, for every trial
-    of the chunk, with every check of ``core.trial_sums``, per codomain
-    dimension dim_k.  Stage 2 evaluates the chain once per
-    dim_k, into one stacked report whose contract pairs give every trial's
-    outcome (see :func:`_contract_outcomes`).
+    ``mercer.chain_sums(f)`` that every side reads, for every trial of the
+    chunk, with every check of ``core.trial_sums``, per codomain dimension
+    dim_k.  Stage 2 evaluates the chain once per dim_k, on that stack, into
+    one stacked report whose contract pairs give every trial's outcome (see
+    :func:`_contract_outcomes`).
     """
     seeds, groups = _sample_chunk(config, indices)
     dims = {pos: group.dims for group in groups for pos in group.positions}
     outcomes: List[Optional[TrialOutcome]] = [None] * len(indices)
     for stack in stage_one(groups, config.bounds, chain_sums(f), checked=True):
-        operands = chain_operands(stack, f)
-        report = evaluate_trials(f, config.bounds, which, force=config.force, tol_abs=config.tol_abs, **operands)
+        report = evaluate_trials(f, which, stack, force=config.force, tol_abs=config.tol_abs)
         for pos, pairs in zip(stack.positions.tolist(), _contract_outcomes(report, which)):
             outcomes[pos] = TrialOutcome(trial=indices[pos], seed=seeds[pos], dims=dims[pos], pairs=pairs)
     return outcomes
@@ -568,20 +565,18 @@ def _sweep_chunk(
 
     Stage 1 (``core.stage_one``, unchecked: the sweep checks no unitality)
     builds, per dim_k, the sums of phi(A_i) and psi(A_i), and of phi(A_i)^2
-    when a row reads the diamond.  Stage 2 runs everything after them once
-    per dim_k: both pre-means and means, the objects the rows read, then
-    each row's slacks.
+    when a row's ``squares`` says it reads the diamond.  Stage 2 runs
+    everything after them once per dim_k: both means, then each row's
+    slacks on the stack, whose operands are each built once however many
+    rows read them.
     """
-    reads = dict.fromkeys(row.reads for row, _ in rows if row.reads)
     seeds, groups = _sample_chunk(config, indices)
-    keys = [(spec.phi, False), (spec.psi, False)] + [(spec.phi, True)] * ("diamond" in reads)
+    keys = [(spec.phi, False), (spec.psi, False)] + [(spec.phi, True)] * any(row.squares for row, _ in rows)
     gaps: List[Optional[list]] = [None] * len(indices)
     for stack in stage_one(groups, spec.bounds, keys):
-        operands = {"pre_phi": stack.pre_mean(spec.phi), "pre_psi": stack.pre_mean(spec.psi)}
-        operands.update((name, getattr(stack, name)(spec.phi)) for name in reads)
-        mean_phi = mean_of_pre_mean(spec.phi, inverses[0], operands["pre_phi"], spec.bounds)
-        mean_psi = mean_of_pre_mean(spec.psi, inverses[1], operands["pre_psi"], spec.bounds)
-        columns = [row.slacks(spec, relation, operands, mean_phi, mean_psi) for row, relation in rows]
+        mean_phi = mean_of_pre_mean(spec.phi, inverses[0], stack.pre_mean(spec.phi), spec.bounds)
+        mean_psi = mean_of_pre_mean(spec.psi, inverses[1], stack.pre_mean(spec.psi), spec.bounds)
+        columns = [row.slacks(spec, relation, stack, mean_phi, mean_psi) for row, relation in rows]
         for j, pos in enumerate(stack.positions.tolist()):
             gaps[pos] = [column[j] for column in columns]
     return list(zip(seeds, gaps))

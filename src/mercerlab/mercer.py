@@ -13,19 +13,20 @@ where S = sum_i Phi_i(A_i).  The curvature correction term
     D = (M+m) S - Mm I - (S^2 + sum_i Phi_i(A_i^2)) / 2
 
 is PSD whenever all spectra sit in [m, M], which makes the corrected bounds
-genuine refinements for convex f (alpha >= 0).
+genuine refinements for convex f (alpha >= 0).  A chain is the
+quasi-arithmetic mean machinery with phi = id: every side but the chord is
+an operand of ``core.FamilySums`` with g = None for the raw A_i.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BadWeights, HypothesisNotMet, NonpositiveFunction, OutOfInterval
-from .core import FamilySums, geometric_interpolant, trial_sums
+from .errors import BadWeights, HypothesisNotMet, OutOfInterval
+from .core import FamilySums, endpoint_values, trial_sums
 from .functions import CurvatureBounds, ScalarFunction, curvature_bounds, is_log_convex_on
 from .linalg import (
     HermitianOperator,
@@ -45,9 +46,9 @@ class MercerInstance:
 
     ``core`` holds the trial's family sums of the objects ``chain_sums(f)``,
     built and checked at construction by ``core.trial_sums``, so f is
-    evaluated there, on the spectra clamped onto [m, M].  S, rhs_classic and
-    D, which every side is built from, are read from them.  A suite builds
-    the same sums for a whole chunk of trials in ``core.stage_one``.
+    evaluated there, on the spectra clamped onto [m, M].  Every side is an
+    operand of ``core`` (see :func:`evaluate_trials`).  A suite builds the
+    same sums for a whole chunk of trials in ``core.stage_one``.
     """
 
     f: ScalarFunction
@@ -116,17 +117,12 @@ def scalar_mercer_check(
 # Operator sides
 # --------------------------------------------------------------------------
 
-# Every side is a function of f, [m, M] and the operands of ``chain_operands``:
-# the public forms below read them from an instance, the chains from a stack.
-
-def _lhs(f: ScalarFunction, bounds: SpectralBounds, s: HermitianOperator) -> HermitianOperator:
-    arg = (bounds.M + bounds.m) * HermitianOperator.identity(s.dim) - s
-    return apply_scalar_function(f, arg, bounds)
-
+# Every side is an operand of the family sums ``chain_sums(f)``: the public
+# forms below read it from an instance's core, the chains from a stack.
 
 def mercer_lhs(inst: MercerInstance) -> HermitianOperator:
     """f((M+m) I - S) via functional calculus; m I <= (M+m) I - S <= M I."""
-    return _lhs(inst.f, inst.bounds, inst.core.image_sum())
+    return apply_scalar_function(inst.f, inst.core.pre_mean(None), inst.bounds)
 
 
 def mercer_rhs_classic(inst: MercerInstance) -> HermitianOperator:
@@ -141,8 +137,7 @@ def _chord(f: ScalarFunction, bounds: SpectralBounds, s: HermitianOperator) -> H
     Affine in S, so plain matrix arithmetic is exact; no eigendecomposition.
     """
     eye = HermitianOperator.identity(s.dim)
-    fm = float(f(bounds.m))
-    fM = float(f(bounds.M))
+    fm, fM = endpoint_values(f, bounds)
     width = bounds.width
     return (fM + fm) * eye + (fm / width) * (s - bounds.M * eye) + (fM / width) * (bounds.m * eye - s)
 
@@ -153,7 +148,7 @@ def diamond_plain(inst: MercerInstance) -> HermitianOperator:
     PSD whenever every spectrum sits in [m, M]: both (M I - S)(S - m I) and
     the image of (M I - A)(A - m I) are PSD and D is their average.
     """
-    return inst.core.diamond_plain()
+    return inst.core.diamond(None)
 
 
 def refined_bounds(
@@ -161,29 +156,11 @@ def refined_bounds(
 ) -> Tuple[HermitianOperator, HermitianOperator]:
     """Two-sided curvature-corrected bounds (lower, upper) around the lhs:
 
-        rhs_classic - beta D  <=  f((M+m)I - S)  <=  rhs_classic - alpha D.
+        rhs_classic - beta D  <=  f((M+m)I - S)  <=  rhs_classic - alpha D,
 
-    rhs_classic and D come from the instance's core, shared with the chain.
+    the refined operands of the instance's core, shared with the chain.
     """
-    rhs = mercer_rhs_classic(inst)
-    d = diamond_plain(inst)
-    upper = rhs - curv.alpha * d
-    lower = rhs - curv.beta * d
-    return lower, upper
-
-
-def _geometric(f: ScalarFunction, bounds: SpectralBounds, s: HermitianOperator) -> HermitianOperator:
-    """The log-convex chain's middle, the geometric interpolant f(m)^{(S-m)/(M-m)} f(M)^{(M-S)/(M-m)}.
-
-    Both exponent operators are functions of S and commute, so the product
-    reduces to one scalar functional calculus h(S) with
-    h(s) = f(m)^{(s-m)/(M-m)} * f(M)^{(M-s)/(M-m)}.
-    """
-    fm = float(f(bounds.m))
-    fM = float(f(bounds.M))
-    if not (fm > 0.0 and fM > 0.0 and math.isfinite(fm) and math.isfinite(fM)):
-        raise NonpositiveFunction(f"{f.label()} must be positive at the interval endpoints")
-    return apply_scalar_function(geometric_interpolant(bounds.m, bounds.M, fm, fM), s, bounds)
+    return inst.core.refined(inst.f, None, curv.beta), inst.core.refined(inst.f, None, curv.alpha)
 
 
 # --------------------------------------------------------------------------
@@ -273,14 +250,8 @@ def _chain_kind(which: str) -> ChainKind:
 
 
 def chain_sums(f: ScalarFunction) -> List[Tuple]:
-    """The keys of the family sums that S, rhs_classic and D are built from: of A_i, f(A_i) and A_i^2."""
+    """The keys of the family sums that every side of a chain is built from: of A_i, f(A_i) and A_i^2."""
     return [(None, False), (f, False), (None, True)]
-
-
-def chain_operands(core: FamilySums, f: ScalarFunction) -> Dict[str, HermitianOperator]:
-    """S, rhs_classic and D of a trial's core or of a stage-1 stack, keyed as :func:`evaluate_trials`
-    takes them, from the family sums :func:`chain_sums`."""
-    return {"s": core.image_sum(), "rhs": core.pre_mean(f), "d": core.diamond_plain()}
 
 
 def evaluate_chain(
@@ -289,18 +260,14 @@ def evaluate_chain(
     force: bool = False,
     tol_abs: float | None = None,
 ) -> InequalityReport:
-    """The report of :func:`evaluate_trials` on the operands of an instance of one trial."""
-    operands = chain_operands(inst.core, inst.f)
-    return evaluate_trials(inst.f, inst.bounds, which, force=force, tol_abs=tol_abs, **operands)
+    """The report of :func:`evaluate_trials` on the core of an instance of one trial."""
+    return evaluate_trials(inst.f, which, inst.core, force=force, tol_abs=tol_abs)
 
 
 def evaluate_trials(
     f: ScalarFunction,
-    bounds: SpectralBounds,
     which: str,
-    s: HermitianOperator,
-    rhs: HermitianOperator,
-    d: HermitianOperator,
+    core: FamilySums,
     force: bool = False,
     tol_abs: float | None = None,
 ) -> InequalityReport:
@@ -312,28 +279,34 @@ def evaluate_trials(
     accept hypothesis violations.  Every report also carries the curvature
     correction term and its PSD comparison, which is hypothesis-free.
 
-    Every side is built from f, [m, M] and the operands S, rhs_classic and D
-    of :func:`chain_operands`: one matrix each, or stacks with one matrix per
-    trial, whatever the trials' instances.  Returns one report for all of
-    them: each side is built for all trials at once and each pair compared
-    in one ``eigvalsh`` call of right - left, every trial against its own
-    tolerance; the gate depends on f and [m, M] only and is evaluated once,
-    after the lhs.  The default tolerance needs the sides' spectral norms
-    only for a trial whose gap is below -``PSD_TOLERANCE_FLOOR``; they are
-    solved when a mask or verdict is read (``linalg.LoewnerOrder``), so an
-    informational pair, whose mask a suite never reads, solves none.
+    ``core`` holds the family sums :func:`chain_sums` of one trial, or of a
+    stage-1 stack with one matrix per trial, whatever the trials' instances.
+    The sides are its operands: the lhs f of ``pre_mean(None)``, rhs_classic
+    ``pre_mean(f)``, D ``diamond(None)``, the refined sides
+    ``refined(f, None, beta)`` and ``(f, None, alpha)``, the log-convex middle
+    ``geometric(None, f(m), f(M))``, and the chord, affine in S.  Returns one
+    report for all trials: each side is built for all of them at once and
+    each pair compared in one ``eigvalsh`` call of right - left, every trial
+    against its own tolerance; the gate depends on f and [m, M] only and is
+    evaluated once, after the lhs.  The default tolerance needs the sides'
+    norms only for a trial whose gap is below -``PSD_TOLERANCE_FLOOR``; they
+    are solved when a mask or verdict is read (``linalg.LoewnerOrder``), so
+    an informational pair, whose mask a suite never reads, solves none.
     """
-    chain = _chain_kind(which)
-    zero = HermitianOperator(np.zeros_like(s.entries))
-    by_label = {"lhs": _lhs(f, bounds, s), "rhs_classic": rhs, "diamond": d, "zero": zero}
+    chain, bounds = _chain_kind(which), core.bounds
+    lhs = apply_scalar_function(f, core.pre_mean(None), bounds)
     scalars = chain.gate(f, bounds, force)
-    later = {
-        "chain_middle": lambda: _chord(f, bounds, s),
-        "lower_refined": lambda: rhs - scalars["beta"] * d,
-        "upper_refined": lambda: rhs - scalars["alpha"] * d,
-        "geometric_middle": lambda: _geometric(f, bounds, s),
+    build = {
+        "lhs": lambda: lhs,
+        "rhs_classic": lambda: core.pre_mean(f),
+        "diamond": lambda: core.diamond(None),
+        "zero": lambda: HermitianOperator(np.zeros_like(lhs.entries)),
+        "chain_middle": lambda: _chord(f, bounds, core.sum(None)),
+        "lower_refined": lambda: core.refined(f, None, scalars["beta"]),
+        "upper_refined": lambda: core.refined(f, None, scalars["alpha"]),
+        "geometric_middle": lambda: core.geometric(None, *endpoint_values(f, bounds)),
     }
-    sides = {label: by_label[label] if label in by_label else later[label]() for label in chain.sides}
+    sides = {label: build[label]() for label in chain.sides}
 
     # A side's norms enter the default tolerance of every pair it is in, each
     # matrix's solved at most once and only where a read mask needs it.

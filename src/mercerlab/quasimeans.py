@@ -11,10 +11,12 @@ psi^{-1}) orders the means, curvature bounds of the composite tighten the
 ordering through the diamond correction term, and log-convexity of the
 composite inserts a geometric interpolant between the means.
 
+Every operand of an inverse is one of ``core.FamilySums``: the pre-means,
+``refined(psi, phi, c)`` and ``geometric(phi, psi(m), psi(M))``.
 ``MEAN_CHECKS`` is the table of the four checks a sweep makes of them (the
 mean order, both sides of the curvature bound, the log-convex sandwich), in
 report order, as ``mercer.CHAINS`` is of the chains: per check, when it
-applies, the phi object of the spectral core it reads, and its slacks.
+applies, whether it reads the phi diamond (stage 1's squares), and its slacks.
 
 Orientation: when a generator is strictly decreasing, its image interval is
 re-ordered before any chord or curvature machinery runs; all displayed
@@ -45,7 +47,7 @@ from .functions import (
     is_log_convex_on,
     require_finite,
 )
-from .core import geometric_interpolant, trial_sums
+from .core import FamilySums, endpoint_values, image_interval, trial_sums
 from .linalg import (
     HermitianOperator,
     Relation,
@@ -75,12 +77,6 @@ def _require_strictly_monotone(g: ScalarFunction, bounds: SpectralBounds, n: int
     steps = np.diff(require_finite(g, bounds, n))
     if not (np.all(steps > 0) or np.all(steps < 0)):
         raise InvalidInterval(f"{g.label()} is not strictly monotone on [{bounds.m}, {bounds.M}]")
-
-
-def _image_interval(g: ScalarFunction, bounds: SpectralBounds) -> SpectralBounds:
-    lo = float(g(bounds.m))
-    hi = float(g(bounds.M))
-    return SpectralBounds(min(lo, hi), max(lo, hi))
 
 
 def _compose_with_inverse(psi: ScalarFunction, phi: ScalarFunction) -> ScalarFunction:
@@ -171,15 +167,14 @@ def resolve_spec(phi: ScalarFunction, psi: ScalarFunction, bounds: SpectralBound
                 f"(defect {defect:.3e})"
             )
 
-    phi_interval = _image_interval(phi, bounds)
+    phi_interval = image_interval(phi, bounds)
     composite = _compose_with_inverse(psi, phi)
     curv = curvature_bounds(composite, phi_interval)
     kappa = composite_curvature_margin(curv.alpha, curv.beta)
     is_convex = curv.alpha >= -kappa
     is_concave = curv.beta <= kappa
 
-    psi_m = float(psi(bounds.m))
-    psi_M = float(psi(bounds.M))
+    psi_m, psi_M = endpoint_values(psi, bounds)
     if psi_m > 0.0 and psi_M > 0.0:
         try:
             is_log_convex = is_log_convex_on(composite, phi_interval, use_flag=False)
@@ -271,7 +266,7 @@ def mean_of_pre_mean(
     The pre-mean has spectrum inside that interval, so the inverse is
     applied by clamped functional calculus on it.
     """
-    return apply_scalar_function(inverse, pre_mean, _image_interval(phi, bounds))
+    return apply_scalar_function(inverse, pre_mean, image_interval(phi, bounds))
 
 
 def mercer_quasi_mean(
@@ -344,19 +339,17 @@ def curvature_mean_bound(
     see :func:`curvature_bound_expected_relation`.
     """
     core = trial_sums(family, operators, spec.bounds, [(spec.psi, False), (spec.phi, False), (spec.phi, True)])
-    operand = curvature_operand(spec, core.pre_mean(spec.psi), core.diamond(spec.phi), side, curvature)
-    return inverse_within_domain(spec.psi_inverse, operand)
+    return inverse_within_domain(spec.psi_inverse, curvature_operand(spec, core, side, curvature))
 
 
 def curvature_operand(
     spec: QuasiArithmeticSpec,
-    pre_mean_psi: HermitianOperator,
-    diamond_phi: HermitianOperator,
+    core: FamilySums,
     side: str = ALPHA_SIDE,
     curvature: CurvatureBounds | None = None,
 ) -> HermitianOperator:
-    """psi(QM_psi) - c * diamond, the operand of psi^{-1} in the curvature bound, from
-    the psi pre-mean and the phi diamond (or stacks of them)."""
+    """psi(QM_psi) - c * diamond, the operand of psi^{-1} in the curvature bound: the refined
+    operand of the psi pre-mean and the phi diamond of ``core`` (one trial's sums or a stack)."""
     if side not in (ALPHA_SIDE, BETA_SIDE):
         raise ValueError(f"side must be {ALPHA_SIDE!r} or {BETA_SIDE!r}, got {side!r}")
     if not (spec.psi_inverse_increasing or spec.psi_inverse_decreasing):
@@ -364,8 +357,7 @@ def curvature_operand(
             f"psi^-1 = {spec.psi_inverse.label()} is not flagged operator monotone"
         )
     curv = curvature or spec.composite_curvature
-    coeff = curv.alpha if side == ALPHA_SIDE else curv.beta
-    return pre_mean_psi - coeff * diamond_phi
+    return core.refined(spec.psi, spec.phi, curv.alpha if side == ALPHA_SIDE else curv.beta)
 
 
 def curvature_bound_expected_relation(spec: QuasiArithmeticSpec, side: str) -> Optional[Relation]:
@@ -387,8 +379,7 @@ def curvature_bound_expected_relation(spec: QuasiArithmeticSpec, side: str) -> O
 def require_sandwich(spec: QuasiArithmeticSpec) -> Tuple[float, float]:
     """(psi(m), psi(M)) if psi is positive at m and M (else ``NonpositiveFunction``),
     psi o phi^-1 log-convex and psi^-1 operator increasing (else ``HypothesisNotMet``)."""
-    psi_m = float(spec.psi(spec.bounds.m))
-    psi_M = float(spec.psi(spec.bounds.M))
+    psi_m, psi_M = endpoint_values(spec.psi, spec.bounds)
     if not (psi_m > 0.0 and psi_M > 0.0):
         raise NonpositiveFunction(
             f"psi = {spec.psi.label()} must be positive at the interval endpoints"
@@ -404,20 +395,19 @@ def require_sandwich(spec: QuasiArithmeticSpec) -> Tuple[float, float]:
     return psi_m, psi_M
 
 
-def geometric_operand(spec: QuasiArithmeticSpec, total_phi: HermitianOperator) -> HermitianOperator:
+def geometric_operand(spec: QuasiArithmeticSpec, core: FamilySums) -> HermitianOperator:
     """The operand of psi^{-1} in the geometric interpolant between the two
-    means for log-convex composites, from T = sum_i Phi_i(phi(A_i)) (or a stack of them):
+    means for log-convex composites, from T = sum_i Phi_i(phi(A_i)) of ``core``
+    (one trial's sums or a stack):
 
         QM_phi <= psi^{-1}( psi(m)^{(T - phi(m)I)/(phi(M)-phi(m))}
                             psi(M)^{(phi(M)I - T)/(phi(M)-phi(m))} ) <= QM_psi
 
     Both exponent operators are functions of T and commute, so the operand
-    is one scalar functional calculus of T.  Requires the hypotheses of
-    :func:`require_sandwich`.
+    is one scalar functional calculus of T, ``core.geometric``.  Requires the
+    hypotheses of :func:`require_sandwich`.
     """
-    psi_m, psi_M = require_sandwich(spec)
-    h = geometric_interpolant(float(spec.phi(spec.bounds.m)), float(spec.phi(spec.bounds.M)), psi_m, psi_M)
-    return apply_scalar_function(h, total_phi, spec.phi_interval)
+    return core.geometric(spec.phi, *require_sandwich(spec))
 
 
 # --------------------------------------------------------------------------
@@ -439,22 +429,21 @@ def _sandwich_relation(spec: QuasiArithmeticSpec) -> Optional[Relation]:
     return Relation.LESS_EQUAL
 
 
-def _mean_order_slacks(spec, relation, operands, mean_phi, mean_psi) -> List[float]:
+def _mean_order_slacks(spec, relation, core, mean_phi, mean_psi) -> List[float]:
     return loewner_order(mean_phi, mean_psi, 0.0).slack(relation).tolist()
 
 
-def _curvature_slacks(side: str, spec, relation, operands, mean_phi, mean_psi) -> List[Optional[float]]:
+def _curvature_slacks(side: str, spec, relation, core, mean_phi, mean_psi) -> List[Optional[float]]:
     """QM_phi against the bound of ``side``; None where its operand leaves the domain of psi^{-1}."""
-    operand = curvature_operand(spec, operands["pre_psi"], operands["diamond"], side)
-    bound, inside, _ = apply_inverse(spec.psi_inverse, operand)
+    bound, inside, _ = apply_inverse(spec.psi_inverse, curvature_operand(spec, core, side))
     below = HermitianOperator(mean_phi.entries[inside])
     slacks = iter(loewner_order(below, bound, 0.0).slack(relation).tolist() if inside.any() else ())
     return [next(slacks) if ok else None for ok in inside.tolist()]
 
 
-def _sandwich_slacks(spec, relation, operands, mean_phi, mean_psi) -> List[float]:
+def _sandwich_slacks(spec, relation, core, mean_phi, mean_psi) -> List[float]:
     """The lesser slack of QM_phi <= middle and middle <= QM_psi."""
-    middle = inverse_within_domain(spec.psi_inverse, geometric_operand(spec, operands["total"]))
+    middle = inverse_within_domain(spec.psi_inverse, geometric_operand(spec, core))
     low = loewner_order(mean_phi, middle, 0.0).slack(relation).tolist()
     high = loewner_order(middle, mean_psi, 0.0).slack(relation).tolist()
     return [min(a, b) for a, b in zip(low, high)]
@@ -462,28 +451,28 @@ def _sandwich_slacks(spec, relation, operands, mean_phi, mean_psi) -> List[float
 
 class MeanCheck(NamedTuple):
     """One row of the mean-check table: ``relation(spec)`` is the asserted
-    relation, or None when the check's hypotheses fail; ``reads`` names the
-    phi object of the core that the check reads besides the two pre-means
-    (``"diamond"``, ``"total"`` or None); ``slacks(spec, relation, operands,
-    QM_phi, QM_psi)`` gives the signed slack of each trial of a stack, None
-    for a domain skip, from the operands ``pre_phi``, ``pre_psi`` and ``reads``;
-    it reads a ``loewner_order`` at tolerance 0, as the sweep applies its own."""
+    relation, or None when the check's hypotheses fail; ``squares`` is True
+    when the check reads the phi diamond, so stage 1 also sums phi(A_i)^2;
+    ``slacks(spec, relation, core, QM_phi, QM_psi)`` gives the signed slack
+    of each trial of a stack, None for a domain skip, from the operands of
+    the stack's ``core``; it reads a ``loewner_order`` at tolerance 0, as the
+    sweep applies its own."""
 
     relation: Callable[[QuasiArithmeticSpec], Optional[Relation]]
-    reads: Optional[str]
+    squares: bool
     slacks: Callable[..., List[Optional[float]]]
 
 
 def _curvature_check(side: str) -> MeanCheck:
     relation = partial(curvature_bound_expected_relation, side=side)
-    return MeanCheck(relation, "diamond", partial(_curvature_slacks, side))
+    return MeanCheck(relation, True, partial(_curvature_slacks, side))
 
 
 MEAN_CHECKS: Dict[str, MeanCheck] = {
-    "mean_order": MeanCheck(_mean_order_relation, None, _mean_order_slacks),
+    "mean_order": MeanCheck(_mean_order_relation, False, _mean_order_slacks),
     "curvature_bound_alpha": _curvature_check(ALPHA_SIDE),
     "curvature_bound_beta": _curvature_check(BETA_SIDE),
-    "log_convex_sandwich": MeanCheck(_sandwich_relation, "total", _sandwich_slacks),
+    "log_convex_sandwich": MeanCheck(_sandwich_relation, False, _sandwich_slacks),
 }
 
 

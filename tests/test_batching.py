@@ -18,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from mercerlab import harness
+from mercerlab import core, harness
 from mercerlab.errors import HypothesisNotMet, SpectrumOutOfDomain
 from mercerlab.functions import parse_function_spec
 from mercerlab.harness import (
@@ -54,9 +54,9 @@ def group_sizes(monkeypatch):
     sizes = []
     original = harness.evaluate_trials
 
-    def spy(*args, s, **kwargs):
-        sizes.append(len(s.entries))
-        return original(*args, s=s, **kwargs)
+    def spy(f, which, core, **kwargs):
+        sizes.append(len(core.positions))
+        return original(f, which, core, **kwargs)
 
     monkeypatch.setattr(harness, "evaluate_trials", spy)
     return sizes
@@ -110,9 +110,9 @@ def test_stacked_verify_equals_trial_by_trial(monkeypatch, fn, chain, m, M, forc
         chunks.append(({group.dims[1] for group in groups}, len(groups), []))
         return seeds, groups
 
-    def evaluated(*args, s, **kwargs):
-        chunks[-1][2].append((s.dim, len(s.entries)))
-        return evaluate(*args, s=s, **kwargs)
+    def evaluated(f, which, core, **kwargs):
+        chunks[-1][2].append((core.sum(None).dim, len(core.positions)))
+        return evaluate(f, which, core, **kwargs)
 
     def recorded(*args):
         results = grouped(*args)
@@ -258,6 +258,35 @@ def test_failing_sweep_raises_the_lowest_failing_trial(monkeypatch, out_of_range
     with pytest.raises(SpectrumOutOfDomain) as raised:
         run_sweep("log", "id", config, 12)
     assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_diamond_is_built_once_per_stack(monkeypatch, command):
+    # A twice-diff chain reads D as a side and in both refined sides; a (log, id)
+    # sweep reads the phi diamond in both curvature rows.  Each dim_k stack
+    # builds it once, however many sides or rows read it.
+    built, stacks = [], []
+    diamond, stage_one = core._diamond_term, harness.stage_one
+
+    def counted(total, *args):
+        built.append(len(total.entries))
+        return diamond(total, *args)
+
+    def staged(*args, **kwargs):
+        result = stage_one(*args, **kwargs)
+        stacks.extend(result)
+        return result
+
+    monkeypatch.setattr(core, "_diamond_term", counted)
+    monkeypatch.setattr(harness, "stage_one", staged)
+    config = TrialConfig(seed=5, chain="twice-diff", mixed=True, vary_dims=True)
+    if command == "verify":
+        harness.verify_report(config, 64)
+    else:
+        checks = run_sweep("log", "id", config, 64)[0]["checks"]
+        assert checks["curvature_bound_alpha"]["applicable"] and checks["curvature_bound_beta"]["applicable"]
+    assert len(stacks) > 1
+    assert built == [len(stack.positions) for stack in stacks]
 
 
 def test_signed_slack_of_a_stack_is_per_matrix():

@@ -183,6 +183,10 @@ class TestBoundaryValidation:
             (("verify", "--function", "exp", "--m", "1", "--M", "800", "--trials", "1"), "not finite"),
             (("search", "classic-nonconvex", "--function", "exp", "--m", "1", "--M", "800"), "not finite"),
             (("sweep", "--phi", "exp", "--psi", "id", "--m", "1", "--M", "800", "--trials", "1"), "not finite"),
+            # f finite on [m, M], but beta * D of a refined operand is not (beta = exp(700))
+            (("verify", "--function", "exp", "--m", "1", "--M", "700", "--chain", "twice-diff", "--trials", "3"),
+             "overflow"),
+            (("sweep", "--phi", "id", "--psi", "exp", "--m", "1", "--M", "700", "--trials", "3"), "overflow"),
         ],
     )
     def test_rejected_with_one_line(self, args, field):

@@ -173,6 +173,13 @@ class TestLogConvexity:
         with pytest.raises(NonpositiveFunction):
             is_log_convex_on(sine(), SpectralBounds(3.5, 6.0))
 
+    @pytest.mark.parametrize("use_flag", [True, False])
+    def test_missing_derivatives(self, use_flag):
+        # Positive and unflagged, so only the derivatives can decide.
+        bare = ScalarFunction(name="bare", fn=np.exp)
+        with pytest.raises(MissingSecondDerivative):
+            is_log_convex_on(bare, SpectralBounds(1.0, 3.0), use_flag=use_flag)
+
 
 class TestRefinedVsGeometricGap:
     def test_sign_flip_values(self):

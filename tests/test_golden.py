@@ -64,6 +64,8 @@ VERIFY_DIGESTS = {
 VARIED_VERIFY_DIGESTS = {
     "chain": "c99d0eff5cb59da16ee41cf8e186fd5d43b70d49505eac5c364e20c396e9a5e4",
     "twice-diff": "d02022bdd87935cb1615688875f0f5306d8e34409127b9deafda2fa0db1da9b7",
+    "classic": "4a97a17210e51cb8993ee3190f241e2ea214d7fa5fa97a7657cf2133c6011294",
+    "log-convex": "6249087134be4db1212b2933a848bc6e3ad621f38335f20e4044c07052a7c931",
 }
 
 # The forced sine suite on [pi/4, pi/2]: every trial violates the classic

@@ -93,7 +93,7 @@ def mean_verdict(spec, family, ops):
 def sandwich(spec, family, ops):
     """The geometric middle and its verdicts against QM_phi (below) and QM_psi (above)."""
     core = pair_sums(spec, family, ops)
-    middle = inverse_within_domain(spec.psi_inverse, geometric_operand(spec, core.total(spec.phi)))
+    middle = inverse_within_domain(spec.psi_inverse, geometric_operand(spec, core))
     mean_phi, mean_psi = both_means(spec, core)
     return middle, compare(mean_phi, middle), compare(middle, mean_psi)
 
