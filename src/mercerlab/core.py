@@ -18,8 +18,8 @@ middle geometric(None, f(m), f(M)).
 eigendecomposition per operator dimension dim_h, the maps once per
 (dim_h, dim_k), the sums per codomain dimension dim_k.  Every matrix goes
 through the numpy operations it would go through alone, so a sum is bit for
-bit the one of ``maps.family_sum`` on that trial.  ``trial_sums`` is one
-trial, a checked chunk of one.
+bit the one of ``maps.family_sum`` on that trial, and every chunk is
+checked alike.  ``trial_sums`` is one trial, a chunk of one.
 """
 
 from __future__ import annotations
@@ -155,37 +155,47 @@ def _diamond_term(total: HermitianOperator, squares: HermitianOperator, lo: floa
     return (hi + lo) * total - (hi * lo) * eye - 0.5 * (t_squared + squares)
 
 
-def _objects(a: np.ndarray, dec: SpectralDecomposition, keys, bounds: SpectralBounds) -> np.ndarray:
+def operand_sums(phi, psi) -> List[tuple]:
+    """The keys of the family sums that every operand of a generator pair reads: of phi(A_i),
+    psi(A_i) and phi(A_i)^2.  A chain of f is the pair (None, f): A_i, f(A_i) and A_i^2."""
+    return [(phi, False), (psi, False), (phi, True)]
+
+
+def _objects(a: np.ndarray, dec: SpectralDecomposition, keys) -> np.ndarray:
     """The stack ``(len(keys), N, d, d)`` of the objects ``keys`` of the operators ``a`` ``(N, d, d)``:
     per g, the raw A_i (None), the identity (``UNIT``) or g(A_i) from ``dec``, squared when asked."""
     images = {None: a, UNIT[0]: np.broadcast_to(np.eye(a.shape[-1], dtype=a.dtype), a.shape)}
     for g, _ in keys:
         if g not in images:
-            images[g] = apply_to_decomposition(g, dec, bounds).entries
+            images[g] = apply_to_decomposition(g, dec).entries
     return np.stack([images[g] @ images[g] if squared else images[g] for g, squared in keys])
 
 
-def stage_one(blocks: Sequence, bounds: SpectralBounds, keys, checked: bool = False) -> List[FamilySums]:
+def stage_one(blocks: Sequence, bounds: SpectralBounds, keys) -> List[FamilySums]:
     """The family sums of the objects ``keys`` for the trials of ``blocks`` (each a ``Block``,
-    such as a ``sampling.SampledGroup``), one ``FamilySums`` per dim_k.
+    such as a ``sampling.SampledGroup``), one ``FamilySums`` per dim_k, with every check of
+    :func:`trial_sums` made per trial.
 
-    Per dim_h, one ``spectral_decompose`` of every A_i, with its Hermiticity
-    check, and the objects built on it; per (dim_h, dim_k), the maps applied
-    to every object at once, all compressions as one ``Compression`` and all
-    trace maps as one ``WeightedTrace``; per dim_k, each trial's images
-    summed in map order, exactly 0.0 + img_1 + ... + img_n.  A trial with
-    fewer maps than the most of its dim_k adds +0.0 images after its own,
-    which change no entry: a partial sum starting at 0.0 + img_1 is never -0.0.
-
-    Unchecked, generators see the clamp-checked spectra of
-    ``apply_to_decomposition``.  ``checked`` makes the checks of
-    :func:`trial_sums` per trial, after the sums: the unitality of every
-    family (the ``UNIT`` object), then the range of every spectrum, with
-    generators seeing spectra clamped onto [m, M] until then; the unitality
-    check is ``maps.unitality_defect``, which solves no spectrum of a family
-    its Frobenius bound clears.
+    An interval on which a squared object could overflow raises
+    ``OperandOverflow`` first.  Per dim_h, one ``spectral_decompose`` of
+    every A_i, with its Hermiticity check, and the objects built on it,
+    generators seeing the spectra clamped onto [m, M]; per (dim_h, dim_k),
+    the maps applied to every object at once, all compressions as one
+    ``Compression`` and all trace maps as one ``WeightedTrace``; per dim_k,
+    each trial's images summed in map order, exactly 0.0 + img_1 + ... +
+    img_n.  A trial with fewer maps than the most of its dim_k adds +0.0
+    images after its own, which change no entry: a partial sum starting at
+    0.0 + img_1 is never -0.0.  After the sums come the unitality of every
+    family (the ``UNIT`` object), by ``maps.unitality_defect``, which solves
+    no spectrum of a family its Frobenius bound clears, then the range of
+    every spectrum.
     """
-    keys = list(dict.fromkeys(list(keys) + [UNIT] * checked))
+    keys = list(dict.fromkeys([*keys, UNIT]))
+    for g in (g for g, squared in keys if squared):  # 4 max |g|^2 bounds g's squares and diamond
+        peak = max(map(abs, endpoint_values(g, bounds)))
+        if not math.isfinite(4.0 * peak * peak):
+            name = "A_i" if g is None else f"{g.label()}(A_i)"
+            raise OperandOverflow(f"the squares of {name} overflow on [{bounds.m:.12g}, {bounds.M:.12g}]")
     # Per dim_h, per (dim_k, kind of map): (V or weight stack, its operators, their positions, map
     # index) of every block's maps of that kind; the A_i of a dim_h are stacked in this order, so
     # each (dim_k, kind) applies its maps to one contiguous slice of the objects.
@@ -202,10 +212,9 @@ def stage_one(blocks: Sequence, bounds: SpectralBounds, keys, checked: bool = Fa
         same = [slot for group in groups.values() for slot in group]
         a = np.concatenate([operators for _, operators, _, _ in same])
         dec = spectral_decompose(HermitianOperator(a))
-        if checked:  # the range raises after the unitality: until then, clamp every spectrum
-            ranges.append((dec.eigenvalues, same))
-            dec = SpectralDecomposition(np.clip(dec.eigenvalues, bounds.m, bounds.M), dec.eigenvectors)
-        objects, start = _objects(a, dec, keys, bounds), 0
+        ranges.append((dec.eigenvalues, same))  # the range raises after the unitality
+        dec = SpectralDecomposition(np.clip(dec.eigenvalues, bounds.m, bounds.M), dec.eigenvectors)
+        objects, start = _objects(a, dec, keys), 0
         for (dim_k, kind), group in groups.items():
             data, _, positions, index = zip(*group)
             stop = start + sum(map(len, positions))
@@ -226,7 +235,7 @@ def stage_one(blocks: Sequence, bounds: SpectralBounds, keys, checked: bool = Fa
         total = 0.5 * (total + total.conj().swapaxes(-1, -2))
         stacks.append(FamilySums(trials, dict(zip(keys, map(HermitianOperator, total))), bounds))
 
-    for stack in stacks if checked else ():
+    for stack in stacks:
         defects = unitality_defect(stack.sums[UNIT])
         if (defects > UNITALITY_ABS).any():
             raise HypothesisNotMet(f"map family is not unital (defect {defects[defects > UNITALITY_ABS][0]:.3e})")
@@ -247,9 +256,9 @@ def stage_one(blocks: Sequence, bounds: SpectralBounds, keys, checked: bool = Fa
 def trial_sums(
     family: MapFamily, operators: Sequence[HermitianOperator], bounds: SpectralBounds, keys
 ) -> FamilySums:
-    """The family sums of the objects ``keys`` of one trial whose hypotheses hold, a checked
-    chunk of one on :func:`stage_one`: one operator per map, then the unitality of the family,
-    then every spectrum in [m, M] up to the clamp band, checked in that order."""
+    """The family sums of the objects ``keys`` of one trial whose hypotheses hold, a chunk of
+    one on :func:`stage_one`: one operator per map, then the unitality of the family, then
+    every spectrum in [m, M] up to the clamp band, checked in that order."""
     if len(operators) != family.size:
         raise ArityMismatch(f"{family.size} maps but {len(operators)} operators")
     maps = family.maps
@@ -263,6 +272,6 @@ def trial_sums(
         np.stack([a.entries for a in operators])[None],
         compressions + traces,
     )
-    (stack,) = stage_one([block], bounds, keys, checked=True)
+    (stack,) = stage_one([block], bounds, keys)
     sums = {key: HermitianOperator(op.entries[0]) for key, op in stack.sums.items()}
     return FamilySums(stack.positions, sums, bounds)

@@ -7,15 +7,15 @@ reported on stderr only, never inside the JSON.
 
 Suites sample ``CHUNK_TRIALS`` trials at a time, grouped by shape and
 finished in stacked calls (``sampling.sample_trials``), then run in two
-stages.  Stage 1, ``core.stage_one``, builds the family sums of the whole
-chunk per matrix dimension, whatever its shapes (checked for verify).
-Stage 2 runs everything after them once per codomain dimension dim_k, on
-the operands of its ``core.FamilySums``: verify every side, norm and
-comparison of its chain, sweep both means and every applicable check of
-``quasimeans.MEAN_CHECKS``.  Stacking never moves a bit and results are
-folded back in trial order, so a report is the same as trial after trial;
-a failing chunk is re-run trial by trial, so the error raised is the one
-of the lowest failing trial.  A replay is a chunk of one trial, and the
+stages, verify and sweep alike (``_chunk``).  Stage 1, ``core.stage_one``,
+builds and checks the family sums of the whole chunk per matrix dimension,
+whatever its shapes.  Stage 2 runs everything after them once per codomain
+dimension dim_k, on the operands of its ``core.FamilySums``: verify every
+side, norm and comparison of its chain, sweep both means and every
+applicable check of ``quasimeans.MEAN_CHECKS`` (``_sweep_rows``).
+Stacking never moves a bit and results are folded back in trial order, so
+a report is the same as trial after trial; a failing chunk is re-run trial
+by trial, so the error raised is the one of the lowest failing trial.  A replay is a chunk of one trial, and the
 ``classic-nonconvex`` search scores each candidate with a forced
 ``classic`` suite, so both run on verify's sampler and evaluation.
 """
@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import stage_one
+from .core import FamilySums, operand_sums, stage_one
 from .errors import BudgetExhausted, InvalidConfig
 from .functions import ScalarFunction, curvature_bounds, parse_function_spec, require_domain, require_finite
 from .linalg import HermitianOperator, Relation, SpectralBounds
@@ -38,7 +38,6 @@ from .mercer import (
     CHAIN_KINDS,
     InequalityReport,
     MercerInstance,
-    chain_sums,
     contract_pairs,
     evaluate_chain,
     evaluate_trials,
@@ -232,26 +231,36 @@ def _contract_outcomes(report: InequalityReport, which: str) -> List[Tuple[Tuple
     return list(zip(*columns))
 
 
-def _grouped_outcomes(
-    config: TrialConfig, f: ScalarFunction, which: str, indices: Sequence[int]
-) -> List[TrialOutcome]:
-    """Sample the trials as one chunk and return their outcomes in index order.
+def _chunk(config: TrialConfig, keys, rows_of: Callable[[FamilySums], list], indices: Sequence[int]) -> List[tuple]:
+    """(seed, dims, row) of each of the trials ``indices``, in order, sampled as one chunk.
 
-    Stage 1 (``core.stage_one``, checked) builds the family sums
-    ``mercer.chain_sums(f)`` that every side reads, for every trial of the
-    chunk, with every check of ``core.trial_sums``, per codomain dimension
-    dim_k.  Stage 2 evaluates the chain once per dim_k, on that stack, into
-    one stacked report whose contract pairs give every trial's outcome (see
-    :func:`_contract_outcomes`).
+    Stage 1 (``core.stage_one``) builds the family sums ``keys`` of every
+    trial of the chunk, with every check of ``core.trial_sums``, per
+    codomain dimension dim_k.  Stage 2, ``rows_of(stack)``, gives the row of
+    each trial of a dim_k stack, in the stack's order, from its operands.
     """
     seeds, groups = _sample_chunk(config, indices)
     dims = {pos: group.dims for group in groups for pos in group.positions}
-    outcomes: List[Optional[TrialOutcome]] = [None] * len(indices)
-    for stack in stage_one(groups, config.bounds, chain_sums(f), checked=True):
+    rows: List[Optional[tuple]] = [None] * len(indices)
+    for stack in stage_one(groups, config.bounds, keys):
+        for pos, row in zip(stack.positions.tolist(), rows_of(stack)):
+            rows[pos] = seeds[pos], dims[pos], row
+    return rows
+
+
+def _grouped_outcomes(
+    config: TrialConfig, f: ScalarFunction, which: str, indices: Sequence[int]
+) -> List[TrialOutcome]:
+    """The outcomes of the trials ``indices``, in order, run as one :func:`_chunk` of the sums
+    ``core.operand_sums(None, f)``: stage 2 evaluates the chain once per dim_k stack, into one
+    report whose contract pairs give every trial's outcome (see :func:`_contract_outcomes`)."""
+
+    def rows_of(stack: FamilySums) -> list:
         report = evaluate_trials(f, which, stack, force=config.force, tol_abs=config.tol_abs)
-        for pos, pairs in zip(stack.positions.tolist(), _contract_outcomes(report, which)):
-            outcomes[pos] = TrialOutcome(trial=indices[pos], seed=seeds[pos], dims=dims[pos], pairs=pairs)
-    return outcomes
+        return _contract_outcomes(report, which)
+
+    trials = _chunk(config, operand_sums(None, f), rows_of, indices)
+    return [TrialOutcome(i, *trial) for i, trial in zip(indices, trials)]
 
 
 def _by_chunk(trials: int | range, run: Callable[[Sequence[int]], list]) -> Iterator:
@@ -552,34 +561,21 @@ class SweepCheck:
         return {**asdict(self), "min_gap": None if math.isinf(self.min_gap) else self.min_gap}
 
 
-def _sweep_chunk(
-    config: TrialConfig,
-    spec: QuasiArithmeticSpec,
-    inverses: Tuple[Callable, Callable],
-    rows: Sequence[Tuple[MeanCheck, Relation]],
-    indices: Sequence[int],
-) -> List[Tuple[int, List]]:
-    """(seed, gaps) of each of the trials ``indices``, in order: per row of
-    ``rows`` (the applicable rows of ``MEAN_CHECKS`` with their relations),
-    its signed slack, None for a domain skip.  ``inverses`` are those of phi and psi.
+def _sweep_rows(
+    spec: QuasiArithmeticSpec, inverses: Tuple[Callable, Callable], rows: Sequence[Tuple[MeanCheck, Relation]],
+    stack: FamilySums,
+) -> List[list]:
+    """The gaps of each trial of a stage-1 stack: per row of ``rows`` (the
+    applicable rows of ``MEAN_CHECKS`` with their relations), its signed
+    slack, None for a domain skip.  ``inverses`` are those of phi and psi.
 
-    Stage 1 (``core.stage_one``, unchecked: the sweep checks no unitality)
-    builds, per dim_k, the sums of phi(A_i) and psi(A_i), and of phi(A_i)^2
-    when a row's ``squares`` says it reads the diamond.  Stage 2 runs
-    everything after them once per dim_k: both means, then each row's
-    slacks on the stack, whose operands are each built once however many
-    rows read them.
+    Both means are built once per stack, then each row's slacks, from the
+    stack's operands, each built once however many rows read it.
     """
-    seeds, groups = _sample_chunk(config, indices)
-    keys = [(spec.phi, False), (spec.psi, False)] + [(spec.phi, True)] * any(row.squares for row, _ in rows)
-    gaps: List[Optional[list]] = [None] * len(indices)
-    for stack in stage_one(groups, spec.bounds, keys):
-        mean_phi = mean_of_pre_mean(spec.phi, inverses[0], stack.pre_mean(spec.phi), spec.bounds)
-        mean_psi = mean_of_pre_mean(spec.psi, inverses[1], stack.pre_mean(spec.psi), spec.bounds)
-        columns = [row.slacks(spec, relation, stack, mean_phi, mean_psi) for row, relation in rows]
-        for j, pos in enumerate(stack.positions.tolist()):
-            gaps[pos] = [column[j] for column in columns]
-    return list(zip(seeds, gaps))
+    mean_phi = mean_of_pre_mean(spec.phi, inverses[0], stack.pre_mean(spec.phi), spec.bounds)
+    mean_psi = mean_of_pre_mean(spec.psi, inverses[1], stack.pre_mean(spec.psi), spec.bounds)
+    columns = [row.slacks(spec, relation, stack, mean_phi, mean_psi) for row, relation in rows]
+    return [[column[j] for column in columns] for j in range(len(stack.positions))]
 
 
 def run_sweep(
@@ -592,9 +588,10 @@ def run_sweep(
 
     Each check applies when its hypotheses hold for the pair; per trial, an
     applicable check gets a signed slack or, where its operand leaves the
-    domain of psi^{-1}, a domain skip.  Trials run a chunk at a time (see
-    :func:`_sweep_chunk`) and are folded into the checks in index order, so
-    the report is the same as trial after trial; a failing chunk is re-run
+    domain of psi^{-1}, a domain skip.  Trials run a chunk at a time, as
+    verify's do, with every check of ``core.trial_sums`` (see :func:`_chunk`
+    and :func:`_sweep_rows`), and are folded into the checks in index order,
+    so the report is the same as trial after trial; a failing chunk is re-run
     trial by trial, so the error raised is the lowest failing trial's.
     Returns (json_report, violation_count).
     """
@@ -613,7 +610,8 @@ def run_sweep(
 
     rows = [(MEAN_CHECKS[name], rel) for name, rel in relations.items() if rel is not None]
     evaluated = [check for check in checks.values() if check.applicable]
-    for i, (seed_i, gaps) in enumerate(_by_chunk(n_trials, partial(_sweep_chunk, config, spec, inverses, rows))):
+    chunk = partial(_chunk, config, operand_sums(spec.phi, spec.psi), partial(_sweep_rows, spec, inverses, rows))
+    for i, (seed_i, _, gaps) in enumerate(_by_chunk(n_trials, chunk)):
         for check, gap in zip(evaluated, gaps):
             check.record(i, seed_i, gap, tol)
 

@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .errors import BadWeights, HypothesisNotMet, OutOfInterval
-from .core import FamilySums, endpoint_values, trial_sums
+from .core import FamilySums, endpoint_values, operand_sums, trial_sums
 from .functions import CurvatureBounds, ScalarFunction, curvature_bounds, is_log_convex_on
 from .linalg import (
     HermitianOperator,
@@ -44,7 +44,7 @@ from .tolerance import WEIGHT_SUM_ABS
 class MercerInstance:
     """One trial of the inequality chains: f, a unital family, operators (one per map), [m, M].
 
-    ``core`` holds the trial's family sums of the objects ``chain_sums(f)``,
+    ``core`` holds the trial's family sums of the objects ``operand_sums(None, f)``,
     built and checked at construction by ``core.trial_sums``, so f is
     evaluated there, on the spectra clamped onto [m, M].  Every side is an
     operand of ``core`` (see :func:`evaluate_trials`).  A suite builds the
@@ -58,7 +58,8 @@ class MercerInstance:
     core: FamilySums = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "core", trial_sums(self.family, self.operators, self.bounds, chain_sums(self.f)))
+        core = trial_sums(self.family, self.operators, self.bounds, operand_sums(None, self.f))
+        object.__setattr__(self, "core", core)
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ def scalar_mercer_check(
 # Operator sides
 # --------------------------------------------------------------------------
 
-# Every side is an operand of the family sums ``chain_sums(f)``: the public
+# Every side is an operand of the family sums ``operand_sums(None, f)``: the public
 # forms below read it from an instance's core, the chains from a stack.
 
 def mercer_lhs(inst: MercerInstance) -> HermitianOperator:
@@ -249,11 +250,6 @@ def _chain_kind(which: str) -> ChainKind:
     return CHAINS[which]
 
 
-def chain_sums(f: ScalarFunction) -> List[Tuple]:
-    """The keys of the family sums that every side of a chain is built from: of A_i, f(A_i) and A_i^2."""
-    return [(None, False), (f, False), (None, True)]
-
-
 def evaluate_chain(
     inst: MercerInstance,
     which: str,
@@ -279,7 +275,7 @@ def evaluate_trials(
     accept hypothesis violations.  Every report also carries the curvature
     correction term and its PSD comparison, which is hypothesis-free.
 
-    ``core`` holds the family sums :func:`chain_sums` of one trial, or of a
+    ``core`` holds the family sums ``core.operand_sums(None, f)`` of one trial, or of a
     stage-1 stack with one matrix per trial, whatever the trials' instances.
     The sides are its operands: the lhs f of ``pre_mean(None)``, rhs_classic
     ``pre_mean(f)``, D ``diamond(None)``, the refined sides

@@ -16,7 +16,8 @@ Every operand of an inverse is one of ``core.FamilySums``: the pre-means,
 ``MEAN_CHECKS`` is the table of the four checks a sweep makes of them (the
 mean order, both sides of the curvature bound, the log-convex sandwich), in
 report order, as ``mercer.CHAINS`` is of the chains: per check, when it
-applies, whether it reads the phi diamond (stage 1's squares), and its slacks.
+applies and its slacks.  Every check reads the sums ``core.operand_sums(phi,
+psi)``, which a sweep's stage 1 builds whichever checks apply.
 
 Orientation: when a generator is strictly decreasing, its image interval is
 re-ordered before any chord or curvature machinery runs; all displayed
@@ -47,7 +48,7 @@ from .functions import (
     is_log_convex_on,
     require_finite,
 )
-from .core import FamilySums, endpoint_values, image_interval, trial_sums
+from .core import FamilySums, endpoint_values, image_interval, operand_sums, trial_sums
 from .linalg import (
     HermitianOperator,
     Relation,
@@ -338,7 +339,7 @@ def curvature_mean_bound(
     inequality.  With an operator-decreasing psi^{-1} both directions flip;
     see :func:`curvature_bound_expected_relation`.
     """
-    core = trial_sums(family, operators, spec.bounds, [(spec.psi, False), (spec.phi, False), (spec.phi, True)])
+    core = trial_sums(family, operators, spec.bounds, operand_sums(spec.phi, spec.psi))
     return inverse_within_domain(spec.psi_inverse, curvature_operand(spec, core, side, curvature))
 
 
@@ -451,28 +452,26 @@ def _sandwich_slacks(spec, relation, core, mean_phi, mean_psi) -> List[float]:
 
 class MeanCheck(NamedTuple):
     """One row of the mean-check table: ``relation(spec)`` is the asserted
-    relation, or None when the check's hypotheses fail; ``squares`` is True
-    when the check reads the phi diamond, so stage 1 also sums phi(A_i)^2;
-    ``slacks(spec, relation, core, QM_phi, QM_psi)`` gives the signed slack
-    of each trial of a stack, None for a domain skip, from the operands of
-    the stack's ``core``; it reads a ``loewner_order`` at tolerance 0, as the
-    sweep applies its own."""
+    relation, or None when the check's hypotheses fail; ``slacks(spec,
+    relation, core, QM_phi, QM_psi)`` gives the signed slack of each trial
+    of a stack, None for a domain skip, from the operands of the stack's
+    ``core``; it reads a ``loewner_order`` at tolerance 0, as the sweep
+    applies its own."""
 
     relation: Callable[[QuasiArithmeticSpec], Optional[Relation]]
-    squares: bool
     slacks: Callable[..., List[Optional[float]]]
 
 
 def _curvature_check(side: str) -> MeanCheck:
     relation = partial(curvature_bound_expected_relation, side=side)
-    return MeanCheck(relation, True, partial(_curvature_slacks, side))
+    return MeanCheck(relation, partial(_curvature_slacks, side))
 
 
 MEAN_CHECKS: Dict[str, MeanCheck] = {
-    "mean_order": MeanCheck(_mean_order_relation, False, _mean_order_slacks),
+    "mean_order": MeanCheck(_mean_order_relation, _mean_order_slacks),
     "curvature_bound_alpha": _curvature_check(ALPHA_SIDE),
     "curvature_bound_beta": _curvature_check(BETA_SIDE),
-    "log_convex_sandwich": MeanCheck(_sandwich_relation, False, _sandwich_slacks),
+    "log_convex_sandwich": MeanCheck(_sandwich_relation, _sandwich_slacks),
 }
 
 

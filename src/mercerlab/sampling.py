@@ -17,7 +17,9 @@ for bit the same in any chunk.  ``haar_unitary``, ``random_hermitian`` and
 the reference forms the tests check the chunk sampler against.  A family
 with a singular normaliser is drawn again, which moves the later draws of
 its stream, so a trial whose first family phase 2 rejects is drawn again
-from a fresh copy of its stream, with the rejection loop.  A chunk comes
+from a fresh copy of its stream, with the rejection loop, which normalises
+its family alone; its V_i and trace weight take the rejected ones' place in
+its group.  A chunk comes
 back as one ``SampledGroup`` per shape, a block of ``core.stage_one``.
 """
 
@@ -181,9 +183,10 @@ def random_unital_family(
     return _family(vs, [_trace_weight(fraction, len(vs), dim_h)] if include_trace else [], dim_h, dim_k)
 
 
-# Phase 1 of a trial: its dims, its family's normals and trace fraction, and
-# per operator the (eigenvalues, normals) of ``_draw_spectrum``.
-_Draw = namedtuple("_Draw", "dims normals fraction spectra")
+# Phase 1 of a trial: its dims, its family's normals, trace fraction and V_i
+# (None unless drawn checked), and per operator the (eigenvalues, normals) of
+# ``_draw_spectrum``.
+_Draw = namedtuple("_Draw", "dims normals fraction compressions spectra")
 
 
 class SampledGroup(Block):
@@ -210,34 +213,27 @@ def sample_trials(
     def draw(k: int, checked: bool = False) -> _Draw:
         rng = generator(seeds[k])
         dim_h, dim_k, n = dims = draw_dims(rng)
-        normals, fraction, _ = _draw_family(n, dim_h, dim_k, mixed, rng, checked=checked)
+        family = _draw_family(n, dim_h, dim_k, mixed, rng, checked=checked)
         spectra = tuple(_draw_spectrum(dim_h, bounds, pins[k], rng) for _ in range(n))
-        return _Draw(dims, normals, fraction, spectra)
+        return _Draw(dims, *family, spectra)
 
     draws = [draw(k) for k in range(len(seeds))]
     groups: Dict[Tuple[int, int, int], List[int]] = {}
     for k, trial in enumerate(draws):
         groups.setdefault(trial.dims, []).append(k)
+    fractions = [np.array([draws[k].fraction for k in ks]) for ks in groups.values()]
+    normals = [np.stack([draws[k].normals for k in ks], axis=1) for ks in groups.values()]
     families = {}
-    pending = list(groups)
-    for _ in range(2):  # the second pass follows drawing the rejected families again
-        fractions = [np.array([draws[k].fraction for k in groups[dims]]) for dims in pending]
-        normals = [np.stack([draws[k].normals for k in groups[dims]], axis=1) for dims in pending]
-        rejected = []
-        for dims, fraction, (accepted, compressions) in zip(
-            pending, fractions, _normalise(list(zip(normals, fractions)))
-        ):
-            weights = np.empty((0, len(fraction)))  # no trace map
-            if mixed:
-                weights = _trace_weight(fraction, len(compressions), dims[0])[None]
-            families[dims] = compressions, weights
-            if not accepted.all():
-                rejected.append(dims)
-                for j in np.flatnonzero(~accepted):
-                    draws[groups[dims][j]] = draw(groups[dims][j], checked=True)
-        pending = rejected
-        if not pending:
-            break
+    for (dims, ks), fraction, (accepted, compressions) in zip(
+        groups.items(), fractions, _normalise(list(zip(normals, fractions)))
+    ):
+        for j in np.flatnonzero(~accepted):  # drawn again, and normalised, from a fresh stream
+            draws[ks[j]] = draw(ks[j], checked=True)
+            compressions[:, j], fraction[j] = draws[ks[j]].compressions, draws[ks[j]].fraction
+        weights = np.empty((0, len(fraction)))  # no trace map
+        if mixed:
+            weights = _trace_weight(fraction, len(compressions), dims[0])[None]
+        families[dims] = compressions, weights
 
     operators = {}
     for dim in {dims[0] for dims in groups}:

@@ -168,10 +168,11 @@ SWEEP_PAIRS = [("sqrt", "id"), ("log", "id"), ("square", "id"), ("id", "inv"),
 )
 def test_stacked_sweep_equals_trial_by_trial(monkeypatch, shape):
     # A report holds counts, minima and violations only, so every trial's
-    # gaps are compared too, as _sweep_chunk returns them: per trial, the
-    # signed slack of each applicable check of MEAN_CHECKS.
+    # gaps are compared too, as _chunk returns the stage-2 rows of
+    # _sweep_rows: per trial, its seed, dims and the signed slack of each
+    # applicable check of MEAN_CHECKS.
     trials = []
-    original = harness._sweep_chunk
+    original = harness._chunk
 
     def recorded(*args):
         results = original(*args)
@@ -186,7 +187,7 @@ def test_stacked_sweep_equals_trial_by_trial(monkeypatch, shape):
         ]
         return reports, repr(trials)  # repr tells every double apart
 
-    monkeypatch.setattr(harness, "_sweep_chunk", recorded)
+    monkeypatch.setattr(harness, "_chunk", recorded)
     stacked, stacked_trials = sweeps()
     monkeypatch.setattr(harness, "CHUNK_TRIALS", 1)
     alone, alone_trials = sweeps()
@@ -246,16 +247,20 @@ def test_trial_both_non_unital_and_out_of_range_fails_its_unitality(monkeypatch)
     assert str(raised.value) == str(expected.value)
 
 
-@pytest.mark.parametrize("out_of_range, non_unital", [(3, 7), (7, 3)])
-def test_failing_sweep_raises_the_lowest_failing_trial(monkeypatch, out_of_range, non_unital):
-    # The sweep checks no unitality: a non-unital trial fails at its mean,
-    # after stage 1 has built every group's operands, so stacked, an
-    # out-of-range trial 7 raises before a non-unital trial 3.
+@pytest.mark.parametrize(
+    "out_of_range, non_unital, error",
+    [(3, 7, SpectrumOutOfDomain), (7, 3, HypothesisNotMet)],
+    ids=["3-7", "7-3"],
+)
+def test_failing_sweep_raises_the_lowest_failing_trial(monkeypatch, out_of_range, non_unital, error):
+    # The sweep's stage 1 checks what verify's does, the family before the
+    # range, so stacked, a non-unital trial raises before an out-of-range
+    # one whatever their order; the trial-by-trial re-run finds trial 3's.
     break_trials(monkeypatch, out_of_range, non_unital)
     config = TrialConfig(seed=4)
-    with pytest.raises(SpectrumOutOfDomain) as expected:
+    with pytest.raises(error) as expected:
         run_sweep("log", "id", config, 4)  # trial 3 is the only failing trial
-    with pytest.raises(SpectrumOutOfDomain) as raised:
+    with pytest.raises(error) as raised:
         run_sweep("log", "id", config, 12)
     assert str(raised.value) == str(expected.value)
 

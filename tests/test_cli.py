@@ -187,6 +187,10 @@ class TestBoundaryValidation:
             (("verify", "--function", "exp", "--m", "1", "--M", "700", "--chain", "twice-diff", "--trials", "3"),
              "overflow"),
             (("sweep", "--phi", "id", "--psi", "exp", "--m", "1", "--M", "700", "--trials", "3"), "overflow"),
+            # the squares of A_i or phi(A_i) overflow (4 * (1e160)^2 is not finite), refused before any product
+            (("verify", "--function", "id", "--m", "1", "--M", "1e160", "--chain", "classic", "--trials", "2"),
+             "overflow"),
+            (("sweep", "--phi", "id", "--psi", "id", "--m", "1", "--M", "1e160", "--trials", "2"), "overflow"),
         ],
     )
     def test_rejected_with_one_line(self, args, field):

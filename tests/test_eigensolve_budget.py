@@ -54,7 +54,8 @@ def test_sweep_trial_budget(solver_calls):
     # eigh: normaliser 1 + A_i stack 1 + QM_phi, QM_psi 2 + both curvature bounds 2
     # + geometric middle h(T_phi) and its inverse 2.
     # eigvalsh: signed slack of the mean order, both curvature sides and the
-    # two sandwich halves.  qr: the Haar step of both A_i.
+    # two sandwich halves; the Frobenius bound clears the unitality defect.
+    # qr: the Haar step of both A_i.
     report, _ = run_sweep("log", "id", TrialConfig(seed=5), 1)
     assert report["checks"]["log_convex_sandwich"]["evaluated"] == 1
     assert solver_calls == {"eigh": 8, "eigvalsh": 5, "qr": 1}
@@ -145,7 +146,8 @@ def test_varied_sweep_chunk_is_one_stack_per_matrix_dimension(solver_calls):
     # 7 dim_k values.  eigh: 7 A_i stacks + 7 normalisers + 7 x (QM_phi,
     # QM_psi, both curvature bounds, h(T_phi) and its inverse); it was
     # 35 + 7 + 7 x 6 = 84 with one A_i stack per group.  eigvalsh: 7 x 5
-    # signed slacks, as before (35); the sweep checks no unitality.  qr: 7, as before.
+    # signed slacks, as before (35); the Frobenius bound clears every sampled
+    # family's unitality defect without an eigensolve.  qr: 7, as before.
     config = TrialConfig(seed=5, vary_dims=True)
     _, groups = harness._sample_chunk(config, range(40))
     dims_h, dims_k = ({group.dims[axis] for group in groups} for axis in (0, 1))
