@@ -3,7 +3,11 @@
 The PRNG is numpy's PCG64; a generator seeded with the same 64-bit integer
 reproduces the same stream bit for bit, which is what makes every violation
 replayable.  Reference raw outputs of the stream are listed in the README so
-that other implementations can cross-check their seeding.
+that other implementations can cross-check their seeding.  ``sample_trials``
+hashes a chunk's seeds in one pass (``_pcg64_states``, numpy's SeedSequence
+and PCG64 seeding over arrays of seeds) and draws from one reused ``PCG64``,
+set to a trial's start state before its phase 1 and before every redraw, so
+each trial reads the same stream as ``generator(seed)`` gives it.
 
 Sampling runs in two phases.  Phase 1 draws every random number of a trial
 from its own stream, in order: dims, the V_i, the trace fraction, then per
@@ -36,12 +40,67 @@ from .linalg import HermitianOperator, SpectralBounds, SpectralDecomposition
 from .maps import Compression, MapFamily, WeightedTrace
 from .tolerance import NORMALIZER_SINGULARITY_ABS
 
+MASK32 = (1 << 32) - 1
 MASK64 = (1 << 64) - 1
+MASK128 = (1 << 128) - 1
 NORMALIZER_ATTEMPTS = 100
+
+# numpy's SeedSequence (bit_generator.pyx, after O'Neill's seed_seq_fe) hashes a
+# 4-word pool.  Its j-th hash xors INIT * MULT^j and multiplies by INIT * MULT^(j+1)
+# (mod 2^32): constants that evolve apart from the data.
+_HASH_A = tuple(0x43B0D7E5 * pow(0x931E8875, j, 1 << 32) & MASK32 for j in range(17))  # pool, then 12 mixes
+_HASH_B = tuple(0x8B51F9DD * pow(0x58F38DED, j, 1 << 32) & MASK32 for j in range(9))  # 8 output words
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed & MASK64))
+
+
+def _pcg64_states(seeds: Sequence[int]) -> List[Tuple[int, int]]:
+    """(state, inc) of ``np.random.PCG64(s)`` for each seed s in [0, 2^64), hashed in one pass.
+
+    A seed fills at most 2 of the pool's 4 words and a missing word hashes
+    as a zero one, so all seeds take the same steps, as uint32 array ops
+    over the seeds.  The 3 destinations of a source word mix independently,
+    so each mixing step is one ``(3, N)`` op.  PCG64 then seeds itself from
+    the pool's 64-bit output words (w0, w1, w2, w3) with two 128-bit LCG steps.
+    """
+    hash_a = np.array(_HASH_A, dtype=np.uint32)[:, None]
+    hash_b = np.array(_HASH_B, dtype=np.uint32)[:, None]
+
+    def hashmix(value: np.ndarray, j: int, n: int) -> np.ndarray:
+        value = (value ^ hash_a[j : j + n]) * hash_a[j + 1 : j + n + 1]
+        return value ^ value >> 16
+
+    words = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((4, len(words)), dtype=np.uint32)
+    pool[0], pool[1] = words & MASK32, words >> 32
+    pool = hashmix(pool, 0, 4)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src], 4 + 3 * src, 3)
+        pool[dst] = mixed ^ mixed >> 16
+    out = (np.concatenate([pool, pool]) ^ hash_b[:-1]) * hash_b[1:]
+    out = (out ^ out >> 16).astype(np.uint64)
+    states = []
+    for w0, w1, w2, w3 in zip(*(out[0::2] | out[1::2] << 32).tolist()):
+        inc = ((w2 << 64 | w3) << 1 | 1) & MASK128
+        states.append((((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & MASK128, inc))
+    return states
+
+
+def _restart(bit_generator: np.random.PCG64, state: Tuple[int, int]) -> None:
+    """Put ``bit_generator`` at the start of the stream whose (state, inc) is ``state``, as
+    a fresh ``PCG64`` has it: with no half word buffered, which 32-bit draws such as
+    small ``integers`` leave behind."""
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state[0], "inc": state[1]},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def trial_seed(master_seed: int, trial_index: int) -> int:
@@ -208,10 +267,16 @@ def sample_trials(
 ) -> List[SampledGroup]:
     """Sample a chunk of trials, trial k from the stream of ``seeds[k]`` (dims by
     ``draw_dims(rng)``, eigenvalues pinned where ``pins[k]``, a trace map in each
-    family when ``mixed``), grouped by dims in order of first appearance."""
+    family when ``mixed``), grouped by dims in order of first appearance.  The seeds
+    are hashed in one pass, and one ``PCG64`` is set to a trial's start state before
+    each of its draws."""
+
+    states = _pcg64_states(seeds)
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
 
     def draw(k: int, checked: bool = False) -> _Draw:
-        rng = generator(seeds[k])
+        _restart(bit_generator, states[k])
         dim_h, dim_k, n = dims = draw_dims(rng)
         family = _draw_family(n, dim_h, dim_k, mixed, rng, checked=checked)
         spectra = tuple(_draw_spectrum(dim_h, bounds, pins[k], rng) for _ in range(n))

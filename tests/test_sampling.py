@@ -40,6 +40,32 @@ class TestSeeding:
         b = random_hermitian(5, BOUNDS, generator(100))
         assert a.entries.tobytes() != b.entries.tobytes()
 
+    def test_batch_states_equal_numpy_seeding(self):
+        # 2^32 - 1 / 2^32 is where a seed's entropy gains a word; sha256-derived
+        # seeds, as the benchmark's, fill all 64 bits
+        rng = np.random.default_rng(20)
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        seeds += [trial_seed(2**64 - 1, i) for i in range(300)]
+        seeds += [int(s) for s in rng.integers(0, 2**63, 5000, dtype=np.uint64)]
+        seeds += [int(s) + 2**63 for s in rng.integers(0, 2**63, 5000, dtype=np.uint64)]
+        expected = [np.random.PCG64(s).state["state"] for s in seeds]
+        assert [{"state": s, "inc": i} for s, i in sampling._pcg64_states(seeds)] == expected
+
+    def test_restarted_generator_equals_a_fresh_one(self):
+        def draws(rng):
+            """A vary_dims trial's phase 1 in short: three dims, then normals and uniforms."""
+            dims = [rng.integers(2, 9) for _ in range(3)]
+            return [np.asarray(d).tobytes() for d in (*dims, rng.standard_normal((2, 3)), rng.uniform(size=4))]
+
+        seeds = [0, 2**32, 2**64 - 1] + [trial_seed(0xD1B54A32D192ED03, i) for i in range(20)]
+        bit_generator = np.random.PCG64(0)
+        reused = np.random.Generator(bit_generator)
+        draws(reused)
+        for seed, state in zip(seeds, sampling._pcg64_states(seeds)):
+            assert bit_generator.state["has_uint32"] == 1  # the third dims draw left half a word
+            sampling._restart(bit_generator, state)
+            assert draws(reused) == draws(generator(seed)), seed
+
     def test_pcg64_reference_stream(self):
         # pinned raw outputs; documented in the README for cross-validation
         raw = np.random.PCG64(12345).random_raw(4)
@@ -143,6 +169,9 @@ class TestChunkSampler:
             (TrialConfig(seed=13, dim_h=1, dim_k=1, n_maps=3, mixed=True), 20),  # no Haar step
             (TrialConfig(seed=14, dim_h=3, dim_k=2, n_maps=1, mixed=True), 20),  # a lone trace map
             (TrialConfig(seed=15, m=-2.0, M=0.5), CHUNK_TRIALS + 12),  # crosses a chunk boundary
+            # 64-bit master seeds, as the CLI's and the benchmark's, so the high word of every seed counts
+            (TrialConfig(seed=2**64 - 1, vary_dims=True, mixed=True), 80),
+            (TrialConfig(seed=0xD1B54A32D192ED03, vary_dims=True, mixed=True), CHUNK_TRIALS + 12),
         ],
     )
     def test_chunk_equals_one_by_one(self, config, trials):
