@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the full inequality property sweep outside of pytest.
 
-Covers every catalog function through its applicable chains plus the four
-quasi-arithmetic generator-pair sweeps, printing one line per suite and a
+Covers every catalog function through its applicable chains plus the
+quasi-arithmetic generator-pair sweeps, the last of them a same-generator pair
+whose one check, mean_order, asserts Equal, printing one line per suite and a
 final tally.  Exit code 2 when any suite records a violation.
 
 Usage: python scripts/run_property_suites.py [--trials N] [--seed S]
@@ -40,7 +41,7 @@ CHAIN_SUITES = [
 ]
 
 SWEEP_PAIRS = [("sqrt", "id"), ("log", "id"), ("square", "id"), ("id", "inv"),
-               ("inv", "id"), ("id", "exp"), ("log", "square")]
+               ("inv", "id"), ("id", "exp"), ("log", "square"), ("sqrt", "sqrt")]
 
 
 def main() -> int:

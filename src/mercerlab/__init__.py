@@ -74,7 +74,6 @@ from .quasimeans import (
     curvature_mean_bound,
     diamond_phi,
     incomparability_probe,
-    inverse_evaluator,
     mercer_quasi_mean,
     predicted_mean_relation,
     resolve_spec,

@@ -6,11 +6,13 @@ few family sums sum_i Phi_i(X_i): X = g(A_i) (clamped functional calculus on
 [m, M]) or g(A_i)^2, with g None for the raw A_i, and X = I, whose distance
 from I is the unitality defect.  ``FamilySums`` builds each operand once per
 stack from T_g = sum_i Phi_i(g(A_i)) and g(m), g(M) (m, M for g None):
-``pre_mean(g)`` = (g(M) + g(m)) I - T_g, ``diamond(g)`` =
+``pre_mean(g)`` = (g(M) + g(m)) I - T_g, ``mean(g, h)`` = h(pre_mean(g)) on
+g([m, M]), ``diamond(g)`` =
 (g(M)+g(m)) T_g - g(M)g(m) I - (T_g^2 + sum_i Phi_i(g(A_i)^2)) / 2,
 ``refined(psi, phi, c)`` = pre_mean(psi) - c diamond(phi), and
-``geometric(g, v_lo, v_hi)``, the geometric interpolant h(T_g).  A chain is
-the mean case phi = id: its lhs is f of pre_mean(None), its classic right
+``geometric(g, v_lo, v_hi)``, the geometric interpolant h(T_g).  The
+quasi-arithmetic mean QM_g is mean(g, g^{-1}).  A chain is the mean case
+phi = id: its lhs is mean(None, f), f of pre_mean(None), its classic right
 side pre_mean(f), its refined sides refined(f, None, c) and its log-convex
 middle geometric(None, f(m), f(M)).
 
@@ -111,6 +113,12 @@ class FamilySums:
         """(g(M) + g(m)) I - T_g, the operand of g^{-1} in the quasi-arithmetic mean."""
         lo, hi = endpoint_values(g, self.bounds)
         return (hi + lo) * HermitianOperator.identity(self.sum(g).dim) - self.sum(g)
+
+    @_per_stack
+    def mean(self, g, h) -> HermitianOperator:
+        """h(pre_mean(g)) by clamped functional calculus on g([m, M]): the Mercer lhs
+        f((M+m) I - S) for (g, h) = (None, f), the quasi-arithmetic mean QM_g for (g, g^{-1})."""
+        return apply_scalar_function(h, self.pre_mean(g), image_interval(g, self.bounds))
 
     @_per_stack
     def diamond(self, g) -> HermitianOperator:

@@ -33,7 +33,10 @@ class ScalarFunction:
     ``natural_domain`` is an open interval; evaluation outside it produces a
     domain error downstream.  ``second_derivative_monotone`` (when present)
     reports whether f'' is monotone on a given closed interval, which allows
-    exact endpoint curvature bounds.
+    exact endpoint curvature bounds.  ``log_convex_on_domain`` is True or
+    False for every catalog entry, whose (log f)'' keeps one sign wherever
+    f > 0; None, for a composite or hand-built function, leaves the decision
+    to the grid of :func:`is_log_convex_on`.
     """
 
     name: str
@@ -42,7 +45,7 @@ class ScalarFunction:
     derivative: Optional[Callable] = None
     second_derivative: Optional[Callable] = None
     convex_on_domain: bool = False
-    log_convex_on_domain: bool = False
+    log_convex_on_domain: Optional[bool] = None
     operator_monotone: bool = False
     operator_decreasing: bool = False
     parameters: tuple = ()
@@ -96,6 +99,7 @@ def identity() -> ScalarFunction:
         derivative=_const(1.0),
         second_derivative=_const(0.0),
         convex_on_domain=True,
+        log_convex_on_domain=False,
         operator_monotone=True,
         second_derivative_monotone=_always,
     )
@@ -108,6 +112,7 @@ def square() -> ScalarFunction:
         derivative=lambda t: 2.0 * t,
         second_derivative=_const(2.0),
         convex_on_domain=True,
+        log_convex_on_domain=False,
         second_derivative_monotone=_always,
     )
 
@@ -150,6 +155,7 @@ def logarithm() -> ScalarFunction:
         natural_domain=(0.0, math.inf),
         derivative=lambda t: 1.0 / t,
         second_derivative=lambda t: -1.0 / np.square(t),
+        log_convex_on_domain=False,
         operator_monotone=True,
         second_derivative_monotone=_always,
     )
@@ -169,6 +175,7 @@ def sine() -> ScalarFunction:
         fn=np.sin,
         derivative=np.cos,
         second_derivative=lambda t: -np.sin(t),
+        log_convex_on_domain=False,
         second_derivative_monotone=_cosine_keeps_sign,
     )
 
@@ -182,6 +189,7 @@ def xlogx() -> ScalarFunction:
         derivative=lambda t: np.log(t) + 1.0,
         second_derivative=lambda t: 1.0 / t,
         convex_on_domain=True,
+        log_convex_on_domain=False,
         second_derivative_monotone=_always,
     )
 
@@ -207,6 +215,7 @@ def square_root() -> ScalarFunction:
         natural_domain=(0.0, math.inf),
         derivative=lambda t: 0.5 / np.sqrt(t),
         second_derivative=lambda t: -0.25 * np.power(t, -1.5),
+        log_convex_on_domain=False,
         operator_monotone=True,
         second_derivative_monotone=_always,
     )
@@ -328,12 +337,13 @@ def _log_second_derivative(f: ScalarFunction, grid: np.ndarray) -> np.ndarray:
     return d2 / vals - np.square(d1 / vals)
 
 
-def is_log_convex_on(f: ScalarFunction, bounds: SpectralBounds, use_flag: bool = True) -> bool:
+def is_log_convex_on(f: ScalarFunction, bounds: SpectralBounds) -> bool:
     """True when log f is convex on [m, M].
 
-    Requires f > 0 on the interval.  A declared log-convexity flag
-    short-circuits the grid check (pass ``use_flag=False`` to force it),
-    which needs f' and f'' (else ``MissingSecondDerivative``).
+    Requires f > 0 on the interval.  A catalog entry's flag decides, either
+    way; a function without one (a composite, a hand-built function) is
+    decided on the interior of a grid, which needs f' and f'' (else
+    ``MissingSecondDerivative``).
     """
     grid = np.linspace(bounds.m, bounds.M, CURVATURE_GRID_POINTS)
     with np.errstate(all="ignore"):
@@ -342,8 +352,8 @@ def is_log_convex_on(f: ScalarFunction, bounds: SpectralBounds, use_flag: bool =
         raise NonpositiveFunction(
             f"{f.label()} is not strictly positive on [{bounds.m}, {bounds.M}]"
         )
-    if use_flag and f.log_convex_on_domain and f.domain_contains_interval(bounds):
-        return True
+    if f.log_convex_on_domain is not None:
+        return f.log_convex_on_domain
     # Interior grid only: one-sided derivatives misbehave at the endpoints
     # of the natural domain.
     interior = grid[1:-1]

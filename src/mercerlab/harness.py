@@ -16,8 +16,9 @@ applicable check of ``quasimeans.MEAN_CHECKS`` (``_sweep_rows``).
 Stacking never moves a bit and results are folded back in trial order, so
 a report is the same as trial after trial; a failing chunk is re-run trial
 by trial, so the error raised is the one of the lowest failing trial.  A replay is a chunk of one trial, and the
-``classic-nonconvex`` search scores each candidate with a forced
-``classic`` suite, so both run on verify's sampler and evaluation.
+``classic-nonconvex`` search scores every candidate on one forced
+``classic`` suite, each trial sampled once, so both run on verify's
+sampler and evaluation.
 """
 
 from __future__ import annotations
@@ -45,15 +46,7 @@ from .mercer import (
     mercer_rhs_classic,
     refined_bounds,
 )
-from .quasimeans import (
-    MEAN_CHECKS,
-    MeanCheck,
-    QuasiArithmeticSpec,
-    incomparability_probe,
-    inverse_evaluator,
-    mean_of_pre_mean,
-    resolve_spec,
-)
+from .quasimeans import MEAN_CHECKS, MeanCheck, QuasiArithmeticSpec, incomparability_probe, resolve_spec
 from .sampling import SampledGroup, generator, sample_trials, trial_seed
 from .tolerance import sweep_tolerance
 
@@ -435,11 +428,14 @@ def search_counterexample(
     (A = diag(m, M) with the scalar half-trace map); trial t > 0 is trial t
     of a forced ``classic`` verify suite with ``vary_dims`` and the search's
     seed, as ``replay_trial`` rebuilds it.  All candidate functions share
-    each trial's instance; the witness is the least gap, ties going to the
-    earliest trial, then candidate.  ``th3-th4-order`` hunts for both signs
-    of the refined-vs-geometric gap of t^p over (t, p); it compares scalars,
-    so a function or a tolerance is rejected.  Raises ``BudgetExhausted``
-    with the best candidate when no witness exists within budget.
+    each trial's instance, sampled once: one suite, whose stage 1 builds
+    every candidate's sums and whose stage 2 scores each candidate on each
+    stack.  The witness is the least gap, ties going to the earliest trial,
+    then candidate, and is sampled again alone to serialise it.
+    ``th3-th4-order`` hunts for both signs of the refined-vs-geometric gap
+    of t^p over (t, p); it compares scalars, so a function or a tolerance is
+    rejected.  Raises ``BudgetExhausted`` with the best candidate when no
+    witness exists within budget.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -452,21 +448,25 @@ def search_counterexample(
         for f in functions:
             require_domain(f, bounds)
             require_finite(f, bounds)
-        configs = [
-            TrialConfig(seed, m=m, M=M, function_spec=spec_str, tol_abs=tol_abs, force=True, vary_dims=True)
-            for spec_str in candidates
-        ]
+        config = TrialConfig(seed, m=m, M=M, vary_dims=True)  # the trials' sampling; f plays no part
+
+        def scores_of(reports: List[InequalityReport]) -> list:
+            """Per trial of ``reports``, one report per candidate: each candidate's (gap, violated)."""
+            return list(zip(*([_classic_score(p) for p in _contract_outcomes(r, "classic")] for r in reports)))
+
+        def stack_scores(stack: FamilySums) -> list:
+            return scores_of([evaluate_trials(f, "classic", stack, force=True, tol_abs=tol_abs) for f in functions])
+
         probes = [_extremal_instance(f, bounds) for f in functions]
-        scores = []  # per candidate, per trial: (gap, violated)
-        for config, f, probe in zip(configs, functions, probes):
-            report = evaluate_chain(probe, "classic", force=True, tol_abs=tol_abs)
-            suite = suite_outcomes(config, range(1, budget), f, "classic")  # the probe is trial 0
-            scores.append(
-                [_classic_score(_contract_outcomes(report, "classic")[0])]
-                + [_classic_score(outcome.pairs) for outcome in suite]
-            )
-        gap, trial, c = min((scores[c][t][0], t, c) for t in range(budget) for c in range(len(candidates)))
-        inst = probes[c] if trial == 0 else build_instance(configs[c], trial, functions[c])[0]
+        scores = scores_of([evaluate_chain(probe, "classic", force=True, tol_abs=tol_abs) for probe in probes])
+        keys = [key for f in functions for key in operand_sums(None, f)]
+        suite = _by_chunk(range(1, budget), partial(_chunk, config, keys, stack_scores))  # the probe is trial 0
+        scores += [row for _, _, row in suite]  # per trial, per candidate
+        gap, trial, c = min((scores[t][c][0], t, c) for t in range(budget) for c in range(len(candidates)))
+        if trial == 0:
+            family, operators = probes[c].family, probes[c].operators
+        else:
+            ((_, _, family, operators),) = _sampled_trials(config, (trial,))
         best = {
             "target": target,
             "function": candidates[c],
@@ -475,13 +475,13 @@ def search_counterexample(
             "gap": gap,
             "m": m,
             "M": M,
-            "dim_h": inst.family.dim_in,
-            "dim_k": inst.family.dim_out,
-            "n_maps": inst.family.size,
-            "operators": [a.to_json() for a in inst.operators],
-            "maps": family_to_json(inst.family),
+            "dim_h": family.dim_in,
+            "dim_k": family.dim_out,
+            "n_maps": family.size,
+            "operators": [a.to_json() for a in operators],
+            "maps": family_to_json(family),
         }
-        if scores[c][trial][1]:
+        if scores[trial][c][1]:
             return {"target": target, "status": "found", "witness": best}
         raise BudgetExhausted(
             f"no classic violation found in {budget} trials (best gap {best['gap']:.3e})",
@@ -562,18 +562,18 @@ class SweepCheck:
 
 
 def _sweep_rows(
-    spec: QuasiArithmeticSpec, inverses: Tuple[Callable, Callable], rows: Sequence[Tuple[MeanCheck, Relation]],
-    stack: FamilySums,
+    spec: QuasiArithmeticSpec, rows: Sequence[Tuple[MeanCheck, Relation]], stack: FamilySums
 ) -> List[list]:
     """The gaps of each trial of a stage-1 stack: per row of ``rows`` (the
     applicable rows of ``MEAN_CHECKS`` with their relations), its signed
-    slack, None for a domain skip.  ``inverses`` are those of phi and psi.
+    slack, None for a domain skip.
 
-    Both means are built once per stack, then each row's slacks, from the
-    stack's operands, each built once however many rows read it.
+    Both means are the stack's operands ``mean(g, g^{-1})``, with the
+    inverses of the spec, then each row's slacks are read from the stack's
+    operands, each built once however many rows read it.
     """
-    mean_phi = mean_of_pre_mean(spec.phi, inverses[0], stack.pre_mean(spec.phi), spec.bounds)
-    mean_psi = mean_of_pre_mean(spec.psi, inverses[1], stack.pre_mean(spec.psi), spec.bounds)
+    mean_phi = stack.mean(spec.phi, spec.phi_inverse)
+    mean_psi = stack.mean(spec.psi, spec.psi_inverse)
     columns = [row.slacks(spec, relation, stack, mean_phi, mean_psi) for row, relation in rows]
     return [[column[j] for column in columns] for j in range(len(stack.positions))]
 
@@ -600,7 +600,6 @@ def run_sweep(
     psi = parse_function_spec(psi_spec)
     bounds = config.bounds
     spec = resolve_spec(phi, psi, bounds)
-    inverses = (inverse_evaluator(phi, bounds), inverse_evaluator(psi, bounds))
     relations = {name: row.relation(spec) for name, row in MEAN_CHECKS.items()}
     checks = {name: SweepCheck(rel is not None, rel and rel.value) for name, rel in relations.items()}
 
@@ -610,7 +609,7 @@ def run_sweep(
 
     rows = [(MEAN_CHECKS[name], rel) for name, rel in relations.items() if rel is not None]
     evaluated = [check for check in checks.values() if check.applicable]
-    chunk = partial(_chunk, config, operand_sums(spec.phi, spec.psi), partial(_sweep_rows, spec, inverses, rows))
+    chunk = partial(_chunk, config, operand_sums(spec.phi, spec.psi), partial(_sweep_rows, spec, rows))
     for i, (seed_i, _, gaps) in enumerate(_by_chunk(n_trials, chunk)):
         for check, gap in zip(evaluated, gaps):
             check.record(i, seed_i, gap, tol)

@@ -28,14 +28,7 @@ import numpy as np
 from .errors import BadWeights, HypothesisNotMet, OutOfInterval
 from .core import FamilySums, endpoint_values, operand_sums, trial_sums
 from .functions import CurvatureBounds, ScalarFunction, curvature_bounds, is_log_convex_on
-from .linalg import (
-    HermitianOperator,
-    LoewnerOrder,
-    SideNorms,
-    SpectralBounds,
-    apply_scalar_function,
-    loewner_order,
-)
+from .linalg import HermitianOperator, LoewnerOrder, SideNorms, SpectralBounds, loewner_order
 from .maps import MapFamily
 from .tolerance import WEIGHT_SUM_ABS
 
@@ -123,7 +116,7 @@ def scalar_mercer_check(
 
 def mercer_lhs(inst: MercerInstance) -> HermitianOperator:
     """f((M+m) I - S) via functional calculus; m I <= (M+m) I - S <= M I."""
-    return apply_scalar_function(inst.f, inst.core.pre_mean(None), inst.bounds)
+    return inst.core.mean(None, inst.f)
 
 
 def mercer_rhs_classic(inst: MercerInstance) -> HermitianOperator:
@@ -176,7 +169,7 @@ def _convexity_gate(f: ScalarFunction, bounds: SpectralBounds, force: bool) -> D
 
 def _log_convexity_gate(f: ScalarFunction, bounds: SpectralBounds, force: bool) -> Dict[str, float]:
     # is_log_convex_on raises NonpositiveFunction unless f > 0 on [m, M],
-    # and honours the catalog's log-convexity flag.
+    # and returns the catalog's log-convexity flag, either way.
     if not (is_log_convex_on(f, bounds) or force):
         raise HypothesisNotMet(f"{f.label()} is not log-convex; pass force=True for a counterexample run")
     return {}
@@ -277,7 +270,7 @@ def evaluate_trials(
 
     ``core`` holds the family sums ``core.operand_sums(None, f)`` of one trial, or of a
     stage-1 stack with one matrix per trial, whatever the trials' instances.
-    The sides are its operands: the lhs f of ``pre_mean(None)``, rhs_classic
+    The sides are its operands: the lhs ``mean(None, f)``, rhs_classic
     ``pre_mean(f)``, D ``diamond(None)``, the refined sides
     ``refined(f, None, beta)`` and ``(f, None, alpha)``, the log-convex middle
     ``geometric(None, f(m), f(M))``, and the chord, affine in S.  Returns one
@@ -290,7 +283,7 @@ def evaluate_trials(
     an informational pair, whose mask a suite never reads, solves none.
     """
     chain, bounds = _chain_kind(which), core.bounds
-    lhs = apply_scalar_function(f, core.pre_mean(None), bounds)
+    lhs = core.mean(None, f)
     scalars = chain.gate(f, bounds, force)
     build = {
         "lhs": lambda: lhs,

@@ -11,8 +11,10 @@ psi^{-1}) orders the means, curvature bounds of the composite tighten the
 ordering through the diamond correction term, and log-convexity of the
 composite inserts a geometric interpolant between the means.
 
-Every operand of an inverse is one of ``core.FamilySums``: the pre-means,
-``refined(psi, phi, c)`` and ``geometric(phi, psi(m), psi(M))``.
+Every mean and bound is an operand of ``core.FamilySums`` taken through an
+inverse from the one resolved ``QuasiArithmeticSpec``: QM_g is ``mean(g,
+g^{-1})``, the curvature bound psi^{-1} of ``refined(psi, phi, c)`` and the
+sandwich's middle psi^{-1} of ``geometric(phi, psi(m), psi(M))``.
 ``MEAN_CHECKS`` is the table of the four checks a sweep makes of them (the
 mean order, both sides of the curvature bound, the log-convex sandwich), in
 report order, as ``mercer.CHAINS`` is of the chains: per check, when it
@@ -48,13 +50,12 @@ from .functions import (
     is_log_convex_on,
     require_finite,
 )
-from .core import FamilySums, endpoint_values, image_interval, operand_sums, trial_sums
+from .core import endpoint_values, image_interval, operand_sums, trial_sums
 from .linalg import (
     HermitianOperator,
     Relation,
     SpectralBounds,
     SpectralDecomposition,
-    apply_scalar_function,
     apply_to_decomposition,
     loewner_order,
     spectral_decompose,
@@ -123,7 +124,8 @@ def _compose_with_inverse(psi: ScalarFunction, phi: ScalarFunction) -> ScalarFun
 
 @dataclass(frozen=True)
 class QuasiArithmeticSpec:
-    """A resolved generator pair: composite analysis and inverse direction flags."""
+    """A resolved generator pair: composite analysis, the catalog inverses of both
+    generators and the direction flags of psi^{-1}."""
 
     phi: ScalarFunction
     psi: ScalarFunction
@@ -134,6 +136,7 @@ class QuasiArithmeticSpec:
     composite_is_convex: bool
     composite_is_concave: bool
     composite_is_log_convex: bool
+    phi_inverse: ScalarFunction
     psi_inverse: ScalarFunction
     psi_inverse_increasing: bool
     psi_inverse_decreasing: bool
@@ -151,9 +154,10 @@ def resolve_spec(phi: ScalarFunction, psi: ScalarFunction, bounds: SpectralBound
     inverse round trip g^{-1}(g(t)) = t to ``tolerance.inverse_roundtrip_tolerance``;
     classifies the composite as convex/concave from sampled curvature bounds
     (margin ``tolerance.composite_curvature_margin``) and tests its
-    log-convexity with the flag-free grid check.
+    log-convexity on the grid of ``is_log_convex_on`` (a composite has no flag).
     """
     grid = np.linspace(bounds.m, bounds.M, MONOTONICITY_GRID_POINTS)
+    inverses = []
     for g in (phi, psi):
         _require_strictly_monotone(g, bounds, MONOTONICITY_GRID_POINTS)
         entry = inverse_entry(g)
@@ -167,6 +171,7 @@ def resolve_spec(phi: ScalarFunction, psi: ScalarFunction, bounds: SpectralBound
                 f"inverse round trip of {g.label()} fails on [{bounds.m}, {bounds.M}] "
                 f"(defect {defect:.3e})"
             )
+        inverses.append(entry)
 
     phi_interval = image_interval(phi, bounds)
     composite = _compose_with_inverse(psi, phi)
@@ -178,16 +183,13 @@ def resolve_spec(phi: ScalarFunction, psi: ScalarFunction, bounds: SpectralBound
     psi_m, psi_M = endpoint_values(psi, bounds)
     if psi_m > 0.0 and psi_M > 0.0:
         try:
-            is_log_convex = is_log_convex_on(composite, phi_interval, use_flag=False)
+            is_log_convex = is_log_convex_on(composite, phi_interval)
         except NonpositiveFunction:
             is_log_convex = False
     else:
         is_log_convex = False
 
-    psi_inv = inverse_entry(psi)
-    if psi_inv is None:
-        raise InverseDomainError(f"{psi.label()} has no catalog inverse")
-
+    phi_inv, psi_inv = inverses
     return QuasiArithmeticSpec(
         phi=phi,
         psi=psi,
@@ -198,6 +200,7 @@ def resolve_spec(phi: ScalarFunction, psi: ScalarFunction, bounds: SpectralBound
         composite_is_convex=is_convex,
         composite_is_concave=is_concave,
         composite_is_log_convex=is_log_convex,
+        phi_inverse=phi_inv,
         psi_inverse=psi_inv,
         psi_inverse_increasing=psi_inv.operator_monotone,
         psi_inverse_decreasing=psi_inv.operator_decreasing,
@@ -246,40 +249,23 @@ def inverse_within_domain(entry: ScalarFunction, operand: HermitianOperator) -> 
     return image
 
 
-def inverse_evaluator(g: ScalarFunction, bounds: SpectralBounds) -> Callable:
-    """The inverse of a generator as a vectorized callable, for :func:`mean_of_pre_mean`.
-
-    Checks first that g is strictly monotone on a grid of [m, M]; the check
-    depends on (g, [m, M]) only, so a run makes it once per generator.
-    """
-    _require_strictly_monotone(g, bounds, MEAN_GRID_POINTS)
-    entry = inverse_entry(g)
-    if entry is None:
-        raise InverseDomainError(f"{g.label()} has no inverse evaluator")
-    return entry.fn
-
-
-def mean_of_pre_mean(
-    phi: ScalarFunction, inverse: Callable, pre_mean: HermitianOperator, bounds: SpectralBounds
-) -> HermitianOperator:
-    """QM_phi from its pre-mean (or a stack of them): ``inverse`` applied on the phi-image interval.
-
-    The pre-mean has spectrum inside that interval, so the inverse is
-    applied by clamped functional calculus on it.
-    """
-    return apply_scalar_function(inverse, pre_mean, image_interval(phi, bounds))
-
-
 def mercer_quasi_mean(
     phi: ScalarFunction,
     family: MapFamily,
     operators: Sequence[HermitianOperator],
     bounds: SpectralBounds,
 ) -> HermitianOperator:
-    """phi^{-1}((phi(M) + phi(m)) I - sum_i Phi_i(phi(A_i))); see :func:`mean_of_pre_mean`."""
-    inverse = inverse_evaluator(phi, bounds)
-    pre_mean = trial_sums(family, operators, bounds, [(phi, False)]).pre_mean(phi)
-    return mean_of_pre_mean(phi, inverse, pre_mean, bounds)
+    """phi^{-1}((phi(M) + phi(m)) I - sum_i Phi_i(phi(A_i))), the operand ``mean(phi, phi^{-1})``
+    of the trial's family sums: phi^{-1} of the pre-mean, whose spectrum lies in phi([m, M]).
+
+    Before the sums, phi must be strictly monotone on a grid of [m, M] (else
+    ``InvalidInterval``) and have a catalog inverse (else ``InverseDomainError``).
+    """
+    _require_strictly_monotone(phi, bounds, MEAN_GRID_POINTS)
+    inverse = inverse_entry(phi)
+    if inverse is None:
+        raise InverseDomainError(f"{phi.label()} has no inverse evaluator")
+    return trial_sums(family, operators, bounds, [(phi, False)]).mean(phi, inverse)
 
 
 def predicted_mean_relation(spec: QuasiArithmeticSpec) -> Relation:
@@ -332,25 +318,17 @@ def curvature_mean_bound(
     side: str = ALPHA_SIDE,
     curvature: CurvatureBounds | None = None,
 ) -> HermitianOperator:
-    """psi^{-1}( psi(QM_psi) - c * diamond ) with c the composite curvature bound, on spec's interval.
+    """psi^{-1}( psi(QM_psi) - c * diamond ) with c the composite curvature bound, on spec's interval:
+    psi^{-1} of the operand ``refined(psi, phi, c)`` of the trial's family sums.
 
     ``side`` selects c: the alpha side (curvature floor) bounds QM_phi from
     above when psi^{-1} is operator increasing, the beta side reverses the
     inequality.  With an operator-decreasing psi^{-1} both directions flip;
-    see :func:`curvature_bound_expected_relation`.
+    see :func:`curvature_bound_expected_relation`.  After the trial's checks,
+    raises ``ValueError`` for another side and ``HypothesisNotMet`` unless
+    psi^{-1} is flagged operator monotone.
     """
     core = trial_sums(family, operators, spec.bounds, operand_sums(spec.phi, spec.psi))
-    return inverse_within_domain(spec.psi_inverse, curvature_operand(spec, core, side, curvature))
-
-
-def curvature_operand(
-    spec: QuasiArithmeticSpec,
-    core: FamilySums,
-    side: str = ALPHA_SIDE,
-    curvature: CurvatureBounds | None = None,
-) -> HermitianOperator:
-    """psi(QM_psi) - c * diamond, the operand of psi^{-1} in the curvature bound: the refined
-    operand of the psi pre-mean and the phi diamond of ``core`` (one trial's sums or a stack)."""
     if side not in (ALPHA_SIDE, BETA_SIDE):
         raise ValueError(f"side must be {ALPHA_SIDE!r} or {BETA_SIDE!r}, got {side!r}")
     if not (spec.psi_inverse_increasing or spec.psi_inverse_decreasing):
@@ -358,7 +336,8 @@ def curvature_operand(
             f"psi^-1 = {spec.psi_inverse.label()} is not flagged operator monotone"
         )
     curv = curvature or spec.composite_curvature
-    return core.refined(spec.psi, spec.phi, curv.alpha if side == ALPHA_SIDE else curv.beta)
+    c = curv.alpha if side == ALPHA_SIDE else curv.beta
+    return inverse_within_domain(spec.psi_inverse, core.refined(spec.psi, spec.phi, c))
 
 
 def curvature_bound_expected_relation(spec: QuasiArithmeticSpec, side: str) -> Optional[Relation]:
@@ -377,40 +356,6 @@ def curvature_bound_expected_relation(spec: QuasiArithmeticSpec, side: str) -> O
     return Relation.LESS_EQUAL if below else Relation.GREATER_EQUAL
 
 
-def require_sandwich(spec: QuasiArithmeticSpec) -> Tuple[float, float]:
-    """(psi(m), psi(M)) if psi is positive at m and M (else ``NonpositiveFunction``),
-    psi o phi^-1 log-convex and psi^-1 operator increasing (else ``HypothesisNotMet``)."""
-    psi_m, psi_M = endpoint_values(spec.psi, spec.bounds)
-    if not (psi_m > 0.0 and psi_M > 0.0):
-        raise NonpositiveFunction(
-            f"psi = {spec.psi.label()} must be positive at the interval endpoints"
-        )
-    if not spec.composite_is_log_convex:
-        raise HypothesisNotMet(
-            f"psi o phi^-1 is not log-convex for ({spec.phi.label()}, {spec.psi.label()})"
-        )
-    if not spec.psi_inverse_increasing:
-        raise HypothesisNotMet(
-            f"psi^-1 = {spec.psi_inverse.label()} is not flagged operator increasing"
-        )
-    return psi_m, psi_M
-
-
-def geometric_operand(spec: QuasiArithmeticSpec, core: FamilySums) -> HermitianOperator:
-    """The operand of psi^{-1} in the geometric interpolant between the two
-    means for log-convex composites, from T = sum_i Phi_i(phi(A_i)) of ``core``
-    (one trial's sums or a stack):
-
-        QM_phi <= psi^{-1}( psi(m)^{(T - phi(m)I)/(phi(M)-phi(m))}
-                            psi(M)^{(phi(M)I - T)/(phi(M)-phi(m))} ) <= QM_psi
-
-    Both exponent operators are functions of T and commute, so the operand
-    is one scalar functional calculus of T, ``core.geometric``.  Requires the
-    hypotheses of :func:`require_sandwich`.
-    """
-    return core.geometric(spec.phi, *require_sandwich(spec))
-
-
 # --------------------------------------------------------------------------
 # The mean checks of a sweep
 # --------------------------------------------------------------------------
@@ -423,11 +368,12 @@ def _mean_order_relation(spec: QuasiArithmeticSpec) -> Optional[Relation]:
 
 
 def _sandwich_relation(spec: QuasiArithmeticSpec) -> Optional[Relation]:
-    try:
-        require_sandwich(spec)
-    except (NonpositiveFunction, HypothesisNotMet):
-        return None
-    return Relation.LESS_EQUAL
+    """LessEqual when psi is positive at m and M, psi o phi^-1 log-convex and psi^-1
+    operator increasing, the sandwich's hypotheses; else None."""
+    psi_m, psi_M = endpoint_values(spec.psi, spec.bounds)
+    if psi_m > 0.0 and psi_M > 0.0 and spec.composite_is_log_convex and spec.psi_inverse_increasing:
+        return Relation.LESS_EQUAL
+    return None
 
 
 def _mean_order_slacks(spec, relation, core, mean_phi, mean_psi) -> List[float]:
@@ -435,16 +381,26 @@ def _mean_order_slacks(spec, relation, core, mean_phi, mean_psi) -> List[float]:
 
 
 def _curvature_slacks(side: str, spec, relation, core, mean_phi, mean_psi) -> List[Optional[float]]:
-    """QM_phi against the bound of ``side``; None where its operand leaves the domain of psi^{-1}."""
-    bound, inside, _ = apply_inverse(spec.psi_inverse, curvature_operand(spec, core, side))
+    """QM_phi against the bound of ``side``, psi^{-1} of ``core.refined(psi, phi, c)``; None where
+    that operand leaves the domain of psi^{-1}, which the row's relation requires operator monotone."""
+    curv = spec.composite_curvature
+    c = curv.alpha if side == ALPHA_SIDE else curv.beta
+    bound, inside, _ = apply_inverse(spec.psi_inverse, core.refined(spec.psi, spec.phi, c))
     below = HermitianOperator(mean_phi.entries[inside])
     slacks = iter(loewner_order(below, bound, 0.0).slack(relation).tolist() if inside.any() else ())
     return [next(slacks) if ok else None for ok in inside.tolist()]
 
 
 def _sandwich_slacks(spec, relation, core, mean_phi, mean_psi) -> List[float]:
-    """The lesser slack of QM_phi <= middle and middle <= QM_psi."""
-    middle = inverse_within_domain(spec.psi_inverse, geometric_operand(spec, core))
+    """The lesser slack of QM_phi <= middle and middle <= QM_psi, for the middle
+
+        psi^{-1}( psi(m)^{(T - phi(m)I)/(phi(M)-phi(m))} psi(M)^{(phi(M)I - T)/(phi(M)-phi(m))} )
+
+    with T = sum_i Phi_i(phi(A_i)).  Both exponent operators are functions of
+    T and commute, so the operand of psi^{-1} is one scalar functional
+    calculus of T, ``core.geometric``.
+    """
+    middle = inverse_within_domain(spec.psi_inverse, core.geometric(spec.phi, *endpoint_values(spec.psi, spec.bounds)))
     low = loewner_order(mean_phi, middle, 0.0).slack(relation).tolist()
     high = loewner_order(middle, mean_psi, 0.0).slack(relation).tolist()
     return [min(a, b) for a, b in zip(low, high)]

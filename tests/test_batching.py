@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from mercerlab import core, harness
-from mercerlab.errors import HypothesisNotMet, SpectrumOutOfDomain
+from mercerlab.errors import HypothesisNotMet, InverseDomainError, SpectrumOutOfDomain
 from mercerlab.functions import parse_function_spec
 from mercerlab.harness import (
     TrialConfig,
@@ -31,6 +31,16 @@ from mercerlab.harness import (
 )
 from mercerlab.linalg import HermitianOperator, Relation, loewner_order
 from mercerlab.mercer import contract_pairs, evaluate_chain
+from mercerlab.quasimeans import (
+    ALPHA_SIDE,
+    BETA_SIDE,
+    MEAN_CHECKS,
+    apply_inverse,
+    curvature_bound_expected_relation,
+    curvature_mean_bound,
+    mercer_quasi_mean,
+    resolve_spec,
+)
 from mercerlab.sampling import generator
 
 PI4, PI2 = math.pi / 4, math.pi / 2
@@ -158,7 +168,7 @@ def test_stacked_verify_equals_trial_by_trial(monkeypatch, fn, chain, m, M, forc
 
 # The generator pairs of scripts/run_property_suites.py, in its order.
 SWEEP_PAIRS = [("sqrt", "id"), ("log", "id"), ("square", "id"), ("id", "inv"),
-               ("inv", "id"), ("id", "exp"), ("log", "square")]
+               ("inv", "id"), ("id", "exp"), ("log", "square"), ("sqrt", "sqrt")]
 
 
 @pytest.mark.parametrize(
@@ -200,6 +210,47 @@ def test_stacked_sweep_equals_trial_by_trial(monkeypatch, shape):
         for pair in (("id", "inv"), ("id", "exp"), ("log", "square")):
             beta = stacked[SWEEP_PAIRS.index(pair)]["checks"]["curvature_bound_beta"]
             assert beta["evaluated"] > 0 and beta["domain_skips"] > 0, pair
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixed"])
+def test_sweep_stage_two_is_the_one_trial_forms(mixed):
+    # The sweep's stage 2 reads both means and each applicable curvature side
+    # from the operands of a dim_k stack.  Per trial, each must be, bit for
+    # bit, the public one-trial form on the trial's own family and operators,
+    # and a curvature side is masked, and its row's gap a domain skip, exactly
+    # where curvature_mean_bound raises.
+    skips = 0
+    for index, (phi, psi) in enumerate(SWEEP_PAIRS):
+        config = TrialConfig(seed=index, vary_dims=True, mixed=mixed)
+        spec = resolve_spec(parse_function_spec(phi), parse_function_spec(psi), config.bounds)
+        names = [name for name, row in MEAN_CHECKS.items() if row.relation(spec) is not None]
+        rows = [(MEAN_CHECKS[name], MEAN_CHECKS[name].relation(spec)) for name in names]
+        curvature = {ALPHA_SIDE: spec.composite_curvature.alpha, BETA_SIDE: spec.composite_curvature.beta}
+        sides = [side for side in curvature if curvature_bound_expected_relation(spec, side) is not None]
+
+        def stage_two(stack):  # per trial of the stack: QM_phi, QM_psi and each side's bound or None
+            gaps = harness._sweep_rows(spec, rows, stack)
+            columns = [stack.mean(spec.phi, spec.phi_inverse).entries, stack.mean(spec.psi, spec.psi_inverse).entries]
+            for side in sides:
+                image, inside, _ = apply_inverse(spec.psi_inverse, stack.refined(spec.psi, spec.phi, curvature[side]))
+                column = names.index("curvature_bound_alpha" if side == ALPHA_SIDE else "curvature_bound_beta")
+                assert [trial[column] is None for trial in gaps] == (~inside).tolist()
+                bounds = iter(image.entries)
+                columns.append([next(bounds) if ok else None for ok in inside.tolist()])
+            return list(zip(*columns))
+
+        stacked = harness._chunk(config, core.operand_sums(spec.phi, spec.psi), stage_two, range(60))
+        for (_, _, family, ops), (_, _, row) in zip(harness._sampled_trials(config, range(60)), stacked):
+            for g, mean in zip((spec.phi, spec.psi), row):
+                assert mean.tobytes() == mercer_quasi_mean(g, family, ops, config.bounds).entries.tobytes()
+            for side, bound in zip(sides, row[2:]):
+                if bound is None:
+                    skips += 1
+                    with pytest.raises(InverseDomainError):
+                        curvature_mean_bound(spec, family, ops, side)
+                else:
+                    assert bound.tobytes() == curvature_mean_bound(spec, family, ops, side).entries.tobytes()
+    assert skips > 0  # the masked path is exercised
 
 
 def break_trials(monkeypatch, out_of_range, non_unital):

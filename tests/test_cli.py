@@ -191,6 +191,14 @@ class TestBoundaryValidation:
             (("verify", "--function", "id", "--m", "1", "--M", "1e160", "--chain", "classic", "--trials", "2"),
              "overflow"),
             (("sweep", "--phi", "id", "--psi", "id", "--m", "1", "--M", "1e160", "--trials", "2"), "overflow"),
+            # log-concave catalog functions on an interval so wide that a grid's first interior
+            # node misses their negative (log f)'', refused by the catalog's flag
+            (("verify", "--chain", "log-convex", "--trials", "5", "--function", "id", "--m", "1", "--M", "1e10"),
+             "not log-convex"),
+            (("verify", "--chain", "log-convex", "--trials", "5", "--function", "sqrt", "--m", "1", "--M", "1e10"),
+             "not log-convex"),
+            (("verify", "--chain", "log-convex", "--trials", "5", "--function", "log", "--m", "2", "--M", "1e10"),
+             "not log-convex"),
         ],
     )
     def test_rejected_with_one_line(self, args, field):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -44,6 +45,21 @@ CATALOG_TABLE = {
     "xlogx": (xlogx(), (1.0, 3.0), True, False, False, False),
     "inv": (reciprocal(), (1.0, 3.0), True, True, False, True),
     "sqrt": (square_root(), (1.0, 3.0), False, False, True, False),
+}
+
+# name -> (f in mpmath, given the mp context, and a wide interval on which f > 0)
+MP_CATALOG = {
+    "id": (lambda mp, t: t, (1.0, 1e10)),
+    "square": (lambda mp, t: t * t, (1.0, 1e10)),
+    "pow(-0.2)": (lambda mp, t: t ** mp.mpf(-0.2), (1.0, 1e10)),
+    "pow(2)": (lambda mp, t: t ** 2, (1.0, 1e10)),
+    "pow(0.5)": (lambda mp, t: t ** mp.mpf(0.5), (1.0, 1e10)),
+    "exp": (lambda mp, t: mp.exp(t), (-700.0, 700.0)),
+    "log": (lambda mp, t: mp.log(t), (2.0, 1e10)),
+    "sin": (lambda mp, t: mp.sin(t), (1e-3, math.pi - 1e-3)),
+    "xlogx": (lambda mp, t: t * mp.log(t), (2.0, 1e10)),
+    "inv": (lambda mp, t: 1 / t, (1.0, 1e10)),
+    "sqrt": (lambda mp, t: mp.sqrt(t), (1.0, 1e10)),
 }
 
 
@@ -167,18 +183,36 @@ class TestLogConvexity:
 
     @pytest.mark.parametrize("entry", [exponential(), reciprocal(), power(-0.3)])
     def test_flagged_entries_survive_flagless_check(self, entry):
-        assert is_log_convex_on(entry, SpectralBounds(1.0, 3.0), use_flag=False)
+        flagless = dataclasses.replace(entry, log_convex_on_domain=None)
+        assert is_log_convex_on(flagless, SpectralBounds(1.0, 3.0))
+
+    @pytest.mark.parametrize("name", sorted(CATALOG_TABLE))
+    def test_flag_matches_high_precision_log_curvature(self, name):
+        # (log f)'' in 50 digits at both ends and the middle of a wide interval
+        # on which f > 0: nonnegative (exp's is exactly 0) where the flag is
+        # True, negative where it is False.  On [1, 1e10] a grid's first
+        # interior node is near 1e6, where (log t)'' is about -1e-12, so only
+        # the flag decides the False entries there.
+        mp = pytest.importorskip("mpmath").mp
+        entry = CATALOG_TABLE[name][0]
+        f, (lo, hi) = MP_CATALOG[name]
+        with mp.workdps(50):
+            for t in (lo, (lo + hi) / 2, hi):
+                curvature = mp.diff(lambda s: mp.log(f(mp, s)), mp.mpf(t), 2)
+                assert (curvature > -mp.mpf("1e-30")) is entry.log_convex_on_domain, (name, t)
+        assert is_log_convex_on(entry, SpectralBounds(lo, hi)) is entry.log_convex_on_domain
 
     def test_nonpositive_function_rejected(self):
         with pytest.raises(NonpositiveFunction):
             is_log_convex_on(sine(), SpectralBounds(3.5, 6.0))
 
-    @pytest.mark.parametrize("use_flag", [True, False])
-    def test_missing_derivatives(self, use_flag):
-        # Positive and unflagged, so only the derivatives can decide.
-        bare = ScalarFunction(name="bare", fn=np.exp)
+    @pytest.mark.parametrize("with_first", [False, True])
+    def test_missing_derivatives(self, with_first):
+        # Positive and unflagged, so only the derivatives can decide; f' alone
+        # is not enough without f''.
+        bare = ScalarFunction(name="bare", fn=np.exp, derivative=np.exp if with_first else None)
         with pytest.raises(MissingSecondDerivative):
-            is_log_convex_on(bare, SpectralBounds(1.0, 3.0), use_flag=use_flag)
+            is_log_convex_on(bare, SpectralBounds(1.0, 3.0))
 
 
 class TestRefinedVsGeometricGap:

@@ -86,7 +86,9 @@ ONE_TRIAL_REPORT_DIGESTS = {
 
 # sha256 of the stdout, and the exit code, of the CLI commands that evaluate one
 # trial's ``MercerInstance``: the reproduce case, and the search's probe and
-# witness.  Stdout holds the JSON report only; wall time goes to stderr.
+# witness; and of the all-candidate searches, recorded when every candidate ran
+# its own suite on the same trials.  Stdout holds the JSON report only; wall
+# time goes to stderr.
 CLI_STDOUT_DIGESTS = {
     ("reproduce", "example-2.2"): (0, "7193559cbc6793457531dad613c4c7ce0e42aa41667c2fab7851f045eea9db4d"),
     ("reproduce", "example-2.2", "--function", "pow:p=2"): (
@@ -97,6 +99,14 @@ CLI_STDOUT_DIGESTS = {
         "search", "classic-nonconvex", "--function", "sin", "--m", repr(math.pi / 4), "--M", repr(math.pi / 2),
         "--budget", "10",
     ): (2, "9ba3170754267fbc6a6e30a50f2e5ddeca6acbea7078e3fd3f255a0c90f9df4a"),
+    ("search", "classic-nonconvex", "--budget", "20"): (
+        2,
+        "207ff361f8f040d387084f39e64184c71f993b587577f0cfe0a5a9640361cfcf",
+    ),
+    ("search", "classic-nonconvex", "--budget", "2"): (
+        2,
+        "a5ee4d01a426afaef6018789b97f62137fdfc315adfe6f60d6eb98b8754d1145",
+    ),
 }
 
 # sha256 of the per-trial CSV rows of one fixed-shape suite, as `--csv` writes them.

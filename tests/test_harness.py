@@ -202,7 +202,23 @@ class TestSearch:
         monkeypatch.setattr(harness, "_sample_chunk", spy)
         findings = search_counterexample("classic-nonconvex", budget=6, m=0.25, M=1.5)
         assert findings["witness"]["trial"] == 5  # rebuilt alone from its suite trial
-        assert sorted(sampled) == [1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 5]
+        assert sampled == [1, 2, 3, 4, 5, 5]  # the candidates' one suite, then the witness alone
+
+    def test_each_trial_is_sampled_once(self, monkeypatch):
+        # One suite serves every candidate: one sample_trials call per chunk,
+        # then the witness's chunk of one.
+        calls = []
+        original = harness.sample_trials
+
+        def spy(seeds, *args):
+            calls.append(len(seeds))
+            return original(seeds, *args)
+
+        monkeypatch.setattr(harness, "sample_trials", spy)
+        monkeypatch.setattr(harness, "CHUNK_TRIALS", 8)
+        findings = search_counterexample("classic-nonconvex", budget=20)
+        assert findings["witness"]["trial"] > 0
+        assert calls == [8, 8, 3, 1]
 
     def test_witness_is_replayable(self):
         from mercerlab.linalg import HermitianOperator, SpectralBounds
@@ -275,5 +291,5 @@ class TestSweep:
 
         monkeypatch.setattr(quasimeans, "_require_strictly_monotone", spy)
         run_sweep("log", "id", TrialConfig(seed=5), 12)
-        # resolve_spec's grid and the mean's grid, once per generator
-        assert sorted(calls) == [("id", 256), ("id", 1000), ("log", 256), ("log", 1000)]
+        # resolve_spec's grid, once per generator: the means take their inverses from its spec
+        assert sorted(calls) == [("id", 1000), ("log", 1000)]

@@ -8,7 +8,6 @@ from mercerlab.errors import (
     HypothesisNotMet,
     InvalidInterval,
     InverseDomainError,
-    NonpositiveFunction,
 )
 from mercerlab.functions import (
     CurvatureBounds,
@@ -21,22 +20,21 @@ from mercerlab.functions import (
     square,
     square_root,
 )
-from mercerlab.core import trial_sums
+from mercerlab.core import endpoint_values, trial_sums
 from mercerlab.linalg import HermitianOperator, Relation, SpectralBounds, loewner_order, spectral_norms
 from mercerlab.maps import Compression, MapFamily, WeightedTrace
 from mercerlab.mercer import MercerInstance, diamond_plain, evaluate_chain, mercer_lhs
+from mercerlab.harness import TrialConfig, run_sweep
 from mercerlab.quasimeans import (
     ALPHA_SIDE,
     BETA_SIDE,
+    MEAN_CHECKS,
     apply_inverse,
     curvature_bound_expected_relation,
     curvature_mean_bound,
     diamond_phi,
-    geometric_operand,
     incomparability_probe,
-    inverse_evaluator,
     inverse_within_domain,
-    mean_of_pre_mean,
     mercer_quasi_mean,
     predicted_mean_relation,
     resolve_spec,
@@ -79,10 +77,7 @@ def pair_sums(spec, family, ops):
 
 def both_means(spec, core):
     """(QM_phi, QM_psi) of a generator pair on its family sums."""
-    return tuple(
-        mean_of_pre_mean(g, inverse_evaluator(g, spec.bounds), core.pre_mean(g), spec.bounds)
-        for g in (spec.phi, spec.psi)
-    )
+    return core.mean(spec.phi, spec.phi_inverse), core.mean(spec.psi, spec.psi_inverse)
 
 
 def mean_verdict(spec, family, ops):
@@ -93,7 +88,7 @@ def mean_verdict(spec, family, ops):
 def sandwich(spec, family, ops):
     """The geometric middle and its verdicts against QM_phi (below) and QM_psi (above)."""
     core = pair_sums(spec, family, ops)
-    middle = inverse_within_domain(spec.psi_inverse, geometric_operand(spec, core))
+    middle = inverse_within_domain(spec.psi_inverse, core.geometric(spec.phi, *endpoint_values(spec.psi, spec.bounds)))
     mean_phi, mean_psi = both_means(spec, core)
     return middle, compare(mean_phi, middle), compare(middle, mean_psi)
 
@@ -322,17 +317,21 @@ class TestLogConvexMeanSandwich:
         plain = np.linalg.eigvalsh(evaluate_chain(inst, "log_convex", force=True).side("geometric_middle").entries)
         np.testing.assert_allclose(np.exp(lifted), plain, atol=1e-10)
 
+    @staticmethod
+    def assert_inapplicable(phi, psi, bounds):
+        """The sandwich row asserts no relation for the pair, and a sweep reports it inapplicable."""
+        assert MEAN_CHECKS["log_convex_sandwich"].relation(resolve_spec(phi, psi, bounds)) is None
+        config = TrialConfig(m=bounds.m, M=bounds.M)
+        report, _ = run_sweep(phi.label(), psi.label(), config, 2)
+        assert report["checks"]["log_convex_sandwich"] == {"applicable": False}
+
     def test_hypothesis_gates(self):
-        family, ops = canonical()
-        with pytest.raises(HypothesisNotMet):
-            # composite u^2 is log-concave
-            sandwich(resolve_spec(square_root(), identity(), BOUNDS_13), family, ops)
-        with pytest.raises(HypothesisNotMet):
-            # psi^-1 = inv is operator decreasing
-            sandwich(resolve_spec(identity(), reciprocal(), BOUNDS_13), family, ops)
-        with pytest.raises(HypothesisNotMet):
-            # equal generators: the identity composite is log-concave, not log-convex
-            sandwich(resolve_spec(identity(), identity(), BOUNDS_13), family, ops)
+        # composite u^2 is log-concave
+        self.assert_inapplicable(square_root(), identity(), BOUNDS_13)
+        # psi^-1 = inv is operator decreasing
+        self.assert_inapplicable(identity(), reciprocal(), BOUNDS_13)
+        # equal generators: the identity composite is log-concave, not log-convex
+        self.assert_inapplicable(identity(), identity(), BOUNDS_13)
 
     def test_constant_spectrum_reduces_to_scalars(self):
         # A_i = c I makes every side a multiple of I; ordering is scalar arithmetic
@@ -351,13 +350,8 @@ class TestLogConvexMeanSandwich:
         assert high.relation in (Relation.LESS_EQUAL, Relation.EQUAL)
 
     def test_nonpositive_psi_rejected(self):
-        bounds = SpectralBounds(0.5, 3.0)
-        spec = resolve_spec(identity(), logarithm(), bounds)  # log(0.5) < 0
-        rng = generator(61)
-        family = random_unital_family(2, 3, 2, rng)
-        ops = tuple(random_hermitian(3, bounds, rng) for _ in range(2))
-        with pytest.raises(NonpositiveFunction):
-            sandwich(spec, family, ops)
+        # log(0.5) < 0
+        self.assert_inapplicable(identity(), logarithm(), SpectralBounds(0.5, 3.0))
 
 
 class TestApplyInverse:
