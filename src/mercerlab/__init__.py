@@ -45,6 +45,7 @@ from .linalg import (
     apply_scalar_function,
     apply_to_decomposition,
     loewner_order,
+    loewner_orders,
     spectral_decompose,
 )
 from .maps import (

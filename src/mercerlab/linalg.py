@@ -4,13 +4,15 @@ Eigendecomposition, scalar functional calculus and Loewner-order comparison
 for finite-dimensional self-adjoint matrices.  Every operator expression in
 the package is built on the primitives in this module:
 ``spectral_decompose``, ``apply_to_decomposition`` (with its one-shot form
-``apply_scalar_function``), ``spectral_norms`` and ``loewner_order``.
-Functional calculus is split from decomposition so that one eigensolve can
-serve every function applied to the same operator.  A comparison is one
-``eigvalsh`` of right - left, whose spectra give every slack and bit of
-order per matrix; the sides' norms for the default tolerance are solved
-only for a matrix whose order the tolerance floor cannot decide
-(``SideNorms``), and an ``OrderVerdict`` only for a matrix that asks.
+``apply_scalar_function``), ``spectral_norms`` and ``loewner_orders`` (with
+its one-pair form ``loewner_order``).  Functional calculus is split from
+decomposition so that one eigensolve can serve every function applied to
+the same operator.  The comparisons of any number of pairs are one
+``eigvalsh`` of their differences right - left, stacked, whose spectra give
+every slack and bit of order per matrix; the sides' norms for the default
+tolerance are solved only for a matrix whose order the tolerance floor
+cannot decide (``SideNorms``), and an ``OrderVerdict`` only for a matrix
+that asks.
 
 Every primitive takes a stack of matrices: ``entries`` of shape
 ``(..., d, d)``, with any leading axes (the trials and maps of a chunk,
@@ -31,7 +33,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -254,9 +256,13 @@ class SideNorms:
         return self.values[where]
 
 
+# The tolerance of a comparison: one value, one per matrix, or the two sides' norms.
+Tolerance = Union[float, np.ndarray, Tuple[SideNorms, SideNorms]]
+
+
 @dataclass(frozen=True)
 class LoewnerOrder:
-    """The Loewner comparison of two stacks A and B, matrix by matrix (see :func:`loewner_order`).
+    """The Loewner comparison of two stacks A and B, matrix by matrix (see :func:`loewner_orders`).
 
     ``difference`` is the stack B - A, ``eigenvalues`` its spectra
     (ascending), ``tol`` the tolerance of each comparison: an array (or
@@ -403,18 +409,28 @@ def apply_scalar_function(
     return apply_to_decomposition(f, spectral_decompose(a), bounds)
 
 
-def loewner_order(
-    a: HermitianOperator, b: HermitianOperator, tol: Union[float, np.ndarray, Tuple[SideNorms, SideNorms]]
-) -> LoewnerOrder:
-    """Compare A and B in the Loewner order (A <= B iff B - A is PSD), matrix by matrix.
+def loewner_orders(pairs: Sequence[Tuple[HermitianOperator, HermitianOperator, Tolerance]]) -> List[LoewnerOrder]:
+    """Compare each pair (A, B, tol) in the Loewner order (A <= B iff B - A is PSD), matrix by matrix.
 
-    One ``eigvalsh`` call of B - A for the whole stack.  ``tol`` is one
-    tolerance, one per matrix of the broadcast stack, or the sides'
-    ``SideNorms`` (A's, B's) for the engine's default,
-    ``tolerance.tolerance_from_norms`` of both, solved only where the
-    floor cannot decide and only when a mask or verdict is read.
+    One ``eigvalsh`` call of every B - A, stacked along a new leading axis,
+    so the pairs' differences must share one shape; each ``LoewnerOrder``
+    gets its slice.  ``tol`` is one tolerance, one per matrix of the
+    broadcast stack, or the sides' ``SideNorms`` (A's, B's) for the
+    engine's default, ``tolerance.tolerance_from_norms`` of both, solved
+    only where the floor cannot decide and only when a mask or verdict is
+    read.
     """
-    a._check_same_dim(b)
-    diff = b.entries - a.entries
-    tol = tol if isinstance(tol, tuple) else np.asarray(tol, dtype=float)
-    return LoewnerOrder(diff, np.linalg.eigvalsh(diff), tol)
+    for a, b, _ in pairs:
+        a._check_same_dim(b)
+    diffs = np.array([b.entries - a.entries for a, b, _ in pairs])
+    eigenvalues = np.linalg.eigvalsh(diffs)
+    return [
+        LoewnerOrder(diff, lam, tol if isinstance(tol, tuple) else np.asarray(tol, dtype=float))
+        for diff, lam, (_, _, tol) in zip(diffs, eigenvalues, pairs)
+    ]
+
+
+def loewner_order(a: HermitianOperator, b: HermitianOperator, tol: Tolerance) -> LoewnerOrder:
+    """The Loewner comparison of one pair of stacks, :func:`loewner_orders` of one pair."""
+    (order,) = loewner_orders([(a, b, tol)])
+    return order

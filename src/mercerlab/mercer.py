@@ -28,7 +28,7 @@ import numpy as np
 from .errors import BadWeights, HypothesisNotMet, OutOfInterval
 from .core import FamilySums, endpoint_values, operand_sums, trial_sums
 from .functions import CurvatureBounds, ScalarFunction, curvature_bounds, is_log_convex_on
-from .linalg import HermitianOperator, LoewnerOrder, SideNorms, SpectralBounds, loewner_order
+from .linalg import HermitianOperator, LoewnerOrder, SideNorms, SpectralBounds, loewner_orders
 from .maps import MapFamily
 from .tolerance import WEIGHT_SUM_ABS
 
@@ -161,9 +161,13 @@ def refined_bounds(
 # Chain orchestration
 # --------------------------------------------------------------------------
 
+# How an unmet hypothesis gate is overridden, for a CLI user and for a caller.
+_FORCE_HINT = "pass --force (force=True from Python) for a counterexample run"
+
+
 def _convexity_gate(f: ScalarFunction, bounds: SpectralBounds, force: bool) -> Dict[str, float]:
     if not (f.convex_on_domain or force):
-        raise HypothesisNotMet(f"{f.label()} is not flagged convex; pass force=True for a counterexample run")
+        raise HypothesisNotMet(f"{f.label()} is not flagged convex; {_FORCE_HINT}")
     return {}
 
 
@@ -171,7 +175,7 @@ def _log_convexity_gate(f: ScalarFunction, bounds: SpectralBounds, force: bool) 
     # is_log_convex_on raises NonpositiveFunction unless f > 0 on [m, M],
     # and returns the catalog's log-convexity flag, either way.
     if not (is_log_convex_on(f, bounds) or force):
-        raise HypothesisNotMet(f"{f.label()} is not log-convex; pass force=True for a counterexample run")
+        raise HypothesisNotMet(f"{f.label()} is not log-convex; {_FORCE_HINT}")
     return {}
 
 
@@ -274,8 +278,9 @@ def evaluate_trials(
     ``pre_mean(f)``, D ``diamond(None)``, the refined sides
     ``refined(f, None, beta)`` and ``(f, None, alpha)``, the log-convex middle
     ``geometric(None, f(m), f(M))``, and the chord, affine in S.  Returns one
-    report for all trials: each side is built for all of them at once and
-    each pair compared in one ``eigvalsh`` call of right - left, every trial
+    report for all trials: each side is built for all of them at once, and
+    every pair is compared in one ``eigvalsh`` call of the stacked
+    differences right - left (``linalg.loewner_orders``), every trial
     against its own tolerance; the gate depends on f and [m, M] only and is
     evaluated once, after the lhs.  The default tolerance needs the sides'
     norms only for a trial whose gap is below -``PSD_TOLERANCE_FLOOR``; they
@@ -300,11 +305,12 @@ def evaluate_trials(
     # A side's norms enter the default tolerance of every pair it is in, each
     # matrix's solved at most once and only where a read mask needs it.
     norms = {label: SideNorms(side) for label, side in sides.items()}
-    orders = {}
-    for left, right, _ in chain.pairs:
-        tol = tol_abs if tol_abs is not None else (norms[left], norms[right])
-        orders[left, right] = loewner_order(sides[left], sides[right], tol)
-    return InequalityReport(sides=sides, orders=orders, scalars=scalars)
+    pairs = [(left, right) for left, right, _ in chain.pairs]
+    compared = loewner_orders(
+        [(sides[left], sides[right], tol_abs if tol_abs is not None else (norms[left], norms[right]))
+         for left, right in pairs]
+    )
+    return InequalityReport(sides=sides, orders=dict(zip(pairs, compared)), scalars=scalars)
 
 
 def contract_pairs(which: str, alpha: float | None = None) -> List[Tuple[str, str]]:

@@ -12,24 +12,28 @@ each trial reads the same stream as ``generator(seed)`` gives it.
 Sampling runs in two phases.  Phase 1 draws every random number of a trial
 from its own stream, in order: dims, the V_i, the trace fraction, then per
 operator its eigenvalues and the normals of its Ginibre matrix.  Phase 2
-(``sample_trials``) finishes a chunk in stacked calls: one normaliser
-``eigh`` per codomain dimension dim_k (S = sum_i V_i* V_i is dim_k x dim_k
-in every group of that dim_k), one Haar ``qr`` and reconstruct per matrix
-dimension.  These treat each matrix as they would alone, so a trial is bit
-for bit the same in any chunk.  ``haar_unitary``, ``random_hermitian`` and
-``random_unital_family`` are the same code on one matrix or family, kept as
-the reference forms the tests check the chunk sampler against.  A family
+(``sample_trials``) finishes a chunk in stacked calls: the V_i of the
+groups of one (dim_h, dim_k) padded into one stack on the map axis only,
+one Gram and one congruence ``@`` per (dim_h, dim_k), the Gram sums, one
+normaliser ``eigh`` and S^{-1/2} per codomain dimension dim_k
+(``_normalise``), and one Haar ``qr`` and reconstruct per matrix dimension.
+These treat each matrix as they would alone, so a trial is bit for bit the
+same in any chunk.
+``haar_unitary``, ``random_hermitian`` and ``random_unital_family`` are the
+same code on one matrix or family, kept as the reference forms the tests
+check the chunk sampler against.  A family
 with a singular normaliser is drawn again, which moves the later draws of
 its stream, so a trial whose first family phase 2 rejects is drawn again
 from a fresh copy of its stream, with the rejection loop, which normalises
-its family alone; its V_i and trace weight take the rejected ones' place in
-its group.  A chunk comes
-back as one ``SampledGroup`` per shape, a block of ``core.stage_one``.
+its family alone, as a chunk of one; its V_i and trace weight take the
+rejected ones' place in its group's own arrays.  A chunk comes back as one
+``SampledGroup`` per shape, a block of ``core.stage_one``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -162,34 +166,44 @@ def random_hermitian(
 
 
 def _normalise(stacks: Sequence[tuple]) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """(accepted, V_i) per stack of families (normals ``(n_comp, ..., 2, dim_h, dim_k)``, fraction).
+    """(accepted, V_i) per stack of families: normals ``(width, trials, 2, dim_h, dim_k)``, zero
+    normals after a family's own up to the stack's width, and fractions ``(trials,)``.
 
     Each V_i becomes sqrt(1 - fraction) V_i S^{-1/2}, S = sum_i V_i* V_i.
-    The S of all stacks go through one ``eigh`` per codomain dimension dim_k:
-    S is dim_k x dim_k whatever dim_h and the number of compressions are.
-    ``accepted`` tells per family that S is nonsingular; the V_i of a
-    rejected family mean nothing.
+    The Grams V_i* V_i of a stack are one ``@``.  S is dim_k x dim_k whatever
+    dim_h and the number of compressions are, so per codomain dimension
+    dim_k every trial's Grams are summed in map order, exactly
+    0.0 + G_1 + ... + G_n, then the zero Grams of its padding, which change
+    no entry (a partial sum starting at 0.0 + G_1 is never -0.0); S goes
+    through one ``eigh`` and S^{-1/2} is one product.  The congruence is one
+    ``@`` per stack.  ``accepted`` tells per family that S is nonsingular;
+    the V_i of a rejected family, and those of the padding, mean nothing.
+    A stack of width 0, of lone trace maps, has nothing to normalise.
     """
     vss = [_ginibre(normals) for normals, _ in stacks]
-    # a lone trace map has nothing to normalise
-    grams = {k: sum(v.conj().swapaxes(-1, -2) @ v for v in vs) for k, vs in enumerate(vss) if len(vs)}
-    spectra = {}
-    for dim in {s.shape[-1] for s in grams.values()}:
-        ks = [k for k, s in grams.items() if s.shape[-1] == dim]
-        lam, u = np.linalg.eigh(np.concatenate([grams[k].reshape(-1, dim, dim) for k in ks]))
-        splits = np.cumsum([grams[k].size // dim**2 for k in ks])[:-1]
-        for k, lam_k, u_k in zip(ks, np.split(lam, splits), np.split(u, splits)):
-            spectra[k] = lam_k.reshape(grams[k].shape[:-1]), u_k.reshape(grams[k].shape)
+    grams = [v.conj().swapaxes(-1, -2) @ v for v in vss]
+    normalisers = {}
+    for dim in {v.shape[-1] for v in vss if len(v)}:
+        ks = [k for k, v in enumerate(vss) if len(v) and v.shape[-1] == dim]
+        trials = [grams[k].shape[1] for k in ks]
+        slices = [slice(stop - count, stop) for count, stop in zip(trials, accumulate(trials))]
+        padded = grams[ks[0]]  # a lone stack's Grams need no copy
+        if len(ks) > 1:
+            padded = np.zeros((max(len(grams[k]) for k in ks), slices[-1].stop, dim, dim), dtype=np.complex128)
+            for k, rows in zip(ks, slices):
+                padded[: len(grams[k]), rows] = grams[k]
+        lam, u = np.linalg.eigh(sum(padded, 0.0))
+        accepted = lam[:, 0] > NORMALIZER_SINGULARITY_ABS
+        lam = np.where(accepted[:, None], lam, 1.0)  # no square root of a rejected spectrum
+        inv_sqrt = (u / np.sqrt(lam)[..., None, :]) @ u.conj().swapaxes(-1, -2)
+        normalisers.update((k, (accepted[rows], inv_sqrt[rows])) for k, rows in zip(ks, slices))
     out = []
     for k, ((_, fraction), vs) in enumerate(zip(stacks, vss)):
-        if k not in spectra:
-            out.append((np.ones(vs.shape[1:-2], dtype=bool), vs))
+        if k not in normalisers:
+            out.append((np.ones(vs.shape[1], dtype=bool), vs))
             continue
-        lam, u = spectra[k]
-        accepted = lam[..., 0] > NORMALIZER_SINGULARITY_ABS
-        lam = np.where(accepted[..., None], lam, 1.0)  # no square root of a rejected spectrum
-        inv_sqrt = (u / np.sqrt(lam)[..., None, :]) @ u.conj().swapaxes(-1, -2)
-        out.append((accepted, vs @ inv_sqrt * np.sqrt(1.0 - np.asarray(fraction))[..., None, None]))
+        accepted, inv_sqrt = normalisers[k]
+        out.append((accepted, vs @ inv_sqrt * np.sqrt(1.0 - fraction)[:, None, None]))
     return out
 
 
@@ -218,9 +232,9 @@ def _draw_family(
         fraction = float(rng.uniform(0.1, 0.4)) if include_trace else 0.0
         if not checked:
             return normals, fraction, None
-        ((accepted, vs),) = _normalise([(normals, fraction)])
-        if accepted:
-            return normals, fraction, vs
+        ((accepted, vs),) = _normalise([(normals[:, None], np.array([fraction]))])  # a chunk of one
+        if accepted[0]:
+            return normals, fraction, vs[:, 0]
     raise SingularNormalizer(
         f"no nonsingular normalizer in {NORMALIZER_ATTEMPTS} draws (n={n}, dim_h={dim_h}, dim_k={dim_k})"
     )
@@ -286,19 +300,34 @@ def sample_trials(
     groups: Dict[Tuple[int, int, int], List[int]] = {}
     for k, trial in enumerate(draws):
         groups.setdefault(trial.dims, []).append(k)
-    fractions = [np.array([draws[k].fraction for k in ks]) for ks in groups.values()]
-    normals = [np.stack([draws[k].normals for k in ks], axis=1) for ks in groups.values()]
+    # Phase 2: the groups of one (dim_h, dim_k) are one stack of families, each family's normals
+    # followed by zeros up to the most compressions of the stack; the groups of lone trace maps,
+    # with no compression, are stacks of their own.
+    stacks: Dict[tuple, List[Tuple[int, int, int]]] = {}
+    for dims in groups:
+        stacks.setdefault(dims[:2] if dims[2] > mixed else dims, []).append(dims)
+    normals, fractions = [], []
+    for keys in stacks.values():
+        ks = [k for dims in keys for k in groups[dims]]
+        stack = np.zeros((max(len(draws[k].normals) for k in ks), len(ks), *draws[ks[0]].normals.shape[1:]))
+        for j, k in enumerate(ks):
+            stack[: len(draws[k].normals), j] = draws[k].normals
+        normals.append(stack)
+        fractions.append(np.array([draws[k].fraction for k in ks]))
     families = {}
-    for (dims, ks), fraction, (accepted, compressions) in zip(
-        groups.items(), fractions, _normalise(list(zip(normals, fractions)))
-    ):
-        for j in np.flatnonzero(~accepted):  # drawn again, and normalised, from a fresh stream
-            draws[ks[j]] = draw(ks[j], checked=True)
-            compressions[:, j], fraction[j] = draws[ks[j]].compressions, draws[ks[j]].fraction
-        weights = np.empty((0, len(fraction)))  # no trace map
-        if mixed:
-            weights = _trace_weight(fraction, len(compressions), dims[0])[None]
-        families[dims] = compressions, weights
+    for keys, (accepted, vs) in zip(stacks.values(), _normalise(list(zip(normals, fractions)))):
+        stop = 0
+        for dims in keys:
+            ks, start = groups[dims], stop
+            stop += len(ks)
+            compressions = vs[: dims[2] - mixed, start:stop].copy()  # the group's own, for its redraws
+            for j in np.flatnonzero(~accepted[start:stop]):  # drawn again, and normalised, from a fresh stream
+                draws[ks[j]] = draw(ks[j], checked=True)
+                compressions[:, j] = draws[ks[j]].compressions
+            weights = np.empty((0, len(ks)))  # no trace map
+            if mixed:
+                weights = _trace_weight(np.array([draws[k].fraction for k in ks]), len(compressions), dims[0])[None]
+            families[dims] = compressions, weights
 
     operators = {}
     for dim in {dims[0] for dims in groups}:

@@ -26,10 +26,11 @@ from mercerlab.harness import (
     build_instance,
     normalize_chain,
     replay_trial,
+    run_suite,
     run_sweep,
     suite_outcomes,
 )
-from mercerlab.linalg import HermitianOperator, Relation, loewner_order
+from mercerlab.linalg import HermitianOperator, Relation, SideNorms, loewner_order
 from mercerlab.mercer import contract_pairs, evaluate_chain
 from mercerlab.quasimeans import (
     ALPHA_SIDE,
@@ -357,3 +358,34 @@ def test_signed_slack_of_a_stack_is_per_matrix():
                 for left, right in zip(lefts.entries, rights.entries)
             ]
             assert stacked.tobytes() == np.array(single).tobytes()
+
+
+@pytest.mark.parametrize(
+    "fn, chain, m, M, force",
+    [*[("exp", chain, 1.0, 3.0, False) for chain in ("classic", "chain", "twice-diff", "log-convex")],
+     ("sin", "classic", PI4, PI2, True)],  # every trial GreaterEqual: its below mask reads the side norms
+)
+def test_stacked_pairs_equal_each_pair_alone(monkeypatch, fn, chain, m, M, force):
+    # evaluate_trials compares all pairs of a chain in one eigvalsh of their
+    # stacked differences.  In each dim_k stack of a mixed vary_dims chunk,
+    # every pair's spectra must be, bit for bit, those of loewner_order on
+    # that pair alone, and so must its below mask under the default tolerance.
+    reports = []
+    original = harness.evaluate_trials
+
+    def spy(*args, **kwargs):
+        reports.append(original(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(harness, "evaluate_trials", spy)
+    config = TrialConfig(seed=9, function_spec=fn, chain=chain, m=m, M=M, force=force, mixed=True, vary_dims=True)
+    run_suite(config, 60)
+    assert len(reports) > 1
+    for report in reports:
+        for (left, right), order in report.orders.items():
+            sides = report.sides[left], report.sides[right]
+            alone = loewner_order(*sides, tuple(map(SideNorms, sides)))
+            assert order.eigenvalues.tobytes() == alone.eigenvalues.tobytes(), (left, right)
+            assert order.below.tolist() == alone.below.tolist(), (left, right)
+    if force:
+        assert not all(order.below.all() for report in reports for order in report.orders.values())

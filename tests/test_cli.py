@@ -45,7 +45,13 @@ class TestVerify:
             "--m", PI4, "--M", PI2, "--trials", "5",
         )
         assert proc.returncode == 1
-        assert "force" in proc.stderr
+        assert "--force" in proc.stderr  # the CLI flag, not the Python keyword alone
+        proc = run_cli(
+            "verify", "--function", "log", "--chain", "log-convex",
+            "--m", "2", "--M", "1e10", "--trials", "5",
+        )
+        assert proc.returncode == 1
+        assert "--force" in proc.stderr
 
     def test_unknown_function_is_usage_error(self):
         proc = run_cli("verify", "--function", "sinh", "--trials", "1")

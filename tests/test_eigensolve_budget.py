@@ -4,10 +4,12 @@ The counts are numpy calls: one call solves a whole stack of matrices.  A
 trial at the default sizes (dim 4, n = 2 maps) pays, in ``eigh``: 1 for the
 unitality normaliser of the sampled family, 1 for the stack of its
 operators A_i (decomposed once, shared by every side), then 1 per operator
-function evaluated on an assembled operator.  Each ``eigvalsh`` is 1 per
-Loewner comparison: the spectra of right - left, which give the ordering
-and the signed slack of either direction, so a GreaterEqual verdict needs
-no second solve.  A compared side's spectral norms, for the default
+function evaluated on an assembled operator.  In ``eigvalsh`` a verify
+trial pays 1 for the comparisons of all its chain's pairs, the spectra of
+every right - left stacked in one call, and a sweep trial 1 per signed
+slack; the spectra give the ordering and the signed slack of either
+direction, so a GreaterEqual verdict needs no second solve.  A compared
+side's spectral norms, for the default
 tolerance, are solved only for the trials of a pair whose least
 eigenvalue is below -1e-9, the tolerance floor, when its mask is read; a unital family's
 defect is cleared by its Frobenius bound, and a spectral norm is solved
@@ -17,8 +19,8 @@ A verify suite or a sweep of one shape samples and evaluates all its trials
 as one stack, so no count grows with the trial count.  A chunk of many
 shapes pays one A_i ``eigh`` per operator dimension dim_h, and everything
 else once per codomain dimension dim_k of the chunk, whatever its shapes:
-the sampler's normaliser, and every side, comparison and needed norm of a
-verify suite or every mean and slack of a sweep.
+the sampler's normaliser, and every side, the comparisons of all pairs and
+every needed norm of a verify suite or every mean and slack of a sweep.
 A count above these pins means a redundant solve came back; a count below
 means a check was dropped.
 """
@@ -29,7 +31,8 @@ import numpy as np
 import pytest
 
 from mercerlab import harness
-from mercerlab.harness import TrialConfig, run_suite, run_sweep
+from mercerlab.harness import TrialConfig, normalize_chain, run_suite, run_sweep
+from mercerlab.mercer import CHAINS
 
 
 @pytest.fixture
@@ -62,26 +65,28 @@ def test_sweep_trial_budget(solver_calls):
 
 
 @pytest.mark.parametrize(
-    "chain, eigh, eigvalsh",
+    "chain, eigh, pairs",
     [
         # eigh: normaliser 1 + A_i stack 1 + lhs 1 [+ log-convex middle 1].
-        # eigvalsh: one per compared pair (incl. zero <= diamond); every
-        # gap clears the tolerance floor, so no side norm is solved, and the
-        # Frobenius bound clears the unitality defect.
+        # eigvalsh: one for all the chain's compared pairs (incl. zero <=
+        # diamond), stacked; every gap clears the tolerance floor, so no side
+        # norm is solved, and the Frobenius bound clears the unitality defect.
         # qr: the Haar step of both A_i, 1.
         # Each pair was an eigh of its Hermitian part: eigh / eigvalsh were
         # 5 / 4, 7 / 5, 8 / 7 and 8 / 5; with every side norm and the
-        # defect solved they were 3 / 6, 3 / 9, 3 / 12 and 4 / 9.
+        # defect solved they were 3 / 6, 3 / 9, 3 / 12 and 4 / 9; with one
+        # eigvalsh per pair, eigh / pairs.
         ("classic", 3, 2),
         ("chain", 3, 4),
         ("twice-diff", 3, 5),
         ("log-convex", 4, 4),
     ],
 )
-def test_chain_trial_budget(solver_calls, chain, eigh, eigvalsh):
+def test_chain_trial_budget(solver_calls, chain, eigh, pairs):
+    assert len(CHAINS[normalize_chain(chain)].pairs) == pairs
     summary = run_suite(TrialConfig(seed=1, function_spec="exp", chain=chain), 1)
     assert summary.violations == []
-    assert solver_calls == {"eigh": eigh, "eigvalsh": eigvalsh, "qr": 1}
+    assert solver_calls == {"eigh": eigh, "eigvalsh": 1, "qr": 1}
 
 
 def test_one_shape_suite_is_one_stack(solver_calls):
@@ -90,10 +95,11 @@ def test_one_shape_suite_is_one_stack(solver_calls):
     # needs a side norm.  Per trial this was 6 eigh and 5 eigvalsh, then 1
     # eigh and 2 qr of sampling per trial; with one eigh per compared pair it
     # was 1 + 4 eigh and 4 eigvalsh; with every side norm and the unitality
-    # defect solved, 3 eigh and 4 + 2 eigvalsh.
+    # defect solved, 3 eigh and 4 + 2 eigvalsh; with one eigvalsh per
+    # compared pair, 3 eigh and 2 eigvalsh.
     summary = run_suite(TrialConfig(seed=3, function_spec="exp", chain="classic"), 50)
     assert summary.violations == []
-    assert solver_calls == {"eigh": 1 + 2, "eigvalsh": 2, "qr": 1}
+    assert solver_calls == {"eigh": 1 + 2, "eigvalsh": 1, "qr": 1}
 
 
 def test_varied_verify_chunk_is_one_stack_per_matrix_dimension(solver_calls):
@@ -101,11 +107,12 @@ def test_varied_verify_chunk_is_one_stack_per_matrix_dimension(solver_calls):
     # and 7 dim_k values.  eigh: 7 A_i stacks + 7 normalisers + 7 lhs; it was
     # 35 + 7 + 35 x 6 = 252 when each group was evaluated alone (lhs and the
     # 5 compared pairs), 35 + 7 + 7 x 6 = 84 with one A_i stack per group,
-    # and 7 + 7 + 7 x 6 = 56 while each pair was an eigh.  eigvalsh: 7 x 5
-    # compared pairs, as no gap is below the tolerance floor and the
-    # Frobenius bound clears every unitality defect (35 + 7 x 6 = 77 with
-    # one defect per group, 7 + 7 x 6 = 49 with the pairs in eigh, and
-    # 7 + 7 x 6 + 7 x 5 = 84 with every side norm and defect solved).
+    # and 7 + 7 + 7 x 6 = 56 while each pair was an eigh.  eigvalsh: 7, the
+    # 5 compared pairs of each dim_k stack in one call, as no gap is below
+    # the tolerance floor and the Frobenius bound clears every unitality
+    # defect (35 + 7 x 6 = 77 with one defect per group, 7 + 7 x 6 = 49 with
+    # the pairs in eigh, 7 + 7 x 6 + 7 x 5 = 84 with every side norm and
+    # defect solved, and 7 x 5 with one call per pair).
     config = TrialConfig(seed=5, function_spec="exp", chain="twice-diff", vary_dims=True)
     _, groups = harness._sample_chunk(config, range(40))
     assert len(groups) == 35
@@ -113,21 +120,22 @@ def test_varied_verify_chunk_is_one_stack_per_matrix_dimension(solver_calls):
     solver_calls.update(eigh=0, eigvalsh=0, qr=0)
     summary = run_suite(config, 40)
     assert summary.violations == []
-    assert solver_calls == {"eigh": 7 + 7 + 7, "eigvalsh": 7 * 5, "qr": 7}
+    assert solver_calls == {"eigh": 7 + 7 + 7, "eigvalsh": 7, "qr": 7}
 
 
 def test_forced_sine_chunk_solves_each_pair_once(solver_calls):
     # The 20 trials of test_golden's forced sine suite (classic, sin on
     # [pi/4, pi/2], forced, vary_dims, mixed) land in 18 shape groups over 7
     # dim_h and 7 dim_k: every trial's lhs <= rhs_classic is GreaterEqual.
-    # eigh: 7 A_i stacks + 7 normalisers + 7 lhs.  eigvalsh: 7 x 2 compared
-    # pairs, whose spectra also give the GreaterEqual slacks, + 7 x 2 norms
-    # of lhs and rhs_classic, which the violated pair needs in every dim_k
-    # stack; D >= 0 clears the floor, so D's norm is never solved, and the
-    # Frobenius bound clears every unitality defect.  It was eigh 35 /
-    # eigvalsh 35 while the pairs were 14 eigh and their GreaterEqual trials
-    # 7 eigvalsh re-solves, and eigvalsh 7 + 7 x 3 + 7 x 2 = 42 with every
-    # side norm and defect solved.
+    # eigh: 7 A_i stacks + 7 normalisers + 7 lhs.  eigvalsh: 7, the 2
+    # compared pairs of each dim_k stack in one call, whose spectra also
+    # give the GreaterEqual slacks, + 7 x 2 norms of lhs and rhs_classic,
+    # which the violated pair needs in every dim_k stack; D >= 0 clears the
+    # floor, so D's norm is never solved, and the Frobenius bound clears
+    # every unitality defect.  It was eigh 35 / eigvalsh 35 while the pairs
+    # were 14 eigh and their GreaterEqual trials 7 eigvalsh re-solves,
+    # eigvalsh 7 + 7 x 3 + 7 x 2 = 42 with every side norm and defect
+    # solved, and 7 x 2 + 7 x 2 with one call per pair.
     config = TrialConfig(
         seed=12, function_spec="sin", chain="classic", m=math.pi / 4, M=math.pi / 2,
         force=True, mixed=True, vary_dims=True,
@@ -138,7 +146,7 @@ def test_forced_sine_chunk_solves_each_pair_once(solver_calls):
     solver_calls.update(eigh=0, eigvalsh=0, qr=0)
     summary = run_suite(config, 20)
     assert len(summary.violations) == 20
-    assert solver_calls == {"eigh": 7 + 7 + 7, "eigvalsh": 7 * 2 + 7 * 2, "qr": 7}
+    assert solver_calls == {"eigh": 7 + 7 + 7, "eigvalsh": 7 + 7 * 2, "qr": 7}
 
 
 def test_varied_sweep_chunk_is_one_stack_per_matrix_dimension(solver_calls):

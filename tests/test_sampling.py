@@ -158,6 +158,21 @@ def trial_bytes(family, operators):
     return maps + [a.entries.tobytes() for a in operators]
 
 
+def normalised_by_definition(rng, n, dim_h, dim_k, mixed):
+    """The V_i of a family drawn from ``rng`` as ``random_unital_family`` draws it, normalised by the
+    definition alone, one family at a time: sqrt(1 - fraction) V_i S^{-1/2} with
+    S = 0.0 + V_1* V_1 + ... + V_n* V_n in map order, drawn again while S is singular."""
+    while True:
+        normals = rng.standard_normal((n - 1 if mixed else n, 2, dim_h, dim_k))
+        fraction = float(rng.uniform(0.1, 0.4)) if mixed else 0.0
+        v = (normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2.0)
+        if not len(v):
+            return v
+        lam, u = np.linalg.eigh(sum((vi.conj().T @ vi for vi in v), 0.0))
+        if lam[0] > sampling.NORMALIZER_SINGULARITY_ABS:
+            return v @ ((u / np.sqrt(lam)) @ u.conj().T) * np.sqrt(1.0 - fraction)
+
+
 class TestChunkSampler:
     """A chunk of trials, finished in stacked calls, equals its trials drawn one by one, byte for byte."""
 
@@ -184,6 +199,43 @@ class TestChunkSampler:
         for i in (0, 1, trials - 1):  # the one-trial form is a chunk of one
             (alone,) = harness._sampled_trials(config, (i,))
             assert trial_bytes(*alone[2:]) == trial_bytes(*one_by_one(config, i))
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixed"])
+    @pytest.mark.parametrize("threshold", [None, 0.1], ids=["default", "redraws"])
+    def test_padded_stack_equals_each_family_alone(self, monkeypatch, mixed, threshold):
+        # Phase 2 stacks the families of one (dim_h, dim_k), their normals padded
+        # with zeros up to the most compressions of the stack.  Among these 60
+        # trials, the (2, 2) stack holds families of 1, 2, 3 and 4 compressions,
+        # or with --mixed (n - 1 compressions) of 1, 2 and 3, whose lone trace
+        # maps form a stack of their own.  At a singularity threshold of 0.1 two
+        # families of stacks of mixed widths are rejected and drawn again.
+        if threshold is not None:
+            monkeypatch.setattr(sampling, "NORMALIZER_SINGULARITY_ABS", threshold)
+        redraws = []
+        original = sampling._draw_family
+
+        def spy(*args, checked):
+            redraws.append(checked)
+            return original(*args, checked=checked)
+
+        monkeypatch.setattr(sampling, "_draw_family", spy)
+        config = TrialConfig(seed=30, vary_dims=True, mixed=mixed)
+        seeds, groups = harness._sample_chunk(config, range(60))
+        widths = {group.compressions.shape[0] for group in groups if group.dims[:2] == (2, 2)}
+        assert widths == ({0, 1, 2, 3} if mixed else {1, 2, 3, 4})
+        assert sum(redraws) == (0 if threshold is None else 2)
+        for group in groups:
+            for j, pos in enumerate(group.positions):
+                family, _ = group.instance(j)
+                rng = generator(seeds[pos])
+                dim_h, dim_k, n = harness._draw_dims(config, rng)
+                alone = random_unital_family(n, dim_h, dim_k, rng, include_trace=mixed)
+                assert trial_bytes(family, []) == trial_bytes(alone, []), pos
+                # random_unital_family runs _normalise too, on a chunk of one
+                rng = generator(seeds[pos])
+                harness._draw_dims(config, rng)
+                by_definition = normalised_by_definition(rng, n, dim_h, dim_k, mixed)
+                assert group.compressions[:, j].tobytes() == by_definition.tobytes(), pos
 
     def test_pinned_trials_reach_both_endpoints(self):
         config = TrialConfig(seed=16, m=0.5, M=2.0)
