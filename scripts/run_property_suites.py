@@ -4,7 +4,8 @@
 Covers every catalog function through its applicable chains plus the
 quasi-arithmetic generator-pair sweeps, the last of them a same-generator pair
 whose one check, mean_order, asserts Equal, printing one line per suite and a
-final tally.  Exit code 2 when any suite records a violation.
+final tally on stdout, which is the same for the same seed, and the wall time
+on stderr.  Exit code 2 when any suite records a violation.
 
 Usage: python scripts/run_property_suites.py [--trials N] [--seed S]
 """
@@ -76,7 +77,8 @@ def main() -> int:
             f"violations={n_violations:4d} checks={','.join(applicable)}"
         )
 
-    print(f"done in {time.perf_counter() - started:.1f} s; unexpected violations: {unexpected}")
+    print(f"unexpected violations: {unexpected}")
+    print(f"done in {time.perf_counter() - started:.1f} s", file=sys.stderr)
     return 2 if unexpected else 0
 
 

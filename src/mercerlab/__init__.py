@@ -44,7 +44,6 @@ from .linalg import (
     SpectralDecomposition,
     apply_scalar_function,
     apply_to_decomposition,
-    loewner_order,
     loewner_orders,
     spectral_decompose,
 )

@@ -12,13 +12,14 @@ builds and checks the family sums of the whole chunk per matrix dimension,
 whatever its shapes.  Stage 2 runs everything after them once per codomain
 dimension dim_k, on the operands of its ``core.FamilySums``: verify every
 side, norm and comparison of its chain, sweep both means and every
-applicable check of ``quasimeans.MEAN_CHECKS`` (``_sweep_rows``).
+applicable check of ``quasimeans.MEAN_CHECKS``, every compared pair of a
+stack in one ``eigvalsh`` (``quasimeans.check_slacks``), as verify's pairs are.
 Stacking never moves a bit and results are folded back in trial order, so
 a report is the same as trial after trial; a failing chunk is re-run trial
-by trial, so the error raised is the one of the lowest failing trial.  A replay is a chunk of one trial, and the
-``classic-nonconvex`` search scores every candidate on one forced
-``classic`` suite, each trial sampled once, so both run on verify's
-sampler and evaluation.
+by trial, so the error raised is the one of the lowest failing trial.  A
+replay is a chunk of one trial, and the ``classic-nonconvex`` search scores
+every candidate on one forced ``classic`` suite, each trial sampled once,
+so both run on verify's sampler and evaluation.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from .core import FamilySums, operand_sums, stage_one
 from .errors import BudgetExhausted, InvalidConfig
 from .functions import ScalarFunction, curvature_bounds, parse_function_spec, require_domain, require_finite
-from .linalg import HermitianOperator, Relation, SpectralBounds
+from .linalg import HermitianOperator, SpectralBounds
 from .maps import MapFamily, WeightedTrace, family_to_json
 from .mercer import (
     CHAIN_KINDS,
@@ -46,8 +47,8 @@ from .mercer import (
     mercer_rhs_classic,
     refined_bounds,
 )
-from .quasimeans import MEAN_CHECKS, MeanCheck, QuasiArithmeticSpec, incomparability_probe, resolve_spec
-from .sampling import SampledGroup, generator, sample_trials, trial_seed
+from .quasimeans import MEAN_CHECKS, check_slacks, incomparability_probe, resolve_spec
+from .sampling import MASK64, SampledGroup, generator, sample_trials, trial_seed
 from .tolerance import sweep_tolerance
 
 # Trials sampled and evaluated together by a verify suite or a sweep.  It bounds
@@ -85,6 +86,7 @@ class TrialConfig:
             value = getattr(self, name)
             if value < 1:
                 raise InvalidConfig(f"{name} must be >= 1, got {value}")
+        check_seed(self.seed)
         check_tolerance(self.tol_abs)
 
     @property
@@ -154,6 +156,12 @@ def check_tolerance(tol_abs: Optional[float]) -> None:
     """
     if tol_abs is not None and not (math.isfinite(tol_abs) and tol_abs >= 0.0):
         raise InvalidConfig(f"tolerance must be finite and >= 0, got {tol_abs}")
+
+
+def check_seed(seed: int) -> None:
+    """A master seed must be in [0, 2^64): out of it, the trials would read another seed's streams."""
+    if not 0 <= seed <= MASK64:
+        raise InvalidConfig(f"seed must be in [0, 2^64), got {seed}")
 
 
 def check_trials(n_trials: int) -> None:
@@ -404,14 +412,6 @@ def reproduce(case: str, function_override: Optional[str] = None) -> dict:
 NONCONVEX_CANDIDATES = ("sin", "sqrt", "log", "pow:p=0.5")
 
 
-def _classic_score(pairs) -> Tuple[float, bool]:
-    """(signed slack of lhs <= rhs_classic, violated) from a trial's contract pairs."""
-    for left, right, gap, ordered_below in pairs:
-        if (left, right) == ("lhs", "rhs_classic"):
-            return gap, not ordered_below
-    raise KeyError(("lhs", "rhs_classic"))
-
-
 def search_counterexample(
     target: str,
     budget: int,
@@ -439,6 +439,7 @@ def search_counterexample(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    check_seed(seed)
     check_tolerance(tol_abs)
     bounds = SpectralBounds(m, M)
 
@@ -451,8 +452,11 @@ def search_counterexample(
         config = TrialConfig(seed, m=m, M=M, vary_dims=True)  # the trials' sampling; f plays no part
 
         def scores_of(reports: List[InequalityReport]) -> list:
-            """Per trial of ``reports``, one report per candidate: each candidate's (gap, violated)."""
-            return list(zip(*([_classic_score(p) for p in _contract_outcomes(r, "classic")] for r in reports)))
+            """Per trial of ``reports``, one report per candidate: each candidate's (gap, violated),
+            the signed slack of lhs <= rhs_classic and whether it is not ordered below."""
+            orders = [report.orders["lhs", "rhs_classic"] for report in reports]
+            columns = [zip(o.eigenvalues[..., 0].reshape(-1).tolist(), (~o.below).reshape(-1).tolist()) for o in orders]
+            return list(zip(*columns))
 
         def stack_scores(stack: FamilySums) -> list:
             return scores_of([evaluate_trials(f, "classic", stack, force=True, tol_abs=tol_abs) for f in functions])
@@ -561,23 +565,6 @@ class SweepCheck:
         return {**asdict(self), "min_gap": None if math.isinf(self.min_gap) else self.min_gap}
 
 
-def _sweep_rows(
-    spec: QuasiArithmeticSpec, rows: Sequence[Tuple[MeanCheck, Relation]], stack: FamilySums
-) -> List[list]:
-    """The gaps of each trial of a stage-1 stack: per row of ``rows`` (the
-    applicable rows of ``MEAN_CHECKS`` with their relations), its signed
-    slack, None for a domain skip.
-
-    Both means are the stack's operands ``mean(g, g^{-1})``, with the
-    inverses of the spec, then each row's slacks are read from the stack's
-    operands, each built once however many rows read it.
-    """
-    mean_phi = stack.mean(spec.phi, spec.phi_inverse)
-    mean_psi = stack.mean(spec.psi, spec.psi_inverse)
-    columns = [row.slacks(spec, relation, stack, mean_phi, mean_psi) for row, relation in rows]
-    return [[column[j] for column in columns] for j in range(len(stack.positions))]
-
-
 def run_sweep(
     phi_spec: str,
     psi_spec: str,
@@ -590,7 +577,7 @@ def run_sweep(
     applicable check gets a signed slack or, where its operand leaves the
     domain of psi^{-1}, a domain skip.  Trials run a chunk at a time, as
     verify's do, with every check of ``core.trial_sums`` (see :func:`_chunk`
-    and :func:`_sweep_rows`), and are folded into the checks in index order,
+    and ``quasimeans.check_slacks``), and are folded into the checks in index order,
     so the report is the same as trial after trial; a failing chunk is re-run
     trial by trial, so the error raised is the lowest failing trial's.
     Returns (json_report, violation_count).
@@ -609,7 +596,7 @@ def run_sweep(
 
     rows = [(MEAN_CHECKS[name], rel) for name, rel in relations.items() if rel is not None]
     evaluated = [check for check in checks.values() if check.applicable]
-    chunk = partial(_chunk, config, operand_sums(spec.phi, spec.psi), partial(_sweep_rows, spec, rows))
+    chunk = partial(_chunk, config, operand_sums(spec.phi, spec.psi), partial(check_slacks, spec, rows))
     for i, (seed_i, _, gaps) in enumerate(_by_chunk(n_trials, chunk)):
         for check, gap in zip(evaluated, gaps):
             check.record(i, seed_i, gap, tol)
@@ -628,7 +615,7 @@ def run_sweep(
             "concave": spec.composite_is_concave,
             "log_convex": spec.composite_is_log_convex,
         },
-        "reversal_applied": spec.reversal_applied,
+        "reversal_applied": spec.psi_inverse.operator_decreasing,
         "checks": {name: check.to_json() for name, check in checks.items()},
         "violations_total": n_violations,
     }

@@ -4,12 +4,12 @@ Eigendecomposition, scalar functional calculus and Loewner-order comparison
 for finite-dimensional self-adjoint matrices.  Every operator expression in
 the package is built on the primitives in this module:
 ``spectral_decompose``, ``apply_to_decomposition`` (with its one-shot form
-``apply_scalar_function``), ``spectral_norms`` and ``loewner_orders`` (with
-its one-pair form ``loewner_order``).  Functional calculus is split from
-decomposition so that one eigensolve can serve every function applied to
-the same operator.  The comparisons of any number of pairs are one
-``eigvalsh`` of their differences right - left, stacked, whose spectra give
-every slack and bit of order per matrix; the sides' norms for the default
+``apply_scalar_function``), ``spectral_norms`` and ``loewner_orders``.
+Functional calculus is split from decomposition so that one eigensolve can
+serve every function applied to the same operator.  The comparisons of any
+number of pairs, a chain's or a sweep's, are one ``eigvalsh`` of their
+differences right - left, stacked, whose spectra give every slack and bit
+of order per matrix; the sides' norms for the default
 tolerance are solved only for a matrix whose order the tolerance floor
 cannot decide (``SideNorms``), and an ``OrderVerdict`` only for a matrix
 that asks.
@@ -428,9 +428,3 @@ def loewner_orders(pairs: Sequence[Tuple[HermitianOperator, HermitianOperator, T
         LoewnerOrder(diff, lam, tol if isinstance(tol, tuple) else np.asarray(tol, dtype=float))
         for diff, lam, (_, _, tol) in zip(diffs, eigenvalues, pairs)
     ]
-
-
-def loewner_order(a: HermitianOperator, b: HermitianOperator, tol: Tolerance) -> LoewnerOrder:
-    """The Loewner comparison of one pair of stacks, :func:`loewner_orders` of one pair."""
-    (order,) = loewner_orders([(a, b, tol)])
-    return order

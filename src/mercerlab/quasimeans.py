@@ -18,8 +18,11 @@ sandwich's middle psi^{-1} of ``geometric(phi, psi(m), psi(M))``.
 ``MEAN_CHECKS`` is the table of the four checks a sweep makes of them (the
 mean order, both sides of the curvature bound, the log-convex sandwich), in
 report order, as ``mercer.CHAINS`` is of the chains: per check, when it
-applies and its slacks.  Every check reads the sums ``core.operand_sums(phi,
-psi)``, which a sweep's stage 1 builds whichever checks apply.
+applies and the pairs of sides it compares.  ``check_slacks`` builds the
+sides a stack's applicable checks read and compares every pair in one
+``linalg.loewner_orders`` call, as a chain's pairs are compared.  Every check
+reads the sums ``core.operand_sums(phi, psi)``, which a sweep's stage 1
+builds whichever checks apply.
 
 Orientation: when a generator is strictly decreasing, its image interval is
 re-ordered before any chord or curvature machinery runs; all displayed
@@ -50,14 +53,14 @@ from .functions import (
     is_log_convex_on,
     require_finite,
 )
-from .core import endpoint_values, image_interval, operand_sums, trial_sums
+from .core import FamilySums, endpoint_values, image_interval, operand_sums, trial_sums
 from .linalg import (
     HermitianOperator,
     Relation,
     SpectralBounds,
     SpectralDecomposition,
     apply_to_decomposition,
-    loewner_order,
+    loewner_orders,
     spectral_decompose,
 )
 from .maps import MapFamily
@@ -124,27 +127,19 @@ def _compose_with_inverse(psi: ScalarFunction, phi: ScalarFunction) -> ScalarFun
 
 @dataclass(frozen=True)
 class QuasiArithmeticSpec:
-    """A resolved generator pair: composite analysis, the catalog inverses of both
-    generators and the direction flags of psi^{-1}."""
+    """A resolved generator pair: composite analysis and the catalog inverses of both
+    generators, whose flags give the direction of psi^{-1}."""
 
     phi: ScalarFunction
     psi: ScalarFunction
     bounds: SpectralBounds
     phi_interval: SpectralBounds
-    composite: ScalarFunction
     composite_curvature: CurvatureBounds
     composite_is_convex: bool
     composite_is_concave: bool
     composite_is_log_convex: bool
     phi_inverse: ScalarFunction
     psi_inverse: ScalarFunction
-    psi_inverse_increasing: bool
-    psi_inverse_decreasing: bool
-
-    @property
-    def reversal_applied(self) -> bool:
-        """True when verdict directions flip because psi^{-1} is operator decreasing."""
-        return self.psi_inverse_decreasing
 
 
 def resolve_spec(phi: ScalarFunction, psi: ScalarFunction, bounds: SpectralBounds) -> QuasiArithmeticSpec:
@@ -195,15 +190,12 @@ def resolve_spec(phi: ScalarFunction, psi: ScalarFunction, bounds: SpectralBound
         psi=psi,
         bounds=bounds,
         phi_interval=phi_interval,
-        composite=composite,
         composite_curvature=curv,
         composite_is_convex=is_convex,
         composite_is_concave=is_concave,
         composite_is_log_convex=is_log_convex,
         phi_inverse=phi_inv,
         psi_inverse=psi_inv,
-        psi_inverse_increasing=psi_inv.operator_monotone,
-        psi_inverse_decreasing=psi_inv.operator_decreasing,
     )
 
 
@@ -278,12 +270,12 @@ def predicted_mean_relation(spec: QuasiArithmeticSpec) -> Relation:
     """
     if spec.composite_is_convex and spec.composite_is_concave:
         return Relation.EQUAL
-    if spec.psi_inverse_increasing:
+    if spec.psi_inverse.operator_monotone:
         if spec.composite_is_convex:
             return Relation.LESS_EQUAL
         if spec.composite_is_concave:
             return Relation.GREATER_EQUAL
-    if spec.psi_inverse_decreasing:
+    if spec.psi_inverse.operator_decreasing:
         if spec.composite_is_concave:
             return Relation.LESS_EQUAL
         if spec.composite_is_convex:
@@ -291,7 +283,7 @@ def predicted_mean_relation(spec: QuasiArithmeticSpec) -> Relation:
     raise HypothesisNotMet(
         f"no ordering case applies to ({spec.phi.label()}, {spec.psi.label()}): "
         f"composite convex={spec.composite_is_convex} concave={spec.composite_is_concave}, "
-        f"psi^-1 increasing={spec.psi_inverse_increasing} decreasing={spec.psi_inverse_decreasing}"
+        f"psi^-1 increasing={spec.psi_inverse.operator_monotone} decreasing={spec.psi_inverse.operator_decreasing}"
     )
 
 
@@ -331,13 +323,17 @@ def curvature_mean_bound(
     core = trial_sums(family, operators, spec.bounds, operand_sums(spec.phi, spec.psi))
     if side not in (ALPHA_SIDE, BETA_SIDE):
         raise ValueError(f"side must be {ALPHA_SIDE!r} or {BETA_SIDE!r}, got {side!r}")
-    if not (spec.psi_inverse_increasing or spec.psi_inverse_decreasing):
+    if curvature_bound_expected_relation(spec, side) is None:
         raise HypothesisNotMet(
             f"psi^-1 = {spec.psi_inverse.label()} is not flagged operator monotone"
         )
-    curv = curvature or spec.composite_curvature
-    c = curv.alpha if side == ALPHA_SIDE else curv.beta
+    c = _side_curvature(curvature or spec.composite_curvature, side)
     return inverse_within_domain(spec.psi_inverse, core.refined(spec.psi, spec.phi, c))
+
+
+def _side_curvature(curv: CurvatureBounds, side: str) -> float:
+    """The c of a curvature side: the floor alpha on the alpha side, the ceiling beta on the beta side."""
+    return curv.alpha if side == ALPHA_SIDE else curv.beta
 
 
 def curvature_bound_expected_relation(spec: QuasiArithmeticSpec, side: str) -> Optional[Relation]:
@@ -345,13 +341,13 @@ def curvature_bound_expected_relation(spec: QuasiArithmeticSpec, side: str) -> O
     unless psi^{-1} is operator monotone (the bound's hypothesis).
 
     The alpha side asserts QM_phi <= bound and the beta side the reverse,
-    flipped when psi^{-1} is operator decreasing; the flip is recorded in
-    reports via ``spec.reversal_applied``.
+    flipped when psi^{-1} is operator decreasing; a sweep report records the
+    flip as ``reversal_applied``.
     """
-    if not (spec.psi_inverse_increasing or spec.psi_inverse_decreasing):
+    if not (spec.psi_inverse.operator_monotone or spec.psi_inverse.operator_decreasing):
         return None
     below = side == ALPHA_SIDE
-    if spec.psi_inverse_decreasing:
+    if spec.psi_inverse.operator_decreasing:
         below = not below
     return Relation.LESS_EQUAL if below else Relation.GREATER_EQUAL
 
@@ -371,64 +367,80 @@ def _sandwich_relation(spec: QuasiArithmeticSpec) -> Optional[Relation]:
     """LessEqual when psi is positive at m and M, psi o phi^-1 log-convex and psi^-1
     operator increasing, the sandwich's hypotheses; else None."""
     psi_m, psi_M = endpoint_values(spec.psi, spec.bounds)
-    if psi_m > 0.0 and psi_M > 0.0 and spec.composite_is_log_convex and spec.psi_inverse_increasing:
+    if psi_m > 0.0 and psi_M > 0.0 and spec.composite_is_log_convex and spec.psi_inverse.operator_monotone:
         return Relation.LESS_EQUAL
     return None
 
 
-def _mean_order_slacks(spec, relation, core, mean_phi, mean_psi) -> List[float]:
-    return loewner_order(mean_phi, mean_psi, 0.0).slack(relation).tolist()
-
-
-def _curvature_slacks(side: str, spec, relation, core, mean_phi, mean_psi) -> List[Optional[float]]:
-    """QM_phi against the bound of ``side``, psi^{-1} of ``core.refined(psi, phi, c)``; None where
-    that operand leaves the domain of psi^{-1}, which the row's relation requires operator monotone."""
-    curv = spec.composite_curvature
-    c = curv.alpha if side == ALPHA_SIDE else curv.beta
-    bound, inside, _ = apply_inverse(spec.psi_inverse, core.refined(spec.psi, spec.phi, c))
-    below = HermitianOperator(mean_phi.entries[inside])
-    slacks = iter(loewner_order(below, bound, 0.0).slack(relation).tolist() if inside.any() else ())
-    return [next(slacks) if ok else None for ok in inside.tolist()]
-
-
-def _sandwich_slacks(spec, relation, core, mean_phi, mean_psi) -> List[float]:
-    """The lesser slack of QM_phi <= middle and middle <= QM_psi, for the middle
-
-        psi^{-1}( psi(m)^{(T - phi(m)I)/(phi(M)-phi(m))} psi(M)^{(phi(M)I - T)/(phi(M)-phi(m))} )
-
-    with T = sum_i Phi_i(phi(A_i)).  Both exponent operators are functions of
-    T and commute, so the operand of psi^{-1} is one scalar functional
-    calculus of T, ``core.geometric``.
-    """
-    middle = inverse_within_domain(spec.psi_inverse, core.geometric(spec.phi, *endpoint_values(spec.psi, spec.bounds)))
-    low = loewner_order(mean_phi, middle, 0.0).slack(relation).tolist()
-    high = loewner_order(middle, mean_psi, 0.0).slack(relation).tolist()
-    return [min(a, b) for a, b in zip(low, high)]
+# The sides a mean check compares: both means, the curvature bound of each side
+# (labelled by the side) and the sandwich's geometric middle.
+QM_PHI, QM_PSI, MIDDLE = "qm_phi", "qm_psi", "middle"
 
 
 class MeanCheck(NamedTuple):
-    """One row of the mean-check table: ``relation(spec)`` is the asserted
-    relation, or None when the check's hypotheses fail; ``slacks(spec,
-    relation, core, QM_phi, QM_psi)`` gives the signed slack of each trial
-    of a stack, None for a domain skip, from the operands of the stack's
-    ``core``; it reads a ``loewner_order`` at tolerance 0, as the sweep
-    applies its own."""
+    """One row of the mean-check table, as ``mercer.ChainKind`` is of the chains:
+    ``relation(spec)`` is the relation each pair asserts, or None when the
+    check's hypotheses fail; ``pairs`` are the compared (left, right) sides,
+    in order.  A trial's slack is the least of its pairs' (:func:`check_slacks`)."""
 
     relation: Callable[[QuasiArithmeticSpec], Optional[Relation]]
-    slacks: Callable[..., List[Optional[float]]]
-
-
-def _curvature_check(side: str) -> MeanCheck:
-    relation = partial(curvature_bound_expected_relation, side=side)
-    return MeanCheck(relation, partial(_curvature_slacks, side))
+    pairs: Tuple[Tuple[str, str], ...]
 
 
 MEAN_CHECKS: Dict[str, MeanCheck] = {
-    "mean_order": MeanCheck(_mean_order_relation, _mean_order_slacks),
-    "curvature_bound_alpha": _curvature_check(ALPHA_SIDE),
-    "curvature_bound_beta": _curvature_check(BETA_SIDE),
-    "log_convex_sandwich": MeanCheck(_sandwich_relation, _sandwich_slacks),
+    "mean_order": MeanCheck(_mean_order_relation, ((QM_PHI, QM_PSI),)),
+    "curvature_bound_alpha": MeanCheck(
+        partial(curvature_bound_expected_relation, side=ALPHA_SIDE), ((QM_PHI, ALPHA_SIDE),)
+    ),
+    "curvature_bound_beta": MeanCheck(
+        partial(curvature_bound_expected_relation, side=BETA_SIDE), ((QM_PHI, BETA_SIDE),)
+    ),
+    "log_convex_sandwich": MeanCheck(_sandwich_relation, ((QM_PHI, MIDDLE), (MIDDLE, QM_PSI))),
 }
+
+
+def check_slacks(
+    spec: QuasiArithmeticSpec, rows: Sequence[Tuple[MeanCheck, Relation]], core: FamilySums
+) -> List[List[Optional[float]]]:
+    """Per trial of a stage-1 stack ``core``, the signed slack of each of ``rows`` (the applicable
+    rows of ``MEAN_CHECKS`` with their relations), None for a domain skip.
+
+    The sides are operands of ``core``, each built once however many rows
+    read it: QM_phi and QM_psi, ``mean(g, g^{-1})``, first; the bound of a
+    curvature side, psi^{-1} of ``refined(psi, phi, c)``, where QM_phi itself
+    stands in (a difference of exactly 0) for a trial whose operand leaves the
+    domain of psi^{-1}, a domain skip of every row that reads the bound; the
+    sandwich's middle
+
+        psi^{-1}( psi(m)^{(T - phi(m)I)/(phi(M)-phi(m))} psi(M)^{(phi(M)I - T)/(phi(M)-phi(m))} )
+
+    with T = sum_i Phi_i(phi(A_i)), psi^{-1} of one functional calculus of T,
+    ``geometric``.  Every pair of every row is compared in one
+    ``loewner_orders`` call at tolerance 0, as the sweep applies its own.
+    """
+    qm_phi = core.mean(spec.phi, spec.phi_inverse)
+    sides = {QM_PHI: qm_phi, QM_PSI: core.mean(spec.psi, spec.psi_inverse)}
+    inside: Dict[str, np.ndarray] = {}
+    pairs = [pair for row, _ in rows for pair in row.pairs]
+    for label in dict.fromkeys(label for pair in pairs for label in pair):
+        if label in (ALPHA_SIDE, BETA_SIDE):
+            operand = core.refined(spec.psi, spec.phi, _side_curvature(spec.composite_curvature, label))
+            bound, inside[label], _ = apply_inverse(spec.psi_inverse, operand)
+            entries = qm_phi.entries.copy()
+            entries[inside[label]] = bound.entries
+            sides[label] = HermitianOperator(entries)
+        elif label == MIDDLE:
+            operand = core.geometric(spec.phi, *endpoint_values(spec.psi, spec.bounds))
+            sides[label] = inverse_within_domain(spec.psi_inverse, operand)
+    orders = iter(loewner_orders([(sides[left], sides[right], 0.0) for left, right in pairs]) if pairs else ())
+    columns = []
+    for row, relation in rows:
+        slacks = [next(orders).slack(relation).tolist() for _ in row.pairs]
+        kept = np.ones(len(core.positions), dtype=bool)
+        for label in {label for pair in row.pairs for label in pair} & inside.keys():
+            kept &= inside[label]
+        columns.append([min(trial) if ok else None for ok, trial in zip(kept.tolist(), zip(*slacks))])
+    return [[column[j] for column in columns] for j in range(len(core.positions))]
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,7 @@ same in any chunk.
 ``haar_unitary``, ``random_hermitian`` and ``random_unital_family`` are the
 same code on one matrix or family, kept as the reference forms the tests
 check the chunk sampler against.  A family
-with a singular normaliser is drawn again, which moves the later draws of
+with a singular or ill-conditioned normaliser is drawn again, which moves the later draws of
 its stream, so a trial whose first family phase 2 rejects is drawn again
 from a fresh copy of its stream, with the rejection loop, which normalises
 its family alone, as a chunk of one; its V_i and trace weight take the
@@ -42,7 +42,7 @@ from .core import Block
 from .errors import SingularNormalizer
 from .linalg import HermitianOperator, SpectralBounds, SpectralDecomposition
 from .maps import Compression, MapFamily, WeightedTrace
-from .tolerance import NORMALIZER_SINGULARITY_ABS
+from .tolerance import NORMALIZER_CONDITION_MAX, NORMALIZER_SINGULARITY_ABS
 
 MASK32 = (1 << 32) - 1
 MASK64 = (1 << 64) - 1
@@ -176,8 +176,10 @@ def _normalise(stacks: Sequence[tuple]) -> List[Tuple[np.ndarray, np.ndarray]]:
     0.0 + G_1 + ... + G_n, then the zero Grams of its padding, which change
     no entry (a partial sum starting at 0.0 + G_1 is never -0.0); S goes
     through one ``eigh`` and S^{-1/2} is one product.  The congruence is one
-    ``@`` per stack.  ``accepted`` tells per family that S is nonsingular;
-    the V_i of a rejected family, and those of the padding, mean nothing.
+    ``@`` per stack.  ``accepted`` tells per family that S is nonsingular
+    and conditioned well enough for a unital result (``tolerance``'s
+    ``NORMALIZER_SINGULARITY_ABS`` and ``NORMALIZER_CONDITION_MAX``); the
+    V_i of a rejected family, and those of the padding, mean nothing.
     A stack of width 0, of lone trace maps, has nothing to normalise.
     """
     vss = [_ginibre(normals) for normals, _ in stacks]
@@ -193,7 +195,7 @@ def _normalise(stacks: Sequence[tuple]) -> List[Tuple[np.ndarray, np.ndarray]]:
             for k, rows in zip(ks, slices):
                 padded[: len(grams[k]), rows] = grams[k]
         lam, u = np.linalg.eigh(sum(padded, 0.0))
-        accepted = lam[:, 0] > NORMALIZER_SINGULARITY_ABS
+        accepted = (lam[:, 0] > NORMALIZER_SINGULARITY_ABS) & (lam[:, 0] > lam[:, -1] / NORMALIZER_CONDITION_MAX)
         lam = np.where(accepted[:, None], lam, 1.0)  # no square root of a rejected spectrum
         inv_sqrt = (u / np.sqrt(lam)[..., None, :]) @ u.conj().swapaxes(-1, -2)
         normalisers.update((k, (accepted[rows], inv_sqrt[rows])) for k, rows in zip(ks, slices))
@@ -224,8 +226,8 @@ def _draw_family(
 ):
     """(normals, fraction, V_i) of a family: normals ``(n_comp, 2, dim_h, dim_k)``, then trace fraction.
 
-    Unchecked (phase 1) the first draw is kept, its V_i None; checked, it is drawn again while its
-    normaliser is singular, raising ``SingularNormalizer`` after ``NORMALIZER_ATTEMPTS`` draws.
+    Unchecked (phase 1) the first draw is kept, its V_i None; checked, it is drawn again while
+    ``_normalise`` rejects its normaliser, raising ``SingularNormalizer`` after ``NORMALIZER_ATTEMPTS`` draws.
     """
     for _ in range(NORMALIZER_ATTEMPTS if checked else 1):
         normals = rng.standard_normal((n - 1 if include_trace else n, 2, dim_h, dim_k))
@@ -249,8 +251,9 @@ def random_unital_family(
     S = sum_i V_i* V_i, which gives exact unitality without rejection
     sampling.  With ``include_trace`` one map is a weighted trace whose
     weight takes a random fraction of the identity, the compressions
-    absorbing the rest.  Raises ``SingularNormalizer`` when S stays
-    numerically singular for ``NORMALIZER_ATTEMPTS`` draws (e.g. dim_k > n * dim_h).
+    absorbing the rest.  S is drawn again while it is numerically singular or
+    too ill-conditioned for a unital result; raises ``SingularNormalizer``
+    after ``NORMALIZER_ATTEMPTS`` draws (e.g. dim_k > n * dim_h).
     """
     _, fraction, vs = _draw_family(n, dim_h, dim_k, include_trace, rng, checked=True)
     return _family(vs, [_trace_weight(fraction, len(vs), dim_h)] if include_trace else [], dim_h, dim_k)

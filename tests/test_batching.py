@@ -30,15 +30,20 @@ from mercerlab.harness import (
     run_sweep,
     suite_outcomes,
 )
-from mercerlab.linalg import HermitianOperator, Relation, SideNorms, loewner_order
+from mercerlab.linalg import HermitianOperator, Relation, SideNorms, loewner_orders
 from mercerlab.mercer import contract_pairs, evaluate_chain
 from mercerlab.quasimeans import (
     ALPHA_SIDE,
     BETA_SIDE,
     MEAN_CHECKS,
+    MIDDLE,
+    QM_PHI,
+    QM_PSI,
     apply_inverse,
+    check_slacks,
     curvature_bound_expected_relation,
     curvature_mean_bound,
+    inverse_within_domain,
     mercer_quasi_mean,
     resolve_spec,
 )
@@ -180,7 +185,7 @@ SWEEP_PAIRS = [("sqrt", "id"), ("log", "id"), ("square", "id"), ("id", "inv"),
 def test_stacked_sweep_equals_trial_by_trial(monkeypatch, shape):
     # A report holds counts, minima and violations only, so every trial's
     # gaps are compared too, as _chunk returns the stage-2 rows of
-    # _sweep_rows: per trial, its seed, dims and the signed slack of each
+    # check_slacks: per trial, its seed, dims and the signed slack of each
     # applicable check of MEAN_CHECKS.
     trials = []
     original = harness._chunk
@@ -230,7 +235,7 @@ def test_sweep_stage_two_is_the_one_trial_forms(mixed):
         sides = [side for side in curvature if curvature_bound_expected_relation(spec, side) is not None]
 
         def stage_two(stack):  # per trial of the stack: QM_phi, QM_psi and each side's bound or None
-            gaps = harness._sweep_rows(spec, rows, stack)
+            gaps = check_slacks(spec, rows, stack)
             columns = [stack.mean(spec.phi, spec.phi_inverse).entries, stack.mean(spec.psi, spec.psi_inverse).entries]
             for side in sides:
                 image, inside, _ = apply_inverse(spec.psi_inverse, stack.refined(spec.psi, spec.phi, curvature[side]))
@@ -252,6 +257,48 @@ def test_sweep_stage_two_is_the_one_trial_forms(mixed):
                 else:
                     assert bound.tobytes() == curvature_mean_bound(spec, family, ops, side).entries.tobytes()
     assert skips > 0  # the masked path is exercised
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixed"])
+def test_sweep_rows_equal_each_pair_alone(mixed):
+    # check_slacks compares every pair of every applicable row of a dim_k
+    # stack in one eigvalsh.  Per trial, each row's slack must be, by
+    # float.hex, the least of its pairs' slacks, each pair compared alone in
+    # its own loewner_orders call on the trials its sides hold, and each None
+    # must sit exactly where apply_inverse masks the trial's curvature operand.
+    beta_split = []  # the stacks where curvature_bound_beta both skips and evaluates trials
+    for index, (phi, psi) in enumerate(SWEEP_PAIRS):
+        config = TrialConfig(seed=index, vary_dims=True, mixed=mixed)
+        spec = resolve_spec(parse_function_spec(phi), parse_function_spec(psi), config.bounds)
+        rows = [(row, row.relation(spec)) for row in MEAN_CHECKS.values() if row.relation(spec) is not None]
+        labels = {label for row, _ in rows for pair in row.pairs for label in pair}
+        psi_ends = (float(spec.psi(config.bounds.m)), float(spec.psi(config.bounds.M)))
+
+        def stage_two(stack):  # per trial: the row of check_slacks and the one built pair by pair
+            n = len(stack.positions)
+            sides = {QM_PHI: stack.mean(spec.phi, spec.phi_inverse), QM_PSI: stack.mean(spec.psi, spec.psi_inverse)}
+            inside = {QM_PHI: np.ones(n, dtype=bool), QM_PSI: np.ones(n, dtype=bool), MIDDLE: np.ones(n, dtype=bool)}
+            for side, c in ((ALPHA_SIDE, spec.composite_curvature.alpha), (BETA_SIDE, spec.composite_curvature.beta)):
+                if side in labels:  # the bound of the trials inside the domain of psi^-1 only
+                    sides[side], inside[side], _ = apply_inverse(spec.psi_inverse, stack.refined(spec.psi, spec.phi, c))
+            if MIDDLE in labels:
+                sides[MIDDLE] = inverse_within_domain(spec.psi_inverse, stack.geometric(spec.phi, *psi_ends))
+            expected = []
+            for row, relation in rows:
+                kept = np.logical_and.reduce([inside[label] for pair in row.pairs for label in pair])
+                slacks = []
+                for left, right in row.pairs if kept.any() else ():
+                    a, b = (HermitianOperator(sides[label].entries[kept[inside[label]]]) for label in (left, right))
+                    (order,) = loewner_orders([(a, b, 0.0)])
+                    slacks.append(iter(order.slack(relation).tolist()))
+                expected.append([min(next(slack) for slack in slacks) if ok else None for ok in kept.tolist()])
+                if row is MEAN_CHECKS["curvature_bound_beta"] and 0 < kept.sum() < n:
+                    beta_split.append((phi, psi))
+            return zip(check_slacks(spec, rows, stack), zip(*expected))
+
+        for _, _, (got, want) in harness._chunk(config, core.operand_sums(spec.phi, spec.psi), stage_two, range(60)):
+            assert [None if x is None else x.hex() for x in got] == [None if x is None else x.hex() for x in want]
+    assert beta_split
 
 
 def break_trials(monkeypatch, out_of_range, non_unital):
@@ -352,9 +399,9 @@ def test_signed_slack_of_a_stack_is_per_matrix():
         raw = rng.standard_normal((2, 7, dim, dim)) + 1j * rng.standard_normal((2, 7, dim, dim))
         lefts, rights = (HermitianOperator(0.5 * (z + z.conj().swapaxes(-1, -2))) for z in raw)
         for relation in (Relation.LESS_EQUAL, Relation.GREATER_EQUAL, Relation.EQUAL):
-            stacked = loewner_order(lefts, rights, 0.0).slack(relation)
+            stacked = loewner_orders([(lefts, rights, 0.0)])[0].slack(relation)
             single = [
-                loewner_order(HermitianOperator(left), HermitianOperator(right), 0.0).slack(relation)
+                loewner_orders([(HermitianOperator(left), HermitianOperator(right), 0.0)])[0].slack(relation)
                 for left, right in zip(lefts.entries, rights.entries)
             ]
             assert stacked.tobytes() == np.array(single).tobytes()
@@ -368,7 +415,7 @@ def test_signed_slack_of_a_stack_is_per_matrix():
 def test_stacked_pairs_equal_each_pair_alone(monkeypatch, fn, chain, m, M, force):
     # evaluate_trials compares all pairs of a chain in one eigvalsh of their
     # stacked differences.  In each dim_k stack of a mixed vary_dims chunk,
-    # every pair's spectra must be, bit for bit, those of loewner_order on
+    # every pair's spectra must be, bit for bit, those of loewner_orders on
     # that pair alone, and so must its below mask under the default tolerance.
     reports = []
     original = harness.evaluate_trials
@@ -384,7 +431,7 @@ def test_stacked_pairs_equal_each_pair_alone(monkeypatch, fn, chain, m, M, force
     for report in reports:
         for (left, right), order in report.orders.items():
             sides = report.sides[left], report.sides[right]
-            alone = loewner_order(*sides, tuple(map(SideNorms, sides)))
+            alone = loewner_orders([(*sides, tuple(map(SideNorms, sides)))])[0]
             assert order.eigenvalues.tobytes() == alone.eigenvalues.tobytes(), (left, right)
             assert order.below.tolist() == alone.below.tolist(), (left, right)
     if force:

@@ -205,6 +205,12 @@ class TestBoundaryValidation:
              "not log-convex"),
             (("verify", "--chain", "log-convex", "--trials", "5", "--function", "log", "--m", "2", "--M", "1e10"),
              "not log-convex"),
+            # master seeds outside [0, 2^64), which would sample the streams of another seed
+            (("verify", "--seed", "18446744073709551616", "--trials", "3"), "seed"),
+            (("verify", "--seed", "-1", "--trials", "3"), "seed"),
+            (("sweep", "--phi", "log", "--psi", "id", "--seed", "18446744073709551616", "--trials", "3"), "seed"),
+            (("search", "classic-nonconvex", "--budget", "3", "--seed", "-1"), "seed"),
+            (("search", "th3-th4-order", "--budget", "2", "--seed", "18446744073709551616"), "seed"),
         ],
     )
     def test_rejected_with_one_line(self, args, field):
@@ -214,6 +220,11 @@ class TestBoundaryValidation:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("mercerlab: error: ")
         assert field in lines[0]
+
+    def test_largest_seed_is_accepted(self):
+        proc = run_cli("verify", "--seed", "18446744073709551615", "--trials", "3")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["config"]["seed"] == 2**64 - 1
 
     def test_zero_trials_is_an_empty_clean_run(self):
         proc = run_cli("verify", "--trials", "0")

@@ -5,16 +5,16 @@ trial at the default sizes (dim 4, n = 2 maps) pays, in ``eigh``: 1 for the
 unitality normaliser of the sampled family, 1 for the stack of its
 operators A_i (decomposed once, shared by every side), then 1 per operator
 function evaluated on an assembled operator.  In ``eigvalsh`` a verify
-trial pays 1 for the comparisons of all its chain's pairs, the spectra of
-every right - left stacked in one call, and a sweep trial 1 per signed
-slack; the spectra give the ordering and the signed slack of either
-direction, so a GreaterEqual verdict needs no second solve.  A compared
-side's spectral norms, for the default
-tolerance, are solved only for the trials of a pair whose least
-eigenvalue is below -1e-9, the tolerance floor, when its mask is read; a unital family's
-defect is cleared by its Frobenius bound, and a spectral norm is solved
-only where the bound cannot clear it.  The one ``qr`` is the Haar step of
-the sampler, for every operator of one dimension.
+trial pays 1 for the comparisons of all its chain's pairs, and a sweep
+trial 1 for every pair of all its applicable checks, the spectra of every
+right - left stacked in one call; the spectra give the ordering and the
+signed slack of either direction, so a GreaterEqual verdict needs no second
+solve.  A compared side's spectral norms, for the default tolerance, are
+solved only for the trials of a pair whose least eigenvalue is below -1e-9,
+the tolerance floor, when its mask is read; a unital family's defect is
+cleared by its Frobenius bound, and a spectral norm is solved only where
+the bound cannot clear it.  The one ``qr`` is the Haar step of the sampler,
+for every operator of one dimension.
 A verify suite or a sweep of one shape samples and evaluates all its trials
 as one stack, so no count grows with the trial count.  A chunk of many
 shapes pays one A_i ``eigh`` per operator dimension dim_h, and everything
@@ -56,12 +56,13 @@ def solver_calls(monkeypatch):
 def test_sweep_trial_budget(solver_calls):
     # eigh: normaliser 1 + A_i stack 1 + QM_phi, QM_psi 2 + both curvature bounds 2
     # + geometric middle h(T_phi) and its inverse 2.
-    # eigvalsh: signed slack of the mean order, both curvature sides and the
-    # two sandwich halves; the Frobenius bound clears the unitality defect.
+    # eigvalsh: one for the five compared pairs, stacked: the mean order,
+    # both curvature sides and the two sandwich halves; the Frobenius bound
+    # clears the unitality defect.  It was 5, one call per pair.
     # qr: the Haar step of both A_i.
     report, _ = run_sweep("log", "id", TrialConfig(seed=5), 1)
     assert report["checks"]["log_convex_sandwich"]["evaluated"] == 1
-    assert solver_calls == {"eigh": 8, "eigvalsh": 5, "qr": 1}
+    assert solver_calls == {"eigh": 8, "eigvalsh": 1, "qr": 1}
 
 
 @pytest.mark.parametrize(
@@ -153,9 +154,10 @@ def test_varied_sweep_chunk_is_one_stack_per_matrix_dimension(solver_calls):
     # 40 vary_dims trials of log / id land in 35 shape groups over 7 dim_h and
     # 7 dim_k values.  eigh: 7 A_i stacks + 7 normalisers + 7 x (QM_phi,
     # QM_psi, both curvature bounds, h(T_phi) and its inverse); it was
-    # 35 + 7 + 7 x 6 = 84 with one A_i stack per group.  eigvalsh: 7 x 5
-    # signed slacks, as before (35); the Frobenius bound clears every sampled
-    # family's unitality defect without an eigensolve.  qr: 7, as before.
+    # 35 + 7 + 7 x 6 = 84 with one A_i stack per group.  eigvalsh: 7, the 5
+    # compared pairs of each dim_k stack in one call; it was 7 x 5 = 35 with
+    # one call per pair.  The Frobenius bound clears every sampled family's
+    # unitality defect without an eigensolve.  qr: 7, as before.
     config = TrialConfig(seed=5, vary_dims=True)
     _, groups = harness._sample_chunk(config, range(40))
     dims_h, dims_k = ({group.dims[axis] for group in groups} for axis in (0, 1))
@@ -163,16 +165,17 @@ def test_varied_sweep_chunk_is_one_stack_per_matrix_dimension(solver_calls):
     solver_calls.update(eigh=0, eigvalsh=0, qr=0)
     report, _ = run_sweep("log", "id", config, 40)
     assert all(check["evaluated"] == 40 for check in report["checks"].values())
-    assert solver_calls == {"eigh": 7 + 7 + 7 * 6, "eigvalsh": 7 * 5, "qr": 7}
+    assert solver_calls == {"eigh": 7 + 7 + 7 * 6, "eigvalsh": 7, "qr": 7}
 
 
 def test_one_shape_sweep_is_one_stack(solver_calls):
     # 50 trials of one shape pay the one-trial counts of test_sweep_trial_budget:
     # stage 1 builds the operands on one core, stage 2 runs each step once
-    # on the one dim_k stack.  Per trial this was 7 eigh and 5 eigvalsh.
+    # on the one dim_k stack.  Per trial this was 7 eigh and 5 eigvalsh, then
+    # 8 eigh and 5 eigvalsh per stack, one eigvalsh per compared pair.
     report, _ = run_sweep("log", "id", TrialConfig(seed=5), 50)
     assert report["checks"]["log_convex_sandwich"]["evaluated"] == 50
-    assert solver_calls == {"eigh": 8, "eigvalsh": 5, "qr": 1}
+    assert solver_calls == {"eigh": 8, "eigvalsh": 1, "qr": 1}
 
 
 def test_normaliser_is_one_eigh_per_codomain_dimension(solver_calls):

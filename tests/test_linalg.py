@@ -20,7 +20,7 @@ from mercerlab.linalg import (
     SpectralBounds,
     apply_scalar_function,
     apply_to_decomposition,
-    loewner_order,
+    loewner_orders,
     spectral_decompose,
     spectral_norms,
 )
@@ -30,7 +30,7 @@ from mercerlab.tolerance import PSD_TOLERANCE_FLOOR, tolerance_from_norms
 
 def compare(a, b):
     """The Loewner verdict of A against B at the engine's default tolerance."""
-    return loewner_order(a, b, tolerance_from_norms(spectral_norms(a), spectral_norms(b))).verdict()
+    return loewner_orders([(a, b, tolerance_from_norms(spectral_norms(a), spectral_norms(b)))])[0].verdict()
 
 
 def random_hermitian_raw(dim, rng, scale=1.0):
@@ -216,7 +216,7 @@ class TestLoewnerCompare:
         relations = (Relation.INCOMPARABLE, Relation.GREATER_EQUAL, Relation.LESS_EQUAL)
         u = np.stack([haar_unitary(3, rng) for _ in relations])
         a, b = (HermitianOperator(u * np.array(v)[:, None, :] @ u.conj().swapaxes(-1, -2)) for v in (lefts, rights))
-        order = loewner_order(a, b, 1e-12)
+        order = loewner_orders([(a, b, 1e-12)])[0]
         for j, relation in enumerate(relations):
             verdict = order.verdict(j)
             assert verdict.relation is relation
@@ -239,7 +239,7 @@ class TestLoewnerCompare:
             left, t = stack(dim), stack(dim)
             diamond = 4.0 * t - 3.0 * np.eye(dim) - 0.5 * (t @ t + stack(dim))
             for right in (stack(dim), diamond):
-                order = loewner_order(HermitianOperator(left), HermitianOperator(right), 0.0)
+                order = loewner_orders([(HermitianOperator(left), HermitianOperator(right), 0.0)])[0]
                 slack = order.slack(Relation.GREATER_EQUAL).tolist()
                 expected = np.linalg.eigvalsh(left - right)[..., 0].tolist()
                 assert [x.hex() for x in slack] == [x.hex() for x in expected]
@@ -258,7 +258,7 @@ class TestDeferredTolerance:
 
     @staticmethod
     def eager(a, b):
-        return loewner_order(a, b, tolerance_from_norms(spectral_norms(a), spectral_norms(b)))
+        return loewner_orders([(a, b, tolerance_from_norms(spectral_norms(a), spectral_norms(b)))])[0]
 
     @staticmethod
     def same_verdicts(lazy, eager, indices):
@@ -299,10 +299,10 @@ class TestDeferredTolerance:
 
         monkeypatch.setattr(linalg, "spectral_norms", counted)
         norms_a, norms_b = SideNorms(a), SideNorms(b)
-        lazy = loewner_order(a, b, (norms_a, norms_b))
+        lazy = loewner_orders([(a, b, (norms_a, norms_b))])[0]
         zero = HermitianOperator(np.zeros_like(b.entries))
         norms_zero = SideNorms(zero)
-        shared = loewner_order(zero, b, (norms_zero, norms_b))  # b's norms serve both pairs
+        shared = loewner_orders([(zero, b, (norms_zero, norms_b))])[0]  # b's norms serve both pairs
         assert solved == []  # nothing is solved before a mask is read
         monkeypatch.setattr(linalg, "spectral_norms", original)
         eager, eager_shared = self.eager(a, b), self.eager(zero, b)
@@ -332,7 +332,7 @@ class TestDeferredTolerance:
         v = haar_unitary(4, rng)
         a = HermitianOperator(base)
         b = HermitianOperator(base + (v * np.array([-3.0, -2.0, -1.0, 5e-7])) @ v.conj().T)
-        lazy, eager = loewner_order(a, b, (SideNorms(a), SideNorms(b))), self.eager(a, b)
+        lazy, eager = loewner_orders([(a, b, (SideNorms(a), SideNorms(b)))])[0], self.eager(a, b)
         assert 1e-9 < eager.eigenvalues[-1] < eager.tol
         assert lazy.below.shape == lazy.above.shape == ()
         assert (bool(lazy.below), bool(lazy.above)) == (bool(eager.below), bool(eager.above)) == (False, True)

@@ -21,7 +21,7 @@ from mercerlab.functions import (
     square_root,
 )
 from mercerlab.core import endpoint_values, trial_sums
-from mercerlab.linalg import HermitianOperator, Relation, SpectralBounds, loewner_order, spectral_norms
+from mercerlab.linalg import HermitianOperator, Relation, SpectralBounds, loewner_orders, spectral_norms
 from mercerlab.maps import Compression, MapFamily, WeightedTrace
 from mercerlab.mercer import MercerInstance, diamond_plain, evaluate_chain, mercer_lhs
 from mercerlab.harness import TrialConfig, run_sweep
@@ -67,7 +67,7 @@ def random_family_and_ops(seed, bounds, dim_max=6):
 
 def compare(a, b):
     """The Loewner verdict of A against B at the engine's default tolerance."""
-    return loewner_order(a, b, tolerance_from_norms(spectral_norms(a), spectral_norms(b))).verdict()
+    return loewner_orders([(a, b, tolerance_from_norms(spectral_norms(a), spectral_norms(b)))])[0].verdict()
 
 
 def pair_sums(spec, family, ops):
@@ -109,14 +109,12 @@ class TestResolveSpec:
         assert spec.composite_is_log_convex
         assert spec.composite_curvature.alpha == pytest.approx(1.0, abs=1e-5)
         assert spec.composite_curvature.beta == pytest.approx(3.0, abs=1e-4)
-        assert spec.psi_inverse_increasing and not spec.psi_inverse_decreasing
-        assert not spec.reversal_applied
+        assert spec.psi_inverse.operator_monotone and not spec.psi_inverse.operator_decreasing
 
     def test_id_inv_pair_flags_reversal(self):
         spec = resolve_spec(identity(), reciprocal(), BOUNDS_13)
         assert spec.composite_is_convex
-        assert spec.psi_inverse_decreasing
-        assert spec.reversal_applied
+        assert spec.psi_inverse.operator_decreasing and not spec.psi_inverse.operator_monotone
 
     def test_decreasing_generator_orients_interval(self):
         spec = resolve_spec(reciprocal(), identity(), BOUNDS_13)

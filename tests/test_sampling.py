@@ -161,7 +161,8 @@ def trial_bytes(family, operators):
 def normalised_by_definition(rng, n, dim_h, dim_k, mixed):
     """The V_i of a family drawn from ``rng`` as ``random_unital_family`` draws it, normalised by the
     definition alone, one family at a time: sqrt(1 - fraction) V_i S^{-1/2} with
-    S = 0.0 + V_1* V_1 + ... + V_n* V_n in map order, drawn again while S is singular."""
+    S = 0.0 + V_1* V_1 + ... + V_n* V_n in map order, drawn again while S is singular
+    or ill-conditioned."""
     while True:
         normals = rng.standard_normal((n - 1 if mixed else n, 2, dim_h, dim_k))
         fraction = float(rng.uniform(0.1, 0.4)) if mixed else 0.0
@@ -169,7 +170,7 @@ def normalised_by_definition(rng, n, dim_h, dim_k, mixed):
         if not len(v):
             return v
         lam, u = np.linalg.eigh(sum((vi.conj().T @ vi for vi in v), 0.0))
-        if lam[0] > sampling.NORMALIZER_SINGULARITY_ABS:
+        if lam[0] > sampling.NORMALIZER_SINGULARITY_ABS and lam[0] > lam[-1] / sampling.NORMALIZER_CONDITION_MAX:
             return v @ ((u / np.sqrt(lam)) @ u.conj().T) * np.sqrt(1.0 - fraction)
 
 
@@ -264,6 +265,24 @@ class TestChunkSampler:
         for i, (_, _, family, operators) in enumerate(sampled):
             assert trial_bytes(family, operators) == trial_bytes(*one_by_one(config, i)), i
             assert defect(family) <= 1e-9
+
+    def test_ill_conditioned_normaliser_is_drawn_again(self):
+        # Trial 2 of this vary_dims seed first draws a (3, 3, 1) family whose S
+        # has lambda_min 6.5e-8, above the singularity floor, and cond(S) 7.3e7.
+        # Normalised, its unitality defect was 9.3e-9, beyond UNITALITY_ABS,
+        # so stage 1 refused the family and the sweep raised HypothesisNotMet.
+        config = TrialConfig(seed=4867886993087217673, vary_dims=True)
+        rng = generator(trial_seed(config.seed, 2))
+        dim_h, dim_k, n = harness._draw_dims(config, rng)
+        normals = rng.standard_normal((n, 2, dim_h, dim_k))
+        v = (normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2.0)
+        lam = np.linalg.eigvalsh(sum((vi.conj().T @ vi for vi in v), 0.0))
+        assert (dim_h, dim_k, n) == (3, 3, 1)
+        assert lam[0] > sampling.NORMALIZER_SINGULARITY_ABS and lam[-1] / lam[0] > 7e7
+        ((_, _, family, _),) = harness._sampled_trials(config, (2,))
+        assert defect(family) <= 1e-10
+        report, violations = harness.run_sweep("sqrt", "id", config, 40)
+        assert violations == 0 and report["checks"]["mean_order"]["evaluated"] == 40
 
     def test_always_singular_trial_raises_like_one_by_one(self):
         # One 1 -> 3 compression never has a nonsingular normaliser.

@@ -27,6 +27,7 @@ def test_thresholds():
     assert tp.LOG_CONVEXITY_SLACK == 1e-10
     assert tp.COSINE_ZERO_MARGIN == 1e-12
     assert tp.NORMALIZER_SINGULARITY_ABS == 1e-12
+    assert tp.NORMALIZER_CONDITION_MAX == 1e6
 
 
 @pytest.mark.parametrize("seed", SEEDS)
