@@ -11,7 +11,9 @@ g([m, M]), ``diamond(g)`` =
 (g(M)+g(m)) T_g - g(M)g(m) I - (T_g^2 + sum_i Phi_i(g(A_i)^2)) / 2,
 ``refined(psi, phi, c)`` = pre_mean(psi) - c diamond(phi), and
 ``geometric(g, v_lo, v_hi)``, the geometric interpolant h(T_g).  The
-quasi-arithmetic mean QM_g is mean(g, g^{-1}).  A chain is the mean case
+quasi-arithmetic mean QM_g is mean(g, g^{-1}).  ``FamilySums.decompose``
+is the one place a stack's spectra are solved, several independent
+operands in one ``eigh``, and kept for ``mean`` and ``geometric``.  A chain is the mean case
 phi = id: its lhs is mean(None, f), f of pre_mean(None), its classic right
 side pre_mean(f), its refined sides refined(f, None, c) and its log-convex
 middle geometric(None, f(m), f(M)).
@@ -37,7 +39,6 @@ from .linalg import (
     HermitianOperator,
     SpectralBounds,
     SpectralDecomposition,
-    apply_scalar_function,
     apply_to_decomposition,
     spectral_decompose,
 )
@@ -98,15 +99,31 @@ class FamilySums:
     with one matrix per trial at chunk ``positions`` (ascending), and the operands built on them.
 
     An operand's generator g is None for the raw A_i, whose endpoint values
-    are m and M; each operand is built at most once per stack.
+    are m and M; each operand is built, and each spectrum solved
+    (:meth:`decompose`), at most once per stack.
     """
 
     def __init__(self, positions, sums: Dict[tuple, HermitianOperator], bounds: SpectralBounds):
         self.positions, self.sums, self.bounds = positions, sums, bounds
         self.operands: Dict[tuple, HermitianOperator] = {}
+        self.spectra: Dict[tuple, SpectralDecomposition] = {}
 
     def sum(self, g, squared: bool = False) -> HermitianOperator:
         return self.sums[g, squared]
+
+    def decompose(self, *operands: tuple) -> List[SpectralDecomposition]:
+        """The decompositions of ``operands``, each a method name and its arguments such as
+        ``("pre_mean", g)``: those not kept yet are built, in order, then solved in one
+        ``spectral_decompose`` of their stack, with its Hermiticity check, and kept.  numpy's
+        ``eigh`` treats each matrix of a stack as it treats it alone, so none moves a bit."""
+        new = [key for key in dict.fromkeys(operands) if key not in self.spectra]
+        if new:
+            built = [getattr(self, name)(*args).entries for name, *args in new]
+            stacked = built[0][None] if len(built) == 1 else np.stack(built)  # a lone operand is not copied
+            dec = spectral_decompose(HermitianOperator(stacked))
+            for key, values, vectors in zip(new, dec.eigenvalues, dec.eigenvectors):
+                self.spectra[key] = SpectralDecomposition(values, vectors)
+        return [self.spectra[key] for key in operands]
 
     @_per_stack
     def pre_mean(self, g) -> HermitianOperator:
@@ -118,7 +135,8 @@ class FamilySums:
     def mean(self, g, h) -> HermitianOperator:
         """h(pre_mean(g)) by clamped functional calculus on g([m, M]): the Mercer lhs
         f((M+m) I - S) for (g, h) = (None, f), the quasi-arithmetic mean QM_g for (g, g^{-1})."""
-        return apply_scalar_function(h, self.pre_mean(g), image_interval(g, self.bounds))
+        (dec,) = self.decompose(("pre_mean", g))
+        return apply_to_decomposition(h, dec, image_interval(g, self.bounds))
 
     @_per_stack
     def diamond(self, g) -> HermitianOperator:
@@ -139,7 +157,8 @@ class FamilySums:
     def geometric(self, g, v_lo: float, v_hi: float) -> HermitianOperator:
         """h(T_g) on g([m, M]), for the h of :func:`geometric_interpolant` from g(m), g(M), v_lo and v_hi."""
         h = geometric_interpolant(*endpoint_values(g, self.bounds), v_lo, v_hi)
-        return apply_scalar_function(h, self.sum(g), image_interval(g, self.bounds))
+        (dec,) = self.decompose(("sum", g))
+        return apply_to_decomposition(h, dec, image_interval(g, self.bounds))
 
 
 def endpoint_values(g, bounds: SpectralBounds) -> Tuple[float, float]:

@@ -3,7 +3,8 @@
 Each entry carries evaluator, first and second derivative, and flags:
 convexity on the natural domain, log-convexity, and the direction of
 operator monotonicity; ``inverse_entry`` gives the entry of the inverse.
-Operator monotonicity is a catalog flag, not a decision procedure.
+Operator monotonicity is a catalog flag, not a decision procedure.  The
+grid formulas below also decide the composite of ``quasimeans.resolve_spec``.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ class ScalarFunction:
     reports whether f'' is monotone on a given closed interval, which allows
     exact endpoint curvature bounds.  ``log_convex_on_domain`` is True or
     False for every catalog entry, whose (log f)'' keeps one sign wherever
-    f > 0; None, for a composite or hand-built function, leaves the decision
-    to the grid of :func:`is_log_convex_on`.
+    f > 0; None, for a hand-built function, leaves the decision to the grid
+    of :func:`is_log_convex_on`.
     """
 
     name: str
@@ -305,8 +306,7 @@ def curvature_bounds(f: ScalarFunction, bounds: SpectralBounds) -> CurvatureBoun
     """Bounds alpha <= f'' <= beta on [m, M].
 
     Exact endpoint evaluation when the entry declares f'' monotone on the
-    interval; otherwise min/max over a dense grid, each widened by
-    ``tolerance.curvature_widening`` so the sampled bounds stay conservative.
+    interval; otherwise :func:`sampled_curvature` of f'' on a dense grid.
     """
     require_domain(f, bounds)
     if f.second_derivative is None:
@@ -317,9 +317,14 @@ def curvature_bounds(f: ScalarFunction, bounds: SpectralBounds) -> CurvatureBoun
         )
         return CurvatureBounds(alpha=float(ends.min()), beta=float(ends.max()), method="analytic")
     grid = np.linspace(bounds.m, bounds.M, CURVATURE_GRID_POINTS)
-    values = np.asarray(f.second_derivative(grid), dtype=float)
-    lo = float(values.min())
-    hi = float(values.max())
+    return sampled_curvature(np.asarray(f.second_derivative(grid), dtype=float))
+
+
+def sampled_curvature(second: np.ndarray) -> CurvatureBounds:
+    """The sampled bounds of f'' from its values on a grid: their min and max, each widened by
+    ``tolerance.curvature_widening`` so the bounds stay conservative between the nodes."""
+    lo = float(second.min())
+    hi = float(second.max())
     return CurvatureBounds(
         alpha=lo - curvature_widening(lo),
         beta=hi + curvature_widening(hi),
@@ -327,38 +332,45 @@ def curvature_bounds(f: ScalarFunction, bounds: SpectralBounds) -> CurvatureBoun
     )
 
 
-def _log_second_derivative(f: ScalarFunction, grid: np.ndarray) -> np.ndarray:
-    """(log f)'' = f''/f - (f'/f)^2 on the grid, from f's analytic derivatives."""
-    if f.derivative is None or f.second_derivative is None:
-        raise MissingSecondDerivative(f"{f.label()} has no first and second derivative in the catalog")
-    vals = np.asarray(f(grid), dtype=float)
-    d1 = np.asarray(f.derivative(grid), dtype=float)
-    d2 = np.asarray(f.second_derivative(grid), dtype=float)
-    return d2 / vals - np.square(d1 / vals)
+def positive_on_grid(values: np.ndarray) -> bool:
+    """Is every value of f on a grid finite and strictly positive?"""
+    return bool(np.all(np.isfinite(values))) and float(values.min()) > 0.0
+
+
+def log_convex_on_grid(values: np.ndarray, first: np.ndarray, second: np.ndarray) -> bool:
+    """(log f)'' = f''/f - (f'/f)^2 >= -``LOG_CONVEXITY_SLACK`` on the interior nodes of a grid,
+    from f, f' and f'' on the whole grid.
+
+    Interior nodes only: one-sided derivatives misbehave at the endpoints
+    of the natural domain.
+    """
+    vals, d1, d2 = values[1:-1], first[1:-1], second[1:-1]
+    return bool(np.min(d2 / vals - np.square(d1 / vals)) >= -LOG_CONVEXITY_SLACK)
 
 
 def is_log_convex_on(f: ScalarFunction, bounds: SpectralBounds) -> bool:
     """True when log f is convex on [m, M].
 
     Requires f > 0 on the interval.  A catalog entry's flag decides, either
-    way; a function without one (a composite, a hand-built function) is
-    decided on the interior of a grid, which needs f' and f'' (else
-    ``MissingSecondDerivative``).
+    way; a function without one (a hand-built function) is decided by
+    :func:`log_convex_on_grid`, as ``quasimeans.resolve_spec`` decides a
+    composite, which needs f' and f'' (else ``MissingSecondDerivative``).
     """
     grid = np.linspace(bounds.m, bounds.M, CURVATURE_GRID_POINTS)
     with np.errstate(all="ignore"):
         vals = np.asarray(f(grid), dtype=float)
-    if not np.all(np.isfinite(vals)) or float(vals.min()) <= 0.0:
+    if not positive_on_grid(vals):
         raise NonpositiveFunction(
             f"{f.label()} is not strictly positive on [{bounds.m}, {bounds.M}]"
         )
     if f.log_convex_on_domain is not None:
         return f.log_convex_on_domain
-    # Interior grid only: one-sided derivatives misbehave at the endpoints
-    # of the natural domain.
-    interior = grid[1:-1]
-    curv = _log_second_derivative(f, interior)
-    return bool(np.min(curv) >= -LOG_CONVEXITY_SLACK)
+    if f.derivative is None or f.second_derivative is None:
+        raise MissingSecondDerivative(f"{f.label()} has no first and second derivative in the catalog")
+    with np.errstate(all="ignore"):
+        d1 = np.asarray(f.derivative(grid), dtype=float)
+        d2 = np.asarray(f.second_derivative(grid), dtype=float)
+        return log_convex_on_grid(vals, d1, d2)
 
 
 def refined_vs_geometric_gap(t: float, m: float, M: float, p: float) -> float:

@@ -13,7 +13,8 @@ whatever its shapes.  Stage 2 runs everything after them once per codomain
 dimension dim_k, on the operands of its ``core.FamilySums``: verify every
 side, norm and comparison of its chain, sweep both means and every
 applicable check of ``quasimeans.MEAN_CHECKS``, every compared pair of a
-stack in one ``eigvalsh`` (``quasimeans.check_slacks``), as verify's pairs are.
+stack in one ``eigvalsh`` (``quasimeans.check_slacks``), as verify's pairs are,
+and a verify suite's chain gate at its first stack only.
 Stacking never moves a bit and results are folded back in trial order, so
 a report is the same as trial after trial; a failing chunk is re-run trial
 by trial, so the error raised is the one of the lowest failing trial.  A
@@ -250,14 +251,17 @@ def _chunk(config: TrialConfig, keys, rows_of: Callable[[FamilySums], list], ind
 
 
 def _grouped_outcomes(
-    config: TrialConfig, f: ScalarFunction, which: str, indices: Sequence[int]
+    config: TrialConfig, f: ScalarFunction, which: str, gate: Dict[str, dict], indices: Sequence[int]
 ) -> List[TrialOutcome]:
     """The outcomes of the trials ``indices``, in order, run as one :func:`_chunk` of the sums
     ``core.operand_sums(None, f)``: stage 2 evaluates the chain once per dim_k stack, into one
-    report whose contract pairs give every trial's outcome (see :func:`_contract_outcomes`)."""
+    report whose contract pairs give every trial's outcome (see :func:`_contract_outcomes`).
+    The suite's first stack puts the chain gate's scalars in ``gate``, for every later one."""
 
     def rows_of(stack: FamilySums) -> list:
-        report = evaluate_trials(f, which, stack, force=config.force, tol_abs=config.tol_abs)
+        scalars = gate.get(which)
+        report = evaluate_trials(f, which, stack, force=config.force, tol_abs=config.tol_abs, _scalars=scalars)
+        gate[which] = report.scalars
         return _contract_outcomes(report, which)
 
     trials = _chunk(config, operand_sums(None, f), rows_of, indices)
@@ -290,7 +294,7 @@ def suite_outcomes(
 ) -> Iterator[TrialOutcome]:
     """The outcomes of the trials ``trials`` (see :func:`_by_chunk`) of a verify
     suite, in index order, each chunk evaluated by :func:`_grouped_outcomes`."""
-    return _by_chunk(trials, partial(_grouped_outcomes, config, f, which))
+    return _by_chunk(trials, partial(_grouped_outcomes, config, f, which, {}))
 
 
 def run_suite(config: TrialConfig, n_trials: int) -> RunSummary:
@@ -331,7 +335,7 @@ def run_suite(config: TrialConfig, n_trials: int) -> RunSummary:
 def replay_trial(config: TrialConfig, trial_index: int) -> Dict[str, float]:
     """Re-execute one trial, as a suite chunk of one, and return its contract-pair gaps keyed 'left<=right'."""
     f = parse_function_spec(config.function_spec)
-    (outcome,) = _grouped_outcomes(config, f, normalize_chain(config.chain), (trial_index,))
+    (outcome,) = _grouped_outcomes(config, f, normalize_chain(config.chain), {}, (trial_index,))
     return {f"{left}<={right}": gap for left, right, gap, _ in outcome.pairs}
 
 

@@ -21,7 +21,7 @@ an operand of ``core.FamilySums`` with g = None for the raw A_i.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -240,6 +240,9 @@ CHAINS: Dict[str, ChainKind] = {
 }
 CHAIN_KINDS = tuple(CHAINS)
 
+# The independent operands whose spectra the lhs and the log-convex middle read, solved together.
+_SPECTRA = {"lhs": ("pre_mean", None), "geometric_middle": ("sum", None)}
+
 
 def _chain_kind(which: str) -> ChainKind:
     if which not in CHAINS:
@@ -263,6 +266,8 @@ def evaluate_trials(
     core: FamilySums,
     force: bool = False,
     tol_abs: float | None = None,
+    *,
+    _scalars: Optional[Dict[str, float]] = None,
 ) -> InequalityReport:
     """Evaluate the selected inequality chain and compare its pairs of sides.
 
@@ -278,18 +283,21 @@ def evaluate_trials(
     ``pre_mean(f)``, D ``diamond(None)``, the refined sides
     ``refined(f, None, beta)`` and ``(f, None, alpha)``, the log-convex middle
     ``geometric(None, f(m), f(M))``, and the chord, affine in S.  Returns one
-    report for all trials: each side is built for all of them at once, and
-    every pair is compared in one ``eigvalsh`` call of the stacked
-    differences right - left (``linalg.loewner_orders``), every trial
-    against its own tolerance; the gate depends on f and [m, M] only and is
-    evaluated once, after the lhs.  The default tolerance needs the sides'
+    report for all trials: each side is built for all of them at once, the
+    spectra of the lhs's pre-mean and of the log-convex middle's S in one
+    ``FamilySums.decompose``, and every pair is compared in one ``eigvalsh``
+    call of the stacked differences right - left (``linalg.loewner_orders``),
+    every trial against its own tolerance.  The gate depends on f, [m, M]
+    and ``force`` only and is evaluated after the lhs, unless a suite passes
+    its scalars from an earlier stack (``_scalars``).  The default tolerance needs the sides'
     norms only for a trial whose gap is below -``PSD_TOLERANCE_FLOOR``; they
     are solved when a mask or verdict is read (``linalg.LoewnerOrder``), so
     an informational pair, whose mask a suite never reads, solves none.
     """
     chain, bounds = _chain_kind(which), core.bounds
+    core.decompose(*(_SPECTRA[label] for label in chain.sides if label in _SPECTRA))
     lhs = core.mean(None, f)
-    scalars = chain.gate(f, bounds, force)
+    scalars = chain.gate(f, bounds, force) if _scalars is None else _scalars
     build = {
         "lhs": lambda: lhs,
         "rhs_classic": lambda: core.pre_mean(f),

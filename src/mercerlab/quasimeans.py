@@ -19,10 +19,13 @@ sandwich's middle psi^{-1} of ``geometric(phi, psi(m), psi(M))``.
 mean order, both sides of the curvature bound, the log-convex sandwich), in
 report order, as ``mercer.CHAINS`` is of the chains: per check, when it
 applies and the pairs of sides it compares.  ``check_slacks`` builds the
-sides a stack's applicable checks read and compares every pair in one
-``linalg.loewner_orders`` call, as a chain's pairs are compared.  Every check
-reads the sums ``core.operand_sums(phi, psi)``, which a sweep's stage 1
-builds whichever checks apply.
+sides a stack's applicable checks read, their independent spectra in one
+``FamilySums.decompose`` (the middle's psi^{-1}, of h(T_phi), in its own),
+and compares every pair in one ``linalg.loewner_orders`` call, as a chain's
+pairs are compared.  Every check reads the sums ``core.operand_sums(phi,
+psi)``, which a sweep's stage 1 builds whichever checks apply.
+
+``resolve_spec`` evaluates each grid of a sweep's set-up once.
 
 Orientation: when a generator is strictly decreasing, its image interval is
 re-ordered before any chord or curvature machinery runs; all displayed
@@ -39,19 +42,16 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    HypothesisNotMet,
-    InvalidInterval,
-    InverseDomainError,
-    NonpositiveFunction,
-)
+from .errors import HypothesisNotMet, InvalidInterval, InverseDomainError
 from .functions import (
+    CURVATURE_GRID_POINTS,
     CurvatureBounds,
     ScalarFunction,
-    curvature_bounds,
     inverse_entry,
-    is_log_convex_on,
+    log_convex_on_grid,
+    positive_on_grid,
     require_finite,
+    sampled_curvature,
 )
 from .core import FamilySums, endpoint_values, image_interval, operand_sums, trial_sums
 from .linalg import (
@@ -73,56 +73,38 @@ ALPHA_SIDE = "alpha_lower_refined"
 BETA_SIDE = "beta_reversed"
 
 
-def _require_strictly_monotone(g: ScalarFunction, bounds: SpectralBounds, n: int) -> None:
-    """Validate that g is finite and strictly monotone on an n-point grid of [m, M]."""
+def _require_strictly_monotone(g: ScalarFunction, bounds: SpectralBounds, n: int) -> np.ndarray:
+    """g on an n-point grid of [m, M], validated finite and strictly monotone there."""
     if not g.domain_contains_interval(bounds):
         raise InvalidInterval(
             f"[{bounds.m}, {bounds.M}] not inside the domain of {g.label()}"
         )
-    steps = np.diff(require_finite(g, bounds, n))
+    values = require_finite(g, bounds, n)
+    steps = np.diff(values)
     if not (np.all(steps > 0) or np.all(steps < 0)):
         raise InvalidInterval(f"{g.label()} is not strictly monotone on [{bounds.m}, {bounds.M}]")
+    return values
 
 
-def _compose_with_inverse(psi: ScalarFunction, phi: ScalarFunction) -> ScalarFunction:
-    """psi o phi^{-1} with derivatives chained analytically.
-
-    (psi o phi^{-1})''(u) = (psi'' phi' - psi' phi'') / phi'^3 at x = phi^{-1}(u).
-    The entry is evaluation-guarded rather than domain-bounded, so its
-    natural domain is left unbounded.
-    """
-    phi_entry = inverse_entry(phi)
-    if phi_entry is None or phi.derivative is None or phi.second_derivative is None:
+def _composite_on_grid(
+    psi: ScalarFunction, phi: ScalarFunction, phi_inverse: ScalarFunction, interval: SpectralBounds
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """psi o phi^{-1}, psi'/phi' and (psi'' phi' - psi' phi'') / phi'^3 at x = phi^{-1}(u) on the
+    grid of the phi-image ``interval``, from one evaluation of each; overflow stays in, unwarned."""
+    if phi.derivative is None or phi.second_derivative is None:
         raise InverseDomainError(f"{phi.label()} has no usable inverse/derivatives")
     if psi.derivative is None or psi.second_derivative is None:
         raise InverseDomainError(f"{psi.label()} has no usable derivatives")
-    phi_inv = phi_entry.fn
-
-    def ev(u):
-        return psi.fn(phi_inv(u))
-
-    def d1(u):
-        x = phi_inv(u)
-        return np.asarray(psi.derivative(x), dtype=float) / np.asarray(
-            phi.derivative(x), dtype=float
-        )
-
-    def d2(u):
-        x = phi_inv(u)
+    with np.errstate(all="ignore"):
+        x = phi_inverse.fn(np.linspace(interval.m, interval.M, CURVATURE_GRID_POINTS))
+        values = np.asarray(psi.fn(x), dtype=float)
+        d_psi = np.asarray(psi.derivative(x), dtype=float)
         dp = np.asarray(phi.derivative(x), dtype=float)
-        return (
+        second = (
             np.asarray(psi.second_derivative(x), dtype=float) * dp
-            - np.asarray(psi.derivative(x), dtype=float)
-            * np.asarray(phi.second_derivative(x), dtype=float)
+            - d_psi * np.asarray(phi.second_derivative(x), dtype=float)
         ) / dp**3
-
-    return ScalarFunction(
-        name=f"{psi.name}_after_{phi.name}_inverse",
-        fn=ev,
-        derivative=d1,
-        second_derivative=d2,
-        parameters=phi.parameters + psi.parameters,
-    )
+        return values, d_psi / dp, second
 
 
 @dataclass(frozen=True)
@@ -146,20 +128,21 @@ def resolve_spec(phi: ScalarFunction, psi: ScalarFunction, bounds: SpectralBound
     """Validate a generator pair on [m, M] and precompute composite metadata.
 
     Checks strict monotonicity of both generators on a dense grid and the
-    inverse round trip g^{-1}(g(t)) = t to ``tolerance.inverse_roundtrip_tolerance``;
-    classifies the composite as convex/concave from sampled curvature bounds
-    (margin ``tolerance.composite_curvature_margin``) and tests its
-    log-convexity on the grid of ``is_log_convex_on`` (a composite has no flag).
+    inverse round trip g^{-1}(g(t)) = t to ``tolerance.inverse_roundtrip_tolerance``
+    from one evaluation of each generator, phi first; classifies the composite
+    as convex/concave from its sampled curvature bounds (margin
+    ``tolerance.composite_curvature_margin``) and decides its log-convexity
+    from one evaluation on its grid (:func:`_composite_on_grid`).
     """
     grid = np.linspace(bounds.m, bounds.M, MONOTONICITY_GRID_POINTS)
     inverses = []
     for g in (phi, psi):
-        _require_strictly_monotone(g, bounds, MONOTONICITY_GRID_POINTS)
+        values = _require_strictly_monotone(g, bounds, MONOTONICITY_GRID_POINTS)
         entry = inverse_entry(g)
         if entry is None:
             raise InverseDomainError(f"{g.label()} has no inverse evaluator")
         with np.errstate(all="ignore"):
-            roundtrip = np.asarray(entry.fn(np.asarray(g(grid), dtype=float)), dtype=float)
+            roundtrip = np.asarray(entry.fn(values), dtype=float)
         defect = float(np.max(np.abs(roundtrip - grid)))
         if not np.all(np.isfinite(roundtrip)) or defect > inverse_roundtrip_tolerance(grid):
             raise InverseDomainError(
@@ -169,20 +152,17 @@ def resolve_spec(phi: ScalarFunction, psi: ScalarFunction, bounds: SpectralBound
         inverses.append(entry)
 
     phi_interval = image_interval(phi, bounds)
-    composite = _compose_with_inverse(psi, phi)
-    curv = curvature_bounds(composite, phi_interval)
+    values, first, second = _composite_on_grid(psi, phi, inverses[0], phi_interval)
+    curv = sampled_curvature(second)
     kappa = composite_curvature_margin(curv.alpha, curv.beta)
     is_convex = curv.alpha >= -kappa
     is_concave = curv.beta <= kappa
 
     psi_m, psi_M = endpoint_values(psi, bounds)
-    if psi_m > 0.0 and psi_M > 0.0:
-        try:
-            is_log_convex = is_log_convex_on(composite, phi_interval)
-        except NonpositiveFunction:
-            is_log_convex = False
-    else:
-        is_log_convex = False
+    is_log_convex = False
+    if psi_m > 0.0 and psi_M > 0.0 and positive_on_grid(values):
+        with np.errstate(all="ignore"):
+            is_log_convex = log_convex_on_grid(values, first, second)
 
     phi_inv, psi_inv = inverses
     return QuasiArithmeticSpec(
@@ -206,14 +186,21 @@ def resolve_spec(phi: ScalarFunction, psi: ScalarFunction, bounds: SpectralBound
 def apply_inverse(
     entry: ScalarFunction, operand: HermitianOperator
 ) -> Tuple[HermitianOperator, np.ndarray, Optional[InverseDomainError]]:
-    """entry of each matrix of a stack whose spectrum stays inside entry's domain.
+    """entry of each matrix of a stack whose spectrum stays inside entry's domain:
+    :func:`inverse_of_decomposition` of one decomposition of the stack."""
+    return inverse_of_decomposition(entry, spectral_decompose(operand))
+
+
+def inverse_of_decomposition(
+    entry: ScalarFunction, dec: SpectralDecomposition
+) -> Tuple[HermitianOperator, np.ndarray, Optional[InverseDomainError]]:
+    """entry of each matrix of a decomposed stack whose spectrum stays inside entry's domain.
 
     Returns (the images of those matrices, in order; the mask of them; the
     error of the first matrix outside, in C order, or None).  A matrix
-    outside is never passed to entry.  One decomposition of the stack serves
-    both the range check and the functional calculus.
+    outside is never passed to entry.  The one decomposition serves both
+    the range check and the functional calculus.
     """
-    dec = spectral_decompose(operand)
     lo, hi = dec.eigenvalues[..., 0], dec.eigenvalues[..., -1]
     dlo, dhi = entry.natural_domain
     slack = inverse_domain_slack(lo, hi)
@@ -415,17 +402,27 @@ def check_slacks(
         psi^{-1}( psi(m)^{(T - phi(m)I)/(phi(M)-phi(m))} psi(M)^{(phi(M)I - T)/(phi(M)-phi(m))} )
 
     with T = sum_i Phi_i(phi(A_i)), psi^{-1} of one functional calculus of T,
-    ``geometric``.  Every pair of every row is compared in one
-    ``loewner_orders`` call at tolerance 0, as the sweep applies its own.
+    ``geometric``.  The independent spectra, of both pre-means, of the
+    applicable refined operands and of T, are solved in one
+    ``FamilySums.decompose``; only the middle's psi^{-1}, of h(T), needs its
+    own.  Every pair of every row is compared in one ``loewner_orders`` call
+    at tolerance 0, as the sweep applies its own.
     """
+    pairs = [pair for row, _ in rows for pair in row.pairs]
+    labels = list(dict.fromkeys(label for pair in pairs for label in pair))
+    refined = {
+        label: ("refined", spec.psi, spec.phi, _side_curvature(spec.composite_curvature, label))
+        for label in labels if label in (ALPHA_SIDE, BETA_SIDE)
+    }
+    middle = [("sum", spec.phi)] if MIDDLE in labels else []
+    core.decompose(("pre_mean", spec.phi), ("pre_mean", spec.psi), *refined.values(), *middle)
     qm_phi = core.mean(spec.phi, spec.phi_inverse)
     sides = {QM_PHI: qm_phi, QM_PSI: core.mean(spec.psi, spec.psi_inverse)}
     inside: Dict[str, np.ndarray] = {}
-    pairs = [pair for row, _ in rows for pair in row.pairs]
-    for label in dict.fromkeys(label for pair in pairs for label in pair):
-        if label in (ALPHA_SIDE, BETA_SIDE):
-            operand = core.refined(spec.psi, spec.phi, _side_curvature(spec.composite_curvature, label))
-            bound, inside[label], _ = apply_inverse(spec.psi_inverse, operand)
+    for label in labels:
+        if label in refined:
+            (dec,) = core.decompose(refined[label])
+            bound, inside[label], _ = inverse_of_decomposition(spec.psi_inverse, dec)
             entries = qm_phi.entries.copy()
             entries[inside[label]] = bound.entries
             sides[label] = HermitianOperator(entries)

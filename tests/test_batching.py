@@ -30,7 +30,14 @@ from mercerlab.harness import (
     run_sweep,
     suite_outcomes,
 )
-from mercerlab.linalg import HermitianOperator, Relation, SideNorms, loewner_orders
+from mercerlab.linalg import (
+    HermitianOperator,
+    Relation,
+    SideNorms,
+    apply_scalar_function,
+    loewner_orders,
+    spectral_decompose,
+)
 from mercerlab.mercer import contract_pairs, evaluate_chain
 from mercerlab.quasimeans import (
     ALPHA_SIDE,
@@ -43,6 +50,7 @@ from mercerlab.quasimeans import (
     check_slacks,
     curvature_bound_expected_relation,
     curvature_mean_bound,
+    inverse_of_decomposition,
     inverse_within_domain,
     mercer_quasi_mean,
     resolve_spec,
@@ -299,6 +307,48 @@ def test_sweep_rows_equal_each_pair_alone(mixed):
         for _, _, (got, want) in harness._chunk(config, core.operand_sums(spec.phi, spec.psi), stage_two, range(60)):
             assert [None if x is None else x.hex() for x in got] == [None if x is None else x.hex() for x in want]
     assert beta_split
+
+
+def test_sweep_spectra_equal_each_operand_alone():
+    # check_slacks solves the spectra of a dim_k stack's independent operands
+    # (both pre-means, the applicable refined operands and T_phi) in one
+    # eigh of their concatenation.  On mixed vary_dims stacks of every pair,
+    # each kept decomposition and every side built from it must be, by
+    # tobytes, the one of its operand decomposed alone.
+    batches = []  # the operand keys of every stack, in decomposition order
+    for index, (phi, psi) in enumerate(SWEEP_PAIRS):
+        config = TrialConfig(seed=index, vary_dims=True, mixed=True)
+        spec = resolve_spec(parse_function_spec(phi), parse_function_spec(psi), config.bounds)
+        rows = [(row, row.relation(spec)) for row in MEAN_CHECKS.values() if row.relation(spec) is not None]
+        psi_ends = (float(spec.psi(config.bounds.m)), float(spec.psi(config.bounds.M)))
+
+        def stage_two(stack):
+            gaps = check_slacks(spec, rows, stack)
+            batches.append(list(stack.spectra))
+            for (name, *args), dec in stack.spectra.items():
+                alone = spectral_decompose(getattr(stack, name)(*args))
+                assert dec.eigenvalues.tobytes() == alone.eigenvalues.tobytes(), (phi, psi, name)
+                assert dec.eigenvectors.tobytes() == alone.eigenvectors.tobytes(), (phi, psi, name)
+                if name == "pre_mean":
+                    g = args[0]
+                    h = spec.phi_inverse if g is spec.phi else spec.psi_inverse
+                    mean = apply_scalar_function(h, stack.pre_mean(g), core.image_interval(g, config.bounds))
+                    assert stack.mean(g, h).entries.tobytes() == mean.entries.tobytes()
+                elif name == "refined":
+                    image, inside, _ = inverse_of_decomposition(spec.psi_inverse, dec)
+                    bound, mask, _ = apply_inverse(spec.psi_inverse, stack.refined(*args))
+                    assert inside.tolist() == mask.tolist()
+                    assert image.entries.tobytes() == bound.entries.tobytes()
+                else:
+                    h = core.geometric_interpolant(*core.endpoint_values(spec.phi, config.bounds), *psi_ends)
+                    middle = apply_scalar_function(h, stack.sum(spec.phi), core.image_interval(spec.phi, config.bounds))
+                    assert stack.geometric(spec.phi, *psi_ends).entries.tobytes() == middle.entries.tobytes()
+            return gaps
+
+        harness._chunk(config, core.operand_sums(spec.phi, spec.psi), stage_two, range(60))
+    # (log, id) applies all four checks: five operands in one batch
+    assert max(map(len, batches)) == 5 and min(map(len, batches)) >= 2
+    assert {name for batch in batches for name, *_ in batch} == {"pre_mean", "refined", "sum"}
 
 
 def break_trials(monkeypatch, out_of_range, non_unital):

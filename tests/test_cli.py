@@ -211,6 +211,11 @@ class TestBoundaryValidation:
             (("sweep", "--phi", "log", "--psi", "id", "--seed", "18446744073709551616", "--trials", "3"), "seed"),
             (("search", "classic-nonconvex", "--budget", "3", "--seed", "-1"), "seed"),
             (("search", "th3-th4-order", "--budget", "2", "--seed", "18446744073709551616"), "seed"),
+            # psi o phi^-1 and its derivatives overflow on the set-up's grid (psi = exp up to 700):
+            # the grid is evaluated without numpy warnings, and the refined operand's overflow is the one line
+            (("sweep", "--phi", "log", "--psi", "exp", "--m", "1", "--M", "700", "--trials", "3"), "overflow"),
+            (("sweep", "--phi", "inv", "--psi", "exp", "--m", "0.001", "--M", "700", "--trials", "3"), "overflow"),
+            (("sweep", "--phi", "pow:p=0.01", "--psi", "exp", "--m", "1", "--M", "700", "--trials", "3"), "overflow"),
         ],
     )
     def test_rejected_with_one_line(self, args, field):

@@ -3,8 +3,11 @@
 The counts are numpy calls: one call solves a whole stack of matrices.  A
 trial at the default sizes (dim 4, n = 2 maps) pays, in ``eigh``: 1 for the
 unitality normaliser of the sampled family, 1 for the stack of its
-operators A_i (decomposed once, shared by every side), then 1 per operator
-function evaluated on an assembled operator.  In ``eigvalsh`` a verify
+operators A_i (decomposed once, shared by every side), then 1 for the
+spectra of every assembled operand that a function is applied to and that
+depends on no other such image, stacked (``FamilySums.decompose``), and 1
+more for each operand that does: the sweep's psi^-1 of its log-convex
+middle h(T_phi).  In ``eigvalsh`` a verify
 trial pays 1 for the comparisons of all its chain's pairs, and a sweep
 trial 1 for every pair of all its applicable checks, the spectra of every
 right - left stacked in one call; the spectra give the ordering and the
@@ -54,21 +57,27 @@ def solver_calls(monkeypatch):
 
 
 def test_sweep_trial_budget(solver_calls):
-    # eigh: normaliser 1 + A_i stack 1 + QM_phi, QM_psi 2 + both curvature bounds 2
-    # + geometric middle h(T_phi) and its inverse 2.
+    # eigh: normaliser 1 + A_i stack 1 + one for the independent operands,
+    # stacked: the pre-means of QM_phi and QM_psi, both refined operands of
+    # the curvature bounds and T_phi of the geometric middle h(T_phi) + the
+    # middle's inverse psi^-1(h(T_phi)) 1.  It was 8 with one eigh per
+    # operand: QM_phi, QM_psi 2 + both curvature bounds 2 + h(T_phi) and its
+    # inverse 2.
     # eigvalsh: one for the five compared pairs, stacked: the mean order,
     # both curvature sides and the two sandwich halves; the Frobenius bound
     # clears the unitality defect.  It was 5, one call per pair.
     # qr: the Haar step of both A_i.
     report, _ = run_sweep("log", "id", TrialConfig(seed=5), 1)
     assert report["checks"]["log_convex_sandwich"]["evaluated"] == 1
-    assert solver_calls == {"eigh": 8, "eigvalsh": 1, "qr": 1}
+    assert solver_calls == {"eigh": 4, "eigvalsh": 1, "qr": 1}
 
 
 @pytest.mark.parametrize(
     "chain, eigh, pairs",
     [
-        # eigh: normaliser 1 + A_i stack 1 + lhs 1 [+ log-convex middle 1].
+        # eigh: normaliser 1 + A_i stack 1 + lhs 1, whose pre-mean the
+        # log-convex chain decomposes with S, of its middle h(S), in one call
+        # (it was 4 with the middle's own eigh).
         # eigvalsh: one for all the chain's compared pairs (incl. zero <=
         # diamond), stacked; every gap clears the tolerance floor, so no side
         # norm is solved, and the Frobenius bound clears the unitality defect.
@@ -80,7 +89,7 @@ def test_sweep_trial_budget(solver_calls):
         ("classic", 3, 2),
         ("chain", 3, 4),
         ("twice-diff", 3, 5),
-        ("log-convex", 4, 4),
+        ("log-convex", 3, 4),
     ],
 )
 def test_chain_trial_budget(solver_calls, chain, eigh, pairs):
@@ -152,9 +161,12 @@ def test_forced_sine_chunk_solves_each_pair_once(solver_calls):
 
 def test_varied_sweep_chunk_is_one_stack_per_matrix_dimension(solver_calls):
     # 40 vary_dims trials of log / id land in 35 shape groups over 7 dim_h and
-    # 7 dim_k values.  eigh: 7 A_i stacks + 7 normalisers + 7 x (QM_phi,
-    # QM_psi, both curvature bounds, h(T_phi) and its inverse); it was
-    # 35 + 7 + 7 x 6 = 84 with one A_i stack per group.  eigvalsh: 7, the 5
+    # 7 dim_k values.  eigh: 7 A_i stacks + 7 normalisers + 7 x (the
+    # stacked pre-means of QM_phi and QM_psi, refined operands of both
+    # curvature bounds and T_phi, then the inverse of h(T_phi)); it was
+    # 35 + 7 + 7 x 6 = 84 with one A_i stack per group, and 7 + 7 + 7 x 6 = 56
+    # with one eigh per operand (QM_phi, QM_psi, both curvature bounds,
+    # h(T_phi) and its inverse).  eigvalsh: 7, the 5
     # compared pairs of each dim_k stack in one call; it was 7 x 5 = 35 with
     # one call per pair.  The Frobenius bound clears every sampled family's
     # unitality defect without an eigensolve.  qr: 7, as before.
@@ -165,17 +177,18 @@ def test_varied_sweep_chunk_is_one_stack_per_matrix_dimension(solver_calls):
     solver_calls.update(eigh=0, eigvalsh=0, qr=0)
     report, _ = run_sweep("log", "id", config, 40)
     assert all(check["evaluated"] == 40 for check in report["checks"].values())
-    assert solver_calls == {"eigh": 7 + 7 + 7 * 6, "eigvalsh": 7, "qr": 7}
+    assert solver_calls == {"eigh": 7 + 7 + 7 * 2, "eigvalsh": 7, "qr": 7}
 
 
 def test_one_shape_sweep_is_one_stack(solver_calls):
     # 50 trials of one shape pay the one-trial counts of test_sweep_trial_budget:
     # stage 1 builds the operands on one core, stage 2 runs each step once
     # on the one dim_k stack.  Per trial this was 7 eigh and 5 eigvalsh, then
-    # 8 eigh and 5 eigvalsh per stack, one eigvalsh per compared pair.
+    # 8 eigh and 5 eigvalsh per stack, one eigvalsh per compared pair, then
+    # 8 eigh and 1 eigvalsh, one eigh per operand.
     report, _ = run_sweep("log", "id", TrialConfig(seed=5), 50)
     assert report["checks"]["log_convex_sandwich"]["evaluated"] == 50
-    assert solver_calls == {"eigh": 8, "eigvalsh": 1, "qr": 1}
+    assert solver_calls == {"eigh": 4, "eigvalsh": 1, "qr": 1}
 
 
 def test_normaliser_is_one_eigh_per_codomain_dimension(solver_calls):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,17 +11,22 @@ from mercerlab.errors import (
     InverseDomainError,
 )
 from mercerlab.functions import (
+    CURVATURE_GRID_POINTS,
     CurvatureBounds,
+    ScalarFunction,
+    curvature_bounds,
     exponential,
     identity,
+    inverse_entry,
     logarithm,
+    parse_function_spec,
     power,
     reciprocal,
     sine,
     square,
     square_root,
 )
-from mercerlab.core import endpoint_values, trial_sums
+from mercerlab.core import endpoint_values, image_interval, trial_sums
 from mercerlab.linalg import HermitianOperator, Relation, SpectralBounds, loewner_orders, spectral_norms
 from mercerlab.maps import Compression, MapFamily, WeightedTrace
 from mercerlab.mercer import MercerInstance, diamond_plain, evaluate_chain, mercer_lhs
@@ -40,7 +46,12 @@ from mercerlab.quasimeans import (
     resolve_spec,
 )
 from mercerlab.sampling import generator, random_hermitian, random_unital_family
-from mercerlab.tolerance import tolerance_from_norms
+from mercerlab.tolerance import (
+    LOG_CONVEXITY_SLACK,
+    composite_curvature_margin,
+    inverse_roundtrip_tolerance,
+    tolerance_from_norms,
+)
 
 BOUNDS_13 = SpectralBounds(1.0, 3.0)
 SQRT3 = math.sqrt(3.0)
@@ -91,6 +102,105 @@ def sandwich(spec, family, ops):
     middle = inverse_within_domain(spec.psi_inverse, core.geometric(spec.phi, *endpoint_values(spec.psi, spec.bounds)))
     mean_phi, mean_psi = both_means(spec, core)
     return middle, compare(mean_phi, middle), compare(middle, mean_psi)
+
+
+def composite_by_definition(psi, phi):
+    """psi o phi^{-1} as a function of its own, each evaluator applying phi^{-1} again:
+
+        (psi o phi^{-1})'  = psi' / phi',
+        (psi o phi^{-1})'' = (psi'' phi' - psi' phi'') / phi'^3   at x = phi^{-1}(u).
+    """
+    phi_inv = inverse_entry(phi).fn
+
+    def d1(u):
+        x = phi_inv(u)
+        return np.asarray(psi.derivative(x), dtype=float) / np.asarray(phi.derivative(x), dtype=float)
+
+    def d2(u):
+        x = phi_inv(u)
+        dp = np.asarray(phi.derivative(x), dtype=float)
+        return (
+            np.asarray(psi.second_derivative(x), dtype=float) * dp
+            - np.asarray(psi.derivative(x), dtype=float) * np.asarray(phi.second_derivative(x), dtype=float)
+        ) / dp**3
+
+    return ScalarFunction(name="composite", fn=lambda u: psi.fn(phi_inv(u)), derivative=d1, second_derivative=d2)
+
+
+def spec_by_definition(phi, psi, bounds):
+    """What resolve_spec decides, each fact from its own evaluations: both generators'
+    grid checks and round trips, phi first, then the composite's curvature bounds from
+    ``curvature_bounds`` and its log-convexity from f, f' and f'' on the interior grid."""
+    grid = np.linspace(bounds.m, bounds.M, 1000)
+    for g in (phi, psi):
+        if not g.domain_contains_interval(bounds):
+            raise InvalidInterval(f"[{bounds.m}, {bounds.M}] not inside the domain of {g.label()}")
+        values = np.asarray(g(grid), dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise InvalidInterval(f"{g.label()} is not finite on [{bounds.m}, {bounds.M}]")
+        steps = np.diff(values)
+        if not (np.all(steps > 0) or np.all(steps < 0)):
+            raise InvalidInterval(f"{g.label()} is not strictly monotone on [{bounds.m}, {bounds.M}]")
+        entry = inverse_entry(g)
+        if entry is None:
+            raise InverseDomainError(f"{g.label()} has no inverse evaluator")
+        roundtrip = np.asarray(entry.fn(np.asarray(g(grid), dtype=float)), dtype=float)
+        defect = float(np.max(np.abs(roundtrip - grid)))
+        if not np.all(np.isfinite(roundtrip)) or defect > inverse_roundtrip_tolerance(grid):
+            raise InverseDomainError(
+                f"inverse round trip of {g.label()} fails on [{bounds.m}, {bounds.M}] (defect {defect:.3e})"
+            )
+    composite, interval = composite_by_definition(psi, phi), image_interval(phi, bounds)
+    curv = curvature_bounds(composite, interval)
+    kappa = composite_curvature_margin(curv.alpha, curv.beta)
+    log_convex = False
+    u = np.linspace(interval.m, interval.M, CURVATURE_GRID_POINTS)
+    values = np.asarray(composite(u), dtype=float)
+    if min(endpoint_values(psi, bounds)) > 0.0 and np.all(np.isfinite(values)) and values.min() > 0.0:
+        interior = u[1:-1]
+        vals = np.asarray(composite(interior), dtype=float)
+        d1 = np.asarray(composite.derivative(interior), dtype=float)
+        d2 = np.asarray(composite.second_derivative(interior), dtype=float)
+        log_convex = bool(np.min(d2 / vals - np.square(d1 / vals)) >= -LOG_CONVEXITY_SLACK)
+    return interval, curv, curv.alpha >= -kappa, curv.beta <= kappa, log_convex
+
+
+RESOLVE_SPECS = ["id", "square", "exp", "log", "sin", "xlogx", "inv", "sqrt",
+                 "pow:p=-0.2", "pow:p=0.5", "pow:p=2", "pow:p=-1"]
+RESOLVE_INTERVALS = [(1.0, 3.0), (1.0, 30.0), (1.0, 1e10), (math.pi / 4, math.pi / 2), (1e-3, 5.0),
+                     (-2.0, 2.0), (1.0, 700.0)]
+
+
+@pytest.mark.parametrize("m, M", RESOLVE_INTERVALS)
+def test_resolve_spec_equals_the_composite_by_definition(m, M):
+    # resolve_spec evaluates each generator once on its 1000-point grid and
+    # the composite, phi^-1 and every derivative once on the 10,001-point
+    # grid, and reads a whole-grid result's interior as [1:-1].  Every catalog
+    # pair must give the facts of the composite built and evaluated by
+    # definition, alpha and beta by float.hex, or the same error, and no
+    # numpy warning, however the grid overflows.
+    bounds, outcomes = SpectralBounds(m, M), set()
+    for phi, psi in ((parse_function_spec(a), parse_function_spec(b)) for a in RESOLVE_SPECS for b in RESOLVE_SPECS):
+        try:
+            with np.errstate(all="ignore"):
+                expected = spec_by_definition(phi, psi, bounds)
+        except (InvalidInterval, InverseDomainError) as error:
+            with pytest.raises(type(error)) as raised:
+                resolve_spec(phi, psi, bounds)
+            assert str(raised.value) == str(error), (phi.label(), psi.label())
+            outcomes.add(type(error).__name__)
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = resolve_spec(phi, psi, bounds)
+        interval, curv, convex, concave, log_convex = expected
+        got = spec.composite_curvature
+        assert spec.phi_interval == interval
+        assert (got.alpha.hex(), got.beta.hex(), got.method) == (curv.alpha.hex(), curv.beta.hex(), curv.method)
+        flags = (spec.composite_is_convex, spec.composite_is_concave, spec.composite_is_log_convex)
+        assert flags == (convex, concave, log_convex), (phi.label(), psi.label())
+        outcomes.add(flags)
+    assert len(outcomes) > 1
 
 
 class TestResolveSpec:
