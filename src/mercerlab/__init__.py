@@ -42,7 +42,6 @@ from .linalg import (
     Relation,
     SpectralBounds,
     SpectralDecomposition,
-    apply_scalar_function,
     apply_to_decomposition,
     loewner_orders,
     spectral_decompose,

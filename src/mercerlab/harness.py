@@ -13,8 +13,9 @@ whatever its shapes.  Stage 2 runs everything after them once per codomain
 dimension dim_k, on the operands of its ``core.FamilySums``: verify every
 side, norm and comparison of its chain, sweep both means and every
 applicable check of ``quasimeans.MEAN_CHECKS``, every compared pair of a
-stack in one ``eigvalsh`` (``quasimeans.check_slacks``), as verify's pairs are,
-and a verify suite's chain gate at its first stack only.
+stack in one ``eigvalsh`` (``quasimeans.check_slacks``), as verify's pairs are.
+A verify suite evaluates its chain gate once, before any trial, as a sweep
+resolves its hypotheses before the first chunk.
 Stacking never moves a bit and results are folded back in trial order, so
 a report is the same as trial after trial; a failing chunk is re-run trial
 by trial, so the error raised is the one of the lowest failing trial.  A
@@ -39,6 +40,7 @@ from .linalg import HermitianOperator, SpectralBounds
 from .maps import MapFamily, WeightedTrace, family_to_json
 from .mercer import (
     CHAIN_KINDS,
+    CHAINS,
     InequalityReport,
     MercerInstance,
     contract_pairs,
@@ -251,18 +253,15 @@ def _chunk(config: TrialConfig, keys, rows_of: Callable[[FamilySums], list], ind
 
 
 def _grouped_outcomes(
-    config: TrialConfig, f: ScalarFunction, which: str, gate: Dict[str, dict], indices: Sequence[int]
+    config: TrialConfig, f: ScalarFunction, which: str, scalars: Dict[str, float], indices: Sequence[int]
 ) -> List[TrialOutcome]:
     """The outcomes of the trials ``indices``, in order, run as one :func:`_chunk` of the sums
-    ``core.operand_sums(None, f)``: stage 2 evaluates the chain once per dim_k stack, into one
-    report whose contract pairs give every trial's outcome (see :func:`_contract_outcomes`).
-    The suite's first stack puts the chain gate's scalars in ``gate``, for every later one."""
+    ``core.operand_sums(None, f)``: stage 2 evaluates the chain once per dim_k stack, with the
+    chain gate's ``scalars``, into one report whose contract pairs give every trial's outcome
+    (see :func:`_contract_outcomes`)."""
 
     def rows_of(stack: FamilySums) -> list:
-        scalars = gate.get(which)
-        report = evaluate_trials(f, which, stack, force=config.force, tol_abs=config.tol_abs, _scalars=scalars)
-        gate[which] = report.scalars
-        return _contract_outcomes(report, which)
+        return _contract_outcomes(evaluate_trials(f, which, stack, scalars, config.tol_abs), which)
 
     trials = _chunk(config, operand_sums(None, f), rows_of, indices)
     return [TrialOutcome(i, *trial) for i, trial in zip(indices, trials)]
@@ -293,8 +292,11 @@ def suite_outcomes(
     config: TrialConfig, trials: int | range, f: ScalarFunction, which: str
 ) -> Iterator[TrialOutcome]:
     """The outcomes of the trials ``trials`` (see :func:`_by_chunk`) of a verify
-    suite, in index order, each chunk evaluated by :func:`_grouped_outcomes`."""
-    return _by_chunk(trials, partial(_grouped_outcomes, config, f, which, {}))
+    suite, in index order, each chunk evaluated by :func:`_grouped_outcomes`.
+    The chain's gate runs first, before any trial is sampled, and raises
+    ``HypothesisNotMet`` for an unforced f that fails its hypotheses."""
+    scalars = CHAINS[which].gate(f, config.bounds, config.force)
+    return _by_chunk(trials, partial(_grouped_outcomes, config, f, which, scalars))
 
 
 def run_suite(config: TrialConfig, n_trials: int) -> RunSummary:
@@ -335,7 +337,7 @@ def run_suite(config: TrialConfig, n_trials: int) -> RunSummary:
 def replay_trial(config: TrialConfig, trial_index: int) -> Dict[str, float]:
     """Re-execute one trial, as a suite chunk of one, and return its contract-pair gaps keyed 'left<=right'."""
     f = parse_function_spec(config.function_spec)
-    (outcome,) = _grouped_outcomes(config, f, normalize_chain(config.chain), {}, (trial_index,))
+    (outcome,) = suite_outcomes(config, range(trial_index, trial_index + 1), f, normalize_chain(config.chain))
     return {f"{left}<={right}": gap for left, right, gap, _ in outcome.pairs}
 
 
@@ -462,8 +464,8 @@ def search_counterexample(
             columns = [zip(o.eigenvalues[..., 0].reshape(-1).tolist(), (~o.below).reshape(-1).tolist()) for o in orders]
             return list(zip(*columns))
 
-        def stack_scores(stack: FamilySums) -> list:
-            return scores_of([evaluate_trials(f, "classic", stack, force=True, tol_abs=tol_abs) for f in functions])
+        def stack_scores(stack: FamilySums) -> list:  # the forced classic gate's scalars are {}
+            return scores_of([evaluate_trials(f, "classic", stack, {}, tol_abs) for f in functions])
 
         probes = [_extremal_instance(f, bounds) for f in functions]
         scores = scores_of([evaluate_chain(probe, "classic", force=True, tol_abs=tol_abs) for probe in probes])

@@ -3,15 +3,14 @@
 Eigendecomposition, scalar functional calculus and Loewner-order comparison
 for finite-dimensional self-adjoint matrices.  Every operator expression in
 the package is built on the primitives in this module:
-``spectral_decompose``, ``apply_to_decomposition`` (with its one-shot form
-``apply_scalar_function``), ``spectral_norms`` and ``loewner_orders``.
-Functional calculus is split from decomposition so that one eigensolve can
-serve every function applied to the same operator.  The comparisons of any
-number of pairs, a chain's or a sweep's, are one ``eigvalsh`` of their
-differences right - left, stacked, whose spectra give every slack and bit
-of order per matrix; the sides' norms for the default
-tolerance are solved only for a matrix whose order the tolerance floor
-cannot decide (``SideNorms``), and an ``OrderVerdict`` only for a matrix
+``spectral_decompose``, ``apply_to_decomposition``, ``spectral_norms`` and
+``loewner_orders``.  Functional calculus is split from decomposition so
+that one eigensolve can serve every function applied to the same operator.
+The comparisons of any number of pairs, a chain's or a sweep's, are one
+``eigvalsh`` of their differences right - left, stacked, whose spectra give
+every slack and bit of order per matrix; a ``LoewnerOrder`` solves its two
+sides' norms for the default tolerance only for a matrix whose order the
+tolerance floor cannot decide, and an ``OrderVerdict`` only for a matrix
 that asks.
 
 Every primitive takes a stack of matrices: ``entries`` of shape
@@ -33,7 +32,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -235,44 +234,22 @@ class OrderVerdict:
         }
 
 
-class SideNorms:
-    """The spectral norms of one compared side, a stack, for the default tolerance.
-
-    ``at(where)`` gives the norms of the matrices a boolean mask selects,
-    solving (one ``spectral_norms`` call) only those not solved before, so
-    each matrix is solved at most once whatever pairs the side is in.
-    """
-
-    def __init__(self, side: HermitianOperator):
-        self.entries = side.entries
-        self.values = np.zeros(side.entries.shape[:-2])
-        self.known = np.zeros(side.entries.shape[:-2], dtype=bool)
-
-    def at(self, where: np.ndarray) -> np.ndarray:
-        new = where & ~self.known
-        if new.any():
-            self.values[new] = spectral_norms(HermitianOperator(self.entries[new]))
-            self.known |= new
-        return self.values[where]
-
-
-# The tolerance of a comparison: one value, one per matrix, or the two sides' norms.
-Tolerance = Union[float, np.ndarray, Tuple[SideNorms, SideNorms]]
-
-
 @dataclass(frozen=True)
 class LoewnerOrder:
     """The Loewner comparison of two stacks A and B, matrix by matrix (see :func:`loewner_orders`).
 
-    ``difference`` is the stack B - A, ``eigenvalues`` its spectra
-    (ascending), ``tol`` the tolerance of each comparison: an array (or
-    float), or the two sides' ``SideNorms`` for the default
-    ``tolerance.tolerance_from_norms``.  The masks are made on first read.
+    ``left`` and ``right`` are the entries of A and B, ``difference`` the
+    stack B - A, ``eigenvalues`` its spectra (ascending), ``tol`` the
+    tolerance of each comparison (an array or float), or None for the
+    default ``tolerance.tolerance_from_norms`` of both sides' norms.  The
+    masks are made on first read.
     """
 
+    left: np.ndarray
+    right: np.ndarray
     difference: np.ndarray
     eigenvalues: np.ndarray
-    tol: Union[np.ndarray, Tuple[SideNorms, SideNorms]]
+    tol: Optional[np.ndarray]
 
     @functools.cached_property
     def below(self) -> np.ndarray:
@@ -285,17 +262,17 @@ class LoewnerOrder:
         return self._within_tolerance(-self.eigenvalues[..., -1])
 
     def _within_tolerance(self, slack: np.ndarray) -> np.ndarray:
-        """slack >= -tol per matrix.  With the sides' norms, a slack at or above
+        """slack >= -tol per matrix.  By default, a slack at or above
         -``PSD_TOLERANCE_FLOOR``, the least default tolerance, holds whatever the
-        norms are; the norms are solved only for the other matrices (a NaN
+        norms are; both sides' norms are solved only for the other matrices (a NaN
         slack among them), and give exactly the eager result there."""
-        if not isinstance(self.tol, tuple):
+        if self.tol is not None:
             return np.asarray(slack >= -self.tol)
         within = np.asarray(slack >= -PSD_TOLERANCE_FLOOR)
         open_ = ~within
         if open_.any():
-            left, right = self.tol
-            within[open_] = slack[open_] >= -tolerance_from_norms(left.at(open_), right.at(open_))
+            norms = [spectral_norms(HermitianOperator(side[open_])) for side in (self.left, self.right)]
+            within[open_] = slack[open_] >= -tolerance_from_norms(*norms)
         return within
 
     def slack(self, relation: Relation) -> np.ndarray:
@@ -395,36 +372,23 @@ def apply_to_decomposition(
     return HermitianOperator(0.5 * (mat + mat.conj().swapaxes(-1, -2)))
 
 
-def apply_scalar_function(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: HermitianOperator,
-    bounds: SpectralBounds,
-) -> HermitianOperator:
-    """Functional calculus f(A) = U diag(f(lambda)) U* on spectrum inside [m, M].
-
-    Eigenvalues inside the clamp band around [m, M] are clamped onto the
-    interval before evaluating f; eigenvalues farther out raise
-    ``SpectrumOutOfDomain``.  See :func:`apply_to_decomposition`.
-    """
-    return apply_to_decomposition(f, spectral_decompose(a), bounds)
-
-
-def loewner_orders(pairs: Sequence[Tuple[HermitianOperator, HermitianOperator, Tolerance]]) -> List[LoewnerOrder]:
-    """Compare each pair (A, B, tol) in the Loewner order (A <= B iff B - A is PSD), matrix by matrix.
+def loewner_orders(
+    pairs: Sequence[Tuple[HermitianOperator, HermitianOperator]], tol: Union[float, np.ndarray, None] = None
+) -> List[LoewnerOrder]:
+    """Compare each pair (A, B) in the Loewner order (A <= B iff B - A is PSD), matrix by matrix.
 
     One ``eigvalsh`` call of every B - A, stacked along a new leading axis,
     so the pairs' differences must share one shape; each ``LoewnerOrder``
-    gets its slice.  ``tol`` is one tolerance, one per matrix of the
-    broadcast stack, or the sides' ``SideNorms`` (A's, B's) for the
-    engine's default, ``tolerance.tolerance_from_norms`` of both, solved
-    only where the floor cannot decide and only when a mask or verdict is
-    read.
+    gets its slice.  ``tol`` serves every pair: one tolerance, one per
+    matrix of the stack, or None for the engine's default,
+    ``tolerance.tolerance_from_norms`` of each pair's two sides, solved only
+    where the floor cannot decide and only when a mask or verdict is read.
     """
-    for a, b, _ in pairs:
+    for a, b in pairs:
         a._check_same_dim(b)
-    diffs = np.array([b.entries - a.entries for a, b, _ in pairs])
+    diffs = np.array([b.entries - a.entries for a, b in pairs])
     eigenvalues = np.linalg.eigvalsh(diffs)
+    tol = None if tol is None else np.asarray(tol, dtype=float)
     return [
-        LoewnerOrder(diff, lam, tol if isinstance(tol, tuple) else np.asarray(tol, dtype=float))
-        for diff, lam, (_, _, tol) in zip(diffs, eigenvalues, pairs)
+        LoewnerOrder(a.entries, b.entries, diff, lam, tol) for (a, b), diff, lam in zip(pairs, diffs, eigenvalues)
     ]

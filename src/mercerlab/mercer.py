@@ -15,20 +15,23 @@ where S = sum_i Phi_i(A_i).  The curvature correction term
 is PSD whenever all spectra sit in [m, M], which makes the corrected bounds
 genuine refinements for convex f (alpha >= 0).  A chain is the
 quasi-arithmetic mean machinery with phi = id: every side but the chord is
-an operand of ``core.FamilySums`` with g = None for the raw A_i.
+an operand of ``core.FamilySums`` with g = None for the raw A_i.  A
+chain's hypothesis gate depends on f and [m, M] only: ``evaluate_chain``
+and a suite run it once, before any side, and ``evaluate_trials`` takes
+its scalars, so it keeps no state between stacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .errors import BadWeights, HypothesisNotMet, OutOfInterval
 from .core import FamilySums, endpoint_values, operand_sums, trial_sums
 from .functions import CurvatureBounds, ScalarFunction, curvature_bounds, is_log_convex_on
-from .linalg import HermitianOperator, LoewnerOrder, SideNorms, SpectralBounds, loewner_orders
+from .linalg import HermitianOperator, LoewnerOrder, SpectralBounds, loewner_orders
 from .maps import MapFamily
 from .tolerance import WEIGHT_SUM_ABS
 
@@ -256,26 +259,27 @@ def evaluate_chain(
     force: bool = False,
     tol_abs: float | None = None,
 ) -> InequalityReport:
-    """The report of :func:`evaluate_trials` on the core of an instance of one trial."""
-    return evaluate_trials(inst.f, which, inst.core, force=force, tol_abs=tol_abs)
+    """The report of :func:`evaluate_trials` on the core of an instance of one trial, after the
+    chain's gate: convexity for classic/chain, log-convexity for log_convex, which raise
+    ``HypothesisNotMet`` unless ``force`` is set.  Forcing is how counterexample runs are
+    expressed, so property suites cannot silently accept hypothesis violations."""
+    scalars = _chain_kind(which).gate(inst.f, inst.bounds, force)
+    return evaluate_trials(inst.f, which, inst.core, scalars, tol_abs)
 
 
 def evaluate_trials(
     f: ScalarFunction,
     which: str,
     core: FamilySums,
-    force: bool = False,
+    scalars: Dict[str, float],
     tol_abs: float | None = None,
-    *,
-    _scalars: Optional[Dict[str, float]] = None,
 ) -> InequalityReport:
     """Evaluate the selected inequality chain and compare its pairs of sides.
 
-    Hypothesis gates (convexity for classic/chain, log-convexity for
-    log_convex) raise ``HypothesisNotMet`` unless ``force`` is set; forcing is
-    how counterexample runs are expressed, so property suites cannot silently
-    accept hypothesis violations.  Every report also carries the curvature
-    correction term and its PSD comparison, which is hypothesis-free.
+    ``scalars`` are those the chain's gate returned for f and [m, M]: a
+    suite evaluates the gate once, before any trial.  Every report also
+    carries the curvature correction term and its PSD comparison, which is
+    hypothesis-free.
 
     ``core`` holds the family sums ``core.operand_sums(None, f)`` of one trial, or of a
     stage-1 stack with one matrix per trial, whatever the trials' instances.
@@ -287,37 +291,26 @@ def evaluate_trials(
     spectra of the lhs's pre-mean and of the log-convex middle's S in one
     ``FamilySums.decompose``, and every pair is compared in one ``eigvalsh``
     call of the stacked differences right - left (``linalg.loewner_orders``),
-    every trial against its own tolerance.  The gate depends on f, [m, M]
-    and ``force`` only and is evaluated after the lhs, unless a suite passes
-    its scalars from an earlier stack (``_scalars``).  The default tolerance needs the sides'
-    norms only for a trial whose gap is below -``PSD_TOLERANCE_FLOOR``; they
-    are solved when a mask or verdict is read (``linalg.LoewnerOrder``), so
-    an informational pair, whose mask a suite never reads, solves none.
+    every trial against its own tolerance.  The default tolerance needs the
+    sides' norms only for a trial whose gap is below -``PSD_TOLERANCE_FLOOR``;
+    they are solved when a mask or verdict is read (``linalg.LoewnerOrder``),
+    so an informational pair, whose mask a suite never reads, solves none.
     """
     chain, bounds = _chain_kind(which), core.bounds
     core.decompose(*(_SPECTRA[label] for label in chain.sides if label in _SPECTRA))
-    lhs = core.mean(None, f)
-    scalars = chain.gate(f, bounds, force) if _scalars is None else _scalars
     build = {
-        "lhs": lambda: lhs,
+        "lhs": lambda: core.mean(None, f),
         "rhs_classic": lambda: core.pre_mean(f),
         "diamond": lambda: core.diamond(None),
-        "zero": lambda: HermitianOperator(np.zeros_like(lhs.entries)),
+        "zero": lambda: HermitianOperator(np.zeros_like(core.sum(None).entries)),
         "chain_middle": lambda: _chord(f, bounds, core.sum(None)),
         "lower_refined": lambda: core.refined(f, None, scalars["beta"]),
         "upper_refined": lambda: core.refined(f, None, scalars["alpha"]),
         "geometric_middle": lambda: core.geometric(None, *endpoint_values(f, bounds)),
     }
     sides = {label: build[label]() for label in chain.sides}
-
-    # A side's norms enter the default tolerance of every pair it is in, each
-    # matrix's solved at most once and only where a read mask needs it.
-    norms = {label: SideNorms(side) for label, side in sides.items()}
     pairs = [(left, right) for left, right, _ in chain.pairs]
-    compared = loewner_orders(
-        [(sides[left], sides[right], tol_abs if tol_abs is not None else (norms[left], norms[right]))
-         for left, right in pairs]
-    )
+    compared = loewner_orders([(sides[left], sides[right]) for left, right in pairs], tol_abs)
     return InequalityReport(sides=sides, orders=dict(zip(pairs, compared)), scalars=scalars)
 
 

@@ -183,14 +183,6 @@ def resolve_spec(phi: ScalarFunction, psi: ScalarFunction, bounds: SpectralBound
 # The mean and its refinements
 # --------------------------------------------------------------------------
 
-def apply_inverse(
-    entry: ScalarFunction, operand: HermitianOperator
-) -> Tuple[HermitianOperator, np.ndarray, Optional[InverseDomainError]]:
-    """entry of each matrix of a stack whose spectrum stays inside entry's domain:
-    :func:`inverse_of_decomposition` of one decomposition of the stack."""
-    return inverse_of_decomposition(entry, spectral_decompose(operand))
-
-
 def inverse_of_decomposition(
     entry: ScalarFunction, dec: SpectralDecomposition
 ) -> Tuple[HermitianOperator, np.ndarray, Optional[InverseDomainError]]:
@@ -221,8 +213,8 @@ def inverse_of_decomposition(
 
 def inverse_within_domain(entry: ScalarFunction, operand: HermitianOperator) -> HermitianOperator:
     """entry(operand) for an operand (or stack) inside entry's domain; else
-    the ``InverseDomainError`` of :func:`apply_inverse`."""
-    image, _, error = apply_inverse(entry, operand)
+    the ``InverseDomainError`` of :func:`inverse_of_decomposition`."""
+    image, _, error = inverse_of_decomposition(entry, spectral_decompose(operand))
     if error is not None:
         raise error
     return image
@@ -429,7 +421,7 @@ def check_slacks(
         elif label == MIDDLE:
             operand = core.geometric(spec.phi, *endpoint_values(spec.psi, spec.bounds))
             sides[label] = inverse_within_domain(spec.psi_inverse, operand)
-    orders = iter(loewner_orders([(sides[left], sides[right], 0.0) for left, right in pairs]) if pairs else ())
+    orders = iter(loewner_orders([(sides[left], sides[right]) for left, right in pairs], 0.0) if pairs else ())
     columns = []
     for row, relation in rows:
         slacks = [next(orders).slack(relation).tolist() for _ in row.pairs]

@@ -33,8 +33,7 @@ from mercerlab.harness import (
 from mercerlab.linalg import (
     HermitianOperator,
     Relation,
-    SideNorms,
-    apply_scalar_function,
+    apply_to_decomposition,
     loewner_orders,
     spectral_decompose,
 )
@@ -46,7 +45,6 @@ from mercerlab.quasimeans import (
     MIDDLE,
     QM_PHI,
     QM_PSI,
-    apply_inverse,
     check_slacks,
     curvature_bound_expected_relation,
     curvature_mean_bound,
@@ -78,9 +76,9 @@ def group_sizes(monkeypatch):
     sizes = []
     original = harness.evaluate_trials
 
-    def spy(f, which, core, **kwargs):
+    def spy(f, which, core, *args):
         sizes.append(len(core.positions))
-        return original(f, which, core, **kwargs)
+        return original(f, which, core, *args)
 
     monkeypatch.setattr(harness, "evaluate_trials", spy)
     return sizes
@@ -134,9 +132,9 @@ def test_stacked_verify_equals_trial_by_trial(monkeypatch, fn, chain, m, M, forc
         chunks.append(({group.dims[1] for group in groups}, len(groups), []))
         return seeds, groups
 
-    def evaluated(f, which, core, **kwargs):
+    def evaluated(f, which, core, *args):
         chunks[-1][2].append((core.sum(None).dim, len(core.positions)))
-        return evaluate(f, which, core, **kwargs)
+        return evaluate(f, which, core, *args)
 
     def recorded(*args):
         results = grouped(*args)
@@ -246,7 +244,8 @@ def test_sweep_stage_two_is_the_one_trial_forms(mixed):
             gaps = check_slacks(spec, rows, stack)
             columns = [stack.mean(spec.phi, spec.phi_inverse).entries, stack.mean(spec.psi, spec.psi_inverse).entries]
             for side in sides:
-                image, inside, _ = apply_inverse(spec.psi_inverse, stack.refined(spec.psi, spec.phi, curvature[side]))
+                operand = spectral_decompose(stack.refined(spec.psi, spec.phi, curvature[side]))
+                image, inside, _ = inverse_of_decomposition(spec.psi_inverse, operand)
                 column = names.index("curvature_bound_alpha" if side == ALPHA_SIDE else "curvature_bound_beta")
                 assert [trial[column] is None for trial in gaps] == (~inside).tolist()
                 bounds = iter(image.entries)
@@ -273,7 +272,7 @@ def test_sweep_rows_equal_each_pair_alone(mixed):
     # stack in one eigvalsh.  Per trial, each row's slack must be, by
     # float.hex, the least of its pairs' slacks, each pair compared alone in
     # its own loewner_orders call on the trials its sides hold, and each None
-    # must sit exactly where apply_inverse masks the trial's curvature operand.
+    # must sit exactly where inverse_of_decomposition masks the trial's curvature operand.
     beta_split = []  # the stacks where curvature_bound_beta both skips and evaluates trials
     for index, (phi, psi) in enumerate(SWEEP_PAIRS):
         config = TrialConfig(seed=index, vary_dims=True, mixed=mixed)
@@ -288,7 +287,8 @@ def test_sweep_rows_equal_each_pair_alone(mixed):
             inside = {QM_PHI: np.ones(n, dtype=bool), QM_PSI: np.ones(n, dtype=bool), MIDDLE: np.ones(n, dtype=bool)}
             for side, c in ((ALPHA_SIDE, spec.composite_curvature.alpha), (BETA_SIDE, spec.composite_curvature.beta)):
                 if side in labels:  # the bound of the trials inside the domain of psi^-1 only
-                    sides[side], inside[side], _ = apply_inverse(spec.psi_inverse, stack.refined(spec.psi, spec.phi, c))
+                    operand = spectral_decompose(stack.refined(spec.psi, spec.phi, c))
+                    sides[side], inside[side], _ = inverse_of_decomposition(spec.psi_inverse, operand)
             if MIDDLE in labels:
                 sides[MIDDLE] = inverse_within_domain(spec.psi_inverse, stack.geometric(spec.phi, *psi_ends))
             expected = []
@@ -297,7 +297,7 @@ def test_sweep_rows_equal_each_pair_alone(mixed):
                 slacks = []
                 for left, right in row.pairs if kept.any() else ():
                     a, b = (HermitianOperator(sides[label].entries[kept[inside[label]]]) for label in (left, right))
-                    (order,) = loewner_orders([(a, b, 0.0)])
+                    (order,) = loewner_orders([(a, b)], 0.0)
                     slacks.append(iter(order.slack(relation).tolist()))
                 expected.append([min(next(slack) for slack in slacks) if ok else None for ok in kept.tolist()])
                 if row is MEAN_CHECKS["curvature_bound_beta"] and 0 < kept.sum() < n:
@@ -332,16 +332,19 @@ def test_sweep_spectra_equal_each_operand_alone():
                 if name == "pre_mean":
                     g = args[0]
                     h = spec.phi_inverse if g is spec.phi else spec.psi_inverse
-                    mean = apply_scalar_function(h, stack.pre_mean(g), core.image_interval(g, config.bounds))
+                    interval = core.image_interval(g, config.bounds)
+                    mean = apply_to_decomposition(h, spectral_decompose(stack.pre_mean(g)), interval)
                     assert stack.mean(g, h).entries.tobytes() == mean.entries.tobytes()
                 elif name == "refined":
                     image, inside, _ = inverse_of_decomposition(spec.psi_inverse, dec)
-                    bound, mask, _ = apply_inverse(spec.psi_inverse, stack.refined(*args))
+                    operand = spectral_decompose(stack.refined(*args))
+                    bound, mask, _ = inverse_of_decomposition(spec.psi_inverse, operand)
                     assert inside.tolist() == mask.tolist()
                     assert image.entries.tobytes() == bound.entries.tobytes()
                 else:
                     h = core.geometric_interpolant(*core.endpoint_values(spec.phi, config.bounds), *psi_ends)
-                    middle = apply_scalar_function(h, stack.sum(spec.phi), core.image_interval(spec.phi, config.bounds))
+                    interval = core.image_interval(spec.phi, config.bounds)
+                    middle = apply_to_decomposition(h, spectral_decompose(stack.sum(spec.phi)), interval)
                     assert stack.geometric(spec.phi, *psi_ends).entries.tobytes() == middle.entries.tobytes()
             return gaps
 
@@ -449,9 +452,9 @@ def test_signed_slack_of_a_stack_is_per_matrix():
         raw = rng.standard_normal((2, 7, dim, dim)) + 1j * rng.standard_normal((2, 7, dim, dim))
         lefts, rights = (HermitianOperator(0.5 * (z + z.conj().swapaxes(-1, -2))) for z in raw)
         for relation in (Relation.LESS_EQUAL, Relation.GREATER_EQUAL, Relation.EQUAL):
-            stacked = loewner_orders([(lefts, rights, 0.0)])[0].slack(relation)
+            stacked = loewner_orders([(lefts, rights)], 0.0)[0].slack(relation)
             single = [
-                loewner_orders([(HermitianOperator(left), HermitianOperator(right), 0.0)])[0].slack(relation)
+                loewner_orders([(HermitianOperator(left), HermitianOperator(right))], 0.0)[0].slack(relation)
                 for left, right in zip(lefts.entries, rights.entries)
             ]
             assert stacked.tobytes() == np.array(single).tobytes()
@@ -481,7 +484,7 @@ def test_stacked_pairs_equal_each_pair_alone(monkeypatch, fn, chain, m, M, force
     for report in reports:
         for (left, right), order in report.orders.items():
             sides = report.sides[left], report.sides[right]
-            alone = loewner_orders([(*sides, tuple(map(SideNorms, sides)))])[0]
+            alone = loewner_orders([sides])[0]
             assert order.eigenvalues.tobytes() == alone.eigenvalues.tobytes(), (left, right)
             assert order.below.tolist() == alone.below.tolist(), (left, right)
     if force:

@@ -216,6 +216,12 @@ class TestBoundaryValidation:
             (("sweep", "--phi", "log", "--psi", "exp", "--m", "1", "--M", "700", "--trials", "3"), "overflow"),
             (("sweep", "--phi", "inv", "--psi", "exp", "--m", "0.001", "--M", "700", "--trials", "3"), "overflow"),
             (("sweep", "--phi", "pow:p=0.01", "--psi", "exp", "--m", "1", "--M", "700", "--trials", "3"), "overflow"),
+            # a chain's hypothesis gate, refused before any trial, so with no trial too
+            (("verify", "--function", "sin", "--trials", "0"), "not flagged convex"),
+            (("verify", "--chain", "log-convex", "--function", "log", "--m", "2", "--M", "1e10", "--trials", "0"),
+             "not log-convex"),
+            (("verify", "--chain", "log-convex", "--function", "log", "--m", "0.5", "--M", "3", "--trials", "0"),
+             "not strictly positive"),
         ],
     )
     def test_rejected_with_one_line(self, args, field):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -49,6 +50,27 @@ class TestRunSuite:
         config = TrialConfig(seed=5, function_spec="sin", chain="classic", m=PI4, M=PI2)
         with pytest.raises(HypothesisNotMet):
             run_suite(config, 1)
+
+    def test_gate_runs_before_any_trial_is_sampled(self, monkeypatch):
+        # The chain gate depends on f, [m, M] and force only: an unforced
+        # non-convex suite is refused before its first chunk is sampled, and
+        # a forced one samples every chunk as before.
+        from mercerlab.errors import HypothesisNotMet
+
+        sampled = []
+        original = harness._sample_chunk
+
+        def spy(config, indices):
+            sampled.append(list(indices))
+            return original(config, indices)
+
+        monkeypatch.setattr(harness, "_sample_chunk", spy)
+        config = TrialConfig(seed=5, function_spec="sin", chain="classic", m=PI4, M=PI2)
+        with pytest.raises(HypothesisNotMet, match="not flagged convex"):
+            run_suite(config, 3)
+        assert sampled == []
+        forced = run_suite(dataclasses.replace(config, force=True), 3)
+        assert sampled == [[0, 1, 2]] and forced.trials == 3
 
     def test_report_is_deterministic(self):
         config = TrialConfig(seed=11, function_spec="xlogx", chain="chain", vary_dims=True)

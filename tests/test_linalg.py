@@ -16,9 +16,7 @@ from mercerlab.functions import exponential, identity, logarithm, sine, square
 from mercerlab.linalg import (
     HermitianOperator,
     Relation,
-    SideNorms,
     SpectralBounds,
-    apply_scalar_function,
     apply_to_decomposition,
     loewner_orders,
     spectral_decompose,
@@ -30,7 +28,7 @@ from mercerlab.tolerance import PSD_TOLERANCE_FLOOR, tolerance_from_norms
 
 def compare(a, b):
     """The Loewner verdict of A against B at the engine's default tolerance."""
-    return loewner_orders([(a, b, tolerance_from_norms(spectral_norms(a), spectral_norms(b)))])[0].verdict()
+    return loewner_orders([(a, b)], tolerance_from_norms(spectral_norms(a), spectral_norms(b)))[0].verdict()
 
 
 def random_hermitian_raw(dim, rng, scale=1.0):
@@ -74,19 +72,19 @@ class TestApplyScalarFunction:
     def test_identity_function_returns_input(self):
         rng = generator(1)
         a = random_hermitian(4, SpectralBounds(-2.0, 2.0), rng)
-        out = apply_scalar_function(identity(), a, SpectralBounds(-2.0, 2.0))
+        out = apply_to_decomposition(identity(), spectral_decompose(a), SpectralBounds(-2.0, 2.0))
         np.testing.assert_allclose(out.entries, a.entries, atol=1e-12)
 
     def test_square_on_quarter_pi_diagonal(self):
         a = HermitianOperator.diagonal([math.pi / 4, math.pi / 2])
-        out = apply_scalar_function(square(), a, SpectralBounds(math.pi / 4, math.pi / 2))
+        out = apply_to_decomposition(square(), spectral_decompose(a), SpectralBounds(math.pi / 4, math.pi / 2))
         np.testing.assert_allclose(
             np.diag(out.entries).real, [math.pi**2 / 16, math.pi**2 / 4], rtol=1e-13
         )
 
     def test_sine_on_quarter_pi_diagonal(self):
         a = HermitianOperator.diagonal([math.pi / 4, math.pi / 2])
-        out = apply_scalar_function(sine(), a, SpectralBounds(math.pi / 4, math.pi / 2))
+        out = apply_to_decomposition(sine(), spectral_decompose(a), SpectralBounds(math.pi / 4, math.pi / 2))
         np.testing.assert_allclose(np.diag(out.entries).real, [0.7071068, 1.0], atol=1e-7)
 
     def test_spectral_mapping(self):
@@ -96,7 +94,7 @@ class TestApplyScalarFunction:
             dim = 2 + trial % 7
             bounds = SpectralBounds(0.5, 4.0)
             a = random_hermitian(dim, bounds, rng)
-            out = apply_scalar_function(square(), a, bounds)
+            out = apply_to_decomposition(square(), spectral_decompose(a), bounds)
             got = np.sort(np.linalg.eigvalsh(out.entries))
             want = np.sort(np.square(np.linalg.eigvalsh(a.entries)))
             np.testing.assert_allclose(got, want, atol=1e-9)
@@ -110,8 +108,8 @@ class TestApplyScalarFunction:
         a = random_hermitian(dim, bounds, rng)
         v = haar_unitary(dim, rng)
         conjugated = HermitianOperator(v @ a.entries @ v.conj().T)
-        lhs = apply_scalar_function(square(), conjugated, bounds)
-        rhs = v @ apply_scalar_function(square(), a, bounds).entries @ v.conj().T
+        lhs = apply_to_decomposition(square(), spectral_decompose(conjugated), bounds)
+        rhs = v @ apply_to_decomposition(square(), spectral_decompose(a), bounds).entries @ v.conj().T
         assert np.linalg.norm(lhs.entries - rhs) <= 1e-9 * (1 + np.linalg.norm(rhs))
 
     def test_quadratic_exactness(self):
@@ -119,18 +117,18 @@ class TestApplyScalarFunction:
             rng = generator(31 * seed + 5)
             bounds = SpectralBounds(-1.5, 2.5)
             a = random_hermitian(2 + seed % 7, bounds, rng)
-            out = apply_scalar_function(square(), a, bounds)
+            out = apply_to_decomposition(square(), spectral_decompose(a), bounds)
             assert np.max(np.abs(out.entries - a.entries @ a.entries)) <= 1e-10
 
     def test_out_of_domain_spectrum_rejected(self):
         a = HermitianOperator.diagonal([0.5, 5.0])
         with pytest.raises(SpectrumOutOfDomain):
-            apply_scalar_function(square(), a, SpectralBounds(1.0, 3.0))
+            apply_to_decomposition(square(), spectral_decompose(a), SpectralBounds(1.0, 3.0))
 
     def test_clamping_absorbs_float_drift(self):
         eps = 1e-12
         a = HermitianOperator.diagonal([1.0 - eps, 3.0 + eps])
-        out = apply_scalar_function(logarithm(), a, SpectralBounds(1.0, 3.0))
+        out = apply_to_decomposition(logarithm(), spectral_decompose(a), SpectralBounds(1.0, 3.0))
         np.testing.assert_allclose(
             np.sort(np.linalg.eigvalsh(out.entries)), [0.0, math.log(3.0)], atol=1e-12
         )
@@ -138,14 +136,14 @@ class TestApplyScalarFunction:
     def test_function_undefined_on_interval(self):
         a = HermitianOperator.diagonal([-0.5, 0.5])
         with pytest.raises(FunctionDomainError):
-            apply_scalar_function(logarithm(), a, SpectralBounds(-1.0, 1.0))
+            apply_to_decomposition(logarithm(), spectral_decompose(a), SpectralBounds(-1.0, 1.0))
 
     def test_nonfinite_values_name_their_cause(self):
         with pytest.raises(FunctionDomainError, match=r"undefined at eigenvalue\(s\) \[-0.5\]"):
             apply_to_decomposition(np.log, spectral_decompose(HermitianOperator.diagonal([-0.5, 0.5])))
         with pytest.raises(FunctionDomainError, match=r"overflows at eigenvalue\(s\) \[800.0\]"):
-            apply_scalar_function(exponential(), HermitianOperator.diagonal([1.0, 800.0]),
-                                  SpectralBounds(1.0, 800.0))
+            a = HermitianOperator.diagonal([1.0, 800.0])
+            apply_to_decomposition(exponential(), spectral_decompose(a), SpectralBounds(1.0, 800.0))
 
     def test_apply_to_decomposition_unclamped(self):
         a = HermitianOperator.diagonal([4.0, 9.0])
@@ -216,7 +214,7 @@ class TestLoewnerCompare:
         relations = (Relation.INCOMPARABLE, Relation.GREATER_EQUAL, Relation.LESS_EQUAL)
         u = np.stack([haar_unitary(3, rng) for _ in relations])
         a, b = (HermitianOperator(u * np.array(v)[:, None, :] @ u.conj().swapaxes(-1, -2)) for v in (lefts, rights))
-        order = loewner_orders([(a, b, 1e-12)])[0]
+        order = loewner_orders([(a, b)], 1e-12)[0]
         for j, relation in enumerate(relations):
             verdict = order.verdict(j)
             assert verdict.relation is relation
@@ -239,7 +237,7 @@ class TestLoewnerCompare:
             left, t = stack(dim), stack(dim)
             diamond = 4.0 * t - 3.0 * np.eye(dim) - 0.5 * (t @ t + stack(dim))
             for right in (stack(dim), diamond):
-                order = loewner_orders([(HermitianOperator(left), HermitianOperator(right), 0.0)])[0]
+                order = loewner_orders([(HermitianOperator(left), HermitianOperator(right))], 0.0)[0]
                 slack = order.slack(Relation.GREATER_EQUAL).tolist()
                 expected = np.linalg.eigvalsh(left - right)[..., 0].tolist()
                 assert [x.hex() for x in slack] == [x.hex() for x in expected]
@@ -258,7 +256,7 @@ class TestDeferredTolerance:
 
     @staticmethod
     def eager(a, b):
-        return loewner_orders([(a, b, tolerance_from_norms(spectral_norms(a), spectral_norms(b)))])[0]
+        return loewner_orders([(a, b)], tolerance_from_norms(spectral_norms(a), spectral_norms(b)))[0]
 
     @staticmethod
     def same_verdicts(lazy, eager, indices):
@@ -290,37 +288,37 @@ class TestDeferredTolerance:
             rights.append(other if zero_left else np.zeros((3, 3), complex))
         a, b = HermitianOperator(np.array(lefts)), HermitianOperator(np.array(rights))
 
-        solved = []
+        solved = []  # the matrices of every spectral_norms call
         original = linalg.spectral_norms
 
         def counted(op):
-            solved.append(op.entries.shape[0])
+            solved.append(op.entries)
             return original(op)
 
         monkeypatch.setattr(linalg, "spectral_norms", counted)
-        norms_a, norms_b = SideNorms(a), SideNorms(b)
-        lazy = loewner_orders([(a, b, (norms_a, norms_b))])[0]
         zero = HermitianOperator(np.zeros_like(b.entries))
-        norms_zero = SideNorms(zero)
-        shared = loewner_orders([(zero, b, (norms_zero, norms_b))])[0]  # b's norms serve both pairs
+        lazy, shared = loewner_orders([(a, b), (zero, b)])
         assert solved == []  # nothing is solved before a mask is read
         monkeypatch.setattr(linalg, "spectral_norms", original)
         eager, eager_shared = self.eager(a, b), self.eager(zero, b)
         monkeypatch.setattr(linalg, "spectral_norms", counted)
 
-        assert lazy.below.tolist() == eager.below.tolist() == [True, True, False, True, False, False] + [True] * 4
-        assert lazy.above.tolist() == eager.above.tolist() == [False] * 4 + [True, False, True, True, False, False]
-        assert shared.below.tolist() == eager_shared.below.tolist()
-        assert shared.above.tolist() == eager_shared.above.tolist()
-        lam = eager.eigenvalues
-        by_floor = (lam[:, 0] >= -PSD_TOLERANCE_FLOOR, -lam[:, -1] >= -PSD_TOLERANCE_FLOOR)
-        assert (by_floor[0] != eager.below).any() and (by_floor[1] != eager.above).any()
-        self.same_verdicts(lazy, eager, range(len(lefts)))
-        self.same_verdicts(shared, eager_shared, range(len(lefts)))
-        # each side's norms solved at most once per matrix, and only for
-        # matrices one of whose masks the floor leaves open
-        assert norms_a.known.tolist() == (~(by_floor[0] & by_floor[1])).tolist()
-        assert sum(solved) == norms_a.known.sum() + norms_b.known.sum() + norms_zero.known.sum()
+        def floor_leaves_open(order):
+            """Per mask, the matrices the floor alone cannot order."""
+            lam = order.eigenvalues
+            return {"below": lam[:, 0] < -PSD_TOLERANCE_FLOOR, "above": -lam[:, -1] < -PSD_TOLERANCE_FLOOR}
+
+        for (left, right), order, want in ((a, b), lazy, eager), ((zero, b), shared, eager_shared):
+            for mask, open_ in floor_leaves_open(want).items():
+                solved.clear()
+                assert getattr(order, mask).tolist() == getattr(want, mask).tolist()
+                # both sides' norms, once per mask, of the matrices the floor leaves open only
+                assert [x.tobytes() for x in solved] == [side.entries[open_].tobytes() for side in (left, right)]
+            self.same_verdicts(order, want, range(len(lefts)))
+        assert lazy.below.tolist() == [True, True, False, True, False, False] + [True] * 4
+        assert lazy.above.tolist() == [False] * 4 + [True, False, True, True, False, False]
+        # the floor alone would order matrices of both masks wrongly
+        assert all((open_ & getattr(eager, mask)).any() for mask, open_ in floor_leaves_open(eager).items())
 
     def test_one_trial_above_between_floor_and_tolerance(self):
         # An unstacked pair whose lambda_max of B - A is 5e-7: A >= B up to
@@ -332,7 +330,7 @@ class TestDeferredTolerance:
         v = haar_unitary(4, rng)
         a = HermitianOperator(base)
         b = HermitianOperator(base + (v * np.array([-3.0, -2.0, -1.0, 5e-7])) @ v.conj().T)
-        lazy, eager = loewner_orders([(a, b, (SideNorms(a), SideNorms(b)))])[0], self.eager(a, b)
+        lazy, eager = loewner_orders([(a, b)])[0], self.eager(a, b)
         assert 1e-9 < eager.eigenvalues[-1] < eager.tol
         assert lazy.below.shape == lazy.above.shape == ()
         assert (bool(lazy.below), bool(lazy.above)) == (bool(eager.below), bool(eager.above)) == (False, True)

@@ -27,7 +27,7 @@ from mercerlab.functions import (
     square_root,
 )
 from mercerlab.core import endpoint_values, image_interval, trial_sums
-from mercerlab.linalg import HermitianOperator, Relation, SpectralBounds, loewner_orders, spectral_norms
+from mercerlab.linalg import HermitianOperator, Relation, SpectralBounds, loewner_orders, spectral_decompose, spectral_norms
 from mercerlab.maps import Compression, MapFamily, WeightedTrace
 from mercerlab.mercer import MercerInstance, diamond_plain, evaluate_chain, mercer_lhs
 from mercerlab.harness import TrialConfig, run_sweep
@@ -35,11 +35,11 @@ from mercerlab.quasimeans import (
     ALPHA_SIDE,
     BETA_SIDE,
     MEAN_CHECKS,
-    apply_inverse,
     curvature_bound_expected_relation,
     curvature_mean_bound,
     diamond_phi,
     incomparability_probe,
+    inverse_of_decomposition,
     inverse_within_domain,
     mercer_quasi_mean,
     predicted_mean_relation,
@@ -78,7 +78,7 @@ def random_family_and_ops(seed, bounds, dim_max=6):
 
 def compare(a, b):
     """The Loewner verdict of A against B at the engine's default tolerance."""
-    return loewner_orders([(a, b, tolerance_from_norms(spectral_norms(a), spectral_norms(b)))])[0].verdict()
+    return loewner_orders([(a, b)], tolerance_from_norms(spectral_norms(a), spectral_norms(b)))[0].verdict()
 
 
 def pair_sums(spec, family, ops):
@@ -474,7 +474,8 @@ class TestApplyInverse:
         inside, outside = SpectralBounds(0.5, 2.0), SpectralBounds(-1.0, 2.0)
         kinds = (inside, outside, inside, outside, inside)
         mats = [random_hermitian(3, bounds, rng, force_endpoints=True) for bounds in kinds]
-        image, mask, error = apply_inverse(spy, HermitianOperator(np.stack([a.entries for a in mats])))
+        stack = spectral_decompose(HermitianOperator(np.stack([a.entries for a in mats])))
+        image, mask, error = inverse_of_decomposition(spy, stack)
         assert mask.tolist() == [True, False, True, False, True]
         assert seen and all((values >= 0.5 - 1e-12).all() for values in seen)
         for k, j in enumerate(np.flatnonzero(mask)):
