@@ -59,7 +59,6 @@ from .mercer import (
     CHAIN_KINDS,
     InequalityReport,
     MercerInstance,
-    contract_pairs,
     diamond_plain,
     evaluate_chain,
     mercer_lhs,

@@ -24,6 +24,10 @@ eigendecomposition per operator dimension dim_h, the maps once per
 through the numpy operations it would go through alone, so a sum is bit for
 bit the one of ``maps.family_sum`` on that trial, and every chunk is
 checked alike.  ``trial_sums`` is one trial, a chunk of one.
+
+Stage 2 of verify and of the sweep ends alike: ``Check`` is the one row
+type of both check tables, and ``judge`` turns a stack's comparisons into
+each judged row's (gap, holds) per trial.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ import numpy as np
 from .errors import ArityMismatch, HypothesisNotMet, OperandOverflow, SpectrumOutOfDomain
 from .linalg import (
     HermitianOperator,
+    LoewnerOrder,
+    Relation,
     SpectralBounds,
     SpectralDecomposition,
     apply_to_decomposition,
@@ -302,3 +308,31 @@ def trial_sums(
     (stack,) = stage_one([block], bounds, keys)
     sums = {key: HermitianOperator(op.entries[0]) for key, op in stack.sums.items()}
     return FamilySums(stack.positions, sums, bounds)
+
+
+class Check(NamedTuple):
+    """One row of a check table, a chain's (``mercer.CHAINS``) or the sweep's (``quasimeans.MEAN_CHECKS``):
+    ``relation(facts)`` is the relation each of its ``pairs`` of sides (left, right) asserts, or None
+    when the row is not judged; the facts are a chain gate's scalars, or the sweep's resolved spec."""
+
+    relation: Callable[..., Optional[Relation]]
+    pairs: Tuple[Tuple[str, str], ...]
+
+
+def judge(rows: Sequence[tuple], orders: Dict[tuple, LoewnerOrder], trials: int, inside: Optional[dict] = None) -> list:
+    """Per trial of a stack of ``trials``, the (gap, holds) of each of ``rows`` (a table's judged rows
+    with their relations) from ``orders``, the comparison of each pair: the least of the row's pairs'
+    ``slack(relation)``, and whether every pair ``holds``, the one violation rule.  A trial is a
+    domain skip, None, of a row one of whose sides ``inside`` (a mask per side label) masks out."""
+    columns = []
+    for check, relation in rows:
+        compared = [orders[pair] for pair in check.pairs]
+        gaps = [order.slack(relation).reshape(-1).tolist() for order in compared]
+        holds = [order.holds(relation).reshape(-1).tolist() for order in compared]
+        if len(compared) > 1:
+            gaps, holds = [list(map(min, zip(*gaps)))], [list(map(all, zip(*holds)))]
+        column = list(zip(gaps[0], holds[0]))
+        for label in {label for pair in check.pairs for label in pair} & (inside or {}).keys():
+            column = [entry if ok else None for entry, ok in zip(column, inside[label].tolist())]
+        columns.append(column)
+    return list(zip(*columns)) if columns else [()] * trials

@@ -56,8 +56,9 @@ class ScalarFunction:
         return self.fn(t)
 
     def label(self) -> str:
+        """name(p, ...), each parameter in ``:g`` form, or its repr where ``:g`` would round it."""
         if self.parameters:
-            params = ",".join(f"{p:g}" for p in self.parameters)
+            params = ",".join(f"{p:g}" if float(f"{p:g}") == p else repr(p) for p in self.parameters)
             return f"{self.name}({params})"
         return self.name
 
@@ -311,13 +312,12 @@ def curvature_bounds(f: ScalarFunction, bounds: SpectralBounds) -> CurvatureBoun
     require_domain(f, bounds)
     if f.second_derivative is None:
         raise MissingSecondDerivative(f"{f.label()} has no second derivative in the catalog")
-    if f.second_derivative_monotone is not None and f.second_derivative_monotone(bounds.m, bounds.M):
-        ends = np.asarray(
-            [float(f.second_derivative(bounds.m)), float(f.second_derivative(bounds.M))]
-        )
-        return CurvatureBounds(alpha=float(ends.min()), beta=float(ends.max()), method="analytic")
-    grid = np.linspace(bounds.m, bounds.M, CURVATURE_GRID_POINTS)
-    return sampled_curvature(np.asarray(f.second_derivative(grid), dtype=float))
+    with np.errstate(all="ignore"):  # an f'' that overflows is refused where it is used, in one line
+        if f.second_derivative_monotone is not None and f.second_derivative_monotone(bounds.m, bounds.M):
+            ends = np.asarray([float(f.second_derivative(bounds.m)), float(f.second_derivative(bounds.M))])
+            return CurvatureBounds(alpha=float(ends.min()), beta=float(ends.max()), method="analytic")
+        second = np.asarray(f.second_derivative(np.linspace(bounds.m, bounds.M, CURVATURE_GRID_POINTS)), dtype=float)
+    return sampled_curvature(second)
 
 
 def sampled_curvature(second: np.ndarray) -> CurvatureBounds:

@@ -11,46 +11,48 @@ stages, verify and sweep alike (``_chunk``).  Stage 1, ``core.stage_one``,
 builds and checks the family sums of the whole chunk per matrix dimension,
 whatever its shapes.  Stage 2 runs everything after them once per codomain
 dimension dim_k, on the operands of its ``core.FamilySums``: verify every
-side, norm and comparison of its chain, sweep both means and every
-applicable check of ``quasimeans.MEAN_CHECKS``, every compared pair of a
-stack in one ``eigvalsh`` (``quasimeans.check_slacks``), as verify's pairs are.
+side of its chain (``mercer.evaluate_trials``), sweep both means and the
+sides of every applicable check of ``quasimeans.MEAN_CHECKS``
+(``quasimeans.compare_means``), every compared pair of a stack in one
+``eigvalsh``.  Both tables are rows of one type, ``core.Check``, and both
+commands judge their rows with ``core.judge``, through the one violation
+rule ``LoewnerOrder.holds``, and fold each row into a :class:`Tally`.
 A verify suite evaluates its chain gate once, before any trial, as a sweep
 resolves its hypotheses before the first chunk.
 Stacking never moves a bit and results are folded back in trial order, so
-a report is the same as trial after trial; a failing chunk is re-run trial
-by trial, so the error raised is the one of the lowest failing trial.  A
-replay is a chunk of one trial, and the ``classic-nonconvex`` search scores
-every candidate on one forced ``classic`` suite, each trial sampled once,
-so both run on verify's sampler and evaluation.
+a report is the same as trial after trial; a failing chunk of several
+trials is re-run trial by trial, so the error raised is the one of the
+lowest failing trial.  A replay is a chunk of one trial, and the
+``classic-nonconvex`` search scores every candidate on one forced
+``classic`` suite, each trial sampled once, so both run on verify's
+sampler and evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import FamilySums, operand_sums, stage_one
+from .core import Check, FamilySums, judge, operand_sums, stage_one
 from .errors import BudgetExhausted, InvalidConfig
 from .functions import ScalarFunction, curvature_bounds, parse_function_spec, require_domain, require_finite
-from .linalg import HermitianOperator, SpectralBounds
+from .linalg import HermitianOperator, Relation, SpectralBounds
 from .maps import MapFamily, WeightedTrace, family_to_json
 from .mercer import (
     CHAIN_KINDS,
     CHAINS,
-    InequalityReport,
     MercerInstance,
-    contract_pairs,
     evaluate_chain,
     evaluate_trials,
     mercer_lhs,
     mercer_rhs_classic,
     refined_bounds,
 )
-from .quasimeans import MEAN_CHECKS, check_slacks, incomparability_probe, resolve_spec
+from .quasimeans import MEAN_CHECKS, compare_means, incomparability_probe, resolve_spec
 from .sampling import MASK64, SampledGroup, generator, sample_trials, trial_seed
 from .tolerance import sweep_tolerance
 
@@ -113,41 +115,52 @@ class TrialConfig:
         }
 
 
-@dataclass(frozen=True)
-class TrialViolation:
-    trial: int
-    seed: int
-    pair: Tuple[str, str]
-    gap: float
+@dataclass(slots=True)
+class Tally:
+    """One check row over a run, folded in trial order: the trials it judged (``evaluated``),
+    its ``domain_skips``, its least gap and the (trial, seed, gap) of each trial where it does
+    not hold.  A verify summary and a sweep's checks are written from their rows' tallies."""
+
+    evaluated: int = 0
+    domain_skips: int = 0
+    min_gap: float = math.inf
+    violations: List[Tuple[int, int, float]] = field(default_factory=list)
+
+    def record(self, trial: int, seed: int, judged: Optional[Tuple[float, bool]]) -> None:
+        """Fold in one trial's (gap, holds) of the row (``core.judge``), None for a domain skip."""
+        if judged is None:
+            self.domain_skips += 1
+            return
+        gap, holds = judged
+        self.evaluated += 1
+        if gap < self.min_gap:
+            self.min_gap = gap
+        if not holds:
+            self.violations.append((trial, seed, gap))
 
     def to_json(self) -> dict:
-        return {"trial": self.trial, "seed": self.seed, "pair": list(self.pair), "gap": self.gap}
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """One evaluated trial: its index, seed, dims and, per contract pair in
-    order, (left, right, signed slack of left <= right, ordered below)."""
-
-    trial: int
-    seed: int
-    dims: Tuple[int, int, int]
-    pairs: Tuple[Tuple[str, str, float, bool], ...]
+        """The row's entries of a sweep report."""
+        return {
+            "evaluated": self.evaluated,
+            "domain_skips": self.domain_skips,
+            "min_gap": None if math.isinf(self.min_gap) else self.min_gap,
+            "violations": [{"trial": trial, "seed": seed, "gap": gap} for trial, seed, gap in self.violations],
+        }
 
 
 @dataclass
 class RunSummary:
-    """Outcome of a verify run; ``rows`` feed the CSV summary."""
+    """Outcome of a verify run; each violation is its report entry, and ``rows`` feed the CSV summary."""
 
     trials: int
-    violations: List[TrialViolation]
+    violations: List[dict]
     min_gap_overall: float
     rows: List[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
             "trials": self.trials,
-            "violations": [v.to_json() for v in self.violations],
+            "violations": self.violations,
             "min_gap_overall": None if math.isinf(self.min_gap_overall) else self.min_gap_overall,
         }
 
@@ -220,21 +233,6 @@ def build_instance(
     return inst, seed_i, dims
 
 
-def _contract_outcomes(report: InequalityReport, which: str) -> List[Tuple[Tuple[str, str, float, bool], ...]]:
-    """Per trial of the report, (left, right, gap, ordered below) for every contract pair.
-
-    The gap is the signed slack of left <= right, the least eigenvalue of
-    right - left, read from the pair's comparison.
-    """
-    columns = []
-    for left, right in contract_pairs(which, alpha=report.scalars.get("alpha")):
-        order = report.orders[left, right]
-        gaps = order.eigenvalues[..., 0].reshape(-1).tolist()
-        below = order.below.reshape(-1).tolist()
-        columns.append([(left, right, gap, ordered) for gap, ordered in zip(gaps, below)])
-    return list(zip(*columns))
-
-
 def _chunk(config: TrialConfig, keys, rows_of: Callable[[FamilySums], list], indices: Sequence[int]) -> List[tuple]:
     """(seed, dims, row) of each of the trials ``indices``, in order, sampled as one chunk.
 
@@ -253,27 +251,26 @@ def _chunk(config: TrialConfig, keys, rows_of: Callable[[FamilySums], list], ind
 
 
 def _grouped_outcomes(
-    config: TrialConfig, f: ScalarFunction, which: str, scalars: Dict[str, float], indices: Sequence[int]
-) -> List[TrialOutcome]:
-    """The outcomes of the trials ``indices``, in order, run as one :func:`_chunk` of the sums
-    ``core.operand_sums(None, f)``: stage 2 evaluates the chain once per dim_k stack, with the
-    chain gate's ``scalars``, into one report whose contract pairs give every trial's outcome
-    (see :func:`_contract_outcomes`)."""
+    config: TrialConfig, f: ScalarFunction, which: str, scalars: Dict[str, float], rows, indices: Sequence[int]
+) -> List[tuple]:
+    """(seed, dims, judged) of each of the trials ``indices``, in order, run as one :func:`_chunk` of the
+    sums ``core.operand_sums(None, f)``: stage 2 evaluates the chain once per dim_k stack, with the gate's
+    ``scalars``, into one report, on which ``core.judge`` judges the chain's ``rows``."""
 
     def rows_of(stack: FamilySums) -> list:
-        return _contract_outcomes(evaluate_trials(f, which, stack, scalars, config.tol_abs), which)
+        report = evaluate_trials(f, which, stack, scalars, config.tol_abs)
+        return judge(rows, report.orders, len(stack.positions))
 
-    trials = _chunk(config, operand_sums(None, f), rows_of, indices)
-    return [TrialOutcome(i, *trial) for i, trial in zip(indices, trials)]
+    return _chunk(config, operand_sums(None, f), rows_of, indices)
 
 
 def _by_chunk(trials: int | range, run: Callable[[Sequence[int]], list]) -> Iterator:
     """The results of ``run(indices)`` for the trials ``trials`` (a range of
     indices, or a count n for 0..n-1), ``CHUNK_TRIALS`` at a time, in index order.
 
-    If a chunk fails, it is re-run trial by trial in index order, each result
-    used before the next trial runs, which raises the error of the lowest
-    failing trial, as running trial after trial would.  Nothing is swallowed.
+    If a chunk of several trials fails, it is re-run trial by trial in index order, each result
+    used before the next trial runs, which raises the error of the lowest failing trial, as
+    running trial after trial would.  Nothing is swallowed.
     """
     if isinstance(trials, int):
         trials = range(trials)
@@ -282,6 +279,8 @@ def _by_chunk(trials: int | range, run: Callable[[Sequence[int]], list]) -> Iter
         try:
             results = run(indices)
         except Exception as error:
+            if len(indices) == 1:
+                raise
             for i in indices:
                 yield from run((i,))
             raise error
@@ -290,13 +289,15 @@ def _by_chunk(trials: int | range, run: Callable[[Sequence[int]], list]) -> Iter
 
 def suite_outcomes(
     config: TrialConfig, trials: int | range, f: ScalarFunction, which: str
-) -> Iterator[TrialOutcome]:
-    """The outcomes of the trials ``trials`` (see :func:`_by_chunk`) of a verify
-    suite, in index order, each chunk evaluated by :func:`_grouped_outcomes`.
-    The chain's gate runs first, before any trial is sampled, and raises
-    ``HypothesisNotMet`` for an unforced f that fails its hypotheses."""
-    scalars = CHAINS[which].gate(f, config.bounds, config.force)
-    return _by_chunk(trials, partial(_grouped_outcomes, config, f, which, scalars))
+) -> Tuple[List[Tuple[Check, Relation]], Iterator[tuple]]:
+    """The judged rows of a verify suite's chain, each one compared pair, and the (seed, dims,
+    judged) of the trials ``trials`` (see :func:`_by_chunk`), in index order, each chunk evaluated
+    by :func:`_grouped_outcomes`.  The chain's gate runs first, before any trial is sampled, and
+    raises ``HypothesisNotMet`` for an unforced f that fails its hypotheses."""
+    chain = CHAINS[which]
+    scalars = chain.gate(f, config.bounds, config.force)
+    rows = [(check, relation) for check in chain.checks if (relation := check.relation(scalars)) is not None]
+    return rows, _by_chunk(trials, partial(_grouped_outcomes, config, f, which, scalars, rows))
 
 
 def run_suite(config: TrialConfig, n_trials: int) -> RunSummary:
@@ -305,40 +306,33 @@ def run_suite(config: TrialConfig, n_trials: int) -> RunSummary:
     Violations are data, not errors: each carries its replay seed and the
     offending pair so the exact instance can be rebuilt.  A function whose
     natural domain does not contain [m, M], or that is not finite on it, is
-    rejected before any trial.
+    rejected before any trial.  Violations are the rows' tallies merged trial by trial, in row order.
     """
     check_trials(n_trials)
     f = parse_function_spec(config.function_spec)
     which = normalize_chain(config.chain)
     require_domain(f, config.bounds)
     require_finite(f, config.bounds)
-    violations: List[TrialViolation] = []
-    rows: List[dict] = []
-    min_gap = math.inf
-    for outcome in suite_outcomes(config, n_trials, f, which):
-        trial_min = math.inf
-        for left, right, gap, ordered_below in outcome.pairs:
-            trial_min = min(trial_min, gap)
-            if not ordered_below:
-                violations.append(
-                    TrialViolation(trial=outcome.trial, seed=outcome.seed, pair=(left, right), gap=gap)
-                )
-        min_gap = min(min_gap, trial_min)
-        row = (outcome.seed, outcome.trial, f.label(), which, *outcome.dims, trial_min)
-        rows.append(dict(zip(ROW_FIELDS, row)))
-    return RunSummary(
-        trials=n_trials,
-        violations=violations,
-        min_gap_overall=min_gap,
-        rows=rows,
-    )
+    rows, outcomes = suite_outcomes(config, n_trials, f, which)
+    tallies = [Tally() for _ in rows]
+    csv_rows: List[dict] = []
+    for i, (seed_i, dims, judged) in enumerate(outcomes):
+        for tally, entry in zip(tallies, judged):
+            tally.record(i, seed_i, entry)
+        trial_min = min(gap for gap, _ in judged)
+        csv_rows.append(dict(zip(ROW_FIELDS, (seed_i, i, f.label(), which, *dims, trial_min))))
+    merged = sorted((trial, k, seed, gap) for k, tally in enumerate(tallies) for trial, seed, gap in tally.violations)
+    violations = [{"trial": t, "seed": s, "pair": list(rows[k][0].pairs[0]), "gap": g} for t, k, s, g in merged]
+    min_gap = min((row["min_gap"] for row in csv_rows), default=math.inf)
+    return RunSummary(trials=n_trials, violations=violations, min_gap_overall=min_gap, rows=csv_rows)
 
 
 def replay_trial(config: TrialConfig, trial_index: int) -> Dict[str, float]:
-    """Re-execute one trial, as a suite chunk of one, and return its contract-pair gaps keyed 'left<=right'."""
+    """Re-execute one trial, as a suite chunk of one, and return its judged pairs' gaps keyed 'left<=right'."""
     f = parse_function_spec(config.function_spec)
-    (outcome,) = suite_outcomes(config, range(trial_index, trial_index + 1), f, normalize_chain(config.chain))
-    return {f"{left}<={right}": gap for left, right, gap, _ in outcome.pairs}
+    rows, outcomes = suite_outcomes(config, range(trial_index, trial_index + 1), f, normalize_chain(config.chain))
+    ((_, _, judged),) = outcomes
+    return {"{}<={}".format(*check.pairs[0]): gap for (check, _), (gap, _) in zip(rows, judged)}
 
 
 def verify_report(config: TrialConfig, n_trials: int) -> Tuple[dict, RunSummary]:
@@ -457,18 +451,17 @@ def search_counterexample(
             require_finite(f, bounds)
         config = TrialConfig(seed, m=m, M=M, vary_dims=True)  # the trials' sampling; f plays no part
 
-        def scores_of(reports: List[InequalityReport]) -> list:
-            """Per trial of ``reports``, one report per candidate: each candidate's (gap, violated),
-            the signed slack of lhs <= rhs_classic and whether it is not ordered below."""
-            orders = [report.orders["lhs", "rhs_classic"] for report in reports]
-            columns = [zip(o.eigenvalues[..., 0].reshape(-1).tolist(), (~o.below).reshape(-1).tolist()) for o in orders]
-            return list(zip(*columns))
+        scored = [(CHAINS["classic"].checks[0], Relation.LESS_EQUAL)]  # the row lhs <= rhs_classic
+
+        def judged(reports: list, trials: int) -> list:  # per trial, each candidate's (gap, holds) of the row
+            return list(zip(*([entry for (entry,) in judge(scored, report.orders, trials)] for report in reports)))
 
         def stack_scores(stack: FamilySums) -> list:  # the forced classic gate's scalars are {}
-            return scores_of([evaluate_trials(f, "classic", stack, {}, tol_abs) for f in functions])
+            reports = [evaluate_trials(f, "classic", stack, {}, tol_abs) for f in functions]
+            return judged(reports, len(stack.positions))
 
         probes = [_extremal_instance(f, bounds) for f in functions]
-        scores = scores_of([evaluate_chain(probe, "classic", force=True, tol_abs=tol_abs) for probe in probes])
+        scores = judged([evaluate_chain(probe, "classic", force=True, tol_abs=tol_abs) for probe in probes], 1)
         keys = [key for f in functions for key in operand_sums(None, f)]
         suite = _by_chunk(range(1, budget), partial(_chunk, config, keys, stack_scores))  # the probe is trial 0
         scores += [row for _, _, row in suite]  # per trial, per candidate
@@ -491,7 +484,7 @@ def search_counterexample(
             "operators": [a.to_json() for a in operators],
             "maps": family_to_json(family),
         }
-        if scores[trial][c][1]:
+        if not scores[trial][c][1]:
             return {"target": target, "status": "found", "witness": best}
         raise BudgetExhausted(
             f"no classic violation found in {budget} trials (best gap {best['gap']:.3e})",
@@ -545,32 +538,6 @@ def search_counterexample(
 # Quasi-arithmetic sweep
 # --------------------------------------------------------------------------
 
-@dataclass
-class SweepCheck:
-    """The tally of one mean check of a sweep; its fields, in order, are the report's keys."""
-
-    applicable: bool
-    expected: Optional[str] = None
-    evaluated: int = 0
-    domain_skips: int = 0
-    min_gap: float = math.inf
-    violations: List[dict] = field(default_factory=list)
-
-    def record(self, trial: int, seed_i: int, gap: Optional[float], tol: float) -> None:
-        if gap is None:
-            self.domain_skips += 1
-            return
-        self.evaluated += 1
-        self.min_gap = min(self.min_gap, gap)
-        if gap < -tol:
-            self.violations.append({"trial": trial, "seed": seed_i, "gap": gap})
-
-    def to_json(self) -> dict:
-        if not self.applicable:
-            return {"applicable": False}
-        return {**asdict(self), "min_gap": None if math.isinf(self.min_gap) else self.min_gap}
-
-
 def run_sweep(
     phi_spec: str,
     psi_spec: str,
@@ -583,7 +550,8 @@ def run_sweep(
     applicable check gets a signed slack or, where its operand leaves the
     domain of psi^{-1}, a domain skip.  Trials run a chunk at a time, as
     verify's do, with every check of ``core.trial_sums`` (see :func:`_chunk`
-    and ``quasimeans.check_slacks``), and are folded into the checks in index order,
+    and ``quasimeans.compare_means``), judged by ``core.judge`` as verify's
+    rows are, and folded into each check's :class:`Tally` in index order,
     so the report is the same as trial after trial; a failing chunk is re-run
     trial by trial, so the error raised is the lowest failing trial's.
     Returns (json_report, violation_count).
@@ -593,21 +561,28 @@ def run_sweep(
     psi = parse_function_spec(psi_spec)
     bounds = config.bounds
     spec = resolve_spec(phi, psi, bounds)
-    relations = {name: row.relation(spec) for name, row in MEAN_CHECKS.items()}
-    checks = {name: SweepCheck(rel is not None, rel and rel.value) for name, rel in relations.items()}
-
     tol = config.tol_abs
-    if tol is None:
-        tol = sweep_tolerance(bounds.M, float(psi(bounds.M)), float(psi(bounds.m)))
+    tol = sweep_tolerance(bounds.M, float(psi(bounds.M)), float(psi(bounds.m))) if tol is None else tol
 
-    rows = [(MEAN_CHECKS[name], rel) for name, rel in relations.items() if rel is not None]
-    evaluated = [check for check in checks.values() if check.applicable]
-    chunk = partial(_chunk, config, operand_sums(spec.phi, spec.psi), partial(check_slacks, spec, rows))
-    for i, (seed_i, _, gaps) in enumerate(_by_chunk(n_trials, chunk)):
-        for check, gap in zip(evaluated, gaps):
-            check.record(i, seed_i, gap, tol)
+    relations = {name: check.relation(spec) for name, check in MEAN_CHECKS.items()}
+    tallies = {name: Tally() for name, relation in relations.items() if relation is not None}
+    rows = [(MEAN_CHECKS[name], relations[name]) for name in tallies]
 
-    n_violations = sum(len(c.violations) for c in evaluated)
+    def rows_of(stack: FamilySums) -> list:
+        orders, inside = compare_means(spec, rows, stack, tol)
+        return judge(rows, orders, len(stack.positions), inside)
+
+    chunk = partial(_chunk, config, operand_sums(phi, psi), rows_of)
+    for i, (seed_i, _, judged) in enumerate(_by_chunk(n_trials, chunk)):
+        for tally, entry in zip(tallies.values(), judged):
+            tally.record(i, seed_i, entry)
+
+    checks = {
+        name: {"applicable": True, "expected": relations[name].value, **tallies[name].to_json()}
+        if name in tallies else {"applicable": False}
+        for name in MEAN_CHECKS
+    }
+    n_violations = sum(len(tally.violations) for tally in tallies.values())
     report = {
         "command": "sweep",
         "phi": phi_spec,
@@ -622,7 +597,7 @@ def run_sweep(
             "log_convex": spec.composite_is_log_convex,
         },
         "reversal_applied": spec.psi_inverse.operator_decreasing,
-        "checks": {name: check.to_json() for name, check in checks.items()},
+        "checks": checks,
         "violations_total": n_violations,
     }
     return report, n_violations

@@ -11,7 +11,8 @@ The comparisons of any number of pairs, a chain's or a sweep's, are one
 every slack and bit of order per matrix; a ``LoewnerOrder`` solves its two
 sides' norms for the default tolerance only for a matrix whose order the
 tolerance floor cannot decide, and an ``OrderVerdict`` only for a matrix
-that asks.
+that asks.  ``LoewnerOrder.holds`` is the one violation rule of verify and
+the sweep.
 
 Every primitive takes a stack of matrices: ``entries`` of shape
 ``(..., d, d)``, with any leading axes (the trials and maps of a chunk,
@@ -274,6 +275,13 @@ class LoewnerOrder:
             norms = [spectral_norms(HermitianOperator(side[open_])) for side in (self.left, self.right)]
             within[open_] = slack[open_] >= -tolerance_from_norms(*norms)
         return within
+
+    def holds(self, relation: Relation) -> np.ndarray:
+        """Per matrix: A relation B up to the tolerance, ``below``, ``above`` or, for Equal, both;
+        for a finite slack, exactly ``slack(relation) >= -tol``."""
+        if relation is Relation.EQUAL:
+            return self.below & self.above
+        return self.above if relation is Relation.GREATER_EQUAL else self.below
 
     def slack(self, relation: Relation) -> np.ndarray:
         """Signed slack of ``A relation B`` per matrix; negative means violated.

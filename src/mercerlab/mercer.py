@@ -18,20 +18,23 @@ quasi-arithmetic mean machinery with phi = id: every side but the chord is
 an operand of ``core.FamilySums`` with g = None for the raw A_i.  A
 chain's hypothesis gate depends on f and [m, M] only: ``evaluate_chain``
 and a suite run it once, before any side, and ``evaluate_trials`` takes
-its scalars, so it keeps no state between stacks.
+its scalars, so it keeps no state between stacks.  Each compared pair of a
+chain is a one-pair row of ``core.Check``, as the sweep's checks are, whose
+relation the gate's scalars decide: always left <= right, only for
+alpha >= 0, or none (compared for the report, never judged).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .errors import BadWeights, HypothesisNotMet, OutOfInterval
-from .core import FamilySums, endpoint_values, operand_sums, trial_sums
+from .core import Check, FamilySums, endpoint_values, operand_sums, trial_sums
 from .functions import CurvatureBounds, ScalarFunction, curvature_bounds, is_log_convex_on
-from .linalg import HermitianOperator, LoewnerOrder, SpectralBounds, loewner_orders
+from .linalg import HermitianOperator, LoewnerOrder, Relation, SpectralBounds, loewner_orders
 from .maps import MapFamily
 from .tolerance import WEIGHT_SUM_ABS
 
@@ -187,35 +190,38 @@ def _curvature_gate(f: ScalarFunction, bounds: SpectralBounds, force: bool) -> D
     return {"alpha": curv.alpha, "beta": curv.beta}
 
 
-# What a compared pair asserts: always, only when the curvature floor alpha
-# is nonnegative (convex f), or nothing.
-CONTRACT, CONTRACT_IF_CONVEX, INFORMATIONAL = "contract", "contract if alpha >= 0", "informational"
-_DIAMOND_PAIR = ("zero", "diamond", CONTRACT)
+def _pair(left: str, right: str, relation: Callable = lambda gate: Relation.LESS_EQUAL) -> Check:
+    """The one-pair row of left and right, so a violation names its pair; ``relation`` of the
+    gate's scalars is what the pair asserts, by default left <= right whatever they are."""
+    return Check(relation, ((left, right),))
+
+
+_DIAMOND_PAIR = _pair("zero", "diamond")
 
 
 class ChainKind(NamedTuple):
-    """One row of the chain table: ``gate(f, bounds, force)`` checks the kind's
-    hypotheses and returns its scalars; the sides in report order; the
-    compared (left, right, role) in order, each as left <= right."""
+    """One chain of the table: ``gate(f, bounds, force)`` checks the kind's
+    hypotheses and returns its scalars, the facts its rows are judged on; the
+    sides in report order; one ``core.Check`` row per compared pair, in order."""
 
     gate: Callable[[ScalarFunction, SpectralBounds, bool], Dict[str, float]]
     sides: Tuple[str, ...]
-    pairs: Tuple[Tuple[str, str, str], ...]
+    checks: Tuple[Check, ...]
 
 
 CHAINS: Dict[str, ChainKind] = {
     "classic": ChainKind(
         _convexity_gate,
         ("lhs", "rhs_classic", "zero", "diamond"),
-        (("lhs", "rhs_classic", CONTRACT), _DIAMOND_PAIR),
+        (_pair("lhs", "rhs_classic"), _DIAMOND_PAIR),
     ),
     "chain": ChainKind(
         _convexity_gate,
         ("lhs", "chain_middle", "rhs_classic", "zero", "diamond"),
         (
-            ("lhs", "chain_middle", CONTRACT),
-            ("chain_middle", "rhs_classic", CONTRACT),
-            ("lhs", "rhs_classic", CONTRACT),
+            _pair("lhs", "chain_middle"),
+            _pair("chain_middle", "rhs_classic"),
+            _pair("lhs", "rhs_classic"),
             _DIAMOND_PAIR,
         ),
     ),
@@ -223,10 +229,10 @@ CHAINS: Dict[str, ChainKind] = {
         _curvature_gate,
         ("lower_refined", "lhs", "upper_refined", "rhs_classic", "chain_middle", "zero", "diamond"),
         (
-            ("lower_refined", "lhs", CONTRACT),
-            ("lhs", "upper_refined", CONTRACT),
-            ("upper_refined", "rhs_classic", CONTRACT_IF_CONVEX),
-            ("chain_middle", "upper_refined", INFORMATIONAL),
+            _pair("lower_refined", "lhs"),
+            _pair("lhs", "upper_refined"),
+            _pair("upper_refined", "rhs_classic", lambda gate: Relation.LESS_EQUAL if gate["alpha"] >= 0.0 else None),
+            _pair("chain_middle", "upper_refined", lambda gate: None),  # compared for the report only
             _DIAMOND_PAIR,
         ),
     ),
@@ -234,9 +240,9 @@ CHAINS: Dict[str, ChainKind] = {
         _log_convexity_gate,
         ("lhs", "geometric_middle", "rhs_classic", "zero", "diamond"),
         (
-            ("lhs", "geometric_middle", CONTRACT),
-            ("geometric_middle", "rhs_classic", CONTRACT),
-            ("lhs", "rhs_classic", CONTRACT),
+            _pair("lhs", "geometric_middle"),
+            _pair("geometric_middle", "rhs_classic"),
+            _pair("lhs", "rhs_classic"),
             _DIAMOND_PAIR,
         ),
     ),
@@ -294,7 +300,7 @@ def evaluate_trials(
     every trial against its own tolerance.  The default tolerance needs the
     sides' norms only for a trial whose gap is below -``PSD_TOLERANCE_FLOOR``;
     they are solved when a mask or verdict is read (``linalg.LoewnerOrder``),
-    so an informational pair, whose mask a suite never reads, solves none.
+    so a pair that no row judges, whose mask a suite never reads, solves none.
     """
     chain, bounds = _chain_kind(which), core.bounds
     core.decompose(*(_SPECTRA[label] for label in chain.sides if label in _SPECTRA))
@@ -309,21 +315,7 @@ def evaluate_trials(
         "geometric_middle": lambda: core.geometric(None, *endpoint_values(f, bounds)),
     }
     sides = {label: build[label]() for label in chain.sides}
-    pairs = [(left, right) for left, right, _ in chain.pairs]
+    pairs = [pair for check in chain.checks for pair in check.pairs]
     compared = loewner_orders([(sides[left], sides[right]) for left, right in pairs], tol_abs)
     return InequalityReport(sides=sides, orders=dict(zip(pairs, compared)), scalars=scalars)
 
-
-def contract_pairs(which: str, alpha: float | None = None) -> List[Tuple[str, str]]:
-    """The side pairs whose <= ordering the theory asserts for a chain kind, in comparison order.
-
-    A ``CONTRACT_IF_CONVEX`` pair, (upper_refined, rhs_classic), is a
-    contract only when the curvature floor alpha is nonnegative, i.e. for
-    convex f.
-    """
-    convex = alpha is not None and alpha >= 0.0
-    return [
-        (left, right)
-        for left, right, role in _chain_kind(which).pairs
-        if role == CONTRACT or (role == CONTRACT_IF_CONVEX and convex)
-    ]

@@ -17,13 +17,15 @@ g^{-1})``, the curvature bound psi^{-1} of ``refined(psi, phi, c)`` and the
 sandwich's middle psi^{-1} of ``geometric(phi, psi(m), psi(M))``.
 ``MEAN_CHECKS`` is the table of the four checks a sweep makes of them (the
 mean order, both sides of the curvature bound, the log-convex sandwich), in
-report order, as ``mercer.CHAINS`` is of the chains: per check, when it
-applies and the pairs of sides it compares.  ``check_slacks`` builds the
-sides a stack's applicable checks read, their independent spectra in one
-``FamilySums.decompose`` (the middle's psi^{-1}, of h(T_phi), in its own),
-and compares every pair in one ``linalg.loewner_orders`` call, as a chain's
-pairs are compared.  Every check reads the sums ``core.operand_sums(phi,
-psi)``, which a sweep's stage 1 builds whichever checks apply.
+report order, rows of ``core.Check`` as a chain's pairs are: per check, the
+relation it asserts for a resolved spec, or None, and the pairs of sides it
+compares.  ``compare_means`` builds the sides a stack's applicable checks
+read, their independent spectra in one ``FamilySums.decompose`` (the
+middle's psi^{-1}, of h(T_phi), in its own), and compares every pair in one
+``linalg.loewner_orders`` call, as a chain's pairs are compared; the sweep
+judges them with ``core.judge``, as verify does.  Every check reads the sums
+``core.operand_sums(phi, psi)``, which a sweep's stage 1 builds whichever
+checks apply.
 
 ``resolve_spec`` evaluates each grid of a sweep's set-up once.
 
@@ -38,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,9 +55,10 @@ from .functions import (
     require_finite,
     sampled_curvature,
 )
-from .core import FamilySums, endpoint_values, image_interval, operand_sums, trial_sums
+from .core import Check, FamilySums, endpoint_values, image_interval, operand_sums, trial_sums
 from .linalg import (
     HermitianOperator,
+    LoewnerOrder,
     Relation,
     SpectralBounds,
     SpectralDecomposition,
@@ -154,6 +157,9 @@ def resolve_spec(phi: ScalarFunction, psi: ScalarFunction, bounds: SpectralBound
     phi_interval = image_interval(phi, bounds)
     values, first, second = _composite_on_grid(psi, phi, inverses[0], phi_interval)
     curv = sampled_curvature(second)
+    if math.isnan(curv.alpha) or math.isnan(curv.beta):
+        interval = f"[{bounds.m:.12g}, {bounds.M:.12g}]"
+        raise InvalidInterval(f"the curvature of {psi.label()} o {phi.label()}^-1 is NaN on its grid over {interval}")
     kappa = composite_curvature_margin(curv.alpha, curv.beta)
     is_convex = curv.alpha >= -kappa
     is_concave = curv.beta <= kappa
@@ -355,34 +361,26 @@ def _sandwich_relation(spec: QuasiArithmeticSpec) -> Optional[Relation]:
 # (labelled by the side) and the sandwich's geometric middle.
 QM_PHI, QM_PSI, MIDDLE = "qm_phi", "qm_psi", "middle"
 
-
-class MeanCheck(NamedTuple):
-    """One row of the mean-check table, as ``mercer.ChainKind`` is of the chains:
-    ``relation(spec)`` is the relation each pair asserts, or None when the
-    check's hypotheses fail; ``pairs`` are the compared (left, right) sides,
-    in order.  A trial's slack is the least of its pairs' (:func:`check_slacks`)."""
-
-    relation: Callable[[QuasiArithmeticSpec], Optional[Relation]]
-    pairs: Tuple[Tuple[str, str], ...]
-
-
-MEAN_CHECKS: Dict[str, MeanCheck] = {
-    "mean_order": MeanCheck(_mean_order_relation, ((QM_PHI, QM_PSI),)),
-    "curvature_bound_alpha": MeanCheck(
+# The rows of a sweep, in report order: per row, the relation its pairs assert for the resolved
+# spec, or None when its hypotheses fail.  A trial's gap is the least of its pairs' (``core.judge``).
+MEAN_CHECKS: Dict[str, Check] = {
+    "mean_order": Check(_mean_order_relation, ((QM_PHI, QM_PSI),)),
+    "curvature_bound_alpha": Check(
         partial(curvature_bound_expected_relation, side=ALPHA_SIDE), ((QM_PHI, ALPHA_SIDE),)
     ),
-    "curvature_bound_beta": MeanCheck(
+    "curvature_bound_beta": Check(
         partial(curvature_bound_expected_relation, side=BETA_SIDE), ((QM_PHI, BETA_SIDE),)
     ),
-    "log_convex_sandwich": MeanCheck(_sandwich_relation, ((QM_PHI, MIDDLE), (MIDDLE, QM_PSI))),
+    "log_convex_sandwich": Check(_sandwich_relation, ((QM_PHI, MIDDLE), (MIDDLE, QM_PSI))),
 }
 
 
-def check_slacks(
-    spec: QuasiArithmeticSpec, rows: Sequence[Tuple[MeanCheck, Relation]], core: FamilySums
-) -> List[List[Optional[float]]]:
-    """Per trial of a stage-1 stack ``core``, the signed slack of each of ``rows`` (the applicable
-    rows of ``MEAN_CHECKS`` with their relations), None for a domain skip.
+def compare_means(
+    spec: QuasiArithmeticSpec, rows: Sequence[Tuple[Check, Relation]], core: FamilySums, tol: float
+) -> Tuple[Dict[Tuple[str, str], LoewnerOrder], Dict[str, np.ndarray]]:
+    """The comparison, at tolerance ``tol``, of every pair of ``rows`` (the judged rows of
+    ``MEAN_CHECKS`` with their relations) on a stage-1 stack ``core``, and the mask per
+    curvature side of the trials whose operand stays inside the domain of psi^{-1}.
 
     The sides are operands of ``core``, each built once however many rows
     read it: QM_phi and QM_psi, ``mean(g, g^{-1})``, first; the bound of a
@@ -397,10 +395,9 @@ def check_slacks(
     ``geometric``.  The independent spectra, of both pre-means, of the
     applicable refined operands and of T, are solved in one
     ``FamilySums.decompose``; only the middle's psi^{-1}, of h(T), needs its
-    own.  Every pair of every row is compared in one ``loewner_orders`` call
-    at tolerance 0, as the sweep applies its own.
+    own.  Every pair of every row is compared in one ``loewner_orders`` call.
     """
-    pairs = [pair for row, _ in rows for pair in row.pairs]
+    pairs = [pair for check, _ in rows for pair in check.pairs]
     labels = list(dict.fromkeys(label for pair in pairs for label in pair))
     refined = {
         label: ("refined", spec.psi, spec.phi, _side_curvature(spec.composite_curvature, label))
@@ -421,15 +418,8 @@ def check_slacks(
         elif label == MIDDLE:
             operand = core.geometric(spec.phi, *endpoint_values(spec.psi, spec.bounds))
             sides[label] = inverse_within_domain(spec.psi_inverse, operand)
-    orders = iter(loewner_orders([(sides[left], sides[right]) for left, right in pairs], 0.0) if pairs else ())
-    columns = []
-    for row, relation in rows:
-        slacks = [next(orders).slack(relation).tolist() for _ in row.pairs]
-        kept = np.ones(len(core.positions), dtype=bool)
-        for label in {label for pair in row.pairs for label in pair} & inside.keys():
-            kept &= inside[label]
-        columns.append([min(trial) if ok else None for ok, trial in zip(kept.tolist(), zip(*slacks))])
-    return [[column[j] for column in columns] for j in range(len(core.positions))]
+    orders = loewner_orders([(sides[left], sides[right]) for left, right in pairs], tol) if pairs else []
+    return dict(zip(pairs, orders)), inside
 
 
 # --------------------------------------------------------------------------

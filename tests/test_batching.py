@@ -37,7 +37,8 @@ from mercerlab.linalg import (
     loewner_orders,
     spectral_decompose,
 )
-from mercerlab.mercer import contract_pairs, evaluate_chain
+from mercerlab.core import judge
+from mercerlab.mercer import evaluate_chain
 from mercerlab.quasimeans import (
     ALPHA_SIDE,
     BETA_SIDE,
@@ -45,7 +46,7 @@ from mercerlab.quasimeans import (
     MIDDLE,
     QM_PHI,
     QM_PSI,
-    check_slacks,
+    compare_means,
     curvature_bound_expected_relation,
     curvature_mean_bound,
     inverse_of_decomposition,
@@ -56,6 +57,14 @@ from mercerlab.quasimeans import (
 from mercerlab.sampling import generator
 
 PI4, PI2 = math.pi / 4, math.pi / 2
+
+
+def mean_gaps(spec, rows, stack):
+    """Per trial of a stack, the gap of each of a sweep's judged ``rows``, None for a domain skip."""
+    orders, inside = compare_means(spec, rows, stack, 0.0)
+    judged = judge(rows, orders, len(stack.positions), inside)
+    return [[None if entry is None else entry[0] for entry in trial] for trial in judged]
+
 
 SUITES = [
     # (function, chain, m, M, force, mixed, vary_dims, trials)
@@ -90,22 +99,21 @@ def test_every_trial_matches_its_replay(group_sizes, fn, chain, m, M, force, mix
         seed=21, function_spec=fn, chain=chain, m=m, M=M, force=force, mixed=mixed, vary_dims=vary
     )
     f, which = parse_function_spec(fn), normalize_chain(chain)
-    outcomes = list(suite_outcomes(config, trials, f, which))
-    assert [o.trial for o in outcomes] == list(range(trials))
+    rows, outcomes = suite_outcomes(config, trials, f, which)
+    pairs = [check.pairs[0] for check, _ in rows]  # each row of a chain is one compared pair
+    outcomes = list(outcomes)
+    assert len(outcomes) == trials
     if vary:
         assert max(group_sizes) >= 2  # some shapes hold several trials
     else:
         assert group_sizes == [trials]  # one shape, one stacked group
-    for outcome in outcomes:
-        stacked = {f"{left}<={right}": gap.hex() for left, right, gap, _ in outcome.pairs}
-        alone = {key: gap.hex() for key, gap in replay_trial(config, outcome.trial).items()}
-        assert stacked == alone, outcome.trial
-        report = evaluate_chain(build_instance(config, outcome.trial, f)[0], which, force=force)
-        instance = {
-            f"{left}<={right}": float(report.orders[left, right].eigenvalues[0]).hex()
-            for left, right in contract_pairs(which, alpha=report.scalars.get("alpha"))
-        }
-        assert stacked == instance, outcome.trial
+    for trial, (_, _, judged) in enumerate(outcomes):
+        stacked = {f"{left}<={right}": gap.hex() for (left, right), (gap, _) in zip(pairs, judged)}
+        alone = {key: gap.hex() for key, gap in replay_trial(config, trial).items()}
+        assert stacked == alone, trial
+        report = evaluate_chain(build_instance(config, trial, f)[0], which, force=force)
+        instance = {f"{left}<={right}": float(report.orders[left, right].eigenvalues[0]).hex() for left, right in pairs}
+        assert stacked == instance, trial
 
 
 VERIFY_SUITES = [
@@ -124,7 +132,7 @@ def test_stacked_verify_equals_trial_by_trial(monkeypatch, fn, chain, m, M, forc
         vary_dims=True,
     )
     chunks = []  # per chunk: its groups' dim_k, its group count, (dim_k, trials) per evaluated stack
-    outcomes = []  # per trial: index, seed, dims and its pairs, every gap as float.hex
+    outcomes = []  # per trial: index, seed, dims and its judged rows, every gap as float.hex
     sample, evaluate, grouped = harness._sample_chunk, harness.evaluate_trials, harness._grouped_outcomes
 
     def sampled(*args):
@@ -138,9 +146,8 @@ def test_stacked_verify_equals_trial_by_trial(monkeypatch, fn, chain, m, M, forc
 
     def recorded(*args):
         results = grouped(*args)
-        for o in results:
-            pairs = [(left, right, gap.hex(), below) for left, right, gap, below in o.pairs]
-            outcomes.append((o.trial, o.seed, o.dims, pairs))
+        for trial, (seed, dims, judged) in zip(args[-1], results):
+            outcomes.append((trial, seed, dims, [(gap.hex(), holds) for gap, holds in judged]))
         return results
 
     for name, spy in (("_sample_chunk", sampled), ("evaluate_trials", evaluated), ("_grouped_outcomes", recorded)):
@@ -191,8 +198,8 @@ SWEEP_PAIRS = [("sqrt", "id"), ("log", "id"), ("square", "id"), ("id", "inv"),
 def test_stacked_sweep_equals_trial_by_trial(monkeypatch, shape):
     # A report holds counts, minima and violations only, so every trial's
     # gaps are compared too, as _chunk returns the stage-2 rows of
-    # check_slacks: per trial, its seed, dims and the signed slack of each
-    # applicable check of MEAN_CHECKS.
+    # core.judge: per trial, its seed, dims and the (signed slack, holds) of
+    # each applicable check of MEAN_CHECKS.
     trials = []
     original = harness._chunk
 
@@ -241,7 +248,7 @@ def test_sweep_stage_two_is_the_one_trial_forms(mixed):
         sides = [side for side in curvature if curvature_bound_expected_relation(spec, side) is not None]
 
         def stage_two(stack):  # per trial of the stack: QM_phi, QM_psi and each side's bound or None
-            gaps = check_slacks(spec, rows, stack)
+            gaps = mean_gaps(spec, rows, stack)
             columns = [stack.mean(spec.phi, spec.phi_inverse).entries, stack.mean(spec.psi, spec.psi_inverse).entries]
             for side in sides:
                 operand = spectral_decompose(stack.refined(spec.psi, spec.phi, curvature[side]))
@@ -268,7 +275,7 @@ def test_sweep_stage_two_is_the_one_trial_forms(mixed):
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixed"])
 def test_sweep_rows_equal_each_pair_alone(mixed):
-    # check_slacks compares every pair of every applicable row of a dim_k
+    # compare_means compares every pair of every applicable row of a dim_k
     # stack in one eigvalsh.  Per trial, each row's slack must be, by
     # float.hex, the least of its pairs' slacks, each pair compared alone in
     # its own loewner_orders call on the trials its sides hold, and each None
@@ -281,7 +288,7 @@ def test_sweep_rows_equal_each_pair_alone(mixed):
         labels = {label for row, _ in rows for pair in row.pairs for label in pair}
         psi_ends = (float(spec.psi(config.bounds.m)), float(spec.psi(config.bounds.M)))
 
-        def stage_two(stack):  # per trial: the row of check_slacks and the one built pair by pair
+        def stage_two(stack):  # per trial: the gaps of mean_gaps and the ones built pair by pair
             n = len(stack.positions)
             sides = {QM_PHI: stack.mean(spec.phi, spec.phi_inverse), QM_PSI: stack.mean(spec.psi, spec.psi_inverse)}
             inside = {QM_PHI: np.ones(n, dtype=bool), QM_PSI: np.ones(n, dtype=bool), MIDDLE: np.ones(n, dtype=bool)}
@@ -302,7 +309,7 @@ def test_sweep_rows_equal_each_pair_alone(mixed):
                 expected.append([min(next(slack) for slack in slacks) if ok else None for ok in kept.tolist()])
                 if row is MEAN_CHECKS["curvature_bound_beta"] and 0 < kept.sum() < n:
                     beta_split.append((phi, psi))
-            return zip(check_slacks(spec, rows, stack), zip(*expected))
+            return zip(mean_gaps(spec, rows, stack), zip(*expected))
 
         for _, _, (got, want) in harness._chunk(config, core.operand_sums(spec.phi, spec.psi), stage_two, range(60)):
             assert [None if x is None else x.hex() for x in got] == [None if x is None else x.hex() for x in want]
@@ -310,7 +317,7 @@ def test_sweep_rows_equal_each_pair_alone(mixed):
 
 
 def test_sweep_spectra_equal_each_operand_alone():
-    # check_slacks solves the spectra of a dim_k stack's independent operands
+    # compare_means solves the spectra of a dim_k stack's independent operands
     # (both pre-means, the applicable refined operands and T_phi) in one
     # eigh of their concatenation.  On mixed vary_dims stacks of every pair,
     # each kept decomposition and every side built from it must be, by
@@ -323,7 +330,7 @@ def test_sweep_spectra_equal_each_operand_alone():
         psi_ends = (float(spec.psi(config.bounds.m)), float(spec.psi(config.bounds.M)))
 
         def stage_two(stack):
-            gaps = check_slacks(spec, rows, stack)
+            gaps = mean_gaps(spec, rows, stack)
             batches.append(list(stack.spectra))
             for (name, *args), dec in stack.spectra.items():
                 alone = spectral_decompose(getattr(stack, name)(*args))

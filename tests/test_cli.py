@@ -222,6 +222,16 @@ class TestBoundaryValidation:
              "not log-convex"),
             (("verify", "--chain", "log-convex", "--function", "log", "--m", "0.5", "--M", "3", "--trials", "0"),
              "not strictly positive"),
+            # a composite psi o phi^-1 whose sampled curvature is NaN, which no JSON report can hold
+            (("sweep", "--phi", "pow:p=-0.2", "--psi", "pow:p=0.999999", "--m", "2", "--M", "1e154", "--trials", "1"),
+             "NaN on its grid"),
+            # f'' overflows at an endpoint: no numpy warning before the one error line
+            (("verify", "--function", "inv", "--chain", "twice-diff", "--m", "1e-300", "--M", "1", "--trials", "2"),
+             "overflow"),
+            (("verify", "--function", "log", "--chain", "twice-diff", "--m", "1e-300", "--M", "1", "--trials", "2"),
+             "overflow"),
+            (("verify", "--function", "inv", "--chain", "twice-diff", "--m", "709", "--M", "1e154", "--trials", "2"),
+             "overflow"),
         ],
     )
     def test_rejected_with_one_line(self, args, field):

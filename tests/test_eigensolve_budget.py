@@ -93,7 +93,7 @@ def test_sweep_trial_budget(solver_calls):
     ],
 )
 def test_chain_trial_budget(solver_calls, chain, eigh, pairs):
-    assert len(CHAINS[normalize_chain(chain)].pairs) == pairs
+    assert len(CHAINS[normalize_chain(chain)].checks) == pairs
     summary = run_suite(TrialConfig(seed=1, function_spec="exp", chain=chain), 1)
     assert summary.violations == []
     assert solver_calls == {"eigh": eigh, "eigvalsh": 1, "qr": 1}

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,14 @@ class TestParseFunctionSpec:
         assert f.name == "pow"
         assert f.parameters == (-0.2,)
 
+    def test_labels_tell_apart_parameters_that_g_would_round(self):
+        # :g keeps 6 significant digits, so 0.9999999 and 1.0000001 would both read pow(1);
+        # a parameter that :g round-trips keeps its short form.
+        near = parse_function_spec("pow:p=0.9999999").label(), parse_function_spec("pow:p=1.0000001").label()
+        assert near == ("pow(0.9999999)", "pow(1.0000001)")
+        assert parse_function_spec("pow:p=2").label() == "pow(2)"
+        assert parse_function_spec("pow:p=-0.2").label() == "pow(-0.2)"
+
     @pytest.mark.parametrize("bad", ["nope", "pow", "pow:q=1", "sin:p=2", "pow:p="])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
@@ -149,6 +158,13 @@ class TestCurvatureBounds:
     def test_domain_mismatch(self):
         with pytest.raises(DomainMismatch):
             curvature_bounds(logarithm(), SpectralBounds(-1.0, 1.0))
+
+    @pytest.mark.parametrize("name, m, M", [("inv", 1e-300, 1.0), ("log", 1e-300, 1.0), ("inv", 709.0, 1e154)])
+    def test_overflowing_second_derivative_warns_nothing(self, name, m, M):
+        # f'' overflows at an endpoint; the bound is left to its users to refuse, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curvature_bounds(parse_function_spec(name), SpectralBounds(m, M))
 
     def test_missing_second_derivative(self):
         bare = ScalarFunction(name="bare", fn=np.abs)

@@ -3,6 +3,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
 from mercerlab import harness
@@ -41,7 +42,7 @@ class TestRunSuite:
         )
         summary = run_suite(config, 60)
         assert summary.violations
-        worst = min(v.gap for v in summary.violations)
+        worst = min(v["gap"] for v in summary.violations)
         assert worst < -1e-3
 
     def test_gate_blocks_unforced_nonconvex(self):
@@ -94,9 +95,36 @@ class TestRunSuite:
         summary = run_suite(config, 30)
         assert summary.violations
         violation = summary.violations[0]
-        gaps = replay_trial(config, violation.trial)
-        key = f"{violation.pair[0]}<={violation.pair[1]}"
-        assert gaps[key] == pytest.approx(violation.gap, abs=1e-12)
+        gaps = replay_trial(config, violation["trial"])
+        key = "{}<={}".format(*violation["pair"])
+        assert gaps[key] == pytest.approx(violation["gap"], abs=1e-12)
+
+    def test_violation_rule_is_strict_at_the_tolerance(self):
+        # The default id chain's least gap is rounding (-4.98e-15): a tolerance of exactly
+        # its magnitude holds every pair, one ulp less flags that pair.
+        config = TrialConfig(function_spec="id", chain="chain")
+        least = run_suite(config, 20).min_gap_overall
+        assert -1e-14 < least < 0.0
+        assert run_suite(dataclasses.replace(config, tol_abs=-least), 20).violations == []
+        flagged = run_suite(dataclasses.replace(config, tol_abs=float(np.nextafter(-least, 0.0))), 20).violations
+        assert flagged and min(v["gap"] for v in flagged) == least
+
+    def test_failed_chunk_of_one_trial_runs_once(self, monkeypatch):
+        # exp(700) times the diamond overflows the refined operand: the chunk of
+        # one trial raises, and is not run again trial by trial.
+        from mercerlab.errors import OperandOverflow
+
+        chunks = []
+        original = harness._grouped_outcomes
+
+        def spy(*args):
+            chunks.append(list(args[-1]))
+            return original(*args)
+
+        monkeypatch.setattr(harness, "_grouped_outcomes", spy)
+        with pytest.raises(OperandOverflow):
+            run_suite(TrialConfig(function_spec="exp", m=1, M=700, chain="twice-diff"), 1)
+        assert chunks == [[0]]
 
     def test_chain_token_normalization(self):
         assert normalize_chain("twice-diff") == "twice_diff"
@@ -294,6 +322,20 @@ class TestSweep:
         assert violations == 0
         beta = report["checks"]["curvature_bound_beta"]
         assert beta["evaluated"] + beta["domain_skips"] == 50
+
+    def test_violation_rule_is_strict_at_the_tolerance(self):
+        # The default (log, id) sweep's two-pair sandwich row has least gap -5.83e-15, rounding:
+        # at a tolerance of exactly its magnitude the row holds, one ulp less flags it.
+        config = TrialConfig()
+        least = run_sweep("log", "id", config, 20)[0]["checks"]["log_convex_sandwich"]["min_gap"]
+        assert -1e-14 < least < 0.0
+
+        def sandwich(tol):
+            return run_sweep("log", "id", dataclasses.replace(config, tol_abs=tol), 20)[0]["checks"]["log_convex_sandwich"]
+
+        assert sandwich(-least)["violations"] == []
+        flagged = sandwich(float(np.nextafter(-least, 0.0)))["violations"]
+        assert flagged and min(v["gap"] for v in flagged) == least
 
     def test_deterministic(self):
         cfg = TrialConfig(seed=4, vary_dims=True)

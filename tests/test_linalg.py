@@ -243,6 +243,41 @@ class TestLoewnerCompare:
                 assert [x.hex() for x in slack] == [x.hex() for x in expected]
 
 
+class TestHolds:
+    """``LoewnerOrder.holds``, the one violation rule of verify and the sweep, at its boundary."""
+
+    @staticmethod
+    def pairs():
+        """Sides of norm about 1000 whose differences are ordered, reverse-ordered, equal and
+        incomparable, each to within 5e-7: inside the default tolerance (about 1e-6), not the floor."""
+        rng = generator(47)
+
+        def turned(spectrum):
+            u = haar_unitary(3, rng)
+            mat = (u * np.array(spectrum, dtype=float)) @ u.conj().T
+            return 0.5 * (mat + mat.conj().T)
+
+        lefts, rights = [], []
+        for gaps in ((-5e-7, 0.5, 1.0), (-2.0, -1.0, 5e-7), (-5e-7, 0.0, 5e-7), (-1.0, 0.0, 1.0)):
+            base = turned([1000.0, -700.0, 300.0])
+            lefts.append(base)
+            rights.append(base + turned(gaps))
+        return HermitianOperator(np.array(lefts)), HermitianOperator(np.array(rights))
+
+    @pytest.mark.parametrize("tol", [None, 1e-6, 1e-9, 0.0])
+    def test_holds_is_below_above_or_both(self, tol):
+        (order,) = loewner_orders([self.pairs()], tol)
+        below, above = order.below.tolist(), order.above.tolist()
+        assert order.holds(Relation.LESS_EQUAL).tolist() == below
+        assert order.holds(Relation.GREATER_EQUAL).tolist() == above
+        assert order.holds(Relation.EQUAL).tolist() == [b and a for b, a in zip(below, above)]
+        if tol is None:
+            assert (below, above) == ([True, False, True, False], [False, True, True, False])
+        else:  # at a finite slack, exactly slack(relation) >= -tol
+            for relation in (Relation.LESS_EQUAL, Relation.GREATER_EQUAL, Relation.EQUAL):
+                assert order.holds(relation).tolist() == (order.slack(relation) >= -tol).tolist()
+
+
 class TestDeferredTolerance:
     """The default tolerance's norms are solved only where the floor cannot decide.
 

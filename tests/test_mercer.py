@@ -29,8 +29,8 @@ from mercerlab.linalg import HermitianOperator, Relation, SpectralBounds, spectr
 from mercerlab.maps import Compression, MapFamily, WeightedTrace
 from mercerlab.mercer import (
     CHAIN_KINDS,
+    CHAINS,
     MercerInstance,
-    contract_pairs,
     diamond_plain,
     evaluate_chain,
     mercer_lhs,
@@ -375,21 +375,31 @@ class TestEvaluateChain:
             assert set(blob) == {"sides", "verdicts", "scalars"}
 
     def test_contract_pairs_alpha_gate(self):
-        with_refinement = contract_pairs("twice_diff", alpha=0.5)
-        without = contract_pairs("twice_diff", alpha=-0.5)
+        # The rows of the chain table judged for a gate's scalars: the pair
+        # (upper_refined, rhs_classic) only when alpha >= 0, and each judged
+        # row is one compared pair of the report, asserted as left <= right.
+        def judged(which, alpha):
+            rows = [(check, check.relation({"alpha": alpha})) for check in CHAINS[which].checks]
+            assert all(relation in (None, Relation.LESS_EQUAL) for _, relation in rows)
+            return [pair for check, relation in rows if relation is not None for pair in check.pairs]
+
+        with_refinement = judged("twice_diff", 0.5)
+        without = judged("twice_diff", -0.5)
         assert ("upper_refined", "rhs_classic") in with_refinement
         assert ("upper_refined", "rhs_classic") not in without
+        assert ("chain_middle", "upper_refined") not in with_refinement
         assert ("zero", "diamond") in without
-        # for every kind and either sign of alpha, the contract pairs are
+        # for every kind and either sign of alpha, the judged pairs are
         # compared pairs of the report, in comparison order
         inst = random_instance(exponential(), seed=21, bounds=SpectralBounds(0.5, 2.0))
         for which in CHAIN_KINDS:
             compared = list(evaluate_chain(inst, which).orders)
+            assert all(len(check.pairs) == 1 for check in CHAINS[which].checks)
             for alpha in (0.5, -0.5):
-                pairs = contract_pairs(which, alpha=alpha)
+                pairs = judged(which, alpha)
                 assert pairs == [pair for pair in compared if pair in pairs]
         with pytest.raises(ValueError):
-            contract_pairs("sideways")
+            evaluate_chain(inst, "sideways")
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5))

@@ -73,11 +73,12 @@ def rejudge(config, trials, select):
     f = parse_function_spec(config.function_spec)
     mp_f = MP_FUNCTIONS[config.function_spec]
     judged = []
-    for outcome in suite_outcomes(config, trials, f, config.chain):
-        inst, _, _ = build_instance(config, outcome.trial, f)
+    rows, outcomes = suite_outcomes(config, trials, f, config.chain)
+    for trial, (_, _, entries) in enumerate(outcomes):
+        inst, _, _ = build_instance(config, trial, f)
         report = evaluate_chain(inst, config.chain, force=config.force)
         sides = None
-        for left, right, gap, ordered in outcome.pairs:
+        for ((left, right),), (gap, ordered) in zip((check.pairs for check, _ in rows), entries):
             tol = float(tolerance_from_norms(spectral_norms(report.side(left)), spectral_norms(report.side(right))))
             if not select(gap, ordered, tol):
                 continue

@@ -152,6 +152,10 @@ def spec_by_definition(phi, psi, bounds):
             )
     composite, interval = composite_by_definition(psi, phi), image_interval(phi, bounds)
     curv = curvature_bounds(composite, interval)
+    if math.isnan(curv.alpha) or math.isnan(curv.beta):  # refused: no JSON report can hold a NaN
+        raise InvalidInterval(
+            f"the curvature of {psi.label()} o {phi.label()}^-1 is NaN on its grid over [{bounds.m:.12g}, {bounds.M:.12g}]"
+        )
     kappa = composite_curvature_margin(curv.alpha, curv.beta)
     log_convex = False
     u = np.linspace(interval.m, interval.M, CURVATURE_GRID_POINTS)
