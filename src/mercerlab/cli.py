@@ -15,7 +15,6 @@ wall time goes to stderr.  Exit codes: 0 suite clean / nothing found,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -53,7 +52,11 @@ def _emit(report: dict) -> None:
 
 
 def _write_csv(path: str, rows: Sequence[dict], fields: Sequence[str] = ()) -> None:
-    """Write the rows, under a header of ``fields`` (default: the first row's keys)."""
+    """Write the rows, under a header of ``fields`` (default: the first row's keys).
+
+    ``csv`` is imported here: no command without ``--csv`` needs it."""
+    import csv
+
     with open(path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=list(fields or rows[0]))
         writer.writeheader()

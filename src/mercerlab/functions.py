@@ -10,7 +10,6 @@ grid formulas below also decide the composite of ``quasimeans.resolve_spec``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,14 +20,13 @@ from .errors import (
     MissingSecondDerivative,
     NonpositiveFunction,
 )
-from .linalg import SpectralBounds
+from .linalg import Frozen, SpectralBounds
 from .tolerance import COSINE_ZERO_MARGIN, LOG_CONVEXITY_SLACK, curvature_widening
 
 CURVATURE_GRID_POINTS = 10_001
 
 
-@dataclass(frozen=True)
-class ScalarFunction:
+class ScalarFunction(Frozen):
     """A scalar function together with the analytic facts the engine consumes.
 
     ``natural_domain`` is an open interval; evaluation outside it produces a
@@ -38,19 +36,58 @@ class ScalarFunction:
     False for every catalog entry, whose (log f)'' keeps one sign wherever
     f > 0; None, for a hand-built function, leaves the decision to the grid
     of :func:`is_log_convex_on`.
+
+    Two functions are equal when all their fields are, so two catalog entries
+    built alike from module-level callables are one key of ``core.FamilySums``;
+    the hash of the fields is taken once, at construction.
     """
 
-    name: str
-    fn: Callable
-    natural_domain: tuple = (-math.inf, math.inf)
-    derivative: Optional[Callable] = None
-    second_derivative: Optional[Callable] = None
-    convex_on_domain: bool = False
-    log_convex_on_domain: Optional[bool] = None
-    operator_monotone: bool = False
-    operator_decreasing: bool = False
-    parameters: tuple = ()
-    second_derivative_monotone: Optional[Callable[[float, float], bool]] = None
+    __slots__ = (
+        "name", "fn", "natural_domain", "derivative", "second_derivative", "convex_on_domain",
+        "log_convex_on_domain", "operator_monotone", "operator_decreasing", "parameters",
+        "second_derivative_monotone", "_key", "_hash",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        fn: Callable,
+        natural_domain: tuple = (-math.inf, math.inf),
+        derivative: Optional[Callable] = None,
+        second_derivative: Optional[Callable] = None,
+        convex_on_domain: bool = False,
+        log_convex_on_domain: Optional[bool] = None,
+        operator_monotone: bool = False,
+        operator_decreasing: bool = False,
+        parameters: tuple = (),
+        second_derivative_monotone: Optional[Callable[[float, float], bool]] = None,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "natural_domain", natural_domain)
+        object.__setattr__(self, "derivative", derivative)
+        object.__setattr__(self, "second_derivative", second_derivative)
+        object.__setattr__(self, "convex_on_domain", convex_on_domain)
+        object.__setattr__(self, "log_convex_on_domain", log_convex_on_domain)
+        object.__setattr__(self, "operator_monotone", operator_monotone)
+        object.__setattr__(self, "operator_decreasing", operator_decreasing)
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "second_derivative_monotone", second_derivative_monotone)
+        key = (
+            name, fn, natural_domain, derivative, second_derivative, convex_on_domain,
+            log_convex_on_domain, operator_monotone, operator_decreasing, parameters,
+            second_derivative_monotone,
+        )
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return self._hash
 
     def __call__(self, t):
         return self.fn(t)
@@ -69,17 +106,18 @@ class ScalarFunction:
         return left_ok and right_ok
 
 
-@dataclass(frozen=True)
-class CurvatureBounds:
-    """Real numbers alpha <= f'' <= beta on the working interval."""
+class CurvatureBounds(Frozen):
+    """Real numbers alpha <= f'' <= beta on the working interval; ``method`` is
+    "analytic" or "sampled"."""
 
-    alpha: float
-    beta: float
-    method: str  # "analytic" | "sampled"
+    __slots__ = ("alpha", "beta", "method")
 
-    def __post_init__(self):
-        if self.alpha > self.beta:
-            raise InvalidInterval(f"alpha={self.alpha} exceeds beta={self.beta}")
+    def __init__(self, alpha: float, beta: float, method: str):
+        if alpha > beta:
+            raise InvalidInterval(f"alpha={alpha} exceeds beta={beta}")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "method", method)
 
 
 # --------------------------------------------------------------------------

@@ -31,7 +31,6 @@ sampler and evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -40,7 +39,7 @@ import numpy as np
 from .core import Check, FamilySums, judge, operand_sums, stage_one
 from .errors import BudgetExhausted, InvalidConfig
 from .functions import ScalarFunction, curvature_bounds, parse_function_spec, require_domain, require_finite
-from .linalg import HermitianOperator, Relation, SpectralBounds
+from .linalg import Frozen, HermitianOperator, Relation, SpectralBounds
 from .maps import MapFamily, WeightedTrace, family_to_json
 from .mercer import (
     CHAIN_KINDS,
@@ -69,30 +68,46 @@ SEARCH_TARGETS = ("classic-nonconvex", "th3-th4-order")
 ROW_FIELDS = ("seed", "trial", "function", "chain", "dim_h", "dim_k", "n_maps", "min_gap")
 
 
-@dataclass(frozen=True)
-class TrialConfig:
+class TrialConfig(Frozen):
     """One verify run: function, chain, dimensions, interval, seed, tolerances."""
 
-    seed: int = 0
-    dim_h: int = 4
-    dim_k: int = 4
-    n_maps: int = 2
-    m: float = 1.0
-    M: float = 3.0
-    function_spec: str = "exp"
-    chain: str = "classic"
-    tol_abs: Optional[float] = None
-    force: bool = False
-    mixed: bool = False
-    vary_dims: bool = False
+    __slots__ = (
+        "seed", "dim_h", "dim_k", "n_maps", "m", "M", "function_spec", "chain", "tol_abs", "force", "mixed",
+        "vary_dims",
+    )
 
-    def __post_init__(self):
-        for name in ("dim_h", "dim_k", "n_maps"):
-            value = getattr(self, name)
+    def __init__(
+        self,
+        seed: int = 0,
+        dim_h: int = 4,
+        dim_k: int = 4,
+        n_maps: int = 2,
+        m: float = 1.0,
+        M: float = 3.0,
+        function_spec: str = "exp",
+        chain: str = "classic",
+        tol_abs: Optional[float] = None,
+        force: bool = False,
+        mixed: bool = False,
+        vary_dims: bool = False,
+    ):
+        for name, value in (("dim_h", dim_h), ("dim_k", dim_k), ("n_maps", n_maps)):
             if value < 1:
                 raise InvalidConfig(f"{name} must be >= 1, got {value}")
-        check_seed(self.seed)
-        check_tolerance(self.tol_abs)
+        check_seed(seed)
+        check_tolerance(tol_abs)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "dim_h", dim_h)
+        object.__setattr__(self, "dim_k", dim_k)
+        object.__setattr__(self, "n_maps", n_maps)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "function_spec", function_spec)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "tol_abs", tol_abs)
+        object.__setattr__(self, "force", force)
+        object.__setattr__(self, "mixed", mixed)
+        object.__setattr__(self, "vary_dims", vary_dims)
 
     @property
     def bounds(self) -> SpectralBounds:
@@ -115,16 +130,24 @@ class TrialConfig:
         }
 
 
-@dataclass(slots=True)
 class Tally:
     """One check row over a run, folded in trial order: the trials it judged (``evaluated``),
     its ``domain_skips``, its least gap and the (trial, seed, gap) of each trial where it does
     not hold.  A verify summary and a sweep's checks are written from their rows' tallies."""
 
-    evaluated: int = 0
-    domain_skips: int = 0
-    min_gap: float = math.inf
-    violations: List[Tuple[int, int, float]] = field(default_factory=list)
+    __slots__ = ("evaluated", "domain_skips", "min_gap", "violations")
+
+    def __init__(
+        self,
+        evaluated: int = 0,
+        domain_skips: int = 0,
+        min_gap: float = math.inf,
+        violations: Optional[List[Tuple[int, int, float]]] = None,
+    ):
+        self.evaluated = evaluated
+        self.domain_skips = domain_skips
+        self.min_gap = min_gap
+        self.violations = [] if violations is None else violations
 
     def record(self, trial: int, seed: int, judged: Optional[Tuple[float, bool]]) -> None:
         """Fold in one trial's (gap, holds) of the row (``core.judge``), None for a domain skip."""
@@ -148,14 +171,18 @@ class Tally:
         }
 
 
-@dataclass
 class RunSummary:
     """Outcome of a verify run; each violation is its report entry, and ``rows`` feed the CSV summary."""
 
-    trials: int
-    violations: List[dict]
-    min_gap_overall: float
-    rows: List[dict] = field(default_factory=list)
+    __slots__ = ("trials", "violations", "min_gap_overall", "rows")
+
+    def __init__(
+        self, trials: int, violations: List[dict], min_gap_overall: float, rows: Optional[List[dict]] = None
+    ):
+        self.trials = trials
+        self.violations = violations
+        self.min_gap_overall = min_gap_overall
+        self.rows = [] if rows is None else rows
 
     def to_json(self) -> dict:
         return {

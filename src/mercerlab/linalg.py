@@ -24,7 +24,11 @@ finiteness) is made per matrix; a failing stack raises for its first
 failing matrix in C order.
 
 All values are immutable after construction and all operations are pure, so
-everything here is safe to share between threads.
+everything here is safe to share between threads.  The package's immutable
+value classes are plain classes on :class:`Frozen`: ``__init__`` sets each field
+once, through ``object.__setattr__``, and assigning or deleting an attribute
+afterwards raises ``AttributeError``.  They are written out by hand, so
+importing the package generates no code.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -53,18 +56,38 @@ from .tolerance import (
 )
 
 
-@dataclass(frozen=True)
-class SpectralBounds:
+class Frozen:
+    """Base of the package's immutable values: assigning or deleting an attribute raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SpectralBounds(Frozen):
     """Interval [m, M] that houses the spectra of every operator of an instance."""
 
-    m: float
-    M: float
+    __slots__ = ("m", "M")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.m) and math.isfinite(self.M)):
+    def __init__(self, m: float, M: float):
+        if not (math.isfinite(m) and math.isfinite(M)):
             raise InvalidInterval("interval endpoints must be finite")
-        if not self.m < self.M:
-            raise InvalidInterval(f"need m < M, got m={self.m}, M={self.M}")
+        if not m < M:
+            raise InvalidInterval(f"need m < M, got m={m}, M={M}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "M", M)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.M) == (other.m, other.M)
+
+    def __hash__(self):
+        return hash((self.m, self.M))
 
     @property
     def width(self) -> float:
@@ -106,17 +129,20 @@ def _as_complex_matrix(entries) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
-class HermitianOperator:
+class HermitianOperator(Frozen):
     """A dense complex self-adjoint matrix, or a stack of them.
 
     Construct through :meth:`from_matrix` (validating) or the convenience
-    constructors; the raw dataclass constructor performs no checks.  Inside
-    the engine ``entries`` may carry leading axes, ``(..., d, d)``; linear
-    arithmetic broadcasts over them, and ``dim`` is the matrix dimension.
+    constructors; ``HermitianOperator(entries)`` itself checks nothing and
+    keeps ``entries`` as given.  Inside the engine ``entries`` may carry
+    leading axes, ``(..., d, d)``; linear arithmetic broadcasts over them,
+    and ``dim`` is the matrix dimension.
     """
 
-    entries: np.ndarray
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: np.ndarray):
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_matrix(cls, entries) -> "HermitianOperator":
@@ -195,12 +221,14 @@ class HermitianOperator:
         return cls.from_matrix(mat)
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(Frozen):
     """Eigenvalues (ascending) and a unitary matrix of column eigenvectors."""
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    __slots__ = ("eigenvalues", "eigenvectors")
+
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "eigenvectors", eigenvectors)
 
     def reconstruct(self) -> np.ndarray:
         """U diag(lambda) U* of every matrix of the stack."""
@@ -215,8 +243,7 @@ class Relation(enum.Enum):
     INCOMPARABLE = "Incomparable"
 
 
-@dataclass(frozen=True)
-class OrderVerdict:
+class OrderVerdict(Frozen):
     """Outcome of a Loewner-order comparison of two operators.
 
     ``gap_min_eigenvalue`` is the minimum eigenvalue of the difference in the
@@ -224,9 +251,12 @@ class OrderVerdict:
     A <= B of Incomparable); ``witness_vector`` is a unit vector attaining it.
     """
 
-    relation: Relation
-    gap_min_eigenvalue: float
-    witness_vector: np.ndarray
+    __slots__ = ("relation", "gap_min_eigenvalue", "witness_vector")
+
+    def __init__(self, relation: Relation, gap_min_eigenvalue: float, witness_vector: np.ndarray):
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "gap_min_eigenvalue", gap_min_eigenvalue)
+        object.__setattr__(self, "witness_vector", witness_vector)
 
     def to_json(self) -> dict:
         return {
@@ -235,22 +265,29 @@ class OrderVerdict:
         }
 
 
-@dataclass(frozen=True)
-class LoewnerOrder:
+class LoewnerOrder(Frozen):
     """The Loewner comparison of two stacks A and B, matrix by matrix (see :func:`loewner_orders`).
 
     ``left`` and ``right`` are the entries of A and B, ``difference`` the
     stack B - A, ``eigenvalues`` its spectra (ascending), ``tol`` the
     tolerance of each comparison (an array or float), or None for the
     default ``tolerance.tolerance_from_norms`` of both sides' norms.  The
-    masks are made on first read.
+    masks are made on first read, and kept in the instance ``__dict__``.
     """
 
-    left: np.ndarray
-    right: np.ndarray
-    difference: np.ndarray
-    eigenvalues: np.ndarray
-    tol: Optional[np.ndarray]
+    def __init__(
+        self,
+        left: np.ndarray,
+        right: np.ndarray,
+        difference: np.ndarray,
+        eigenvalues: np.ndarray,
+        tol: Optional[np.ndarray],
+    ):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "difference", difference)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "tol", tol)
 
     @functools.cached_property
     def below(self) -> np.ndarray:

@@ -18,21 +18,22 @@ acts on its own operator, by the same numpy operations as for one matrix:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import ArityMismatch, DimensionMismatch, InvalidInterval
-from .linalg import HermitianOperator, spectral_norms
+from .linalg import Frozen, HermitianOperator, spectral_norms
 from .tolerance import UNITALITY_ABS
 
 
-@dataclass(frozen=True)
-class Compression:
+class Compression(Frozen):
     """A |-> V* A V with V of shape (dim_in, dim_out), or (trials, dim_in, dim_out) when stacked."""
 
-    v: np.ndarray
+    __slots__ = ("v",)
+
+    def __init__(self, v: np.ndarray):
+        object.__setattr__(self, "v", v)
 
     @property
     def dim_in(self) -> int:
@@ -46,21 +47,29 @@ class Compression:
         return self.v.conj().swapaxes(-1, -2) @ mat @ self.v
 
 
-@dataclass(frozen=True)
-class WeightedTrace:
+class WeightedTrace(Frozen):
     """A |-> w tr(A) I on the codomain; w >= 0 (one weight per trial when stacked).
 
     No 1/dim normalization is built in: the weight is chosen so that
     unitality holds at the family level.
     """
 
-    weight: float
-    dim_in: int
-    dim_out: int
+    __slots__ = ("weight", "dim_in", "dim_out")
 
-    def __post_init__(self):
-        if np.any(np.asarray(self.weight) < 0):
-            raise InvalidInterval(f"trace weight must be nonnegative, got {self.weight}")
+    def __init__(self, weight: float, dim_in: int, dim_out: int):
+        if np.any(np.asarray(weight) < 0):
+            raise InvalidInterval(f"trace weight must be nonnegative, got {weight}")
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "dim_in", dim_in)
+        object.__setattr__(self, "dim_out", dim_out)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.weight, self.dim_in, self.dim_out) == (other.weight, other.dim_in, other.dim_out)
+
+    def __hash__(self):
+        return hash((self.weight, self.dim_in, self.dim_out))
 
     def apply(self, mat: np.ndarray) -> np.ndarray:
         scaled = np.asarray(self.weight * np.trace(mat, axis1=-2, axis2=-1))
@@ -78,18 +87,18 @@ def apply_map(phi: PositiveLinearMap, a: HermitianOperator) -> HermitianOperator
     return HermitianOperator(0.5 * (mat + mat.conj().swapaxes(-1, -2)))
 
 
-@dataclass(frozen=True)
-class MapFamily:
+class MapFamily(Frozen):
     """Ordered positive maps Phi_1..Phi_n with common dimensions."""
 
-    maps: Tuple[PositiveLinearMap, ...]
+    __slots__ = ("maps",)
 
-    def __post_init__(self):
-        if not self.maps:
+    def __init__(self, maps: Tuple[PositiveLinearMap, ...]):
+        if not maps:
             raise ArityMismatch("a family needs at least one map")
-        dims = {(phi.dim_in, phi.dim_out) for phi in self.maps}
+        dims = {(phi.dim_in, phi.dim_out) for phi in maps}
         if len(dims) != 1:
             raise DimensionMismatch(f"maps have mixed dimensions {dims}")
+        object.__setattr__(self, "maps", maps)
 
     @property
     def size(self) -> int:

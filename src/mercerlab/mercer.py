@@ -26,7 +26,6 @@ alpha >= 0, or none (compared for the report, never judged).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -34,35 +33,38 @@ import numpy as np
 from .errors import BadWeights, HypothesisNotMet, OutOfInterval
 from .core import Check, FamilySums, endpoint_values, operand_sums, trial_sums
 from .functions import CurvatureBounds, ScalarFunction, curvature_bounds, is_log_convex_on
-from .linalg import HermitianOperator, LoewnerOrder, Relation, SpectralBounds, loewner_orders
+from .linalg import Frozen, HermitianOperator, LoewnerOrder, Relation, SpectralBounds, loewner_orders
 from .maps import MapFamily
 from .tolerance import WEIGHT_SUM_ABS
 
 
-@dataclass(frozen=True)
-class MercerInstance:
+class MercerInstance(Frozen):
     """One trial of the inequality chains: f, a unital family, operators (one per map), [m, M].
 
     ``core`` holds the trial's family sums of the objects ``operand_sums(None, f)``,
-    built and checked at construction by ``core.trial_sums``, so f is
-    evaluated there, on the spectra clamped onto [m, M].  Every side is an
-    operand of ``core`` (see :func:`evaluate_trials`).  A suite builds the
-    same sums for a whole chunk of trials in ``core.stage_one``.
+    built and checked at construction by ``core.trial_sums`` (in ``__post_init__``,
+    which ``__init__`` calls), so f is evaluated there, on the spectra clamped
+    onto [m, M].  Every side is an operand of ``core`` (see :func:`evaluate_trials`).
+    A suite builds the same sums for a whole chunk of trials in ``core.stage_one``.
     """
 
-    f: ScalarFunction
-    family: MapFamily
-    operators: Tuple[HermitianOperator, ...]
-    bounds: SpectralBounds
-    core: FamilySums = field(init=False, repr=False, compare=False)
+    __slots__ = ("f", "family", "operators", "bounds", "core")
+
+    def __init__(
+        self, f: ScalarFunction, family: MapFamily, operators: Tuple[HermitianOperator, ...], bounds: SpectralBounds
+    ):
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "operators", operators)
+        object.__setattr__(self, "bounds", bounds)
+        self.__post_init__()
 
     def __post_init__(self):
         core = trial_sums(self.family, self.operators, self.bounds, operand_sums(None, self.f))
         object.__setattr__(self, "core", core)
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(Frozen):
     """Named operator sides, the Loewner comparison of each compared pair, and the gate's scalars.
 
     ``sides`` are keyed by label in the chain's side order, ``orders`` by
@@ -70,9 +72,17 @@ class InequalityReport:
     trial, or one matrix for a report of one trial (:func:`evaluate_chain`).
     """
 
-    sides: Dict[str, HermitianOperator]
-    orders: Dict[Tuple[str, str], LoewnerOrder]
-    scalars: Dict[str, float]
+    __slots__ = ("sides", "orders", "scalars")
+
+    def __init__(
+        self,
+        sides: Dict[str, HermitianOperator],
+        orders: Dict[Tuple[str, str], LoewnerOrder],
+        scalars: Dict[str, float],
+    ):
+        object.__setattr__(self, "sides", sides)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "scalars", scalars)
 
     def side(self, label: str) -> HermitianOperator:
         return self.sides[label]

@@ -38,7 +38,6 @@ orientation needs care.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -57,6 +56,7 @@ from .functions import (
 )
 from .core import Check, FamilySums, endpoint_values, image_interval, operand_sums, trial_sums
 from .linalg import (
+    Frozen,
     HermitianOperator,
     LoewnerOrder,
     Relation,
@@ -110,21 +110,38 @@ def _composite_on_grid(
         return values, d_psi / dp, second
 
 
-@dataclass(frozen=True)
-class QuasiArithmeticSpec:
+class QuasiArithmeticSpec(Frozen):
     """A resolved generator pair: composite analysis and the catalog inverses of both
     generators, whose flags give the direction of psi^{-1}."""
 
-    phi: ScalarFunction
-    psi: ScalarFunction
-    bounds: SpectralBounds
-    phi_interval: SpectralBounds
-    composite_curvature: CurvatureBounds
-    composite_is_convex: bool
-    composite_is_concave: bool
-    composite_is_log_convex: bool
-    phi_inverse: ScalarFunction
-    psi_inverse: ScalarFunction
+    __slots__ = (
+        "phi", "psi", "bounds", "phi_interval", "composite_curvature", "composite_is_convex",
+        "composite_is_concave", "composite_is_log_convex", "phi_inverse", "psi_inverse",
+    )
+
+    def __init__(
+        self,
+        phi: ScalarFunction,
+        psi: ScalarFunction,
+        bounds: SpectralBounds,
+        phi_interval: SpectralBounds,
+        composite_curvature: CurvatureBounds,
+        composite_is_convex: bool,
+        composite_is_concave: bool,
+        composite_is_log_convex: bool,
+        phi_inverse: ScalarFunction,
+        psi_inverse: ScalarFunction,
+    ):
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "phi_interval", phi_interval)
+        object.__setattr__(self, "composite_curvature", composite_curvature)
+        object.__setattr__(self, "composite_is_convex", composite_is_convex)
+        object.__setattr__(self, "composite_is_concave", composite_is_concave)
+        object.__setattr__(self, "composite_is_log_convex", composite_is_log_convex)
+        object.__setattr__(self, "phi_inverse", phi_inverse)
+        object.__setattr__(self, "psi_inverse", psi_inverse)
 
 
 def resolve_spec(phi: ScalarFunction, psi: ScalarFunction, bounds: SpectralBounds) -> QuasiArithmeticSpec:
@@ -426,12 +443,16 @@ def compare_means(
 # Incomparability of the two refinement routes
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProbeRow:
-    t: float
-    p: float
-    gap: float
-    sign: int
+class ProbeRow(Frozen):
+    """One (t, p) of :func:`incomparability_probe`: the gap and its sign (0 within ``PROBE_SIGN_ABS``)."""
+
+    __slots__ = ("t", "p", "gap", "sign")
+
+    def __init__(self, t: float, p: float, gap: float, sign: int):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "gap", gap)
+        object.__setattr__(self, "sign", sign)
 
 
 def incomparability_probe(

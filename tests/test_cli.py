@@ -279,3 +279,22 @@ class TestBoundaryValidation:
         assert proc.returncode == 1 and proc.stdout == ""
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("mercerlab: error: ") and "rows.csv" in lines[0]
+
+
+class TestImportFootprint:
+    """A fresh process loads neither ``dataclasses`` nor ``csv``: the value classes are
+    written out by hand, and the CLI imports ``csv`` only to write a ``--csv`` file."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [("-c", "import mercerlab.cli"), ("-m", "mercerlab", "reproduce", "example-2.2")],
+        ids=["import", "reproduce"],
+    )
+    def test_loads_neither_dataclasses_nor_csv(self, args):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+        assert "mercerlab.cli" in imported
+        assert not imported & {"dataclasses", "csv"}

@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import json
 import math
 import time
@@ -23,6 +23,13 @@ from mercerlab.harness import (
 )
 from mercerlab.functions import exponential
 from mercerlab.mercer import CHAIN_KINDS
+
+
+def replace(obj, **changes):
+    """A copy of ``obj`` built by its constructor, from the fields of its parameters, ``changes`` set."""
+    fields = {name: getattr(obj, name) for name in inspect.signature(type(obj)).parameters}
+    return type(obj)(**{**fields, **changes})
+
 
 PI4, PI2 = math.pi / 4, math.pi / 2
 
@@ -70,7 +77,7 @@ class TestRunSuite:
         with pytest.raises(HypothesisNotMet, match="not flagged convex"):
             run_suite(config, 3)
         assert sampled == []
-        forced = run_suite(dataclasses.replace(config, force=True), 3)
+        forced = run_suite(replace(config, force=True), 3)
         assert sampled == [[0, 1, 2]] and forced.trials == 3
 
     def test_report_is_deterministic(self):
@@ -105,8 +112,8 @@ class TestRunSuite:
         config = TrialConfig(function_spec="id", chain="chain")
         least = run_suite(config, 20).min_gap_overall
         assert -1e-14 < least < 0.0
-        assert run_suite(dataclasses.replace(config, tol_abs=-least), 20).violations == []
-        flagged = run_suite(dataclasses.replace(config, tol_abs=float(np.nextafter(-least, 0.0))), 20).violations
+        assert run_suite(replace(config, tol_abs=-least), 20).violations == []
+        flagged = run_suite(replace(config, tol_abs=float(np.nextafter(-least, 0.0))), 20).violations
         assert flagged and min(v["gap"] for v in flagged) == least
 
     def test_failed_chunk_of_one_trial_runs_once(self, monkeypatch):
@@ -331,7 +338,7 @@ class TestSweep:
         assert -1e-14 < least < 0.0
 
         def sandwich(tol):
-            return run_sweep("log", "id", dataclasses.replace(config, tol_abs=tol), 20)[0]["checks"]["log_convex_sandwich"]
+            return run_sweep("log", "id", replace(config, tol_abs=tol), 20)[0]["checks"]["log_convex_sandwich"]
 
         assert sandwich(-least)["violations"] == []
         flagged = sandwich(float(np.nextafter(-least, 0.0)))["violations"]
