@@ -31,10 +31,10 @@ from .harness import (
     search_counterexample,
     verify_report,
 )
-from .mercer import CHAIN_KINDS
 
-# The chain kinds as the CLI spells them; harness.normalize_chain maps them back.
-CHAIN_CLI_CHOICES = tuple(kind.replace("_", "-") for kind in CHAIN_KINDS)
+# The keys of ``mercer.CHAINS`` as the CLI spells them, written out so that building the parser
+# loads no ``mercer``; harness.normalize_chain maps them back, and tests/test_cli.py keeps them equal.
+CHAIN_CLI_CHOICES = ("classic", "chain", "twice-diff", "log-convex")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,6 +82,12 @@ def _add_instance_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every command.
+
+    Building it, like importing this module, loads none of ``mercer``, ``quasimeans`` and
+    ``sampling``: the chain choices are written out above, the seed bound is ``harness.check_seed``'s
+    own, and ``harness`` imports those modules in the functions that run them, so a process compiles
+    only the modules its command runs."""
     parser = _Parser(prog="mercerlab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 

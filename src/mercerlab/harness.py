@@ -26,13 +26,22 @@ lowest failing trial.  A replay is a chunk of one trial, and the
 ``classic-nonconvex`` search scores every candidate on one forced
 ``classic`` suite, each trial sampled once, so both run on verify's
 sampler and evaluation.
+
+``mercer``, ``quasimeans`` and ``sampling`` are imported inside the
+functions that use them, once per suite, chunk, search or case and never
+inside a loop over trials, so importing this module (as ``cli`` does)
+compiles none of them, and a process compiles only those its command runs:
+a ``sweep`` loads no ``mercer``, a ``verify`` no ``quasimeans``, a
+``reproduce`` no ``sampling``.  The functions look the names up in their
+defining modules at each call, so a patch of ``mercer.evaluate_trials`` or
+``sampling.trial_seed`` reaches every call site.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,19 +50,11 @@ from .errors import BudgetExhausted, InvalidConfig
 from .functions import ScalarFunction, curvature_bounds, parse_function_spec, require_domain, require_finite
 from .linalg import Frozen, HermitianOperator, Relation, SpectralBounds
 from .maps import MapFamily, WeightedTrace, family_to_json
-from .mercer import (
-    CHAIN_KINDS,
-    CHAINS,
-    MercerInstance,
-    evaluate_chain,
-    evaluate_trials,
-    mercer_lhs,
-    mercer_rhs_classic,
-    refined_bounds,
-)
-from .quasimeans import MEAN_CHECKS, compare_means, incomparability_probe, resolve_spec
-from .sampling import MASK64, SampledGroup, generator, sample_trials, trial_seed
 from .tolerance import sweep_tolerance
+
+if TYPE_CHECKING:
+    from .mercer import MercerInstance
+    from .sampling import SampledGroup
 
 # Trials sampled and evaluated together by a verify suite or a sweep.  It bounds
 # the memory a suite holds, and at 256 a benchmark or test suite is one chunk.
@@ -203,7 +204,7 @@ def check_tolerance(tol_abs: Optional[float]) -> None:
 
 def check_seed(seed: int) -> None:
     """A master seed must be in [0, 2^64): out of it, the trials would read another seed's streams."""
-    if not 0 <= seed <= MASK64:
+    if not 0 <= seed < 1 << 64:
         raise InvalidConfig(f"seed must be in [0, 2^64), got {seed}")
 
 
@@ -214,6 +215,8 @@ def check_trials(n_trials: int) -> None:
 
 def normalize_chain(token: str) -> str:
     """The chain kind of a token, in either spelling: ``twice_diff`` or the CLI's ``twice-diff``."""
+    from .mercer import CHAIN_KINDS
+
     kind = token.replace("-", "_")
     if kind not in CHAIN_KINDS:
         raise ValueError(f"unknown chain {token!r}; choices: {CHAIN_KINDS}")
@@ -236,6 +239,8 @@ def _sample_chunk(config: TrialConfig, indices: Sequence[int]) -> Tuple[List[int
     eigenvalues of each operator onto the interval endpoints, where the
     equality cases of the bounds live.
     """
+    from .sampling import sample_trials, trial_seed
+
     seeds = [trial_seed(config.seed, i) for i in indices]
     pins = [i % 10 == 0 for i in indices]
     return seeds, sample_trials(seeds, pins, partial(_draw_dims, config), config.bounds, config.mixed)
@@ -255,6 +260,8 @@ def build_instance(
     config: TrialConfig, trial_index: int, f: ScalarFunction
 ) -> Tuple[MercerInstance, int, Tuple[int, int, int]]:
     """Deterministic instance for one trial; see :func:`_sample_chunk`."""
+    from .mercer import MercerInstance
+
     ((seed_i, dims, family, operators),) = _sampled_trials(config, (trial_index,))
     inst = MercerInstance(f=f, family=family, operators=operators, bounds=config.bounds)
     return inst, seed_i, dims
@@ -283,6 +290,7 @@ def _grouped_outcomes(
     """(seed, dims, judged) of each of the trials ``indices``, in order, run as one :func:`_chunk` of the
     sums ``core.operand_sums(None, f)``: stage 2 evaluates the chain once per dim_k stack, with the gate's
     ``scalars``, into one report, on which ``core.judge`` judges the chain's ``rows``."""
+    from .mercer import evaluate_trials
 
     def rows_of(stack: FamilySums) -> list:
         report = evaluate_trials(f, which, stack, scalars, config.tol_abs)
@@ -321,6 +329,8 @@ def suite_outcomes(
     judged) of the trials ``trials`` (see :func:`_by_chunk`), in index order, each chunk evaluated
     by :func:`_grouped_outcomes`.  The chain's gate runs first, before any trial is sampled, and
     raises ``HypothesisNotMet`` for an unforced f that fails its hypotheses."""
+    from .mercer import CHAINS
+
     chain = CHAINS[which]
     scalars = chain.gate(f, config.bounds, config.force)
     rows = [(check, relation) for check in chain.checks if (relation := check.relation(scalars)) is not None]
@@ -380,6 +390,8 @@ def verify_report(config: TrialConfig, n_trials: int) -> Tuple[dict, RunSummary]
 def _extremal_instance(f: ScalarFunction, bounds: SpectralBounds) -> MercerInstance:
     """A = diag(m, M) under the half-trace map, so S = (m + M) / 2: the
     example-2.2 instance, and the first probe of the classic-nonconvex search."""
+    from .mercer import MercerInstance
+
     family = MapFamily(maps=(WeightedTrace(0.5, dim_in=2, dim_out=1),))
     a = HermitianOperator.diagonal([bounds.m, bounds.M])
     return MercerInstance(f=f, family=family, operators=(a,), bounds=bounds)
@@ -395,6 +407,8 @@ def reproduce(case: str, function_override: Optional[str] = None) -> dict:
     function is fixed, so an override is rejected.
     """
     if case == "example-2.2":
+        from .mercer import mercer_lhs, mercer_rhs_classic, refined_bounds
+
         f = parse_function_spec(function_override or "sin")
         inst = _extremal_instance(f, SpectralBounds(math.pi / 4, math.pi / 2))
         curv = curvature_bounds(inst.f, inst.bounds)
@@ -419,6 +433,8 @@ def reproduce(case: str, function_override: Optional[str] = None) -> dict:
     if case == "example-3.5":
         if function_override is not None:
             raise InvalidConfig("example-3.5 probes t^p and takes no function override")
+        from .quasimeans import incomparability_probe
+
         m, M, t = 1.0, 3.0, 2.0
         rows = incomparability_probe(m, M, p_values=[-0.2, -1.0], t_grid=[t])
         return {
@@ -471,6 +487,9 @@ def search_counterexample(
     bounds = SpectralBounds(m, M)
 
     if target == "classic-nonconvex":
+        from .mercer import CHAINS, evaluate_chain, evaluate_trials
+        from .sampling import trial_seed
+
         candidates = (function_spec,) if function_spec else NONCONVEX_CANDIDATES
         functions = [parse_function_spec(spec_str) for spec_str in candidates]
         for f in functions:
@@ -522,17 +541,20 @@ def search_counterexample(
         for name, value in (("function", function_spec), ("tolerance", tol_abs)):
             if value is not None:
                 raise InvalidConfig(f"th3-th4-order probes the scalar gap of t^p and takes no {name}")
+        from .quasimeans import incomparability_probe
+
+        def probes() -> Iterator[tuple]:  # (p values, t grid) of each trial: a fixed grid, then seeded draws
+            yield [-0.2, -1.0], np.linspace(bounds.m, bounds.M, 21)
+            from .sampling import generator, trial_seed  # a search that trial 0 settles draws nothing
+
+            for trial in range(1, budget):
+                rng = generator(trial_seed(seed, trial))
+                yield list(rng.uniform(-3.0, -0.05, size=3)), rng.uniform(bounds.m, bounds.M, size=7)
+
         rows = []
         negative = None
         positive = None
-        for trial in range(budget):
-            if trial == 0:
-                p_values = [-0.2, -1.0]
-                t_grid = np.linspace(bounds.m, bounds.M, 21)
-            else:
-                rng = generator(trial_seed(seed, trial))
-                p_values = list(rng.uniform(-3.0, -0.05, size=3))
-                t_grid = rng.uniform(bounds.m, bounds.M, size=7)
+        for p_values, t_grid in probes():
             batch = incomparability_probe(bounds.m, bounds.M, p_values, t_grid)
             rows.extend(batch)
             for row in batch:
@@ -583,9 +605,13 @@ def run_sweep(
     trial by trial, so the error raised is the lowest failing trial's.
     Returns (json_report, violation_count).
     """
+    from .quasimeans import MEAN_CHECKS, compare_means, resolve_spec
+
     check_trials(n_trials)
     phi = parse_function_spec(phi_spec)
-    psi = parse_function_spec(psi_spec)
+    # A catalog entry parsed twice is two unequal objects (its lambdas differ), so a same-spec
+    # pair shares one: stage 1 then builds one family sum per distinct generator.
+    psi = phi if psi_spec == phi_spec else parse_function_spec(psi_spec)
     bounds = config.bounds
     spec = resolve_spec(phi, psi, bounds)
     tol = config.tol_abs

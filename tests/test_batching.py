@@ -18,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from mercerlab import core, harness
+from mercerlab import core, harness, mercer
 from mercerlab.errors import HypothesisNotMet, InverseDomainError, SpectrumOutOfDomain
 from mercerlab.functions import parse_function_spec
 from mercerlab.harness import (
@@ -83,13 +83,13 @@ SUITES = [
 def group_sizes(monkeypatch):
     """The trial count of every stack a suite evaluates."""
     sizes = []
-    original = harness.evaluate_trials
+    original = mercer.evaluate_trials
 
     def spy(f, which, core, *args):
         sizes.append(len(core.positions))
         return original(f, which, core, *args)
 
-    monkeypatch.setattr(harness, "evaluate_trials", spy)
+    monkeypatch.setattr(mercer, "evaluate_trials", spy)
     return sizes
 
 
@@ -133,7 +133,7 @@ def test_stacked_verify_equals_trial_by_trial(monkeypatch, fn, chain, m, M, forc
     )
     chunks = []  # per chunk: its groups' dim_k, its group count, (dim_k, trials) per evaluated stack
     outcomes = []  # per trial: index, seed, dims and its judged rows, every gap as float.hex
-    sample, evaluate, grouped = harness._sample_chunk, harness.evaluate_trials, harness._grouped_outcomes
+    sample, evaluate, grouped = harness._sample_chunk, mercer.evaluate_trials, harness._grouped_outcomes
 
     def sampled(*args):
         seeds, groups = sample(*args)
@@ -150,8 +150,10 @@ def test_stacked_verify_equals_trial_by_trial(monkeypatch, fn, chain, m, M, forc
             outcomes.append((trial, seed, dims, [(gap.hex(), holds) for gap, holds in judged]))
         return results
 
-    for name, spy in (("_sample_chunk", sampled), ("evaluate_trials", evaluated), ("_grouped_outcomes", recorded)):
-        monkeypatch.setattr(harness, name, spy)
+    for module, name, spy in (
+        (harness, "_sample_chunk", sampled), (mercer, "evaluate_trials", evaluated), (harness, "_grouped_outcomes", recorded)
+    ):
+        monkeypatch.setattr(module, name, spy)
 
     def run():
         chunks.clear()
@@ -478,13 +480,13 @@ def test_stacked_pairs_equal_each_pair_alone(monkeypatch, fn, chain, m, M, force
     # every pair's spectra must be, bit for bit, those of loewner_orders on
     # that pair alone, and so must its below mask under the default tolerance.
     reports = []
-    original = harness.evaluate_trials
+    original = mercer.evaluate_trials
 
     def spy(*args, **kwargs):
         reports.append(original(*args, **kwargs))
         return reports[-1]
 
-    monkeypatch.setattr(harness, "evaluate_trials", spy)
+    monkeypatch.setattr(mercer, "evaluate_trials", spy)
     config = TrialConfig(seed=9, function_spec=fn, chain=chain, m=m, M=M, force=force, mixed=True, vary_dims=True)
     run_suite(config, 60)
     assert len(reports) > 1

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -281,9 +282,26 @@ class TestBoundaryValidation:
         assert len(lines) == 1 and lines[0].startswith("mercerlab: error: ") and "rows.csv" in lines[0]
 
 
+def imported_modules(*args, code: int = 0) -> set:
+    """The modules a fresh ``python -X importtime`` process of ``args`` imports, with no bytecode cache;
+    the process must exit with ``code``."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == code, proc.stderr
+    return {line.split("|")[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
 class TestImportFootprint:
     """A fresh process loads neither ``dataclasses`` nor ``csv``: the value classes are
-    written out by hand, and the CLI imports ``csv`` only to write a ``--csv`` file."""
+    written out by hand, and the CLI imports ``csv`` only to write a ``--csv`` file.  Nor
+    does it load a module its command does not run: the package resolves its names on
+    first access, and ``harness`` imports ``mercer``, ``quasimeans`` and ``sampling`` in
+    the functions that use them."""
 
     @pytest.mark.parametrize(
         "args",
@@ -291,10 +309,57 @@ class TestImportFootprint:
         ids=["import", "reproduce"],
     )
     def test_loads_neither_dataclasses_nor_csv(self, args):
-        proc = subprocess.run(
-            [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, timeout=300
-        )
-        assert proc.returncode == 0, proc.stderr
-        imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+        imported = imported_modules(*args)
         assert "mercerlab.cli" in imported
         assert not imported & {"dataclasses", "csv"}
+
+    def test_package_import_loads_no_submodule(self):
+        imported = imported_modules("-c", "import mercerlab")
+        assert "mercerlab" in imported
+        assert not {name for name in imported if name.startswith("mercerlab.")}
+
+    @pytest.mark.parametrize(
+        "args, absent, code",
+        [
+            (("-c", "import mercerlab.cli"), {"mercer", "quasimeans", "sampling"}, 0),
+            (("reproduce", "example-2.2"), {"sampling", "quasimeans", "numpy.random"}, 0),
+            (("reproduce", "example-3.5"), {"sampling", "mercer", "numpy.random"}, 0),
+            (("verify", "--trials", "1"), {"quasimeans"}, 0),
+            (("sweep", "--phi", "log", "--psi", "id", "--trials", "1"), {"mercer"}, 0),
+            (
+                ("search", "classic-nonconvex", "--function", "sin", "--m", PI4, "--M", PI2, "--budget", "10"),
+                {"quasimeans"},
+                2,
+            ),
+            (("search", "th3-th4-order", "--budget", "5"), {"mercer", "sampling", "numpy.random"}, 2),
+        ],
+        ids=["import-cli", "example-2.2", "example-3.5", "verify", "sweep", "classic-nonconvex", "th3-th4-order"],
+    )
+    def test_command_loads_only_what_it_runs(self, args, absent, code):
+        if args[0] != "-c":
+            args = ("-m", "mercerlab", *args)
+        imported = imported_modules(*args, code=code)
+        assert "mercerlab.harness" in imported
+        absent = {name if name.startswith("numpy") else f"mercerlab.{name}" for name in absent}
+        assert not imported & absent
+
+
+def choices_of(parser, dest: str) -> tuple:
+    (action,) = [action for action in parser._actions if action.dest == dest]
+    return tuple(action.choices)
+
+
+class TestParserChoices:
+    """The parser's choices, written out so that building it loads no ``mercer``, are the library's."""
+
+    def test_choices_match_the_tables(self):
+        from mercerlab.cli import build_parser
+        from mercerlab.harness import REPRODUCE_CASES, SEARCH_TARGETS
+        from mercerlab.mercer import CHAINS
+
+        parser = build_parser()
+        commands = parser._subparsers._group_actions[0].choices
+        assert tuple(commands) == ("verify", "reproduce", "search", "sweep")
+        assert choices_of(commands["verify"], "chain") == tuple(kind.replace("_", "-") for kind in CHAINS)
+        assert choices_of(commands["reproduce"], "case") == REPRODUCE_CASES
+        assert choices_of(commands["search"], "target") == SEARCH_TARGETS

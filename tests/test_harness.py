@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from mercerlab import harness
+from mercerlab import harness, sampling
 from mercerlab.cli import CHAIN_CLI_CHOICES
 from mercerlab.errors import BudgetExhausted
 from mercerlab.harness import (
@@ -21,7 +21,7 @@ from mercerlab.harness import (
     search_counterexample,
     verify_report,
 )
-from mercerlab.functions import exponential
+from mercerlab.functions import exponential, parse_function_spec
 from mercerlab.mercer import CHAIN_KINDS
 
 
@@ -265,13 +265,13 @@ class TestSearch:
         # One suite serves every candidate: one sample_trials call per chunk,
         # then the witness's chunk of one.
         calls = []
-        original = harness.sample_trials
+        original = sampling.sample_trials
 
         def spy(seeds, *args):
             calls.append(len(seeds))
             return original(seeds, *args)
 
-        monkeypatch.setattr(harness, "sample_trials", spy)
+        monkeypatch.setattr(sampling, "sample_trials", spy)
         monkeypatch.setattr(harness, "CHUNK_TRIALS", 8)
         findings = search_counterexample("classic-nonconvex", budget=20)
         assert findings["witness"]["trial"] > 0
@@ -364,3 +364,23 @@ class TestSweep:
         run_sweep("log", "id", TrialConfig(seed=5), 12)
         # resolve_spec's grid, once per generator: the means take their inverses from its spec
         assert sorted(calls) == [("id", 1000), ("log", 1000)]
+
+    @pytest.mark.parametrize("spec", ["sqrt", "pow:p=2", "exp"])
+    def test_same_spec_sweep_builds_one_sum_per_generator(self, monkeypatch, spec):
+        # A catalog entry holding a lambda is unequal to the same entry parsed again,
+        # so the two generators of a same-spec pair must be one object, one key.
+        from mercerlab.core import UNIT
+
+        keys = []
+        original = harness.stage_one
+
+        def spy(blocks, bounds, objects):
+            keys.append(list(dict.fromkeys([*objects, UNIT])))
+            return original(blocks, bounds, objects)
+
+        monkeypatch.setattr(harness, "stage_one", spy)
+        run_sweep(spec, spec, TrialConfig(seed=5), 3)
+        label = parse_function_spec(spec).label()
+        assert [[("unit" if key == UNIT else key[0].label(), key[1]) for key in chunk] for chunk in keys] == [
+            [(label, False), (label, True), ("unit", False)]
+        ]
