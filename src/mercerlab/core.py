@@ -18,12 +18,16 @@ phi = id: its lhs is mean(None, f), f of pre_mean(None), its classic right
 side pre_mean(f), its refined sides refined(f, None, c) and its log-convex
 middle geometric(None, f(m), f(M)).
 
-``stage_one`` builds the sums of a chunk of trials of any shapes: one
-eigendecomposition per operator dimension dim_h, the maps once per
-(dim_h, dim_k), the sums per codomain dimension dim_k.  Every matrix goes
-through the numpy operations it would go through alone, so a sum is bit for
-bit the one of ``maps.family_sum`` on that trial, and every chunk is
-checked alike.  ``trial_sums`` is one trial, a chunk of one.
+A chunk of trials of any shapes has one layout, from the sampler's draws
+to the sums: per operator dimension dim_h an ``OperatorStack``, its
+operators one row each, with a ``FamilyStack`` per codomain dimension dim_k,
+its families along a map axis.  ``stage_one`` works on it as it is: one
+eigendecomposition per dim_h, the maps once per (dim_h, dim_k), the sums
+per dim_k.  Every matrix goes through the numpy operations it would go
+through alone, so a sum is bit for bit the one of ``maps.family_sum`` on
+that trial, and every chunk is checked alike.  ``stack_trials`` lays out
+trials given as families and operators, and ``unstack`` gives them back;
+``trial_sums`` is one trial, a chunk of one.
 
 Stage 2 of verify and of the sweep ends alike: ``Check`` is the one row
 type of both check tables, and ``judge`` turns a stack's comparisons into
@@ -38,7 +42,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ArityMismatch, HypothesisNotMet, OperandOverflow, SpectrumOutOfDomain
+from .errors import ArityMismatch, DimensionMismatch, HypothesisNotMet, OperandOverflow, SpectrumOutOfDomain
 from .linalg import (
     HermitianOperator,
     LoewnerOrder,
@@ -48,7 +52,7 @@ from .linalg import (
     apply_to_decomposition,
     spectral_decompose,
 )
-from .maps import Compression, MapFamily, WeightedTrace, apply_map, unitality_defect
+from .maps import Compression, MapFamily, WeightedTrace, unitality_defect
 from .tolerance import UNITALITY_ABS
 
 # The key of the identity among the objects; every other object is keyed
@@ -72,19 +76,90 @@ def geometric_interpolant(lo: float, hi: float, v_lo: float, v_hi: float) -> Cal
     return h
 
 
-class Block(NamedTuple):
-    """Trials with one family shape ``dims`` (dim_h, dim_k, n): their chunk ``positions``,
-    per compression map a ``(trials, dim_h, dim_k)`` stack of its V (``compressions``), per
-    trace map a ``(trials,)`` stack of its weight (``weights``), and ``operators``
-    ``(trials, n, dim_h, dim_h)``, operator i for map i.  The compressions and then the
-    trace maps are the maps ``order`` (None: 0, 1, ..., n - 1) of each family."""
+class FamilyStack(NamedTuple):
+    """The families of the trials of a chunk with one (dim_h, dim_k), trial row t at chunk position
+    ``positions[t]``, along a map axis: slot (t, i) is map i of the family of row t, a compression
+    with V ``compressions[t, i]`` (dim_h x dim_k) where ``is_compression[t, i]``, a weighted trace
+    of weight ``weights[t, i]`` where ``is_trace[t, i]``, and no map past the family's last, where
+    the arrays' entries mean nothing.  Only the map axis is padded, never dim_h or dim_k."""
 
-    positions: Sequence[int]
-    dims: Tuple[int, int, int]
-    compressions: Sequence[np.ndarray]
-    weights: Sequence[np.ndarray]
+    positions: np.ndarray
+    compressions: np.ndarray
+    weights: np.ndarray
+    is_compression: np.ndarray
+    is_trace: np.ndarray
+
+    def rows(self) -> List[List[int]]:
+        """Per trial row, the row of the operator of each of its maps, in map order, counted from the
+        stack's first row in its ``OperatorStack``: the stack's operators are those of its compression
+        slots in row-major order, then those of its trace slots."""
+        compressions = self.is_compression.tolist()
+        row, trace_row, rows = 0, sum(map(sum, compressions)), []
+        for flags, traces in zip(compressions, self.is_trace.tolist()):
+            rows.append([])
+            for compression, trace in zip(flags, traces):
+                if compression or trace:
+                    rows[-1].append(row if compression else trace_row)
+                    row, trace_row = row + compression, trace_row + trace
+        return rows
+
+
+class OperatorStack(NamedTuple):
+    """The trials of a chunk with one dim_h: ``operators`` ``(rows, dim_h, dim_h)`` holds the operators
+    of each ``FamilyStack`` of ``families`` (one per dim_k) in turn, at the rows its ``rows`` gives."""
+
     operators: np.ndarray
-    order: Optional[Sequence[int]] = None
+    families: Sequence[FamilyStack]
+
+
+def stack_trials(trials: Sequence[tuple]) -> List[OperatorStack]:
+    """The stacks of ``trials``, each (position, family, operators) with one operator per map and its
+    maps in any order: per dim_h in order of first appearance an ``OperatorStack``, with a
+    ``FamilyStack`` per dim_k in order of first appearance, whose rows are the trials in their order."""
+    shapes: Dict[int, Dict[int, list]] = {}
+    for trial in trials:
+        shapes.setdefault(trial[1].dim_in, {}).setdefault(trial[1].dim_out, []).append(trial)
+    stacks = []
+    for dim_h, by_dim_k in shapes.items():
+        families, rows = [], []
+        for dim_k, group in by_dim_k.items():
+            slots = (len(group), max(family.size for _, family, _ in group))
+            compressions = np.zeros(slots + (dim_h, dim_k), dtype=np.complex128)
+            weights, is_compression, is_trace = np.zeros(slots), np.zeros(slots, dtype=bool), np.zeros(slots, dtype=bool)
+            for t, (_, family, _) in enumerate(group):
+                for i, phi in enumerate(family.maps):
+                    if isinstance(phi, Compression):
+                        compressions[t, i], is_compression[t, i] = phi.v, True
+                    else:
+                        weights[t, i], is_trace[t, i] = phi.weight, True
+            stack = FamilyStack(np.array([trial[0] for trial in group]), compressions, weights, is_compression, is_trace)
+            families.append(stack)
+            placed = {row: a.entries for (_, _, ops), rows_t in zip(group, stack.rows()) for row, a in zip(rows_t, ops)}
+            rows += [placed[row] for row in range(len(placed))]
+        stacks.append(OperatorStack(np.stack(rows), families))
+    return stacks
+
+
+def unstack(stacks: Sequence[OperatorStack]) -> Dict[int, Tuple[MapFamily, Tuple[HermitianOperator, ...]]]:
+    """The (family, operators) of each trial of ``stacks``, by chunk position, each map a view of its
+    stack's arrays: the inverse of :func:`stack_trials`."""
+    trials = {}
+    for operators, families in stacks:
+        start = 0
+        for stack in families:
+            dim_h, dim_k = stack.compressions.shape[-2:]
+            rows = stack.rows()
+            for t, (position, rows_t) in enumerate(zip(stack.positions.tolist(), rows)):
+                family = [
+                    Compression(stack.compressions[t, i])
+                    if stack.is_compression[t, i]
+                    else WeightedTrace(stack.weights[t, i], dim_in=dim_h, dim_out=dim_k)
+                    for i in range(len(rows_t))
+                ]
+                ops = tuple(HermitianOperator(operators[start + row]) for row in rows_t)
+                trials[position] = MapFamily(maps=tuple(family)), ops
+            start += sum(map(len, rows))
+    return trials
 
 
 def _per_stack(build: Callable) -> Callable:
@@ -102,7 +177,7 @@ def _per_stack(build: Callable) -> Callable:
 
 class FamilySums:
     """The family sums of trials with one codomain dimension, keyed by object, each a stack
-    with one matrix per trial at chunk ``positions`` (ascending), and the operands built on them.
+    with one matrix per trial at chunk ``positions`` (ascending within each dim_h), and the operands built on them.
 
     An operand's generator g is None for the raw A_i, whose endpoint values
     are m and M; each operand is built, and each spectrum solved
@@ -204,24 +279,25 @@ def _objects(a: np.ndarray, dec: SpectralDecomposition, keys) -> np.ndarray:
     return np.stack([images[g] @ images[g] if squared else images[g] for g, squared in keys])
 
 
-def stage_one(blocks: Sequence, bounds: SpectralBounds, keys) -> List[FamilySums]:
-    """The family sums of the objects ``keys`` for the trials of ``blocks`` (each a ``Block``,
-    such as a ``sampling.SampledGroup``), one ``FamilySums`` per dim_k, with every check of
+def stage_one(stacks: Sequence[OperatorStack], bounds: SpectralBounds, keys) -> List[FamilySums]:
+    """The family sums of the objects ``keys`` for the trials of a chunk's ``stacks`` (as
+    ``sampling.sample_trials`` lays them out), one ``FamilySums`` per dim_k, with every check of
     :func:`trial_sums` made per trial.
 
     An interval on which a squared object could overflow raises
     ``OperandOverflow`` first.  Per dim_h, one ``spectral_decompose`` of
-    every A_i, with its Hermiticity check, and the objects built on it,
-    generators seeing the spectra clamped onto [m, M]; per (dim_h, dim_k),
-    the maps applied to every object at once, all compressions as one
-    ``Compression`` and all trace maps as one ``WeightedTrace``; per dim_k,
-    each trial's images summed in map order, exactly 0.0 + img_1 + ... +
-    img_n.  A trial with fewer maps than the most of its dim_k adds +0.0
-    images after its own, which change no entry: a partial sum starting at
-    0.0 + img_1 is never -0.0.  After the sums come the unitality of every
-    family (the ``UNIT`` object), by ``maps.unitality_defect``, which solves
-    no spectrum of a family its Frobenius bound clears, then the range of
-    every spectrum.
+    the stack's operators, with its Hermiticity check, and the objects built
+    on it, generators seeing the spectra clamped onto [m, M]; per
+    ``FamilyStack`` (dim_h, dim_k), the maps applied to every object at
+    once, all its compressions as one ``Compression`` and all its trace maps
+    as one ``WeightedTrace``, each image written to its trial's map slot;
+    per dim_k, each trial's images summed in map order, exactly 0.0 + img_1
+    + ... + img_n.  A trial with fewer maps than the most of its dim_k adds
+    +0.0 images after its own, which change no entry: a partial sum
+    starting at 0.0 + img_1 is never -0.0.  After the sums come the
+    unitality of every family (the ``UNIT`` object), by
+    ``maps.unitality_defect``, which solves no spectrum of a family its
+    Frobenius bound clears, then the range of every spectrum.
     """
     keys = list(dict.fromkeys([*keys, UNIT]))
     for g in (g for g, squared in keys if squared):  # 4 max |g|^2 bounds g's squares and diamond
@@ -229,61 +305,62 @@ def stage_one(blocks: Sequence, bounds: SpectralBounds, keys) -> List[FamilySums
         if not math.isfinite(4.0 * peak * peak):
             name = "A_i" if g is None else f"{g.label()}(A_i)"
             raise OperandOverflow(f"the squares of {name} overflow on [{bounds.m:.12g}, {bounds.M:.12g}]")
-    # Per dim_h, per (dim_k, kind of map): (V or weight stack, its operators, their positions, map
-    # index) of every block's maps of that kind; the A_i of a dim_h are stacked in this order, so
-    # each (dim_k, kind) applies its maps to one contiguous slice of the objects.
-    slots: Dict[int, Dict[tuple, list]] = {}
-    for block in blocks:
-        (dim_h, dim_k, n), positions = block.dims, np.asarray(block.positions)
-        groups = slots.setdefault(dim_h, {})
-        maps = [(Compression, v) for v in block.compressions] + [(WeightedTrace, w) for w in block.weights]
-        for i, (kind, data) in zip(block.order or range(n), maps):
-            groups.setdefault((dim_k, kind), []).append((data, block.operators[:, i], positions, i))
-    by_dim_k: Dict[int, tuple] = {}  # per dim_k: the images, positions and map indices of every map
+    # Per dim_k, the images of every map of its trials, (map slot, keys, trials, dim_k, dim_k), each
+    # family stack's trials after the previous one's, and their positions.
+    images, positions = {}, {}
+    every = [family for _, families in stacks for family in families]
+    for dim_k in dict.fromkeys(family.compressions.shape[-1] for family in every):
+        same = [family for family in every if family.compressions.shape[-1] == dim_k]
+        trials, width = sum(len(family.positions) for family in same), max(family.weights.shape[1] for family in same)
+        images[dim_k], positions[dim_k] = np.zeros((width, len(keys), trials, dim_k, dim_k), dtype=np.complex128), []
     ranges = []
-    for dim_h, groups in slots.items():
-        same = [slot for group in groups.values() for slot in group]
-        a = np.concatenate([operators for _, operators, _, _ in same])
-        dec = spectral_decompose(HermitianOperator(a))
-        ranges.append((dec.eigenvalues, same))  # the range raises after the unitality
+    for operators, families in stacks:
+        dec = spectral_decompose(HermitianOperator(operators))
+        ranges.append((dec.eigenvalues, families))  # the range raises after the unitality
         dec = SpectralDecomposition(np.clip(dec.eigenvalues, bounds.m, bounds.M), dec.eigenvectors)
-        objects, start = _objects(a, dec, keys), 0
-        for (dim_k, kind), group in groups.items():
-            data, _, positions, index = zip(*group)
-            stop = start + sum(map(len, positions))
-            data = np.concatenate(data)
-            phi = Compression(data) if kind is Compression else WeightedTrace(data, dim_h, dim_k)
-            parts = by_dim_k.setdefault(dim_k, ([], [], []))
-            parts[0].append(apply_map(phi, HermitianOperator(objects[:, start:stop])).entries)
-            parts[1].extend(positions)
-            parts[2].extend(np.full(len(p), i) for p, i in zip(positions, index))
-            start = stop
-    stacks = []
-    for dim_k, (images, positions, index) in by_dim_k.items():
-        positions, index = np.concatenate(positions), np.concatenate(index)
-        trials = np.sort(positions[index == 0])  # every family has a first map
-        padded = np.zeros((index.max() + 1, len(keys), len(trials), dim_k, dim_k), dtype=np.complex128)
-        padded[index, :, np.searchsorted(trials, positions)] = np.concatenate(images, axis=1).swapaxes(0, 1)
-        total = sum(padded, 0.0)  # 0.0 + img_1 + img_2 + ..., in map order
+        objects, start = _objects(operators, dec, keys), 0
+        for family in families:
+            dim_h, dim_k = family.compressions.shape[-2:]
+            filled = sum(map(len, positions[dim_k]))
+            slots = images[dim_k][: family.weights.shape[1], :, filled : filled + len(family.positions)]
+            slots = slots.transpose(1, 2, 0, 3, 4)  # a view (keys, trials, map slot, dim_k, dim_k)
+            positions[dim_k].append(family.positions)
+            for mask in (family.is_compression, family.is_trace):
+                stop = start + np.count_nonzero(mask)
+                if stop > start:
+                    if mask is family.is_compression:
+                        phi = Compression(family.compressions[mask])
+                    else:
+                        phi = WeightedTrace(family.weights[mask], dim_in=dim_h, dim_out=dim_k)
+                    slots[:, mask] = phi.apply(objects[:, start:stop])
+                start = stop
+    sums = []
+    for dim_k, slots in images.items():
+        slots = 0.5 * (slots + slots.conj().swapaxes(-1, -2))  # each image's Hermitian part, as apply_map's
+        total = sum(slots, 0.0)  # 0.0 + img_1 + img_2 + ..., in map order
         total = 0.5 * (total + total.conj().swapaxes(-1, -2))
-        stacks.append(FamilySums(trials, dict(zip(keys, map(HermitianOperator, total))), bounds))
+        sums.append(FamilySums(np.concatenate(positions[dim_k]), dict(zip(keys, map(HermitianOperator, total))), bounds))
 
-    for stack in stacks:
+    for stack in sums:
         defects = unitality_defect(stack.sums[UNIT])
         if (defects > UNITALITY_ABS).any():
             raise HypothesisNotMet(f"map family is not unital (defect {defects[defects > UNITALITY_ABS][0]:.3e})")
-    for lam, same in ranges:
-        outside = np.flatnonzero(bounds.outside(lam))
-        if len(outside):  # name the first failing operator, in trial then map order
-            position = np.concatenate([p for _, _, p, _ in same])
-            index = np.concatenate([np.full(len(p), i) for _, _, p, i in same])
-            k = min(outside, key=lambda r: (position[r], index[r]))
+    for lam, families in ranges:
+        outside = set(np.flatnonzero(bounds.outside(lam)).tolist())
+        if outside:  # name the first failing operator, in trial then map order
+            failing, start = [], 0
+            for family in families:
+                rows = family.rows()
+                for position, rows_t in zip(family.positions.tolist(), rows):
+                    failing += [(position, i, start + row) for i, row in enumerate(rows_t) if start + row in outside]
+                start += sum(map(len, rows))
+            _, index, k = min(failing)
             lo, hi = lam[k, [0, -1]]
             raise SpectrumOutOfDomain(
-                f"operator {index[k]} has spectrum [{lo:.12g}, {hi:.12g}] outside "
+                f"operator {index} has spectrum [{lo:.12g}, {hi:.12g}] outside "
                 f"[{bounds.m:.12g}, {bounds.M:.12g}]"
             )
-    return stacks
+    return sums
 
 
 def trial_sums(
@@ -294,18 +371,10 @@ def trial_sums(
     every spectrum in [m, M] up to the clamp band, checked in that order."""
     if len(operators) != family.size:
         raise ArityMismatch(f"{family.size} maps but {len(operators)} operators")
-    maps = family.maps
-    compressions = [i for i, phi in enumerate(maps) if isinstance(phi, Compression)]
-    traces = [i for i, phi in enumerate(maps) if not isinstance(phi, Compression)]
-    block = Block(  # a trial axis of one
-        (0,),
-        (family.dim_in, family.dim_out, family.size),
-        [maps[i].v[None] for i in compressions],
-        [np.full(1, maps[i].weight) for i in traces],
-        np.stack([a.entries for a in operators])[None],
-        compressions + traces,
-    )
-    (stack,) = stage_one([block], bounds, keys)
+    for a in operators:
+        if a.dim != family.dim_in:
+            raise DimensionMismatch(f"operator dim {a.dim} does not match map dim_in {family.dim_in}")
+    (stack,) = stage_one(stack_trials([(0, family, operators)]), bounds, keys)
     sums = {key: HermitianOperator(op.entries[0]) for key, op in stack.sums.items()}
     return FamilySums(stack.positions, sums, bounds)
 

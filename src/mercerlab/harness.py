@@ -5,11 +5,12 @@ the PCG64 stream seeded with s XOR i, trials are sampled in index order, and
 the JSON report of a run is byte-identical across repetitions.  Wall time is
 reported on stderr only, never inside the JSON.
 
-Suites sample ``CHUNK_TRIALS`` trials at a time, grouped by shape and
-finished in stacked calls (``sampling.sample_trials``), then run in two
-stages, verify and sweep alike (``_chunk``).  Stage 1, ``core.stage_one``,
-builds and checks the family sums of the whole chunk per matrix dimension,
-whatever its shapes.  Stage 2 runs everything after them once per codomain
+Suites sample ``CHUNK_TRIALS`` trials at a time, drawn straight into the
+chunk's stacks, per dim_h and per (dim_h, dim_k), and finished in stacked
+calls (``sampling.sample_trials``), then run in two stages, verify and
+sweep alike (``_chunk``).  Stage 1, ``core.stage_one``, builds and checks
+the family sums of the whole chunk on those stacks as they are, whatever
+its shapes.  Stage 2 runs everything after them once per codomain
 dimension dim_k, on the operands of its ``core.FamilySums``: verify every
 side of its chain (``mercer.evaluate_trials``), sweep both means and the
 sides of every applicable check of ``quasimeans.MEAN_CHECKS``
@@ -45,7 +46,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequ
 
 import numpy as np
 
-from .core import Check, FamilySums, judge, operand_sums, stage_one
+from .core import Check, FamilySums, OperatorStack, judge, operand_sums, stage_one, unstack
 from .errors import BudgetExhausted, InvalidConfig
 from .functions import ScalarFunction, curvature_bounds, parse_function_spec, require_domain, require_finite
 from .linalg import Frozen, HermitianOperator, Relation, SpectralBounds
@@ -54,7 +55,6 @@ from .tolerance import sweep_tolerance
 
 if TYPE_CHECKING:
     from .mercer import MercerInstance
-    from .sampling import SampledGroup
 
 # Trials sampled and evaluated together by a verify suite or a sweep.  It bounds
 # the memory a suite holds, and at 256 a benchmark or test suite is one chunk.
@@ -223,17 +223,8 @@ def normalize_chain(token: str) -> str:
     return kind
 
 
-def _draw_dims(config: TrialConfig, rng: np.random.Generator) -> Tuple[int, int, int]:
-    if config.vary_dims:
-        dim_h = int(rng.integers(2, 9))
-        dim_k = int(rng.integers(1, dim_h + 1))
-        n = int(rng.integers(1, 5))
-        return dim_h, dim_k, n
-    return config.dim_h, config.dim_k, config.n_maps
-
-
-def _sample_chunk(config: TrialConfig, indices: Sequence[int]) -> Tuple[List[int], List[SampledGroup]]:
-    """Seeds and shape groups of the trials ``indices``, sampled as one chunk.
+def _sample_chunk(config: TrialConfig, indices: Sequence[int]) -> Tuple[List[int], list, List[OperatorStack]]:
+    """Seeds, dims and stacks (``sampling.sample_trials``) of the trials ``indices``, sampled as one chunk.
 
     Each trial is drawn from its own stream; every 10th trial forces two
     eigenvalues of each operator onto the interval endpoints, where the
@@ -243,17 +234,15 @@ def _sample_chunk(config: TrialConfig, indices: Sequence[int]) -> Tuple[List[int
 
     seeds = [trial_seed(config.seed, i) for i in indices]
     pins = [i % 10 == 0 for i in indices]
-    return seeds, sample_trials(seeds, pins, partial(_draw_dims, config), config.bounds, config.mixed)
+    dims = None if config.vary_dims else (config.dim_h, config.dim_k, config.n_maps)
+    return (seeds, *sample_trials(seeds, pins, dims, config.bounds, config.mixed))
 
 
 def _sampled_trials(config: TrialConfig, indices: Sequence[int]) -> List[tuple]:
     """(seed, dims, family, operators) of each of the trials ``indices``, in order, sampled as one chunk."""
-    seeds, groups = _sample_chunk(config, indices)
-    trials: List[Optional[tuple]] = [None] * len(indices)
-    for group in groups:
-        for j, pos in enumerate(group.positions):
-            trials[pos] = (seeds[pos], group.dims) + group.instance(j)
-    return trials
+    seeds, dims, stacks = _sample_chunk(config, indices)
+    trials = unstack(stacks)
+    return [(seeds[pos], dims[pos], *trials[pos]) for pos in range(len(indices))]
 
 
 def build_instance(
@@ -275,10 +264,9 @@ def _chunk(config: TrialConfig, keys, rows_of: Callable[[FamilySums], list], ind
     codomain dimension dim_k.  Stage 2, ``rows_of(stack)``, gives the row of
     each trial of a dim_k stack, in the stack's order, from its operands.
     """
-    seeds, groups = _sample_chunk(config, indices)
-    dims = {pos: group.dims for group in groups for pos in group.positions}
+    seeds, dims, stacks = _sample_chunk(config, indices)
     rows: List[Optional[tuple]] = [None] * len(indices)
-    for stack in stage_one(groups, config.bounds, keys):
+    for stack in stage_one(stacks, config.bounds, keys):
         for pos, row in zip(stack.positions.tolist(), rows_of(stack)):
             rows[pos] = seeds[pos], dims[pos], row
     return rows

@@ -78,6 +78,8 @@ class SpectralBounds(Frozen):
             raise InvalidInterval("interval endpoints must be finite")
         if not m < M:
             raise InvalidInterval(f"need m < M, got m={m}, M={M}")
+        if not math.isfinite(M - m):
+            raise InvalidInterval(f"interval [{m}, {M}] is too wide: M - m overflows")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "M", M)
 

@@ -13,7 +13,8 @@ a whole chunk, whatever their trial and map index, as one map whose
 compressions or trace weights run along it.  Applied to a stack of
 operators with the same leading axis, and any axes before it, each map
 acts on its own operator, by the same numpy operations as for one matrix:
-``(V* @ X) @ V``, a trace, then the Hermitian part.
+``(V* @ X) @ V`` or a trace (``apply``), then the Hermitian part
+(``apply_map``; stage 1 takes it of a whole codomain dimension's images at once).
 """
 
 from __future__ import annotations

@@ -5,40 +5,47 @@ reproduces the same stream bit for bit, which is what makes every violation
 replayable.  Reference raw outputs of the stream are listed in the README so
 that other implementations can cross-check their seeding.  ``sample_trials``
 hashes a chunk's seeds in one pass (``_pcg64_states``, numpy's SeedSequence
-and PCG64 seeding over arrays of seeds) and draws from one reused ``PCG64``,
-set to a trial's start state before its phase 1 and before every redraw, so
-each trial reads the same stream as ``generator(seed)`` gives it.
+and PCG64 seeding over arrays of seeds).  A ``--vary-dims`` trial's dims are
+decoded from its state in Python integers (``_vary_dims``: PCG64's XSL-RR
+output and numpy's bounded 32-bit Lemire draws), before anything is drawn,
+so the chunk's arrays can be allocated first.  One reused ``PCG64`` is then
+set to a trial's state after its dims, with the half word numpy buffers,
+before its phase 1 and before every redraw, so each trial reads the same
+stream as ``generator(seed)`` gives it.
 
-Sampling runs in two phases.  Phase 1 draws every random number of a trial
-from its own stream, in order: dims, the V_i, the trace fraction, then per
-operator its eigenvalues and the normals of its Ginibre matrix.  Phase 2
-(``sample_trials``) finishes a chunk in stacked calls: the V_i of the
-groups of one (dim_h, dim_k) padded into one stack on the map axis only,
-one Gram and one congruence ``@`` per (dim_h, dim_k), the Gram sums, one
-normaliser ``eigh`` and S^{-1/2} per codomain dimension dim_k
-(``_normalise``), and one Haar ``qr`` and reconstruct per matrix dimension.
-These treat each matrix as they would alone, so a trial is bit for bit the
-same in any chunk.
+A chunk has one layout from the draw to the family sums (``core``'s
+``OperatorStack`` and ``FamilyStack``): per (dim_h, dim_k) its families along
+a map axis, slot i for map i, and per dim_h the operators of those families,
+one row each, at the row ``FamilyStack.rows`` gives their slot.  Sampling
+runs in two phases.  Phase 1 draws every random number of a trial from its
+own stream, in order: the V_i, the trace fraction, then per operator its
+eigenvalues and the normals of its Ginibre matrix, each written straight
+into its row of the chunk's arrays
+(``standard_normal(out=...)``, and ``uniform``'s result assigned).  Phase 2
+(``sample_trials``) finishes a chunk in stacked calls: one Gram and one
+congruence ``@`` per (dim_h, dim_k), whose normals are padded on the map axis
+only, the Gram sums, one normaliser ``eigh`` and S^{-1/2} per codomain
+dimension dim_k (``_normalise``), and one Haar ``qr`` and reconstruct per
+matrix dimension.  These treat each matrix as they would alone, so a trial
+is bit for bit the same in any chunk.
 ``haar_unitary``, ``random_hermitian`` and ``random_unital_family`` are the
 same code on one matrix or family, kept as the reference forms the tests
 check the chunk sampler against.  A family
 with a singular or ill-conditioned normaliser is drawn again, which moves the later draws of
 its stream, so a trial whose first family phase 2 rejects is drawn again
 from a fresh copy of its stream, with the rejection loop, which normalises
-its family alone, as a chunk of one; its V_i and trace weight take the
-rejected ones' place in its group's own arrays.  A chunk comes back as one
-``SampledGroup`` per shape, a block of ``core.stage_one``.
+its family alone, as a chunk of one; its V_i, trace weight and operators
+take the rejected ones' place in the chunk's arrays.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import accumulate
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Block
+from .core import FamilyStack, OperatorStack
 from .errors import SingularNormalizer
 from .linalg import HermitianOperator, SpectralBounds, SpectralDecomposition
 from .maps import Compression, MapFamily, WeightedTrace
@@ -95,15 +102,47 @@ def _pcg64_states(seeds: Sequence[int]) -> List[Tuple[int, int]]:
     return states
 
 
-def _restart(bit_generator: np.random.PCG64, state: Tuple[int, int]) -> None:
-    """Put ``bit_generator`` at the start of the stream whose (state, inc) is ``state``, as
-    a fresh ``PCG64`` has it: with no half word buffered, which 32-bit draws such as
-    small ``integers`` leave behind."""
+def _step(state: int, inc: int) -> Tuple[int, int]:
+    """The next state of the PCG64 stream at (state, inc), and its 64-bit XSL-RR output."""
+    state = (state * _PCG64_MULT + inc) & MASK128
+    word, rot = ((state >> 64) ^ state) & MASK64, state >> 122
+    return state, (word >> rot | word << (64 - rot)) & MASK64
+
+
+def _vary_dims(state: int, inc: int) -> Tuple[Tuple[int, int, int], Tuple[int, int], Tuple[int, int]]:
+    """The dims a ``--vary-dims`` trial draws first from the PCG64 stream at (state, inc), as
+    ``integers(2, 9)``, ``integers(1, dim_h + 1)`` and ``integers(1, 5)`` draw them, then the stream's
+    (state, inc) after them and its buffered half word (``has_uint32``, ``uinteger``).
+
+    Each draw is numpy's bounded 32-bit Lemire draw (Lemire, ACM TOMACS 2019): the next 32-bit word
+    w of the stream times the range r, drawn again while its low 32 bits fall below 2^32 mod r, and
+    its high 32 bits are the draw.  A word is the low half of the stream's next output, whose high
+    half the generator buffers as the word after it.
+    """
+    buffered, half, dims = 0, 0, []
+    for low, bound in ((2, 7), (1, None), (1, 4)):
+        bound = bound or dims[0]
+        while True:
+            if buffered:  # numpy keeps a used half word, marked used
+                buffered, scaled = 0, half * bound
+            else:
+                state, word = _step(state, inc)
+                buffered, half, scaled = 1, word >> 32, (word & MASK32) * bound
+            if scaled & MASK32 >= (1 << 32) % bound:
+                break
+        dims.append(low + (scaled >> 32))
+    return tuple(dims), (state, inc), (buffered, half)
+
+
+def _restart(bit_generator: np.random.PCG64, state: Tuple[int, int], buffered: Tuple[int, int] = (0, 0)) -> None:
+    """Put ``bit_generator`` at (state, inc) ``state`` of its stream, with the half word that 32-bit
+    draws such as small ``integers`` leave behind, ``buffered`` (``has_uint32``, ``uinteger``); by
+    default at the start of a stream, as a fresh ``PCG64`` has it."""
     bit_generator.state = {
         "bit_generator": "PCG64",
         "state": {"state": state[0], "inc": state[1]},
-        "has_uint32": 0,
-        "uinteger": 0,
+        "has_uint32": buffered[0],
+        "uinteger": buffered[1],
     }
 
 
@@ -166,35 +205,32 @@ def random_hermitian(
 
 
 def _normalise(stacks: Sequence[tuple]) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """(accepted, V_i) per stack of families: normals ``(width, trials, 2, dim_h, dim_k)``, zero
+    """(accepted, V_i) per stack of families: normals ``(trials, width, 2, dim_h, dim_k)``, zero
     normals after a family's own up to the stack's width, and fractions ``(trials,)``.
 
     Each V_i becomes sqrt(1 - fraction) V_i S^{-1/2}, S = sum_i V_i* V_i.
-    The Grams V_i* V_i of a stack are one ``@``.  S is dim_k x dim_k whatever
-    dim_h and the number of compressions are, so per codomain dimension
-    dim_k every trial's Grams are summed in map order, exactly
-    0.0 + G_1 + ... + G_n, then the zero Grams of its padding, which change
-    no entry (a partial sum starting at 0.0 + G_1 is never -0.0); S goes
-    through one ``eigh`` and S^{-1/2} is one product.  The congruence is one
-    ``@`` per stack.  ``accepted`` tells per family that S is nonsingular
-    and conditioned well enough for a unital result (``tolerance``'s
-    ``NORMALIZER_SINGULARITY_ABS`` and ``NORMALIZER_CONDITION_MAX``); the
-    V_i of a rejected family, and those of the padding, mean nothing.
-    A stack of width 0, of lone trace maps, has nothing to normalise.
+    The Grams V_i* V_i of a stack are one ``@``, and each family's S is its
+    Grams summed in map order, exactly 0.0 + G_1 + ... + G_n, then the zero
+    Grams of its padding, which change no entry (a partial sum starting at
+    0.0 + G_1 is never -0.0).  S is dim_k x dim_k whatever dim_h and the
+    number of compressions are, so per codomain dimension dim_k the S of
+    every stack go through one ``eigh`` and S^{-1/2} is one product.  The
+    congruence is one ``@`` per stack.  ``accepted`` tells per family that S
+    is nonsingular and conditioned well enough for a unital result
+    (``tolerance``'s ``NORMALIZER_SINGULARITY_ABS`` and
+    ``NORMALIZER_CONDITION_MAX``); the V_i of a rejected family, and those
+    of the padding, mean nothing.  A stack of width 0, of lone trace maps,
+    has nothing to normalise.
     """
     vss = [_ginibre(normals) for normals, _ in stacks]
-    grams = [v.conj().swapaxes(-1, -2) @ v for v in vss]
+    totals = [sum((v.conj().swapaxes(-1, -2) @ v).swapaxes(0, 1), 0.0) for v in vss]
     normalisers = {}
-    for dim in {v.shape[-1] for v in vss if len(v)}:
-        ks = [k for k, v in enumerate(vss) if len(v) and v.shape[-1] == dim]
-        trials = [grams[k].shape[1] for k in ks]
+    for dim in {v.shape[-1] for v in vss if v.shape[1]}:
+        ks = [k for k, v in enumerate(vss) if v.shape[1] and v.shape[-1] == dim]
+        trials = [len(vss[k]) for k in ks]
         slices = [slice(stop - count, stop) for count, stop in zip(trials, accumulate(trials))]
-        padded = grams[ks[0]]  # a lone stack's Grams need no copy
-        if len(ks) > 1:
-            padded = np.zeros((max(len(grams[k]) for k in ks), slices[-1].stop, dim, dim), dtype=np.complex128)
-            for k, rows in zip(ks, slices):
-                padded[: len(grams[k]), rows] = grams[k]
-        lam, u = np.linalg.eigh(sum(padded, 0.0))
+        total = totals[ks[0]] if len(ks) == 1 else np.concatenate([totals[k] for k in ks])
+        lam, u = np.linalg.eigh(total)
         accepted = (lam[:, 0] > NORMALIZER_SINGULARITY_ABS) & (lam[:, 0] > lam[:, -1] / NORMALIZER_CONDITION_MAX)
         lam = np.where(accepted[:, None], lam, 1.0)  # no square root of a rejected spectrum
         inv_sqrt = (u / np.sqrt(lam)[..., None, :]) @ u.conj().swapaxes(-1, -2)
@@ -202,41 +238,30 @@ def _normalise(stacks: Sequence[tuple]) -> List[Tuple[np.ndarray, np.ndarray]]:
     out = []
     for k, ((_, fraction), vs) in enumerate(zip(stacks, vss)):
         if k not in normalisers:
-            out.append((np.ones(vs.shape[1], dtype=bool), vs))
+            out.append((np.ones(len(vs), dtype=bool), vs))
             continue
         accepted, inv_sqrt = normalisers[k]
-        out.append((accepted, vs @ inv_sqrt * np.sqrt(1.0 - fraction)[:, None, None]))
+        out.append((accepted, vs @ inv_sqrt[:, None] * np.sqrt(1.0 - fraction)[:, None, None, None]))
     return out
 
 
-def _trace_weight(fraction, n_compressions: int, dim_h: int):
-    """The weight of a family's trace map: fraction / dim_h, or 1 / dim_h when alone, which makes it unital."""
-    return (fraction if n_compressions else np.ones_like(fraction)) / dim_h
+def _trace_weight(fraction, n_compressions, dim_h):
+    """The weight of a family's trace map: fraction / dim_h, or 1 / dim_h when alone, which makes it
+    unital; of one family, or elementwise of arrays of them."""
+    return np.where(n_compressions > 0, fraction, 1.0) / dim_h
 
 
-def _family(compressions, weights, dim_h: int, dim_k: int) -> MapFamily:
-    """The compressions V_i (one per leading index), then a trace map per weight."""
-    maps = [Compression(v) for v in compressions]
-    maps += [WeightedTrace(w, dim_in=dim_h, dim_out=dim_k) for w in weights]
-    return MapFamily(maps=tuple(maps))
-
-
-def _draw_family(
-    n: int, dim_h: int, dim_k: int, include_trace: bool, rng: np.random.Generator, checked: bool
-):
-    """(normals, fraction, V_i) of a family: normals ``(n_comp, 2, dim_h, dim_k)``, then trace fraction.
-
-    Unchecked (phase 1) the first draw is kept, its V_i None; checked, it is drawn again while
-    ``_normalise`` rejects its normaliser, raising ``SingularNormalizer`` after ``NORMALIZER_ATTEMPTS`` draws.
-    """
-    for _ in range(NORMALIZER_ATTEMPTS if checked else 1):
+def _draw_family(n: int, dim_h: int, dim_k: int, include_trace: bool, rng: np.random.Generator):
+    """(fraction, V_i) of a family of n maps: the normals ``(n_comp, 2, dim_h, dim_k)`` of its V_i,
+    then its trace fraction, drawn again while ``_normalise`` rejects its normaliser, and V_i
+    normalised alone, as a chunk of one; raises ``SingularNormalizer`` after ``NORMALIZER_ATTEMPTS``
+    draws."""
+    for _ in range(NORMALIZER_ATTEMPTS):
         normals = rng.standard_normal((n - 1 if include_trace else n, 2, dim_h, dim_k))
         fraction = float(rng.uniform(0.1, 0.4)) if include_trace else 0.0
-        if not checked:
-            return normals, fraction, None
-        ((accepted, vs),) = _normalise([(normals[:, None], np.array([fraction]))])  # a chunk of one
+        ((accepted, vs),) = _normalise([(normals[None], np.array([fraction]))])
         if accepted[0]:
-            return normals, fraction, vs[:, 0]
+            return fraction, vs[0]
     raise SingularNormalizer(
         f"no nonsingular normalizer in {NORMALIZER_ATTEMPTS} draws (n={n}, dim_h={dim_h}, dim_k={dim_k})"
     )
@@ -255,93 +280,101 @@ def random_unital_family(
     too ill-conditioned for a unital result; raises ``SingularNormalizer``
     after ``NORMALIZER_ATTEMPTS`` draws (e.g. dim_k > n * dim_h).
     """
-    _, fraction, vs = _draw_family(n, dim_h, dim_k, include_trace, rng, checked=True)
-    return _family(vs, [_trace_weight(fraction, len(vs), dim_h)] if include_trace else [], dim_h, dim_k)
-
-
-# Phase 1 of a trial: its dims, its family's normals, trace fraction and V_i
-# (None unless drawn checked), and per operator the (eigenvalues, normals) of
-# ``_draw_spectrum``.
-_Draw = namedtuple("_Draw", "dims normals fraction compressions spectra")
-
-
-class SampledGroup(Block):
-    """The trials of one chunk with equal dims, at ``positions`` (ascending), finished together,
-    as a ``core.Block``: ``compressions`` ``(n_comp, trials, dim_h, dim_k)``, ``weights``
-    ``(n_trace, trials)`` (no row without a trace map, one with) and ``operators``
-    ``(trials, n, dim_h, dim_h)``."""
-
-    __slots__ = ()
-
-    def instance(self, j: int) -> Tuple[MapFamily, Tuple[HermitianOperator, ...]]:
-        """(family, operators) of the group's j-th trial alone."""
-        family = _family(self.compressions[:, j], self.weights[:, j], self.dims[0], self.dims[1])
-        return family, tuple(HermitianOperator(a) for a in self.operators[j])
+    fraction, vs = _draw_family(n, dim_h, dim_k, include_trace, rng)
+    maps = [Compression(v) for v in vs]
+    if include_trace:
+        maps.append(WeightedTrace(_trace_weight(fraction, len(vs), dim_h), dim_in=dim_h, dim_out=dim_k))
+    return MapFamily(maps=tuple(maps))
 
 
 def sample_trials(
-    seeds: Sequence[int], pins: Sequence[bool], draw_dims: Callable, bounds: SpectralBounds, mixed: bool
-) -> List[SampledGroup]:
-    """Sample a chunk of trials, trial k from the stream of ``seeds[k]`` (dims by
-    ``draw_dims(rng)``, eigenvalues pinned where ``pins[k]``, a trace map in each
-    family when ``mixed``), grouped by dims in order of first appearance.  The seeds
-    are hashed in one pass, and one ``PCG64`` is set to a trial's start state before
-    each of its draws."""
-
+    seeds: Sequence[int],
+    pins: Sequence[bool],
+    dims: Optional[Tuple[int, int, int]],
+    bounds: SpectralBounds,
+    mixed: bool,
+) -> Tuple[List[Tuple[int, int, int]], List[OperatorStack]]:
+    """Sample a chunk of trials, trial k from the stream of ``seeds[k]``: with ``dims``
+    (dim_h, dim_k, n), or with None dims of its own (:func:`_vary_dims`), eigenvalues pinned where
+    ``pins[k]``, and a trace map last in each family when ``mixed``.  Returns each trial's dims and
+    the chunk's stacks (``core.stack_trials``' layout: per dim_h, then per dim_k, in order of first
+    appearance, trials in chunk order)."""
     states = _pcg64_states(seeds)
+    starts = [_vary_dims(*state) for state in states] if dims is None else [(dims, state, (0, 0)) for state in states]
+    layout: Dict[int, Dict[int, List[int]]] = {}  # per dim_h, per dim_k: its trials
+    for k, (dims_k, _, _) in enumerate(starts):
+        layout.setdefault(dims_k[0], {}).setdefault(dims_k[1], []).append(k)
+    # The chunk's trials in layout order, per dim_h, then per dim_k, each family stack a run of them
+    order = [k for by_dim_k in layout.values() for ks in by_dim_k.values() for k in ks]
+    sizes = [starts[k][0][2] for k in order]
+    n_comp, slot = np.array(sizes) - mixed, np.arange(max(sizes))
+    is_compression, is_trace = slot < n_comp[:, None], (slot == n_comp[:, None]) & mixed  # a trace map last
+    fractions, weights = np.zeros(len(order)), np.zeros(is_trace.shape)
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
+    uniform, standard_normal, m, M = rng.uniform, rng.standard_normal, bounds.m, bounds.M
 
-    def draw(k: int, checked: bool = False) -> _Draw:
-        _restart(bit_generator, states[k])
-        dim_h, dim_k, n = dims = draw_dims(rng)
-        family = _draw_family(n, dim_h, dim_k, mixed, rng, checked=checked)
-        spectra = tuple(_draw_spectrum(dim_h, bounds, pins[k], rng) for _ in range(n))
-        return _Draw(dims, *family, spectra)
+    def draw_operators(k: int, lam: np.ndarray, normals: Optional[np.ndarray], rows: Sequence[int]) -> None:
+        """Per operator of trial k, into its row: its eigenvalues, uniform on [m, M] (the first two m
+        and M when pinned, at dim_h >= 2), then for dim_h >= 2 the normals of its eigenbasis."""
+        dim, pinned = lam.shape[1], pins[k]
+        for row in rows:
+            lam[row] = uniform(m, M, dim)
+            if normals is not None:
+                if pinned:
+                    lam[row, :2] = m, M
+                standard_normal(out=normals[row])
 
-    draws = [draw(k) for k in range(len(seeds))]
-    groups: Dict[Tuple[int, int, int], List[int]] = {}
-    for k, trial in enumerate(draws):
-        groups.setdefault(trial.dims, []).append(k)
-    # Phase 2: the groups of one (dim_h, dim_k) are one stack of families, each family's normals
-    # followed by zeros up to the most compressions of the stack; the groups of lone trace maps,
-    # with no compression, are stacks of their own.
-    stacks: Dict[tuple, List[Tuple[int, int, int]]] = {}
-    for dims in groups:
-        stacks.setdefault(dims[:2] if dims[2] > mixed else dims, []).append(dims)
-    normals, fractions = [], []
-    for keys in stacks.values():
-        ks = [k for dims in keys for k in groups[dims]]
-        stack = np.zeros((max(len(draws[k].normals) for k in ks), len(ks), *draws[ks[0]].normals.shape[1:]))
-        for j, k in enumerate(ks):
-            stack[: len(draws[k].normals), j] = draws[k].normals
-        normals.append(stack)
-        fractions.append(np.array([draws[k].fraction for k in ks]))
-    families = {}
-    for keys, (accepted, vs) in zip(stacks.values(), _normalise(list(zip(normals, fractions)))):
-        stop = 0
-        for dims in keys:
-            ks, start = groups[dims], stop
-            stop += len(ks)
-            compressions = vs[: dims[2] - mixed, start:stop].copy()  # the group's own, for its redraws
-            for j in np.flatnonzero(~accepted[start:stop]):  # drawn again, and normalised, from a fresh stream
-                draws[ks[j]] = draw(ks[j], checked=True)
-                compressions[:, j] = draws[ks[j]].compressions
-            weights = np.empty((0, len(ks)))  # no trace map
-            if mixed:
-                weights = _trace_weight(np.array([draws[k].fraction for k in ks]), len(compressions), dims[0])[None]
-            families[dims] = compressions, weights
+    # Phase 1, straight into the stacks: per (dim_h, dim_k) the V_i normals (trials, maps, 2, dim_h,
+    # dim_k), slot i for map i, and the trace fractions; per dim_h the eigenvalues and Ginibre normals
+    # of its operators, one row each, at the rows its FamilyStack gives their slots.
+    families, spectra = [], {}  # per family stack: dim_h, dim_k, its run of the layout, its stack, its normals
+    rows, where = [None] * len(seeds), []  # per trial its operator rows; per layout place its stack and row
+    positions, first = np.array(order), 0
+    for dim_h, by_dim_k in layout.items():
+        count = sum(sizes[first : first + sum(map(len, by_dim_k.values()))])
+        lam, normals = np.empty((count, dim_h)), (np.empty((count, 2, dim_h, dim_h)) if dim_h >= 2 else None)
+        spectra[dim_h], row = (lam, normals), 0
+        for dim_k, ks in by_dim_k.items():
+            run = slice(first, first + len(ks))
+            width = max(sizes[run])
+            masks = is_compression[run, :width], is_trace[run, :width]
+            stack = FamilyStack(positions[run], None, weights[run, :width], *masks)
+            v_normals = np.zeros((len(ks), width, 2, dim_h, dim_k))
+            for j, (k, slot_rows) in enumerate(zip(ks, stack.rows())):
+                size = sizes[first + j]
+                _restart(bit_generator, *starts[k][1:])
+                if size > mixed:
+                    standard_normal(out=v_normals[j, : size - mixed])
+                if mixed:
+                    fractions[first + j] = uniform(0.1, 0.4)
+                rows[k] = [row + r for r in slot_rows]
+                draw_operators(k, lam, normals, rows[k])
+            where += [(len(families), j) for j in range(len(ks))]
+            families.append((dim_h, dim_k, run, stack, v_normals))
+            first, row = run.stop, row + sum(sizes[run])
 
-    operators = {}
-    for dim in {dims[0] for dims in groups}:
-        keys = [dims for dims in groups if dims[0] == dim]
-        spectra = [spectrum for dims in keys for k in groups[dims] for spectrum in draws[k].spectra]
-        lam, normals = zip(*spectra)
-        mats = _hermitians(np.array(lam), np.array(normals) if dim >= 2 else None)
-        for dims in keys:  # each group's operators are the next trials * n matrices
-            trials, n = len(groups[dims]), dims[2]
-            operators[dims] = mats[: trials * n].reshape(trials, n, dim, dim)
-            mats = mats[trials * n :]
-    return [
-        SampledGroup(tuple(ks), dims, *families[dims], operators[dims]) for dims, ks in groups.items()
-    ]
+    # Phase 2.  A stack of lone trace maps has no normaliser; a family whose normaliser is rejected is
+    # drawn again, with its operators, from a fresh copy of its stream and normalised alone.
+    todo = [s for s, family in enumerate(families) if max(sizes[family[2]]) > mixed]
+    compressions = {}
+    accepted = np.ones(len(order), dtype=bool)
+    for s, (ok, vs) in zip(todo, _normalise([(families[s][4], fractions[families[s][2]]) for s in todo])):
+        accepted[families[s][2]], compressions[s] = ok, vs
+    for place in np.flatnonzero(~accepted & (n_comp > 0)):
+        (s, j), k = where[place], order[place]
+        dim_h, dim_k = families[s][:2]
+        _restart(bit_generator, *starts[k][1:])
+        fractions[place], v = _draw_family(sizes[place], dim_h, dim_k, mixed, rng)
+        compressions[s][j, : len(v)] = v
+        draw_operators(k, *spectra[dim_h], rows[k])
+
+    if mixed:
+        weights[is_trace] = _trace_weight(fractions, n_comp, np.array([starts[k][0][0] for k in order]))
+    stacks = {dim_h: OperatorStack(_hermitians(*spectra[dim_h]), []) for dim_h in layout}
+    for s, (dim_h, dim_k, _, stack, v_normals) in enumerate(families):
+        vs = compressions.get(s)
+        if vs is None:  # lone trace maps
+            vs = np.zeros(v_normals.shape[:2] + (dim_h, dim_k), dtype=np.complex128)
+        stacks[dim_h].families.append(stack._replace(compressions=vs))
+    return [start[0] for start in starts], list(stacks.values())

@@ -131,14 +131,14 @@ def test_stacked_verify_equals_trial_by_trial(monkeypatch, fn, chain, m, M, forc
         seed=8, function_spec=fn, chain=chain, m=m, M=M, force=force, mixed=mixed, tol_abs=tol_abs,
         vary_dims=True,
     )
-    chunks = []  # per chunk: its groups' dim_k, its group count, (dim_k, trials) per evaluated stack
+    chunks = []  # per chunk: its dim_k values, its shape count, (dim_k, trials) per evaluated stack
     outcomes = []  # per trial: index, seed, dims and its judged rows, every gap as float.hex
     sample, evaluate, grouped = harness._sample_chunk, mercer.evaluate_trials, harness._grouped_outcomes
 
     def sampled(*args):
-        seeds, groups = sample(*args)
-        chunks.append(({group.dims[1] for group in groups}, len(groups), []))
-        return seeds, groups
+        seeds, dims, stacks = sample(*args)
+        chunks.append(({d[1] for d in dims}, len(set(dims)), []))
+        return seeds, dims, stacks
 
     def evaluated(f, which, core, *args):
         chunks[-1][2].append((core.sum(None).dim, len(core.positions)))
@@ -370,14 +370,19 @@ def break_trials(monkeypatch, out_of_range, non_unital):
     original = harness._sample_chunk
 
     def broken(config, indices):
-        seeds, groups = original(config, indices)
-        for group in groups:
-            for j, pos in enumerate(group.positions):
-                if indices[pos] == out_of_range:
-                    group.operators[j, 0] *= 10.0
-                if indices[pos] == non_unital:
-                    group.compressions[:, j] *= 1.5
-        return seeds, groups
+        seeds, dims, stacks = original(config, indices)
+        for operators, families in stacks:
+            start = 0
+            for family in families:
+                rows = family.rows()
+                for t, rows_t in enumerate(rows):
+                    if indices[family.positions[t]] == out_of_range:
+                        operators[start + rows_t[0]] *= 10.0
+                start += sum(map(len, rows))
+                for t, pos in enumerate(family.positions):
+                    if indices[pos] == non_unital:
+                        family.compressions[t, family.is_compression[t]] *= 1.5
+        return seeds, dims, stacks
 
     monkeypatch.setattr(harness, "_sample_chunk", broken)
 

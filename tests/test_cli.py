@@ -233,6 +233,14 @@ class TestBoundaryValidation:
              "overflow"),
             (("verify", "--function", "inv", "--chain", "twice-diff", "--m", "709", "--M", "1e154", "--trials", "2"),
              "overflow"),
+            # An interval whose width M - m overflows is refused where it is built, before any
+            # grid (numpy warned twice from linspace) and before f is checked on it.
+            (("sweep", "--phi", "id", "--psi", "id", "--m=-1e308", "--M", "1e308", "--trials", "1"),
+             "interval [-1e+308, 1e+308] is too wide: M - m overflows"),
+            (("search", "th3-th4-order", "--m=-1e308", "--M", "1e308", "--budget", "2"),
+             "interval [-1e+308, 1e+308] is too wide: M - m overflows"),
+            (("verify", "--function", "id", "--m=-1e308", "--M", "1e308", "--trials", "1"),
+             "interval [-1e+308, 1e+308] is too wide: M - m overflows"),
         ],
     )
     def test_rejected_with_one_line(self, args, field):

@@ -124,9 +124,9 @@ def test_varied_verify_chunk_is_one_stack_per_matrix_dimension(solver_calls):
     # the pairs in eigh, 7 + 7 x 6 + 7 x 5 = 84 with every side norm and
     # defect solved, and 7 x 5 with one call per pair).
     config = TrialConfig(seed=5, function_spec="exp", chain="twice-diff", vary_dims=True)
-    _, groups = harness._sample_chunk(config, range(40))
-    assert len(groups) == 35
-    assert (len({group.dims[0] for group in groups}), len({group.dims[1] for group in groups})) == (7, 7)
+    _, dims, _ = harness._sample_chunk(config, range(40))
+    assert len(set(dims)) == 35
+    assert (len({d[0] for d in dims}), len({d[1] for d in dims})) == (7, 7)
     solver_calls.update(eigh=0, eigvalsh=0, qr=0)
     summary = run_suite(config, 40)
     assert summary.violations == []
@@ -150,9 +150,9 @@ def test_forced_sine_chunk_solves_each_pair_once(solver_calls):
         seed=12, function_spec="sin", chain="classic", m=math.pi / 4, M=math.pi / 2,
         force=True, mixed=True, vary_dims=True,
     )
-    _, groups = harness._sample_chunk(config, range(20))
-    dims_h, dims_k = ({group.dims[axis] for group in groups} for axis in (0, 1))
-    assert (len(groups), len(dims_h), len(dims_k)) == (18, 7, 7)
+    _, dims, _ = harness._sample_chunk(config, range(20))
+    dims_h, dims_k = ({d[axis] for d in dims} for axis in (0, 1))
+    assert (len(set(dims)), len(dims_h), len(dims_k)) == (18, 7, 7)
     solver_calls.update(eigh=0, eigvalsh=0, qr=0)
     summary = run_suite(config, 20)
     assert len(summary.violations) == 20
@@ -171,9 +171,9 @@ def test_varied_sweep_chunk_is_one_stack_per_matrix_dimension(solver_calls):
     # one call per pair.  The Frobenius bound clears every sampled family's
     # unitality defect without an eigensolve.  qr: 7, as before.
     config = TrialConfig(seed=5, vary_dims=True)
-    _, groups = harness._sample_chunk(config, range(40))
-    dims_h, dims_k = ({group.dims[axis] for group in groups} for axis in (0, 1))
-    assert (len(groups), len(dims_h), len(dims_k)) == (35, 7, 7)
+    _, dims, _ = harness._sample_chunk(config, range(40))
+    dims_h, dims_k = ({d[axis] for d in dims} for axis in (0, 1))
+    assert (len(set(dims)), len(dims_h), len(dims_k)) == (35, 7, 7)
     solver_calls.update(eigh=0, eigvalsh=0, qr=0)
     report, _ = run_sweep("log", "id", config, 40)
     assert all(check["evaluated"] == 40 for check in report["checks"].values())
@@ -195,7 +195,7 @@ def test_normaliser_is_one_eigh_per_codomain_dimension(solver_calls):
     # A vary_dims chunk spreads over many (dim_h, dim_k, n) groups, but every
     # normaliser S = sum_i V_i* V_i is dim_k x dim_k.  Groups of lone trace
     # maps (mixed, n = 1) have no compressions and no normaliser.
-    _, groups = harness._sample_chunk(TrialConfig(seed=5, vary_dims=True, mixed=True), range(40))
-    dims_k = {group.dims[1] for group in groups if group.compressions.shape[0]}
-    assert len(groups) > 2 * len(dims_k)
+    _, dims, _ = harness._sample_chunk(TrialConfig(seed=5, vary_dims=True, mixed=True), range(40))
+    dims_k = {d[1] for d in dims if d[2] > 1}  # with --mixed, n - 1 compressions
+    assert len(set(dims)) > 2 * len(dims_k)
     assert solver_calls["eigh"] == len(dims_k)

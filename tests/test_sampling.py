@@ -3,7 +3,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from mercerlab import harness, sampling
+from mercerlab import core, harness, sampling
 from mercerlab.errors import SingularNormalizer
 from mercerlab.harness import CHUNK_TRIALS, TrialConfig
 from mercerlab.linalg import HermitianOperator, SpectralBounds, spectral_decompose
@@ -65,6 +65,54 @@ class TestSeeding:
             assert bit_generator.state["has_uint32"] == 1  # the third dims draw left half a word
             sampling._restart(bit_generator, state)
             assert draws(reused) == draws(generator(seed)), seed
+
+    def test_dims_decode_equals_numpy_bounded_integers(self):
+        # 10^5 streams: sequential seeds, and trial seeds of a 64-bit master as the
+        # CLI's and the benchmark's.  The decode must give numpy's dims and leave the
+        # generator in numpy's state after them, the buffered half word included.
+        seeds = list(range(50_000)) + [trial_seed(0xD1B54A32D192ED03, i) for i in range(50_000)]
+        reference, decoded = np.random.PCG64(0), np.random.PCG64(0)
+        rng = np.random.Generator(reference)
+        buffered = 0
+        for seed, state in zip(seeds, sampling._pcg64_states(seeds)):
+            sampling._restart(reference, state)
+            dims, after, half = sampling._vary_dims(*state)
+            sampling._restart(decoded, after, half)
+            assert dims == draw_dims(TrialConfig(vary_dims=True), rng), seed
+            assert decoded.state == reference.state, seed
+            buffered += half[0]
+        assert buffered == len(seeds)  # three words take two outputs, the last half word buffered
+
+    def test_dims_decode_runs_numpy_rejection_loop(self):
+        # Lemire's draw rejects a 32-bit word w when (w * r) mod 2^32 < 2^32 mod r:
+        # for dim_h (r = 7) the words 0 and 613566757 (w * 7 = 2^32 + 3), for dim_k
+        # at dim_h = 7 the half word 0.  The states below step, by one LCG step
+        # inverted, onto an output whose halves are such words, so the decode
+        # rejects one or two words before it accepts, as numpy does.
+        inverse = pow(sampling._PCG64_MULT, -1, 1 << 128)
+        rng = np.random.default_rng(3)
+        reference, decoded = np.random.PCG64(0), np.random.PCG64(0)
+        generated = np.random.Generator(reference)
+        dim_h_7 = 5 * ((1 << 32) // 7) + 100  # w * 7 >> 32 == 5 and no rejection: dim_h = 7
+        halves = [(0, 1234), (613566757, 99), (dim_h_7, 0), (0, 0), (613566757, 613566757)]
+        rejections = 0
+        for low, high in halves:
+            for _ in range(20):
+                inc = int(rng.integers(0, 2**63)) << 1 | 1
+                top = int(rng.integers(0, 2**63)) << 1 | int(rng.integers(0, 2))
+                rot = top >> 58
+                word = high << 32 | low
+                xored = (word << rot | word >> (64 - rot)) & sampling.MASK64  # XSL-RR's rotate, undone
+                after = top << 64 | (xored ^ top)
+                state = ((after - inc) * inverse) & sampling.MASK128
+                assert sampling._step(state, inc) == (after, word)
+                sampling._restart(reference, (state, inc))
+                dims, next_state, half = sampling._vary_dims(state, inc)
+                sampling._restart(decoded, next_state, half)
+                rejections += (low * 7) & sampling.MASK32 < 4 or (low * 7 >> 32 == 5 and high == 0)
+                assert dims == draw_dims(TrialConfig(vary_dims=True), generated), (low, high)
+                assert decoded.state == reference.state, (low, high)
+        assert rejections == 20 * len(halves)  # every state rejects its first or second word
 
     def test_pcg64_reference_stream(self):
         # pinned raw outputs; documented in the README for cross-validation
@@ -142,11 +190,22 @@ class TestRandomUnitalFamily:
             assert left.v.tobytes() == right.v.tobytes()
 
 
+def draw_dims(config, rng):
+    """A trial's dims by definition: with vary_dims, numpy's bounded integers drawn first from its
+    stream, which the chunk sampler decodes from the stream's state (``sampling._vary_dims``)."""
+    if config.vary_dims:
+        dim_h = int(rng.integers(2, 9))
+        dim_k = int(rng.integers(1, dim_h + 1))
+        n = int(rng.integers(1, 5))
+        return dim_h, dim_k, n
+    return config.dim_h, config.dim_k, config.n_maps
+
+
 def one_by_one(config, i):
     """Trial i drawn by the one-family and one-operator samplers: dims, the
     family (with its rejection loop), then each operator, from one stream."""
     rng = generator(trial_seed(config.seed, i))
-    dim_h, dim_k, n = harness._draw_dims(config, rng)
+    dim_h, dim_k, n = draw_dims(config, rng)
     family = random_unital_family(n, dim_h, dim_k, rng, include_trace=config.mixed)
     operators = [random_hermitian(dim_h, config.bounds, rng, force_endpoints=i % 10 == 0) for _ in range(n)]
     return family, operators
@@ -205,38 +264,56 @@ class TestChunkSampler:
     @pytest.mark.parametrize("threshold", [None, 0.1], ids=["default", "redraws"])
     def test_padded_stack_equals_each_family_alone(self, monkeypatch, mixed, threshold):
         # Phase 2 stacks the families of one (dim_h, dim_k), their normals padded
-        # with zeros up to the most compressions of the stack.  Among these 60
-        # trials, the (2, 2) stack holds families of 1, 2, 3 and 4 compressions,
-        # or with --mixed (n - 1 compressions) of 1, 2 and 3, whose lone trace
-        # maps form a stack of their own.  At a singularity threshold of 0.1 two
-        # families of stacks of mixed widths are rejected and drawn again.
+        # with zeros up to the most maps of the stack.  Among these 60 trials, the
+        # (2, 2) stack holds families of 1, 2, 3 and 4 compressions, or with
+        # --mixed (n - 1 compressions) of 0, 1, 2 and 3, whose lone trace maps
+        # have no normaliser.  At a singularity threshold of 0.1 two families of
+        # stacks of mixed widths are rejected and drawn again.
         if threshold is not None:
             monkeypatch.setattr(sampling, "NORMALIZER_SINGULARITY_ABS", threshold)
         redraws = []
         original = sampling._draw_family
 
-        def spy(*args, checked):
-            redraws.append(checked)
-            return original(*args, checked=checked)
+        def spy(*args):
+            redraws.append(args)
+            return original(*args)
 
         monkeypatch.setattr(sampling, "_draw_family", spy)
         config = TrialConfig(seed=30, vary_dims=True, mixed=mixed)
-        seeds, groups = harness._sample_chunk(config, range(60))
-        widths = {group.compressions.shape[0] for group in groups if group.dims[:2] == (2, 2)}
+        seeds, dims, stacks = harness._sample_chunk(config, range(60))
+        families = [family for _, group in stacks for family in group]
+        widths = {
+            int(count)
+            for family in families
+            if family.compressions.shape[-2:] == (2, 2)
+            for count in family.is_compression.sum(axis=1)
+        }
         assert widths == ({0, 1, 2, 3} if mixed else {1, 2, 3, 4})
-        assert sum(redraws) == (0 if threshold is None else 2)
-        for group in groups:
-            for j, pos in enumerate(group.positions):
-                family, _ = group.instance(j)
+        assert len(redraws) == (0 if threshold is None else 2)
+        trials = core.unstack(stacks)
+        for family in families:
+            for j, pos in enumerate(family.positions.tolist()):
                 rng = generator(seeds[pos])
-                dim_h, dim_k, n = harness._draw_dims(config, rng)
+                dim_h, dim_k, n = draw_dims(config, rng)
+                assert dims[pos] == (dim_h, dim_k, n)
                 alone = random_unital_family(n, dim_h, dim_k, rng, include_trace=mixed)
-                assert trial_bytes(family, []) == trial_bytes(alone, []), pos
+                assert trial_bytes(trials[pos][0], []) == trial_bytes(alone, []), pos
                 # random_unital_family runs _normalise too, on a chunk of one
                 rng = generator(seeds[pos])
-                harness._draw_dims(config, rng)
+                draw_dims(config, rng)
                 by_definition = normalised_by_definition(rng, n, dim_h, dim_k, mixed)
-                assert group.compressions[:, j].tobytes() == by_definition.tobytes(), pos
+                assert family.compressions[j, family.is_compression[j]].tobytes() == by_definition.tobytes(), pos
+
+    def test_chunk_equals_each_trial_alone(self):
+        # A full chunk of mixed vary_dims trials, over every (dim_h, dim_k) stack and
+        # ragged map slots, gives each trial the bytes it gets sampled as a chunk of one.
+        config = TrialConfig(seed=0x9E3779B97F4A7C15, vary_dims=True, mixed=True)
+        chunk = harness._sampled_trials(config, range(CHUNK_TRIALS))
+        assert len({dims for _, dims, _, _ in chunk}) > 100
+        for i, (seed_i, dims, family, operators) in enumerate(chunk):
+            ((seed_alone, dims_alone, *alone),) = harness._sampled_trials(config, (i,))
+            assert (seed_i, dims) == (seed_alone, dims_alone)
+            assert trial_bytes(family, operators) == trial_bytes(*alone), i
 
     def test_pinned_trials_reach_both_endpoints(self):
         config = TrialConfig(seed=16, m=0.5, M=2.0)
@@ -253,14 +330,14 @@ class TestChunkSampler:
         redraws = []
         original = sampling._draw_family
 
-        def spy(*args, checked):
-            redraws.append(checked)
-            return original(*args, checked=checked)
+        def spy(*args):
+            redraws.append(args)
+            return original(*args)
 
         config = TrialConfig(seed=17, mixed=True, n_maps=3)
         monkeypatch.setattr(sampling, "_draw_family", spy)
         sampled = harness._sampled_trials(config, range(60))
-        checked = sum(redraws)  # the phase-1 draws are unchecked
+        checked = len(redraws)  # phase 1 draws straight into the stacks, unchecked
         assert 0 < checked < 60
         for i, (_, _, family, operators) in enumerate(sampled):
             assert trial_bytes(family, operators) == trial_bytes(*one_by_one(config, i)), i
@@ -273,7 +350,7 @@ class TestChunkSampler:
         # so stage 1 refused the family and the sweep raised HypothesisNotMet.
         config = TrialConfig(seed=4867886993087217673, vary_dims=True)
         rng = generator(trial_seed(config.seed, 2))
-        dim_h, dim_k, n = harness._draw_dims(config, rng)
+        dim_h, dim_k, n = draw_dims(config, rng)
         normals = rng.standard_normal((n, 2, dim_h, dim_k))
         v = (normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2.0)
         lam = np.linalg.eigvalsh(sum((vi.conj().T @ vi for vi in v), 0.0))
