@@ -199,7 +199,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     print(f"wall_time_s={time.perf_counter() - started:.3f}", file=sys.stderr)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

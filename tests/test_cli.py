@@ -1,9 +1,12 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -350,6 +353,155 @@ class TestImportFootprint:
         assert "mercerlab.harness" in imported
         absent = {name if name.startswith("numpy") else f"mercerlab.{name}" for name in absent}
         assert not imported & absent
+
+
+def without_wall_time(stderr: str) -> list:
+    return [line for line in stderr.splitlines() if not line.startswith("wall_time_s=")]
+
+
+def in_process(args, stdout=None) -> tuple:
+    """``cli.main(args)`` in this process: (exit code, stdout, stderr).  ``stdout``, when given,
+    replaces the captured one, whose text is then reported as empty."""
+    from mercerlab import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout or out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+def read_one_byte_then_close(stream) -> bytes:
+    first = stream.read(1)
+    stream.close()
+    return first
+
+
+def in_process_closed_after_one_byte(args) -> tuple:
+    """``cli.main(args)`` writing to a pipe whose reader closes it after one byte."""
+    read_fd, write_fd = os.pipe()
+    read_end = open(read_fd, "rb", buffering=0)
+    first = []
+    reader = threading.Thread(target=lambda: first.append(read_one_byte_then_close(read_end)))
+    reader.start()
+    with open(write_fd, "w") as pipe:
+        code, _, err = in_process(args, stdout=pipe)
+    reader.join(timeout=300)
+    assert not reader.is_alive()
+    return code, first[0].decode(), err
+
+
+# Its 166 kB report overflows a pipe's 64 KiB buffer, so a write fails whenever the reader closes.
+LARGE_REPORT = ("verify", "--function", "sin", "--chain", "classic", "--force",
+                "--m", PI4, "--M", PI2, "--trials", "1000", "--seed", "7")
+
+
+class TestProcessEntry:
+    """``python -m mercerlab`` freezes the collector's view of its imports and again before
+    exit; that loses no output and no error handling: it gives what ``cli.main`` gives in-process."""
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (("verify", "--trials", "20", "--seed", "7"), 0),
+            (("verify", "--function", "sin", "--chain", "classic", "--force",
+              "--m", PI4, "--M", PI2, "--trials", "20", "--seed", "7"), 2),
+            (("verify", "--seed", "18446744073709551616", "--trials", "3"), 1),
+        ],
+        ids=["clean", "forced-sine", "rejected"],
+    )
+    def test_same_as_in_process(self, args, code):
+        proc = run_cli(*args)
+        expected_code, expected_out, expected_err = in_process(args)
+        assert proc.returncode == expected_code == code
+        assert proc.stdout.encode() == expected_out.encode()
+        assert without_wall_time(proc.stderr) == without_wall_time(expected_err)
+        if code == 1:
+            assert len(proc.stderr.splitlines()) == 1
+
+    def test_csv_file_is_complete(self, tmp_path):
+        args = ("verify", "--function", "exp", "--chain", "twice-diff", "--trials", "10", "--seed", "3", "--csv")
+        proc = run_cli(*args, str(tmp_path / "process.csv"))
+        expected_code, expected_out, expected_err = in_process((*args, str(tmp_path / "in-process.csv")))
+        assert proc.returncode == expected_code == 0
+        assert proc.stdout.encode() == expected_out.encode()
+        assert without_wall_time(proc.stderr) == without_wall_time(expected_err) == []
+        written = (tmp_path / "process.csv").read_bytes()
+        assert written == (tmp_path / "in-process.csv").read_bytes()
+        assert len(written.splitlines()) == 11
+
+    def test_reader_closing_stdout_after_one_byte(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mercerlab", *LARGE_REPORT], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        first = read_one_byte_then_close(proc.stdout)
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        code = proc.wait(timeout=300)
+        expected_code, expected_first, expected_err = in_process_closed_after_one_byte(LARGE_REPORT)
+        assert code == expected_code == 1
+        assert first.decode() == expected_first == "{"
+        assert err.splitlines() == without_wall_time(expected_err) == ["mercerlab: error: [Errno 32] Broken pipe"]
+
+
+def run_fresh(source: str) -> dict:
+    """Run ``source`` in a fresh interpreter; it must exit 0, print nothing to stderr and print
+    one JSON object as its last stdout line."""
+    proc = subprocess.run([sys.executable, "-c", source], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestProcessEntryCollector:
+    """What ``mercerlab.__main__.main`` does to the collector, each check in a fresh process."""
+
+    def test_import_runs_nothing(self):
+        seen = run_fresh(
+            "import json, sys, mercerlab.__main__\n"
+            "print(json.dumps(sorted(name for name in sys.modules if name.startswith('mercerlab'))))"
+        )
+        assert seen == ["mercerlab", "mercerlab.__main__"]
+
+    def test_cli_is_imported_with_the_collector_off(self):
+        seen = run_fresh(
+            "import contextlib, gc, io, json, sys\n"
+            "seen = []\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'mercerlab.cli':\n"
+            "            seen.append(gc.isenabled())\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            "sys.argv = ['mercerlab', 'reproduce', 'example-2.2']\n"
+            "from mercerlab.__main__ import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "    code = main()\n"
+            "print(json.dumps({'code': code, 'enabled_at_import': seen, 'enabled_after': gc.isenabled()}))"
+        )
+        assert seen == {"code": 0, "enabled_at_import": [False], "enabled_after": True}
+
+    def test_command_runs_collected_and_both_freezes_happen(self):
+        seen = run_fresh(
+            "import gc, json\n"
+            "from mercerlab import cli\n"
+            "from mercerlab.__main__ import main\n"
+            "during, kept = [], []\n"
+            "def command():\n"
+            "    during.append({'enabled': gc.isenabled(), 'frozen': gc.get_freeze_count()})\n"
+            "    kept.extend([] for _ in range(1000))\n"
+            "    return 7\n"
+            "cli.main = command\n"
+            "before = gc.get_freeze_count()\n"
+            "code = main()\n"
+            "print(json.dumps({'before': before, 'code': code, 'during': during, 'after': gc.get_freeze_count()}))"
+        )
+        (during,) = seen["during"]
+        assert seen["before"] == 0 and seen["code"] == 7
+        assert during["enabled"] and during["frozen"] > 0
+        assert seen["after"] >= during["frozen"] + 1000  # the command's kept objects, frozen before exit
+
+    def test_installed_script_runs_the_process_entry(self):
+        with open(os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")) as handle:
+            scripts = handle.read().split("[project.scripts]")[1].split("[")[0]
+        assert scripts.strip() == 'mercerlab = "mercerlab.__main__:main"'
 
 
 def choices_of(parser, dest: str) -> tuple:
